@@ -81,6 +81,35 @@ impl CorrectedTreeProcess {
         }
     }
 
+    /// Rewind to exactly the state [`CorrectedTreeProcess::new`] would
+    /// produce for these arguments, keeping the buffers' capacity — the
+    /// in-place path of `BroadcastSpec::build_into`.
+    pub fn reset(
+        &mut self,
+        rank: Rank,
+        tree: &Arc<Tree>,
+        corr_kind: CorrectionKind,
+        sync_start: Option<Time>,
+    ) {
+        let is_root = rank == 0;
+        self.rank = rank;
+        if !Arc::ptr_eq(&self.tree, tree) {
+            self.tree = Arc::clone(tree);
+        }
+        self.corr_kind = corr_kind;
+        self.sync_start = sync_start;
+        self.colored_at = is_root.then_some(Time::ZERO);
+        self.colored_via = is_root.then_some(ColoredVia::Root);
+        self.next_child = 0;
+        self.sending_tree = is_root;
+        self.machine = None;
+        self.machine_done = false;
+        self.pending_corr.clear();
+        self.replies.clear();
+        self.replied_to.clear();
+        self.done = false;
+    }
+
     /// Does this process take part in the correction phase? Only
     /// processes colored by dissemination (or the root) send correction
     /// messages (§3.1).
@@ -242,6 +271,10 @@ impl Process for CorrectedTreeProcess {
 
     fn colored_via(&self) -> Option<ColoredVia> {
         self.colored_via
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn core::any::Any> {
+        Some(self)
     }
 }
 

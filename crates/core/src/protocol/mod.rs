@@ -23,6 +23,7 @@ pub mod corrected;
 pub mod relabel;
 pub mod rotate;
 
+use core::any::Any;
 use core::fmt;
 use std::sync::Arc;
 
@@ -103,6 +104,14 @@ pub trait Process: Send {
 
     /// How this process became colored, if it has.
     fn colored_via(&self) -> Option<ColoredVia>;
+
+    /// The concrete machine, for factories that re-initialise the
+    /// machines of a previous broadcast in place
+    /// ([`ProtocolFactory::build_into`]). `None` (the default) opts out:
+    /// the slot is rebuilt from scratch.
+    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
+        None
+    }
 }
 
 /// Context handed to a [`ProtocolFactory`].
@@ -129,8 +138,9 @@ pub trait ProtocolFactory {
     ///
     /// The default delegates to [`ProtocolFactory::build`] and moves the
     /// boxes over; factories whose per-rank machines are expensive to
-    /// allocate may override this to rebuild in place. On error `out`
-    /// is left empty.
+    /// allocate may override this to rebuild in place
+    /// ([`BroadcastSpec`] does). Either way the machines behave exactly
+    /// like freshly built ones. On error `out` is left empty.
     fn build_into(
         &self,
         ctx: &BuildCtx,
@@ -301,6 +311,59 @@ impl BroadcastSpec {
     pub fn build_tree(&self, p: u32, logp: &LogP) -> Result<Arc<Tree>, ProtocolError> {
         Ok(crate::tree::cache::cached(self.tree, p, logp)?)
     }
+
+    /// Reject contradictory or out-of-range configurations.
+    fn validate(&self, ctx: &BuildCtx) -> Result<(), ProtocolError> {
+        if self.acked && !self.correction.is_none() {
+            return Err(ProtocolError::InvalidConfig(
+                "acknowledgments and correction are mutually exclusive".into(),
+            ));
+        }
+        if self.root >= ctx.p {
+            return Err(ProtocolError::InvalidConfig(format!(
+                "root {} out of range for P = {}",
+                self.root, ctx.p
+            )));
+        }
+        Ok(())
+    }
+
+    /// Rewind every slot of `procs` to this spec's fresh rank-`v`
+    /// machine. `false` — with some slots possibly rewound already,
+    /// which the caller's rebuild makes moot — when a slot is not a
+    /// [`CorrectedTreeProcess`] or the spec does not build (the rebuild
+    /// then reports why).
+    fn rewind(&self, ctx: &BuildCtx, procs: &mut [Box<dyn Process>]) -> bool {
+        let (Ok(()), Ok(tree), Ok(sync_start)) = (
+            self.validate(ctx),
+            self.build_tree(ctx.p, &ctx.logp),
+            self.sync_start(ctx),
+        ) else {
+            return false;
+        };
+        for (slot, v) in procs.iter_mut().zip(0..) {
+            let machine = slot
+                .as_any_mut()
+                .and_then(|m| m.downcast_mut::<CorrectedTreeProcess>());
+            match machine {
+                Some(m) => m.reset(v, &tree, self.correction, sync_start),
+                None => return false,
+            }
+        }
+        true
+    }
+
+    /// The global correction start of synchronized mode (`None` when
+    /// overlapped).
+    fn sync_start(&self, ctx: &BuildCtx) -> Result<Option<Time>, ProtocolError> {
+        Ok(match self.mode {
+            StartMode::Synchronized => Some(match self.sync_start_override {
+                Some(t) => Time::new(t),
+                None => crate::tree::cache::cached_deadline(self.tree, ctx.p, &ctx.logp)?,
+            }),
+            StartMode::Overlapped => None,
+        })
+    }
 }
 
 impl fmt::Display for BroadcastSpec {
@@ -325,17 +388,7 @@ impl ProtocolFactory for BroadcastSpec {
     }
 
     fn build(&self, ctx: &BuildCtx) -> Result<Vec<Box<dyn Process>>, ProtocolError> {
-        if self.acked && !self.correction.is_none() {
-            return Err(ProtocolError::InvalidConfig(
-                "acknowledgments and correction are mutually exclusive".into(),
-            ));
-        }
-        if self.root >= ctx.p {
-            return Err(ProtocolError::InvalidConfig(format!(
-                "root {} out of range for P = {}",
-                self.root, ctx.p
-            )));
-        }
+        self.validate(ctx)?;
         let tree = self.build_tree(ctx.p, &ctx.logp)?;
         // Build the rank-0-rooted machines on virtual ranks.
         let mut virtual_procs: Vec<Box<dyn Process>> = if self.acked {
@@ -343,15 +396,7 @@ impl ProtocolFactory for BroadcastSpec {
                 .map(|v| Box::new(AckTreeProcess::new(v, Arc::clone(&tree))) as Box<dyn Process>)
                 .collect()
         } else {
-            let sync_start = match self.mode {
-                StartMode::Synchronized => match self.sync_start_override {
-                    Some(t) => Some(Time::new(t)),
-                    None => Some(crate::tree::cache::cached_deadline(
-                        self.tree, ctx.p, &ctx.logp,
-                    )?),
-                },
-                StartMode::Overlapped => None,
-            };
+            let sync_start = self.sync_start(ctx)?;
             (0..ctx.p)
                 .map(|v| {
                     Box::new(CorrectedTreeProcess::new(
@@ -387,6 +432,26 @@ impl ProtocolFactory for BroadcastSpec {
             .into_iter()
             .map(|p| p.expect("relabeling is a bijection"))
             .collect())
+    }
+
+    /// Re-initialises in place when `out` still holds the `P`
+    /// un-relabelled [`CorrectedTreeProcess`]es of a previous broadcast
+    /// (no allocation; the machines keep their buffers' capacity).
+    /// Acked, rotated and shuffled specs, and any other content of
+    /// `out`, fall back to [`ProtocolFactory::build`].
+    fn build_into(
+        &self,
+        ctx: &BuildCtx,
+        out: &mut Vec<Box<dyn Process>>,
+    ) -> Result<(), ProtocolError> {
+        let plain_numbering = self.root == 0 && self.shuffle_seed.is_none();
+        let reusable = !self.acked && plain_numbering && out.len() == ctx.p as usize;
+        if reusable && self.rewind(ctx, out) {
+            return Ok(());
+        }
+        out.clear();
+        out.extend(self.build(ctx)?);
+        Ok(())
     }
 }
 

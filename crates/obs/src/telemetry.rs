@@ -59,8 +59,9 @@ pub enum Counter {
     SchedRechecks,
     /// Ranks made runnable by sends, timer fires and rechecks.
     SchedWakes,
-    /// Wall-clock microseconds workers spent inside quanta (busy time;
-    /// the basis of `ct top` utilization bars).
+    /// Wall-clock microseconds workers spent driving batches — claim
+    /// through flush, everything but parking (busy time; the basis of
+    /// `ct top` utilization bars).
     SchedBusyUs,
     /// Protocol messages sent rank-to-rank.
     MsgsSent,
@@ -153,7 +154,9 @@ impl Counter {
             Counter::SchedBatches => "Run-queue batches claimed by workers.",
             Counter::SchedRechecks => "End-of-quantum rechecks that re-armed the rank.",
             Counter::SchedWakes => "Ranks made runnable by sends, timer fires and rechecks.",
-            Counter::SchedBusyUs => "Wall-clock microseconds workers spent inside quanta.",
+            Counter::SchedBusyUs => {
+                "Wall-clock microseconds workers spent driving batches (not parked)."
+            }
             Counter::MsgsSent => "Protocol messages sent rank-to-rank.",
             Counter::MsgsDelivered => "Current-iteration messages delivered to live ranks.",
             Counter::MsgsStaleDropped => "Stale messages discarded by broadcast id.",

@@ -14,10 +14,21 @@
 //! services between quanta, so idle ranks cost nothing — no P blocked
 //! `recv_timeout` calls.
 //!
+//! Time is an input of the quantum, not something its steps read: a
+//! quantum reads the clock once, after the mailbox drain, on the
+//! cluster-wide `Shared::now_us` timeline, and every protocol `Time`,
+//! event stamp and flight stamp it produces is that read minus the
+//! iteration's `epoch_us` (a send burst re-reads every
+//! `STAMP_REFRESH_POLLS` polls). Senders stamp before the push,
+//! receivers after the drain, and the mailbox mutex orders the two, so
+//! `Arrive.t ≥ SendStart.t` holds across workers; see DESIGN.md
+//! "Cluster runtime", *One clock*.
+//!
 //! Coordinator traffic is batched: a worker accumulates colored
-//! notifications, wake-ups and timer arms over a scheduling quantum and
-//! flushes them once (one channel send per iteration id, one run-queue
-//! lock). Iteration start reuses per-rank `Process` slots via
+//! notifications, quiescence deltas, wake-ups and timer arms over a
+//! scheduling quantum and flushes them once (one channel send per
+//! iteration id, one run-queue lock). Iteration start re-initialises
+//! the previous iteration's per-rank `Process` machines in place via
 //! [`ProtocolFactory::build_into`] rather than shipping fresh boxes
 //! through channels, and iteration teardown harvests per-rank message
 //! counts and event buffers directly from the shared state — there is
@@ -269,14 +280,17 @@ impl From<ProtocolError> for ClusterError {
 /// Result of one broadcast iteration on the cluster.
 #[derive(Clone, Debug)]
 pub struct RunReport {
-    /// Wall-clock time from the iteration epoch (the zero point of
-    /// every recorded event timestamp) until the last live rank
-    /// reported the payload (coloring latency). The epoch is taken
-    /// before the per-rank install loop so events can never predate
-    /// it, which means latency includes O(P) uncontended lock
-    /// acquisitions of setup — low microseconds even at P=4096, but a
-    /// systematic inclusion to keep in mind for cross-P comparisons
-    /// (see DESIGN.md "Cluster runtime", *One clock*).
+    /// Wall-clock time from the iteration epoch until the last live
+    /// rank reported the payload (coloring latency). The epoch is a
+    /// whole-µs point of the cluster timeline (`Shared::epoch`) and
+    /// the zero of every recorded event timestamp
+    /// (`now_us − epoch_us`), so no event can postdate the latency. It
+    /// is taken before the per-rank install loop so events can never
+    /// predate it either, which means latency includes O(P)
+    /// uncontended lock acquisitions of setup — low microseconds even
+    /// at P=4096, but a systematic inclusion to keep in mind for
+    /// cross-P comparisons (see DESIGN.md "Cluster runtime", *One
+    /// clock*).
     pub latency: Duration,
     /// Live ranks that never got colored before the timeout (empty on
     /// success).
@@ -309,12 +323,17 @@ pub(crate) struct IterState {
     pub(crate) id: u64,
     pub(crate) process: Box<dyn Process>,
     pub(crate) dead: bool,
-    pub(crate) epoch: Instant,
-    /// `epoch` on the cluster-wide µs timeline (for timer deadlines).
+    /// The iteration epoch on the cluster-wide µs timeline
+    /// ([`Shared::epoch`]): protocol time is `now_us − epoch_us`, timer
+    /// deadlines are `epoch_us + t`.
     pub(crate) epoch_us: u64,
     pub(crate) record: bool,
     /// Messages this rank sent during this iteration.
     pub(crate) sent: u64,
+    /// Messages routed to this iteration (delivered or dead-dropped)
+    /// not yet reported to the coordinator; a quantum counts here while
+    /// routing and reports once.
+    pub(crate) consumed: u64,
     /// Whether the coordinator has been told this rank is colored.
     pub(crate) notified: bool,
     /// Whether the coordinator has been told this rank's protocol
@@ -322,6 +341,42 @@ pub(crate) struct IterState {
     pub(crate) done_notified: bool,
     /// Buffered observability events (when recording).
     pub(crate) events: Vec<ObsEvent>,
+}
+
+impl IterState {
+    /// A freshly installed iteration: nothing sent, nothing reported.
+    pub(crate) fn new(
+        id: u64,
+        process: Box<dyn Process>,
+        dead: bool,
+        epoch_us: u64,
+        record: bool,
+    ) -> IterState {
+        IterState {
+            id,
+            process,
+            dead,
+            epoch_us,
+            record,
+            sent: 0,
+            consumed: 0,
+            notified: false,
+            done_notified: false,
+            events: Vec::new(),
+        }
+    }
+
+    /// Protocol time of the cluster-timeline stamp `now_us`.
+    fn at(&self, now_us: u64) -> Time {
+        Time::new(now_us.saturating_sub(self.epoch_us))
+    }
+
+    /// Buffer an observability event stamped `now` (when recording).
+    fn note(&mut self, now: Time, kind: ObsEventKind) {
+        if self.record {
+            self.events.push(ObsEvent::wall(now, now.steps(), kind));
+        }
+    }
 }
 
 /// Mutable per-rank state a worker locks for the span of one quantum.
@@ -342,7 +397,7 @@ pub(crate) struct RankState {
     pub(crate) last_installed: u64,
     /// Cluster-timeline µs stamp of this rank's last installed-state
     /// quantum in the current iteration (`None` until first polled).
-    /// Always maintained — one `Instant` read per quantum — so the
+    /// Always maintained — it is the quantum's one clock read — so the
     /// watchdog's [`StallReport`] can tell "never polled" from "polled
     /// long ago" even on runs without telemetry.
     pub(crate) last_poll_us: Option<u64>,
@@ -389,8 +444,27 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// Nanoseconds since `base`: the one clock every stamp in this
+    /// crate is a function of.
+    pub(crate) fn now_ns(&self) -> u64 {
+        let d = self.base.elapsed();
+        d.as_secs() * 1_000_000_000 + u64::from(d.subsec_nanos())
+    }
+
+    /// Whole microseconds since `base` — the cluster-wide timeline
+    /// protocol time, timers, events and flight records live on.
     pub(crate) fn now_us(&self) -> u64 {
-        self.base.elapsed().as_micros() as u64
+        self.now_ns() / 1_000
+    }
+
+    /// A fresh iteration epoch: "now" floored to a whole µs of the
+    /// timeline, as the `Instant` the coordinator measures latency and
+    /// the watchdog deadline from and as the `epoch_us` the workers
+    /// subtract. Being the same point, an event stamp
+    /// `now_us − epoch_us` can never exceed a latency taken later.
+    pub(crate) fn epoch(&self) -> (Instant, u64) {
+        let epoch_us = self.now_us();
+        (self.base + Duration::from_micros(epoch_us), epoch_us)
     }
 }
 
@@ -644,9 +718,8 @@ impl Cluster {
         }
         // The iteration epoch: zero point of event timestamps AND of
         // the latency measurement, taken before any rank is installed
-        // so the two clocks agree.
-        let epoch = Instant::now();
-        let epoch_us = epoch.duration_since(self.shared.base).as_micros() as u64;
+        // so no stamp can predate it.
+        let (epoch, epoch_us) = self.shared.epoch();
         for rank in (0..self.p).rev() {
             let process = self.procs.pop().expect("one per rank");
             let mut st = self.shared.ranks[rank as usize]
@@ -654,18 +727,13 @@ impl Cluster {
                 .lock()
                 .map_err(|_| ClusterError::WorkerPanicked)?;
             debug_assert!(st.iters.is_empty(), "single-broadcast mode is exclusive");
-            st.iters.push(IterState {
+            st.iters.push(IterState::new(
                 id,
                 process,
-                dead: dead[rank as usize],
-                epoch,
+                dead[rank as usize],
                 epoch_us,
                 record,
-                sent: 0,
-                notified: false,
-                done_notified: false,
-                events: Vec::new(),
-            });
+            ));
             st.pending.clear();
             st.last_installed = id;
             st.last_poll_us = None;
@@ -976,9 +1044,73 @@ impl Drop for Cluster {
     }
 }
 
-/// Microseconds since the iteration epoch, as protocol [`Time`].
-fn now_since(epoch: Instant) -> Time {
-    Time::new(epoch.elapsed().as_micros() as u64)
+/// Polls of `poll_send` a quantum makes on one clock read. A send
+/// burst (rank 0's ~2 000-send checked-correction round at P=1024)
+/// re-reads the clock this often, so protocol time still advances
+/// inside it; every other quantum is done long before.
+const STAMP_REFRESH_POLLS: u32 = 16;
+
+/// A worker's observability taps. With nothing attached every call
+/// reduces to one `Option` branch.
+#[derive(Clone, Copy)]
+struct Taps<'a> {
+    tel: Option<&'a TelemetryHub>,
+    fl: Option<&'a FlightRecorder>,
+    /// This worker's telemetry / flight shard.
+    widx: usize,
+}
+
+impl Taps<'_> {
+    /// The quantum-end stamp (ns on the cluster timeline): read only
+    /// when some tap wants it, 0 otherwise.
+    fn end_stamp_ns(&self, shared: &Shared) -> u64 {
+        if self.tel.is_some() || self.fl.is_some() {
+            shared.now_ns()
+        } else {
+            0
+        }
+    }
+
+    fn flight(&self, kind: Fk, rank: Rank, aux: u64, step: u64, wall_us: u64) {
+        if let Some(f) = self.fl {
+            f.record(self.widx, kind, rank, aux, step, wall_us);
+        }
+    }
+
+    fn add(&self, counter: Tc, n: u64) {
+        if n > 0 {
+            if let Some(t) = self.tel {
+                t.add(self.widx, counter, n);
+            }
+        }
+    }
+
+    /// Add one quantum's counters to the hub: one atomic per counter
+    /// that moved instead of one per message.
+    fn count(&self, c: &QuantumCounts) {
+        self.add(Tc::MsgsDelivered, c.delivered);
+        self.add(Tc::MsgsStaleDropped, c.stale_dropped);
+        // Every send is exactly one mailbox push.
+        self.add(Tc::MsgsSent, c.sent);
+        self.add(Tc::MailboxPushes, c.sent);
+        self.add(Tc::MailboxSpills, c.spills);
+        self.add(Tc::SchedWakes, c.wakes);
+        self.add(Tc::SchedRechecks, c.rechecks);
+        self.add(Tc::TimerArms, c.timer_arms);
+    }
+}
+
+/// One quantum's telemetry counters, kept in locals and handed to
+/// [`Taps::count`] once.
+#[derive(Default)]
+struct QuantumCounts {
+    delivered: u64,
+    stale_dropped: u64,
+    sent: u64,
+    spills: u64,
+    wakes: u64,
+    rechecks: u64,
+    timer_arms: u64,
 }
 
 /// Scheduler loop: claim a batch of runnable ranks (servicing the timer
@@ -988,37 +1120,40 @@ fn now_since(epoch: Instant) -> Time {
 /// every instrumented path reduces to one `Option` branch.
 fn worker_main(shared: Arc<Shared>, coord: Sender<CoordMsg>, widx: usize) {
     let tel = shared.telemetry.clone();
-    let tel = tel.as_deref();
     let fl = shared.flight.clone();
-    let fl = fl.as_deref();
+    let taps = Taps {
+        tel: tel.as_deref(),
+        fl: fl.as_deref(),
+        widx,
+    };
     let mut scratch = Scratch::default();
     let mut batch: Vec<Rank> = Vec::with_capacity(MAX_BATCH);
+    // Busy time not yet published: it is summed in ns and `SchedBusyUs`
+    // counts whole µs, so the sub-µs remainder is carried, not
+    // truncated away (truncating per sub-µs quantum once made two
+    // saturated workers read as 61 % busy).
+    let mut busy_carry_ns = 0u64;
     loop {
         batch.clear();
-        {
+        // The stamp of the claim that found work: start of this batch's
+        // busy time and of its first quantum.
+        let claimed_ns = {
             let mut sched = match shared.sched.lock() {
                 Ok(g) => g,
                 Err(_) => return,
             };
-            loop {
+            let claimed_ns = loop {
                 if sched.shutdown {
                     return;
                 }
-                let now = shared.now_us();
+                let now_ns = shared.now_ns();
+                let now = now_ns / 1_000;
                 scratch.due.clear();
                 let cascaded = sched.timers.expire(now, &mut scratch.due);
-                if let Some(t) = tel {
-                    if cascaded > 0 {
-                        t.add(widx, Tc::TimerCascades, cascaded);
-                    }
-                    if !scratch.due.is_empty() {
-                        t.add(widx, Tc::TimerFires, scratch.due.len() as u64);
-                    }
-                }
+                taps.add(Tc::TimerCascades, cascaded);
+                taps.add(Tc::TimerFires, scratch.due.len() as u64);
                 for &rank in &scratch.due {
-                    if let Some(f) = fl {
-                        f.record(widx, Fk::TimerFire, rank, 0, 0, now);
-                    }
+                    taps.flight(Fk::TimerFire, rank, 0, 0, now);
                     if !shared.ranks[rank as usize]
                         .scheduled
                         .swap(true, Ordering::SeqCst)
@@ -1027,7 +1162,7 @@ fn worker_main(shared: Arc<Shared>, coord: Sender<CoordMsg>, widx: usize) {
                     }
                 }
                 if !sched.runq.is_empty() {
-                    break;
+                    break now_ns;
                 }
                 match sched.timers.next_deadline() {
                     Some(d) => {
@@ -1047,9 +1182,9 @@ fn worker_main(shared: Arc<Shared>, coord: Sender<CoordMsg>, widx: usize) {
                         Err(_) => return,
                     },
                 }
-            }
+            };
             // Claim a fair share of the queue in one lock acquisition.
-            if let Some(t) = tel {
+            if let Some(t) = taps.tel {
                 t.observe(widx, Td::RunqDepth, sched.runq.len() as u64);
                 t.set_runq_depth(sched.runq.len() as u64);
                 t.set_timers_pending(sched.timers.len() as u64);
@@ -1065,262 +1200,145 @@ fn worker_main(shared: Arc<Shared>, coord: Sender<CoordMsg>, widx: usize) {
                     None => break,
                 }
             }
-        }
-        if let Some(t) = tel {
+            claimed_ns
+        };
+        if let Some(t) = taps.tel {
             t.inc(widx, Tc::SchedBatches);
             t.observe(widx, Td::BatchSize, batch.len() as u64);
         }
+        // With a hub attached a quantum is timed from the end stamp of
+        // the one before it (the claim, for the first of a batch) to
+        // its own end stamp — the read the flight recorder's
+        // `QuantumEnd` record carries, not a clock pair of its own.
+        let mut mark_ns = claimed_ns;
         for &rank in &batch {
-            let quantum_start = tel.map(|_| Instant::now());
-            if run_quantum(&shared, rank, &mut scratch, tel, fl, widx).is_err() {
+            let Ok(end_ns) = run_quantum(&shared, rank, &mut scratch, taps) else {
                 // Another worker panicked; the coordinator will surface
                 // WorkerPanicked and the cluster is unrecoverable.
                 // Still flush best-effort so ranks whose wake-up CAS
                 // was already won are not abandoned scheduled=true with
                 // no run-queue entry, should poisoning ever be made
                 // survivable.
-                let _ = flush(&shared, &coord, &mut scratch, tel, fl, widx);
+                let _ = flush(&shared, &coord, &mut scratch, taps);
                 return;
-            }
-            if let (Some(t), Some(start)) = (tel, quantum_start) {
-                let us = start.elapsed().as_micros() as u64;
+            };
+            if let Some(t) = taps.tel {
                 t.inc(widx, Tc::SchedQuanta);
-                t.add(widx, Tc::SchedBusyUs, us);
-                t.observe(widx, Td::QuantumUs, us);
+                t.observe(widx, Td::QuantumUs, end_ns.saturating_sub(mark_ns) / 1_000);
+                mark_ns = end_ns;
             }
         }
-        if flush(&shared, &coord, &mut scratch, tel, fl, widx).is_err() {
+        if flush(&shared, &coord, &mut scratch, taps).is_err() {
             return;
+        }
+        if let Some(t) = taps.tel {
+            // Busy is everything but parking: claim through flush.
+            busy_carry_ns += shared.now_ns().saturating_sub(claimed_ns);
+            t.add(widx, Tc::SchedBusyUs, busy_carry_ns / 1_000);
+            busy_carry_ns %= 1_000;
         }
     }
 }
 
-/// Drive one rank for a quantum: drain its mailbox, deliver current-id
-/// messages, poll the protocol for sends, report coloring. Effects that
-/// need shared locks (wake-ups, timers, coordinator traffic) accumulate
-/// in `scratch` and are flushed once per batch.
-fn run_quantum(
-    shared: &Shared,
+/// What one quantum carries from step to step: the time it runs at and
+/// the counters it accumulates.
+struct Quantum<'a> {
+    shared: &'a Shared,
     rank: Rank,
-    scratch: &mut Scratch,
-    tel: Option<&TelemetryHub>,
-    fl: Option<&FlightRecorder>,
-    widx: usize,
-) -> Result<(), Poisoned> {
-    let cell = &shared.ranks[rank as usize];
-    let mut guard = cell.state.lock().map_err(|_| Poisoned)?;
-    let st = &mut *guard;
-    if st.iters.is_empty() {
-        // Stale wake-up between iterations: the mailbox is left alone
-        // (it may hold early traffic of an iteration being installed;
-        // the coordinator schedules every rank once installation is
-        // done) and the quantum does no work. Clearing the flag gets
-        // the same recheck as the normal end-of-quantum path: an
-        // install or a message that raced in while this quantum held
-        // the flag may have elided its enqueue on the strength of it,
-        // so if state or mailbox turn out non-empty now, this quantum
-        // must take the wake-up back or the rank sleeps forever.
-        drop(guard);
-        if let Some(t) = tel {
-            t.inc(widx, Tc::SchedStaleQuanta);
-        }
-        if let Some(f) = fl {
-            f.record(widx, Fk::StaleQuantum, rank, 0, 0, shared.now_us());
-        }
-        cell.scheduled.store(false, Ordering::SeqCst);
-        let installed = !cell.state.lock().map_err(|_| Poisoned)?.iters.is_empty();
-        if (installed || !cell.mailbox.lock().map_err(|_| Poisoned)?.is_empty())
-            && !cell.scheduled.swap(true, Ordering::SeqCst)
-        {
-            scratch.wakes.push(rank);
-            if let Some(t) = tel {
-                t.inc(widx, Tc::SchedRechecks);
-                t.inc(widx, Tc::SchedWakes);
-            }
-            if let Some(f) = fl {
-                f.record(widx, Fk::Recheck, rank, 0, 0, shared.now_us());
-            }
-        }
-        return Ok(());
-    }
-    // Always-on and cheap (one Instant read per quantum): the stamp the
-    // watchdog's StallReport ages stranded ranks by.
-    let poll_us = shared.now_us();
-    st.last_poll_us = Some(poll_us);
-    // One quantum serves every iteration installed on this rank. The
-    // flight record names the broadcast when there is exactly one (the
-    // single-broadcast invariant) and 0 for a multiplexed quantum; its
-    // step is measured from the oldest installed epoch.
-    let quantum_aux = if st.iters.len() == 1 {
-        st.iters[0].id
-    } else {
-        0
-    };
-    let oldest_epoch_us = st.iters.iter().map(|i| i.epoch_us).min().unwrap_or(0);
-    if let Some(f) = fl {
-        f.record(
-            widx,
-            Fk::QuantumStart,
-            rank,
-            quantum_aux,
-            poll_us.saturating_sub(oldest_epoch_us),
-            poll_us,
-        );
-    }
+    taps: Taps<'a>,
+    /// The quantum's clock read on the cluster-wide µs timeline. Every
+    /// protocol [`Time`], event stamp and flight stamp of the quantum
+    /// is this value (minus the iteration's `epoch_us` where relative)
+    /// — time is an input of the quantum, not something its steps read.
+    now_us: u64,
+    /// `poll_send` calls since `now_us` was read.
+    polls: u32,
+    counts: QuantumCounts,
+}
 
-    scratch.msgs.clear();
-    let drained = cell
-        .mailbox
-        .lock()
-        .map_err(|_| Poisoned)?
-        .drain_into(&mut scratch.msgs, usize::MAX);
-    if drained > 0 {
-        if let Some(f) = fl {
-            f.record(widx, Fk::MailboxDrain, rank, drained as u64, 0, poll_us);
-        }
-    }
-    if let Some(t) = tel {
-        t.observe(widx, Td::MailboxDrained, drained as u64);
-    }
-
-    // Route every queued message — earlier-quantum leftovers first so
-    // per-channel FIFO order survives a topic's late installation, then
-    // this drain, in arrival order. A message either matches an
-    // installed iteration (delivered, or observably dropped on a dead
-    // rank), outruns installation (a peer of a topic being admitted got
-    // ahead of this rank's install; parked in `pending` until the
-    // admitting coordinator's enqueue-all lands), or is stale (its
-    // iteration already retired) and is discarded.
-    let parked = std::mem::take(&mut st.pending);
-    let routed = std::mem::take(&mut scratch.msgs);
-    let mut delivered = 0u64;
-    let mut stale_dropped = 0u64;
-    for &m in parked.iter().chain(routed.iter()) {
-        match st.iters.iter_mut().find(|i| i.id == m.id) {
-            Some(iter) => {
-                bump_progress(&mut scratch.progress, m.id, 0, 1, 0);
-                let now = now_since(iter.epoch);
-                if iter.dead {
-                    // Crash emulation: drop the message, but observably.
-                    if iter.record {
-                        iter.events.push(ObsEvent::wall(
-                            now,
-                            now.steps(),
-                            ObsEventKind::DropDead {
-                                from: m.from,
-                                to: rank,
-                                payload: m.payload,
-                            },
-                        ));
-                    }
+impl Quantum<'_> {
+    /// Route every queued message — earlier-quantum leftovers first so
+    /// per-channel FIFO order survives a topic's late installation,
+    /// then this drain, in arrival order. A message either matches an
+    /// installed iteration (delivered, or observably dropped on a dead
+    /// rank), outruns installation (a peer of a topic being admitted
+    /// got ahead of this rank's install; parked in `pending` until the
+    /// admitting coordinator's enqueue-all lands), or is stale (its
+    /// iteration already retired) and is discarded.
+    fn route(&mut self, st: &mut RankState, drained: &[Msg]) {
+        let rank = self.rank;
+        let parked = std::mem::take(&mut st.pending);
+        for &m in parked.iter().chain(drained) {
+            let Some(iter) = st.iters.iter_mut().find(|i| i.id == m.id) else {
+                if m.id > st.last_installed {
+                    st.pending.push(m);
                 } else {
-                    delivered += 1;
-                    if iter.record {
-                        iter.events.push(ObsEvent::wall(
-                            now,
-                            now.steps(),
-                            ObsEventKind::Arrive {
-                                from: m.from,
-                                to: rank,
-                                payload: m.payload,
-                            },
-                        ));
-                    }
-                    iter.process.on_message(m.from, m.payload, now);
-                    if iter.record {
-                        let done = now_since(iter.epoch);
-                        iter.events.push(ObsEvent::wall(
-                            done,
-                            done.steps(),
-                            ObsEventKind::Deliver {
-                                from: m.from,
-                                to: rank,
-                                payload: m.payload,
-                            },
-                        ));
-                    }
+                    self.counts.stale_dropped += 1;
                 }
+                continue;
+            };
+            iter.consumed += 1;
+            let now = iter.at(self.now_us);
+            let (from, to, payload) = (m.from, rank, m.payload);
+            if iter.dead {
+                // Crash emulation: drop the message, but observably.
+                iter.note(now, ObsEventKind::DropDead { from, to, payload });
+                continue;
             }
-            None if m.id > st.last_installed => st.pending.push(m),
-            None => stale_dropped += 1,
+            self.counts.delivered += 1;
+            iter.note(now, ObsEventKind::Arrive { from, to, payload });
+            iter.process.on_message(from, payload, now);
+            iter.note(now, ObsEventKind::Deliver { from, to, payload });
         }
-    }
-    scratch.msgs = routed;
-    scratch.msgs.clear();
-    if let Some(t) = tel {
-        t.add(widx, Tc::MsgsStaleDropped, stale_dropped);
-        t.add(widx, Tc::MsgsDelivered, delivered);
     }
 
-    // Drive each installed protocol as far as it goes right now.
-    for idx in 0..st.iters.len() {
-        let iter = &mut st.iters[idx];
-        if iter.dead {
-            continue;
+    /// The stamp for the next `poll_send`: the quantum's, re-read every
+    /// [`STAMP_REFRESH_POLLS`] polls.
+    fn poll_stamp(&mut self) -> u64 {
+        if self.polls == STAMP_REFRESH_POLLS {
+            self.polls = 0;
+            self.now_us = self.shared.now_us();
         }
+        self.polls += 1;
+        self.now_us
+    }
+
+    /// Drive one installed protocol as far as it goes right now, report
+    /// its coloring, and book its quiescence deltas (once per iteration
+    /// and quantum; a dead rank only ever has `consumed` to report).
+    fn drive(&mut self, iter: &mut IterState, scratch: &mut Scratch) -> Result<(), Poisoned> {
+        let (shared, rank, taps) = (self.shared, self.rank, self.taps);
         let sent_before = iter.sent;
         let mut machine_done = false;
-        loop {
-            let now = now_since(iter.epoch);
+        while !iter.dead {
+            let now_us = self.poll_stamp();
+            let now = iter.at(now_us);
             match iter.process.poll_send(now) {
                 SendPoll::Now { to, payload } => {
                     iter.sent += 1;
-                    if iter.record {
-                        iter.events.push(ObsEvent::wall(
-                            now,
-                            now.steps(),
-                            ObsEventKind::SendStart {
-                                from: rank,
-                                to,
-                                payload,
-                            },
-                        ));
-                    }
+                    let from = rank;
+                    // Stamped before the push: the mailbox mutex orders
+                    // push → drain and the receiver reads its stamp
+                    // after the drain, so `Arrive.t ≥ SendStart.t`.
+                    iter.note(now, ObsEventKind::SendStart { from, to, payload });
                     let peer = &shared.ranks[to as usize];
                     {
                         let mut mb = peer.mailbox.lock().map_err(|_| Poisoned)?;
-                        let spilled = mb.push(Msg {
-                            id: iter.id,
-                            from: rank,
-                            payload,
-                        });
-                        if let Some(t) = tel {
-                            t.inc(widx, Tc::MsgsSent);
-                            t.inc(widx, Tc::MailboxPushes);
-                            if spilled {
-                                t.inc(widx, Tc::MailboxSpills);
-                            }
+                        let id = iter.id;
+                        self.counts.spills += u64::from(mb.push(Msg { id, from, payload }));
+                        if let Some(t) = taps.tel {
                             t.mailbox_depth(to as usize, mb.len() as u64);
                         }
-                        if let Some(f) = fl {
-                            // aux packs broadcast id and pusher: the
-                            // black box can answer "who last fed this
-                            // mailbox, on behalf of which topic".
-                            f.record(
-                                widx,
-                                Fk::MailboxPush,
-                                to,
-                                (iter.id << 32) | u64::from(rank),
-                                now.steps(),
-                                iter.epoch_us.saturating_add(now.steps()),
-                            );
-                        }
+                        // aux packs broadcast id and pusher: the black
+                        // box can answer "who last fed this mailbox, on
+                        // behalf of which topic".
+                        let aux = (id << 32) | u64::from(rank);
+                        taps.flight(Fk::MailboxPush, to, aux, now.steps(), now_us);
                     }
                     if !peer.scheduled.swap(true, Ordering::SeqCst) {
                         scratch.wakes.push(to);
-                        if let Some(t) = tel {
-                            t.inc(widx, Tc::SchedWakes);
-                        }
-                        if let Some(f) = fl {
-                            f.record(
-                                widx,
-                                Fk::Wake,
-                                to,
-                                u64::from(rank),
-                                now.steps(),
-                                iter.epoch_us.saturating_add(now.steps()),
-                            );
-                        }
+                        self.counts.wakes += 1;
+                        taps.flight(Fk::Wake, to, u64::from(rank), now.steps(), now_us);
                     }
                 }
                 SendPoll::WaitUntil(t) => {
@@ -1328,22 +1346,14 @@ fn run_quantum(
                         // Always arm, no dedup: a timer consumed by a
                         // coinciding message wake must be replaceable,
                         // and a stale duplicate only costs a harmless
-                        // extra poll.
+                        // extra poll. The wheel fires at
+                        // `now_us ≥ deadline_us` and the woken quantum
+                        // reads its stamp later still, so the machine is
+                        // next polled with `now ≥ t`.
                         let deadline_us = iter.epoch_us.saturating_add(t.steps());
                         scratch.timers.push((deadline_us, rank));
-                        if let Some(hub) = tel {
-                            hub.inc(widx, Tc::TimerArms);
-                        }
-                        if let Some(f) = fl {
-                            f.record(
-                                widx,
-                                Fk::TimerArm,
-                                rank,
-                                deadline_us,
-                                t.steps(),
-                                iter.epoch_us.saturating_add(now.steps()),
-                            );
-                        }
+                        self.counts.timer_arms += 1;
+                        taps.flight(Fk::TimerArm, rank, deadline_us, t.steps(), now_us);
                     }
                     break;
                 }
@@ -1354,6 +1364,8 @@ fn run_quantum(
                 SendPoll::Idle => break,
             }
         }
+        let sent = iter.sent - sent_before;
+        self.counts.sent += sent;
         if !iter.notified && iter.process.colored_at().is_some() {
             iter.notified = true;
             if iter.record {
@@ -1362,38 +1374,104 @@ fn run_quantum(
                 {
                     iter.events.push(ObsEvent::wall(
                         at,
-                        now_since(iter.epoch).steps(),
+                        iter.at(self.now_us).steps(),
                         ObsEventKind::Colored { rank, via },
                     ));
                 }
             }
             scratch.colored.push((iter.id, rank));
         }
-        let done_delta = if machine_done && !iter.done_notified {
-            iter.done_notified = true;
-            1
-        } else {
-            0
-        };
+        let done_delta = u32::from(machine_done && !iter.done_notified);
+        iter.done_notified |= machine_done;
         bump_progress(
             &mut scratch.progress,
             iter.id,
-            iter.sent - sent_before,
-            0,
+            sent,
+            std::mem::take(&mut iter.consumed),
             done_delta,
         );
+        Ok(())
     }
-    if let Some(f) = fl {
-        let end_us = shared.now_us();
-        f.record(
-            widx,
-            Fk::QuantumEnd,
-            rank,
-            quantum_aux,
-            end_us.saturating_sub(oldest_epoch_us),
-            end_us,
-        );
+}
+
+/// Drive one rank for a quantum: drain its mailbox, read the clock
+/// once, deliver current-id messages, poll the protocol for sends,
+/// report coloring. Effects that need shared locks (wake-ups, timers,
+/// coordinator traffic) accumulate in `scratch` and are flushed once
+/// per batch. Returns the quantum's end stamp
+/// ([`Taps::end_stamp_ns`]).
+fn run_quantum(
+    shared: &Shared,
+    rank: Rank,
+    scratch: &mut Scratch,
+    taps: Taps<'_>,
+) -> Result<u64, Poisoned> {
+    let cell = &shared.ranks[rank as usize];
+    let mut guard = cell.state.lock().map_err(|_| Poisoned)?;
+    let st = &mut *guard;
+    if st.iters.is_empty() {
+        drop(guard);
+        return stale_quantum(shared, rank, scratch, taps);
     }
+
+    scratch.msgs.clear();
+    let drained = cell
+        .mailbox
+        .lock()
+        .map_err(|_| Poisoned)?
+        .drain_into(&mut scratch.msgs, usize::MAX);
+    // The quantum's clock read — after the drain, never before it: a
+    // sender stamps `SendStart` before its push and the mailbox mutex
+    // orders push → drain, so on a monotonic clock this stamp is at or
+    // after the stamp of every message just drained.
+    let mut q = Quantum {
+        shared,
+        rank,
+        taps,
+        now_us: shared.now_us(),
+        polls: 0,
+        counts: QuantumCounts::default(),
+    };
+    // Always kept: the stamp the watchdog's StallReport ages stranded
+    // ranks by.
+    st.last_poll_us = Some(q.now_us);
+    // One quantum serves every iteration installed on this rank. The
+    // flight record names the broadcast when there is exactly one (the
+    // single-broadcast invariant) and 0 for a multiplexed quantum; its
+    // step is measured from the oldest installed epoch.
+    let (quantum_aux, oldest_epoch_us) = match (taps.fl, &st.iters[..]) {
+        (None, _) => (0, 0),
+        (Some(_), [only]) => (only.id, only.epoch_us),
+        (Some(_), iters) => (0, iters.iter().map(|i| i.epoch_us).min().unwrap_or(0)),
+    };
+    let since_oldest = |us: u64| us.saturating_sub(oldest_epoch_us);
+    taps.flight(
+        Fk::QuantumStart,
+        rank,
+        quantum_aux,
+        since_oldest(q.now_us),
+        q.now_us,
+    );
+    if drained > 0 {
+        taps.flight(Fk::MailboxDrain, rank, drained as u64, 0, q.now_us);
+    }
+    if let Some(t) = taps.tel {
+        t.observe(taps.widx, Td::MailboxDrained, drained as u64);
+    }
+
+    q.route(st, &scratch.msgs);
+    for iter in &mut st.iters {
+        q.drive(iter, scratch)?;
+    }
+    let end_ns = taps.end_stamp_ns(shared);
+    let end_us = end_ns / 1_000;
+    taps.flight(
+        Fk::QuantumEnd,
+        rank,
+        quantum_aux,
+        since_oldest(end_us),
+        end_us,
+    );
     drop(guard);
 
     // Clear the flag, then recheck: a sender that saw `scheduled` still
@@ -1404,15 +1482,45 @@ fn run_quantum(
         && !cell.scheduled.swap(true, Ordering::SeqCst)
     {
         scratch.wakes.push(rank);
-        if let Some(t) = tel {
-            t.inc(widx, Tc::SchedRechecks);
-            t.inc(widx, Tc::SchedWakes);
-        }
-        if let Some(f) = fl {
-            f.record(widx, Fk::Recheck, rank, 0, 0, shared.now_us());
-        }
+        q.counts.rechecks += 1;
+        q.counts.wakes += 1;
+        taps.flight(Fk::Recheck, rank, 0, 0, end_us);
     }
-    Ok(())
+    taps.count(&q.counts);
+    Ok(end_ns)
+}
+
+/// A quantum on a rank with nothing installed — a stale wake-up between
+/// iterations. The mailbox is left alone (it may hold early traffic of
+/// an iteration being installed; the coordinator schedules every rank
+/// once installation is done) and the quantum does no work. Clearing
+/// the flag gets the same recheck as the normal end-of-quantum path: an
+/// install or a message that raced in while this quantum held the flag
+/// may have elided its enqueue on the strength of it, so if state or
+/// mailbox turn out non-empty now, this quantum must take the wake-up
+/// back or the rank sleeps forever.
+fn stale_quantum(
+    shared: &Shared,
+    rank: Rank,
+    scratch: &mut Scratch,
+    taps: Taps<'_>,
+) -> Result<u64, Poisoned> {
+    let cell = &shared.ranks[rank as usize];
+    let end_ns = taps.end_stamp_ns(shared);
+    let end_us = end_ns / 1_000;
+    taps.add(Tc::SchedStaleQuanta, 1);
+    taps.flight(Fk::StaleQuantum, rank, 0, 0, end_us);
+    cell.scheduled.store(false, Ordering::SeqCst);
+    let installed = !cell.state.lock().map_err(|_| Poisoned)?.iters.is_empty();
+    if (installed || !cell.mailbox.lock().map_err(|_| Poisoned)?.is_empty())
+        && !cell.scheduled.swap(true, Ordering::SeqCst)
+    {
+        scratch.wakes.push(rank);
+        taps.add(Tc::SchedRechecks, 1);
+        taps.add(Tc::SchedWakes, 1);
+        taps.flight(Fk::Recheck, rank, 0, 0, end_us);
+    }
+    Ok(end_ns)
 }
 
 /// Flush a batch's accumulated effects: one coordinator send per
@@ -1422,9 +1530,7 @@ fn flush(
     shared: &Shared,
     coord: &Sender<CoordMsg>,
     scratch: &mut Scratch,
-    tel: Option<&TelemetryHub>,
-    fl: Option<&FlightRecorder>,
-    widx: usize,
+    taps: Taps<'_>,
 ) -> Result<(), Poisoned> {
     if !scratch.colored.is_empty() {
         scratch.colored.sort_unstable_by_key(|&(id, _)| id);
@@ -1436,20 +1542,14 @@ fn flush(
                 ranks.push(scratch.colored[i].1);
                 i += 1;
             }
-            if let Some(t) = tel {
-                t.inc(widx, Tc::CoordBatches);
-                t.add(widx, Tc::CoordColored, ranks.len() as u64);
-                t.observe(widx, Td::CoordBatchSize, ranks.len() as u64);
+            if let Some(t) = taps.tel {
+                t.inc(taps.widx, Tc::CoordBatches);
+                t.add(taps.widx, Tc::CoordColored, ranks.len() as u64);
+                t.observe(taps.widx, Td::CoordBatchSize, ranks.len() as u64);
             }
-            if let Some(f) = fl {
-                f.record(
-                    widx,
-                    Fk::CoordBatch,
-                    NO_RANK,
-                    ranks.len() as u64,
-                    id,
-                    shared.now_us(),
-                );
+            if taps.fl.is_some() {
+                let now_us = shared.now_us();
+                taps.flight(Fk::CoordBatch, NO_RANK, ranks.len() as u64, id, now_us);
             }
             // The interconnect is reliable: a send only fails if the
             // whole cluster is shutting down.

@@ -31,10 +31,20 @@ pub(crate) struct Msg {
     pub payload: Payload,
 }
 
+impl Msg {
+    /// Filler for unoccupied ring slots; never read as a message.
+    const VACANT: Msg = Msg {
+        id: 0,
+        from: 0,
+        payload: Payload::Tree,
+    };
+}
+
 /// Fixed-capacity ring with an overflow spill queue (see module docs).
 pub(crate) struct Mailbox {
-    ring: Box<[Option<Msg>]>,
-    /// Index of the oldest ring entry.
+    /// Plain `Msg` slots: `head`/`len` alone say which ones are live.
+    ring: Box<[Msg]>,
+    /// Index of the oldest ring entry (`< ring.len()`).
     head: usize,
     /// Occupied ring entries.
     len: usize,
@@ -49,7 +59,7 @@ impl Mailbox {
     pub fn new(capacity: usize) -> Mailbox {
         assert!(capacity >= 1, "mailbox capacity must be at least 1");
         Mailbox {
-            ring: vec![None; capacity].into_boxed_slice(),
+            ring: vec![Msg::VACANT; capacity].into_boxed_slice(),
             head: 0,
             len: 0,
             spill: VecDeque::new(),
@@ -78,8 +88,11 @@ impl Mailbox {
     /// whether this push spilled.
     pub fn push(&mut self, msg: Msg) -> bool {
         if self.spill.is_empty() && self.len < self.ring.len() {
-            let tail = (self.head + self.len) % self.ring.len();
-            self.ring[tail] = Some(msg);
+            let mut tail = self.head + self.len;
+            if tail >= self.ring.len() {
+                tail -= self.ring.len();
+            }
+            self.ring[tail] = msg;
             self.len += 1;
             false
         } else {
@@ -92,28 +105,35 @@ impl Mailbox {
     /// Remove the oldest message, if any.
     pub fn pop(&mut self) -> Option<Msg> {
         if self.len > 0 {
-            let msg = self.ring[self.head].take();
-            self.head = (self.head + 1) % self.ring.len();
+            let msg = self.ring[self.head];
+            self.head += 1;
+            if self.head == self.ring.len() {
+                self.head = 0;
+            }
             self.len -= 1;
-            msg
+            Some(msg)
         } else {
             self.spill.pop_front()
         }
     }
 
     /// Move up to `max` oldest messages into `out`; returns how many.
+    /// The ring part is at most two slice copies (up to the wrap, then
+    /// from slot 0); the spill queue, whose entries are all younger
+    /// than the ring's, follows.
     pub fn drain_into(&mut self, out: &mut Vec<Msg>, max: usize) -> usize {
-        let mut moved = 0;
-        while moved < max {
-            match self.pop() {
-                Some(m) => {
-                    out.push(m);
-                    moved += 1;
-                }
-                None => break,
-            }
+        let from_ring = self.len.min(max);
+        let first = from_ring.min(self.ring.len() - self.head);
+        out.extend_from_slice(&self.ring[self.head..self.head + first]);
+        out.extend_from_slice(&self.ring[..from_ring - first]);
+        self.head += from_ring;
+        if self.head >= self.ring.len() {
+            self.head -= self.ring.len();
         }
-        moved
+        self.len -= from_ring;
+        let from_spill = self.spill.len().min(max - from_ring);
+        out.extend(self.spill.drain(..from_spill));
+        from_ring + from_spill
     }
 
     /// Discard every message belonging to broadcast `id`, keeping the
@@ -138,11 +158,9 @@ impl Mailbox {
         before - self.len()
     }
 
-    /// Discard everything (iteration teardown).
+    /// Discard everything (iteration teardown). O(1) in the steady
+    /// state: slots are plain values, so forgetting them is enough.
     pub fn clear(&mut self) {
-        for slot in self.ring.iter_mut() {
-            *slot = None;
-        }
         self.head = 0;
         self.len = 0;
         self.spill.clear();
@@ -214,6 +232,36 @@ mod tests {
         assert_eq!(mb.drain_into(&mut out, 10), 2);
         let from: Vec<Rank> = out.iter().map(|m| m.from).collect();
         assert_eq!(from, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn drain_across_the_wrap_is_fifo_and_leaves_the_ring_usable() {
+        let mut mb = Mailbox::new(4);
+        // Advance head to slot 3 so the next fill wraps.
+        for i in 0..3 {
+            mb.push(msg(1, i));
+            mb.pop();
+        }
+        for i in 10..16 {
+            mb.push(msg(1, i)); // 4 in the ring (slots 3, 0, 1, 2), 2 spilled
+        }
+        let mut out = Vec::new();
+        // Stops inside the second slice.
+        assert_eq!(mb.drain_into(&mut out, 3), 3);
+        assert_eq!(mb.len(), 3);
+        // The rest: one ring slot, then the spill queue.
+        assert_eq!(mb.drain_into(&mut out, usize::MAX), 3);
+        let from: Vec<Rank> = out.iter().map(|m| m.from).collect();
+        assert_eq!(from, vec![10, 11, 12, 13, 14, 15]);
+        assert!(mb.is_empty());
+        // Head landed mid-ring; pushes and pops still line up.
+        for i in 20..24 {
+            mb.push(msg(1, i));
+        }
+        assert_eq!(mb.spilled(), 2);
+        for i in 20..24 {
+            assert_eq!(mb.pop().unwrap().from, i);
+        }
     }
 
     #[test]

@@ -378,8 +378,7 @@ impl Cluster {
         topic.spec.build_into(&ctx, &mut self.procs)?;
         assert_eq!(self.procs.len(), self.p as usize);
         let live: u32 = topic.dead.iter().filter(|&&d| !d).count() as u32;
-        let epoch = Instant::now();
-        let epoch_us = epoch.duration_since(self.shared.base).as_micros() as u64;
+        let (epoch, epoch_us) = self.shared.epoch();
         for rank in (0..self.p).rev() {
             let process = self.procs.pop().expect("one per rank");
             let mut st = self.shared.ranks[rank as usize]
@@ -387,18 +386,13 @@ impl Cluster {
                 .lock()
                 .map_err(|_| ClusterError::WorkerPanicked)?;
             debug_assert!(st.last_installed < id, "installs must be id-ordered");
-            st.iters.push(IterState {
+            st.iters.push(IterState::new(
                 id,
                 process,
-                dead: topic.dead[rank as usize],
-                epoch,
+                topic.dead[rank as usize],
                 epoch_us,
                 record,
-                sent: 0,
-                notified: false,
-                done_notified: false,
-                events: Vec::new(),
-            });
+            ));
             st.last_installed = id;
         }
         // Unconditional enqueue-all, for the same reason as the
@@ -467,6 +461,12 @@ impl Cluster {
             drop(st);
             messages += iter.sent;
             recorded.append(&mut iter.events);
+            // Hand the machine back for the next admission's
+            // `build_into` to re-initialise (one retirement's worth;
+            // a second before the next admission is simply dropped).
+            if self.procs.len() < self.p as usize {
+                self.procs.push(iter.process);
+            }
             if !quiescent {
                 // An expired broadcast may still have messages queued;
                 // a quiescent one by definition has none. Purge by id —
@@ -589,6 +589,9 @@ mod tests {
         let order: Vec<(usize, usize)> =
             report.outcomes.iter().map(|o| (o.round, o.topic)).collect();
         assert_eq!(order, vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]);
+        // Retired machines went back to the pool the next install
+        // (here or in single-broadcast mode) rebuilds from.
+        assert_eq!(cluster.procs.len(), p as usize);
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //! engine resets every field to exactly the values a fresh run starts
 //! from, and the protocol machines are rebuilt each run (via
 //! [`ProtocolFactory::build_into`](ct_core::protocol::ProtocolFactory::build_into),
-//! which reuses the vector's backing storage but never the machines
-//! themselves). A reused arena therefore produces bit-identical
-//! outcomes and event streams; the golden-trace and driver-contract
-//! suites pin this.
+//! which reuses the vector's backing storage and, for plain
+//! `BroadcastSpec`s, rewinds the previous run's machines in place to
+//! exactly their freshly built state). A reused arena therefore
+//! produces bit-identical outcomes and event streams; the golden-trace
+//! and driver-contract suites and `tests/slot_reuse.rs` pin this.
 
 use ct_core::protocol::Process;
 use ct_logp::Time;

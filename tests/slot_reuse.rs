@@ -1,0 +1,190 @@
+//! `BroadcastSpec::build_into` re-initialises the previous broadcast's
+//! machines in place. Whatever state they were left in, the rebuilt set
+//! must behave exactly like a fresh `build`: same message trace under a
+//! deterministic FIFO pump, for every correction kind.
+
+use std::collections::VecDeque;
+
+use corrected_trees::core::correction::CorrectionKind;
+use corrected_trees::core::protocol::{
+    BroadcastSpec, BuildCtx, Payload, Process, ProtocolFactory, SendPoll,
+};
+use corrected_trees::core::tree::{Ordering, TreeKind};
+use corrected_trees::logp::{LogP, Rank, Time};
+use corrected_trees::sim::FaultPlan;
+
+const P: u32 = 64;
+
+fn ctx(seed: u64) -> BuildCtx {
+    BuildCtx {
+        p: P,
+        logp: LogP::PAPER,
+        seed,
+    }
+}
+
+enum Item {
+    Poll(Rank),
+    Deliver {
+        to: Rank,
+        from: Rank,
+        payload: Payload,
+    },
+}
+
+/// Drive `procs` with one global FIFO of polls and deliveries (time
+/// jumps to the earliest parked `WaitUntil` when nothing is in flight);
+/// returns every send as `(now, from, to, payload)` plus the coloring.
+#[allow(clippy::type_complexity)]
+fn pump(
+    procs: &mut [Box<dyn Process>],
+    dead: &[bool],
+) -> (Vec<(Time, Rank, Rank, Payload)>, Vec<Option<Time>>) {
+    let mut now = Time::ZERO;
+    let mut queue: VecDeque<Item> = (0..procs.len() as Rank)
+        .filter(|&r| !dead[r as usize])
+        .map(Item::Poll)
+        .collect();
+    let mut parked: Vec<(Time, Rank)> = Vec::new();
+    let mut trace = Vec::new();
+    loop {
+        match queue.pop_front() {
+            Some(Item::Poll(r)) => match procs[r as usize].poll_send(now) {
+                SendPoll::Now { to, payload } => {
+                    trace.push((now, r, to, payload));
+                    if !dead[to as usize] {
+                        let from = r;
+                        queue.push_back(Item::Deliver { to, from, payload });
+                    }
+                    queue.push_back(Item::Poll(r));
+                }
+                SendPoll::WaitUntil(t) => parked.push((t, r)),
+                SendPoll::Idle | SendPoll::Done => {}
+            },
+            Some(Item::Deliver { to, from, payload }) => {
+                procs[to as usize].on_message(from, payload, now);
+                queue.push_back(Item::Poll(to));
+            }
+            None => match parked.iter().map(|&(t, _)| t).min() {
+                Some(next) => {
+                    now = now.max(next);
+                    parked.retain(|&(t, r)| {
+                        if t <= now {
+                            queue.push_back(Item::Poll(r));
+                        }
+                        t > now
+                    });
+                }
+                None => break,
+            },
+        }
+    }
+    (trace, procs.iter().map(|p| p.colored_at()).collect())
+}
+
+fn kinds() -> Vec<CorrectionKind> {
+    vec![
+        CorrectionKind::None,
+        CorrectionKind::Opportunistic { distance: 2 },
+        CorrectionKind::OpportunisticOptimized { distance: 4 },
+        CorrectionKind::Checked,
+        CorrectionKind::checked_paced(&LogP::PAPER, 50),
+        CorrectionKind::FailureProof,
+        CorrectionKind::Delayed { delay: 6 },
+    ]
+}
+
+fn specs() -> Vec<BroadcastSpec> {
+    kinds()
+        .into_iter()
+        .flat_map(|kind| {
+            [
+                BroadcastSpec::corrected_tree(TreeKind::BINOMIAL, kind),
+                BroadcastSpec::corrected_tree_sync(TreeKind::LAME2, kind),
+            ]
+        })
+        .collect()
+}
+
+/// Addresses of the boxed machines: equal before and after a
+/// `build_into` means the slots were reused, not reallocated.
+fn addresses(procs: &[Box<dyn Process>]) -> Vec<*const ()> {
+    procs
+        .iter()
+        .map(|b| &**b as *const dyn Process as *const ())
+        .collect()
+}
+
+#[test]
+fn build_into_over_dirty_machines_matches_a_fresh_build_for_every_correction() {
+    let dirtying = FaultPlan::from_ranks(P, &[1, 2, 33, 34, 35]).unwrap();
+    let plans = [
+        FaultPlan::none(P),
+        FaultPlan::from_ranks(P, &[5, 17, 40]).unwrap(),
+    ];
+    let specs = specs();
+    for (i, spec) in specs.iter().enumerate() {
+        // Dirty the slots with a *different* spec's broadcast (the one
+        // before it in the list), under faults so that machines are left
+        // in every kind of state: uncolored, correction-colored,
+        // mid-correction, done.
+        let previous = &specs[(i + specs.len() - 1) % specs.len()];
+        let mut procs = previous.build(&ctx(0)).unwrap();
+        pump(&mut procs, dirtying.mask());
+        for (j, plan) in plans.iter().enumerate() {
+            let before = addresses(&procs);
+            spec.build_into(&ctx(j as u64), &mut procs).unwrap();
+            assert_eq!(addresses(&procs), before, "{spec}: slots reallocated");
+            let reused = pump(&mut procs, plan.mask());
+            let mut fresh = spec.build(&ctx(j as u64)).unwrap();
+            assert_eq!(reused, pump(&mut fresh, plan.mask()), "{spec} plan {j}");
+            assert!(!reused.0.is_empty());
+        }
+    }
+}
+
+#[test]
+fn build_into_falls_back_to_build_when_slots_cannot_be_reused() {
+    let checked = BroadcastSpec::corrected_tree(TreeKind::BINOMIAL, CorrectionKind::Checked);
+    let plan = FaultPlan::from_ranks(P, &[9, 10]).unwrap();
+    let fallbacks = [
+        checked.with_root(19),
+        checked.with_shuffle(0xBEEF),
+        BroadcastSpec::ack_tree(TreeKind::BINOMIAL),
+    ];
+    for spec in &fallbacks {
+        // From plain machines to a relabelled / acked set and back.
+        let mut procs = checked.build(&ctx(1)).unwrap();
+        pump(&mut procs, plan.mask());
+        spec.build_into(&ctx(2), &mut procs).unwrap();
+        let mut fresh = spec.build(&ctx(2)).unwrap();
+        let dead = vec![false; P as usize];
+        assert_eq!(pump(&mut procs, &dead), pump(&mut fresh, &dead), "{spec}");
+
+        checked.build_into(&ctx(3), &mut procs).unwrap();
+        let mut fresh = checked.build(&ctx(3)).unwrap();
+        assert_eq!(
+            pump(&mut procs, plan.mask()),
+            pump(&mut fresh, plan.mask()),
+            "{spec} → checked"
+        );
+    }
+
+    // A vector of the wrong length is rebuilt, an invalid spec empties it.
+    let mut procs = checked.build(&BuildCtx { p: 16, ..ctx(0) }).unwrap();
+    checked.build_into(&ctx(0), &mut procs).unwrap();
+    assert_eq!(procs.len(), P as usize);
+    assert!(checked
+        .with_root(P)
+        .build_into(&ctx(0), &mut procs)
+        .is_err());
+    assert!(procs.is_empty());
+    // ... on the in-place path too (P reusable machines, unbuildable tree).
+    let mut procs = checked.build(&ctx(0)).unwrap();
+    let zero_ary = BroadcastSpec::plain_tree(TreeKind::Kary {
+        k: 0,
+        order: Ordering::Interleaved,
+    });
+    assert!(zero_ary.build_into(&ctx(0), &mut procs).is_err());
+    assert!(procs.is_empty());
+}
