@@ -247,7 +247,6 @@ impl Dist {
 struct AtomicHistogram {
     /// Per-bucket counts; last entry is the overflow bucket.
     counts: Vec<AtomicU64>,
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -257,7 +256,6 @@ impl AtomicHistogram {
     fn new(buckets: usize) -> AtomicHistogram {
         AtomicHistogram {
             counts: (0..buckets).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -267,7 +265,6 @@ impl AtomicHistogram {
     fn record(&self, bounds: &[u64], v: u64) {
         let idx = bounds.partition_point(|&b| b < v);
         self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
@@ -279,10 +276,14 @@ impl AtomicHistogram {
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect();
+        // The total is the sum of the buckets just read, not a counter
+        // of its own: a separate load races with `record` and made
+        // `from_parts` panic the sampler thread mid-run.
+        let count = counts.iter().sum();
         Histogram::from_parts(
             bounds.to_vec(),
             counts,
-            self.count.load(Ordering::Relaxed),
+            count,
             self.sum.load(Ordering::Relaxed),
             self.min.load(Ordering::Relaxed),
             self.max.load(Ordering::Relaxed),
@@ -715,6 +716,28 @@ fn gauge_help(name: &str) -> Option<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn snapshot_during_observe_is_consistent() {
+        let hub = std::sync::Arc::new(TelemetryHub::new(1, 1));
+        let writer = {
+            let hub = std::sync::Arc::clone(&hub);
+            std::thread::spawn(move || {
+                for v in 0..400_000u64 {
+                    hub.observe(0, Dist::QuantumUs, v & 63);
+                }
+            })
+        };
+        // `Histogram::from_parts` asserts buckets == total on each one.
+        while !writer.is_finished() {
+            let _ = hub.snapshot();
+        }
+        writer.join().unwrap();
+        assert_eq!(
+            hub.snapshot().histograms["sched.quantum_us"].count(),
+            400_000
+        );
+    }
 
     #[test]
     fn counters_sum_across_shards() {

@@ -26,8 +26,12 @@
 //!
 //! Coordinator traffic is batched: a worker accumulates colored
 //! notifications, quiescence deltas, wake-ups and timer arms over a
-//! scheduling quantum and flushes them once (one channel send per
-//! iteration id, one run-queue lock). Iteration start re-initialises
+//! scheduling quantum and flushes them once (one `Inbox` push per
+//! iteration id, one run-queue lock), and the coordinator sleeps until
+//! the inbox holds what it waits for — through the whole of a single
+//! broadcast. Sleeping workers are woken one at a time, by whoever
+//! claims a batch and leaves work behind (see `Sched::parked`), not
+//! all of them on every flush. Iteration start re-initialises
 //! the previous iteration's per-rank `Process` machines in place via
 //! [`ProtocolFactory::build_into`] rather than shipping fresh boxes
 //! through channels, and iteration teardown harvests per-rank message
@@ -44,7 +48,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use ct_core::protocol::{BuildCtx, Process, ProtocolError, ProtocolFactory, SendPoll};
 use ct_logp::{LogP, Rank, Time};
 use ct_obs::event::phases;
@@ -54,6 +57,7 @@ use ct_obs::series::{Sampler, SeriesStore, DEFAULT_SERIES_CAP};
 use ct_obs::telemetry::{Counter as Tc, Dist as Td, TelemetryHub};
 use ct_obs::{Event as ObsEvent, EventKind as ObsEventKind, EventSink, NullSink};
 
+use crate::inbox::{CoordMsg, Inbox, RecvError};
 use crate::mailbox::{Mailbox, Msg};
 use crate::postmortem::Postmortem;
 use crate::stall::{RankStall, StallReport};
@@ -225,28 +229,6 @@ impl Default for ClusterConfig {
     fn default() -> ClusterConfig {
         ClusterConfig::new()
     }
-}
-
-/// Worker → coordinator notifications (batched per scheduling quantum).
-pub(crate) enum CoordMsg {
-    /// `ranks` became colored in broadcast `id`.
-    Colored { id: u64, ranks: Vec<Rank> },
-    /// Quiescence-tracking deltas for broadcast `id`, accumulated over a
-    /// scheduling quantum: `sent` messages pushed, `consumed` messages
-    /// taken off mailboxes (delivered or dead-dropped), `done` live
-    /// ranks whose protocol reported [`SendPoll::Done`] for the first
-    /// time. The pub/sub coordinator retires a broadcast when
-    /// `colored == live && done == live && sent == consumed` — every
-    /// live rank colored, every protocol machine finished, no message
-    /// still in flight — which keeps per-broadcast message totals exact
-    /// instead of truncating machines mid-correction at teardown. The
-    /// single-broadcast coordinator ignores these.
-    Progress {
-        id: u64,
-        sent: u64,
-        consumed: u64,
-        done: u32,
-    },
 }
 
 /// Errors from cluster operation.
@@ -427,12 +409,22 @@ pub(crate) struct Sched {
     pub(crate) runq: VecDeque<Rank>,
     pub(crate) timers: TimerWheel,
     pub(crate) shutdown: bool,
+    /// Workers asleep on `sched_cv`. Work that enters the run queue
+    /// wakes at most one of them, and only when somebody is left to
+    /// wake: the coordinator rings once after an install, and a worker
+    /// that claims its share and leaves ranks behind rings for the next
+    /// — the wake-ups chain for as long as there is surplus work. A
+    /// worker that flushes wake-ups rings nobody: it claims next itself
+    /// and the same rule applies to what it leaves.
+    pub(crate) parked: usize,
 }
 
 pub(crate) struct Shared {
     pub(crate) ranks: Vec<RankCell>,
     pub(crate) sched: Mutex<Sched>,
     pub(crate) sched_cv: Condvar,
+    /// Worker → coordinator notifications.
+    pub(crate) inbox: Inbox,
     /// Zero point of the cluster-wide µs timeline timers live on.
     pub(crate) base: Instant,
     pub(crate) workers: usize,
@@ -520,7 +512,6 @@ pub struct Cluster {
     pub(crate) p: u32,
     pub(crate) logp: LogP,
     pub(crate) shared: Arc<Shared>,
-    pub(crate) from_workers: Receiver<CoordMsg>,
     handles: Vec<JoinHandle<()>>,
     pub(crate) next_id: u64,
     pub(crate) timeout: Duration,
@@ -576,8 +567,10 @@ impl Cluster {
                 runq: VecDeque::with_capacity(p as usize),
                 timers: TimerWheel::new(),
                 shutdown: false,
+                parked: 0,
             }),
             sched_cv: Condvar::new(),
+            inbox: Inbox::new(workers),
             base: Instant::now(),
             workers,
             telemetry: cfg.telemetry,
@@ -585,26 +578,20 @@ impl Cluster {
                 .flight
                 .map(|cap| Arc::new(FlightRecorder::new(workers + 1, cap))),
         });
-        let (coord_tx, from_workers) = unbounded::<CoordMsg>();
         let mut handles = Vec::with_capacity(workers);
         for i in 0..workers {
             let shared = Arc::clone(&shared);
-            let coord = coord_tx.clone();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("ct-worker-{i}"))
-                    .spawn(move || worker_main(shared, coord, i))
+                    .spawn(move || worker_main(shared, i))
                     .expect("spawn worker thread"),
             );
         }
-        // Workers own the only senders: when every worker has exited,
-        // the coordinator's receiver disconnects.
-        drop(coord_tx);
         Cluster {
             p,
             logp,
             shared,
-            from_workers,
             handles,
             next_id: 1,
             timeout: cfg.timeout,
@@ -764,7 +751,8 @@ impl Cluster {
                 sched.runq.push_back(rank);
             }
         }
-        self.shared.sched_cv.notify_all();
+        // One worker is enough: it wakes the next if it leaves work.
+        self.shared.sched_cv.notify_one();
         if let Some(f) = self.shared.flight.as_deref() {
             // The coordinator owns the extra shard past the workers.
             f.record(self.shared.workers, Fk::IterStart, NO_RANK, id, 0, epoch_us);
@@ -776,8 +764,16 @@ impl Cluster {
         let mut completed = false;
         let mut latency = self.timeout;
         while colored_count < live {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.from_workers.recv_timeout(remaining) {
+            // Sleep until the inbox holds every notification still
+            // missing — the broadcast's one coordinator wake-up. With a
+            // hub attached the sleep is cut short to keep the progress
+            // gauge moving during a long broadcast.
+            let until = match &self.shared.telemetry {
+                Some(_) => deadline.min(Instant::now() + GAUGE_REFRESH),
+                None => deadline,
+            };
+            let need = u64::from(live - colored_count);
+            match self.shared.inbox.recv(until, need) {
                 Ok(CoordMsg::Colored { id: mid, ranks }) if mid == id => {
                     for rank in ranks {
                         if !colored[rank as usize] {
@@ -785,15 +781,16 @@ impl Cluster {
                             colored_count += 1;
                         }
                     }
-                    // One relaxed store per coordinator batch keeps the
+                    // One relaxed store per notification keeps the
                     // progress gauge fresh for the sampler.
                     if let Some(t) = &self.shared.telemetry {
                         t.set_iter_progress(u64::from(live), u64::from(colored_count));
                     }
                 }
-                Ok(_) => {} // stale notification from a previous iteration
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => return Err(ClusterError::WorkerPanicked),
+                Ok(_) => {} // a stale notification, or a quiescence delta
+                Err(RecvError::Timeout) if Instant::now() < deadline => {}
+                Err(RecvError::Timeout) => break,
+                Err(RecvError::Disconnected) => return Err(ClusterError::WorkerPanicked),
             }
         }
         if colored_count == live {
@@ -980,7 +977,7 @@ impl Cluster {
             colored: colored_count,
             runq_depth,
             pending_timers,
-            coord_in_flight: self.from_workers.len(),
+            coord_in_flight: self.shared.inbox.len(),
             now_us: epoch.elapsed().as_micros() as u64,
             epoch_us,
             ranks,
@@ -1043,6 +1040,11 @@ impl Drop for Cluster {
         }
     }
 }
+
+/// Longest coordinator sleep with a telemetry hub attached: what is
+/// queued below the wake-up threshold is taken in at least this often,
+/// so the `iter.colored` gauge follows a long broadcast.
+const GAUGE_REFRESH: Duration = Duration::from_millis(50);
 
 /// Polls of `poll_send` a quantum makes on one clock read. A send
 /// burst (rank 0's ~2 000-send checked-correction round at P=1024)
@@ -1118,7 +1120,16 @@ struct QuantumCounts {
 ///
 /// `widx` names this worker's telemetry shard; with no hub attached
 /// every instrumented path reduces to one `Option` branch.
-fn worker_main(shared: Arc<Shared>, coord: Sender<CoordMsg>, widx: usize) {
+fn worker_main(shared: Arc<Shared>, widx: usize) {
+    /// Tells the inbox this worker is gone, however it goes: when the
+    /// last one is, the coordinator sees the disconnect.
+    struct Exit<'a>(&'a Inbox);
+    impl Drop for Exit<'_> {
+        fn drop(&mut self) {
+            self.0.worker_exited();
+        }
+    }
+    let _exit = Exit(&shared.inbox);
     let tel = shared.telemetry.clone();
     let fl = shared.flight.clone();
     let taps = Taps {
@@ -1137,7 +1148,7 @@ fn worker_main(shared: Arc<Shared>, coord: Sender<CoordMsg>, widx: usize) {
         batch.clear();
         // The stamp of the claim that found work: start of this batch's
         // busy time and of its first quantum.
-        let claimed_ns = {
+        let (claimed_ns, pass_on) = {
             let mut sched = match shared.sched.lock() {
                 Ok(g) => g,
                 Err(_) => return,
@@ -1164,6 +1175,7 @@ fn worker_main(shared: Arc<Shared>, coord: Sender<CoordMsg>, widx: usize) {
                 if !sched.runq.is_empty() {
                     break now_ns;
                 }
+                sched.parked += 1;
                 match sched.timers.next_deadline() {
                     Some(d) => {
                         // Cap the sleep so a far-future deadline still
@@ -1182,6 +1194,7 @@ fn worker_main(shared: Arc<Shared>, coord: Sender<CoordMsg>, widx: usize) {
                         Err(_) => return,
                     },
                 }
+                sched.parked -= 1;
             };
             // Claim a fair share of the queue in one lock acquisition.
             if let Some(t) = taps.tel {
@@ -1200,8 +1213,12 @@ fn worker_main(shared: Arc<Shared>, coord: Sender<CoordMsg>, widx: usize) {
                     None => break,
                 }
             }
-            claimed_ns
+            (claimed_ns, !sched.runq.is_empty() && sched.parked > 0)
         };
+        // Surplus work and somebody asleep: pass the wake-up on.
+        if pass_on {
+            shared.sched_cv.notify_one();
+        }
         if let Some(t) = taps.tel {
             t.inc(widx, Tc::SchedBatches);
             t.observe(widx, Td::BatchSize, batch.len() as u64);
@@ -1219,7 +1236,7 @@ fn worker_main(shared: Arc<Shared>, coord: Sender<CoordMsg>, widx: usize) {
                 // was already won are not abandoned scheduled=true with
                 // no run-queue entry, should poisoning ever be made
                 // survivable.
-                let _ = flush(&shared, &coord, &mut scratch, taps);
+                let _ = flush(&shared, &mut scratch, taps);
                 return;
             };
             if let Some(t) = taps.tel {
@@ -1228,7 +1245,7 @@ fn worker_main(shared: Arc<Shared>, coord: Sender<CoordMsg>, widx: usize) {
                 mark_ns = end_ns;
             }
         }
-        if flush(&shared, &coord, &mut scratch, taps).is_err() {
+        if flush(&shared, &mut scratch, taps).is_err() {
             return;
         }
         if let Some(t) = taps.tel {
@@ -1523,15 +1540,9 @@ fn stale_quantum(
     Ok(end_ns)
 }
 
-/// Flush a batch's accumulated effects: one coordinator send per
-/// iteration id and one scheduler-lock acquisition for wake-ups and
-/// timer arms.
-fn flush(
-    shared: &Shared,
-    coord: &Sender<CoordMsg>,
-    scratch: &mut Scratch,
-    taps: Taps<'_>,
-) -> Result<(), Poisoned> {
+/// Flush a batch's accumulated effects: one inbox push per iteration id
+/// and one scheduler-lock acquisition for wake-ups and timer arms.
+fn flush(shared: &Shared, scratch: &mut Scratch, taps: Taps<'_>) -> Result<(), Poisoned> {
     if !scratch.colored.is_empty() {
         scratch.colored.sort_unstable_by_key(|&(id, _)| id);
         let mut i = 0;
@@ -1551,18 +1562,17 @@ fn flush(
                 let now_us = shared.now_us();
                 taps.flight(Fk::CoordBatch, NO_RANK, ranks.len() as u64, id, now_us);
             }
-            // The interconnect is reliable: a send only fails if the
-            // whole cluster is shutting down.
-            let _ = coord.send(CoordMsg::Colored { id, ranks });
+            shared.inbox.push(CoordMsg::Colored { id, ranks });
         }
         scratch.colored.clear();
     }
-    // Quiescence deltas, one send per in-flight broadcast (already
+    // Quiescence deltas, one push per in-flight broadcast (already
     // merged by id at accumulation time). The single-broadcast
-    // coordinator discards these; the pub/sub coordinator retires a
-    // topic once its accumulated counts balance.
+    // coordinator discards these (and is not woken for them); the
+    // pub/sub coordinator retires a topic once its accumulated counts
+    // balance.
     for &(id, sent, consumed, done) in &scratch.progress {
-        let _ = coord.send(CoordMsg::Progress {
+        shared.inbox.push(CoordMsg::Progress {
             id,
             sent,
             consumed,
@@ -1571,15 +1581,20 @@ fn flush(
     }
     scratch.progress.clear();
     if !scratch.wakes.is_empty() || !scratch.timers.is_empty() {
-        {
+        // The wake-ups need no bell: this worker claims next. A new
+        // timer does, so that a sleeper re-reads its deadline.
+        let rearm = {
             let mut sched = shared.sched.lock().map_err(|_| Poisoned)?;
             for &(deadline_us, rank) in &scratch.timers {
                 sched.timers.insert(deadline_us, rank);
             }
             sched.runq.extend(scratch.wakes.drain(..));
-        }
+            !scratch.timers.is_empty() && sched.parked > 0
+        };
         scratch.timers.clear();
-        shared.sched_cv.notify_all();
+        if rearm {
+            shared.sched_cv.notify_one();
+        }
     }
     Ok(())
 }

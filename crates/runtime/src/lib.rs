@@ -27,6 +27,7 @@
 
 pub mod cluster;
 pub mod harness;
+mod inbox;
 mod mailbox;
 pub mod postmortem;
 pub mod pubsub;

@@ -37,14 +37,14 @@
 
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::RecvTimeoutError;
 use ct_core::protocol::{BroadcastSpec, BuildCtx, ProtocolFactory};
 use ct_logp::{Rank, Time};
 use ct_obs::event::phases;
 use ct_obs::flight::{FlightKind as Fk, NO_RANK};
 use ct_obs::{Event as ObsEvent, EventKind as ObsEventKind, EventSink, NullSink};
 
-use crate::cluster::{Cluster, ClusterError, CoordMsg, IterState};
+use crate::cluster::{Cluster, ClusterError, IterState};
+use crate::inbox::{CoordMsg, RecvError};
 
 /// One broadcast topic: a protocol spec plus the failure mask and seed
 /// its broadcasts run under.
@@ -304,8 +304,8 @@ impl Cluster {
             }
 
             let earliest = active.iter().map(|a| a.deadline).min().expect("non-empty");
-            let remaining = earliest.saturating_duration_since(Instant::now());
-            match self.from_workers.recv_timeout(remaining) {
+            // Any message can complete a topic's quiescence: wake on all.
+            match self.shared.inbox.recv(earliest, 0) {
                 Ok(CoordMsg::Colored { id, ranks }) => {
                     if let Some(a) = active.iter_mut().find(|a| a.id == id) {
                         for rank in ranks {
@@ -331,8 +331,8 @@ impl Cluster {
                         a.done += done;
                     }
                 }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return Err(ClusterError::WorkerPanicked),
+                Err(RecvError::Timeout) => {}
+                Err(RecvError::Disconnected) => return Err(ClusterError::WorkerPanicked),
             }
         }
 
@@ -412,7 +412,7 @@ impl Cluster {
                 sched.runq.push_back(rank);
             }
         }
-        self.shared.sched_cv.notify_all();
+        self.shared.sched_cv.notify_one();
         if let Some(f) = self.shared.flight.as_deref() {
             f.record(self.shared.workers, Fk::IterStart, NO_RANK, id, 0, epoch_us);
         }
