@@ -235,6 +235,17 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
+    /// Forget every observation; the bounds (and both allocations) stay.
+    /// What a producer that tallies locally calls after handing the
+    /// tally over ([`crate::telemetry::TelemetryHub::merge_dist`]).
+    pub fn reset(&mut self) {
+        self.counts.fill(0);
+        self.count = 0;
+        self.sum = 0;
+        self.min = u64::MAX;
+        self.max = 0;
+    }
+
     /// Render as a JSON object.
     pub fn to_json(&self) -> String {
         let mut obj = JsonObject::new();
@@ -450,6 +461,15 @@ mod tests {
         assert_eq!(a.count(), 3);
         assert_eq!(a.min(), Some(5));
         assert_eq!(a.max(), Some(25));
+    }
+
+    #[test]
+    fn reset_leaves_an_empty_histogram_with_the_same_bounds() {
+        let mut h = Histogram::with_bounds(&[10, 20]);
+        h.record(5);
+        h.record(25);
+        h.reset();
+        assert_eq!(h, Histogram::with_bounds(&[10, 20]));
     }
 
     #[test]

@@ -12,11 +12,19 @@
 //! Design:
 //!
 //! * **Sharded and lock-free.** The hub holds one [`Counter`]/[`Dist`]
-//!   shard per worker thread; every update is a single relaxed atomic
-//!   RMW on the caller's own shard, so instrumentation never introduces
-//!   cross-worker contention or a lock that could perturb the scheduler
-//!   it is measuring. Per-rank state is a plain `fetch_max` high-water
-//!   slot. Relaxed ordering is sufficient everywhere: the values are
+//!   shard per worker thread, counters and histogram buckets inline and
+//!   the whole shard aligned to [`SHARD_ALIGN`] bytes, so no word one
+//!   worker writes shares a cache line with a word another writes —
+//!   wherever the allocator puts the shard array. An update is relaxed
+//!   atomic RMWs on the caller's own shard and nothing else: one for
+//!   [`TelemetryHub::add`], four for [`TelemetryHub::observe`], one per
+//!   bucket that moved (plus the sum, and the extremes when they move)
+//!   for [`TelemetryHub::merge_dist`] — no lock that could perturb the
+//!   scheduler it is measuring. Producers with a hot loop do not pay
+//!   even that per event: the cluster's workers tally in plain locals
+//!   and hand the hub one batch at a time. Per-rank state is one
+//!   high-water slot per rank, written only when the mark rises.
+//!   Relaxed ordering is sufficient everywhere: the values are
 //!   statistics, and [`TelemetryHub::snapshot`] merges whatever has
 //!   landed by the time it runs.
 //! * **Zero-cost when disabled.** Producers carry an
@@ -241,21 +249,32 @@ impl Dist {
     }
 }
 
+/// Alignment of a worker shard, here and in [`crate::flight`]: two
+/// 64-byte cache lines, because x86-64 prefetches lines in adjacent
+/// pairs and a write to one half takes the other along (the figure
+/// crossbeam's `CachePadded` uses on x86-64 and aarch64).
+pub const SHARD_ALIGN: usize = 128;
+
+/// Buckets of every hub histogram: one per
+/// [`Histogram::latency_default`] bound plus the overflow bucket.
+const BUCKETS: usize = 22;
+
 /// A fixed-bucket histogram updated with relaxed atomic RMWs; the
 /// atomic twin of [`Histogram`] (same bounds, snapshots via
-/// [`Histogram::from_parts`]).
+/// [`Histogram::from_parts`]). The buckets are inline so that a shard
+/// owns every word it writes.
 struct AtomicHistogram {
     /// Per-bucket counts; last entry is the overflow bucket.
-    counts: Vec<AtomicU64>,
+    counts: [AtomicU64; BUCKETS],
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
 }
 
 impl AtomicHistogram {
-    fn new(buckets: usize) -> AtomicHistogram {
+    fn new() -> AtomicHistogram {
         AtomicHistogram {
-            counts: (0..buckets).map(|_| AtomicU64::new(0)).collect(),
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -268,6 +287,28 @@ impl AtomicHistogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// Add every observation of `local` (same bounds): one RMW per
+    /// bucket that moved, one for the sum, and one per extreme only
+    /// when it moves — a load finds out, and after the first batches
+    /// it rarely does.
+    fn merge(&self, local: &Histogram) {
+        let (Some(lo), Some(hi)) = (local.min(), local.max()) else {
+            return;
+        };
+        if lo < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(lo, Ordering::Relaxed);
+        }
+        if hi > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(hi, Ordering::Relaxed);
+        }
+        self.sum.fetch_add(local.sum(), Ordering::Relaxed);
+        for (slot, &n) in self.counts.iter().zip(local.counts()) {
+            if n > 0 {
+                slot.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 
     fn snapshot(&self, bounds: &[u64]) -> Histogram {
@@ -291,19 +332,22 @@ impl AtomicHistogram {
     }
 }
 
-/// One worker's private slice of the hub.
+/// One worker's private slice of the hub: nothing behind a pointer,
+/// and [`SHARD_ALIGN`]-aligned (which also pads its size to a multiple
+/// of that), so neighbours in the shard array share no cache line.
+#[repr(C, align(128))]
 struct Shard {
     counters: [AtomicU64; Counter::ALL.len()],
-    dists: Vec<AtomicHistogram>,
+    dists: [AtomicHistogram; Dist::ALL.len()],
 }
 
+const _: () = assert!(std::mem::align_of::<Shard>() == SHARD_ALIGN);
+
 impl Shard {
-    fn new(buckets: usize) -> Shard {
+    fn new() -> Shard {
         Shard {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            dists: (0..Dist::ALL.len())
-                .map(|_| AtomicHistogram::new(buckets))
-                .collect(),
+            dists: std::array::from_fn(|_| AtomicHistogram::new()),
         }
     }
 }
@@ -341,9 +385,9 @@ impl TelemetryHub {
     /// shard sharing.
     pub fn new(workers: usize, ranks: usize) -> TelemetryHub {
         let bounds = Histogram::latency_default().bounds().to_vec();
-        let buckets = bounds.len() + 1;
+        assert_eq!(bounds.len() + 1, BUCKETS, "one bucket per bound + overflow");
         TelemetryHub {
-            shards: (0..workers.max(1)).map(|_| Shard::new(buckets)).collect(),
+            shards: (0..workers.max(1)).map(|_| Shard::new()).collect(),
             bounds,
             rank_hwm: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
             runq_depth: AtomicU64::new(0),
@@ -365,7 +409,11 @@ impl TelemetryHub {
     }
 
     fn shard(&self, worker: usize) -> &Shard {
-        &self.shards[worker % self.shards.len()]
+        // No division for a worker that has a shard of its own.
+        match self.shards.get(worker) {
+            Some(shard) => shard,
+            None => &self.shards[worker % self.shards.len()],
+        }
     }
 
     /// Add `delta` to `counter` on `worker`'s shard.
@@ -383,10 +431,32 @@ impl TelemetryHub {
         self.shard(worker).dists[dist as usize].record(&self.bounds, v);
     }
 
-    /// Raise `rank`'s mailbox-occupancy high-water mark to `depth`.
+    /// Fold a histogram the caller filled locally into `dist` on
+    /// `worker`'s shard — the per-batch counterpart of calling
+    /// [`TelemetryHub::observe`] once per value, with the same snapshot
+    /// as a result. An empty `local` is a no-op; the caller resets it
+    /// afterwards ([`Histogram::reset`]).
+    ///
+    /// # Panics
+    /// If `local` does not use the [`Histogram::latency_default`]
+    /// bounds.
+    pub fn merge_dist(&self, worker: usize, dist: Dist, local: &Histogram) {
+        assert_eq!(
+            local.bounds(),
+            &self.bounds[..],
+            "cannot merge histograms with different buckets"
+        );
+        self.shard(worker).dists[dist as usize].merge(local);
+    }
+
+    /// Raise `rank`'s mailbox-occupancy high-water mark to `depth`. The
+    /// mark rises a handful of times in a run, so a load decides first
+    /// and the slot's line is written only then.
     pub fn mailbox_depth(&self, rank: usize, depth: u64) {
         if let Some(slot) = self.rank_hwm.get(rank) {
-            slot.fetch_max(depth, Ordering::Relaxed);
+            if depth > slot.load(Ordering::Relaxed) {
+                slot.fetch_max(depth, Ordering::Relaxed);
+            }
         }
     }
 
@@ -716,6 +786,88 @@ fn gauge_help(name: &str) -> Option<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Regression test for the false sharing that made
+    /// `cluster_p1024_observed` bimodal: unaligned 184-byte shards sat
+    /// back to back, so one worker's counters shared lines with the
+    /// next one's.
+    #[test]
+    fn neighbouring_shards_share_no_cache_line() {
+        for workers in 1..=4 {
+            let hub = TelemetryHub::new(workers, 1);
+            let hot: Vec<usize> = hub
+                .shards
+                .iter()
+                .map(|s| std::ptr::from_ref(&s.counters[0]) as usize)
+                .collect();
+            for addr in &hot {
+                assert_eq!(addr % SHARD_ALIGN, 0, "{workers} workers: {hot:x?}");
+            }
+            for pair in hot.windows(2) {
+                assert!(
+                    pair[1] - pair[0] >= SHARD_ALIGN,
+                    "{workers} workers: {hot:x?}"
+                );
+            }
+        }
+        // Buckets included: a shard reaches no memory outside itself.
+        assert_eq!(std::mem::size_of::<Shard>() % SHARD_ALIGN, 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Publishing a locally filled histogram is indistinguishable
+        /// from observing its values one by one.
+        #[test]
+        fn merge_dist_equals_observing_one_by_one(
+            batches in proptest::collection::vec(
+                proptest::collection::vec(0u64..3_000_000, 0..40), 0..6),
+        ) {
+            let merged = TelemetryHub::new(2, 1);
+            let observed = TelemetryHub::new(2, 1);
+            let mut local = Histogram::latency_default();
+            for (i, batch) in batches.iter().enumerate() {
+                for &v in batch {
+                    local.record(v);
+                    observed.observe(i & 1, Dist::MailboxDrained, v);
+                }
+                // An empty batch merges as a no-op.
+                merged.merge_dist(i & 1, Dist::MailboxDrained, &local);
+                local.reset();
+            }
+            // Count, sum, extremes and every bucket.
+            prop_assert_eq!(merged.snapshot(), observed.snapshot());
+        }
+    }
+
+    #[test]
+    fn snapshot_during_merge_is_consistent() {
+        let hub = std::sync::Arc::new(TelemetryHub::new(1, 1));
+        let writer = {
+            let hub = std::sync::Arc::clone(&hub);
+            std::thread::spawn(move || {
+                let mut local = Histogram::latency_default();
+                for batch in 0..20_000u64 {
+                    for v in 0..20 {
+                        local.record((batch + v) & 63);
+                    }
+                    hub.merge_dist(0, Dist::QuantumUs, &local);
+                    local.reset();
+                }
+            })
+        };
+        // `Histogram::from_parts` asserts buckets == total on each one.
+        while !writer.is_finished() {
+            let _ = hub.snapshot();
+        }
+        writer.join().unwrap();
+        assert_eq!(
+            hub.snapshot().histograms["sched.quantum_us"].count(),
+            400_000
+        );
+    }
 
     #[test]
     fn snapshot_during_observe_is_consistent() {

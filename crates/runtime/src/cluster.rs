@@ -31,7 +31,10 @@
 //! the inbox holds what it waits for — through the whole of a single
 //! broadcast. Sleeping workers are woken one at a time, by whoever
 //! claims a batch and leaves work behind (see `Sched::parked`), not
-//! all of them on every flush. Iteration start re-initialises
+//! all of them on every flush. What the observability taps count
+//! travels the same way: tallied in worker-local values and folded
+//! into the telemetry hub once per batch, ahead of that batch's inbox
+//! pushes (see `Tally`). Iteration start re-initialises
 //! the previous iteration's per-rank `Process` machines in place via
 //! [`ProtocolFactory::build_into`] rather than shipping fresh boxes
 //! through channels, and iteration teardown harvests per-rank message
@@ -53,6 +56,7 @@ use ct_logp::{LogP, Rank, Time};
 use ct_obs::event::phases;
 use ct_obs::flight::{FlightKind as Fk, FlightRecorder, NO_RANK};
 use ct_obs::health::{HealthConfig, HealthEvent};
+use ct_obs::metrics::Histogram;
 use ct_obs::series::{Sampler, SeriesStore, DEFAULT_SERIES_CAP};
 use ct_obs::telemetry::{Counter as Tc, Dist as Td, TelemetryHub};
 use ct_obs::{Event as ObsEvent, EventKind as ObsEventKind, EventSink, NullSink};
@@ -854,10 +858,16 @@ impl Cluster {
             recorded.append(&mut iter.events);
             drop(st);
             self.procs.push(iter.process);
-            cell.mailbox
+            let undrained = cell
+                .mailbox
                 .lock()
                 .map_err(|_| ClusterError::WorkerPanicked)?
                 .clear();
+            // The owner books a mailbox's depth when it drains it; what
+            // it never got to drain is booked here.
+            if let Some(t) = &self.shared.telemetry {
+                t.mailbox_depth(rank as usize, undrained as u64);
+            }
         }
         // Drop wake-ups the dead iteration left behind; a straggler
         // flushed after this point only triggers a harmless no-op
@@ -1063,16 +1073,6 @@ struct Taps<'a> {
 }
 
 impl Taps<'_> {
-    /// The quantum-end stamp (ns on the cluster timeline): read only
-    /// when some tap wants it, 0 otherwise.
-    fn end_stamp_ns(&self, shared: &Shared) -> u64 {
-        if self.tel.is_some() || self.fl.is_some() {
-            shared.now_ns()
-        } else {
-            0
-        }
-    }
-
     fn flight(&self, kind: Fk, rank: Rank, aux: u64, step: u64, wall_us: u64) {
         if let Some(f) = self.fl {
             f.record(self.widx, kind, rank, aux, step, wall_us);
@@ -1086,26 +1086,98 @@ impl Taps<'_> {
             }
         }
     }
+}
 
-    /// Add one quantum's counters to the hub: one atomic per counter
-    /// that moved instead of one per message.
-    fn count(&self, c: &QuantumCounts) {
-        self.add(Tc::MsgsDelivered, c.delivered);
-        self.add(Tc::MsgsStaleDropped, c.stale_dropped);
+/// What a worker's taps keep to themselves between publications.
+///
+/// With a hub attached the worker counts in plain locals and hands the
+/// hub one batch at a time: per-quantum counters add up in `counts`,
+/// the two per-quantum distributions in ordinary [`Histogram`]s, and
+/// [`Tally::publish`] — the first thing `flush` does — folds them into
+/// the worker's shard with one RMW per counter or bucket that moved.
+/// Publication precedes the batch's inbox pushes, so whatever the
+/// coordinator has learnt from a batch the hub already shows; a running
+/// worker's counters lag by at most one batch (≤ [`MAX_BATCH`] quanta),
+/// and the `QuantumUs` sample of a batch's last quantum, which the
+/// post-flush clock read closes, by one more. A worker that unwinds
+/// mid-batch takes that batch's tallies with it — at most one
+/// unpublished batch per panicking worker; one that leaves because it
+/// found a peer's lock poisoned publishes on its way out. Without a hub
+/// only `stamp_us` is ever touched.
+struct Tally {
+    /// Per-quantum counters not yet published.
+    counts: QuantumCounts,
+    /// `Td::QuantumUs` samples not yet published.
+    quantum_us: Histogram,
+    /// `Td::MailboxDrained` samples not yet published.
+    drained: Histogram,
+    /// Post-drain stamp (µs) of the quantum whose `QuantumUs` interval
+    /// is open: it ends at the next stamp the worker reads anyway — the
+    /// next quantum's, or the one after the flush — so the intervals
+    /// tile the batch's busy time and cost no clock read of their own.
+    open_us: Option<u64>,
+    /// The worker's latest clock read, µs: what flight records written
+    /// where no clock is read (a stale quantum, a flush) are stamped
+    /// with.
+    stamp_us: u64,
+}
+
+impl Tally {
+    fn new() -> Tally {
+        Tally {
+            counts: QuantumCounts::default(),
+            quantum_us: Histogram::latency_default(),
+            drained: Histogram::latency_default(),
+            open_us: None,
+            stamp_us: 0,
+        }
+    }
+
+    /// A quantum read its post-drain stamp: the interval of the quantum
+    /// before it ends there and its own begins.
+    fn quantum_begins(&mut self, now_us: u64, drained: u64) {
+        self.close_interval(now_us);
+        self.open_us = Some(now_us);
+        self.drained.record(drained);
+    }
+
+    /// End the open `QuantumUs` interval, if any, at `now_us`.
+    fn close_interval(&mut self, now_us: u64) {
+        if let Some(open_us) = self.open_us.take() {
+            self.quantum_us.record(now_us.saturating_sub(open_us));
+        }
+    }
+
+    /// Hand everything tallied since the last call to the hub.
+    fn publish(&mut self, taps: Taps<'_>) {
+        let Some(t) = taps.tel else { return };
+        let c = std::mem::take(&mut self.counts);
+        taps.add(Tc::SchedQuanta, c.quanta);
+        taps.add(Tc::SchedStaleQuanta, c.stale_quanta);
+        taps.add(Tc::MsgsDelivered, c.delivered);
+        taps.add(Tc::MsgsStaleDropped, c.stale_dropped);
         // Every send is exactly one mailbox push.
-        self.add(Tc::MsgsSent, c.sent);
-        self.add(Tc::MailboxPushes, c.sent);
-        self.add(Tc::MailboxSpills, c.spills);
-        self.add(Tc::SchedWakes, c.wakes);
-        self.add(Tc::SchedRechecks, c.rechecks);
-        self.add(Tc::TimerArms, c.timer_arms);
+        taps.add(Tc::MsgsSent, c.sent);
+        taps.add(Tc::MailboxPushes, c.sent);
+        taps.add(Tc::MailboxSpills, c.spills);
+        taps.add(Tc::SchedWakes, c.wakes);
+        taps.add(Tc::SchedRechecks, c.rechecks);
+        taps.add(Tc::TimerArms, c.timer_arms);
+        t.merge_dist(taps.widx, Td::QuantumUs, &self.quantum_us);
+        self.quantum_us.reset();
+        t.merge_dist(taps.widx, Td::MailboxDrained, &self.drained);
+        self.drained.reset();
     }
 }
 
-/// One quantum's telemetry counters, kept in locals and handed to
-/// [`Taps::count`] once.
+/// What quanta count: one quantum's worth in [`Quantum::counts`], a
+/// batch's worth in [`Tally::counts`].
 #[derive(Default)]
 struct QuantumCounts {
+    /// Quanta counted here (1 in a quantum's own counts), and how many
+    /// of them were stale.
+    quanta: u64,
+    stale_quanta: u64,
     delivered: u64,
     stale_dropped: u64,
     sent: u64,
@@ -1113,6 +1185,28 @@ struct QuantumCounts {
     wakes: u64,
     rechecks: u64,
     timer_arms: u64,
+}
+
+impl QuantumCounts {
+    /// The counts a quantum starts from.
+    fn one_quantum() -> QuantumCounts {
+        QuantumCounts {
+            quanta: 1,
+            ..QuantumCounts::default()
+        }
+    }
+
+    fn absorb(&mut self, c: &QuantumCounts) {
+        self.quanta += c.quanta;
+        self.stale_quanta += c.stale_quanta;
+        self.delivered += c.delivered;
+        self.stale_dropped += c.stale_dropped;
+        self.sent += c.sent;
+        self.spills += c.spills;
+        self.wakes += c.wakes;
+        self.rechecks += c.rechecks;
+        self.timer_arms += c.timer_arms;
+    }
 }
 
 /// Scheduler loop: claim a batch of runnable ranks (servicing the timer
@@ -1130,13 +1224,12 @@ fn worker_main(shared: Arc<Shared>, widx: usize) {
         }
     }
     let _exit = Exit(&shared.inbox);
-    let tel = shared.telemetry.clone();
-    let fl = shared.flight.clone();
     let taps = Taps {
-        tel: tel.as_deref(),
-        fl: fl.as_deref(),
+        tel: shared.telemetry.as_deref(),
+        fl: shared.flight.as_deref(),
         widx,
     };
+    let mut tally = Tally::new();
     let mut scratch = Scratch::default();
     let mut batch: Vec<Rank> = Vec::with_capacity(MAX_BATCH);
     // Busy time not yet published: it is summed in ns and `SchedBusyUs`
@@ -1147,7 +1240,7 @@ fn worker_main(shared: Arc<Shared>, widx: usize) {
     loop {
         batch.clear();
         // The stamp of the claim that found work: start of this batch's
-        // busy time and of its first quantum.
+        // busy time.
         let (claimed_ns, pass_on) = {
             let mut sched = match shared.sched.lock() {
                 Ok(g) => g,
@@ -1223,34 +1316,29 @@ fn worker_main(shared: Arc<Shared>, widx: usize) {
             t.inc(widx, Tc::SchedBatches);
             t.observe(widx, Td::BatchSize, batch.len() as u64);
         }
-        // With a hub attached a quantum is timed from the end stamp of
-        // the one before it (the claim, for the first of a batch) to
-        // its own end stamp — the read the flight recorder's
-        // `QuantumEnd` record carries, not a clock pair of its own.
-        let mut mark_ns = claimed_ns;
+        tally.stamp_us = claimed_ns / 1_000;
         for &rank in &batch {
-            let Ok(end_ns) = run_quantum(&shared, rank, &mut scratch, taps) else {
+            if run_quantum(&shared, rank, &mut scratch, taps, &mut tally).is_err() {
                 // Another worker panicked; the coordinator will surface
                 // WorkerPanicked and the cluster is unrecoverable.
-                // Still flush best-effort so ranks whose wake-up CAS
-                // was already won are not abandoned scheduled=true with
-                // no run-queue entry, should poisoning ever be made
-                // survivable.
-                let _ = flush(&shared, &mut scratch, taps);
+                // Still flush best-effort: it publishes what this batch
+                // tallied, and ranks whose wake-up CAS was already won
+                // are not abandoned scheduled=true with no run-queue
+                // entry, should poisoning ever be made survivable.
+                let _ = flush(&shared, &mut scratch, taps, &mut tally);
                 return;
-            };
-            if let Some(t) = taps.tel {
-                t.inc(widx, Tc::SchedQuanta);
-                t.observe(widx, Td::QuantumUs, end_ns.saturating_sub(mark_ns) / 1_000);
-                mark_ns = end_ns;
             }
         }
-        if flush(&shared, &mut scratch, taps).is_err() {
+        if flush(&shared, &mut scratch, taps, &mut tally).is_err() {
             return;
         }
         if let Some(t) = taps.tel {
-            // Busy is everything but parking: claim through flush.
-            busy_carry_ns += shared.now_ns().saturating_sub(claimed_ns);
+            // The batch's one extra clock read. Busy is everything but
+            // parking, claim through flush, and the last quantum's
+            // interval ends where the busy time does.
+            let end_ns = shared.now_ns();
+            tally.close_interval(end_ns / 1_000);
+            busy_carry_ns += end_ns.saturating_sub(claimed_ns);
             t.add(widx, Tc::SchedBusyUs, busy_carry_ns / 1_000);
             busy_carry_ns %= 1_000;
         }
@@ -1339,19 +1427,20 @@ impl Quantum<'_> {
                     // after the drain, so `Arrive.t ≥ SendStart.t`.
                     iter.note(now, ObsEventKind::SendStart { from, to, payload });
                     let peer = &shared.ranks[to as usize];
-                    {
-                        let mut mb = peer.mailbox.lock().map_err(|_| Poisoned)?;
-                        let id = iter.id;
-                        self.counts.spills += u64::from(mb.push(Msg { id, from, payload }));
-                        if let Some(t) = taps.tel {
-                            t.mailbox_depth(to as usize, mb.len() as u64);
-                        }
-                        // aux packs broadcast id and pusher: the black
-                        // box can answer "who last fed this mailbox, on
-                        // behalf of which topic".
-                        let aux = (id << 32) | u64::from(rank);
-                        taps.flight(Fk::MailboxPush, to, aux, now.steps(), now_us);
-                    }
+                    let id = iter.id;
+                    // The receiver contends for this lock: it is held
+                    // for the push and nothing else, no tap included.
+                    let spilled =
+                        peer.mailbox
+                            .lock()
+                            .map_err(|_| Poisoned)?
+                            .push(Msg { id, from, payload });
+                    self.counts.spills += u64::from(spilled);
+                    // aux packs broadcast id and pusher: the black box
+                    // can answer "who last fed this mailbox, on behalf
+                    // of which topic".
+                    let aux = (id << 32) | u64::from(rank);
+                    taps.flight(Fk::MailboxPush, to, aux, now.steps(), now_us);
                     if !peer.scheduled.swap(true, Ordering::SeqCst) {
                         scratch.wakes.push(to);
                         self.counts.wakes += 1;
@@ -1414,21 +1503,21 @@ impl Quantum<'_> {
 /// Drive one rank for a quantum: drain its mailbox, read the clock
 /// once, deliver current-id messages, poll the protocol for sends,
 /// report coloring. Effects that need shared locks (wake-ups, timers,
-/// coordinator traffic) accumulate in `scratch` and are flushed once
-/// per batch. Returns the quantum's end stamp
-/// ([`Taps::end_stamp_ns`]).
+/// coordinator traffic) accumulate in `scratch`, what the taps count in
+/// `tally`; both are flushed once per batch.
 fn run_quantum(
     shared: &Shared,
     rank: Rank,
     scratch: &mut Scratch,
     taps: Taps<'_>,
-) -> Result<u64, Poisoned> {
+    tally: &mut Tally,
+) -> Result<(), Poisoned> {
     let cell = &shared.ranks[rank as usize];
     let mut guard = cell.state.lock().map_err(|_| Poisoned)?;
     let st = &mut *guard;
     if st.iters.is_empty() {
         drop(guard);
-        return stale_quantum(shared, rank, scratch, taps);
+        return stale_quantum(shared, rank, scratch, taps, tally);
     }
 
     scratch.msgs.clear();
@@ -1447,11 +1536,19 @@ fn run_quantum(
         taps,
         now_us: shared.now_us(),
         polls: 0,
-        counts: QuantumCounts::default(),
+        counts: QuantumCounts::one_quantum(),
     };
     // Always kept: the stamp the watchdog's StallReport ages stranded
     // ranks by.
     st.last_poll_us = Some(q.now_us);
+    if let Some(t) = taps.tel {
+        tally.quantum_begins(q.now_us, drained as u64);
+        // A mailbox only grows between its owner's drains, and a drain
+        // takes everything: what was just drained is the deepest the
+        // mailbox got since the last one. (Teardown books what is
+        // never drained.)
+        t.mailbox_depth(rank as usize, drained as u64);
+    }
     // One quantum serves every iteration installed on this rank. The
     // flight record names the broadcast when there is exactly one (the
     // single-broadcast invariant) and 0 for a multiplexed quantum; its
@@ -1472,22 +1569,20 @@ fn run_quantum(
     if drained > 0 {
         taps.flight(Fk::MailboxDrain, rank, drained as u64, 0, q.now_us);
     }
-    if let Some(t) = taps.tel {
-        t.observe(taps.widx, Td::MailboxDrained, drained as u64);
-    }
 
     q.route(st, &scratch.msgs);
     for iter in &mut st.iters {
         q.drive(iter, scratch)?;
     }
-    let end_ns = taps.end_stamp_ns(shared);
-    let end_us = end_ns / 1_000;
+    // The end of a quantum reads no clock: its records carry the
+    // quantum's last stamp (a send burst refreshed it on the way).
+    tally.stamp_us = q.now_us;
     taps.flight(
         Fk::QuantumEnd,
         rank,
         quantum_aux,
-        since_oldest(end_us),
-        end_us,
+        since_oldest(q.now_us),
+        q.now_us,
     );
     drop(guard);
 
@@ -1501,48 +1596,65 @@ fn run_quantum(
         scratch.wakes.push(rank);
         q.counts.rechecks += 1;
         q.counts.wakes += 1;
-        taps.flight(Fk::Recheck, rank, 0, 0, end_us);
+        taps.flight(Fk::Recheck, rank, 0, 0, q.now_us);
     }
-    taps.count(&q.counts);
-    Ok(end_ns)
+    if taps.tel.is_some() {
+        tally.counts.absorb(&q.counts);
+    }
+    Ok(())
 }
 
 /// A quantum on a rank with nothing installed — a stale wake-up between
 /// iterations. The mailbox is left alone (it may hold early traffic of
 /// an iteration being installed; the coordinator schedules every rank
-/// once installation is done) and the quantum does no work. Clearing
-/// the flag gets the same recheck as the normal end-of-quantum path: an
-/// install or a message that raced in while this quantum held the flag
-/// may have elided its enqueue on the strength of it, so if state or
-/// mailbox turn out non-empty now, this quantum must take the wake-up
-/// back or the rank sleeps forever.
+/// once installation is done) and the quantum does no work — it reads
+/// no clock either: its flight records carry the worker's latest stamp
+/// and it has no `QuantumUs` interval of its own (its time falls into
+/// that of the quantum before it). Clearing the flag gets the same
+/// recheck as the normal end-of-quantum path: an install or a message
+/// that raced in while this quantum held the flag may have elided its
+/// enqueue on the strength of it, so if state or mailbox turn out
+/// non-empty now, this quantum must take the wake-up back or the rank
+/// sleeps forever.
 fn stale_quantum(
     shared: &Shared,
     rank: Rank,
     scratch: &mut Scratch,
     taps: Taps<'_>,
-) -> Result<u64, Poisoned> {
+    tally: &mut Tally,
+) -> Result<(), Poisoned> {
     let cell = &shared.ranks[rank as usize];
-    let end_ns = taps.end_stamp_ns(shared);
-    let end_us = end_ns / 1_000;
-    taps.add(Tc::SchedStaleQuanta, 1);
-    taps.flight(Fk::StaleQuantum, rank, 0, 0, end_us);
+    let mut counts = QuantumCounts::one_quantum();
+    counts.stale_quanta = 1;
+    taps.flight(Fk::StaleQuantum, rank, 0, 0, tally.stamp_us);
     cell.scheduled.store(false, Ordering::SeqCst);
     let installed = !cell.state.lock().map_err(|_| Poisoned)?.iters.is_empty();
     if (installed || !cell.mailbox.lock().map_err(|_| Poisoned)?.is_empty())
         && !cell.scheduled.swap(true, Ordering::SeqCst)
     {
         scratch.wakes.push(rank);
-        taps.add(Tc::SchedRechecks, 1);
-        taps.add(Tc::SchedWakes, 1);
-        taps.flight(Fk::Recheck, rank, 0, 0, end_us);
+        counts.rechecks = 1;
+        counts.wakes = 1;
+        taps.flight(Fk::Recheck, rank, 0, 0, tally.stamp_us);
     }
-    Ok(end_ns)
+    if taps.tel.is_some() {
+        tally.counts.absorb(&counts);
+    }
+    Ok(())
 }
 
-/// Flush a batch's accumulated effects: one inbox push per iteration id
-/// and one scheduler-lock acquisition for wake-ups and timer arms.
-fn flush(shared: &Shared, scratch: &mut Scratch, taps: Taps<'_>) -> Result<(), Poisoned> {
+/// Flush a batch's accumulated effects: the taps' tallies to the hub,
+/// then one inbox push per iteration id and one scheduler-lock
+/// acquisition for wake-ups and timer arms.
+fn flush(
+    shared: &Shared,
+    scratch: &mut Scratch,
+    taps: Taps<'_>,
+    tally: &mut Tally,
+) -> Result<(), Poisoned> {
+    // First, so that the hub already shows whatever the coordinator
+    // learns from the pushes below.
+    tally.publish(taps);
     if !scratch.colored.is_empty() {
         scratch.colored.sort_unstable_by_key(|&(id, _)| id);
         let mut i = 0;
@@ -1558,10 +1670,13 @@ fn flush(shared: &Shared, scratch: &mut Scratch, taps: Taps<'_>) -> Result<(), P
                 t.add(taps.widx, Tc::CoordColored, ranks.len() as u64);
                 t.observe(taps.widx, Td::CoordBatchSize, ranks.len() as u64);
             }
-            if taps.fl.is_some() {
-                let now_us = shared.now_us();
-                taps.flight(Fk::CoordBatch, NO_RANK, ranks.len() as u64, id, now_us);
-            }
+            taps.flight(
+                Fk::CoordBatch,
+                NO_RANK,
+                ranks.len() as u64,
+                id,
+                tally.stamp_us,
+            );
             shared.inbox.push(CoordMsg::Colored { id, ranks });
         }
         scratch.colored.clear();

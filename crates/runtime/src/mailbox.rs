@@ -158,12 +158,15 @@ impl Mailbox {
         before - self.len()
     }
 
-    /// Discard everything (iteration teardown). O(1) in the steady
-    /// state: slots are plain values, so forgetting them is enough.
-    pub fn clear(&mut self) {
+    /// Discard everything (iteration teardown) and return how many
+    /// messages that was. O(1) in the steady state: slots are plain
+    /// values, so forgetting them is enough.
+    pub fn clear(&mut self) -> usize {
+        let discarded = self.len();
         self.head = 0;
         self.len = 0;
         self.spill.clear();
+        discarded
     }
 }
 
@@ -283,7 +286,7 @@ mod tests {
         let mut mb = Mailbox::new(1);
         mb.push(msg(1, 0));
         mb.push(msg(1, 1));
-        mb.clear();
+        assert_eq!(mb.clear(), 2);
         assert!(mb.is_empty());
         assert_eq!(mb.pop(), None);
         mb.push(msg(2, 9));

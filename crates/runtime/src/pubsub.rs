@@ -471,10 +471,18 @@ impl Cluster {
                 // An expired broadcast may still have messages queued;
                 // a quiescent one by definition has none. Purge by id —
                 // concurrent topics' traffic must survive.
-                cell.mailbox
+                let mut mb = cell
+                    .mailbox
                     .lock()
-                    .map_err(|_| ClusterError::WorkerPanicked)?
-                    .purge_id(a.id);
+                    .map_err(|_| ClusterError::WorkerPanicked)?;
+                let depth = mb.len();
+                mb.purge_id(a.id);
+                drop(mb);
+                // The purge shrinks the mailbox behind its owner's back:
+                // book the depth the owner's next drain will not see.
+                if let Some(t) = &self.shared.telemetry {
+                    t.mailbox_depth(rank as usize, depth as u64);
+                }
             }
         }
         let latency = a.latency.unwrap_or(self.timeout);

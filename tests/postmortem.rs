@@ -1,25 +1,32 @@
 //! Flight-recorder and postmortem contract tests across both drivers.
 //!
-//! Four guarantees: the per-shard ring retains exactly the most recent
+//! Five guarantees: the per-shard ring retains exactly the most recent
 //! `cap` records with loss-detecting sequence numbers; attaching a
 //! [`FlightRecorder`] never perturbs what a run computes (traces and
 //! outcomes are byte-identical on vs off, mirroring the telemetry
 //! suite); a forced stall at P=8 with rank 1 dead produces a
 //! `ct-postmortem-v1` dump whose per-rank tails name the stranded
-//! subtree {3, 5, 7} and the absence of any mailbox push to it; and a
-//! hand-fed deterministic dump renders byte-for-byte stable JSON and
+//! subtree {3, 5, 7} and the absence of any mailbox push to it; a
+//! worker panic produces a `worker_panic` bundle whose telemetry lacks
+//! at most the panicking worker's unpublished batch; and a hand-fed
+//! deterministic dump renders byte-for-byte stable JSON and
 //! reconstruction text (regenerate with `CT_REGEN_GOLDEN=1`).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use corrected_trees::analyze::PostmortemReport;
-use corrected_trees::core::protocol::BroadcastSpec;
+use corrected_trees::core::protocol::{
+    BroadcastSpec, BuildCtx, ColoredVia, Payload, Process, ProtocolError, ProtocolFactory, SendPoll,
+};
 use corrected_trees::core::tree::TreeKind;
-use corrected_trees::logp::LogP;
+use corrected_trees::logp::{LogP, Rank, Time};
 use corrected_trees::obs::flight::{FlightKind, FlightRecorder, NO_RANK};
 use corrected_trees::obs::telemetry::{Counter, Dist, TelemetryHub};
 use corrected_trees::obs::VecSink;
-use corrected_trees::runtime::{Cluster, ClusterConfig, Postmortem, RankStall, StallReport};
+use corrected_trees::runtime::{
+    Cluster, ClusterConfig, ClusterError, Postmortem, RankStall, StallReport,
+};
 use corrected_trees::sim::{FaultPlan, Simulation};
 use proptest::prelude::*;
 
@@ -193,6 +200,104 @@ fn forced_stall_dump_names_the_stranded_subtree() {
     assert!(
         rendered.contains("no message ever reached this rank"),
         "{rendered}"
+    );
+}
+
+/// A plain binomial tree whose rank 5 panics in `poll_send` once armed.
+struct Bomb {
+    armed: Arc<AtomicBool>,
+}
+
+struct BombRank {
+    inner: Box<dyn Process>,
+    armed: Arc<AtomicBool>,
+}
+
+impl Process for BombRank {
+    fn on_message(&mut self, from: Rank, payload: Payload, now: Time) {
+        self.inner.on_message(from, payload, now);
+    }
+
+    fn poll_send(&mut self, now: Time) -> SendPoll {
+        assert!(!self.armed.load(Ordering::SeqCst), "rank 5 blows up");
+        self.inner.poll_send(now)
+    }
+
+    fn colored_at(&self) -> Option<Time> {
+        self.inner.colored_at()
+    }
+
+    fn colored_via(&self) -> Option<ColoredVia> {
+        self.inner.colored_via()
+    }
+}
+
+impl ProtocolFactory for Bomb {
+    fn label(&self) -> String {
+        "bomb".into()
+    }
+
+    fn build(&self, ctx: &BuildCtx) -> Result<Vec<Box<dyn Process>>, ProtocolError> {
+        let ranks = BroadcastSpec::plain_tree(TreeKind::BINOMIAL).build(ctx)?;
+        Ok(ranks
+            .into_iter()
+            .enumerate()
+            .map(|(rank, inner)| match rank {
+                5 => Box::new(BombRank {
+                    inner,
+                    armed: Arc::clone(&self.armed),
+                }),
+                _ => inner,
+            })
+            .collect())
+    }
+}
+
+/// Workers publish their tallies once per batch, so a worker that
+/// unwinds takes at most one batch's counts with it: after three clean
+/// broadcasts and one in which rank 5 panics, the `worker_panic` bundle
+/// still shows every message of the clean ones, and the surviving
+/// worker — which leaves through a poisoned lock — has published too.
+#[test]
+fn worker_panic_bundle_keeps_every_published_batch() {
+    let p = 64u32;
+    let dead = vec![false; p as usize];
+    let armed = Arc::new(AtomicBool::new(false));
+    let factory = Bomb {
+        armed: Arc::clone(&armed),
+    };
+    let path = std::env::temp_dir().join(format!("ct-worker-panic-{}.json", std::process::id()));
+    let hub = Arc::new(TelemetryHub::new(2, p as usize));
+    let cfg = ClusterConfig::new()
+        .threads(2)
+        // The surviving worker may never touch rank 5's poisoned lock
+        // and park instead; the watchdog then ends the wait.
+        .timeout(std::time::Duration::from_millis(300))
+        .telemetry(Arc::clone(&hub))
+        .flight(4096)
+        .postmortem(path.clone());
+    let mut cluster = Cluster::with_config(p, LogP::PAPER, cfg);
+    for seed in 0..3 {
+        let report = cluster.run_broadcast(&factory, &dead, seed).unwrap();
+        assert!(report.completed);
+    }
+    let clean = 3 * (u64::from(p) - 1);
+    assert_eq!(hub.counter_total(Counter::MsgsDelivered), clean);
+
+    armed.store(true, Ordering::SeqCst);
+    let err = cluster.run_broadcast(&factory, &dead, 3).unwrap_err();
+    assert!(matches!(err, ClusterError::WorkerPanicked));
+    let json = std::fs::read_to_string(&path).expect("worker panic writes the bundle");
+    let _ = std::fs::remove_file(&path);
+    let bundle = PostmortemReport::from_json(json.trim_end()).expect("bundle parses");
+    assert_eq!(bundle.reason, "worker_panic");
+    assert!(bundle.retained > 0);
+    // Rank 5 never forwarded, so the fourth broadcast delivered fewer
+    // than P−1 messages; whatever it did deliver can only add.
+    let delivered = hub.counter_total(Counter::MsgsDelivered);
+    assert!(
+        (clean..clean + u64::from(p) - 1).contains(&delivered),
+        "{delivered} delivered, {clean} before the panic"
     );
 }
 

@@ -1,17 +1,22 @@
 //! Telemetry contract tests across both drivers.
 //!
-//! Three guarantees: attaching a [`TelemetryHub`] never perturbs what a
+//! Four guarantees: attaching a [`TelemetryHub`] never perturbs what a
 //! run computes (traces and outcomes are byte-identical on vs off); a
 //! single-worker cluster run produces exactly predictable counters
-//! (the instrumentation counts what it claims to count); and a forced
+//! (the instrumentation counts what it claims to count); workers
+//! publish their per-batch tallies before the coordinator can act on
+//! the batch, so a returned broadcast is fully counted; and a forced
 //! stall yields a [`StallReport`] naming precisely the stranded ranks.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use corrected_trees::core::protocol::BroadcastSpec;
+use corrected_trees::core::protocol::{
+    BroadcastSpec, BuildCtx, ColoredVia, Payload, Process, ProtocolError, ProtocolFactory, SendPoll,
+};
 use corrected_trees::core::tree::TreeKind;
-use corrected_trees::logp::LogP;
-use corrected_trees::obs::telemetry::TelemetryHub;
+use corrected_trees::logp::{LogP, Rank, Time};
+use corrected_trees::obs::telemetry::{Counter, TelemetryHub};
 use corrected_trees::obs::VecSink;
 use corrected_trees::runtime::{Cluster, ClusterConfig};
 use corrected_trees::sim::{FaultPlan, Simulation};
@@ -126,6 +131,163 @@ fn single_worker_counters_are_exact() {
     let drained = snap.histograms.get("mailbox.drained").unwrap();
     assert_eq!((drained.count(), drained.sum()), (8, 7));
     assert_eq!(drained.max(), Some(1), "no rank ever drains two at once");
+}
+
+/// Workers tally per batch and publish before the batch's coordinator
+/// notifications, so when `run_broadcast` returns the hub has counted
+/// the whole broadcast, its last batch included. A fault-free
+/// plain tree delivers exactly one message to every rank but the root
+/// and colors each rank once.
+#[test]
+fn a_returned_broadcast_is_fully_published() {
+    let p = 256u32;
+    let spec = BroadcastSpec::plain_tree(TreeKind::BINOMIAL);
+    let dead = vec![false; p as usize];
+    let hub = Arc::new(TelemetryHub::new(2, p as usize));
+    let cfg = ClusterConfig::new().threads(2).telemetry(Arc::clone(&hub));
+    let mut cluster = Cluster::with_config(p, LogP::PAPER, cfg);
+    let (mut delivered, mut colored) = (0, 0);
+    for i in 0..200u64 {
+        let report = cluster.run_broadcast(&spec, &dead, i).unwrap();
+        assert!(report.completed, "broadcast {i}");
+        let now = (
+            hub.counter_total(Counter::MsgsDelivered),
+            hub.counter_total(Counter::CoordColored),
+        );
+        assert_eq!(now.0 - delivered, u64::from(p) - 1, "broadcast {i}");
+        assert_eq!(now.1 - colored, u64::from(p), "broadcast {i}");
+        (delivered, colored) = now;
+    }
+}
+
+/// A rank that follows a script: colored from the start or by its first
+/// message, it answers its `k`-th poll with the `k`-th batch of sends
+/// (then `Done`), after waiting for `gate` if that poll has one.
+#[derive(Clone, Default)]
+struct Scripted {
+    colored_at: Option<Time>,
+    polls: Vec<Vec<Rank>>,
+    /// `(k, open)`: poll `k` waits (up to 5 s) until `open()` holds.
+    gate: Option<(usize, Arc<dyn Fn() -> bool + Send + Sync>)>,
+    poll: usize,
+    queued: Vec<Rank>,
+}
+
+impl Scripted {
+    fn new(colored: bool, polls: Vec<Vec<Rank>>) -> Scripted {
+        Scripted {
+            colored_at: colored.then_some(Time::ZERO),
+            polls,
+            ..Scripted::default()
+        }
+    }
+}
+
+impl Process for Scripted {
+    fn on_message(&mut self, _from: Rank, _payload: Payload, now: Time) {
+        self.colored_at.get_or_insert(now);
+    }
+
+    fn poll_send(&mut self, _now: Time) -> SendPoll {
+        if self.queued.is_empty() {
+            if let Some((at, open)) = &self.gate {
+                let start = Instant::now();
+                while *at == self.poll && !open() && start.elapsed() < Duration::from_secs(5) {
+                    std::thread::yield_now();
+                }
+            }
+            let Some(sends) = self.polls.get(self.poll) else {
+                return SendPoll::Done;
+            };
+            self.poll += 1;
+            self.queued = sends.iter().rev().copied().collect();
+        }
+        match self.queued.pop() {
+            Some(to) => SendPoll::Now {
+                to,
+                payload: Payload::Tree,
+            },
+            None => SendPoll::Idle,
+        }
+    }
+
+    fn colored_at(&self) -> Option<Time> {
+        self.colored_at
+    }
+
+    fn colored_via(&self) -> Option<ColoredVia> {
+        self.colored_at.map(|_| ColoredVia::Dissemination)
+    }
+}
+
+/// One fresh copy of each scripted rank per broadcast.
+struct ScriptedFactory(Vec<Scripted>);
+
+impl ProtocolFactory for ScriptedFactory {
+    fn label(&self) -> String {
+        "scripted".into()
+    }
+
+    fn build(&self, ctx: &BuildCtx) -> Result<Vec<Box<dyn Process>>, ProtocolError> {
+        assert_eq!(ctx.p as usize, self.0.len());
+        Ok(self
+            .0
+            .iter()
+            .map(|rank| Box::new(rank.clone()) as Box<dyn Process>)
+            .collect())
+    }
+}
+
+/// `mailbox.hwm` is booked by the owner when it drains, not by every
+/// pusher: five messages pushed to rank 1 in one quantum of rank 0 and
+/// drained in one quantum of rank 1 read as a high-water mark of 5.
+#[test]
+fn mailbox_hwm_is_the_depth_the_owner_drains() {
+    let factory = ScriptedFactory(vec![
+        Scripted::new(true, vec![vec![1; 5]]),
+        Scripted::new(false, vec![]),
+    ]);
+    let hub = Arc::new(TelemetryHub::new(1, 2));
+    let cfg = ClusterConfig::new().threads(1).telemetry(Arc::clone(&hub));
+    let mut cluster = Cluster::with_config(2, LogP::PAPER, cfg);
+    let report = cluster.run_broadcast(&factory, &[false, false], 0).unwrap();
+    assert!(report.completed);
+    assert_eq!(report.messages, 5);
+    assert_eq!(hub.rank_hwm(1), 5);
+    assert_eq!(hub.rank_hwm(0), 0);
+    assert_eq!(hub.snapshot().gauges["mailbox.hwm"], 5);
+}
+
+/// What the owner never drains, teardown books. All three ranks are
+/// colored from the start, so the first batch completes the broadcast;
+/// in it rank 2 sends one message to rank 1 and then five to rank 0.
+/// The worker's next batch is [1, 0], and rank 1's quantum holds the
+/// worker until the coordinator's teardown (rank order: 0 first) has
+/// cleared rank 0's mailbox — its five messages are never drained.
+#[test]
+fn messages_left_undrained_at_teardown_count_towards_mailbox_hwm() {
+    let hub = Arc::new(TelemetryHub::new(1, 3));
+    let torn_down = {
+        let hub = Arc::clone(&hub);
+        move || hub.rank_hwm(0) >= 5
+    };
+    let factory = ScriptedFactory(vec![
+        Scripted::new(true, vec![vec![]]),
+        Scripted {
+            gate: Some((1, Arc::new(torn_down))),
+            ..Scripted::new(true, vec![vec![]])
+        },
+        Scripted::new(true, vec![vec![1, 0, 0, 0, 0, 0]]),
+    ]);
+    let cfg = ClusterConfig::new().threads(1).telemetry(Arc::clone(&hub));
+    let mut cluster = Cluster::with_config(3, LogP::PAPER, cfg);
+    let report = cluster.run_broadcast(&factory, &[false; 3], 0).unwrap();
+    assert!(report.completed);
+    assert_eq!(hub.rank_hwm(0), 5);
+    // Rank 1's one message is booked either way: by its quantum if the
+    // worker got there first (wait for it to finish), else by teardown.
+    drop(cluster);
+    assert_eq!(hub.rank_hwm(1), 1);
 }
 
 /// Killing rank 1 under a plain (uncorrected) binomial tree at P=8

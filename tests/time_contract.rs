@@ -2,7 +2,9 @@
 //! runtime", *One clock*): a quantum reads the clock once, after the
 //! mailbox drain, and every `Time` and event stamp it produces derives
 //! from that read; a send burst re-reads every 16 polls; a timer that
-//! fires at its deadline is polled at or after it.
+//! fires at its deadline is polled at or after it; and the taps time a
+//! quantum from that same read — no clock read of their own — so the
+//! `sched.quantum_us` intervals tile the batch's busy time.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -14,6 +16,7 @@ use corrected_trees::core::protocol::{
 };
 use corrected_trees::core::tree::TreeKind;
 use corrected_trees::logp::{LogP, Rank, Time};
+use corrected_trees::obs::flight::{FlightDump, FlightKind};
 use corrected_trees::obs::telemetry::{Counter, TelemetryHub};
 use corrected_trees::obs::{EventKind, MonitorConfig, MonitorSink, VecSink};
 use corrected_trees::runtime::{Cluster, ClusterConfig};
@@ -197,11 +200,23 @@ fn a_send_burst_sees_time_advance_at_the_refresh_points() {
         spin: Duration::from_micros(1),
         polls: Arc::clone(&polls),
     };
-    let cfg = ClusterConfig::new().threads(2);
+    let cfg = ClusterConfig::new().threads(2).flight(4096);
     let mut cluster = Cluster::with_config(2, LogP::PAPER, cfg);
     let report = cluster.run_broadcast(&factory, &[false, false], 0).unwrap();
     assert!(report.completed);
     assert_eq!(report.messages, 200);
+
+    // The end of a quantum reads no clock: `QuantumEnd` carries the
+    // quantum's last stamp, which the burst refreshed on the way.
+    let dump = cluster.capture_postmortem("test", None).unwrap().flight;
+    let burst: Vec<(u64, u64)> = quanta(&dump)
+        .into_iter()
+        .filter_map(|(rank, start, end)| (rank == 0).then_some((start, end)))
+        .collect();
+    assert!(
+        burst.iter().any(|&(start, end)| end >= start + 100),
+        "rank 0's burst quantum ends where it starts: {burst:?}"
+    );
 
     // The state lock is held for the whole quantum, so teardown waited
     // for all 201 polls (200 sends and the final `Done`).
@@ -218,6 +233,74 @@ fn a_send_burst_sees_time_advance_at_the_refresh_points() {
         if w[0] != w[1] {
             assert_eq!((i + 1) % 16, 0, "stamp changed at poll {}", i + 1);
         }
+    }
+}
+
+/// `(rank, QuantumStart.wall_us, QuantumEnd.wall_us)` of every quantum
+/// a dump retains whole (a shard runs one quantum at a time).
+fn quanta(dump: &FlightDump) -> Vec<(Rank, u64, u64)> {
+    let mut out = Vec::new();
+    for shard in &dump.shards {
+        let mut open = None;
+        for r in &shard.records {
+            match r.kind {
+                FlightKind::QuantumStart => open = Some((r.rank, r.wall_us)),
+                FlightKind::QuantumEnd => {
+                    if let Some((rank, start)) = open.take() {
+                        assert_eq!(rank, r.rank, "quanta interleaved on shard {}", shard.shard);
+                        out.push((rank, start, r.wall_us));
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
+/// (d) With the always-on pair attached a quantum still reads the clock
+/// once: its `sched.quantum_us` interval runs from that read to the
+/// next one the worker makes anyway, so on one worker the intervals sum
+/// to no more than the busy time (each batch's first and last stamp are
+/// floored to whole µs: one µs of slack per batch), and no flight
+/// record of a quantum is stamped before the quantum's start.
+#[test]
+fn quantum_intervals_tile_the_busy_time() {
+    let p = 256u32;
+    let spec = BroadcastSpec::corrected_tree(TreeKind::BINOMIAL, CorrectionKind::Checked);
+    let hub = Arc::new(TelemetryHub::new(1, p as usize));
+    let cfg = ClusterConfig::new()
+        .threads(1)
+        .telemetry(Arc::clone(&hub))
+        .flight(4096);
+    let mut cluster = Cluster::with_config(p, LogP::PAPER, cfg);
+    for i in 0..20u64 {
+        let plan = FaultPlan::random_count_protecting(p, 3, 200 + i, 0).unwrap();
+        let report = cluster.run_broadcast(&spec, plan.mask(), i).unwrap();
+        assert!(report.completed, "broadcast {i}: {:?}", report.uncolored);
+    }
+    let dump = cluster.capture_postmortem("test", None).unwrap().flight;
+    // Joins the worker: its last batch's busy time is in the hub.
+    drop(cluster);
+
+    let snap = hub.snapshot();
+    let quantum_us = &snap.histograms["sched.quantum_us"];
+    let (busy_us, batches) = (snap.counter("sched.busy_us"), snap.counter("sched.batches"));
+    assert!(
+        quantum_us.count() > 20 * u64::from(p),
+        "{}",
+        quantum_us.count()
+    );
+    assert!(
+        quantum_us.sum() <= busy_us + batches,
+        "quanta sum to {} µs, {batches} batches were busy for {busy_us} µs",
+        quantum_us.sum()
+    );
+
+    let quanta = quanta(&dump);
+    assert!(quanta.len() > 100, "{}", quanta.len());
+    for (rank, start, end) in quanta {
+        assert!(end >= start, "rank {rank}: quantum {start} → {end}");
     }
 }
 
