@@ -37,7 +37,6 @@ enum Phase {
 pub struct DelayedCorrection {
     rank: Rank,
     p: u32,
-    start: Time,
     delay: u64,
     phase: Phase,
     /// Deadline for suspecting the right side; set after the first send.
@@ -56,12 +55,11 @@ pub struct DelayedCorrection {
 
 impl DelayedCorrection {
     /// Create the machine for `rank` of `p` with suspicion delay
-    /// `delay`, first send not before `start`.
-    pub fn new(rank: Rank, p: u32, delay: u64, start: Time) -> Self {
+    /// `delay`, counted from its first poll.
+    pub fn new(rank: Rank, p: u32, delay: u64) -> Self {
         DelayedCorrection {
             rank,
             p,
-            start,
             delay,
             phase: Phase::SendFirstLeft,
             deadline: Time::NEVER,
@@ -81,7 +79,7 @@ impl DelayedCorrection {
 }
 
 impl Correction for DelayedCorrection {
-    fn on_correction(&mut self, from: Rank, _now: Time) {
+    fn on_correction(&mut self, from: Rank) {
         if from == self.rank {
             return;
         }
@@ -98,9 +96,6 @@ impl Correction for DelayedCorrection {
     }
 
     fn poll(&mut self, now: Time) -> CorrPoll {
-        if now < self.start {
-            return CorrPoll::WaitUntil(self.start);
-        }
         // Stop-replies take priority: a prober is burning messages.
         if let Some(to) = self.replies.pop_front() {
             return CorrPoll::Send(to);
@@ -144,17 +139,17 @@ mod tests {
 
     #[test]
     fn fault_free_sends_exactly_one_message() {
-        let mut m = DelayedCorrection::new(5, 64, 10, Time::ZERO);
+        let mut m = DelayedCorrection::new(5, 64, 10);
         assert_eq!(m.poll(Time::ZERO), CorrPoll::Send(4));
         // Right neighbor's message arrives within the delay.
-        m.on_correction(6, Time::new(4));
+        m.on_correction(6);
         assert_eq!(m.poll(Time::new(5)), CorrPoll::Idle);
         assert_eq!(m.poll(Time::new(100)), CorrPoll::Idle);
     }
 
     #[test]
     fn waits_until_deadline_before_probing() {
-        let mut m = DelayedCorrection::new(5, 64, 10, Time::ZERO);
+        let mut m = DelayedCorrection::new(5, 64, 10);
         assert_eq!(m.poll(Time::new(0)), CorrPoll::Send(4));
         assert_eq!(m.poll(Time::new(3)), CorrPoll::WaitUntil(Time::new(10)));
         // Deadline passes in silence → probe rightward one per poll.
@@ -162,16 +157,16 @@ mod tests {
         assert_eq!(m.poll(Time::new(11)), CorrPoll::Send(7));
         assert_eq!(m.poll(Time::new(12)), CorrPoll::Send(8));
         // A reply finally arrives from the right.
-        m.on_correction(8, Time::new(15));
+        m.on_correction(8);
         assert_eq!(m.poll(Time::new(15)), CorrPoll::Idle);
     }
 
     #[test]
     fn replies_to_left_probes_immediately() {
-        let mut m = DelayedCorrection::new(10, 64, 100, Time::ZERO);
+        let mut m = DelayedCorrection::new(10, 64, 100);
         assert_eq!(m.poll(Time::ZERO), CorrPoll::Send(9));
         // A prober three to the left reaches us.
-        m.on_correction(7, Time::new(2));
+        m.on_correction(7);
         assert_eq!(m.poll(Time::new(2)), CorrPoll::Send(7), "stop-reply first");
         // Then back to waiting.
         assert_eq!(m.poll(Time::new(3)), CorrPoll::WaitUntil(Time::new(100)));
@@ -179,13 +174,13 @@ mod tests {
 
     #[test]
     fn reply_obligation_can_arrive_after_quiescence() {
-        let mut m = DelayedCorrection::new(10, 64, 5, Time::ZERO);
+        let mut m = DelayedCorrection::new(10, 64, 5);
         assert_eq!(m.poll(Time::ZERO), CorrPoll::Send(9));
-        m.on_correction(11, Time::new(3));
+        m.on_correction(11);
         assert_eq!(m.poll(Time::new(3)), CorrPoll::Idle);
         // A very late prober from the left must still get a reply —
         // this is why the machine never reports Done.
-        m.on_correction(6, Time::new(50));
+        m.on_correction(6);
         assert_eq!(m.poll(Time::new(50)), CorrPoll::Send(6));
         assert_eq!(m.poll(Time::new(51)), CorrPoll::Idle);
     }
@@ -196,8 +191,8 @@ mod tests {
         // every message is an antipodal tie, so each arrival both stops
         // the right probe and earns a reply. Without per-sender dedup,
         // two delayed machines reply to each other's replies forever.
-        let mut a = DelayedCorrection::new(0, 2, 5, Time::ZERO);
-        let mut b = DelayedCorrection::new(1, 2, 5, Time::ZERO);
+        let mut a = DelayedCorrection::new(0, 2, 5);
+        let mut b = DelayedCorrection::new(1, 2, 5);
         let mut in_flight: Vec<(Rank, Rank)> = Vec::new(); // (from, to)
                                                            // First sends.
         if let CorrPoll::Send(t) = a.poll(Time::ZERO) {
@@ -210,7 +205,7 @@ mod tests {
         let mut now = Time::new(4);
         while let Some((from, to)) = in_flight.pop() {
             let m = if to == 0 { &mut a } else { &mut b };
-            m.on_correction(from, now);
+            m.on_correction(from);
             while let CorrPoll::Send(t) = m.poll(now) {
                 in_flight.push((to, t));
                 total += 1;
@@ -224,7 +219,7 @@ mod tests {
 
     #[test]
     fn probe_stops_at_ring_cap() {
-        let mut m = DelayedCorrection::new(0, 4, 2, Time::ZERO);
+        let mut m = DelayedCorrection::new(0, 4, 2);
         assert_eq!(m.poll(Time::ZERO), CorrPoll::Send(3));
         assert_eq!(m.poll(Time::new(2)), CorrPoll::Send(1));
         assert_eq!(m.poll(Time::new(3)), CorrPoll::Send(2));
@@ -234,18 +229,8 @@ mod tests {
     }
 
     #[test]
-    fn respects_synchronized_start() {
-        let start = Time::new(40);
-        let mut m = DelayedCorrection::new(3, 16, 10, start);
-        assert_eq!(m.poll(Time::new(0)), CorrPoll::WaitUntil(start));
-        assert_eq!(m.poll(start), CorrPoll::Send(2));
-        // Deadline counts from the first send, not from `start`.
-        assert_eq!(m.poll(Time::new(41)), CorrPoll::WaitUntil(Time::new(50)));
-    }
-
-    #[test]
     fn singleton_ring_idles() {
-        let mut m = DelayedCorrection::new(0, 1, 5, Time::ZERO);
+        let mut m = DelayedCorrection::new(0, 1, 5);
         assert_eq!(m.poll(Time::ZERO), CorrPoll::Idle);
     }
 }

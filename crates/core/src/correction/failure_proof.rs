@@ -43,18 +43,17 @@ pub struct FailureProofCorrection {
 }
 
 impl FailureProofCorrection {
-    /// Create the machine for `rank` of `p`, first send not before
-    /// `start`.
-    pub fn new(rank: Rank, p: u32, start: Time) -> Self {
+    /// Create the machine for `rank` of `p`.
+    pub fn new(rank: Rank, p: u32) -> Self {
         FailureProofCorrection {
-            inner: CheckedCorrection::new(rank, p, start),
+            inner: CheckedCorrection::new(rank, p),
         }
     }
 }
 
 impl Correction for FailureProofCorrection {
-    fn on_correction(&mut self, from: Rank, now: Time) {
-        self.inner.on_correction(from, now);
+    fn on_correction(&mut self, from: Rank) {
+        self.inner.on_correction(from);
     }
 
     fn poll(&mut self, now: Time) -> CorrPoll {
@@ -68,11 +67,11 @@ mod tests {
 
     #[test]
     fn probing_matches_checked_correction() {
-        let mut fp = FailureProofCorrection::new(23, 64, Time::ZERO);
-        let mut ck = CheckedCorrection::new(23, 64, Time::ZERO);
+        let mut fp = FailureProofCorrection::new(23, 64);
+        let mut ck = CheckedCorrection::new(23, 64);
         for from in [19u32, 28] {
-            fp.on_correction(from, Time::ZERO);
-            ck.on_correction(from, Time::ZERO);
+            fp.on_correction(from);
+            ck.on_correction(from);
         }
         loop {
             let a = fp.poll(Time::ZERO);
@@ -88,7 +87,7 @@ mod tests {
     fn correction_messages_bound_directions_like_checked() {
         // Genuine correction messages (from dissemination-colored
         // participants) stop the probe exactly as in checked correction.
-        let mut fp = FailureProofCorrection::new(0, 32, Time::ZERO);
+        let mut fp = FailureProofCorrection::new(0, 32);
         let mut sent = Vec::new();
         for _ in 0..6 {
             match fp.poll(Time::ZERO) {
@@ -97,8 +96,8 @@ mod tests {
             }
         }
         assert_eq!(sent, vec![31, 1, 30, 2, 29, 3]);
-        fp.on_correction(3, Time::ZERO);
-        fp.on_correction(29, Time::ZERO);
+        fp.on_correction(3);
+        fp.on_correction(29);
         assert_eq!(fp.poll(Time::ZERO), CorrPoll::Done);
     }
 }

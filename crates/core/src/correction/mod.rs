@@ -23,6 +23,7 @@
 pub mod checked;
 pub mod delayed;
 pub mod failure_proof;
+pub mod host;
 pub mod opportunistic;
 pub mod paced;
 
@@ -32,6 +33,7 @@ pub use checked::CheckedCorrection;
 use ct_logp::{LogP, Rank, Time};
 pub use delayed::DelayedCorrection;
 pub use failure_proof::FailureProofCorrection;
+pub use host::{CorrectionHost, CorrectionMachine};
 pub use opportunistic::OpportunisticCorrection;
 pub use paced::PacedCheckedCorrection;
 
@@ -125,27 +127,26 @@ impl CorrectionKind {
     }
 
     /// Instantiate the state machine for `rank` in a ring of `p`
-    /// processes, starting (i.e. allowed to send) at `start`.
-    pub fn machine(&self, rank: Rank, p: u32, start: Time) -> Option<Box<dyn Correction>> {
-        match *self {
-            CorrectionKind::None => None,
-            CorrectionKind::Opportunistic { distance } => Some(Box::new(
-                OpportunisticCorrection::new(rank, p, distance, start, false),
-            )),
-            CorrectionKind::OpportunisticOptimized { distance } => Some(Box::new(
-                OpportunisticCorrection::new(rank, p, distance, start, true),
-            )),
-            CorrectionKind::Checked => Some(Box::new(CheckedCorrection::new(rank, p, start))),
-            CorrectionKind::CheckedPaced { lag, fallback } => Some(Box::new(
-                PacedCheckedCorrection::new(rank, p, start, lag, fallback),
-            )),
-            CorrectionKind::FailureProof => {
-                Some(Box::new(FailureProofCorrection::new(rank, p, start)))
+    /// processes (`None` for [`CorrectionKind::None`]).
+    pub fn machine(&self, rank: Rank, p: u32) -> Option<CorrectionMachine> {
+        use CorrectionMachine as M;
+        Some(match *self {
+            CorrectionKind::None => return None,
+            CorrectionKind::Opportunistic { distance } => {
+                M::Opportunistic(OpportunisticCorrection::new(rank, p, distance, false))
             }
+            CorrectionKind::OpportunisticOptimized { distance } => {
+                M::Opportunistic(OpportunisticCorrection::new(rank, p, distance, true))
+            }
+            CorrectionKind::Checked => M::Checked(CheckedCorrection::new(rank, p)),
+            CorrectionKind::CheckedPaced { lag, fallback } => M::Paced(Box::new(
+                PacedCheckedCorrection::new(rank, p, lag, fallback),
+            )),
+            CorrectionKind::FailureProof => M::FailureProof(FailureProofCorrection::new(rank, p)),
             CorrectionKind::Delayed { delay } => {
-                Some(Box::new(DelayedCorrection::new(rank, p, delay, start)))
+                M::Delayed(Box::new(DelayedCorrection::new(rank, p, delay)))
             }
-        }
+        })
     }
 }
 
@@ -181,10 +182,12 @@ pub enum CorrPoll {
 }
 
 /// A correction state machine for one dissemination-colored process.
+/// When it may start is not its business: the [`CorrectionHost`] polls
+/// it only from the (synchronized or overlapped) start on.
 pub trait Correction: Send {
-    /// A correction message from `from` arrived (processing finished) at
-    /// `now`.
-    fn on_correction(&mut self, from: Rank, now: Time);
+    /// A correction message from `from` arrived. Arrival *time* carries
+    /// no information for any stop rule, so it is not passed.
+    fn on_correction(&mut self, from: Rank);
 
     /// Next action, given that the sender port is free at `now`.
     fn poll(&mut self, now: Time) -> CorrPoll;
@@ -246,7 +249,7 @@ mod tests {
 
     #[test]
     fn machine_constructor_dispatch() {
-        assert!(CorrectionKind::None.machine(0, 8, Time::ZERO).is_none());
+        assert!(CorrectionKind::None.machine(0, 8).is_none());
         for kind in [
             CorrectionKind::Opportunistic { distance: 2 },
             CorrectionKind::OpportunisticOptimized { distance: 2 },
@@ -254,7 +257,7 @@ mod tests {
             CorrectionKind::FailureProof,
             CorrectionKind::Delayed { delay: 6 },
         ] {
-            assert!(kind.machine(3, 8, Time::ZERO).is_some(), "{kind}");
+            assert!(kind.machine(3, 8).is_some(), "{kind}");
         }
     }
 

@@ -24,9 +24,6 @@ pub struct OpportunisticCorrection {
     p: u32,
     /// Correction distance `d`.
     distance: u32,
-    /// First time this machine may send (synchronized start or
-    /// overlapped "now").
-    start: Time,
     /// Next offset to send rightwards (ascending), 1-based.
     next_right: u32,
     /// Next offset to send leftwards.
@@ -43,8 +40,8 @@ pub struct OpportunisticCorrection {
 
 impl OpportunisticCorrection {
     /// Create the machine for `rank` of `p`, correction distance
-    /// `distance ≥ 1`, first send not before `start`.
-    pub fn new(rank: Rank, p: u32, distance: u32, start: Time, optimized: bool) -> Self {
+    /// `distance ≥ 1`.
+    pub fn new(rank: Rank, p: u32, distance: u32, optimized: bool) -> Self {
         assert!(distance >= 1, "correction distance must be ≥ 1");
         assert!(p >= 1 && rank < p);
         // On a ring of p processes, offsets ≥ p wrap onto self/duplicates;
@@ -56,7 +53,6 @@ impl OpportunisticCorrection {
             rank,
             p,
             distance: eff,
-            start,
             next_right: 1,
             next_left: 1,
             limit_right: eff,
@@ -76,7 +72,7 @@ impl OpportunisticCorrection {
 }
 
 impl Correction for OpportunisticCorrection {
-    fn on_correction(&mut self, from: Rank, _now: Time) {
+    fn on_correction(&mut self, from: Rank) {
         if !self.optimized || from == self.rank {
             return;
         }
@@ -94,10 +90,7 @@ impl Correction for OpportunisticCorrection {
         }
     }
 
-    fn poll(&mut self, now: Time) -> CorrPoll {
-        if now < self.start {
-            return CorrPoll::WaitUntil(self.start);
-        }
+    fn poll(&mut self, _now: Time) -> CorrPoll {
         if self.p <= 1 || (self.right_exhausted() && self.left_exhausted()) {
             return CorrPoll::Done;
         }
@@ -143,7 +136,7 @@ mod tests {
     #[test]
     fn plain_sends_paper_order() {
         // {r+1, r-1, r+2, r-2, …, r+d, r-d}
-        let mut m = OpportunisticCorrection::new(10, 32, 3, Time::ZERO, false);
+        let mut m = OpportunisticCorrection::new(10, 32, 3, false);
         assert_eq!(drain(&mut m, Time::ZERO), vec![11, 9, 12, 8, 13, 7]);
         // Once Done, stays Done.
         assert_eq!(m.poll(Time::ZERO), CorrPoll::Done);
@@ -151,23 +144,15 @@ mod tests {
 
     #[test]
     fn wraps_around_ring_boundaries() {
-        let mut m = OpportunisticCorrection::new(0, 8, 2, Time::ZERO, false);
+        let mut m = OpportunisticCorrection::new(0, 8, 2, false);
         assert_eq!(drain(&mut m, Time::ZERO), vec![1, 7, 2, 6]);
-    }
-
-    #[test]
-    fn waits_for_synchronized_start() {
-        let start = Time::new(30);
-        let mut m = OpportunisticCorrection::new(5, 16, 1, start, false);
-        assert_eq!(m.poll(Time::new(10)), CorrPoll::WaitUntil(start));
-        assert_eq!(m.poll(start), CorrPoll::Send(6));
     }
 
     #[test]
     fn distance_capped_by_ring_size() {
         // p=4, d=9 → effective d=3: sends to the 3 other processes with
         // both-side duplicates allowed by the paper's target set.
-        let mut m = OpportunisticCorrection::new(0, 4, 9, Time::ZERO, false);
+        let mut m = OpportunisticCorrection::new(0, 4, 9, false);
         let sent = drain(&mut m, Time::ZERO);
         assert_eq!(sent, vec![1, 3, 2, 2, 3, 1]);
         assert!(sent.iter().all(|&t| t != 0));
@@ -175,7 +160,7 @@ mod tests {
 
     #[test]
     fn single_process_is_done_immediately() {
-        let mut m = OpportunisticCorrection::new(0, 1, 4, Time::ZERO, false);
+        let mut m = OpportunisticCorrection::new(0, 1, 4, false);
         assert_eq!(m.poll(Time::ZERO), CorrPoll::Done);
     }
 
@@ -184,8 +169,8 @@ mod tests {
         // Paper example (§3.3): process 19 receives from 23, d = 8.
         // 23 covers 22…15, so 19 sends left only 14, 13, 12, 11 (plus
         // its own right messages 20…27 — we check the left side here).
-        let mut m = OpportunisticCorrection::new(19, 64, 8, Time::ZERO, true);
-        m.on_correction(23, Time::ZERO);
+        let mut m = OpportunisticCorrection::new(19, 64, 8, true);
+        m.on_correction(23);
         let sent = drain(&mut m, Time::ZERO);
         let left_sent: Vec<Rank> = sent.iter().copied().filter(|&t| t < 19).collect();
         assert_eq!(left_sent, vec![14, 13, 12, 11]);
@@ -196,8 +181,8 @@ mod tests {
 
     #[test]
     fn optimized_skips_targets_covered_from_left() {
-        let mut m = OpportunisticCorrection::new(19, 64, 8, Time::ZERO, true);
-        m.on_correction(16, Time::ZERO); // covers 17..24 on its right
+        let mut m = OpportunisticCorrection::new(19, 64, 8, true);
+        m.on_correction(16); // covers 17..24 on its right
         let sent = drain(&mut m, Time::ZERO);
         let right_sent: Vec<Rank> = sent.iter().copied().filter(|&t| t > 19).collect();
         // Remaining right targets: 16 + 8 + 1 = 25, 26, 27.
@@ -207,8 +192,8 @@ mod tests {
     #[test]
     fn optimized_adjacent_sender_suppresses_whole_side() {
         let d = 4;
-        let mut m = OpportunisticCorrection::new(10, 32, d, Time::ZERO, true);
-        m.on_correction(11, Time::ZERO); // right neighbor covers 10-d+1..10? it covers 7..10
+        let mut m = OpportunisticCorrection::new(10, 32, d, true);
+        m.on_correction(11); // right neighbor covers 10-d+1..10? it covers 7..10
         let sent = drain(&mut m, Time::ZERO);
         // 11 covers 10, 9, 8, 7 — all my left targets except 10-4=6.
         let left_sent: Vec<Rank> = sent.iter().copied().filter(|&t| t < 10).collect();
@@ -217,20 +202,20 @@ mod tests {
 
     #[test]
     fn plain_ignores_received_messages() {
-        let mut a = OpportunisticCorrection::new(19, 64, 8, Time::ZERO, false);
-        let mut b = OpportunisticCorrection::new(19, 64, 8, Time::ZERO, false);
-        a.on_correction(23, Time::ZERO);
+        let mut a = OpportunisticCorrection::new(19, 64, 8, false);
+        let mut b = OpportunisticCorrection::new(19, 64, 8, false);
+        a.on_correction(23);
         assert_eq!(drain(&mut a, Time::ZERO), drain(&mut b, Time::ZERO));
     }
 
     #[test]
     fn optimized_never_sends_more_than_plain() {
         for received in [vec![], vec![21u32], vec![17, 22], vec![18, 20, 23]] {
-            let mut opt = OpportunisticCorrection::new(19, 64, 4, Time::ZERO, true);
-            let mut plain = OpportunisticCorrection::new(19, 64, 4, Time::ZERO, false);
+            let mut opt = OpportunisticCorrection::new(19, 64, 4, true);
+            let mut plain = OpportunisticCorrection::new(19, 64, 4, false);
             for &f in &received {
-                opt.on_correction(f, Time::ZERO);
-                plain.on_correction(f, Time::ZERO);
+                opt.on_correction(f);
+                plain.on_correction(f);
             }
             assert!(drain(&mut opt, Time::ZERO).len() <= drain(&mut plain, Time::ZERO).len());
         }
@@ -238,8 +223,8 @@ mod tests {
 
     #[test]
     fn far_senders_do_not_trigger_optimization() {
-        let mut m = OpportunisticCorrection::new(19, 64, 4, Time::ZERO, true);
-        m.on_correction(40, Time::ZERO); // gap 21 > d: proves nothing
+        let mut m = OpportunisticCorrection::new(19, 64, 4, true);
+        m.on_correction(40); // gap 21 > d: proves nothing
         assert_eq!(drain(&mut m, Time::ZERO).len(), 8);
     }
 }

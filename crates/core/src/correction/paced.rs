@@ -45,7 +45,6 @@ pub struct PacedCheckedCorrection {
     inner: CheckedCorrection,
     rank: Rank,
     p: u32,
-    start: Time,
     /// Visibility offset `D = lag + 2` in probe rounds.
     vis_offset: u32,
     /// Arrival-gate fallback (same unit as [`Time`]).
@@ -64,16 +63,14 @@ pub struct PacedCheckedCorrection {
 }
 
 impl PacedCheckedCorrection {
-    /// Create the machine for `rank` of `p`, first send not before
-    /// `start`. `lag = ⌈L/o⌉` fixes the fault-free count at `3 + lag`;
-    /// `fallback` bounds how long an arrival gate waits for a (possibly
-    /// dead) neighbor.
-    pub fn new(rank: Rank, p: u32, start: Time, lag: u32, fallback: u64) -> Self {
+    /// Create the machine for `rank` of `p`. `lag = ⌈L/o⌉` fixes the
+    /// fault-free count at `3 + lag`; `fallback` bounds how long an
+    /// arrival gate waits for a (possibly dead) neighbor.
+    pub fn new(rank: Rank, p: u32, lag: u32, fallback: u64) -> Self {
         PacedCheckedCorrection {
-            inner: CheckedCorrection::new(rank, p, start),
+            inner: CheckedCorrection::new(rank, p),
             rank,
             p,
-            start,
             vis_offset: lag + 2,
             fallback,
             sends: 0,
@@ -87,13 +84,13 @@ impl PacedCheckedCorrection {
 
     /// Feed every withheld arrival whose visible round has been reached
     /// (processed strictly before send number `sends + 1`).
-    fn feed_visible(&mut self, now: Time) {
+    fn feed_visible(&mut self) {
         let horizon = self.sends + 1;
         let mut i = 0;
         while i < self.held.len() {
             if self.held[i].1 <= horizon {
                 let (from, _) = self.held.swap_remove(i);
-                self.inner.on_correction(from, now);
+                self.inner.on_correction(from);
             } else {
                 i += 1;
             }
@@ -114,7 +111,7 @@ impl PacedCheckedCorrection {
 }
 
 impl Correction for PacedCheckedCorrection {
-    fn on_correction(&mut self, from: Rank, _now: Time) {
+    fn on_correction(&mut self, from: Rank) {
         if from == self.rank || self.p <= 1 {
             return;
         }
@@ -133,10 +130,7 @@ impl Correction for PacedCheckedCorrection {
     }
 
     fn poll(&mut self, now: Time) -> CorrPoll {
-        if now < self.start {
-            return CorrPoll::WaitUntil(self.start);
-        }
-        self.feed_visible(now);
+        self.feed_visible();
         if self.inner.done_now() {
             return CorrPoll::Done;
         }
@@ -183,7 +177,7 @@ mod tests {
         loop {
             for &(after, from) in arrivals {
                 if after == sent.len() as u32 {
-                    m.on_correction(from, now);
+                    m.on_correction(from);
                 }
             }
             match m.poll(now) {
@@ -211,7 +205,7 @@ mod tests {
             &[(2, 6), (3, 4)][..],       // on the discrete schedule
             &[(4, 6), (4, 4)][..],       // as late as causality allows
         ] {
-            let m = PacedCheckedCorrection::new(5, 64, Time::ZERO, LAG, FB);
+            let m = PacedCheckedCorrection::new(5, 64, LAG, FB);
             let sent = run(m, arrivals);
             assert_eq!(
                 sent,
@@ -226,7 +220,7 @@ mod tests {
         // Messages from distance 2 become visible only at rounds
         // 3+D and 4+D — after the fault-free horizon — so hearing them
         // early must not stop the machine before its 5 probes.
-        let m = PacedCheckedCorrection::new(10, 64, Time::ZERO, LAG, FB);
+        let m = PacedCheckedCorrection::new(10, 64, LAG, FB);
         let sent = run(m, &[(0, 12), (0, 8), (1, 11), (2, 9)]);
         assert_eq!(sent, vec![9, 11, 8, 12, 7]);
     }
@@ -235,7 +229,7 @@ mod tests {
     fn dead_right_neighbor_waits_fallback_then_probes_past_the_gap() {
         // r+1 (rank 6) is dead: gate 0 expires after the fallback and
         // the machine keeps probing right until rank 7 answers.
-        let m = PacedCheckedCorrection::new(5, 64, Time::ZERO, LAG, FB);
+        let m = PacedCheckedCorrection::new(5, 64, LAG, FB);
         let sent = run(m, &[(0, 4), (5, 7)]);
         // Gate 0 (expecting dead rank 6) expires, probing resumes; rank
         // 7's answer (a distance-2 probe, visible at round 3+D = 7)
@@ -244,16 +238,8 @@ mod tests {
     }
 
     #[test]
-    fn sync_start_is_respected() {
-        let start = Time::new(25);
-        let mut m = PacedCheckedCorrection::new(3, 16, start, LAG, FB);
-        assert_eq!(m.poll(Time::new(24)), CorrPoll::WaitUntil(start));
-        assert_eq!(m.poll(Time::new(25)), CorrPoll::Send(2));
-    }
-
-    #[test]
     fn two_process_ring_terminates() {
-        let m = PacedCheckedCorrection::new(0, 2, Time::ZERO, LAG, FB);
+        let m = PacedCheckedCorrection::new(0, 2, LAG, FB);
         let sent = run(m, &[(1, 1)]);
         // Ring cap: both directions exhausted after probing the only
         // other process once per side.
@@ -262,7 +248,7 @@ mod tests {
 
     #[test]
     fn sole_colored_process_terminates_via_ring_cap_and_fallbacks() {
-        let m = PacedCheckedCorrection::new(0, 6, Time::ZERO, LAG, FB);
+        let m = PacedCheckedCorrection::new(0, 6, LAG, FB);
         let sent = run(m, &[]);
         assert_eq!(sent.len(), 10);
         assert!(sent.iter().all(|&t| t != 0));

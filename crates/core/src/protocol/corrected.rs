@@ -23,33 +23,37 @@ use std::sync::Arc;
 
 use ct_logp::{Rank, Time};
 
-use crate::correction::{CorrPoll, Correction, CorrectionKind};
+use crate::correction::{CorrPoll, CorrectionHost, CorrectionKind};
 use crate::tree::{Topology, Tree};
 
 use super::{ColoredVia, Payload, Process, SendPoll};
+
+/// Failure-proof acknowledgments of a correction-colored process: one
+/// reply per distinct prober. Only that kind ever allocates one.
+#[derive(Default)]
+struct Acks {
+    owed: VecDeque<Rank>,
+    replied_to: Vec<Rank>,
+}
 
 /// State machine for one rank of a (corrected) tree broadcast.
 pub struct CorrectedTreeProcess {
     rank: Rank,
     tree: Arc<Tree>,
-    corr_kind: CorrectionKind,
-    /// `Some(t)` = synchronized correction starting at `t`;
-    /// `None` = overlapped.
-    sync_start: Option<Time>,
+    /// Overlapped (as opposed to synchronized) correction: an early
+    /// correction message makes its receiver forward on the tree.
+    overlapped: bool,
+    /// Does a correction-colored process acknowledge its probers
+    /// ([`CorrectionKind::replies_when_correction_colored`])?
+    acknowledges: bool,
     colored_at: Option<Time>,
     colored_via: Option<ColoredVia>,
     /// Tree-forwarding progress; active while `sending_tree`.
     next_child: usize,
     sending_tree: bool,
-    /// Correction machine, created lazily after dissemination sends.
-    machine: Option<Box<dyn Correction>>,
-    machine_done: bool,
-    /// Correction messages received before the machine existed.
-    pending_corr: Vec<(Rank, Time)>,
-    /// Failure-proof acknowledgments owed (correction-colored processes
-    /// reply once per distinct prober).
-    replies: VecDeque<Rank>,
-    replied_to: Vec<Rank>,
+    /// The correction phase; begun when dissemination colors this rank.
+    correction: CorrectionHost,
+    acks: Option<Box<Acks>>,
     done: bool,
 }
 
@@ -62,23 +66,21 @@ impl CorrectedTreeProcess {
         corr_kind: CorrectionKind,
         sync_start: Option<Time>,
     ) -> Self {
-        let is_root = rank == 0;
-        CorrectedTreeProcess {
+        let mut process = CorrectedTreeProcess {
             rank,
             tree,
-            corr_kind,
-            sync_start,
-            colored_at: is_root.then_some(Time::ZERO),
-            colored_via: is_root.then_some(ColoredVia::Root),
+            overlapped: false,
+            acknowledges: false,
+            colored_at: None,
+            colored_via: None,
             next_child: 0,
-            sending_tree: is_root,
-            machine: None,
-            machine_done: false,
-            pending_corr: Vec::new(),
-            replies: VecDeque::new(),
-            replied_to: Vec::new(),
+            sending_tree: false,
+            correction: CorrectionHost::new(corr_kind, sync_start),
+            acks: None,
             done: false,
-        }
+        };
+        process.rewind(corr_kind, sync_start);
+        process
     }
 
     /// Rewind to exactly the state [`CorrectedTreeProcess::new`] would
@@ -91,55 +93,45 @@ impl CorrectedTreeProcess {
         corr_kind: CorrectionKind,
         sync_start: Option<Time>,
     ) {
-        let is_root = rank == 0;
         self.rank = rank;
         if !Arc::ptr_eq(&self.tree, tree) {
             self.tree = Arc::clone(tree);
         }
-        self.corr_kind = corr_kind;
-        self.sync_start = sync_start;
+        self.rewind(corr_kind, sync_start);
+    }
+
+    /// The state a broadcast starts from, given `rank` and `tree`: only
+    /// the root is colored, and it alone has begun correction.
+    fn rewind(&mut self, corr_kind: CorrectionKind, sync_start: Option<Time>) {
+        let is_root = self.rank == 0;
+        self.overlapped = sync_start.is_none();
+        self.acknowledges = corr_kind.replies_when_correction_colored();
         self.colored_at = is_root.then_some(Time::ZERO);
         self.colored_via = is_root.then_some(ColoredVia::Root);
         self.next_child = 0;
         self.sending_tree = is_root;
-        self.machine = None;
-        self.machine_done = false;
-        self.pending_corr.clear();
-        self.replies.clear();
-        self.replied_to.clear();
+        self.correction = CorrectionHost::new(corr_kind, sync_start);
+        if is_root {
+            self.begin_correction();
+        }
+        if let Some(acks) = &mut self.acks {
+            acks.owed.clear();
+            acks.replied_to.clear();
+        }
         self.done = false;
     }
 
-    /// Does this process take part in the correction phase? Only
-    /// processes colored by dissemination (or the root) send correction
-    /// messages (§3.1).
-    fn participates_in_correction(&self) -> bool {
-        !self.corr_kind.is_none()
-            && matches!(
-                self.colored_via,
-                Some(ColoredVia::Root) | Some(ColoredVia::Dissemination)
-            )
+    /// Only processes colored by dissemination (and the root) send
+    /// correction messages (§3.1): they begin when so colored.
+    fn begin_correction(&mut self) {
+        let p = self.tree.num_processes();
+        self.correction.begin(self.rank, p);
     }
 
     fn color(&mut self, via: ColoredVia, now: Time) {
         debug_assert!(self.colored_at.is_none());
         self.colored_at = Some(now);
         self.colored_via = Some(via);
-    }
-
-    fn ensure_machine(&mut self, now: Time) {
-        if self.machine.is_some() || self.machine_done {
-            return;
-        }
-        let start = self.sync_start.unwrap_or(now);
-        let mut machine = self
-            .corr_kind
-            .machine(self.rank, self.tree.num_processes(), start)
-            .expect("participating implies a correction kind");
-        for (from, t) in self.pending_corr.drain(..) {
-            machine.on_correction(from, t);
-        }
-        self.machine = Some(machine);
     }
 }
 
@@ -149,6 +141,7 @@ impl Process for CorrectedTreeProcess {
             Payload::Tree | Payload::Gossip { .. } => {
                 if self.colored_at.is_none() {
                     self.color(ColoredVia::Dissemination, now);
+                    self.begin_correction();
                     self.sending_tree = true;
                     self.done = false;
                 }
@@ -160,38 +153,27 @@ impl Process for CorrectedTreeProcess {
                     self.color(ColoredVia::Correction, now);
                     // Early correction (§3.3, overlapped only): the
                     // payload arrived, so forward it along tree edges.
-                    if self.sync_start.is_none() {
+                    if self.overlapped {
                         self.sending_tree = true;
                         self.done = false;
                     }
                 }
-                match self.colored_via {
-                    Some(ColoredVia::Correction) => {
-                        // Not participating; failure-proof correction
-                        // makes us acknowledge each distinct prober once.
-                        // The acknowledgment is a *delivery confirmation*
-                        // (Payload::Ack), deliberately not a correction
-                        // message: hearing an ack proves the probe
-                        // arrived, not that anything beyond the sender
-                        // is covered, so it must not trigger the checked
-                        // stop rule.
-                        if self.corr_kind.replies_when_correction_colored()
-                            && from != self.rank
-                            && !self.replied_to.contains(&from)
-                        {
-                            self.replied_to.push(from);
-                            self.replies.push_back(from);
-                            self.done = false;
-                        }
-                    }
-                    _ => {
-                        // Participating: feed the machine (or buffer until
-                        // it exists).
-                        if let Some(m) = self.machine.as_mut() {
-                            m.on_correction(from, now);
-                        } else if !self.machine_done {
-                            self.pending_corr.push((from, now));
-                        }
+                if self.colored_via != Some(ColoredVia::Correction) {
+                    // Taking part (until the machine is done).
+                    self.correction.on_correction(from);
+                } else if self.acknowledges && from != self.rank {
+                    // Not taking part; failure-proof correction makes us
+                    // acknowledge each distinct prober once. The
+                    // acknowledgment is a *delivery confirmation*
+                    // (Payload::Ack), deliberately not a correction
+                    // message: hearing an ack proves the probe arrived,
+                    // not that anything beyond the sender is covered, so
+                    // it must not trigger the checked stop rule.
+                    let acks = self.acks.get_or_insert_with(Box::default);
+                    if !acks.replied_to.contains(&from) {
+                        acks.replied_to.push(from);
+                        acks.owed.push_back(from);
+                        self.done = false;
                     }
                 }
             }
@@ -210,7 +192,7 @@ impl Process for CorrectedTreeProcess {
             return SendPoll::Done;
         }
         // Failure-proof acknowledgments first.
-        if let Some(to) = self.replies.pop_front() {
+        if let Some(to) = self.acks.as_mut().and_then(|a| a.owed.pop_front()) {
             return SendPoll::Now {
                 to,
                 payload: Payload::Ack,
@@ -231,33 +213,20 @@ impl Process for CorrectedTreeProcess {
             }
             self.sending_tree = false;
         }
-        if self.participates_in_correction() && !self.machine_done {
-            self.ensure_machine(now);
-            let poll = self
-                .machine
-                .as_mut()
-                .expect("machine just ensured")
-                .poll(now);
-            return match poll {
-                CorrPoll::Send(to) => SendPoll::Now {
+        match self.correction.poll(now) {
+            CorrPoll::Send(to) => {
+                return SendPoll::Now {
                     to,
                     payload: Payload::Correction,
-                },
-                CorrPoll::WaitUntil(t) => SendPoll::WaitUntil(t),
-                CorrPoll::Idle => SendPoll::Idle,
-                CorrPoll::Done => {
-                    self.machine = None;
-                    self.machine_done = true;
-                    self.done = true;
-                    SendPoll::Done
                 }
-            };
+            }
+            CorrPoll::WaitUntil(t) => return SendPoll::WaitUntil(t),
+            CorrPoll::Idle => return SendPoll::Idle,
+            CorrPoll::Done => {}
         }
         // Colored, nothing left to do. Correction-colored processes under
         // failure-proof correction may still owe future replies.
-        if self.corr_kind.replies_when_correction_colored()
-            && self.colored_via == Some(ColoredVia::Correction)
-        {
+        if self.acknowledges && self.colored_via == Some(ColoredVia::Correction) {
             SendPoll::Idle
         } else {
             self.done = true;
@@ -271,10 +240,6 @@ impl Process for CorrectedTreeProcess {
 
     fn colored_via(&self) -> Option<ColoredVia> {
         self.colored_via
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn core::any::Any> {
-        Some(self)
     }
 }
 
@@ -386,7 +351,7 @@ mod tests {
     }
 
     #[test]
-    fn early_corrections_buffered_for_late_machine() {
+    fn early_corrections_reach_the_machine_before_its_first_poll() {
         // Overlapped, optimized opportunistic d=4: a correction from 5
         // (right, gap 2) arrives while rank 3 is still tree-forwarding;
         // the machine must still honor it (left targets trimmed).
@@ -453,5 +418,15 @@ mod tests {
             ]
         );
         assert_eq!(p3.poll_send(Time::new(6)), SendPoll::Done);
+    }
+
+    #[test]
+    fn the_inline_correction_machine_does_not_grow_the_process() {
+        // 168 bytes is what the process took when its machine lived in
+        // a box of its own (plus a `heard` buffer); with the machine
+        // inline and the failure-proof reply queues behind one pointer
+        // it is smaller than that, heap included.
+        let size = std::mem::size_of::<CorrectedTreeProcess>();
+        assert!(size <= 168, "CorrectedTreeProcess is {size} bytes");
     }
 }

@@ -21,7 +21,6 @@
 pub mod ack_tree;
 pub mod corrected;
 pub mod relabel;
-pub mod rotate;
 
 use core::any::Any;
 use core::fmt;
@@ -34,7 +33,6 @@ use ct_logp::{LogP, Rank, Time};
 pub use ack_tree::AckTreeProcess;
 pub use corrected::CorrectedTreeProcess;
 pub use relabel::{RelabeledProcess, Relabeling};
-pub use rotate::RotatedProcess;
 
 /// The content of a broadcast message. The paper's payloads are small
 /// (no segmentation, §2); what matters to the protocols is only the
@@ -105,7 +103,7 @@ pub trait Process: Send {
     /// How this process became colored, if it has.
     fn colored_via(&self) -> Option<ColoredVia>;
 
-    /// The concrete machine, for factories that re-initialise the
+    /// The concrete slot content, for factories that re-initialise the
     /// machines of a previous broadcast in place
     /// ([`ProtocolFactory::build_into`]). `None` (the default) opts out:
     /// the slot is rebuilt from scratch.
@@ -328,11 +326,21 @@ impl BroadcastSpec {
         Ok(())
     }
 
-    /// Rewind every slot of `procs` to this spec's fresh rank-`v`
-    /// machine. `false` — with some slots possibly rewound already,
-    /// which the caller's rebuild makes moot — when a slot is not a
-    /// [`CorrectedTreeProcess`] or the spec does not build (the rebuild
-    /// then reports why).
+    /// The virtual↔physical numbering of one build: random when
+    /// shuffled, else the rotation that puts virtual 0 on `root` (the
+    /// identity for root 0).
+    fn relabeling(&self, ctx: &BuildCtx) -> Relabeling {
+        match self.shuffle_seed {
+            Some(base) => Relabeling::random(ctx.p, self.root, base.wrapping_add(ctx.seed)),
+            None => Relabeling::rotation(ctx.p, self.root),
+        }
+    }
+
+    /// Rewind every slot of `procs` to this spec's fresh machine for
+    /// its physical rank. `false` — with some slots possibly rewound
+    /// already, which the caller's rebuild makes moot — when a slot is
+    /// not a relabelled [`CorrectedTreeProcess`] or the spec does not
+    /// build (the rebuild then reports why).
     fn rewind(&self, ctx: &BuildCtx, procs: &mut [Box<dyn Process>]) -> bool {
         let (Ok(()), Ok(tree), Ok(sync_start)) = (
             self.validate(ctx),
@@ -341,14 +349,17 @@ impl BroadcastSpec {
         ) else {
             return false;
         };
-        for (slot, v) in procs.iter_mut().zip(0..) {
-            let machine = slot
+        let map = self.relabeling(ctx);
+        for (slot, phys) in procs.iter_mut().zip(0..) {
+            let Some(slot) = slot
                 .as_any_mut()
-                .and_then(|m| m.downcast_mut::<CorrectedTreeProcess>());
-            match machine {
-                Some(m) => m.reset(v, &tree, self.correction, sync_start),
-                None => return false,
-            }
+                .and_then(|m| m.downcast_mut::<RelabeledProcess<CorrectedTreeProcess>>())
+            else {
+                return false;
+            };
+            let v = map.virtual_of(phys);
+            slot.inner.reset(v, &tree, self.correction, sync_start);
+            slot.map = map.clone();
         }
         true
     }
@@ -390,62 +401,34 @@ impl ProtocolFactory for BroadcastSpec {
     fn build(&self, ctx: &BuildCtx) -> Result<Vec<Box<dyn Process>>, ProtocolError> {
         self.validate(ctx)?;
         let tree = self.build_tree(ctx.p, &ctx.logp)?;
-        // Build the rank-0-rooted machines on virtual ranks.
-        let mut virtual_procs: Vec<Box<dyn Process>> = if self.acked {
-            (0..ctx.p)
-                .map(|v| Box::new(AckTreeProcess::new(v, Arc::clone(&tree))) as Box<dyn Process>)
-                .collect()
-        } else {
-            let sync_start = self.sync_start(ctx)?;
-            (0..ctx.p)
-                .map(|v| {
-                    Box::new(CorrectedTreeProcess::new(
-                        v,
-                        Arc::clone(&tree),
-                        self.correction,
-                        sync_start,
-                    )) as Box<dyn Process>
-                })
-                .collect()
+        let sync_start = self.sync_start(ctx)?;
+        let map = self.relabeling(ctx);
+        // Physical rank `phys` runs the rank-0-rooted machine of
+        // virtual rank `map.virtual_of(phys)`.
+        let slot = |phys| -> Box<dyn Process> {
+            let (v, tree, map) = (map.virtual_of(phys), Arc::clone(&tree), map.clone());
+            if self.acked {
+                Box::new(RelabeledProcess::new(AckTreeProcess::new(v, tree), map))
+            } else {
+                let machine = CorrectedTreeProcess::new(v, tree, self.correction, sync_start);
+                Box::new(RelabeledProcess::new(machine, map))
+            }
         };
-        let map = match self.shuffle_seed {
-            Some(base) => Some(relabel::Relabeling::random(
-                ctx.p,
-                self.root,
-                base.wrapping_add(ctx.seed),
-            )),
-            None if self.root != 0 => Some(relabel::Relabeling::rotation(ctx.p, self.root)),
-            None => None,
-        };
-        let Some(map) = map else {
-            return Ok(virtual_procs);
-        };
-        // Physical rank map.physical(v) runs virtual rank v.
-        let mut physical: Vec<Option<Box<dyn Process>>> = (0..ctx.p).map(|_| None).collect();
-        for v in (0..ctx.p).rev() {
-            let inner = virtual_procs.pop().expect("one per virtual rank");
-            let phys = map.physical(v);
-            physical[phys as usize] =
-                Some(Box::new(relabel::RelabeledProcess::new(inner, map.clone())));
-        }
-        Ok(physical
-            .into_iter()
-            .map(|p| p.expect("relabeling is a bijection"))
-            .collect())
+        Ok((0..ctx.p).map(slot).collect())
     }
 
-    /// Re-initialises in place when `out` still holds the `P`
-    /// un-relabelled [`CorrectedTreeProcess`]es of a previous broadcast
-    /// (no allocation; the machines keep their buffers' capacity).
-    /// Acked, rotated and shuffled specs, and any other content of
-    /// `out`, fall back to [`ProtocolFactory::build`].
+    /// Re-initialises in place when `out` still holds the `P` machines
+    /// of a previous corrected-tree broadcast, whatever its root,
+    /// numbering or correction was: no allocation for linear and
+    /// rotated numberings, the two tables of the new numbering for a
+    /// shuffled one. Acked specs, and any other content of `out`, fall
+    /// back to [`ProtocolFactory::build`].
     fn build_into(
         &self,
         ctx: &BuildCtx,
         out: &mut Vec<Box<dyn Process>>,
     ) -> Result<(), ProtocolError> {
-        let plain_numbering = self.root == 0 && self.shuffle_seed.is_none();
-        let reusable = !self.acked && plain_numbering && out.len() == ctx.p as usize;
+        let reusable = !self.acked && out.len() == ctx.p as usize;
         if reusable && self.rewind(ctx, out) {
             return Ok(());
         }

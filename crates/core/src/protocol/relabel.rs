@@ -1,21 +1,25 @@
-//! General rank relabeling: random process numbering (§2.1).
+//! Rank relabeling: any broadcast root, random process numbering (§2.1).
 //!
-//! Real failures are rarely independent — all processes of one node die
-//! together, and on a linear ring such a block is one big gap no tree
-//! interleaving can prevent. The paper's remedy: "independence can be
-//! achieved by numbering tree nodes in a random manner" (§2.1). This
-//! module implements that as a bijection between *virtual* ranks (the
-//! protocol's numbering, where all interleaving/gap guarantees live)
-//! and *physical* ranks (where correlated failures strike): scattering
-//! a physical block across the virtual ring turns one `m`-sized gap
-//! into `m` unit gaps.
+//! The paper fixes the root at rank 0 "without loss of generality" (§2)
+//! and the protocols are written that way, on *virtual* ranks. A
+//! [`Relabeling`] is the bijection to the *physical* ranks the driver
+//! addresses, applied at the process boundary by [`RelabeledProcess`]:
 //!
-//! [`RotatedProcess`](super::rotate::RotatedProcess) is the special case
-//! of a cyclic relabeling (different root, correlations preserved).
+//! * a **rotation** `v ↔ (v + root) mod P` roots the broadcast anywhere.
+//!   It is an automorphism of the correction ring (all ring distances
+//!   are preserved), so every interleaving and gap property carries
+//!   over verbatim; it is pure arithmetic and owns no memory.
+//! * a **random numbering** de-correlates failures. Real failures are
+//!   rarely independent — all processes of one node die together, and
+//!   on a linear ring such a block is one big gap no tree interleaving
+//!   can prevent. The paper's remedy: "independence can be achieved by
+//!   numbering tree nodes in a random manner" (§2.1). Scattering a
+//!   physical block across the virtual ring (where all gap guarantees
+//!   live) turns one `m`-sized gap into `m` unit gaps.
 
 use std::sync::Arc;
 
-use ct_logp::{Rank, Time};
+use ct_logp::{ring_gap_cw, Rank, Time};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -24,11 +28,25 @@ use super::{ColoredVia, Payload, Process, SendPoll};
 
 /// A virtual↔physical rank bijection shared by all `P` processes.
 #[derive(Clone, Debug)]
-pub struct Relabeling {
+pub struct Relabeling(Map);
+
+#[derive(Clone, Debug)]
+enum Map {
+    /// Virtual `v` ↔ physical `(v + root) mod P`; the identity at
+    /// `root == 0`.
+    Rotation {
+        root: Rank,
+        p: u32,
+    },
+    Table(Arc<Tables>),
+}
+
+#[derive(Debug)]
+struct Tables {
     /// `to_physical[v]` = physical rank running virtual rank `v`.
-    to_physical: Arc<Vec<Rank>>,
+    to_physical: Vec<Rank>,
     /// `to_virtual[r]` = virtual rank run by physical rank `r`.
-    to_virtual: Arc<Vec<Rank>>,
+    to_virtual: Vec<Rank>,
 }
 
 impl Relabeling {
@@ -48,10 +66,10 @@ impl Relabeling {
             );
             to_virtual[phys as usize] = v as Rank;
         }
-        Relabeling {
-            to_physical: Arc::new(to_physical),
-            to_virtual: Arc::new(to_virtual),
-        }
+        Relabeling(Map::Table(Arc::new(Tables {
+            to_physical,
+            to_virtual,
+        })))
     }
 
     /// Uniformly random numbering with the virtual root pinned to the
@@ -70,51 +88,62 @@ impl Relabeling {
     /// Cyclic relabeling: virtual `v` ↔ physical `(v + root) mod P`.
     pub fn rotation(p: u32, root: Rank) -> Relabeling {
         assert!(root < p);
-        Relabeling::from_table((0..p).map(|v| (v + root) % p).collect())
+        Relabeling(Map::Rotation { root, p })
     }
 
     /// Number of processes.
     pub fn p(&self) -> u32 {
-        self.to_physical.len() as u32
+        match &self.0 {
+            Map::Rotation { p, .. } => *p,
+            Map::Table(t) => t.to_physical.len() as u32,
+        }
     }
 
     /// Physical rank of virtual `v`.
     #[inline]
     pub fn physical(&self, v: Rank) -> Rank {
-        self.to_physical[v as usize]
+        match &self.0 {
+            // (v + root) mod p is how far v lies clockwise of −root.
+            Map::Rotation { root: 0, .. } => v,
+            Map::Rotation { root, p } => ring_gap_cw(p - root, v, *p),
+            Map::Table(t) => t.to_physical[v as usize],
+        }
     }
 
     /// Virtual rank of physical `r`.
     #[inline]
     pub fn virtual_of(&self, r: Rank) -> Rank {
-        self.to_virtual[r as usize]
+        match &self.0 {
+            Map::Rotation { root, p } => ring_gap_cw(*root, r, *p),
+            Map::Table(t) => t.to_virtual[r as usize],
+        }
     }
 
     /// Translate a physical fault mask into the virtual numbering (the
     /// space where gaps are measured).
     pub fn virtual_mask(&self, physical_mask: &[bool]) -> Vec<bool> {
-        assert_eq!(physical_mask.len(), self.to_physical.len());
+        assert_eq!(physical_mask.len(), self.p() as usize);
         (0..self.p())
             .map(|v| physical_mask[self.physical(v) as usize])
             .collect()
     }
 }
 
-/// Wraps a virtual-rank protocol state machine for its physical host.
-pub struct RelabeledProcess {
-    inner: Box<dyn Process>,
-    map: Relabeling,
+/// A virtual-rank protocol state machine `M` on its physical host.
+pub struct RelabeledProcess<M> {
+    pub(super) inner: M,
+    pub(super) map: Relabeling,
 }
 
-impl RelabeledProcess {
+impl<M> RelabeledProcess<M> {
     /// Wrap `inner` (the machine for some virtual rank) with the shared
     /// relabeling.
-    pub fn new(inner: Box<dyn Process>, map: Relabeling) -> Self {
+    pub fn new(inner: M, map: Relabeling) -> Self {
         RelabeledProcess { inner, map }
     }
 }
 
-impl Process for RelabeledProcess {
+impl<M: Process + 'static> Process for RelabeledProcess<M> {
     fn on_message(&mut self, from: Rank, payload: Payload, now: Time) {
         self.inner
             .on_message(self.map.virtual_of(from), payload, now);
@@ -137,6 +166,10 @@ impl Process for RelabeledProcess {
     fn colored_via(&self) -> Option<ColoredVia> {
         self.inner.colored_via()
     }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn core::any::Any> {
+        Some(self)
+    }
 }
 
 #[cfg(test)]
@@ -157,9 +190,14 @@ mod tests {
 
     #[test]
     fn rotation_matches_modular_arithmetic() {
-        let map = Relabeling::rotation(16, 5);
-        for v in 0..16u32 {
-            assert_eq!(map.physical(v), (v + 5) % 16);
+        for (p, root) in [(16, 5), (16, 0), (1, 0), (7, 6), (u32::MAX, u32::MAX - 1)] {
+            let map = Relabeling::rotation(p, root);
+            assert_eq!(map.p(), p);
+            for v in (0..p.min(16)).chain(p.saturating_sub(16)..p) {
+                let phys = ((u64::from(v) + u64::from(root)) % u64::from(p)) as Rank;
+                assert_eq!(map.physical(v), phys, "P={p} root={root}");
+                assert_eq!(map.virtual_of(phys), v, "P={p} root={root}");
+            }
         }
     }
 

@@ -269,10 +269,10 @@ proptest! {
     ) {
         let rank = rank_seed % p;
         let mut m = ct_core::correction::OpportunisticCorrection::new(
-            rank, p, d, Time::ZERO, optimized,
+            rank, p, d, optimized,
         );
         for a in &arrivals {
-            m.on_correction(a % p, Time::ZERO);
+            m.on_correction(a % p);
         }
         let mut sent = 0u32;
         loop {
@@ -299,7 +299,7 @@ proptest! {
         arrivals in proptest::collection::vec((any::<u32>(), 0usize..20), 0..8),
     ) {
         let rank = rank_seed % p;
-        let mut m = ct_core::correction::CheckedCorrection::new(rank, p, Time::ZERO);
+        let mut m = ct_core::correction::CheckedCorrection::new(rank, p);
         let mut pending: Vec<(Rank, usize)> = arrivals
             .iter()
             .map(|&(f, after)| (f % p, after))
@@ -308,7 +308,7 @@ proptest! {
         loop {
             for (f, after) in &pending {
                 if *after == sent {
-                    m.on_correction(*f, Time::ZERO);
+                    m.on_correction(*f);
                 }
             }
             pending.retain(|&(_, after)| after != sent);
@@ -406,7 +406,7 @@ proptest! {
             CorrectionKind::FailureProof,
             CorrectionKind::Delayed { delay: 5 },
         ][which];
-        let mut m = kind.machine(rank, p, Time::ZERO).expect("non-None kind");
+        let mut m = kind.machine(rank, p).expect("non-None kind");
         let mut now = Time::ZERO;
         for _ in 0..(4 * p as usize + 20) {
             match m.poll(now) {

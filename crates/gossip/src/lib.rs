@@ -20,7 +20,7 @@
 
 use std::fmt;
 
-use ct_core::correction::{CorrPoll, Correction, CorrectionKind};
+use ct_core::correction::{CorrPoll, CorrectionHost, CorrectionKind};
 use ct_core::protocol::{
     BuildCtx, ColoredVia, Payload, Process, ProtocolError, ProtocolFactory, SendPoll,
 };
@@ -125,16 +125,15 @@ impl ProtocolFactory for GossipSpec {
 pub struct GossipProcess {
     rank: Rank,
     p: u32,
-    spec: GossipSpec,
+    mode: GossipMode,
     rng: SmallRng,
     colored_at: Option<Time>,
     colored_via: Option<ColoredVia>,
     /// Hop counter for round-limited mode.
     round: u32,
     gossip_over: bool,
-    machine: Option<Box<dyn Correction>>,
-    machine_done: bool,
-    pending_corr: Vec<(Rank, Time)>,
+    /// The correction phase; begun when gossip colors this rank.
+    correction: CorrectionHost,
     done: bool,
 }
 
@@ -146,18 +145,27 @@ impl GossipProcess {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(rank as u64 + 1);
         let is_root = rank == 0;
+        // Correction starts at the global gossip deadline in
+        // time-limited mode and per process, as soon as its rounds are
+        // up, in round-limited mode.
+        let sync_start = match spec.mode {
+            GossipMode::TimeLimited(g) => Some(Time::new(g)),
+            GossipMode::RoundLimited(_) => None,
+        };
+        let mut correction = CorrectionHost::new(spec.correction, sync_start);
+        if is_root {
+            correction.begin(rank, p);
+        }
         GossipProcess {
             rank,
             p,
-            spec,
+            mode: spec.mode,
             rng: SmallRng::seed_from_u64(stream),
             colored_at: is_root.then_some(Time::ZERO),
             colored_via: is_root.then_some(ColoredVia::Root),
             round: 0,
             gossip_over: false,
-            machine: None,
-            machine_done: false,
-            pending_corr: Vec::new(),
+            correction,
             done: false,
         }
     }
@@ -172,39 +180,6 @@ impl GossipProcess {
             raw
         }
     }
-
-    fn participates(&self) -> bool {
-        !self.spec.correction.is_none()
-            && matches!(
-                self.colored_via,
-                Some(ColoredVia::Root) | Some(ColoredVia::Dissemination)
-            )
-    }
-
-    /// Correction start time: the global gossip deadline in time-limited
-    /// mode, or "now" (overlapped per process) in round-limited mode.
-    fn correction_start(&self, now: Time) -> Time {
-        match self.spec.mode {
-            GossipMode::TimeLimited(g) => Time::new(g),
-            GossipMode::RoundLimited(_) => now,
-        }
-    }
-
-    fn ensure_machine(&mut self, now: Time) {
-        if self.machine.is_some() || self.machine_done {
-            return;
-        }
-        let start = self.correction_start(now);
-        let mut machine = self
-            .spec
-            .correction
-            .machine(self.rank, self.p, start)
-            .expect("participating implies a correction kind");
-        for (from, t) in self.pending_corr.drain(..) {
-            machine.on_correction(from, t);
-        }
-        self.machine = Some(machine);
-    }
 }
 
 impl Process for GossipProcess {
@@ -214,12 +189,14 @@ impl Process for GossipProcess {
                 if self.colored_at.is_none() {
                     self.colored_at = Some(now);
                     self.colored_via = Some(ColoredVia::Dissemination);
+                    // Colored by gossip: takes part in correction.
+                    self.correction.begin(self.rank, self.p);
                     self.done = false;
                 }
                 // Track gossip progress even on duplicates: the round
                 // counter is a logical clock for the round-limited mode.
                 self.round = self.round.max(round);
-                if let GossipMode::RoundLimited(limit) = self.spec.mode {
+                if let GossipMode::RoundLimited(limit) = self.mode {
                     if round >= limit {
                         self.gossip_over = true;
                     }
@@ -231,13 +208,7 @@ impl Process for GossipProcess {
                     self.colored_via = Some(ColoredVia::Correction);
                     // Colored by correction: stays silent (§3.1).
                 }
-                if self.participates() {
-                    if let Some(m) = self.machine.as_mut() {
-                        m.on_correction(from, now);
-                    } else if !self.machine_done {
-                        self.pending_corr.push((from, now));
-                    }
-                }
+                self.correction.on_correction(from);
             }
             Payload::Tree | Payload::Ack => {
                 debug_assert!(false, "unexpected payload in gossip broadcast");
@@ -259,7 +230,7 @@ impl Process for GossipProcess {
         }
         // Gossip phase.
         if !self.gossip_over && self.p >= 2 {
-            match self.spec.mode {
+            match self.mode {
                 GossipMode::TimeLimited(g) => {
                     if now < Time::new(g) {
                         let to = self.random_target();
@@ -285,30 +256,18 @@ impl Process for GossipProcess {
             }
         }
         // Correction phase.
-        if self.spec.correction.is_none() {
-            self.done = true;
-            return SendPoll::Done;
+        match self.correction.poll(now) {
+            CorrPoll::Send(to) => SendPoll::Now {
+                to,
+                payload: Payload::Correction,
+            },
+            CorrPoll::WaitUntil(t) => SendPoll::WaitUntil(t),
+            CorrPoll::Idle => SendPoll::Idle,
+            CorrPoll::Done => {
+                self.done = true;
+                SendPoll::Done
+            }
         }
-        if !self.machine_done {
-            self.ensure_machine(now);
-            let poll = self.machine.as_mut().expect("just ensured").poll(now);
-            return match poll {
-                CorrPoll::Send(to) => SendPoll::Now {
-                    to,
-                    payload: Payload::Correction,
-                },
-                CorrPoll::WaitUntil(t) => SendPoll::WaitUntil(t),
-                CorrPoll::Idle => SendPoll::Idle,
-                CorrPoll::Done => {
-                    self.machine = None;
-                    self.machine_done = true;
-                    self.done = true;
-                    SendPoll::Done
-                }
-            };
-        }
-        self.done = true;
-        SendPoll::Done
     }
 
     fn colored_at(&self) -> Option<Time> {
@@ -453,5 +412,13 @@ mod tests {
             GossipSpec::round_limited(4, CorrectionKind::Opportunistic { distance: 2 }).label(),
             "gossip(rounds=4)+opportunistic(d=2)"
         );
+    }
+
+    #[test]
+    fn the_inline_correction_machine_does_not_grow_the_process() {
+        // 136 bytes is what the process took when its machine lived in
+        // a box of its own.
+        let size = std::mem::size_of::<GossipProcess>();
+        assert!(size <= 136, "GossipProcess is {size} bytes");
     }
 }

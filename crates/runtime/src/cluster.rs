@@ -373,8 +373,8 @@ pub(crate) struct RankState {
     /// Messages drained ahead of their topic's installation on this
     /// rank (possible only under concurrent pub/sub admission: a peer
     /// already installed can send before this rank's install). They are
-    /// re-examined each quantum; the admitting coordinator's
-    /// unconditional enqueue-all guarantees a quantum after install.
+    /// re-examined each quantum, and every install is followed by one
+    /// ([`Shared::schedule_installed`]).
     pub(crate) pending: Vec<Msg>,
     /// Highest broadcast id ever installed on this rank — installs
     /// happen in increasing id order, so a drained message with
@@ -397,12 +397,12 @@ pub(crate) struct RankState {
 pub(crate) struct RankCell {
     /// Set while the rank sits in the run queue or a worker's batch.
     /// Senders and timer expiry that win the `false → true` CAS take
-    /// responsibility for enqueueing; iteration start enqueues
-    /// *unconditionally* (a stale quantum may clear the flag without
-    /// looking at the fresh state, so start must not rely on it); the
-    /// end-of-quantum recheck — on the stale path too — closes the
-    /// clear-flag/new-work race. Duplicate run-queue entries are
-    /// possible and harmless (extra no-op quanta).
+    /// responsibility for enqueueing, and the end-of-quantum recheck —
+    /// on the stale path too — closes the clear-flag/new-work race. An
+    /// install sets the flag but does not go by it (a stale quantum may
+    /// be about to clear it without having seen the fresh state): it
+    /// goes by the scheduler's count of unclaimed entries, see
+    /// [`Shared::schedule_installed`].
     pub(crate) scheduled: AtomicBool,
     pub(crate) mailbox: Mutex<Mailbox>,
     pub(crate) state: Mutex<RankState>,
@@ -410,7 +410,10 @@ pub(crate) struct RankCell {
 
 /// Scheduler state shared by the pool.
 pub(crate) struct Sched {
-    pub(crate) runq: VecDeque<Rank>,
+    runq: VecDeque<Rank>,
+    /// Per rank, its entries in `runq` that no worker has claimed yet:
+    /// what an install goes by ([`Shared::schedule_installed`]).
+    unclaimed: Vec<u32>,
     pub(crate) timers: TimerWheel,
     pub(crate) shutdown: bool,
     /// Workers asleep on `sched_cv`. Work that enters the run queue
@@ -421,6 +424,38 @@ pub(crate) struct Sched {
     /// worker that flushes wake-ups rings nobody: it claims next itself
     /// and the same rule applies to what it leaves.
     pub(crate) parked: usize,
+}
+
+impl Sched {
+    /// Append a run-queue entry for `rank` unless it has `limit`
+    /// unclaimed ones already. Eliding is sound whenever it has one:
+    /// that entry is claimed after the caller releases the scheduler
+    /// lock, so its quantum locks the rank's state and drains its
+    /// mailbox after whatever the caller did to them (installed an
+    /// iteration, pushed a message, let a deadline pass).
+    fn push_below(&mut self, rank: Rank, limit: u32) {
+        let unclaimed = &mut self.unclaimed[rank as usize];
+        if *unclaimed < limit {
+            *unclaimed += 1;
+            self.runq.push_back(rank);
+        }
+    }
+
+    /// Enqueue `rank` for whoever won its `scheduled` CAS (sender,
+    /// recheck, timer expiry). A rank whose flag was cleared and won
+    /// again while it still waits for its turn is a busy one and gets a
+    /// second entry, never a third: with installs adding none to these
+    /// the queue stays within the 2·P entries it is allocated with.
+    fn push_woken(&mut self, rank: Rank) {
+        self.push_below(rank, 2);
+    }
+
+    /// Claim the oldest run-queue entry.
+    fn pop(&mut self) -> Option<Rank> {
+        let rank = self.runq.pop_front()?;
+        self.unclaimed[rank as usize] -= 1;
+        Some(rank)
+    }
 }
 
 pub(crate) struct Shared {
@@ -461,6 +496,34 @@ impl Shared {
     pub(crate) fn epoch(&self) -> (Instant, u64) {
         let epoch_us = self.now_us();
         (self.base + Duration::from_micros(epoch_us), epoch_us)
+    }
+
+    /// Make every rank runnable after an iteration was installed on all
+    /// of them — only then, so that no quantum outruns a peer's install
+    /// — and ring one worker (it wakes the next if it leaves work).
+    ///
+    /// Invariant: an install never adds a run-queue entry to a rank
+    /// that has an unclaimed one. That entry's quantum serves the new
+    /// iteration, and whatever was parked in `pending` for it
+    /// ([`Sched::push_below`]); a second would buy a quantum with
+    /// nothing to do, and the queue would grow with every admission. A
+    /// *claimed* entry proves nothing — its quantum may have looked at
+    /// the rank before the install — so the count, not `scheduled`,
+    /// decides; the flag is still set unconditionally so that senders
+    /// keep eliding their wake-ups.
+    pub(crate) fn schedule_installed(&self) -> Result<(), ClusterError> {
+        {
+            let mut sched = self
+                .sched
+                .lock()
+                .map_err(|_| ClusterError::WorkerPanicked)?;
+            for (rank, cell) in (0..).zip(&self.ranks) {
+                cell.scheduled.store(true, Ordering::SeqCst);
+                sched.push_below(rank, 1);
+            }
+        }
+        self.sched_cv.notify_one();
+        Ok(())
     }
 }
 
@@ -568,7 +631,8 @@ impl Cluster {
         let shared = Arc::new(Shared {
             ranks,
             sched: Mutex::new(Sched {
-                runq: VecDeque::with_capacity(p as usize),
+                runq: VecDeque::with_capacity(2 * p as usize),
+                unclaimed: vec![0; p as usize],
                 timers: TimerWheel::new(),
                 shutdown: false,
                 parked: 0,
@@ -732,31 +796,7 @@ impl Cluster {
             // already emptied it, and a rank installed earlier in this
             // loop may legitimately have started sending to this one.
         }
-        // Make every rank runnable for its initial protocol poll only
-        // once all of them are installed, so no quantum can outrun a
-        // peer's installation. The enqueue is deliberately
-        // *unconditional*: eliding it when `scheduled` is already true
-        // would race with a stale quantum that observed `iter == None`
-        // before the install and is about to clear the flag and return
-        // without doing any work — the initial poll would be lost and
-        // the iteration would stall. A duplicate run-queue entry (the
-        // rank was already queued by a straggler wake-up) only costs a
-        // harmless extra quantum.
-        {
-            let mut sched = self
-                .shared
-                .sched
-                .lock()
-                .map_err(|_| ClusterError::WorkerPanicked)?;
-            for rank in 0..self.p {
-                self.shared.ranks[rank as usize]
-                    .scheduled
-                    .store(true, Ordering::SeqCst);
-                sched.runq.push_back(rank);
-            }
-        }
-        // One worker is enough: it wakes the next if it leaves work.
-        self.shared.sched_cv.notify_one();
+        self.shared.schedule_installed()?;
         if let Some(f) = self.shared.flight.as_deref() {
             // The coordinator owns the extra shard past the workers.
             f.record(self.shared.workers, Fk::IterStart, NO_RANK, id, 0, epoch_us);
@@ -1262,7 +1302,7 @@ fn worker_main(shared: Arc<Shared>, widx: usize) {
                         .scheduled
                         .swap(true, Ordering::SeqCst)
                     {
-                        sched.runq.push_back(rank);
+                        sched.push_woken(rank);
                     }
                 }
                 if !sched.runq.is_empty() {
@@ -1301,7 +1341,7 @@ fn worker_main(shared: Arc<Shared>, widx: usize) {
                 .div_ceil(shared.workers)
                 .clamp(1, MAX_BATCH);
             for _ in 0..share {
-                match sched.runq.pop_front() {
+                match sched.pop() {
                     Some(rank) => batch.push(rank),
                     None => break,
                 }
@@ -1368,8 +1408,8 @@ impl Quantum<'_> {
     /// installed iteration (delivered, or observably dropped on a dead
     /// rank), outruns installation (a peer of a topic being admitted
     /// got ahead of this rank's install; parked in `pending` until the
-    /// admitting coordinator's enqueue-all lands), or is stale (its
-    /// iteration already retired) and is discarded.
+    /// quantum that follows the install), or is stale (its iteration
+    /// already retired) and is discarded.
     fn route(&mut self, st: &mut RankState, drained: &[Msg]) {
         let rank = self.rank;
         let parked = std::mem::take(&mut st.pending);
@@ -1611,11 +1651,11 @@ fn run_quantum(
 /// no clock either: its flight records carry the worker's latest stamp
 /// and it has no `QuantumUs` interval of its own (its time falls into
 /// that of the quantum before it). Clearing the flag gets the same
-/// recheck as the normal end-of-quantum path: an install or a message
-/// that raced in while this quantum held the flag may have elided its
-/// enqueue on the strength of it, so if state or mailbox turn out
-/// non-empty now, this quantum must take the wake-up back or the rank
-/// sleeps forever.
+/// recheck as the normal end-of-quantum path: a sender that saw the
+/// flag held by this quantum elided its wake-up, so if the mailbox
+/// turns out non-empty now, this quantum must take the wake-up back or
+/// the rank sleeps forever. (An install needs no such care: it never
+/// goes by the flag, see [`Shared::schedule_installed`].)
 fn stale_quantum(
     shared: &Shared,
     rank: Rank,
@@ -1628,8 +1668,7 @@ fn stale_quantum(
     counts.stale_quanta = 1;
     taps.flight(Fk::StaleQuantum, rank, 0, 0, tally.stamp_us);
     cell.scheduled.store(false, Ordering::SeqCst);
-    let installed = !cell.state.lock().map_err(|_| Poisoned)?.iters.is_empty();
-    if (installed || !cell.mailbox.lock().map_err(|_| Poisoned)?.is_empty())
+    if !cell.mailbox.lock().map_err(|_| Poisoned)?.is_empty()
         && !cell.scheduled.swap(true, Ordering::SeqCst)
     {
         scratch.wakes.push(rank);
@@ -1703,7 +1742,9 @@ fn flush(
             for &(deadline_us, rank) in &scratch.timers {
                 sched.timers.insert(deadline_us, rank);
             }
-            sched.runq.extend(scratch.wakes.drain(..));
+            for rank in scratch.wakes.drain(..) {
+                sched.push_woken(rank);
+            }
             !scratch.timers.is_empty() && sched.parked > 0
         };
         scratch.timers.clear();

@@ -395,24 +395,7 @@ impl Cluster {
             ));
             st.last_installed = id;
         }
-        // Unconditional enqueue-all, for the same reason as the
-        // single-broadcast install — and doubly so here: it is also
-        // what guarantees a quantum that re-examines messages parked in
-        // `pending` by ranks that outran this install.
-        {
-            let mut sched = self
-                .shared
-                .sched
-                .lock()
-                .map_err(|_| ClusterError::WorkerPanicked)?;
-            for rank in 0..self.p {
-                self.shared.ranks[rank as usize]
-                    .scheduled
-                    .store(true, std::sync::atomic::Ordering::SeqCst);
-                sched.runq.push_back(rank);
-            }
-        }
-        self.shared.sched_cv.notify_one();
+        self.shared.schedule_installed()?;
         if let Some(f) = self.shared.flight.as_deref() {
             f.record(self.shared.workers, Fk::IterStart, NO_RANK, id, 0, epoch_us);
         }

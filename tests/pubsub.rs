@@ -16,6 +16,7 @@
 //! interleaving. Opportunistic correction reacts to wall-clock timing
 //! and is exercised by the count-level tests in `ct-runtime` instead.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use corrected_trees::core::{
@@ -24,9 +25,13 @@ use corrected_trees::core::{
     tree::TreeKind,
 };
 use corrected_trees::logp::LogP;
+use corrected_trees::obs::telemetry::TelemetryHub;
 use corrected_trees::obs::{Event, EventKind, VecSink};
-use corrected_trees::runtime::{Cluster, PubsubOptions, Topic, TopicTable};
+use corrected_trees::runtime::{Cluster, ClusterConfig, PubsubOptions, Topic, TopicTable};
 use corrected_trees::sim::Simulation;
+
+/// Arrival-gate fallback of the paced topics, µs on the cluster.
+const PACED_FALLBACK_US: u64 = 50_000;
 
 /// Canonical multiset of a stream's semantic content: every event kind
 /// rendered without its timestamps or broadcast stamp, sorted. Two
@@ -92,9 +97,12 @@ fn equality_topics(p: u32) -> TopicTable {
         p,
         13,
     ));
+    // The arrival-gate fallback (50 ms) is far past any scheduling
+    // delay: a fault-free run never needs it, and one of 4 µs expired
+    // under load often enough to make the counts timing-dependent.
     let mut checked = BroadcastSpec::corrected_tree_sync(
         TreeKind::BINOMIAL,
-        CorrectionKind::checked_paced(&LogP::PAPER, 4),
+        CorrectionKind::checked_paced(&LogP::PAPER, PACED_FALLBACK_US),
     )
     .with_root(200);
     // Provision the synchronized start well past wall-clock
@@ -188,7 +196,7 @@ fn multiplexed_checked_topic_matches_simulator_multiset() {
     let p = 128u32;
     let mut spec = BroadcastSpec::corrected_tree_sync(
         TreeKind::BINOMIAL,
-        CorrectionKind::checked_paced(&LogP::PAPER, 4),
+        CorrectionKind::checked_paced(&LogP::PAPER, PACED_FALLBACK_US),
     )
     .with_root(9);
     spec.sync_start_override = Some(60_000);
@@ -236,4 +244,50 @@ fn multiplexed_checked_topic_matches_simulator_multiset() {
             "topic {t} diverged from the simulator"
         );
     }
+}
+
+#[test]
+fn run_queue_depth_is_bounded_by_the_rank_count_not_by_the_admissions() {
+    // An install adds no run-queue entry to a rank that still has an
+    // unclaimed one and a wake-up none to a rank that has two, so
+    // however many broadcasts are admitted the queue holds at most two
+    // entries per rank. (When every admission enqueued every rank, 48
+    // admissions at k = 16 left the queue thousands deep.)
+    let p = 256u32;
+    let hub = Arc::new(TelemetryHub::new(2, p as usize));
+    let cfg = ClusterConfig::new()
+        .threads(2)
+        .timeout(Duration::from_secs(60))
+        .telemetry(Arc::clone(&hub));
+    let mut cluster = Cluster::with_config(p, LogP::PAPER, cfg);
+    let deepest = |hub: &TelemetryHub| {
+        hub.snapshot().histograms["sched.runq_depth"]
+            .max()
+            .expect("workers claimed batches")
+    };
+
+    // The work-bound shape of the repo benchmark: 16 checked/overlapped
+    // topics rooted all over the ring, all in flight at once.
+    let spec = BroadcastSpec::corrected_tree(TreeKind::BINOMIAL, CorrectionKind::Checked);
+    let mut table = TopicTable::new();
+    for t in 0..16u32 {
+        let topic = Topic::new(format!("topic-{t}"), spec.with_root(t * 97 % p), p, 40);
+        table.push(topic);
+    }
+    let report = cluster
+        .run_pubsub(&table, &PubsubOptions { k: 16, rounds: 3 })
+        .expect("multiplexed run");
+    assert!(report.completed(), "{report:?}");
+    assert_eq!(report.outcomes.len(), 48);
+    assert!(deepest(&hub) <= 2 * u64::from(p), "depth {}", deepest(&hub));
+
+    // Back-to-back single broadcasts install into the same queue.
+    let dead = vec![false; p as usize];
+    for seed in 0..40 {
+        let report = cluster
+            .run_broadcast(&spec, &dead, seed)
+            .expect("broadcast");
+        assert!(report.completed, "seed {seed}: {:?}", report.uncolored);
+    }
+    assert!(deepest(&hub) <= 2 * u64::from(p), "depth {}", deepest(&hub));
 }

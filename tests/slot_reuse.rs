@@ -1,6 +1,7 @@
 //! `BroadcastSpec::build_into` re-initialises the previous broadcast's
-//! machines in place. Whatever state they were left in, the rebuilt set
-//! must behave exactly like a fresh `build`: same message trace under a
+//! machines in place. Whatever state they were left in — and whatever
+//! root or numbering they ran under — the rebuilt set must behave
+//! exactly like a fresh `build`: same message trace under a
 //! deterministic FIFO pump, for every correction kind.
 
 use std::collections::VecDeque;
@@ -98,8 +99,12 @@ fn specs() -> Vec<BroadcastSpec> {
     kinds()
         .into_iter()
         .flat_map(|kind| {
+            // Linear, rotated and shuffled numberings hand their slots
+            // to one another.
             [
                 BroadcastSpec::corrected_tree(TreeKind::BINOMIAL, kind),
+                BroadcastSpec::corrected_tree_sync(TreeKind::LAME2, kind).with_root(19),
+                BroadcastSpec::corrected_tree(TreeKind::BINOMIAL, kind).with_shuffle(0xBEEF),
                 BroadcastSpec::corrected_tree_sync(TreeKind::LAME2, kind),
             ]
         })
@@ -148,12 +153,11 @@ fn build_into_falls_back_to_build_when_slots_cannot_be_reused() {
     let checked = BroadcastSpec::corrected_tree(TreeKind::BINOMIAL, CorrectionKind::Checked);
     let plan = FaultPlan::from_ranks(P, &[9, 10]).unwrap();
     let fallbacks = [
-        checked.with_root(19),
-        checked.with_shuffle(0xBEEF),
         BroadcastSpec::ack_tree(TreeKind::BINOMIAL),
+        BroadcastSpec::ack_tree(TreeKind::BINOMIAL).with_root(19),
     ];
     for spec in &fallbacks {
-        // From plain machines to a relabelled / acked set and back.
+        // From corrected-tree machines to an acked set and back.
         let mut procs = checked.build(&ctx(1)).unwrap();
         pump(&mut procs, plan.mask());
         spec.build_into(&ctx(2), &mut procs).unwrap();
