@@ -1,9 +1,9 @@
 //! Transport-agnostic broadcast protocols.
 //!
-//! A broadcast instance is a vector of per-rank [`Process`] state
-//! machines. The driver — the `ct-sim` LogP simulator or the
-//! `ct-runtime` thread cluster — owns delivery and timing and obeys one
-//! contract:
+//! A broadcast instance is one [`Process`] state machine per rank —
+//! a vector of boxes the `ct-runtime` thread cluster hands out rank by
+//! rank, or a [`Population`] the `ct-sim` LogP simulator addresses by
+//! rank. The driver owns delivery and timing and obeys one contract:
 //!
 //! * [`Process::on_message`] is invoked when a message has been fully
 //!   received (LogP: arrival plus receive overhead `o`).
@@ -32,7 +32,7 @@ use ct_logp::{LogP, Rank, Time};
 
 pub use ack_tree::AckTreeProcess;
 pub use corrected::CorrectedTreeProcess;
-pub use relabel::{RelabeledProcess, Relabeling};
+pub use relabel::{RelabeledPopulation, RelabeledProcess, Relabeling};
 
 /// The content of a broadcast message. The paper's payloads are small
 /// (no segmentation, §2); what matters to the protocols is only the
@@ -112,6 +112,88 @@ pub trait Process: Send {
     }
 }
 
+/// All `P` machines of one broadcast, addressed by physical rank: the
+/// form a single-threaded driver holds them in. Each method is the
+/// [`Process`] method of the same name applied to `rank`'s machine.
+///
+/// A vector of boxed processes — what any factory builds — is one; a
+/// factory whose machines all have one type can do without the box per
+/// rank ([`RelabeledPopulation`], [`ProtocolFactory::populate`]).
+pub trait Population: Send {
+    /// Number of ranks `P`.
+    fn len(&self) -> usize;
+
+    /// Is this the population of no ranks at all?
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Deliver a fully received message to `rank`.
+    fn on_message(&mut self, rank: Rank, from: Rank, payload: Payload, now: Time);
+
+    /// Ask `rank` for its next send; its sender port is free at `now`.
+    fn poll_send(&mut self, rank: Rank, now: Time) -> SendPoll;
+
+    /// When `rank` became colored, if it has.
+    fn colored_at(&self, rank: Rank) -> Option<Time>;
+
+    /// How `rank` became colored, if it has.
+    fn colored_via(&self, rank: Rank) -> Option<ColoredVia>;
+
+    /// The concrete store, for factories that re-initialise the
+    /// population of a previous broadcast in place
+    /// ([`ProtocolFactory::populate`]).
+    fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+impl Population for Vec<Box<dyn Process>> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn on_message(&mut self, rank: Rank, from: Rank, payload: Payload, now: Time) {
+        self[rank as usize].on_message(from, payload, now);
+    }
+
+    fn poll_send(&mut self, rank: Rank, now: Time) -> SendPoll {
+        self[rank as usize].poll_send(now)
+    }
+
+    fn colored_at(&self, rank: Rank) -> Option<Time> {
+        self[rank as usize].colored_at()
+    }
+
+    fn colored_via(&self, rank: Rank) -> Option<ColoredVia> {
+        self[rank as usize].colored_via()
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// The store of type `S` a population slot holds, if that is what it
+/// holds.
+fn held<S: Population + 'static>(slot: &mut Option<Box<dyn Population>>) -> Option<&mut S> {
+    slot.as_mut()?.as_any_mut().downcast_mut()
+}
+
+/// [`ProtocolFactory::populate`] for any factory: `build_into` over a
+/// vector of boxes kept in the slot.
+fn populate_boxed<F: ProtocolFactory + ?Sized>(
+    factory: &F,
+    ctx: &BuildCtx,
+    slot: &mut Option<Box<dyn Population>>,
+) -> Result<(), ProtocolError> {
+    if let Some(procs) = held::<Vec<Box<dyn Process>>>(slot) {
+        return factory.build_into(ctx, procs);
+    }
+    let mut procs = Vec::new();
+    factory.build_into(ctx, &mut procs)?;
+    *slot = Some(Box::new(procs));
+    Ok(())
+}
+
 /// Context handed to a [`ProtocolFactory`].
 #[derive(Clone, Copy, Debug)]
 pub struct BuildCtx {
@@ -152,6 +234,24 @@ pub trait ProtocolFactory {
             }
             Err(e) => Err(e),
         }
+    }
+
+    /// Put the population of one broadcast into `slot`, reusing what a
+    /// previous broadcast — of any factory — left there when it can.
+    ///
+    /// The default keeps a vector of boxes in the slot and hands it to
+    /// [`ProtocolFactory::build_into`]; a factory whose machines all
+    /// have one type may keep them by value instead ([`BroadcastSpec`]
+    /// does). Either way the population behaves exactly like the
+    /// vector [`ProtocolFactory::build`] returns. After an error the
+    /// slot holds nothing to run: the previous broadcast's population
+    /// or an empty one.
+    fn populate(
+        &self,
+        ctx: &BuildCtx,
+        slot: &mut Option<Box<dyn Population>>,
+    ) -> Result<(), ProtocolError> {
+        populate_boxed(self, ctx, slot)
     }
 }
 
@@ -336,32 +436,16 @@ impl BroadcastSpec {
         }
     }
 
-    /// Rewind every slot of `procs` to this spec's fresh machine for
-    /// its physical rank. `false` — with some slots possibly rewound
-    /// already, which the caller's rebuild makes moot — when a slot is
-    /// not a relabelled [`CorrectedTreeProcess`] or the spec does not
-    /// build (the rebuild then reports why).
-    fn rewind(&self, ctx: &BuildCtx, procs: &mut [Box<dyn Process>]) -> bool {
-        let (Ok(()), Ok(tree), Ok(sync_start)) = (
-            self.validate(ctx),
-            self.build_tree(ctx.p, &ctx.logp),
-            self.sync_start(ctx),
-        ) else {
-            return false;
-        };
-        let map = self.relabeling(ctx);
-        for (slot, phys) in procs.iter_mut().zip(0..) {
-            let Some(slot) = slot
-                .as_any_mut()
-                .and_then(|m| m.downcast_mut::<RelabeledProcess<CorrectedTreeProcess>>())
-            else {
-                return false;
-            };
-            let v = map.virtual_of(phys);
-            slot.inner.reset(v, &tree, self.correction, sync_start);
-            slot.map = map.clone();
-        }
-        true
+    /// Validate this spec and resolve it against `ctx`.
+    fn blueprint(&self, ctx: &BuildCtx) -> Result<Blueprint, ProtocolError> {
+        self.validate(ctx)?;
+        Ok(Blueprint {
+            tree: self.build_tree(ctx.p, &ctx.logp)?,
+            correction: self.correction,
+            sync_start: self.sync_start(ctx)?,
+            acked: self.acked,
+            map: self.relabeling(ctx),
+        })
     }
 
     /// The global correction start of synchronized mode (`None` when
@@ -399,42 +483,119 @@ impl ProtocolFactory for BroadcastSpec {
     }
 
     fn build(&self, ctx: &BuildCtx) -> Result<Vec<Box<dyn Process>>, ProtocolError> {
-        self.validate(ctx)?;
-        let tree = self.build_tree(ctx.p, &ctx.logp)?;
-        let sync_start = self.sync_start(ctx)?;
-        let map = self.relabeling(ctx);
-        // Physical rank `phys` runs the rank-0-rooted machine of
-        // virtual rank `map.virtual_of(phys)`.
-        let slot = |phys| -> Box<dyn Process> {
-            let (v, tree, map) = (map.virtual_of(phys), Arc::clone(&tree), map.clone());
-            if self.acked {
-                Box::new(RelabeledProcess::new(AckTreeProcess::new(v, tree), map))
-            } else {
-                let machine = CorrectedTreeProcess::new(v, tree, self.correction, sync_start);
-                Box::new(RelabeledProcess::new(machine, map))
-            }
-        };
-        Ok((0..ctx.p).map(slot).collect())
+        let plan = self.blueprint(ctx)?;
+        Ok((0..ctx.p).map(|phys| plan.boxed(phys)).collect())
     }
 
     /// Re-initialises in place when `out` still holds the `P` machines
     /// of a previous corrected-tree broadcast, whatever its root,
     /// numbering or correction was: no allocation for linear and
     /// rotated numberings, the two tables of the new numbering for a
-    /// shuffled one. Acked specs, and any other content of `out`, fall
-    /// back to [`ProtocolFactory::build`].
+    /// shuffled one. Acked specs, and any other content of `out`, are
+    /// built afresh.
     fn build_into(
         &self,
         ctx: &BuildCtx,
         out: &mut Vec<Box<dyn Process>>,
     ) -> Result<(), ProtocolError> {
+        let plan = match self.blueprint(ctx) {
+            Ok(plan) => plan,
+            Err(e) => {
+                out.clear();
+                return Err(e);
+            }
+        };
         let reusable = !self.acked && out.len() == ctx.p as usize;
-        if reusable && self.rewind(ctx, out) {
-            return Ok(());
+        if !(reusable && plan.rewind_boxed(out)) {
+            out.clear();
+            out.extend((0..ctx.p).map(|phys| plan.boxed(phys)));
         }
-        out.clear();
-        out.extend(self.build(ctx)?);
         Ok(())
+    }
+
+    /// Keeps the corrected-tree machines by value: whatever root,
+    /// numbering, correction or `P` the slot's previous broadcast had,
+    /// its store is re-initialised in place (allocating as
+    /// [`ProtocolFactory::build_into`] does, plus the machines of ranks
+    /// beyond the previous `P`). Acked specs take the boxed default.
+    fn populate(
+        &self,
+        ctx: &BuildCtx,
+        slot: &mut Option<Box<dyn Population>>,
+    ) -> Result<(), ProtocolError> {
+        if self.acked {
+            return populate_boxed(self, ctx, slot);
+        }
+        let plan = self.blueprint(ctx)?;
+        let map = plan.map.clone();
+        match held::<RelabeledPopulation<CorrectedTreeProcess>>(slot) {
+            Some(store) => store.refill(
+                map,
+                |phys, machine| plan.rewind(phys, machine),
+                |phys| plan.machine(phys),
+            ),
+            None => {
+                let machines = (0..ctx.p).map(|phys| plan.machine(phys)).collect();
+                *slot = Some(Box::new(RelabeledPopulation::new(map, machines)));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A valid [`BroadcastSpec`] resolved against one [`BuildCtx`]: the one
+/// definition of "the machine of physical rank `r`" behind `build`,
+/// `build_into` and `populate`. Physical rank `phys` runs the
+/// rank-0-rooted machine of virtual rank `map.virtual_of(phys)`.
+struct Blueprint {
+    tree: Arc<Tree>,
+    correction: CorrectionKind,
+    sync_start: Option<Time>,
+    acked: bool,
+    map: Relabeling,
+}
+
+impl Blueprint {
+    /// The fresh corrected-tree machine of `phys`.
+    fn machine(&self, phys: Rank) -> CorrectedTreeProcess {
+        let (v, tree) = (self.map.virtual_of(phys), Arc::clone(&self.tree));
+        CorrectedTreeProcess::new(v, tree, self.correction, self.sync_start)
+    }
+
+    /// Rewind `machine`, whatever broadcast it ran before, to exactly
+    /// [`Blueprint::machine`] of `phys`.
+    fn rewind(&self, phys: Rank, machine: &mut CorrectedTreeProcess) {
+        let v = self.map.virtual_of(phys);
+        machine.reset(v, &self.tree, self.correction, self.sync_start);
+    }
+
+    /// The cluster's form of `phys`'s machine: boxed, with the
+    /// relabeling applied at its own boundary.
+    fn boxed(&self, phys: Rank) -> Box<dyn Process> {
+        let map = self.map.clone();
+        if self.acked {
+            let (v, tree) = (self.map.virtual_of(phys), Arc::clone(&self.tree));
+            Box::new(RelabeledProcess::new(AckTreeProcess::new(v, tree), map))
+        } else {
+            Box::new(RelabeledProcess::new(self.machine(phys), map))
+        }
+    }
+
+    /// Rewind every slot of `procs` in place. `false` — with some slots
+    /// possibly rewound already, which the caller's rebuild makes moot —
+    /// when a slot is not a relabelled [`CorrectedTreeProcess`].
+    fn rewind_boxed(&self, procs: &mut [Box<dyn Process>]) -> bool {
+        for (slot, phys) in procs.iter_mut().zip(0..) {
+            let Some(slot) = slot
+                .as_any_mut()
+                .and_then(|m| m.downcast_mut::<RelabeledProcess<CorrectedTreeProcess>>())
+            else {
+                return false;
+            };
+            self.rewind(phys, &mut slot.inner);
+            slot.map = self.map.clone();
+        }
+        true
     }
 }
 

@@ -3,7 +3,9 @@
 //! The paper fixes the root at rank 0 "without loss of generality" (§2)
 //! and the protocols are written that way, on *virtual* ranks. A
 //! [`Relabeling`] is the bijection to the *physical* ranks the driver
-//! addresses, applied at the process boundary by [`RelabeledProcess`]:
+//! addresses, applied at the process boundary — per rank by
+//! [`RelabeledProcess`], once for a whole broadcast by
+//! [`RelabeledPopulation`]:
 //!
 //! * a **rotation** `v ↔ (v + root) mod P` roots the broadcast anywhere.
 //!   It is an automorphism of the correction ring (all ring distances
@@ -24,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use super::{ColoredVia, Payload, Process, SendPoll};
+use super::{ColoredVia, Payload, Population, Process, SendPoll};
 
 /// A virtual↔physical rank bijection shared by all `P` processes.
 #[derive(Clone, Debug)]
@@ -119,6 +121,19 @@ impl Relabeling {
         }
     }
 
+    /// What the driver sees of a virtual-rank machine's poll: a send
+    /// addressed to the physical rank of its target.
+    #[inline]
+    fn outbound(&self, poll: SendPoll) -> SendPoll {
+        match poll {
+            SendPoll::Now { to, payload } => SendPoll::Now {
+                to: self.physical(to),
+                payload,
+            },
+            other => other,
+        }
+    }
+
     /// Translate a physical fault mask into the virtual numbering (the
     /// space where gaps are measured).
     pub fn virtual_mask(&self, physical_mask: &[bool]) -> Vec<bool> {
@@ -150,13 +165,7 @@ impl<M: Process + 'static> Process for RelabeledProcess<M> {
     }
 
     fn poll_send(&mut self, now: Time) -> SendPoll {
-        match self.inner.poll_send(now) {
-            SendPoll::Now { to, payload } => SendPoll::Now {
-                to: self.map.physical(to),
-                payload,
-            },
-            other => other,
-        }
+        self.map.outbound(self.inner.poll_send(now))
     }
 
     fn colored_at(&self) -> Option<Time> {
@@ -169,6 +178,71 @@ impl<M: Process + 'static> Process for RelabeledProcess<M> {
 
     fn as_any_mut(&mut self) -> Option<&mut dyn core::any::Any> {
         Some(self)
+    }
+}
+
+/// A whole broadcast of virtual-rank machines `M`, held by value in
+/// physical-rank order under the one [`Relabeling`] they share — what
+/// `P` [`RelabeledProcess`]es are, without a box and a copy of the
+/// relabeling per rank.
+pub struct RelabeledPopulation<M> {
+    map: Relabeling,
+    machines: Vec<M>,
+}
+
+impl<M> RelabeledPopulation<M> {
+    /// `machines[r]` is the machine physical rank `r` runs, i.e. the
+    /// one of virtual rank `map.virtual_of(r)`.
+    pub fn new(map: Relabeling, machines: Vec<M>) -> Self {
+        assert_eq!(machines.len(), map.p() as usize, "one machine per rank");
+        RelabeledPopulation { map, machines }
+    }
+
+    /// Turn this into the population of a broadcast under `map`, in
+    /// place: `rewind` re-initialises the machine a physical rank
+    /// already has, `make` creates those of ranks beyond the previous
+    /// `P`, and machines beyond the new `P` are dropped.
+    pub fn refill(
+        &mut self,
+        map: Relabeling,
+        mut rewind: impl FnMut(Rank, &mut M),
+        make: impl FnMut(Rank) -> M,
+    ) {
+        let p = map.p();
+        self.map = map;
+        self.machines.truncate(p as usize);
+        let kept = self.machines.len() as Rank;
+        for (machine, phys) in self.machines.iter_mut().zip(0..) {
+            rewind(phys, machine);
+        }
+        self.machines.extend((kept..p).map(make));
+    }
+}
+
+impl<M: Process + 'static> Population for RelabeledPopulation<M> {
+    fn len(&self) -> usize {
+        self.machines.len()
+    }
+
+    fn on_message(&mut self, rank: Rank, from: Rank, payload: Payload, now: Time) {
+        self.machines[rank as usize].on_message(self.map.virtual_of(from), payload, now);
+    }
+
+    fn poll_send(&mut self, rank: Rank, now: Time) -> SendPoll {
+        self.map
+            .outbound(self.machines[rank as usize].poll_send(now))
+    }
+
+    fn colored_at(&self, rank: Rank) -> Option<Time> {
+        self.machines[rank as usize].colored_at()
+    }
+
+    fn colored_via(&self, rank: Rank) -> Option<ColoredVia> {
+        self.machines[rank as usize].colored_via()
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
+        self
     }
 }
 

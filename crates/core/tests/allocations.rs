@@ -1,66 +1,30 @@
 //! The allocation contract of admission and the protocol machines.
 //!
 //! Once a set of slots exists, re-initialising it for the next
-//! broadcast (`BroadcastSpec::build_into`) and running a checked
-//! corrected-tree broadcast on it to quiescence — crash faults and the
-//! correction that heals them included — allocates nothing when the
-//! numbering is linear or rotated, and only the two tables of the new
-//! numbering when it is shuffled, whichever of the three the slots ran
-//! under before.
+//! broadcast — the cluster's boxes through `BroadcastSpec::build_into`
+//! or the simulator's by-value population through
+//! `BroadcastSpec::populate` — and running a checked corrected-tree
+//! broadcast on it to quiescence — crash faults and the correction that
+//! heals them included — allocates nothing when the numbering is linear
+//! or rotated, and only the two tables of the new numbering when it is
+//! shuffled, whichever of the three the slots ran under before.
 //!
-//! Heap allocations are counted by a `#[global_allocator]` that tallies
-//! per thread, so the test harness's own threads do not disturb the
-//! count (CI runs this file with `--test-threads=1` all the same).
+//! Heap allocations are counted by the per-thread `#[global_allocator]`
+//! of `support/counting_alloc.rs` (CI runs this file with
+//! `--test-threads=1` all the same).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::VecDeque;
 
 use ct_core::correction::CorrectionKind;
-use ct_core::protocol::{BroadcastSpec, BuildCtx, Payload, Process, ProtocolFactory, SendPoll};
+use ct_core::protocol::{
+    BroadcastSpec, BuildCtx, Payload, Population, Process, ProtocolFactory, SendPoll,
+};
 use ct_core::tree::TreeKind;
 use ct_logp::{LogP, Rank, Time};
 
-struct Counting;
-
-thread_local! {
-    /// Allocations (and growing reallocations) made by this thread.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    // `try_with`: the allocator also runs while a thread is torn down.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; counting touches only a `const`-initialised
-// thread-local `Cell` and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 enum Item {
     Poll(Rank),
@@ -80,14 +44,14 @@ struct Pump {
 }
 
 impl Pump {
-    fn run(&mut self, procs: &mut [Box<dyn Process>], dead: &[bool]) -> u64 {
+    fn run(&mut self, procs: &mut dyn Population, dead: &[bool]) -> u64 {
         let mut now = Time::ZERO;
         let mut sent = 0;
         let live = (0..procs.len() as Rank).filter(|&r| !dead[r as usize]);
         self.queue.extend(live.map(Item::Poll));
         loop {
             match self.queue.pop_front() {
-                Some(Item::Poll(r)) => match procs[r as usize].poll_send(now) {
+                Some(Item::Poll(r)) => match procs.poll_send(r, now) {
                     SendPoll::Now { to, payload } => {
                         sent += 1;
                         if !dead[to as usize] {
@@ -100,7 +64,7 @@ impl Pump {
                     SendPoll::Idle | SendPoll::Done => {}
                 },
                 Some(Item::Deliver { to, from, payload }) => {
-                    procs[to as usize].on_message(from, payload, now);
+                    procs.on_message(to, from, payload, now);
                     self.queue.push_back(Item::Poll(to));
                 }
                 None => match self.parked.iter().map(|&(t, _)| t).min() {
@@ -146,23 +110,34 @@ fn admission_and_a_checked_broadcast_allocate_nothing_once_the_slots_exist() {
             logp: LogP::PAPER,
             seed,
         };
-        let mut procs: Vec<Box<dyn Process>> = Vec::new();
+        // Both forms of the slots, each re-initialised lap after lap.
+        let mut boxed: Vec<Box<dyn Process>> = Vec::new();
+        let mut slot: Option<Box<dyn Population>> = None;
         let mut pump = Pump::default();
         for lap in 0..3u64 {
             for (i, (spec, allowed)) in specs.iter().enumerate() {
-                let before = allocations();
-                spec.build_into(&ctx(lap), &mut procs).unwrap();
-                let sent = pump.run(&mut procs, &dead);
-                let allocated = allocations() - before;
-                assert!(sent >= u64::from(p) - 1, "{spec}: {sent} messages");
-                let colored = procs.iter().filter(|m| m.colored_at().is_some()).count();
-                assert_eq!(colored, p as usize - 5, "{spec}: healed");
-                // The first lap builds the slots and grows the buffers.
-                if lap > 0 {
-                    assert!(
-                        allocated <= *allowed,
-                        "P={p} lap {lap} spec {i} ({spec}): {allocated} allocations"
-                    );
+                for by_value in [false, true] {
+                    let before = allocations();
+                    let procs: &mut dyn Population = if by_value {
+                        spec.populate(&ctx(lap), &mut slot).unwrap();
+                        slot.as_deref_mut().expect("populated")
+                    } else {
+                        spec.build_into(&ctx(lap), &mut boxed).unwrap();
+                        &mut boxed
+                    };
+                    let sent = pump.run(procs, &dead);
+                    let allocated = allocations() - before;
+                    assert!(sent >= u64::from(p) - 1, "{spec}: {sent} messages");
+                    let colored = (0..p).filter(|&r| procs.colored_at(r).is_some()).count();
+                    assert_eq!(colored, p as usize - 5, "{spec}: healed");
+                    // The first lap builds the slots and grows the buffers.
+                    if lap > 0 {
+                        assert!(
+                            allocated <= *allowed,
+                            "P={p} lap {lap} spec {i} ({spec}, by value: {by_value}): \
+                             {allocated} allocations"
+                        );
+                    }
                 }
             }
         }

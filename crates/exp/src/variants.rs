@@ -8,7 +8,7 @@
 
 use ct_core::correction::CorrectionKind;
 use ct_core::protocol::{
-    BroadcastSpec, BuildCtx, Process, ProtocolError, ProtocolFactory, StartMode,
+    BroadcastSpec, BuildCtx, Population, Process, ProtocolError, ProtocolFactory, StartMode,
 };
 use ct_core::tree::TreeKind;
 use ct_gossip::{GossipMode, GossipSpec};
@@ -83,19 +83,40 @@ impl Variant {
     }
 }
 
+impl Variant {
+    /// The wrapped spec: every [`ProtocolFactory`] method forwards to
+    /// it, so a variant rewinds in place wherever its spec can.
+    fn factory(&self) -> &dyn ProtocolFactory {
+        match self {
+            Variant::Tree(s) => s,
+            Variant::Gossip(s) => s,
+        }
+    }
+}
+
 impl ProtocolFactory for Variant {
     fn label(&self) -> String {
-        match self {
-            Variant::Tree(s) => s.label(),
-            Variant::Gossip(s) => s.label(),
-        }
+        self.factory().label()
     }
 
     fn build(&self, ctx: &BuildCtx) -> Result<Vec<Box<dyn Process>>, ProtocolError> {
-        match self {
-            Variant::Tree(s) => s.build(ctx),
-            Variant::Gossip(s) => s.build(ctx),
-        }
+        self.factory().build(ctx)
+    }
+
+    fn build_into(
+        &self,
+        ctx: &BuildCtx,
+        out: &mut Vec<Box<dyn Process>>,
+    ) -> Result<(), ProtocolError> {
+        self.factory().build_into(ctx, out)
+    }
+
+    fn populate(
+        &self,
+        ctx: &BuildCtx,
+        slot: &mut Option<Box<dyn Population>>,
+    ) -> Result<(), ProtocolError> {
+        self.factory().populate(ctx, slot)
     }
 }
 

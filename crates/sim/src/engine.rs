@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use ct_core::protocol::{BuildCtx, Payload, Process, ProtocolError, ProtocolFactory, SendPoll};
+use ct_core::protocol::{BuildCtx, Payload, Population, ProtocolError, ProtocolFactory, SendPoll};
 use ct_logp::{LogP, Rank, Time};
 use ct_obs::event::phases;
 use ct_obs::flight::{FlightKind, FlightRecorder, NO_RANK};
@@ -233,7 +233,7 @@ impl Simulation {
         };
         let observing = sink.enabled();
         arena.reset(p as usize, observing);
-        factory.build_into(&ctx, &mut arena.procs)?;
+        factory.populate(&ctx, &mut arena.population)?;
         let RunArena {
             queue,
             send_busy_until,
@@ -241,8 +241,11 @@ impl Simulation {
             recv_queue,
             recv_busy,
             colored_seen,
-            procs,
+            population,
         } = arena;
+        let procs = population
+            .as_deref_mut()
+            .expect("a successful populate fills the slot");
         assert_eq!(procs.len(), p as usize, "factory must build P processes");
 
         let o = self.logp.o();
@@ -257,7 +260,7 @@ impl Simulation {
             ));
             // The root (and any pre-colored rank) is colored at t = 0.
             for r in 0..p {
-                if let Some(via) = procs[r as usize].colored_via() {
+                if let Some(via) = procs.colored_via(r) {
                     colored_seen.set(r as usize);
                     sink.emit(&ObsEvent::sim(
                         Time::ZERO,
@@ -351,9 +354,9 @@ impl Simulation {
                         ));
                     }
                     quiescence = quiescence.max(now);
-                    procs[r as usize].on_message(from, payload, now);
+                    procs.on_message(r, from, payload, now);
                     if observing && !colored_seen.get(r as usize) {
-                        if let Some(via) = procs[r as usize].colored_via() {
+                        if let Some(via) = procs.colored_via(r) {
                             colored_seen.set(r as usize);
                             sink.emit(&ObsEvent::sim(now, ObsEventKind::Colored { rank: r, via }));
                         }
@@ -415,8 +418,8 @@ impl Simulation {
             ));
         }
 
-        let colored_at: Vec<Option<Time>> = procs.iter().map(|p| p.colored_at()).collect();
-        let colored_via = procs.iter().map(|p| p.colored_via()).collect();
+        let colored_at: Vec<Option<Time>> = (0..p).map(|r| procs.colored_at(r)).collect();
+        let colored_via = (0..p).map(|r| procs.colored_via(r)).collect();
         let coloring_latency = colored_at
             .iter()
             .zip(self.faults.mask())
@@ -465,7 +468,7 @@ impl Simulation {
         &self,
         r: Rank,
         now: Time,
-        procs: &mut [Box<dyn Process>],
+        procs: &mut dyn Population,
         queue: &mut EventQueue,
         send_busy_until: &mut [Time],
         done: &mut crate::bits::BitSet,
@@ -477,7 +480,7 @@ impl Simulation {
         wire: u64,
         o: u64,
     ) -> Result<(), SimError> {
-        match procs[r as usize].poll_send(now) {
+        match procs.poll_send(r, now) {
             SendPoll::Now { to, payload } => {
                 debug_assert!(to < self.p, "send target out of range");
                 sent_per_rank[r as usize] += 1;

@@ -25,6 +25,15 @@
 //! the original `(time, class, seq)` ordering; when the window empties
 //! the queue re-bases onto the earliest overflow time and drains the
 //! now-in-window prefix back into buckets, preserving that order.
+//!
+//! Storage: a bucket owns lane vectors only while it has events to
+//! hold. A drained bucket hands its vectors to a LIFO spare list
+//! ([`LanePool`]) and the first push into a lane without storage takes
+//! the most recently retired one, so the queue retains about
+//! `o + L + 2` buckets' worth of lanes — the steps that are live at
+//! once, each as wide as the widest step — instead of one set for every
+//! time step a run ever reached, and every push writes to memory that
+//! was read a step or two ago.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -122,25 +131,68 @@ struct Bucket {
     repoll: Vec<Rank>,
 }
 
+/// Lane vectors no bucket is using, most recently retired last.
+#[derive(Debug, Default)]
+struct LanePool {
+    arrive: Vec<Vec<PackedArrive>>,
+    /// Shared by the three rank lanes.
+    ranks: Vec<Vec<Rank>>,
+}
+
+/// Empty `lane` and hand its storage, if it has any, to `spare`.
+fn retire<T>(lane: &mut Vec<T>, spare: &mut Vec<Vec<T>>) {
+    if lane.capacity() != 0 {
+        lane.clear();
+        spare.push(std::mem::take(lane));
+    }
+}
+
+/// Append to `lane`, which takes the warmest spare if it has no storage.
+#[inline]
+fn append<T>(lane: &mut Vec<T>, spare: &mut Vec<Vec<T>>, item: T) {
+    if lane.capacity() == 0 {
+        adopt(lane, spare);
+    }
+    lane.push(item);
+}
+
+/// Once per lane and time step, against a push per event: kept out of
+/// line (as is [`Bucket::retire`]) so that the per-event code of `push`
+/// and `pop` stays what it is without a pool — inlined, the two cost
+/// the cache-resident P = 1024 repetition 1–2 %.
+#[cold]
+#[inline(never)]
+fn adopt<T>(lane: &mut Vec<T>, spare: &mut Vec<Vec<T>>) {
+    if let Some(warm) = spare.pop() {
+        *lane = warm;
+    }
+}
+
 impl Bucket {
-    fn clear(&mut self) {
-        self.arrive.clear();
-        self.recv_done.clear();
-        self.sender_free.clear();
-        self.repoll.clear();
+    /// Drop every event and give the lanes' storage back to `pool`.
+    #[inline(never)]
+    fn retire(&mut self, pool: &mut LanePool) {
+        retire(&mut self.arrive, &mut pool.arrive);
+        retire(&mut self.recv_done, &mut pool.ranks);
+        retire(&mut self.sender_free, &mut pool.ranks);
+        retire(&mut self.repoll, &mut pool.ranks);
     }
 
     /// Append an event to its class lane.
-    fn push(&mut self, rank: Rank, kind: EventKind) {
+    #[inline]
+    fn push(&mut self, rank: Rank, kind: EventKind, pool: &mut LanePool) {
         match kind {
-            EventKind::Arrive { from, payload } => self.arrive.push(PackedArrive {
-                to: rank,
-                from,
-                payload: pack_payload(payload),
-            }),
-            EventKind::RecvDone => self.recv_done.push(rank),
-            EventKind::SenderFree => self.sender_free.push(rank),
-            EventKind::Repoll => self.repoll.push(rank),
+            EventKind::Arrive { from, payload } => {
+                let packed = PackedArrive {
+                    to: rank,
+                    from,
+                    payload: pack_payload(payload),
+                };
+                append(&mut self.arrive, &mut pool.arrive, packed);
+            }
+            EventKind::RecvDone => append(&mut self.recv_done, &mut pool.ranks, rank),
+            EventKind::SenderFree => append(&mut self.sender_free, &mut pool.ranks, rank),
+            EventKind::Repoll => append(&mut self.repoll, &mut pool.ranks, rank),
         }
     }
 
@@ -192,8 +244,8 @@ impl Ord for Overflow {
     }
 }
 
-/// The queue. [`EventQueue::reset`] retains every allocation, so a
-/// reused queue runs allocation-free once warm.
+/// The queue. [`EventQueue::reset`] retains every allocation (in the
+/// lane pool), so a reused queue runs allocation-free once warm.
 pub(crate) struct EventQueue {
     /// Absolute time of `buckets[0]`.
     base: u64,
@@ -206,6 +258,7 @@ pub(crate) struct EventQueue {
     /// Pending (pushed, not yet popped) events resident in buckets.
     len: usize,
     buckets: Vec<Bucket>,
+    spare: LanePool,
     overflow: BinaryHeap<Reverse<Overflow>>,
     /// Monotone push counter, reproducing the heap's tie-break.
     seq: u64,
@@ -220,6 +273,7 @@ impl EventQueue {
             pos: 0,
             len: 0,
             buckets: (0..WINDOW).map(|_| Bucket::default()).collect(),
+            spare: LanePool::default(),
             overflow: BinaryHeap::new(),
             seq: 0,
         }
@@ -227,8 +281,17 @@ impl EventQueue {
 
     /// Empty the queue for a fresh run, keeping all backing storage.
     pub(crate) fn reset(&mut self) {
-        for bucket in self.buckets.iter_mut() {
-            bucket.clear();
+        // A bucket has storage only while it has events, and those
+        // behind the cursor are drained: a run that emptied the queue
+        // leaves at most the cursor bucket to retire, one that was cut
+        // short everything from there on.
+        let end = if self.len == 0 {
+            WINDOW.min(self.cursor + 1)
+        } else {
+            WINDOW
+        };
+        for bucket in &mut self.buckets[self.cursor..end] {
+            bucket.retire(&mut self.spare);
         }
         self.overflow.clear();
         self.base = 0;
@@ -256,7 +319,7 @@ impl EventQueue {
                 b > self.cursor || (b == self.cursor && kind.class() as usize >= self.lane),
                 "event scheduled into an already-drained lane (time did not advance)"
             );
-            self.buckets[b].push(rank, kind);
+            self.buckets[b].push(rank, kind, &mut self.spare);
             self.len += 1;
         } else {
             self.overflow.push(Reverse(Overflow {
@@ -272,7 +335,12 @@ impl EventQueue {
     pub(crate) fn pop(&mut self) -> Option<(Time, Rank, EventKind)> {
         loop {
             if self.len == 0 {
-                // Window exhausted; jump straight to the overflow.
+                // Window exhausted: whatever the cursor bucket still
+                // holds is consumed. Jump straight to the overflow.
+                if self.cursor < WINDOW {
+                    self.buckets[self.cursor].retire(&mut self.spare);
+                    self.pos = 0;
+                }
                 if self.overflow.is_empty() {
                     return None;
                 }
@@ -287,10 +355,10 @@ impl EventQueue {
                 self.lane += 1;
                 self.pos = 0;
             }
-            // Bucket fully drained: release its storage for this window
-            // and move on. (Consumed events stay in the lane vectors
-            // until this point.)
-            self.buckets[self.cursor].clear();
+            // Bucket fully drained: its lanes go back to the pool.
+            // (Consumed events stay in the lane vectors until this
+            // point.)
+            self.buckets[self.cursor].retire(&mut self.spare);
             self.lane = 0;
             self.pos = 0;
             self.cursor += 1;
@@ -309,9 +377,6 @@ impl EventQueue {
     /// `(time, class, seq)`, so lane append order stays sequence order.
     fn rebase(&mut self) {
         debug_assert_eq!(self.len, 0);
-        if self.cursor < WINDOW {
-            self.buckets[self.cursor].clear();
-        }
         self.base = self
             .overflow
             .peek()
@@ -328,7 +393,7 @@ impl EventQueue {
                 break;
             }
             let Reverse(ev) = self.overflow.pop().expect("just peeked");
-            self.buckets[idx as usize].push(ev.rank, ev.kind);
+            self.buckets[idx as usize].push(ev.rank, ev.kind, &mut self.spare);
             self.len += 1;
         }
     }
@@ -494,6 +559,96 @@ mod tests {
         q.push(t, 5, EventKind::RecvDone);
         let order: Vec<Rank> = std::iter::from_fn(|| q.pop()).map(|(_, r, _)| r).collect();
         assert_eq!(order, vec![6, 7, 5, 8, 9]);
+    }
+
+    impl EventQueue {
+        /// `(arrival lanes, rank lanes)` that hold storage, as
+        /// `[in buckets, spare]`.
+        fn lanes_with_storage(&self) -> ([usize; 2], [usize; 2]) {
+            let arrive = self.buckets.iter().filter(|b| b.arrive.capacity() != 0);
+            let ranks = self
+                .buckets
+                .iter()
+                .flat_map(|b| [&b.recv_done, &b.sender_free, &b.repoll])
+                .filter(|lane| lane.capacity() != 0);
+            (
+                [arrive.count(), self.spare.arrive.len()],
+                [ranks.count(), self.spare.ranks.len()],
+            )
+        }
+    }
+
+    #[test]
+    fn lane_storage_is_bounded_by_the_steps_live_at_once() {
+        use crate::{FaultPlan, RunArena, Simulation};
+        use ct_core::correction::CorrectionKind;
+        use ct_core::protocol::BroadcastSpec;
+        use ct_core::tree::TreeKind;
+        use ct_logp::LogP;
+
+        let p = 4096;
+        let logp = LogP::PAPER;
+        let spec = BroadcastSpec::corrected_tree(TreeKind::BINOMIAL, CorrectionKind::Checked);
+        let mut arena = RunArena::new();
+        for seed in [1, 2, 3] {
+            let plan = FaultPlan::random_count(p, p / 100, seed).unwrap();
+            let sim = Simulation::builder(p, logp).faults(plan).build();
+            let out = sim.run_reusable(&spec, &mut arena).unwrap();
+            assert!(out.all_live_colored());
+            assert!(out.quiescence.steps() > 40, "many more steps than lanes");
+            // Nothing stays in a drained bucket. Arrivals are pending
+            // for the o+L+1 steps t ..= t+o+L at once, port events for
+            // the two steps t and t+o (a `RecvDone` and a `SenderFree`
+            // lane each): that is all the storage there is, and a
+            // second and third run do not add to it.
+            let (arrive, ranks) = arena.queue.lanes_with_storage();
+            assert_eq!(
+                arrive,
+                [0, (logp.o() + logp.l() + 1) as usize],
+                "seed {seed}"
+            );
+            assert_eq!(ranks, [0, 4], "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_push_after_reset_writes_to_the_warmest_spare_lane() {
+        let mut q = EventQueue::new();
+        for t in 1..=3 {
+            q.push(Time::new(t), 7, EventKind::SenderFree);
+        }
+        while q.pop().is_some() {}
+        assert_eq!(q.lanes_with_storage(), ([0, 0], [0, 3]));
+        q.reset();
+        let warmest = q.spare.ranks.last().expect("three spares").as_ptr();
+        q.push(Time::new(9), 1, EventKind::RecvDone);
+        assert_eq!(
+            q.buckets[9].recv_done.as_ptr(),
+            warmest,
+            "no new allocation"
+        );
+        assert_eq!(q.lanes_with_storage(), ([0, 0], [1, 2]));
+        // A run cut short gives its pending lanes back on reset.
+        q.reset();
+        assert_eq!(q.lanes_with_storage(), ([0, 0], [0, 3]));
+        assert_eq!(q.spare.ranks.last().unwrap().as_ptr(), warmest);
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn rebased_windows_refill_from_the_pool() {
+        // Events more than a window apart: each rebase finds the lane
+        // the previous window retired, so one lane serves them all.
+        let mut q = EventQueue::new();
+        for (i, t) in [0, 5_000, 10_000, u64::MAX].into_iter().enumerate() {
+            q.push(Time::new(t), i as Rank, EventKind::Repoll);
+        }
+        for i in 0..4 {
+            assert_eq!(q.pop().map(|(_, r, _)| r), Some(i));
+            assert_eq!(q.lanes_with_storage(), ([0, 0], [1, 0]), "pop {i}");
+        }
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.lanes_with_storage(), ([0, 0], [0, 1]));
     }
 
     #[test]

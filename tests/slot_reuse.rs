@@ -1,16 +1,20 @@
-//! `BroadcastSpec::build_into` re-initialises the previous broadcast's
-//! machines in place. Whatever state they were left in — and whatever
-//! root or numbering they ran under — the rebuilt set must behave
-//! exactly like a fresh `build`: same message trace under a
-//! deterministic FIFO pump, for every correction kind.
+//! `BroadcastSpec::build_into` (the cluster's boxes) and
+//! `BroadcastSpec::populate` (the simulator's by-value population)
+//! re-initialise the previous broadcast's machines in place. Whatever
+//! state they were left in — and whatever root or numbering they ran
+//! under — the rebuilt set must behave exactly like a fresh one: same
+//! message trace under a deterministic FIFO pump, for every correction
+//! kind.
 
 use std::collections::VecDeque;
 
 use corrected_trees::core::correction::CorrectionKind;
 use corrected_trees::core::protocol::{
-    BroadcastSpec, BuildCtx, Payload, Process, ProtocolFactory, SendPoll,
+    BroadcastSpec, BuildCtx, CorrectedTreeProcess, Payload, Population, Process, ProtocolFactory,
+    SendPoll,
 };
 use corrected_trees::core::tree::{Ordering, TreeKind};
+use corrected_trees::gossip::GossipSpec;
 use corrected_trees::logp::{LogP, Rank, Time};
 use corrected_trees::sim::FaultPlan;
 
@@ -38,11 +42,13 @@ enum Item {
 /// returns every send as `(now, from, to, payload)` plus the coloring.
 #[allow(clippy::type_complexity)]
 fn pump(
-    procs: &mut [Box<dyn Process>],
+    procs: &mut dyn Population,
     dead: &[bool],
 ) -> (Vec<(Time, Rank, Rank, Payload)>, Vec<Option<Time>>) {
     let mut now = Time::ZERO;
-    let mut queue: VecDeque<Item> = (0..procs.len() as Rank)
+    let ranks = 0..procs.len() as Rank;
+    let mut queue: VecDeque<Item> = ranks
+        .clone()
         .filter(|&r| !dead[r as usize])
         .map(Item::Poll)
         .collect();
@@ -50,7 +56,7 @@ fn pump(
     let mut trace = Vec::new();
     loop {
         match queue.pop_front() {
-            Some(Item::Poll(r)) => match procs[r as usize].poll_send(now) {
+            Some(Item::Poll(r)) => match procs.poll_send(r, now) {
                 SendPoll::Now { to, payload } => {
                     trace.push((now, r, to, payload));
                     if !dead[to as usize] {
@@ -63,7 +69,7 @@ fn pump(
                 SendPoll::Idle | SendPoll::Done => {}
             },
             Some(Item::Deliver { to, from, payload }) => {
-                procs[to as usize].on_message(from, payload, now);
+                procs.on_message(to, from, payload, now);
                 queue.push_back(Item::Poll(to));
             }
             None => match parked.iter().map(|&(t, _)| t).min() {
@@ -80,7 +86,7 @@ fn pump(
             },
         }
     }
-    (trace, procs.iter().map(|p| p.colored_at()).collect())
+    (trace, ranks.map(|r| procs.colored_at(r)).collect())
 }
 
 fn kinds() -> Vec<CorrectionKind> {
@@ -191,4 +197,68 @@ fn build_into_falls_back_to_build_when_slots_cannot_be_reused() {
     });
     assert!(zero_ary.build_into(&ctx(0), &mut procs).is_err());
     assert!(procs.is_empty());
+}
+
+/// Address of the store a population slot holds.
+fn store(slot: &Option<Box<dyn Population>>) -> *const () {
+    slot.as_deref().expect("populated") as *const dyn Population as *const ()
+}
+
+#[test]
+fn a_population_slot_handed_from_spec_to_spec_equals_a_fresh_one_at_every_step() {
+    // The by-value element is the bare machine: no relabeling per rank.
+    let element = std::mem::size_of::<CorrectedTreeProcess>();
+    assert!(element <= 104, "by-value element is {element} bytes");
+
+    let plain = BroadcastSpec::corrected_tree(TreeKind::BINOMIAL, CorrectionKind::Checked);
+    let failure_proof =
+        BroadcastSpec::corrected_tree_sync(TreeKind::LAME2, CorrectionKind::FailureProof);
+    // Round-limited: the pump holds time still while messages fly.
+    let gossip = GossipSpec::round_limited(8, CorrectionKind::Checked);
+    // (factory, P, does it rewind the store the previous step left?)
+    let steps: [(&dyn ProtocolFactory, u32, bool); 8] = [
+        (&plain, P, false),
+        (&plain.with_root(19), P, true),
+        (&plain.with_shuffle(0xBEEF), P, true),
+        (&failure_proof, P, true),
+        (&failure_proof, 48, true),
+        (&plain, 80, true),
+        // A foreign factory falls back to a vector of boxes ...
+        (&gossip, 80, false),
+        // ... which a spec cannot rewind.
+        (&plain, P, false),
+    ];
+    let mut slot: Option<Box<dyn Population>> = None;
+    for (i, &(factory, p, rewinds)) in steps.iter().enumerate() {
+        let ctx = BuildCtx { p, ..ctx(i as u64) };
+        let dead = FaultPlan::from_ranks(p, &[1, 2, 33, 34, 35]).unwrap();
+        let label = factory.label();
+
+        let before = slot.as_ref().map(|_| store(&slot));
+        factory.populate(&ctx, &mut slot).unwrap();
+        let reused = before == Some(store(&slot));
+        assert_eq!(reused, rewinds, "step {i} ({label}, P={p})");
+
+        let mut fresh = None;
+        factory.populate(&ctx, &mut fresh).unwrap();
+        // The pump leaves the slot dirty for the next step: machines
+        // uncolored, correction-colored, mid-correction and done.
+        let handed_on = pump(slot.as_deref_mut().unwrap(), dead.mask());
+        assert_eq!(
+            handed_on,
+            pump(fresh.as_deref_mut().unwrap(), dead.mask()),
+            "step {i} ({label}, P={p})"
+        );
+        assert!(handed_on.0.len() >= p as usize - 1);
+    }
+
+    // A spec that does not build leaves nothing of its own to run.
+    assert!(plain.with_root(P).populate(&ctx(0), &mut slot).is_err());
+    plain.populate(&ctx(0), &mut slot).unwrap();
+    let mut fresh = plain.build(&ctx(0)).unwrap();
+    let dead = vec![false; P as usize];
+    assert_eq!(
+        pump(slot.as_deref_mut().unwrap(), &dead),
+        pump(&mut fresh, &dead)
+    );
 }
