@@ -18,11 +18,8 @@
 //! - [`forensics`] joins a trace with the tree topology and fault mask
 //!   into per-failure impact reports (orphaned subtrees, rescue
 //!   provenance, added latency) and a run-level [`WasteReport`];
-//! - [`bench`] persists campaign metrics as `BENCH_<name>.json`
-//!   snapshots and diffs them for perf-regression tracking
-//!   (`ct perf diff`);
 //! - [`scheduler`] parses `ct-telemetry-v1` runtime snapshots (from
-//!   `ct stats` or bench manifests) and renders scheduler health
+//!   `ct stats` or figure manifests) and renders scheduler health
 //!   summaries (`ct analyze --view scheduler`);
 //! - [`postmortem`] parses `ct-postmortem-v1` flight-recorder dumps
 //!   and renders per-stranded-rank causal reconstructions
@@ -39,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod critical;
 pub mod dag;
 pub mod forensics;
@@ -50,7 +46,6 @@ pub mod summary;
 pub mod trace;
 pub mod value;
 
-pub use bench::{BenchSnapshot, MetricDelta, PerfDiff};
 pub use critical::{CostClass, CriticalPath, Segment};
 pub use dag::{CausalDag, EdgeKind, Node, NodeKind};
 pub use forensics::{analyze_forensics, FailureImpact, ForensicsReport, OrphanRescue, WasteReport};

@@ -1,7 +1,7 @@
 //! A minimal JSON reader — the counterpart of `ct_obs::json`'s writer.
 //!
 //! The workspace is built fully offline (no serde); everything the
-//! analyzer reads back (JSONL traces, `BENCH_*.json` snapshots, run
+//! analyzer reads back (JSONL traces, telemetry snapshots, run
 //! manifests) was written by our own deterministic writer, so a small
 //! recursive-descent parser over the full JSON grammar is sufficient.
 //! Numbers are held as `f64` — every value we serialize (step counts,

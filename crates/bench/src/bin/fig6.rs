@@ -5,9 +5,7 @@
 
 use std::time::Instant;
 
-use ct_bench::{
-    analysis_campaign, emit_with_manifest, with_analysis, write_bench_snapshot, Args, RunManifest,
-};
+use ct_bench::{analysis_campaign, emit_with_manifest, with_analysis, Args, RunManifest};
 use ct_core::tree::TreeKind;
 use ct_exp::fig6::{run, to_csv, Fig6Config};
 use ct_exp::{FaultSpec, Variant};
@@ -44,5 +42,4 @@ fn main() {
     );
     let manifest = with_analysis(manifest, &probe);
     emit_with_manifest("fig6", &to_csv(&rows), &args, manifest);
-    write_bench_snapshot("fig6", &probe, &args);
 }

@@ -1,19 +1,17 @@
-//! # ct-bench — benchmark harness and figure regenerators
+//! # ct-bench — figure and table regenerators
 //!
-//! Two complementary entry points:
+//! The binaries (`src/bin/fig*.rs`, `table1.rs`, …) regenerate the
+//! paper's tables and figures: each prints the figure's series as an
+//! aligned table and writes `results/<name>.csv` plus a
+//! `results/<name>.meta.json` provenance manifest (seed, parameters,
+//! git revision, wall time — see [`ct_obs::RunManifest`]). Flags:
+//! `--paper` switches to the paper's scale, `--p N`, `--reps N`,
+//! `--seed N` override individual knobs, `--out DIR` redirects CSV
+//! output. This library is what they share: the argv parser, the
+//! manifest's analysis block and the CSV / manifest emitters.
 //!
-//! * **Binaries** (`src/bin/fig*.rs`, `table1.rs`) regenerate the
-//!   paper's tables and figures: each prints the figure's series as an
-//!   aligned table and writes `results/<name>.csv` plus a
-//!   `results/<name>.meta.json` provenance manifest (seed, parameters,
-//!   git revision, wall time — see [`ct_obs::RunManifest`]). Flags:
-//!   `--paper` switches to the paper's scale, `--p N`, `--reps N`,
-//!   `--seed N` override individual knobs, `--out DIR` redirects CSV
-//!   output.
-//! * **Criterion benches** (`benches/`) measure the cost of the
-//!   protocols and of the simulator itself at fixed small scales, one
-//!   bench group per experiment, so regressions in any reproduced
-//!   pipeline show up in `cargo bench`.
+//! Speed is measured elsewhere: `benchmark/run.sh` (see
+//! `benchmark/README.md`) is the repo's one performance benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -99,30 +97,6 @@ pub fn with_analysis(manifest: RunManifest, campaign: &Campaign) -> RunManifest 
         Err(e) => {
             eprintln!("[analysis block skipped: {e:?}]");
             manifest
-        }
-    }
-}
-
-/// Run `campaign` under analysis and write its perf snapshot to
-/// `<out>/BENCH_<name>.json` — the baseline/candidate input of
-/// `ct perf diff`.
-pub fn write_bench_snapshot(name: &str, campaign: &Campaign, args: &Args) -> Option<PathBuf> {
-    let ca = match analyze_campaign(campaign) {
-        Ok(ca) => ca,
-        Err(e) => {
-            eprintln!("[bench snapshot skipped: {e:?}]");
-            return None;
-        }
-    };
-    let path = args.out_dir().join(format!("BENCH_{name}.json"));
-    match ca.bench_snapshot(name, campaign).write(&path) {
-        Ok(()) => {
-            println!("[bench snapshot {}]", path.display());
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("[could not write {}: {e}]", path.display());
-            None
         }
     }
 }

@@ -211,7 +211,7 @@ mod tests {
                 total += 1;
                 assert!(total < 10, "reply ping-pong detected");
             }
-            now = now + 1u64;
+            now += 1u64;
         }
         // Two first-sends plus at most one reply each.
         assert!(total <= 4, "{total} messages on a 2-ring");

@@ -151,8 +151,8 @@ mod tests {
     #[test]
     fn fault_free_reduction_delivers_everything() {
         let t = tree(128);
-        let out = simulate(&t, 4, &vec![false; 128], &LogP::PAPER);
-        assert!(out.all_live_delivered(&vec![false; 128]));
+        let out = simulate(&t, 4, &[false; 128], &LogP::PAPER);
+        assert!(out.all_live_delivered(&[false; 128]));
         assert_eq!(out.ring_messages, 128 * 4);
         assert_eq!(out.gather_messages, 127);
     }

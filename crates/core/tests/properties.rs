@@ -90,7 +90,8 @@ proptest! {
             TreeKind::Optimal { order: Ordering::Interleaved },
             TreeKind::Kary { k: 1, order: Ordering::InOrder }, // chain: trivially interleaved
         ][which];
-        let logp = if matches!(kind, TreeKind::Optimal { .. }) && logp.l() % logp.o() != 0 {
+        let optimal = matches!(kind, TreeKind::Optimal { .. });
+        let logp = if optimal && !logp.l().is_multiple_of(logp.o()) {
             // Snap to the nearest o-divisible latency for optimal trees.
             LogP::new(logp.l().div_ceil(logp.o()) * logp.o(), logp.o(), 1).expect("valid")
         } else {

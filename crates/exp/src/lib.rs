@@ -40,7 +40,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod perf;
-pub mod pubsub;
 pub mod resilience;
 pub mod scale;
 pub mod table1;
@@ -49,6 +48,5 @@ pub mod variants;
 
 pub use campaign::{default_threads, Campaign, FaultSpec, RunRecord};
 pub use perf::{analyze_campaign, CampaignAnalysis};
-pub use pubsub::{run_pubsub_bench, PubsubBench, PubsubCell};
 pub use scale::{run_scale, ScaleConfig, ScaleReport};
 pub use variants::Variant;

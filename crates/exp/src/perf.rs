@@ -1,19 +1,15 @@
-//! Campaign-level trace analysis and perf-regression snapshots.
+//! Campaign-level trace analysis.
 //!
 //! Bridges [`Campaign`] to `ct-analyze`: every repetition is run with
 //! an event sink, its causal DAG analyzed, and the per-repetition
-//! results aggregated into (a) an *analysis block* that figure
-//! binaries attach to their run manifests and (b) a [`BenchSnapshot`]
-//! (`BENCH_<name>.json`) that `ct perf diff` compares across commits
-//! to catch performance regressions of the protocols themselves.
+//! results aggregated into the *analysis block* that figure binaries
+//! attach to their run manifests.
 
 use ct_analyze::{
-    analyze_rep, AnalysisSummary, AnalyzeConfig, BenchSnapshot, RepAnalysis, TraceAnalysis,
-    WasteReport,
+    analyze_rep, AnalysisSummary, AnalyzeConfig, RepAnalysis, TraceAnalysis, WasteReport,
 };
 use std::sync::Arc;
 
-use ct_core::protocol::ProtocolFactory;
 use ct_obs::health::{HealthConfig, HealthEngine, HealthEvent};
 use ct_obs::json::JsonObject;
 use ct_obs::metrics::Histogram;
@@ -49,8 +45,8 @@ pub struct CampaignAnalysis {
 /// Run every repetition of `campaign` under an event sink and analyze
 /// each trace — causal DAG, invariant monitor and waste accounting in
 /// one pass. Costs one traced (allocating) simulation per
-/// repetition — meant for analysis passes and snapshot generation,
-/// not for the hot path of large campaigns.
+/// repetition — meant for analysis passes, not for the hot path of
+/// large campaigns.
 pub fn analyze_campaign(campaign: &Campaign) -> Result<CampaignAnalysis, CampaignError> {
     let mut cfg = AnalyzeConfig::new(campaign.logp).with_p(campaign.p);
     if let Some(start) = campaign.variant.sync_start(campaign.p, &campaign.logp) {
@@ -148,48 +144,6 @@ impl CampaignAnalysis {
         obj.field_raw("health", &health);
         obj.finish()
     }
-
-    /// Distill into a named perf snapshot. All metrics are
-    /// lower-is-better so `ct perf diff` can flag growth generically.
-    pub fn bench_snapshot(&self, name: &str, campaign: &Campaign) -> BenchSnapshot {
-        let s = self.summary();
-        let h = self.completion_histogram();
-        let n = self.records.len().max(1) as f64;
-        let messages_mean = self.records.iter().map(|r| r.messages as f64).sum::<f64>() / n;
-        let mpp_mean = self
-            .records
-            .iter()
-            .map(|r| r.messages_per_process)
-            .sum::<f64>()
-            / n;
-        let uncolored_mean = self
-            .records
-            .iter()
-            .map(|r| f64::from(r.uncolored))
-            .sum::<f64>()
-            / n;
-        BenchSnapshot::new(name)
-            .with_host_provenance()
-            .with_provenance("variant", &campaign.variant.label())
-            .with_provenance("p", &campaign.p.to_string())
-            .with_provenance("logp", &campaign.logp.to_string())
-            .with_provenance("faults", &format!("{:?}", campaign.faults))
-            .with_provenance("reps", &campaign.reps.to_string())
-            .with_provenance("seed0", &campaign.seed0.to_string())
-            .with_metric("completion_mean", s.completion.1)
-            .with_metric("completion_max", s.completion.2 as f64)
-            .with_metric("completion_p50", h.p50().unwrap_or(0.0))
-            .with_metric("completion_p95", h.p95().unwrap_or(0.0))
-            .with_metric("completion_p99", h.p99().unwrap_or(0.0))
-            .with_metric("critpath_len_mean", s.critpath_len_mean)
-            .with_metric("critpath_hops_mean", s.hops_mean)
-            .with_metric("messages_mean", messages_mean)
-            .with_metric("messages_per_process_mean", mpp_mean)
-            .with_metric("uncolored_mean", uncolored_mean)
-            .with_metric("bounds_violations", f64::from(s.bounds.1))
-            .with_metric("monitor_violations", self.monitor.violations.len() as f64)
-            .with_metric("wasted_sends_mean", self.waste.wasted_total() as f64 / n)
-    }
 }
 
 #[cfg(test)]
@@ -253,8 +207,6 @@ mod tests {
         // must still be stamped so manifests are self-describing.
         assert!(ca.health.is_empty(), "{:?}", ca.health);
         assert!(json.ends_with(r#""health":[]}"#), "{json}");
-        let snap = ca.bench_snapshot("unit", &c);
-        assert_eq!(snap.metrics["monitor_violations"], 0.0);
     }
 
     #[test]
@@ -271,18 +223,6 @@ mod tests {
             assert_eq!(b.g_max, 0);
             assert!(!b.violated(), "fault-free run violated Lemma 3: {b:?}");
         }
-    }
-
-    #[test]
-    fn snapshot_self_diff_is_clean() {
-        let c = small_campaign();
-        let ca = analyze_campaign(&c).unwrap();
-        let snap = ca.bench_snapshot("unit", &c);
-        assert_eq!(snap.provenance["p"], "16");
-        assert!(snap.provenance.contains_key("host.worker_threads"));
-        assert!(snap.metrics["completion_mean"] > 0.0);
-        let diff = ct_analyze::PerfDiff::diff(&snap, &snap, 0.05);
-        assert!(diff.regressions().is_empty());
     }
 
     /// The analysis pass records one telemetry repetition per campaign

@@ -21,15 +21,12 @@
 //! parallel generator ([`crate::FaultSpec::ChunkedCount`]) so plan
 //! construction never dominates a repetition.
 //!
-//! Consumed by `ct scale` and the `fig_scale` binary, which render the
-//! report as a table/CSV and distill it into the tracked
-//! `results/BENCH_sim_scale.json` snapshot (ns/event per `P` plus peak
-//! RSS, lower is better).
+//! Consumed by the `fig_scale` binary, which renders the report as a
+//! table/CSV and exits non-zero on any violation.
 
 use std::time::Instant;
 
 use ct_analysis::{lff_scc, lff_scc_discrete, lscc_bounds, m_scc_discrete};
-use ct_analyze::BenchSnapshot;
 use ct_core::protocol::ProtocolFactory;
 use ct_core::tree::TreeKind;
 use ct_logp::LogP;
@@ -132,8 +129,7 @@ pub struct ScaleCell {
 }
 
 impl ScaleCell {
-    /// Wall nanoseconds per simulator event (the throughput metric the
-    /// tracked snapshot carries per `P`).
+    /// Wall nanoseconds per simulator event.
     pub fn ns_per_event(&self) -> f64 {
         self.wall_ns as f64 / self.events.max(1) as f64
     }
@@ -305,11 +301,6 @@ fn check_cell(cell: &ScaleCell, logp: &LogP, violations: &mut Vec<String>) {
 }
 
 impl ScaleReport {
-    /// The cells at the largest swept `P`.
-    fn max_p(&self) -> u32 {
-        self.cells.iter().map(|c| c.p).max().unwrap_or(0)
-    }
-
     /// Aggregate ns/event over all cells at process count `p`.
     pub fn ns_per_event_at(&self, p: u32) -> f64 {
         let (wall, events) = self
@@ -318,57 +309,6 @@ impl ScaleReport {
             .filter(|c| c.p == p)
             .fold((0u64, 0u64), |(w, e), c| (w + c.wall_ns, e + c.events));
         wall as f64 / events.max(1) as f64
-    }
-
-    /// Distill into the tracked `BENCH_sim_scale` snapshot: one
-    /// ns/event metric per swept `P`, the process's peak RSS (probed
-    /// now — after the largest-`P` cells ran), and per-cell latency and
-    /// message series as provenance.
-    pub fn bench_snapshot(&self, cfg: &ScaleConfig) -> BenchSnapshot {
-        let mut snap = BenchSnapshot::new("sim_scale")
-            .with_host_provenance()
-            .with_provenance("tree", &cfg.tree.label())
-            .with_provenance("logp", &cfg.logp.to_string())
-            .with_provenance("reps", &cfg.reps.to_string())
-            .with_provenance("seed0", &cfg.seed0.to_string())
-            .with_provenance("rate", &format!("{}", cfg.rate))
-            .with_provenance("max_p", &self.max_p().to_string())
-            .with_provenance("violations", &self.violations.len().to_string())
-            .with_metric("peak_rss_kb", ct_obs::manifest::peak_rss_kb() as f64);
-        let mut seen = Vec::new();
-        for cell in &self.cells {
-            if !seen.contains(&cell.p) {
-                seen.push(cell.p);
-                snap = snap.with_metric(
-                    &format!("ns_per_event_p{}", cell.p),
-                    self.ns_per_event_at(cell.p),
-                );
-            }
-            let key = format!(
-                "p{}_{}_{}",
-                cell.p,
-                if cell.checked_sync { "scc" } else { "opp4" },
-                if cell.faults == 0 { "ff" } else { "faulty" }
-            );
-            snap = snap
-                .with_provenance(
-                    &format!("quiescence_mean_{key}"),
-                    &format!("{:.1}", cell.quiescence_mean()),
-                )
-                .with_provenance(
-                    &format!("messages_per_process_{key}"),
-                    &format!("{:.3}", cell.messages_per_process_mean()),
-                );
-            if cell.faults > 0 {
-                snap = snap
-                    .with_provenance(&format!("g_max_{key}"), &cell.g_max().to_string())
-                    .with_provenance(
-                        &format!("uncolored_mean_{key}"),
-                        &format!("{:.2}", cell.uncolored_mean()),
-                    );
-            }
-        }
-        snap
     }
 
     /// Render the sweep as CSV (the `fig_scale` series).
@@ -450,6 +390,9 @@ mod tests {
             assert!(cell.events > 0);
             assert!(cell.ns_per_event() > 0.0);
         }
+        // The CSV mirrors the cells one row each.
+        let csv = report.to_csv().to_csv();
+        assert_eq!(csv.lines().count(), 1 + report.cells.len());
         // Fault-free checked cells hit Lemma 2 / Corollary 1 exactly.
         let ff = report
             .cells
@@ -484,26 +427,5 @@ mod tests {
         check_cell(cell, &LogP::PAPER, &mut violations);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].contains("Lemma 2"), "{}", violations[0]);
-    }
-
-    #[test]
-    fn snapshot_carries_per_p_metrics_and_peak_rss() {
-        let cfg = ScaleConfig {
-            max_exp: 7,
-            ..tiny()
-        };
-        let report = run_scale(&cfg).unwrap();
-        let snap = report.bench_snapshot(&cfg);
-        assert_eq!(snap.name, "sim_scale");
-        assert!(snap.metrics.contains_key("ns_per_event_p64"));
-        assert!(snap.metrics.contains_key("ns_per_event_p128"));
-        assert!(snap.metrics.contains_key("peak_rss_kb"));
-        assert_eq!(snap.provenance["violations"], "0");
-        assert_eq!(snap.provenance["max_p"], "128");
-        assert!(snap.provenance.contains_key("quiescence_mean_p64_scc_ff"));
-        assert!(snap.provenance.contains_key("g_max_p128_opp4_faulty"));
-        // The CSV mirrors the cells one row each.
-        let csv = report.to_csv().to_csv();
-        assert_eq!(csv.lines().count(), 1 + report.cells.len());
     }
 }

@@ -1,8 +1,7 @@
 //! A `Variant` is a thin wrapper: whatever its spec can re-initialise
-//! in place, the variant re-initialises in place. Every campaign,
-//! figure binary, `ct scale` and `ct perf bench` repetition goes
-//! through one, so a variant that only forwarded `build` would allocate
-//! `P` fresh boxes per repetition.
+//! in place, the variant re-initialises in place. Every campaign and
+//! figure-binary repetition goes through one, so a variant that only
+//! forwarded `build` would allocate `P` fresh boxes per repetition.
 
 use ct_core::correction::CorrectionKind;
 use ct_core::protocol::{BroadcastSpec, BuildCtx, Process, ProtocolFactory};

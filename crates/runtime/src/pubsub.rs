@@ -602,7 +602,7 @@ mod tests {
         // breaks the exact count.)
         spec.sync_start_override = Some(20_000);
         let expected = u64::from(p) - 1 + M_PAPER * u64::from(p);
-        for k in [1usize, 4] {
+        let wall = [1usize, 4].map(|k| {
             let mut cluster = Cluster::new(p, LogP::PAPER);
             let mut table = TopicTable::new();
             for t in 0..4 {
@@ -619,7 +619,16 @@ mod tests {
                     o.topic, o.round
                 );
             }
-        }
+            report.elapsed
+        });
+        // Barrier-bound topics pipeline: k=1 sleeps through eight 20 ms
+        // barriers one after another, k=4 through two waves of four.
+        assert!(
+            wall[1] < wall[0] / 2,
+            "no pipelining: k=4 {:?} vs k=1 {:?}",
+            wall[1],
+            wall[0]
+        );
     }
 
     #[test]

@@ -83,10 +83,11 @@ impl RunArena {
 
     /// Bytes of per-rank scalar and receive-queue storage currently
     /// held (approximate). Steady under arena reuse — growth across
-    /// repetitions is allocator churn the perf bench reports. It leaves
-    /// out the two largest structures, the population of protocol
-    /// machines and the event queue's lanes (DESIGN.md §7 *Memory
-    /// layout* has their measured sizes), and the three bitsets.
+    /// repetitions is allocator churn, which the repo benchmark reports
+    /// as `sim.arena_growth_reps`. It leaves out the two largest
+    /// structures, the population of protocol machines and the event
+    /// queue's lanes (DESIGN.md §7 *Memory layout* has their measured
+    /// sizes), and the three bitsets.
     pub fn footprint_bytes(&self) -> usize {
         self.send_busy_until.capacity() * std::mem::size_of::<Time>()
             + self.recv_queue.capacity() * 16

@@ -417,7 +417,7 @@ mod tests {
         }
 
         #[test]
-        fn oneof_draws_every_arm(x in prop_oneof![Just(1u32), Just(2u32), (5u32..7)]) {
+        fn oneof_draws_every_arm(x in prop_oneof![Just(1u32), Just(2u32), 5u32..7]) {
             prop_assert!(x == 1 || x == 2 || x == 5 || x == 6);
         }
     }

@@ -21,30 +21,25 @@ use std::sync::Arc;
 use corrected_trees::analysis::Summary;
 use corrected_trees::analyze::{
     analyze_forensics, analyze_trace, infer_p, parse_jsonl, split_reps, AnalysisSummary,
-    AnalyzeConfig, BenchSnapshot, PerfDiff, PostmortemReport, SchedulerSummary, SeriesSummary,
+    AnalyzeConfig, PostmortemReport, SchedulerSummary, SeriesSummary,
 };
 use corrected_trees::core::correction::CorrectionKind;
-use corrected_trees::core::protocol::{BroadcastSpec, Payload, ProtocolFactory};
+use corrected_trees::core::protocol::{BroadcastSpec, Payload};
 use corrected_trees::core::tree::{interleaving, stats, Ordering, Topology, TreeKind};
-use corrected_trees::exp::{
-    analyze_campaign, pubsub::sync_barrier_us, run_pubsub_bench, run_scale, Campaign, FaultSpec,
-    ScaleConfig, Variant,
-};
+use corrected_trees::exp::{Campaign, FaultSpec, Variant};
 use corrected_trees::logp::LogP;
 use corrected_trees::obs::http::{http_get, monitor_handler, HttpServer};
 use corrected_trees::obs::series::{default_sample_ms, SeriesSample, SeriesStore};
 use corrected_trees::obs::telemetry::{TelemetryHub, TelemetrySnapshot};
-use corrected_trees::obs::{
-    chrome_trace, Event, EventKind, MonitorConfig, MonitorSink, RunManifest, VecSink,
-};
+use corrected_trees::obs::{chrome_trace, Event, EventKind, MonitorConfig, MonitorSink, VecSink};
 use corrected_trees::runtime::{
     default_flight_cap, Cluster, ClusterConfig, PubsubOptions, Topic, TopicTable,
 };
-use corrected_trees::sim::{FaultPlan, RunArena, Simulation, Trace};
+use corrected_trees::sim::{FaultPlan, Simulation, Trace};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: ct <run|tree|sweep|trace|analyze|check|forensics|perf|scale|pubsub|stats|top|serve|monitor|postmortem> [options]\n\
+        "usage: ct <run|tree|sweep|trace|analyze|check|forensics|pubsub|stats|top|serve|monitor|postmortem> [options]\n\
          \n\
          common options:\n\
            --tree <binomial|binomial-inorder|kary<K>|lame<K>|optimal>  (default binomial)\n\
@@ -100,51 +95,6 @@ fn usage() -> ! {
            --json                  machine-readable forensics report\n\
            note: assumes the identity rank mapping — rejects\n\
            --root/--shuffle\n\
-         perf subcommands:\n\
-           perf snapshot --name <N> [run options] [--reps R]\n\
-                                   run a small campaign, write BENCH_<N>.json\n\
-                                   (--out FILE overrides the path)\n\
-           perf diff <old.json> <new.json> [--threshold 0.05]\n\
-                                   compare snapshots; exit 1 on regressions\n\
-           perf bench [--quick] [--p N] [--reps R] [--rate F] [--seed S]\n\
-                                   time the reference simulator campaign\n\
-                                   (checked-sync binomial, rate faults) and\n\
-                                   write results/BENCH_sim_throughput.json\n\
-                                   (--out FILE overrides; metrics are\n\
-                                   ns_per_rep / ns_per_event plus the\n\
-                                   allocator-churn gauge arena_steady_state_reps,\n\
-                                   lower is better; --quick = P 1024, 10 reps)\n\
-           perf bench --runtime [--quick] [--seed S]\n\
-                                   time cluster-runtime broadcasts (fault-free\n\
-                                   plain binomial + 1%-fault corrected opp4) at\n\
-                                   P 256/1024/4096 and write\n\
-                                   results/BENCH_cluster_throughput.json\n\
-                                   (--out FILE overrides; metrics are\n\
-                                   ns_per_broadcast_p<P>_<config>, lower is\n\
-                                   better; --quick = P 256/1024, 5 iters)\n\
-           perf bench --pubsub [--quick] [--seed S]\n\
-                                   time topic-multiplexed broadcasts: k in\n\
-                                   {{1,4,16,64}} concurrent topics at\n\
-                                   P 256/1024/4096, fault-free checked-sync\n\
-                                   (Corollary 1 totals asserted per broadcast)\n\
-                                   and 1%-fault corrected opp4, writing\n\
-                                   results/BENCH_pubsub_throughput.json\n\
-                                   (--out FILE overrides; metrics are\n\
-                                   ns_per_broadcast_p<P>_k<K>_<ff|f1>, lower\n\
-                                   is better; --quick = P 256/1024, k 1/4/16)\n\
-         scale options (P=2^20 scaling study with Lemma 2-3 assertions):\n\
-           ct scale [--quick] [--min-exp E] [--max-exp E] [--step-exp E]\n\
-                    [--reps R] [--rate F] [--seed S] [--threads T]\n\
-                                   sweep P = 2^min-exp .. 2^max-exp (default\n\
-                                   2^12..2^20; --quick caps at 2^16), fault-free\n\
-                                   and chunked-fault cells per correction\n\
-                                   variant, assert checked-sync cells against\n\
-                                   the Lemma 2/3 + Corollary 1 closed forms and\n\
-                                   write results/BENCH_sim_scale.json (--out\n\
-                                   FILE overrides; metrics are ns_per_event_p<P>\n\
-                                   and peak_rss_kb, lower is better)\n\
-                                   exit status: 0 all bounds hold, 1 violations,\n\
-                                   2 usage/I-O error\n\
          pubsub options (topic-multiplexed broadcast walkthrough):\n\
            ct pubsub [--p N] [--k K] [--topics T] [--rounds R]\n\
                      [--faults N] [--seed S]\n\
@@ -365,10 +315,7 @@ fn event_involves(event: &Event, ranks: &[u32]) -> bool {
 
 fn cmd_run(cli: &Cli) {
     let p: u32 = cli.parsed("--p", 1024);
-    let logp: LogP = cli
-        .value("--logp")
-        .map(|s| s.parse().expect("valid LogP string"))
-        .unwrap_or(LogP::PAPER);
+    let logp: LogP = cli.parsed("--logp", LogP::PAPER);
     let seed: u64 = cli.parsed("--seed", 1);
     let spec = build_spec(cli);
     let plan = faults(cli, p, seed, spec.root);
@@ -412,10 +359,7 @@ fn report(out: &corrected_trees::sim::Outcome, failed: &[u32]) {
 
 fn cmd_trace(cli: &Cli) {
     let p: u32 = cli.parsed("--p", 16);
-    let logp: LogP = cli
-        .value("--logp")
-        .map(|s| s.parse().expect("valid LogP string"))
-        .unwrap_or(LogP::PAPER);
+    let logp: LogP = cli.parsed("--logp", LogP::PAPER);
     let seed: u64 = cli.parsed("--seed", 1);
     let spec = build_spec(cli);
     let plan = faults(cli, p, seed, spec.root);
@@ -457,10 +401,7 @@ fn cmd_trace(cli: &Cli) {
 
 fn cmd_tree(cli: &Cli) {
     let p: u32 = cli.parsed("--p", 16);
-    let logp: LogP = cli
-        .value("--logp")
-        .map(|s| s.parse().expect("valid LogP string"))
-        .unwrap_or(LogP::PAPER);
+    let logp: LogP = cli.parsed("--logp", LogP::PAPER);
     let kind = parse_tree(cli.value("--tree").unwrap_or("binomial"));
     let tree = kind.build(p, &logp).expect("valid tree");
     let s = stats::tree_stats(&tree);
@@ -485,10 +426,7 @@ fn cmd_tree(cli: &Cli) {
 
 fn cmd_sweep(cli: &Cli) {
     let p: u32 = cli.parsed("--p", 1024);
-    let logp: LogP = cli
-        .value("--logp")
-        .map(|s| s.parse().expect("valid LogP string"))
-        .unwrap_or(LogP::PAPER);
+    let logp: LogP = cli.parsed("--logp", LogP::PAPER);
     let reps: u32 = cli.parsed("--reps", 50);
     let seed0: u64 = cli.parsed("--seed", 1);
     let spec = build_spec(cli);
@@ -598,10 +536,7 @@ fn cmd_analyze(cli: &Cli) {
         render_postmortem(cli, path);
         return;
     }
-    let logp: LogP = cli
-        .value("--logp")
-        .map(|s| s.parse().expect("valid LogP string"))
-        .unwrap_or(LogP::PAPER);
+    let logp: LogP = cli.parsed("--logp", LogP::PAPER);
     let mut cfg = AnalyzeConfig::new(logp);
     let events = if let Some(path) = cli.value("--input") {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -750,10 +685,7 @@ fn read_trace(path: &str) -> Vec<Event> {
 /// trace (`--input`), a live simulator run (default) or a live cluster
 /// run (`--runtime`). Exit 1 when any invariant is violated.
 fn cmd_check(cli: &Cli) {
-    let logp: LogP = cli
-        .value("--logp")
-        .map(|s| s.parse().expect("valid LogP string"))
-        .unwrap_or(LogP::PAPER);
+    let logp: LogP = cli.parsed("--logp", LogP::PAPER);
     let fail_fast = cli.flag("--fail-fast");
     let report = if let Some(path) = cli.value("--input") {
         let events = read_trace(path);
@@ -849,10 +781,7 @@ fn cmd_forensics(cli: &Cli) {
         );
         std::process::exit(2);
     }
-    let logp: LogP = cli
-        .value("--logp")
-        .map(|s| s.parse().expect("valid LogP string"))
-        .unwrap_or(LogP::PAPER);
+    let logp: LogP = cli.parsed("--logp", LogP::PAPER);
     let kind = parse_tree(cli.value("--tree").unwrap_or("binomial"));
     let (events, p, mask) = if let Some(path) = cli.value("--input") {
         let all = read_trace(path);
@@ -906,202 +835,16 @@ fn cmd_forensics(cli: &Cli) {
     }
 }
 
-/// Thread-per-rank baseline for `ct perf bench --runtime`, measured on
-/// this workload (fault-free plain binomial broadcasts, P=256) at the
-/// pre-M:N-scheduler revision of `ct-runtime`: mean of repeated runs at
-/// 443.9 and 424.5 broadcasts/sec, 255 messages per broadcast. Kept so
-/// the checked-in snapshot records the speedup the scheduler rewrite
-/// bought, against identical message totals.
-const THREAD_PER_RANK_P256_BPS: f64 = 434.2;
-const THREAD_PER_RANK_P256_MSGS: u64 = 255;
-
-/// `ct perf bench --runtime` — time cluster-runtime broadcast sweeps
-/// (fault-free plain binomial and 1%-fault corrected opp4 binomial) at
-/// P ∈ {256, 1024, 4096} (`--quick`: {256, 1024}) and write a
-/// `BenchSnapshot` with ns-per-broadcast metrics (lower is better).
-fn cmd_perf_bench_runtime(cli: &Cli) {
-    let quick = cli.flag("--quick");
-    let seed0: u64 = cli.parsed("--seed", 1);
-    let logp: LogP = cli
-        .value("--logp")
-        .map(|s| s.parse().expect("valid LogP string"))
-        .unwrap_or(LogP::PAPER);
-    // (p, warmup, timed iterations): fewer iterations at larger P keep
-    // the full sweep in seconds even on a single-core machine.
-    let sweep: &[(u32, u32, u32)] = if quick {
-        &[(256, 1, 5), (1024, 1, 5)]
-    } else {
-        &[(256, 3, 30), (1024, 2, 10), (4096, 1, 5)]
-    };
-    let cfg = ClusterConfig::new();
-    let max_p = sweep.iter().map(|&(p, _, _)| p).max().unwrap_or(256);
-    let hub = Arc::new(TelemetryHub::new(cfg.threads, max_p as usize));
-    let mut snapshot = BenchSnapshot::new("cluster_throughput")
-        .with_host_provenance()
-        .with_provenance("logp", &logp.to_string())
-        .with_provenance("seed0", &seed0.to_string())
-        .with_provenance("threads", &cfg.threads.to_string())
-        .with_provenance("mailbox_capacity", &cfg.mailbox_capacity.to_string())
-        .with_provenance("quick", &quick.to_string())
-        .with_provenance(
-            "baseline_thread_per_rank_p256_bps",
-            &format!("{THREAD_PER_RANK_P256_BPS:.1}"),
-        )
-        .with_provenance(
-            "baseline_thread_per_rank_p256_msgs_per_broadcast",
-            &THREAD_PER_RANK_P256_MSGS.to_string(),
-        );
-    for &(p, warmup, iters) in sweep {
-        let mut cluster = Cluster::with_config(p, logp, cfg.clone().telemetry(Arc::clone(&hub)));
-        let faults = (p / 100).max(1);
-        let plan = FaultPlan::random_count_protecting(p, faults, seed0, 0).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-        let configs: [(&str, BroadcastSpec, Vec<bool>); 2] = [
-            (
-                "faultfree",
-                BroadcastSpec::plain_tree(TreeKind::BINOMIAL),
-                vec![false; p as usize],
-            ),
-            (
-                "faulty",
-                BroadcastSpec::corrected_tree(
-                    TreeKind::BINOMIAL,
-                    CorrectionKind::OpportunisticOptimized { distance: 4 },
-                ),
-                plan.mask().to_vec(),
-            ),
-        ];
-        for (label, spec, dead) in &configs {
-            let mut run = |i: u32| {
-                let report = cluster
-                    .run_broadcast(spec, dead, seed0 + u64::from(i))
-                    .unwrap_or_else(|e| {
-                        eprintln!("cluster run failed: {e}");
-                        std::process::exit(2);
-                    });
-                if !report.completed {
-                    eprintln!(
-                        "bench broadcast did not complete (p={p} {label}, \
-                         uncolored {:?})",
-                        report.uncolored
-                    );
-                    std::process::exit(2);
-                }
-                report.messages
-            };
-            for i in 0..warmup {
-                run(i);
-            }
-            let start = std::time::Instant::now();
-            let mut messages = 0u64;
-            for i in 0..iters {
-                messages += run(warmup + i);
-            }
-            let wall = start.elapsed();
-            let bps = f64::from(iters) / wall.as_secs_f64();
-            let key = format!("p{p}_{label}");
-            snapshot = snapshot
-                .with_metric(
-                    &format!("ns_per_broadcast_{key}"),
-                    wall.as_nanos() as f64 / f64::from(iters.max(1)),
-                )
-                .with_provenance(&format!("broadcasts_per_sec_{key}"), &format!("{bps:.2}"))
-                .with_provenance(&format!("total_messages_{key}"), &messages.to_string())
-                .with_provenance(&format!("iterations_{key}"), &iters.to_string());
-            println!("[bench cluster_throughput] p={p} {label}: {bps:.2} broadcasts/sec");
-            if p == 256 && *label == "faultfree" {
-                snapshot = snapshot.with_provenance(
-                    "speedup_vs_thread_per_rank_p256",
-                    &format!("{:.2}", bps / THREAD_PER_RANK_P256_BPS),
-                );
-            }
-        }
-    }
-    let path = std::path::PathBuf::from(
-        cli.value("--out")
-            .map(str::to_owned)
-            .unwrap_or_else(|| "results/BENCH_cluster_throughput.json".to_owned()),
-    );
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    match snapshot.write(&path) {
-        Ok(()) => println!("[bench cluster_throughput] -> {}", path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    }
-    let manifest = RunManifest::new("cluster_throughput")
-        .logp(logp)
-        .seed(seed0)
-        .with_extra("quick", quick.to_string())
-        .with_extra_json("telemetry", hub.snapshot().with_source("cluster").to_json())
-        .stamped();
-    match manifest.write_next_to(&path) {
-        Ok(mpath) => println!("[telemetry manifest {}]", mpath.display()),
-        Err(e) => eprintln!("could not write manifest for {}: {e}", path.display()),
-    }
-}
-
-/// `ct perf bench --pubsub` — the topic-multiplexed throughput sweep:
-/// k ∈ {1, 4, 16, 64} concurrent topics at P ∈ {256, 1024, 4096},
-/// fault-free checked-sync (Corollary 1 totals asserted) and 1%-fault
-/// corrected opp4, written as `BENCH_pubsub_throughput.json`.
-fn cmd_perf_bench_pubsub(cli: &Cli) {
-    let quick = cli.flag("--quick");
-    let seed0: u64 = cli.parsed("--seed", 1);
-    let logp: LogP = cli
-        .value("--logp")
-        .map(|s| s.parse().expect("valid LogP string"))
-        .unwrap_or(LogP::PAPER);
-    let bench = run_pubsub_bench(quick, seed0, logp);
-    for c in &bench.cells {
-        println!(
-            "[bench pubsub_throughput] {}: {:.2} broadcasts/sec \
-             ({} broadcasts, {} messages)",
-            c.key(),
-            c.broadcasts_per_sec(),
-            c.broadcasts,
-            c.messages
-        );
-    }
-    let headline_p = bench.cells.iter().map(|c| c.p).max().unwrap_or(0);
-    for k in [4usize, 16, 64] {
-        if let Some(s) = bench.speedup_vs_k1(headline_p, k) {
-            println!("[bench pubsub_throughput] p={headline_p} k={k} vs k=1: {s:.2}x");
-        }
-    }
-    let snapshot = bench.snapshot();
-    let path = std::path::PathBuf::from(
-        cli.value("--out")
-            .map(str::to_owned)
-            .unwrap_or_else(|| "results/BENCH_pubsub_throughput.json".to_owned()),
-    );
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    match snapshot.write(&path) {
-        Ok(()) => println!("[bench pubsub_throughput] -> {}", path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    }
-    let manifest = RunManifest::new("pubsub_throughput")
-        .logp(logp)
-        .seed(seed0)
-        .with_extra("quick", quick.to_string())
-        .stamped();
-    match manifest.write_next_to(&path) {
-        Ok(mpath) => println!("[telemetry manifest {}]", mpath.display()),
-        Err(e) => eprintln!("could not write manifest for {}: {e}", path.display()),
+/// Provisioned correction barrier (µs) for `ct pubsub`'s checked-sync
+/// topics: comfortably past wall-clock dissemination of the whole topic
+/// fleet at this P on one core, so every rank tree-colors before the
+/// barrier and Corollary 1 holds exactly.
+fn sync_barrier_us(p: u32) -> u64 {
+    match p {
+        0..=128 => 20_000,
+        129..=512 => 36_000,
+        513..=2048 => 100_000,
+        _ => 420_000,
     }
 }
 
@@ -1115,10 +858,7 @@ fn cmd_pubsub(cli: &Cli) {
     let rounds: usize = cli.parsed("--rounds", 2);
     let seed: u64 = cli.parsed("--seed", 1);
     let n_faults: u32 = cli.parsed("--faults", 0);
-    let logp: LogP = cli
-        .value("--logp")
-        .map(|s| s.parse().expect("valid LogP string"))
-        .unwrap_or(LogP::PAPER);
+    let logp: LogP = cli.parsed("--logp", LogP::PAPER);
     if k == 0 || topics == 0 || rounds == 0 {
         eprintln!("--k, --topics and --rounds must be positive");
         std::process::exit(2);
@@ -1244,10 +984,7 @@ fn emit_snapshot(cli: &Cli, snapshot: &TelemetrySnapshot) {
 /// postmortem dump; the command still emits the snapshot — the counters
 /// of a stalled run are the diagnosis — then exits 1.
 fn cmd_stats(cli: &Cli) {
-    let logp: LogP = cli
-        .value("--logp")
-        .map(|s| s.parse().expect("valid LogP string"))
-        .unwrap_or(LogP::PAPER);
+    let logp: LogP = cli.parsed("--logp", LogP::PAPER);
     let seed: u64 = cli.parsed("--seed", 1);
     let mut stalled = 0u32;
     let snapshot = if cli.flag("--runtime") {
@@ -1412,10 +1149,7 @@ fn spawn_monitor_server(
 fn cmd_top(cli: &Cli) {
     use std::io::IsTerminal as _;
 
-    let logp: LogP = cli
-        .value("--logp")
-        .map(|s| s.parse().expect("valid LogP string"))
-        .unwrap_or(LogP::PAPER);
+    let logp: LogP = cli.parsed("--logp", LogP::PAPER);
     let p: u32 = cli.parsed("--p", 256);
     let iters: u32 = cli.parsed("--iters", 50);
     let interval_ms: u64 = cli.parsed("--interval-ms", 500);
@@ -1507,10 +1241,7 @@ fn cmd_top(cli: &Cli) {
 /// over a tiny built-in HTTP server while it runs (and `--linger-ms`
 /// longer, so scrapers can collect the final state).
 fn cmd_serve(cli: &Cli) {
-    let logp: LogP = cli
-        .value("--logp")
-        .map(|s| s.parse().expect("valid LogP string"))
-        .unwrap_or(LogP::PAPER);
+    let logp: LogP = cli.parsed("--logp", LogP::PAPER);
     let p: u32 = cli.parsed("--p", 64);
     let iters: u32 = cli.parsed("--iters", 50);
     let linger_ms: u64 = cli.parsed("--linger-ms", 0);
@@ -1724,283 +1455,6 @@ fn follow(cli: &Cli, addr: &str) -> String {
     last
 }
 
-fn cmd_perf(cli: &Cli) {
-    match cli.args.first().map(String::as_str) {
-        Some("diff") => {
-            let (old_path, new_path) = match (cli.args.get(1), cli.args.get(2)) {
-                (Some(o), Some(n)) => (o, n),
-                _ => usage(),
-            };
-            let threshold: f64 = cli.parsed("--threshold", 0.05);
-            let load = |path: &str| {
-                BenchSnapshot::read(std::path::Path::new(path)).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                })
-            };
-            let old = load(old_path);
-            let new = load(new_path);
-            let diff = PerfDiff::diff(&old, &new, threshold);
-            print!("{}", diff.render_text());
-            if !diff.regressions().is_empty() {
-                std::process::exit(1);
-            }
-        }
-        Some("bench") if cli.flag("--runtime") => cmd_perf_bench_runtime(cli),
-        Some("bench") if cli.flag("--pubsub") => cmd_perf_bench_pubsub(cli),
-        Some("bench") => {
-            let quick = cli.flag("--quick");
-            let p: u32 = cli.parsed("--p", if quick { 1024 } else { 4096 });
-            let reps: u32 = cli.parsed("--reps", if quick { 10 } else { 40 });
-            let seed0: u64 = cli.parsed("--seed", 1);
-            let rate: f64 = cli.parsed("--rate", 0.01);
-            let logp: LogP = cli
-                .value("--logp")
-                .map(|s| s.parse().expect("valid LogP string"))
-                .unwrap_or(LogP::PAPER);
-            let tree = parse_tree(cli.value("--tree").unwrap_or("binomial"));
-            let campaign = Campaign::new(Variant::tree_checked_sync(tree), p, logp)
-                .with_faults(FaultSpec::Rate(rate))
-                .with_reps(reps)
-                .with_seed(seed0);
-            let run = |c: &Campaign| {
-                c.run().unwrap_or_else(|e| {
-                    eprintln!("campaign failed: {e:?}");
-                    std::process::exit(2);
-                })
-            };
-            // Warm-up pass: primes the topology cache and the allocator
-            // the way any long campaign would, so the timed pass
-            // measures the steady state the campaigns actually run in.
-            // Telemetry is attached to the timed pass only, so the
-            // snapshot counts exactly the measured repetitions.
-            run(&campaign);
-            let hub = Arc::new(TelemetryHub::new(1, p as usize));
-            let timed = campaign.clone().with_telemetry(Arc::clone(&hub));
-            // The timed pass hand-rolls `Campaign::run` (same one-arena
-            // sequential loop) to watch the arena footprint: the number
-            // of repetitions that still grow it is the allocator-churn
-            // gauge — a steady-state layout stops growing after rep 1,
-            // anything later means per-rep allocation leaked back in.
-            let mut arena = RunArena::new();
-            let mut records = Vec::with_capacity(reps as usize);
-            let mut footprint = 0usize;
-            let mut growth_reps = 0u32;
-            let start = std::time::Instant::now();
-            for i in 0..reps {
-                records.push(timed.run_one_reusable(i, &mut arena).unwrap_or_else(|e| {
-                    eprintln!("campaign failed: {e:?}");
-                    std::process::exit(2);
-                }));
-                let now = arena.footprint_bytes();
-                if now > footprint {
-                    footprint = now;
-                    growth_reps = i + 1;
-                }
-            }
-            let wall = start.elapsed();
-            let events: u64 = records.iter().map(|r| r.events).sum();
-            let messages: u64 = records.iter().map(|r| r.messages).sum();
-            let wall_ns = wall.as_nanos() as f64;
-            let secs = wall.as_secs_f64();
-            let reps_per_sec = f64::from(reps) / secs;
-            let events_per_sec = events as f64 / secs;
-            let snapshot = BenchSnapshot::new("sim_throughput")
-                .with_host_provenance()
-                .with_provenance("variant", &campaign.variant.label())
-                .with_provenance("p", &p.to_string())
-                .with_provenance("logp", &logp.to_string())
-                .with_provenance("faults", &format!("{:?}", campaign.faults))
-                .with_provenance("reps", &reps.to_string())
-                .with_provenance("seed0", &seed0.to_string())
-                .with_provenance("total_events", &events.to_string())
-                .with_provenance("total_messages", &messages.to_string())
-                .with_provenance("reps_per_sec", &format!("{reps_per_sec:.2}"))
-                .with_provenance("events_per_sec", &format!("{events_per_sec:.0}"))
-                .with_provenance("arena_footprint_bytes", &footprint.to_string())
-                .with_metric("ns_per_rep", wall_ns / f64::from(reps.max(1)))
-                .with_metric("ns_per_event", wall_ns / events.max(1) as f64)
-                .with_metric("arena_steady_state_reps", f64::from(growth_reps));
-            let path = std::path::PathBuf::from(
-                cli.value("--out")
-                    .map(str::to_owned)
-                    .unwrap_or_else(|| "results/BENCH_sim_throughput.json".to_owned()),
-            );
-            if let Some(dir) = path.parent() {
-                if !dir.as_os_str().is_empty() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-            }
-            match snapshot.write(&path) {
-                Ok(()) => println!(
-                    "[bench sim_throughput] reps/sec={reps_per_sec:.2} \
-                     events/sec={events_per_sec:.0} wall={wall:.2?} -> {}",
-                    path.display()
-                ),
-                Err(e) => {
-                    eprintln!("could not write {}: {e}", path.display());
-                    std::process::exit(2);
-                }
-            }
-            let manifest = RunManifest::new("sim_throughput")
-                .protocol(campaign.variant.label())
-                .p(p)
-                .logp(logp)
-                .seed(seed0)
-                .reps(reps)
-                .wall_secs(secs)
-                .with_extra_json("telemetry", hub.snapshot().with_source("sim").to_json())
-                .stamped();
-            match manifest.write_next_to(&path) {
-                Ok(mpath) => println!("[telemetry manifest {}]", mpath.display()),
-                Err(e) => eprintln!("could not write manifest for {}: {e}", path.display()),
-            }
-        }
-        Some("snapshot") => {
-            let name = cli.value("--name").unwrap_or_else(|| usage());
-            let p: u32 = cli.parsed("--p", 64);
-            let logp: LogP = cli
-                .value("--logp")
-                .map(|s| s.parse().expect("valid LogP string"))
-                .unwrap_or(LogP::PAPER);
-            let reps: u32 = cli.parsed("--reps", 5);
-            let seed0: u64 = cli.parsed("--seed", 1);
-            let fault_spec = if let Some(n) = cli.value("--faults") {
-                FaultSpec::Count(n.parse().unwrap_or_else(|_| usage()))
-            } else if let Some(r) = cli.value("--rate") {
-                FaultSpec::Rate(r.parse().unwrap_or_else(|_| usage()))
-            } else {
-                FaultSpec::None
-            };
-            let campaign = Campaign::new(Variant::Tree(build_spec(cli)), p, logp)
-                .with_faults(fault_spec)
-                .with_reps(reps)
-                .with_seed(seed0);
-            let ca = analyze_campaign(&campaign).unwrap_or_else(|e| {
-                eprintln!("campaign failed: {e:?}");
-                std::process::exit(2);
-            });
-            let path = std::path::PathBuf::from(
-                cli.value("--out")
-                    .map(str::to_owned)
-                    .unwrap_or_else(|| format!("BENCH_{name}.json")),
-            );
-            match ca.bench_snapshot(name, &campaign).write(&path) {
-                Ok(()) => println!("[bench snapshot {}]", path.display()),
-                Err(e) => {
-                    eprintln!("could not write {}: {e}", path.display());
-                    std::process::exit(2);
-                }
-            }
-        }
-        _ => usage(),
-    }
-}
-
-/// `ct scale` — the scaling study of ROADMAP item 3: sweep `P` up to
-/// `2²⁰` (fault-free and chunked-fault cells per correction variant),
-/// assert the synchronized-checked cells against the Lemma 2/3 and
-/// Corollary 1 closed forms, and write the tracked
-/// `results/BENCH_sim_scale.json` snapshot (ns/event per `P`, peak RSS).
-/// Exits 1 when any repetition escapes its bounds.
-fn cmd_scale(cli: &Cli) {
-    let mut cfg = if cli.flag("--quick") {
-        ScaleConfig::quick()
-    } else {
-        ScaleConfig::full()
-    };
-    cfg.min_exp = cli.parsed("--min-exp", cfg.min_exp);
-    cfg.max_exp = cli.parsed("--max-exp", cfg.max_exp);
-    cfg.step_exp = cli.parsed("--step-exp", cfg.step_exp);
-    cfg.reps = cli.parsed("--reps", cfg.reps);
-    cfg.rate = cli.parsed("--rate", cfg.rate);
-    cfg.seed0 = cli.parsed("--seed", cfg.seed0);
-    cfg.threads = cli.parsed("--threads", cfg.threads);
-    cfg.tree = parse_tree(cli.value("--tree").unwrap_or("binomial"));
-    if let Some(s) = cli.value("--logp") {
-        cfg.logp = s.parse().expect("valid LogP string");
-    }
-    if cfg.min_exp > cfg.max_exp || cfg.max_exp >= 31 {
-        eprintln!(
-            "bad sweep range 2^{}..2^{} (need min <= max < 31)",
-            cfg.min_exp, cfg.max_exp
-        );
-        std::process::exit(2);
-    }
-    println!(
-        "[scale] P = 2^{}..2^{} step 2^{}, {} reps/cell, rate {}, {} threads",
-        cfg.min_exp, cfg.max_exp, cfg.step_exp, cfg.reps, cfg.rate, cfg.threads
-    );
-    let t0 = std::time::Instant::now();
-    let report = run_scale(&cfg).unwrap_or_else(|e| {
-        eprintln!("scale sweep failed: {e}");
-        std::process::exit(2);
-    });
-    let wall = t0.elapsed();
-    for c in &report.cells {
-        println!(
-            "[scale] p={:<8} {:<42} faults={:<6} quiescence {:>7.1} \
-             msgs/proc {:>6.3} g_max {:>3} ns/event {:>7.2}",
-            c.p,
-            c.variant,
-            c.faults,
-            c.quiescence_mean(),
-            c.messages_per_process_mean(),
-            c.g_max(),
-            c.ns_per_event()
-        );
-    }
-    let max_p = report.cells.iter().map(|c| c.p).max().unwrap_or(0);
-    let snapshot = report.bench_snapshot(&cfg);
-    println!(
-        "[scale] ns/event at P={max_p}: {:.2}, peak RSS {} kB, wall {wall:.2?}",
-        report.ns_per_event_at(max_p),
-        snapshot.metrics.get("peak_rss_kb").copied().unwrap_or(0.0)
-    );
-    let path = std::path::PathBuf::from(
-        cli.value("--out")
-            .map(str::to_owned)
-            .unwrap_or_else(|| "results/BENCH_sim_scale.json".to_owned()),
-    );
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    match snapshot.write(&path) {
-        Ok(()) => println!("[scale] -> {}", path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    }
-    let manifest = RunManifest::new("sim_scale")
-        .protocol("scc + opp4 (binomial unless --tree)")
-        .p(max_p)
-        .logp(cfg.logp)
-        .seed(cfg.seed0)
-        .reps(cfg.reps)
-        .wall_secs(wall.as_secs_f64())
-        .with_extra("threads", cfg.threads.to_string())
-        .with_extra("violations", report.violations.len().to_string())
-        .stamped();
-    match manifest.write_next_to(&path) {
-        Ok(mpath) => println!("[scale manifest {}]", mpath.display()),
-        Err(e) => eprintln!("could not write manifest for {}: {e}", path.display()),
-    }
-    if !report.violations.is_empty() {
-        for v in &report.violations {
-            eprintln!("[scale] VIOLATION: {v}");
-        }
-        eprintln!(
-            "[scale] {} repetition(s) escaped the closed-form bounds",
-            report.violations.len()
-        );
-        std::process::exit(1);
-    }
-    println!("[scale] all checked-sync cells respect Lemma 2, Corollary 1 and Lemma 3");
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -2016,8 +1470,6 @@ fn main() {
         "analyze" => cmd_analyze(&cli),
         "check" => cmd_check(&cli),
         "forensics" => cmd_forensics(&cli),
-        "perf" => cmd_perf(&cli),
-        "scale" => cmd_scale(&cli),
         "pubsub" => cmd_pubsub(&cli),
         "stats" => cmd_stats(&cli),
         "top" => cmd_top(&cli),

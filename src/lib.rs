@@ -19,7 +19,7 @@
 //! * [`obs`] — the shared observability layer: event sinks, metrics
 //!   registry and run manifests,
 //! * [`analyze`] — trace analysis: causal DAGs, critical paths with
-//!   LogP cost attribution, and perf-regression snapshots.
+//!   LogP cost attribution, and failure forensics.
 //!
 //! ## Quickstart
 //!

@@ -332,10 +332,10 @@ fn sim_and_cluster_agree_at_p512() {
 /// watchdog roughly once per ten CI runs. The M:N pool removes the
 /// oversubscription; 200 back-to-back iterations on two workers must
 /// complete without a single timeout. `#[ignore]`d locally for being
-/// slow-ish; CI's check-smoke job runs it explicitly with
+/// slow-ish; CI's build-test job runs it explicitly with
 /// `CT_THREADS=2`.
 #[test]
-#[ignore = "stress test; run explicitly (CI check-smoke does)"]
+#[ignore = "stress test; run explicitly (CI build-test does)"]
 fn cluster_stress_200_iterations_two_workers() {
     use corrected_trees::runtime::ClusterConfig;
     let p = 64u32;
