@@ -12,9 +12,21 @@
 //! Ties are broken first by an event-class order (deliveries before
 //! sender polls — see `EventKind::class` in the queue module), then by
 //! insertion order, so a run is a pure function of `(P, LogP, faults,
-//! seed, protocol)`. Events live in a calendar queue
-//! ([`crate::queue`]); all per-run storage can be reused across runs
-//! through a [`RunArena`].
+//! seed, protocol)`.
+//!
+//! The unit of work is a time step, not an event. Events live in a
+//! calendar queue ([`crate::queue`]) that hands out the earliest pending
+//! step's four lanes whole; the engine walks each lane as a slice, in
+//! class order — which *is* `(time, class, insertion)` order, because
+//! under LogP (`o ≥ 1`, `L ≥ 1`) nothing a step schedules can join it.
+//! The same invariants make three destination lanes the step's own:
+//! only the step at `now` schedules a `RecvDone` or `SenderFree` at
+//! `now + o` or an `Arrive` at `now + o + L`, so the handlers append to
+//! three local vectors that the queue installs as whole lanes when the
+//! step ends. Only `Repoll` (any future time) and the `t = 0` polls are
+//! pushed one by one. All per-run storage can be reused across runs
+//! through a [`RunArena`]; a run that ends in an error still returns the
+//! lanes it held.
 
 use std::sync::Arc;
 
@@ -28,9 +40,11 @@ use ct_obs::telemetry::TelemetryHub;
 use ct_obs::{Event as ObsEvent, EventKind as ObsEventKind, EventSink, NullSink, VecSink};
 
 use crate::arena::RunArena;
+use crate::bits::BitSet;
 use crate::faults::FaultPlan;
 use crate::metrics::{MessageCounts, Outcome};
-use crate::queue::{EventKind, EventQueue};
+use crate::queue::{Bucket, EventKind, EventQueue, PackedArrive, StepOutput};
+use crate::recvpool::RecvPool;
 use crate::trace::Trace;
 
 /// Default cap on processed events — a runaway-protocol backstop far
@@ -225,222 +239,330 @@ impl Simulation {
         sink: &mut dyn EventSink,
         arena: &mut RunArena,
     ) -> Result<Outcome, SimError> {
-        let p = self.p;
         let ctx = BuildCtx {
-            p,
+            p: self.p,
             logp: self.logp,
             seed: self.seed,
         };
         let observing = sink.enabled();
-        arena.reset(p as usize, observing);
+        arena.reset(self.p as usize, observing);
         factory.populate(&ctx, &mut arena.population)?;
-        let RunArena {
-            queue,
-            send_busy_until,
-            done,
-            recv_queue,
-            recv_busy,
-            colored_seen,
-            population,
-        } = arena;
-        let procs = population
+        let mut run = Run::new(self, arena, sink, observing);
+        run.start();
+        run.drain()?;
+        Ok(run.finish(factory.label()))
+    }
+}
+
+/// One run in flight: what it borrows from the simulation and the
+/// arena, its tallies, and the running step's output lanes. The methods
+/// are the rank loop — deliver, poll, report coloring, arm the next
+/// wake — one handler per event lane.
+struct Run<'a> {
+    sim: &'a Simulation,
+    procs: &'a mut dyn Population,
+    sink: &'a mut dyn EventSink,
+    observing: bool,
+    queue: &'a mut EventQueue,
+    send_busy_until: &'a mut [Time],
+    done: &'a mut BitSet,
+    recv_queue: &'a mut RecvPool,
+    recv_busy: &'a mut BitSet,
+    colored_seen: &'a mut BitSet,
+    /// Sender and receiver overhead.
+    o: u64,
+    /// Send start → arrival, `o + L`.
+    wire: u64,
+    /// `RecvDone` and `SenderFree` at `now + o`, `Arrive` at
+    /// `now + wire`: lanes only the running step writes.
+    out: StepOutput,
+    /// Handed to the outcome (allocated per run; it takes ownership).
+    sent_per_rank: Vec<u32>,
+    messages: MessageCounts,
+    quiescence: Time,
+    events: u64,
+}
+
+impl<'a> Run<'a> {
+    fn new(
+        sim: &'a Simulation,
+        arena: &'a mut RunArena,
+        sink: &'a mut dyn EventSink,
+        observing: bool,
+    ) -> Run<'a> {
+        let procs = arena
+            .population
             .as_deref_mut()
             .expect("a successful populate fills the slot");
-        assert_eq!(procs.len(), p as usize, "factory must build P processes");
+        assert_eq!(
+            procs.len(),
+            sim.p as usize,
+            "factory must build P processes"
+        );
+        Run {
+            sim,
+            procs,
+            sink,
+            observing,
+            queue: &mut arena.queue,
+            send_busy_until: &mut arena.send_busy_until,
+            done: &mut arena.done,
+            recv_queue: &mut arena.recv_queue,
+            recv_busy: &mut arena.recv_busy,
+            colored_seen: &mut arena.colored_seen,
+            o: sim.logp.o(),
+            wire: sim.logp.o() + sim.logp.l(),
+            out: StepOutput::default(),
+            sent_per_rank: vec![0; sim.p as usize],
+            messages: MessageCounts::default(),
+            quiescence: Time::ZERO,
+            events: 0,
+        }
+    }
 
-        let o = self.logp.o();
-        let wire = self.logp.o() + self.logp.l(); // send start → arrival
-
-        if observing {
-            sink.emit(&ObsEvent::sim(
+    /// Open the broadcast phase and schedule the initial poll of every
+    /// live rank at `t = 0`.
+    fn start(&mut self) {
+        if self.observing {
+            self.sink.emit(&ObsEvent::sim(
                 Time::ZERO,
                 ObsEventKind::PhaseBegin {
                     name: phases::BROADCAST.into(),
                 },
             ));
             // The root (and any pre-colored rank) is colored at t = 0.
-            for r in 0..p {
-                if let Some(via) = procs.colored_via(r) {
-                    colored_seen.set(r as usize);
-                    sink.emit(&ObsEvent::sim(
-                        Time::ZERO,
-                        ObsEventKind::Colored { rank: r, via },
-                    ));
-                }
+            for r in 0..self.sim.p {
+                self.report_coloring(r, Time::ZERO);
             }
         }
-
-        // Per-rank tallies handed to the outcome (allocated per run; the
-        // outcome takes ownership).
-        let mut sent_per_rank = vec![0u32; p as usize];
-        let mut messages = MessageCounts::default();
-        let mut quiescence = Time::ZERO;
-        let mut events: u64 = 0;
-
-        if let Some(f) = self.flight.as_deref() {
+        if let Some(f) = self.sim.flight.as_deref() {
             // The single-threaded simulator owns shard 0; there is no
             // wall clock, so wall_us stays 0 and `step` carries LogP
             // time.
-            f.record(0, FlightKind::IterStart, NO_RANK, self.seed, 0, 0);
+            f.record(0, FlightKind::IterStart, NO_RANK, self.sim.seed, 0, 0);
         }
-
-        // Initial poll of every live rank at t = 0.
-        for r in 0..p {
-            if !self.faults.is_failed(r) {
-                queue.push(Time::ZERO, r, EventKind::SenderFree);
+        for r in 0..self.sim.p {
+            if !self.sim.faults.is_failed(r) {
+                self.queue.push(Time::ZERO, r, EventKind::SenderFree);
             }
         }
+    }
 
-        while let Some((now, r, kind)) = queue.pop() {
-            events += 1;
-            if events > self.max_events {
-                return Err(SimError::EventLimitExceeded {
-                    limit: self.max_events,
-                });
+    /// Run time step after time step until nothing is pending. A step's
+    /// lanes go back to the queue whatever its result, so an aborted run
+    /// leaves the arena's lane pool whole.
+    fn drain(&mut self) -> Result<(), SimError> {
+        while let Some((now, lanes)) = self.queue.next_step() {
+            self.out = self.queue.output_lanes();
+            let stepped = self.step(now, &lanes);
+            let out = std::mem::take(&mut self.out);
+            self.queue
+                .finish_step(lanes, out, now + self.o, now + self.wire);
+            stepped?;
+        }
+        Ok(())
+    }
+
+    /// The events of time `now`, in class order.
+    fn step(&mut self, now: Time, lanes: &Bucket) -> Result<(), SimError> {
+        self.arrivals(now, &lanes.arrive)?;
+        self.receive_completions(now, &lanes.recv_done)?;
+        self.sender_polls(now, &lanes.sender_free)?;
+        self.sender_polls(now, &lanes.repoll)
+    }
+
+    /// Count one event against the runaway cap.
+    #[inline]
+    fn count_event(&mut self) -> Result<(), SimError> {
+        self.events += 1;
+        if self.events > self.sim.max_events {
+            return Err(SimError::EventLimitExceeded {
+                limit: self.sim.max_events,
+            });
+        }
+        Ok(())
+    }
+
+    /// Emit `Colored` the first time `r` is seen colored (observed runs).
+    fn report_coloring(&mut self, r: Rank, now: Time) {
+        if !self.colored_seen.get(r as usize) {
+            if let Some(via) = self.procs.colored_via(r) {
+                self.colored_seen.set(r as usize);
+                self.sink
+                    .emit(&ObsEvent::sim(now, ObsEventKind::Colored { rank: r, via }));
             }
-            match kind {
-                EventKind::Arrive { from, payload } => {
-                    if self.faults.is_failed(r) {
-                        if observing {
-                            sink.emit(&ObsEvent::sim(
-                                now,
-                                ObsEventKind::DropDead {
-                                    from,
-                                    to: r,
-                                    payload,
-                                },
-                            ));
-                        }
-                        continue;
-                    }
-                    if observing {
-                        sink.emit(&ObsEvent::sim(
-                            now,
-                            ObsEventKind::Arrive {
-                                from,
-                                to: r,
-                                payload,
-                            },
-                        ));
-                    }
-                    if let Some(f) = self.flight.as_deref() {
-                        f.record(
-                            0,
-                            FlightKind::MailboxPush,
-                            r,
-                            u64::from(from),
-                            now.steps(),
-                            0,
-                        );
-                    }
-                    recv_queue.push_back(r, from, payload);
-                    if !recv_busy.get(r as usize) {
-                        recv_busy.set(r as usize);
-                        queue.push(now + o, r, EventKind::RecvDone);
-                    }
-                }
-                EventKind::RecvDone => {
-                    let (from, payload) = recv_queue
-                        .pop_front(r)
-                        .expect("RecvDone implies a queued message");
-                    if observing {
-                        sink.emit(&ObsEvent::sim(
-                            now,
-                            ObsEventKind::Deliver {
-                                from,
-                                to: r,
-                                payload,
-                            },
-                        ));
-                    }
-                    quiescence = quiescence.max(now);
-                    procs.on_message(r, from, payload, now);
-                    if observing && !colored_seen.get(r as usize) {
-                        if let Some(via) = procs.colored_via(r) {
-                            colored_seen.set(r as usize);
-                            sink.emit(&ObsEvent::sim(now, ObsEventKind::Colored { rank: r, via }));
-                        }
-                    }
-                    // Delivery may have unblocked sends.
-                    done.unset(r as usize);
-                    if send_busy_until[r as usize] <= now {
-                        self.poll(
-                            r,
-                            now,
-                            procs,
-                            queue,
-                            send_busy_until,
-                            done,
-                            &mut sent_per_rank,
-                            &mut messages,
-                            &mut quiescence,
-                            observing,
-                            sink,
-                            wire,
-                            o,
-                        )?;
-                    }
-                    if !recv_queue.is_empty(r) {
-                        queue.push(now + o, r, EventKind::RecvDone);
-                    } else {
-                        recv_busy.unset(r as usize);
-                    }
-                }
-                EventKind::SenderFree | EventKind::Repoll => {
-                    if done.get(r as usize) || send_busy_until[r as usize] > now {
-                        continue;
-                    }
-                    self.poll(
-                        r,
+        }
+    }
+
+    /// `Arrive`: messages reach receive ports and queue FIFO; an idle
+    /// port starts its `o`-long processing. Dead ranks drop theirs.
+    fn arrivals(&mut self, now: Time, lane: &[PackedArrive]) -> Result<(), SimError> {
+        for a in lane {
+            self.count_event()?;
+            let (to, from, payload) = (a.to, a.from, a.payload());
+            if self.sim.faults.is_failed(to) {
+                if self.observing {
+                    self.sink.emit(&ObsEvent::sim(
                         now,
-                        procs,
-                        queue,
-                        send_busy_until,
-                        done,
-                        &mut sent_per_rank,
-                        &mut messages,
-                        &mut quiescence,
-                        observing,
-                        sink,
-                        wire,
-                        o,
-                    )?;
+                        ObsEventKind::DropDead { from, to, payload },
+                    ));
                 }
+                continue;
+            }
+            if self.observing {
+                self.sink.emit(&ObsEvent::sim(
+                    now,
+                    ObsEventKind::Arrive { from, to, payload },
+                ));
+            }
+            if let Some(f) = self.sim.flight.as_deref() {
+                f.record(
+                    0,
+                    FlightKind::MailboxPush,
+                    to,
+                    u64::from(from),
+                    now.steps(),
+                    0,
+                );
+            }
+            self.recv_queue.push_back(to, from, payload);
+            if !self.recv_busy.get(to as usize) {
+                self.recv_busy.set(to as usize);
+                self.out.recv_done.push(to);
             }
         }
+        Ok(())
+    }
 
-        if observing {
-            sink.emit(&ObsEvent::sim(
-                quiescence,
+    /// `RecvDone`: a rank finished processing its queue head;
+    /// `on_message` runs, then the sender is polled (sends overlap
+    /// receives, §2.2) and the port turns to the next queued message.
+    fn receive_completions(&mut self, now: Time, lane: &[Rank]) -> Result<(), SimError> {
+        for &r in lane {
+            self.count_event()?;
+            let (from, payload) = self
+                .recv_queue
+                .pop_front(r)
+                .expect("RecvDone implies a queued message");
+            if self.observing {
+                self.sink.emit(&ObsEvent::sim(
+                    now,
+                    ObsEventKind::Deliver {
+                        from,
+                        to: r,
+                        payload,
+                    },
+                ));
+            }
+            self.quiescence = self.quiescence.max(now);
+            self.procs.on_message(r, from, payload, now);
+            if self.observing {
+                self.report_coloring(r, now);
+            }
+            // Delivery may have unblocked sends.
+            self.done.unset(r as usize);
+            if self.send_busy_until[r as usize] <= now {
+                self.poll(r, now)?;
+            }
+            if !self.recv_queue.is_empty(r) {
+                self.out.recv_done.push(r);
+            } else {
+                self.recv_busy.unset(r as usize);
+            }
+        }
+        Ok(())
+    }
+
+    /// `SenderFree` and `Repoll`: poll every rank of the lane that is
+    /// neither done nor still sending.
+    fn sender_polls(&mut self, now: Time, lane: &[Rank]) -> Result<(), SimError> {
+        for &r in lane {
+            self.count_event()?;
+            if !self.done.get(r as usize) && self.send_busy_until[r as usize] <= now {
+                self.poll(r, now)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Poll `r`'s protocol while its sender port is free; schedules at
+    /// most one send (the port then stays busy for `o`).
+    fn poll(&mut self, r: Rank, now: Time) -> Result<(), SimError> {
+        match self.procs.poll_send(r, now) {
+            SendPoll::Now { to, payload } => {
+                debug_assert!(to < self.sim.p, "send target out of range");
+                self.sent_per_rank[r as usize] += 1;
+                match payload {
+                    Payload::Tree => self.messages.tree += 1,
+                    Payload::Gossip { .. } => self.messages.gossip += 1,
+                    Payload::Correction => self.messages.correction += 1,
+                    Payload::Ack => self.messages.ack += 1,
+                }
+                if self.observing {
+                    self.sink.emit(&ObsEvent::sim(
+                        now,
+                        ObsEventKind::SendStart {
+                            from: r,
+                            to,
+                            payload,
+                        },
+                    ));
+                }
+                self.send_busy_until[r as usize] = now + self.o;
+                self.quiescence = self.quiescence.max(now + self.o);
+                self.out.sender_free.push(r);
+                // The wire delivers even to dead processes; they drop it.
+                self.out.arrive.push(PackedArrive::new(to, r, payload));
+            }
+            SendPoll::WaitUntil(at) => {
+                if at <= now {
+                    return Err(SimError::NonAdvancingWait { rank: r, now, at });
+                }
+                if let Some(f) = self.sim.flight.as_deref() {
+                    f.record(0, FlightKind::TimerArm, r, at.steps(), now.steps(), 0);
+                }
+                self.queue.push(at, r, EventKind::Repoll);
+            }
+            SendPoll::Idle => {}
+            SendPoll::Done => self.done.set(r as usize),
+        }
+        Ok(())
+    }
+
+    /// Close the broadcast phase and assemble the outcome.
+    fn finish(self, label: String) -> Outcome {
+        let (sim, procs) = (self.sim, self.procs);
+        if self.observing {
+            self.sink.emit(&ObsEvent::sim(
+                self.quiescence,
                 ObsEventKind::PhaseEnd {
                     name: phases::BROADCAST.into(),
                 },
             ));
         }
-
-        let colored_at: Vec<Option<Time>> = (0..p).map(|r| procs.colored_at(r)).collect();
-        let colored_via = (0..p).map(|r| procs.colored_via(r)).collect();
+        let colored_at: Vec<Option<Time>> = (0..sim.p).map(|r| procs.colored_at(r)).collect();
+        let colored_via = (0..sim.p).map(|r| procs.colored_via(r)).collect();
         let coloring_latency = colored_at
             .iter()
-            .zip(self.faults.mask())
+            .zip(sim.faults.mask())
             .filter_map(|(c, &f)| if f { None } else { *c })
             .max()
             .unwrap_or(Time::ZERO);
 
         let outcome = Outcome {
-            label: factory.label(),
-            p,
-            seed: self.seed,
+            label,
+            p: sim.p,
+            seed: sim.seed,
             colored_at,
             colored_via,
-            failed: self.faults.mask().to_vec(),
-            messages,
-            sent_per_rank,
+            failed: sim.faults.mask().to_vec(),
+            messages: self.messages,
+            sent_per_rank: self.sent_per_rank,
             coloring_latency,
-            quiescence,
-            events,
+            quiescence: self.quiescence,
+            events: self.events,
         };
-        if let Some(hub) = &self.telemetry {
+        if let Some(hub) = &sim.telemetry {
             hub.record_sim_rep(
                 outcome.events,
                 outcome.messages.total(),
@@ -448,7 +570,7 @@ impl Simulation {
                 outcome.all_live_colored(),
             );
         }
-        if let Some(f) = self.flight.as_deref() {
+        if let Some(f) = sim.flight.as_deref() {
             f.record(
                 0,
                 FlightKind::IterEnd,
@@ -458,67 +580,7 @@ impl Simulation {
                 0,
             );
         }
-        Ok(outcome)
-    }
-
-    /// Poll `r`'s protocol while its sender port is free; schedules at
-    /// most one send (the port then stays busy for `o`).
-    #[allow(clippy::too_many_arguments)]
-    fn poll(
-        &self,
-        r: Rank,
-        now: Time,
-        procs: &mut dyn Population,
-        queue: &mut EventQueue,
-        send_busy_until: &mut [Time],
-        done: &mut crate::bits::BitSet,
-        sent_per_rank: &mut [u32],
-        messages: &mut MessageCounts,
-        quiescence: &mut Time,
-        observing: bool,
-        sink: &mut dyn EventSink,
-        wire: u64,
-        o: u64,
-    ) -> Result<(), SimError> {
-        match procs.poll_send(r, now) {
-            SendPoll::Now { to, payload } => {
-                debug_assert!(to < self.p, "send target out of range");
-                sent_per_rank[r as usize] += 1;
-                match payload {
-                    Payload::Tree => messages.tree += 1,
-                    Payload::Gossip { .. } => messages.gossip += 1,
-                    Payload::Correction => messages.correction += 1,
-                    Payload::Ack => messages.ack += 1,
-                }
-                if observing {
-                    sink.emit(&ObsEvent::sim(
-                        now,
-                        ObsEventKind::SendStart {
-                            from: r,
-                            to,
-                            payload,
-                        },
-                    ));
-                }
-                send_busy_until[r as usize] = now + o;
-                *quiescence = (*quiescence).max(now + o);
-                queue.push(now + o, r, EventKind::SenderFree);
-                // The wire delivers even to dead processes; they drop it.
-                queue.push(now + wire, to, EventKind::Arrive { from: r, payload });
-            }
-            SendPoll::WaitUntil(at) => {
-                if at <= now {
-                    return Err(SimError::NonAdvancingWait { rank: r, now, at });
-                }
-                if let Some(f) = self.flight.as_deref() {
-                    f.record(0, FlightKind::TimerArm, r, at.steps(), now.steps(), 0);
-                }
-                queue.push(at, r, EventKind::Repoll);
-            }
-            SendPoll::Idle => {}
-            SendPoll::Done => done.set(r as usize),
-        }
-        Ok(())
+        outcome
     }
 }
 
@@ -611,7 +673,7 @@ mod tests {
     use super::*;
     use crate::trace::TraceKind;
     use ct_core::correction::CorrectionKind;
-    use ct_core::protocol::BroadcastSpec;
+    use ct_core::protocol::{BroadcastSpec, ColoredVia, Process};
     use ct_core::tree::TreeKind;
 
     fn sim(p: u32) -> Simulation {
@@ -764,6 +826,83 @@ mod tests {
             err,
             Err(SimError::EventLimitExceeded { limit: 10 })
         ));
+    }
+
+    /// A machine that asks to be woken at the very time it is polled.
+    struct Stuck;
+    impl Process for Stuck {
+        fn on_message(&mut self, _: Rank, _: Payload, _: Time) {}
+        fn poll_send(&mut self, now: Time) -> SendPoll {
+            SendPoll::WaitUntil(now)
+        }
+        fn colored_at(&self) -> Option<Time> {
+            None
+        }
+        fn colored_via(&self) -> Option<ColoredVia> {
+            None
+        }
+    }
+    struct StuckFactory;
+    impl ProtocolFactory for StuckFactory {
+        fn label(&self) -> String {
+            "stuck".into()
+        }
+        fn build(&self, ctx: &BuildCtx) -> Result<Vec<Box<dyn Process>>, ProtocolError> {
+            Ok((0..ctx.p).map(|_| Box::new(Stuck) as _).collect())
+        }
+    }
+
+    #[test]
+    fn an_aborted_run_gives_its_lanes_back() {
+        // The configuration of `tests/golden_jsonl.rs`.
+        const GOLDEN: &str = include_str!("../tests/data/golden_p4.jsonl");
+        let spec = BroadcastSpec::corrected_tree(
+            TreeKind::BINOMIAL,
+            CorrectionKind::OpportunisticOptimized { distance: 2 },
+        );
+        let golden = || {
+            Simulation::builder(4, LogP::PAPER)
+                .faults(FaultPlan::from_ranks(4, &[2]).unwrap())
+                .seed(1)
+        };
+        let replay = |arena: &mut RunArena| {
+            let mut sink = VecSink::new();
+            golden()
+                .build()
+                .run_with_sink_reusable(&spec, &mut sink, arena)
+                .unwrap();
+            sink.to_jsonl()
+        };
+        let held = |arena: &RunArena| {
+            let (arrive, ranks) = arena.queue.lanes_with_storage();
+            (arrive[0] + arrive[1], ranks[0] + ranks[1])
+        };
+
+        let mut arena = RunArena::new();
+        assert_eq!(replay(&mut arena), GOLDEN);
+        let clean = arena.queue.lanes_with_storage();
+        let all = held(&arena);
+
+        // Cut short in the middle of a step, by the cap …
+        let capped = golden().max_events(7).build();
+        let err = capped.run_reusable(&spec, &mut arena);
+        assert!(matches!(
+            err,
+            Err(SimError::EventLimitExceeded { limit: 7 })
+        ));
+        assert_eq!(held(&arena), all, "lanes leaked out of the pool");
+        assert_eq!(replay(&mut arena), GOLDEN);
+        assert_eq!(arena.queue.lanes_with_storage(), clean);
+
+        // … and by a protocol whose wait does not advance.
+        let err = golden().build().run_reusable(&StuckFactory, &mut arena);
+        assert!(matches!(
+            err,
+            Err(SimError::NonAdvancingWait { rank: 0, now, at }) if now == at
+        ));
+        assert_eq!(held(&arena), all, "lanes leaked out of the pool");
+        assert_eq!(replay(&mut arena), GOLDEN);
+        assert_eq!(arena.queue.lanes_with_storage(), clean);
     }
 
     #[test]

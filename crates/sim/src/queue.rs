@@ -2,38 +2,52 @@
 //!
 //! The engine originally kept its pending events in a binary heap
 //! ordered by `(time, class, seq)`. The LogP invariants (`L ≥ 1`,
-//! `o ≥ 1`, validated in `ct-logp`) guarantee that every event pushed
-//! while draining time `t` lies strictly in the future: `SenderFree`
-//! and `RecvDone` land at `t + o`, `Arrive` at `t + o + L`, and a
-//! `Repoll` at `t' ≤ t` is rejected as [`SimError::NonAdvancingWait`]
+//! `o ≥ 1`, validated in `ct-logp`) guarantee that every event scheduled
+//! while time `t` runs lies strictly in the future: `SenderFree` and
+//! `RecvDone` land at `t + o`, `Arrive` at `t + o + L`, and a `Repoll`
+//! at `t' ≤ t` is rejected as [`SimError::NonAdvancingWait`]
 //! (`crate::SimError`). That makes a calendar queue *exactly*
-//! order-equivalent to the heap — no event can join a bucket that is
-//! already being drained — while turning the hot push/pop pair from
-//! `O(log n)` comparisons into array appends and cursor walks.
+//! order-equivalent to the heap — no event can join a time step that has
+//! begun — and it lets the queue hand the engine a time step at once
+//! instead of an event at a time.
 //!
 //! Layout: a window of [`WINDOW`] consecutive absolute time steps, one
-//! bucket per step, four FIFO lanes per bucket (one per same-time
-//! ordering class). Lanes are typed for density ([`Bucket`]): since the
-//! lane itself encodes the class, the three poll-like lanes store bare
-//! 4-byte ranks and only arrivals carry sender + packed payload (12
-//! bytes) — a cache line holds 16 pending polls or 5 arrivals, against
-//! 4 of the old 16-byte `(Rank, EventKind)` tuples. Within a lane,
-//! append order *is* sequence order —
-//! the global sequence counter is monotone — so FIFO drain reproduces
-//! the heap's `seq` tie-break. Events beyond the window (distant
-//! `WaitUntil`s, `Time::NEVER`) overflow into a small binary heap with
-//! the original `(time, class, seq)` ordering; when the window empties
-//! the queue re-bases onto the earliest overflow time and drains the
-//! now-in-window prefix back into buckets, preserving that order.
+//! [`Bucket`] per step, four FIFO lanes per bucket (one per same-time
+//! ordering class). Lanes are typed for density: since the lane itself
+//! encodes the class, the three poll-like lanes store bare 4-byte ranks
+//! and only arrivals carry sender + packed payload (12 bytes) — a cache
+//! line holds 16 pending polls or 5 arrivals. Within a lane, append
+//! order *is* sequence order, so walking the four lanes of a bucket in
+//! class order reproduces the heap's `(class, seq)` tie-break. Events
+//! beyond the window (distant `WaitUntil`s, `Time::NEVER`, anything
+//! under `o + L ≥ 1024`) overflow into a small binary heap with the
+//! original `(time, class, seq)` ordering — `seq` counts overflow pushes
+//! only, an in-window lane needs none; when the window empties the queue
+//! re-bases onto the earliest overflow time and drains the now-in-window
+//! prefix back into buckets, preserving that order.
+//!
+//! Hand-out: [`EventQueue::next_step`] takes the next non-empty bucket
+//! out of the window *whole* and the engine walks its lanes as slices.
+//! From then on the bucket's time has begun: [`EventQueue::push`]
+//! asserts that its target is a strictly later bucket.
+//!
+//! Step-owned lanes: only the step at `t` can schedule a `RecvDone` or a
+//! `SenderFree` at `t + o` or an `Arrive` at `t + o + L` (the `t = 0`
+//! polls precede every step), so those three lanes are empty when the
+//! step begins and nobody else appends to them while it runs. The engine
+//! fills them as three local vectors ([`StepOutput`]) and
+//! [`EventQueue::finish_step`] installs each as the whole lane, asserting
+//! that the slot held nothing. Only `Repoll` and the initial polls go
+//! through the general [`EventQueue::push`].
 //!
 //! Storage: a bucket owns lane vectors only while it has events to
-//! hold. A drained bucket hands its vectors to a LIFO spare list
-//! ([`LanePool`]) and the first push into a lane without storage takes
-//! the most recently retired one, so the queue retains about
-//! `o + L + 2` buckets' worth of lanes — the steps that are live at
-//! once, each as wide as the widest step — instead of one set for every
-//! time step a run ever reached, and every push writes to memory that
-//! was read a step or two ago.
+//! hold. A finished step hands its vectors to a LIFO spare list
+//! ([`LanePool`]) and an output lane, or the first push into a lane
+//! without storage, takes the most recently retired one, so the queue
+//! retains about `o + L + 2` buckets' worth of lanes — the steps that are
+//! live at once, each as wide as the widest step — instead of one set
+//! for every time step a run ever reached, and every append writes to
+//! memory that was read a step or two ago.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -79,56 +93,78 @@ impl EventKind {
 /// is tens of steps, so one window normally covers a whole run; the
 /// overflow heap handles anything longer (or `Time::NEVER`).
 const WINDOW: usize = 1024;
-const LANES: usize = 4;
 
 /// An arrival packed to 12 bytes (vs 16 for `(Rank, EventKind)`): the
 /// lane already encodes the event class, so only `Arrive` needs more
 /// than the destination rank, and its payload fits a `u32` tag+round.
 #[derive(Clone, Copy, Debug)]
-struct PackedArrive {
-    to: Rank,
-    from: Rank,
+pub(crate) struct PackedArrive {
+    /// Receiving rank.
+    pub(crate) to: Rank,
+    /// Sending rank.
+    pub(crate) from: Rank,
     payload: u32,
 }
 
-#[inline]
-fn pack_payload(p: Payload) -> u32 {
-    match p {
-        Payload::Tree => 0,
-        Payload::Correction => 1,
-        Payload::Ack => 2,
-        Payload::Gossip { round } => {
-            // 30 bits of round; a legitimate run is nowhere near (each
-            // hop increments by one), so fail loudly rather than wrap.
-            assert!(round < 1 << 30, "gossip round overflows packed event");
-            3 | (round << 2)
+impl PackedArrive {
+    #[inline]
+    pub(crate) fn new(to: Rank, from: Rank, payload: Payload) -> PackedArrive {
+        let payload = match payload {
+            Payload::Tree => 0,
+            Payload::Correction => 1,
+            Payload::Ack => 2,
+            Payload::Gossip { round } => {
+                // 30 bits of round; a legitimate run is nowhere near (each
+                // hop increments by one), so fail loudly rather than wrap.
+                assert!(round < 1 << 30, "gossip round overflows packed event");
+                3 | (round << 2)
+            }
+        };
+        PackedArrive { to, from, payload }
+    }
+
+    /// The message content.
+    #[inline]
+    pub(crate) fn payload(self) -> Payload {
+        match self.payload & 3 {
+            0 => Payload::Tree,
+            1 => Payload::Correction,
+            2 => Payload::Ack,
+            _ => Payload::Gossip {
+                round: self.payload >> 2,
+            },
         }
     }
 }
 
-#[inline]
-fn unpack_payload(v: u32) -> Payload {
-    match v & 3 {
-        0 => Payload::Tree,
-        1 => Payload::Correction,
-        2 => Payload::Ack,
-        _ => Payload::Gossip { round: v >> 2 },
-    }
+/// One time step's events, one FIFO lane per ordering class, to be
+/// walked in field order. Lanes are *typed*: the three poll-like classes
+/// store a bare 4-byte rank (16 events per cache line), arrivals store
+/// [`PackedArrive`].
+#[derive(Debug, Default)]
+pub(crate) struct Bucket {
+    /// Class 0: deliveries.
+    pub(crate) arrive: Vec<PackedArrive>,
+    /// Class 1: receive-port completions.
+    pub(crate) recv_done: Vec<Rank>,
+    /// Class 2: sender-port frees.
+    pub(crate) sender_free: Vec<Rank>,
+    /// Class 3: protocol wake-ups.
+    pub(crate) repoll: Vec<Rank>,
 }
 
-/// One time step's pending events, one FIFO lane per ordering class.
-/// Lanes are *typed*: the three poll-like classes store a bare 4-byte
-/// rank (16 events per cache line), arrivals store [`PackedArrive`].
+/// The three lanes that belong to the running step alone (module docs):
+/// port events at `now + o`, arrivals at `now + o + L`. Drawn from the
+/// pool by [`EventQueue::output_lanes`], appended to by the engine,
+/// installed by [`EventQueue::finish_step`].
 #[derive(Debug, Default)]
-struct Bucket {
-    /// Class 0: deliveries.
-    arrive: Vec<PackedArrive>,
-    /// Class 1: receive-port completions.
-    recv_done: Vec<Rank>,
-    /// Class 2: sender-port frees.
-    sender_free: Vec<Rank>,
-    /// Class 3: protocol wake-ups.
-    repoll: Vec<Rank>,
+pub(crate) struct StepOutput {
+    /// `RecvDone` at `now + o`.
+    pub(crate) recv_done: Vec<Rank>,
+    /// `SenderFree` at `now + o`.
+    pub(crate) sender_free: Vec<Rank>,
+    /// `Arrive` at `now + o + L`.
+    pub(crate) arrive: Vec<PackedArrive>,
 }
 
 /// Lane vectors no bucket is using, most recently retired last.
@@ -140,10 +176,10 @@ struct LanePool {
 }
 
 /// Empty `lane` and hand its storage, if it has any, to `spare`.
-fn retire<T>(lane: &mut Vec<T>, spare: &mut Vec<Vec<T>>) {
+fn retire<T>(mut lane: Vec<T>, spare: &mut Vec<Vec<T>>) {
     if lane.capacity() != 0 {
         lane.clear();
-        spare.push(std::mem::take(lane));
+        spare.push(lane);
     }
 }
 
@@ -151,69 +187,36 @@ fn retire<T>(lane: &mut Vec<T>, spare: &mut Vec<Vec<T>>) {
 #[inline]
 fn append<T>(lane: &mut Vec<T>, spare: &mut Vec<Vec<T>>, item: T) {
     if lane.capacity() == 0 {
-        adopt(lane, spare);
+        if let Some(warm) = spare.pop() {
+            *lane = warm;
+        }
     }
     lane.push(item);
 }
 
-/// Once per lane and time step, against a push per event: kept out of
-/// line (as is [`Bucket::retire`]) so that the per-event code of `push`
-/// and `pop` stays what it is without a pool — inlined, the two cost
-/// the cache-resident P = 1024 repetition 1–2 %.
-#[cold]
-#[inline(never)]
-fn adopt<T>(lane: &mut Vec<T>, spare: &mut Vec<Vec<T>>) {
-    if let Some(warm) = spare.pop() {
-        *lane = warm;
-    }
-}
-
 impl Bucket {
+    fn len(&self) -> usize {
+        self.arrive.len() + self.recv_done.len() + self.sender_free.len() + self.repoll.len()
+    }
+
     /// Drop every event and give the lanes' storage back to `pool`.
-    #[inline(never)]
-    fn retire(&mut self, pool: &mut LanePool) {
-        retire(&mut self.arrive, &mut pool.arrive);
-        retire(&mut self.recv_done, &mut pool.ranks);
-        retire(&mut self.sender_free, &mut pool.ranks);
-        retire(&mut self.repoll, &mut pool.ranks);
+    fn retire(self, pool: &mut LanePool) {
+        retire(self.arrive, &mut pool.arrive);
+        retire(self.recv_done, &mut pool.ranks);
+        retire(self.sender_free, &mut pool.ranks);
+        retire(self.repoll, &mut pool.ranks);
     }
 
     /// Append an event to its class lane.
-    #[inline]
     fn push(&mut self, rank: Rank, kind: EventKind, pool: &mut LanePool) {
         match kind {
             EventKind::Arrive { from, payload } => {
-                let packed = PackedArrive {
-                    to: rank,
-                    from,
-                    payload: pack_payload(payload),
-                };
+                let packed = PackedArrive::new(rank, from, payload);
                 append(&mut self.arrive, &mut pool.arrive, packed);
             }
             EventKind::RecvDone => append(&mut self.recv_done, &mut pool.ranks, rank),
             EventKind::SenderFree => append(&mut self.sender_free, &mut pool.ranks, rank),
             EventKind::Repoll => append(&mut self.repoll, &mut pool.ranks, rank),
-        }
-    }
-
-    /// Entry `pos` of lane `lane`, or `None` past the lane's end.
-    fn get(&self, lane: usize, pos: usize) -> Option<(Rank, EventKind)> {
-        match lane {
-            0 => self.arrive.get(pos).map(|a| {
-                (
-                    a.to,
-                    EventKind::Arrive {
-                        from: a.from,
-                        payload: unpack_payload(a.payload),
-                    },
-                )
-            }),
-            1 => self.recv_done.get(pos).map(|&r| (r, EventKind::RecvDone)),
-            2 => self
-                .sender_free
-                .get(pos)
-                .map(|&r| (r, EventKind::SenderFree)),
-            _ => self.repoll.get(pos).map(|&r| (r, EventKind::Repoll)),
         }
     }
 }
@@ -249,18 +252,16 @@ impl Ord for Overflow {
 pub(crate) struct EventQueue {
     /// Absolute time of `buckets[0]`.
     base: u64,
-    /// Bucket currently being drained.
+    /// First bucket not handed out yet: every bucket before it is empty
+    /// and its time has begun.
     cursor: usize,
-    /// Class lane currently being drained within the cursor bucket.
-    lane: usize,
-    /// Next position within that lane.
-    pos: usize,
-    /// Pending (pushed, not yet popped) events resident in buckets.
+    /// Pending events resident in buckets.
     len: usize,
     buckets: Vec<Bucket>,
     spare: LanePool,
     overflow: BinaryHeap<Reverse<Overflow>>,
-    /// Monotone push counter, reproducing the heap's tie-break.
+    /// Counts overflow pushes: the heap's tie-break. (In-window lanes
+    /// are FIFO and need none.)
     seq: u64,
 }
 
@@ -269,8 +270,6 @@ impl EventQueue {
         EventQueue {
             base: 0,
             cursor: 0,
-            lane: 0,
-            pos: 0,
             len: 0,
             buckets: (0..WINDOW).map(|_| Bucket::default()).collect(),
             spare: LanePool::default(),
@@ -282,92 +281,155 @@ impl EventQueue {
     /// Empty the queue for a fresh run, keeping all backing storage.
     pub(crate) fn reset(&mut self) {
         // A bucket has storage only while it has events, and those
-        // behind the cursor are drained: a run that emptied the queue
-        // leaves at most the cursor bucket to retire, one that was cut
-        // short everything from there on.
-        let end = if self.len == 0 {
-            WINDOW.min(self.cursor + 1)
-        } else {
-            WINDOW
-        };
-        for bucket in &mut self.buckets[self.cursor..end] {
-            bucket.retire(&mut self.spare);
+        // behind the cursor were handed out: a run that emptied the
+        // window leaves nothing to retire, one that was cut short
+        // everything from the cursor on.
+        if self.len != 0 {
+            for bucket in &mut self.buckets[self.cursor..] {
+                std::mem::take(bucket).retire(&mut self.spare);
+            }
         }
         self.overflow.clear();
         self.base = 0;
         self.cursor = 0;
-        self.lane = 0;
-        self.pos = 0;
         self.len = 0;
         self.seq = 0;
     }
 
-    /// Schedule an event. Must not be earlier than the bucket being
-    /// drained — guaranteed by the LogP invariants (see module docs).
-    pub(crate) fn push(&mut self, time: Time, rank: Rank, kind: EventKind) {
-        self.seq += 1;
+    /// The index of `time`'s bucket, or `None` beyond the window. `time` must
+    /// not have begun — guaranteed by the LogP invariants (module docs).
+    fn bucket_of(&self, time: Time) -> Option<usize> {
         let idx = time
             .steps()
             .checked_sub(self.base)
             .expect("event scheduled before the window base");
-        if idx < WINDOW as u64 {
-            let b = idx as usize;
-            // Strictly-future pushes can never land behind the drain
-            // point; only saturated `Time::NEVER` arithmetic could, and
-            // that must fail loudly rather than lose the event.
-            assert!(
-                b > self.cursor || (b == self.cursor && kind.class() as usize >= self.lane),
-                "event scheduled into an already-drained lane (time did not advance)"
-            );
-            self.buckets[b].push(rank, kind, &mut self.spare);
-            self.len += 1;
-        } else {
-            self.overflow.push(Reverse(Overflow {
-                time,
-                seq: self.seq,
-                rank,
-                kind,
-            }));
+        if idx >= WINDOW as u64 {
+            return None;
+        }
+        // Strictly-future scheduling can never land at or behind the
+        // running step; only saturated `Time::NEVER` arithmetic could,
+        // and that must fail loudly rather than lose the event.
+        assert!(
+            idx as usize >= self.cursor,
+            "event scheduled into a time step that has begun (time did not advance)"
+        );
+        Some(idx as usize)
+    }
+
+    fn park(&mut self, time: Time, rank: Rank, kind: EventKind) {
+        self.seq += 1;
+        self.overflow.push(Reverse(Overflow {
+            time,
+            seq: self.seq,
+            rank,
+            kind,
+        }));
+    }
+
+    /// Schedule one event at a time that has not begun.
+    pub(crate) fn push(&mut self, time: Time, rank: Rank, kind: EventKind) {
+        match self.bucket_of(time) {
+            Some(b) => {
+                self.buckets[b].push(rank, kind, &mut self.spare);
+                self.len += 1;
+            }
+            None => self.park(time, rank, kind),
         }
     }
 
-    /// Next event in `(time, class, seq)` order, or `None` when drained.
-    pub(crate) fn pop(&mut self) -> Option<(Time, Rank, EventKind)> {
-        loop {
-            if self.len == 0 {
-                // Window exhausted: whatever the cursor bucket still
-                // holds is consumed. Jump straight to the overflow.
-                if self.cursor < WINDOW {
-                    self.buckets[self.cursor].retire(&mut self.spare);
-                    self.pos = 0;
-                }
-                if self.overflow.is_empty() {
-                    return None;
-                }
-                self.rebase();
+    /// Begin the earliest pending time step: its time and its four
+    /// lanes, taken out of the window. `None` when nothing is pending.
+    /// Give the lanes back through [`EventQueue::finish_step`].
+    pub(crate) fn next_step(&mut self) -> Option<(Time, Bucket)> {
+        if self.len == 0 {
+            if self.overflow.is_empty() {
+                return None;
             }
-            while self.lane < LANES {
-                if let Some((rank, kind)) = self.buckets[self.cursor].get(self.lane, self.pos) {
-                    self.pos += 1;
-                    self.len -= 1;
-                    return Some((Time::new(self.base + self.cursor as u64), rank, kind));
-                }
-                self.lane += 1;
-                self.pos = 0;
+            self.rebase();
+        }
+        // `len > 0`: a bucket at or after the cursor holds events.
+        let mut idx = self.cursor;
+        while self.buckets[idx].len() == 0 {
+            idx += 1;
+        }
+        let lanes = std::mem::take(&mut self.buckets[idx]);
+        self.len -= lanes.len();
+        self.cursor = idx + 1;
+        Some((Time::new(self.base + idx as u64), lanes))
+    }
+
+    /// Three empty lanes for the running step to fill, the warmest
+    /// spares first.
+    pub(crate) fn output_lanes(&mut self) -> StepOutput {
+        StepOutput {
+            recv_done: self.spare.ranks.pop().unwrap_or_default(),
+            sender_free: self.spare.ranks.pop().unwrap_or_default(),
+            arrive: self.spare.arrive.pop().unwrap_or_default(),
+        }
+    }
+
+    /// End the running step: its drained `lanes` return to the pool and
+    /// its output becomes the `RecvDone` and `SenderFree` lanes of
+    /// `port_time` and the arrival lane of `arrive_time`, whole.
+    pub(crate) fn finish_step(
+        &mut self,
+        lanes: Bucket,
+        out: StepOutput,
+        port_time: Time,
+        arrive_time: Time,
+    ) {
+        lanes.retire(&mut self.spare);
+        self.install_ranks(port_time, EventKind::RecvDone, out.recv_done);
+        self.install_ranks(port_time, EventKind::SenderFree, out.sender_free);
+        self.install_arrivals(arrive_time, out.arrive);
+    }
+
+    /// Make `lane` the whole `kind` lane (`RecvDone` or `SenderFree`) of
+    /// `time`; event by event into the overflow beyond the window.
+    fn install_ranks(&mut self, time: Time, kind: EventKind, lane: Vec<Rank>) {
+        if lane.is_empty() {
+            return retire(lane, &mut self.spare.ranks);
+        }
+        match self.bucket_of(time) {
+            Some(b) => {
+                let slot = match kind {
+                    EventKind::RecvDone => &mut self.buckets[b].recv_done,
+                    _ => &mut self.buckets[b].sender_free,
+                };
+                assert!(slot.capacity() == 0, "a step-owned lane was not empty");
+                self.len += lane.len();
+                *slot = lane;
             }
-            // Bucket fully drained: its lanes go back to the pool.
-            // (Consumed events stay in the lane vectors until this
-            // point.)
-            self.buckets[self.cursor].retire(&mut self.spare);
-            self.lane = 0;
-            self.pos = 0;
-            self.cursor += 1;
-            if self.cursor == WINDOW {
-                debug_assert_eq!(self.len, 0, "events counted but never reachable");
-                if self.overflow.is_empty() {
-                    return None;
+            None => {
+                for &rank in &lane {
+                    self.park(time, rank, kind);
                 }
-                self.rebase();
+                retire(lane, &mut self.spare.ranks);
+            }
+        }
+    }
+
+    /// [`EventQueue::install_ranks`] for the arrival lane of `time`.
+    fn install_arrivals(&mut self, time: Time, lane: Vec<PackedArrive>) {
+        if lane.is_empty() {
+            return retire(lane, &mut self.spare.arrive);
+        }
+        match self.bucket_of(time) {
+            Some(b) => {
+                let slot = &mut self.buckets[b].arrive;
+                assert!(slot.capacity() == 0, "a step-owned lane was not empty");
+                self.len += lane.len();
+                *slot = lane;
+            }
+            None => {
+                for a in &lane {
+                    let kind = EventKind::Arrive {
+                        from: a.from,
+                        payload: a.payload(),
+                    };
+                    self.park(time, a.to, kind);
+                }
+                retire(lane, &mut self.spare.arrive);
             }
         }
     }
@@ -385,8 +447,6 @@ impl EventQueue {
             .time
             .steps();
         self.cursor = 0;
-        self.lane = 0;
-        self.pos = 0;
         while let Some(Reverse(ev)) = self.overflow.peek() {
             let idx = ev.time.steps() - self.base;
             if idx >= WINDOW as u64 {
@@ -478,55 +538,111 @@ mod tests {
         }
     }
 
-    /// Drive queue and model through an identical interleaved
-    /// push/pop schedule where every push is strictly in the future —
-    /// the engine's invariant — and require identical pop streams.
-    fn lockstep(time_spread: u64, label: &str) {
+    /// The events of a step in the order the engine walks them.
+    fn walk(time: Time, lanes: &Bucket) -> Vec<(Time, Rank, EventKind)> {
+        fn ranks(lane: &[Rank], kind: EventKind) -> impl Iterator<Item = (Rank, EventKind)> + '_ {
+            lane.iter().map(move |&rank| (rank, kind))
+        }
+        let arrive = lanes.arrive.iter().map(|a| {
+            let (from, payload) = (a.from, a.payload());
+            (a.to, EventKind::Arrive { from, payload })
+        });
+        arrive
+            .chain(ranks(&lanes.recv_done, EventKind::RecvDone))
+            .chain(ranks(&lanes.sender_free, EventKind::SenderFree))
+            .chain(ranks(&lanes.repoll, EventKind::Repoll))
+            .map(|(rank, kind)| (time, rank, kind))
+            .collect()
+    }
+
+    impl EventQueue {
+        /// Run the next step as one that schedules nothing.
+        fn pop_step(&mut self) -> Option<Vec<(Time, Rank, EventKind)>> {
+            let (time, lanes) = self.next_step()?;
+            let events = walk(time, &lanes);
+            self.finish_step(lanes, StepOutput::default(), time, time);
+            Some(events)
+        }
+
+        /// Every pending event, step by step.
+        fn drain(&mut self) -> Vec<(Time, Rank, EventKind)> {
+            std::iter::from_fn(|| self.pop_step()).flatten().collect()
+        }
+    }
+
+    /// Drive queue and model through an identical schedule where every
+    /// event scheduled lies strictly in the future — the engine's
+    /// invariant — and require each step's four lanes to equal the
+    /// model's `(time, class, seq)` drain. With `ports: None` every
+    /// event goes through `push` at a random distance up to
+    /// `time_spread`; with `Some((o, wire))` only `Repoll` does, and the
+    /// other three kinds are the step's own output lanes, as in the
+    /// engine.
+    fn lockstep(time_spread: u64, ports: Option<(u64, u64)>, label: &str) {
         let mut q = EventQueue::new();
         let mut m = Model::new();
         for r in 0..16u32 {
             q.push(Time::ZERO, r, EventKind::SenderFree);
             m.push(Time::ZERO, r, EventKind::SenderFree);
         }
+        let (o, wire) = ports.unwrap_or((1, 1));
         let mut i = 0u64;
-        loop {
-            let a = q.pop();
-            let b = m.pop();
-            match (a, b) {
-                (None, None) => break,
-                (Some((ta, ra, ka)), Some((tb, rb, kb))) => {
-                    assert_eq!((ta, ra, ka), (tb, rb, kb), "{label}: divergence at pop {i}");
-                    // Push 1–2 strictly-future events per pop (so the
-                    // schedule cannot die out early), capped so it
-                    // terminates.
-                    if i < 4000 {
-                        let n = 1 + mix(i) % 2;
-                        for j in 0..n {
-                            let h = mix(i * 3 + j);
-                            let dt = 1 + h % time_spread;
-                            let rank = (h >> 8) as u32 % 16;
-                            let kind = kind_for(h >> 16);
-                            q.push(ta + dt, rank, kind);
-                            m.push(tb + dt, rank, kind);
+        while let Some((now, lanes)) = q.next_step() {
+            let mut out = q.output_lanes();
+            for event in walk(now, &lanes) {
+                assert_eq!(Some(event), m.pop(), "{label}: divergence at event {i}");
+                // Schedule 1–2 strictly-future events per event (so the
+                // schedule cannot die out early), capped so it
+                // terminates.
+                let n = if i < 4000 { 1 + mix(i) % 2 } else { 0 };
+                for j in 0..n {
+                    let h = mix(i * 3 + j);
+                    let rank = (h >> 8) as u32 % 16;
+                    let kind = kind_for(h >> 16);
+                    let at = match (ports, kind) {
+                        (None, _) | (_, EventKind::Repoll) => {
+                            let at = now + (1 + h % time_spread);
+                            q.push(at, rank, kind);
+                            at
                         }
-                    }
-                    i += 1;
+                        (_, EventKind::RecvDone) => {
+                            out.recv_done.push(rank);
+                            now + o
+                        }
+                        (_, EventKind::SenderFree) => {
+                            out.sender_free.push(rank);
+                            now + o
+                        }
+                        (_, EventKind::Arrive { from, payload }) => {
+                            out.arrive.push(PackedArrive::new(rank, from, payload));
+                            now + wire
+                        }
+                    };
+                    m.push(at, rank, kind);
                 }
-                (a, b) => panic!("{label}: one queue drained early: {a:?} vs {b:?}"),
+                i += 1;
             }
+            q.finish_step(lanes, out, now + o, now + wire);
         }
-        assert!(i > 4000, "{label}: schedule must actually exercise pops");
+        assert_eq!(m.pop(), None, "{label}: the queue drained early");
+        assert!(i > 4000, "{label}: schedule must actually exercise steps");
     }
 
     #[test]
     fn matches_heap_order_within_window() {
-        lockstep(8, "dense");
+        lockstep(8, None, "dense");
+        lockstep(8, Some((1, 3)), "dense, step-owned lanes");
+        lockstep(8, Some((3, 10)), "dense, step-owned lanes, o > 1");
     }
 
     #[test]
     fn matches_heap_order_across_window_overflow() {
         // Deltas far beyond WINDOW force constant overflow + rebase.
-        lockstep(5000, "sparse");
+        lockstep(5000, None, "sparse");
+        lockstep(5000, Some((1, 3)), "sparse, step-owned lanes");
+        // o + L beyond the window: every installed arrival lane goes to
+        // the overflow event by event.
+        lockstep(8, Some((1, 1501)), "arrivals beyond the window");
     }
 
     #[test]
@@ -535,10 +651,15 @@ mod tests {
         q.push(Time::NEVER, 3, EventKind::Repoll);
         q.push(Time::ZERO, 1, EventKind::SenderFree);
         q.push(Time::new(2000), 2, EventKind::RecvDone);
-        assert_eq!(q.pop(), Some((Time::ZERO, 1, EventKind::SenderFree)));
-        assert_eq!(q.pop(), Some((Time::new(2000), 2, EventKind::RecvDone)));
-        assert_eq!(q.pop(), Some((Time::NEVER, 3, EventKind::Repoll)));
-        assert_eq!(q.pop(), None);
+        assert_eq!(
+            q.drain(),
+            vec![
+                (Time::ZERO, 1, EventKind::SenderFree),
+                (Time::new(2000), 2, EventKind::RecvDone),
+                (Time::NEVER, 3, EventKind::Repoll),
+            ]
+        );
+        assert!(q.next_step().is_none());
     }
 
     #[test]
@@ -557,14 +678,35 @@ mod tests {
             },
         );
         q.push(t, 5, EventKind::RecvDone);
-        let order: Vec<Rank> = std::iter::from_fn(|| q.pop()).map(|(_, r, _)| r).collect();
+        let order: Vec<Rank> = q.drain().into_iter().map(|(_, r, _)| r).collect();
         assert_eq!(order, vec![6, 7, 5, 8, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a time step that has begun")]
+    fn a_push_into_the_running_step_is_rejected() {
+        let mut q = EventQueue::new();
+        q.push(Time::new(5), 1, EventKind::SenderFree);
+        let (now, _lanes) = q.next_step().expect("one step pending");
+        q.push(now, 2, EventKind::Repoll);
+    }
+
+    #[test]
+    #[should_panic(expected = "a step-owned lane was not empty")]
+    fn an_install_into_a_lane_that_holds_events_is_rejected() {
+        let mut q = EventQueue::new();
+        q.push(Time::new(5), 1, EventKind::SenderFree);
+        q.push(Time::new(7), 2, EventKind::RecvDone);
+        let (_, lanes) = q.next_step().expect("the step at 5");
+        let mut out = q.output_lanes();
+        out.recv_done.push(3);
+        q.finish_step(lanes, out, Time::new(7), Time::new(8));
     }
 
     impl EventQueue {
         /// `(arrival lanes, rank lanes)` that hold storage, as
         /// `[in buckets, spare]`.
-        fn lanes_with_storage(&self) -> ([usize; 2], [usize; 2]) {
+        pub(crate) fn lanes_with_storage(&self) -> ([usize; 2], [usize; 2]) {
             let arrive = self.buckets.iter().filter(|b| b.arrive.capacity() != 0);
             let ranks = self
                 .buckets
@@ -617,7 +759,7 @@ mod tests {
         for t in 1..=3 {
             q.push(Time::new(t), 7, EventKind::SenderFree);
         }
-        while q.pop().is_some() {}
+        assert_eq!(q.drain().len(), 3);
         assert_eq!(q.lanes_with_storage(), ([0, 0], [0, 3]));
         q.reset();
         let warmest = q.spare.ranks.last().expect("three spares").as_ptr();
@@ -632,7 +774,24 @@ mod tests {
         q.reset();
         assert_eq!(q.lanes_with_storage(), ([0, 0], [0, 3]));
         assert_eq!(q.spare.ranks.last().unwrap().as_ptr(), warmest);
-        assert_eq!(q.pop(), None);
+        assert!(q.next_step().is_none());
+    }
+
+    #[test]
+    fn a_steps_lanes_are_held_until_it_finishes_and_its_output_is_the_warmest() {
+        let mut q = EventQueue::new();
+        q.push(Time::new(1), 7, EventKind::SenderFree);
+        assert_eq!(q.drain().len(), 1);
+        q.push(Time::new(2), 7, EventKind::SenderFree);
+        let (now, lanes) = q.next_step().expect("the step at 2");
+        let drained = lanes.sender_free.as_ptr();
+        // Taken out of the window: neither in a bucket nor spare.
+        assert_eq!(q.lanes_with_storage(), ([0, 0], [0, 0]));
+        let mut out = q.output_lanes();
+        out.arrive.push(PackedArrive::new(1, 7, Payload::Tree));
+        q.finish_step(lanes, out, now + 1, now + 3);
+        assert_eq!(q.lanes_with_storage(), ([1, 0], [0, 1]));
+        assert_eq!(q.output_lanes().recv_done.as_ptr(), drained);
     }
 
     #[test]
@@ -643,12 +802,18 @@ mod tests {
         for (i, t) in [0, 5_000, 10_000, u64::MAX].into_iter().enumerate() {
             q.push(Time::new(t), i as Rank, EventKind::Repoll);
         }
+        let mut lane = None;
         for i in 0..4 {
-            assert_eq!(q.pop().map(|(_, r, _)| r), Some(i));
-            assert_eq!(q.lanes_with_storage(), ([0, 0], [1, 0]), "pop {i}");
+            let (now, lanes) = q.next_step().expect("four steps");
+            assert_eq!(lanes.repoll, [i]);
+            assert_eq!(
+                *lane.get_or_insert(lanes.repoll.as_ptr()),
+                lanes.repoll.as_ptr()
+            );
+            q.finish_step(lanes, StepOutput::default(), now, now);
+            assert_eq!(q.lanes_with_storage(), ([0, 0], [0, 1]), "step {i}");
         }
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.lanes_with_storage(), ([0, 0], [0, 1]));
+        assert!(q.next_step().is_none());
     }
 
     #[test]
@@ -656,14 +821,18 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(Time::new(1), 1, EventKind::SenderFree);
         q.push(Time::new(90_000), 2, EventKind::Repoll);
-        let _ = q.pop();
+        let _ = q.pop_step();
         q.reset();
-        assert_eq!(q.pop(), None);
+        assert!(q.next_step().is_none());
         // And it still orders correctly after reuse.
         q.push(Time::new(3), 4, EventKind::RecvDone);
         q.push(Time::new(2), 5, EventKind::SenderFree);
-        assert_eq!(q.pop(), Some((Time::new(2), 5, EventKind::SenderFree)));
-        assert_eq!(q.pop(), Some((Time::new(3), 4, EventKind::RecvDone)));
-        assert_eq!(q.pop(), None);
+        assert_eq!(
+            q.drain(),
+            vec![
+                (Time::new(2), 5, EventKind::SenderFree),
+                (Time::new(3), 4, EventKind::RecvDone),
+            ]
+        );
     }
 }
