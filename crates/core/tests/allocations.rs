@@ -3,11 +3,12 @@
 //! Once a set of slots exists, re-initialising it for the next
 //! broadcast — the cluster's boxes through `BroadcastSpec::build_into`
 //! or the simulator's by-value population through
-//! `BroadcastSpec::populate` — and running a checked corrected-tree
-//! broadcast on it to quiescence — crash faults and the correction that
-//! heals them included — allocates nothing when the numbering is linear
-//! or rotated, and only the two tables of the new numbering when it is
-//! shuffled, whichever of the three the slots ran under before.
+//! `BroadcastSpec::populate` — and running a checked or failure-proof
+//! corrected-tree broadcast on it to quiescence — crash faults and the
+//! correction that heals them included — allocates nothing when the
+//! numbering is linear or rotated, and only the two tables of the new
+//! numbering when it is shuffled, whichever of the three the slots ran
+//! under before.
 //!
 //! Heap allocations are counted by the per-thread `#[global_allocator]`
 //! of `support/counting_alloc.rs` (CI runs this file with
@@ -90,6 +91,8 @@ fn admission_and_a_checked_broadcast_allocate_nothing_once_the_slots_exist() {
     for p in [64u32, 256] {
         let checked = BroadcastSpec::corrected_tree(TreeKind::BINOMIAL, CorrectionKind::Checked);
         let sync = BroadcastSpec::corrected_tree_sync(TreeKind::BINOMIAL, CorrectionKind::Checked);
+        let failure_proof =
+            BroadcastSpec::corrected_tree_sync(TreeKind::BINOMIAL, CorrectionKind::FailureProof);
         // (spec, allocations allowed per lap)
         let specs = [
             (checked, 0),
@@ -98,6 +101,9 @@ fn admission_and_a_checked_broadcast_allocate_nothing_once_the_slots_exist() {
             // The numbering's two tables and the `Arc` that shares them.
             (checked.with_shuffle(0xBEEF), 3),
             (sync, 0),
+            // Ranks colored by correction acknowledge their probers into
+            // reply queues that the first lap grew.
+            (failure_proof, 0),
         ];
         // Crash faults in two blocks (never a root), so that correction
         // has gaps to heal and ranks end in every kind of state.
