@@ -17,12 +17,11 @@
 //! | [`OpportunisticCorrection`] | `2d` per process | colors all iff `g_max ≤ 2d` |
 //! | optimized opportunistic | `≤ 2d` | same, fewer messages (§3.3) |
 //! | [`CheckedCorrection`] | `3 + ⌊L/o⌋` synchronized | all live colored for any `g_max`, if no failures during correction |
-//! | [`FailureProofCorrection`] | more | all live colored even with failures during correction |
+//! | failure-proof: [`CheckedCorrection`], and ranks colored by correction acknowledge | more | all live colored even with failures during correction |
 //! | [`DelayedCorrection`] | 1 + reply | minimal messages, latency penalty on faults (§3.3) |
 
 pub mod checked;
 pub mod delayed;
-pub mod failure_proof;
 pub mod host;
 pub mod opportunistic;
 pub mod paced;
@@ -32,7 +31,6 @@ use core::fmt;
 pub use checked::CheckedCorrection;
 use ct_logp::{LogP, Rank, Time};
 pub use delayed::DelayedCorrection;
-pub use failure_proof::FailureProofCorrection;
 pub use host::{CorrectionHost, CorrectionMachine};
 pub use opportunistic::OpportunisticCorrection;
 pub use paced::PacedCheckedCorrection;
@@ -93,8 +91,20 @@ pub enum CorrectionKind {
     /// Failure-proof correction: generalized checked correction in which
     /// correction-colored processes acknowledge, so senders converge
     /// even when processes fail *during* correction. (The paper defers
-    /// details to Corrected Gossip; this is our faithful-overhead
+    /// details to Corrected Gossip, §3.1; this is our faithful-overhead
     /// reconstruction, see DESIGN.md.)
+    ///
+    /// Dissemination-colored processes probe exactly as under
+    /// [`CorrectionKind::Checked`]. A correction-colored process confirms
+    /// each distinct prober once, as a
+    /// [`Payload::Ack`](crate::protocol::Payload::Ack) sent by the
+    /// protocol layer. The ack is not a correction message and never
+    /// feeds the checked stop rule: it proves the probe *arrived*, not
+    /// that anything beyond its sender is covered (a prober that stopped
+    /// on the first ack would strand the middle of a large gap). Under
+    /// the paper's fault model (dead or alive for the whole broadcast,
+    /// §2.1) the acks carry no decision-relevant information, so coloring
+    /// coincides with checked correction while paying the extra traffic.
     FailureProof,
     /// Delayed correction (§3.3): one left message, then probe rightward
     /// only if no message arrived from the right within `delay` steps.
@@ -138,11 +148,12 @@ impl CorrectionKind {
             CorrectionKind::OpportunisticOptimized { distance } => {
                 M::Opportunistic(OpportunisticCorrection::new(rank, p, distance, true))
             }
-            CorrectionKind::Checked => M::Checked(CheckedCorrection::new(rank, p)),
+            CorrectionKind::Checked | CorrectionKind::FailureProof => {
+                M::Checked(CheckedCorrection::new(rank, p))
+            }
             CorrectionKind::CheckedPaced { lag, fallback } => M::Paced(Box::new(
                 PacedCheckedCorrection::new(rank, p, lag, fallback),
             )),
-            CorrectionKind::FailureProof => M::FailureProof(FailureProofCorrection::new(rank, p)),
             CorrectionKind::Delayed { delay } => {
                 M::Delayed(Box::new(DelayedCorrection::new(rank, p, delay)))
             }

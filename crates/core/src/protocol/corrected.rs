@@ -17,8 +17,12 @@
 //! correction messages; in overlapped mode an *early* correction message
 //! (arriving before the tree message) still triggers tree forwarding to
 //! the process's children (§3.3), which shortens coloring.
+//!
+//! What every rank of a broadcast shares — the tree, the correction kind
+//! and its start — is one [`TreeBroadcast`], stored once by whoever holds
+//! the machines and handed to each call. A [`CorrectedTreeProcess`] is
+//! the per-rank rest, 64 bytes.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use ct_logp::{Rank, Time};
@@ -28,140 +32,139 @@ use crate::tree::{Topology, Tree};
 
 use super::{ColoredVia, Payload, Process, SendPoll};
 
-/// Failure-proof acknowledgments of a correction-colored process: one
-/// reply per distinct prober. Only that kind ever allocates one.
-#[derive(Default)]
-struct Acks {
-    owed: VecDeque<Rank>,
-    replied_to: Vec<Rank>,
+/// The part of a corrected-tree broadcast that is the same for all of
+/// its ranks.
+#[derive(Clone, Debug)]
+pub struct TreeBroadcast {
+    tree: Arc<Tree>,
+    kind: CorrectionKind,
+    /// The global start of synchronized correction; `None` when
+    /// overlapped, where an early correction message makes its receiver
+    /// forward on the tree.
+    sync_start: Option<Time>,
 }
 
-/// State machine for one rank of a (corrected) tree broadcast.
+impl TreeBroadcast {
+    /// A broadcast down `tree` with `kind` correction, synchronized from
+    /// `sync_start` or overlapped (`None`).
+    pub fn new(tree: Arc<Tree>, kind: CorrectionKind, sync_start: Option<Time>) -> TreeBroadcast {
+        TreeBroadcast {
+            tree,
+            kind,
+            sync_start,
+        }
+    }
+
+    /// The dissemination tree.
+    pub fn tree(&self) -> &Arc<Tree> {
+        &self.tree
+    }
+}
+
+/// `next_child` once a rank has no tree message left to send, or never
+/// will have (colored by correction under synchronized correction).
+const FORWARDED: u32 = u32::MAX - 1;
+
+/// `next_child` once `poll_send` has answered [`SendPoll::Done`], which
+/// is final until the next rewind: nothing a done rank can hear gives it
+/// work again.
+const DONE: u32 = u32::MAX;
+
+/// The failure-proof acknowledgments of a correction-colored process:
+/// every distinct prober in the order it first probed, `probers[sent..]`
+/// still owed their reply. Only that kind ever allocates one, and a rank
+/// keeps it, emptied, from one broadcast to the next.
+#[derive(Default)]
+struct Replies {
+    probers: Vec<Rank>,
+    sent: usize,
+}
+
+/// State machine for one rank of a (corrected) tree broadcast: the
+/// per-rank part only, driven together with its [`TreeBroadcast`].
+///
+/// How the rank was colored is not stored: dissemination (and the
+/// root) begin correction and correction never does, so
+/// [`CorrectionHost::has_begun`] tells the two apart.
 pub struct CorrectedTreeProcess {
+    /// Virtual rank; the root is 0.
     rank: Rank,
-    tree: Arc<Tree>,
-    /// Overlapped (as opposed to synchronized) correction: an early
-    /// correction message makes its receiver forward on the tree.
-    overlapped: bool,
-    /// Does a correction-colored process acknowledge its probers
-    /// ([`CorrectionKind::replies_when_correction_colored`])?
-    acknowledges: bool,
-    colored_at: Option<Time>,
-    colored_via: Option<ColoredVia>,
-    /// Tree-forwarding progress; active while `sending_tree`.
-    next_child: usize,
-    sending_tree: bool,
+    /// Where the rank is in its sends: the tree-forwarding cursor into
+    /// `children(rank)` (forwarding starts when the rank is colored),
+    /// then [`FORWARDED`], then [`DONE`].
+    next_child: u32,
+    /// [`Time::NEVER`] until colored.
+    colored_at: Time,
     /// The correction phase; begun when dissemination colors this rank.
     correction: CorrectionHost,
-    acks: Option<Box<Acks>>,
-    done: bool,
+    replies: Option<Box<Replies>>,
 }
 
 impl CorrectedTreeProcess {
-    /// Create the machine for `rank`. `sync_start` selects synchronized
-    /// (`Some(global start)`) vs overlapped (`None`) correction.
-    pub fn new(
-        rank: Rank,
-        tree: Arc<Tree>,
-        corr_kind: CorrectionKind,
-        sync_start: Option<Time>,
-    ) -> Self {
+    /// Create the machine for `rank` of `broadcast`.
+    pub fn new(rank: Rank, broadcast: &TreeBroadcast) -> Self {
         let mut process = CorrectedTreeProcess {
             rank,
-            tree,
-            overlapped: false,
-            acknowledges: false,
-            colored_at: None,
-            colored_via: None,
             next_child: 0,
-            sending_tree: false,
-            correction: CorrectionHost::new(corr_kind, sync_start),
-            acks: None,
-            done: false,
+            colored_at: Time::NEVER,
+            correction: CorrectionHost::default(),
+            replies: None,
         };
-        process.rewind(corr_kind, sync_start);
+        process.reset(rank, broadcast);
         process
     }
 
     /// Rewind to exactly the state [`CorrectedTreeProcess::new`] would
-    /// produce for these arguments, keeping the buffers' capacity — the
-    /// in-place path of `BroadcastSpec::build_into`.
-    pub fn reset(
-        &mut self,
-        rank: Rank,
-        tree: &Arc<Tree>,
-        corr_kind: CorrectionKind,
-        sync_start: Option<Time>,
-    ) {
+    /// produce for these arguments, keeping the reply buffer's capacity
+    /// — the in-place path of `BroadcastSpec::build_into` and
+    /// `populate`. Only the root is colored, and it alone has begun
+    /// correction.
+    pub fn reset(&mut self, rank: Rank, b: &TreeBroadcast) {
+        let is_root = rank == 0;
         self.rank = rank;
-        if !Arc::ptr_eq(&self.tree, tree) {
-            self.tree = Arc::clone(tree);
-        }
-        self.rewind(corr_kind, sync_start);
-    }
-
-    /// The state a broadcast starts from, given `rank` and `tree`: only
-    /// the root is colored, and it alone has begun correction.
-    fn rewind(&mut self, corr_kind: CorrectionKind, sync_start: Option<Time>) {
-        let is_root = self.rank == 0;
-        self.overlapped = sync_start.is_none();
-        self.acknowledges = corr_kind.replies_when_correction_colored();
-        self.colored_at = is_root.then_some(Time::ZERO);
-        self.colored_via = is_root.then_some(ColoredVia::Root);
         self.next_child = 0;
-        self.sending_tree = is_root;
-        self.correction = CorrectionHost::new(corr_kind, sync_start);
+        self.colored_at = if is_root { Time::ZERO } else { Time::NEVER };
+        self.correction = CorrectionHost::default();
         if is_root {
-            self.begin_correction();
+            self.correction.begin(b.kind, rank, b.tree.num_processes());
         }
-        if let Some(acks) = &mut self.acks {
-            acks.owed.clear();
-            acks.replied_to.clear();
+        if let Some(replies) = &mut self.replies {
+            replies.probers.clear();
+            replies.sent = 0;
         }
-        self.done = false;
     }
 
-    /// Only processes colored by dissemination (and the root) send
-    /// correction messages (§3.1): they begin when so colored.
-    fn begin_correction(&mut self) {
-        let p = self.tree.num_processes();
-        self.correction.begin(self.rank, p);
+    fn is_colored(&self) -> bool {
+        !self.colored_at.is_never()
     }
 
-    fn color(&mut self, via: ColoredVia, now: Time) {
-        debug_assert!(self.colored_at.is_none());
-        self.colored_at = Some(now);
-        self.colored_via = Some(via);
-    }
-}
-
-impl Process for CorrectedTreeProcess {
-    fn on_message(&mut self, from: Rank, payload: Payload, now: Time) {
+    /// Deliver a fully received message ([`Process::on_message`]).
+    pub fn on_message(&mut self, b: &TreeBroadcast, from: Rank, payload: Payload, now: Time) {
         match payload {
             Payload::Tree | Payload::Gossip { .. } => {
-                if self.colored_at.is_none() {
-                    self.color(ColoredVia::Dissemination, now);
-                    self.begin_correction();
-                    self.sending_tree = true;
-                    self.done = false;
+                if !self.is_colored() {
+                    self.colored_at = now;
+                    // Only processes colored by dissemination (and the
+                    // root) send correction messages (§3.1).
+                    let p = b.tree.num_processes();
+                    self.correction.begin(b.kind, self.rank, p);
                 }
                 // Colored already: duplicate masked (§2.1) — tree
                 // forwarding is in progress or finished either way.
             }
             Payload::Correction => {
-                if self.colored_at.is_none() {
-                    self.color(ColoredVia::Correction, now);
+                if !self.is_colored() {
+                    self.colored_at = now;
                     // Early correction (§3.3, overlapped only): the
                     // payload arrived, so forward it along tree edges.
-                    if self.overlapped {
-                        self.sending_tree = true;
-                        self.done = false;
+                    if b.sync_start.is_some() {
+                        self.next_child = FORWARDED;
                     }
                 }
-                if self.colored_via != Some(ColoredVia::Correction) {
+                if self.correction.has_begun() {
                     // Taking part (until the machine is done).
                     self.correction.on_correction(from);
-                } else if self.acknowledges && from != self.rank {
+                } else if b.kind.replies_when_correction_colored() && from != self.rank {
                     // Not taking part; failure-proof correction makes us
                     // acknowledge each distinct prober once. The
                     // acknowledgment is a *delivery confirmation*
@@ -169,11 +172,9 @@ impl Process for CorrectedTreeProcess {
                     // message: hearing an ack proves the probe arrived,
                     // not that anything beyond the sender is covered, so
                     // it must not trigger the checked stop rule.
-                    let acks = self.acks.get_or_insert_with(Box::default);
-                    if !acks.replied_to.contains(&from) {
-                        acks.replied_to.push(from);
-                        acks.owed.push_back(from);
-                        self.done = false;
+                    let replies = self.replies.get_or_insert_with(Box::default);
+                    if !replies.probers.contains(&from) {
+                        replies.probers.push(from);
                     }
                 }
             }
@@ -187,38 +188,38 @@ impl Process for CorrectedTreeProcess {
         }
     }
 
-    fn poll_send(&mut self, now: Time) -> SendPoll {
-        if self.done {
+    /// Ask for the next send; the sender port is free at `now`
+    /// ([`Process::poll_send`]).
+    pub fn poll_send(&mut self, b: &TreeBroadcast, now: Time) -> SendPoll {
+        if self.next_child == DONE {
             return SendPoll::Done;
         }
         // Failure-proof acknowledgments first.
-        if let Some(to) = self.acks.as_mut().and_then(|a| a.owed.pop_front()) {
-            return SendPoll::Now {
-                to,
-                payload: Payload::Ack,
-            };
+        if let Some(replies) = self.replies.as_deref_mut() {
+            if let Some(&to) = replies.probers.get(replies.sent) {
+                replies.sent += 1;
+                let payload = Payload::Ack;
+                return SendPoll::Now { to, payload };
+            }
         }
-        if self.colored_at.is_none() {
+        if !self.is_colored() {
             return SendPoll::Idle;
         }
-        if self.sending_tree {
-            let children = self.tree.children(self.rank);
-            if self.next_child < children.len() {
-                let to = children[self.next_child];
+        if self.next_child < FORWARDED {
+            if let Some(&to) = b.tree.children(self.rank).get(self.next_child as usize) {
                 self.next_child += 1;
-                return SendPoll::Now {
-                    to,
-                    payload: Payload::Tree,
-                };
+                let payload = Payload::Tree;
+                return SendPoll::Now { to, payload };
             }
-            self.sending_tree = false;
+            self.next_child = FORWARDED;
         }
-        match self.correction.poll(now) {
+        match self
+            .correction
+            .poll(now, b.sync_start.unwrap_or(Time::ZERO))
+        {
             CorrPoll::Send(to) => {
-                return SendPoll::Now {
-                    to,
-                    payload: Payload::Correction,
-                }
+                let payload = Payload::Correction;
+                return SendPoll::Now { to, payload };
             }
             CorrPoll::WaitUntil(t) => return SendPoll::WaitUntil(t),
             CorrPoll::Idle => return SendPoll::Idle,
@@ -226,20 +227,74 @@ impl Process for CorrectedTreeProcess {
         }
         // Colored, nothing left to do. Correction-colored processes under
         // failure-proof correction may still owe future replies.
-        if self.acknowledges && self.colored_via == Some(ColoredVia::Correction) {
+        if !self.correction.has_begun() && b.kind.replies_when_correction_colored() {
             SendPoll::Idle
         } else {
-            self.done = true;
+            self.next_child = DONE;
             SendPoll::Done
         }
     }
 
+    /// When this process became colored, if it has.
+    pub fn colored_at(&self) -> Option<Time> {
+        self.is_colored().then_some(self.colored_at)
+    }
+
+    /// How this process became colored, if it has.
+    pub fn colored_via(&self) -> Option<ColoredVia> {
+        Some(if !self.is_colored() {
+            return None;
+        } else if !self.correction.has_begun() {
+            ColoredVia::Correction
+        } else if self.rank == 0 {
+            ColoredVia::Root
+        } else {
+            ColoredVia::Dissemination
+        })
+    }
+}
+
+/// One rank of a corrected-tree broadcast as a [`Process`] of its own:
+/// the machine with a copy of the broadcast it runs, the form the
+/// cluster's per-rank boxes hold.
+pub(super) struct TreeRank {
+    machine: CorrectedTreeProcess,
+    broadcast: TreeBroadcast,
+}
+
+impl TreeRank {
+    pub(super) fn new(rank: Rank, broadcast: TreeBroadcast) -> TreeRank {
+        let machine = CorrectedTreeProcess::new(rank, &broadcast);
+        TreeRank { machine, broadcast }
+    }
+
+    /// Become [`TreeRank::new`] of these arguments in place, re-pointing
+    /// the tree only when it changed: rewinding `P` boxed slots then
+    /// touches no shared counter.
+    pub(super) fn reset(&mut self, rank: Rank, b: &TreeBroadcast) {
+        if !Arc::ptr_eq(&self.broadcast.tree, &b.tree) {
+            self.broadcast.tree = Arc::clone(&b.tree);
+        }
+        (self.broadcast.kind, self.broadcast.sync_start) = (b.kind, b.sync_start);
+        self.machine.reset(rank, b);
+    }
+}
+
+impl Process for TreeRank {
+    fn on_message(&mut self, from: Rank, payload: Payload, now: Time) {
+        self.machine.on_message(&self.broadcast, from, payload, now);
+    }
+
+    fn poll_send(&mut self, now: Time) -> SendPoll {
+        self.machine.poll_send(&self.broadcast, now)
+    }
+
     fn colored_at(&self) -> Option<Time> {
-        self.colored_at
+        self.machine.colored_at()
     }
 
     fn colored_via(&self) -> Option<ColoredVia> {
-        self.colored_via
+        self.machine.colored_via()
     }
 }
 
@@ -253,7 +308,12 @@ mod tests {
         Arc::new(TreeKind::BINOMIAL.build(p, &LogP::PAPER).unwrap())
     }
 
-    fn drain_now(proc_: &mut CorrectedTreeProcess, now: Time) -> Vec<(Rank, Payload)> {
+    /// Rank `rank` of a binomial broadcast over `p`.
+    fn rank(rank: Rank, p: u32, kind: CorrectionKind, sync_start: Option<Time>) -> TreeRank {
+        TreeRank::new(rank, TreeBroadcast::new(tree(p), kind, sync_start))
+    }
+
+    fn drain_now(proc_: &mut TreeRank, now: Time) -> Vec<(Rank, Payload)> {
         let mut out = Vec::new();
         loop {
             match proc_.poll_send(now) {
@@ -265,12 +325,7 @@ mod tests {
 
     #[test]
     fn root_sends_tree_then_correction() {
-        let mut root = CorrectedTreeProcess::new(
-            0,
-            tree(8),
-            CorrectionKind::Opportunistic { distance: 1 },
-            None,
-        );
+        let mut root = rank(0, 8, CorrectionKind::Opportunistic { distance: 1 }, None);
         let sent = drain_now(&mut root, Time::ZERO);
         assert_eq!(
             sent,
@@ -288,18 +343,20 @@ mod tests {
 
     #[test]
     fn uncolored_process_is_idle_and_duplicates_are_masked() {
-        let mut p5 = CorrectedTreeProcess::new(5, tree(8), CorrectionKind::None, None);
+        let mut p5 = rank(5, 8, CorrectionKind::None, None);
         assert_eq!(p5.poll_send(Time::ZERO), SendPoll::Idle);
         assert_eq!(p5.colored_at(), None);
+        assert_eq!(p5.colored_via(), None);
         p5.on_message(1, Payload::Tree, Time::new(4));
         assert_eq!(p5.colored_at(), Some(Time::new(4)));
+        assert_eq!(p5.colored_via(), Some(ColoredVia::Dissemination));
         p5.on_message(1, Payload::Tree, Time::new(9));
         assert_eq!(p5.colored_at(), Some(Time::new(4)), "first coloring wins");
     }
 
     #[test]
     fn plain_tree_leaf_finishes_after_coloring() {
-        let mut p7 = CorrectedTreeProcess::new(7, tree(8), CorrectionKind::None, None);
+        let mut p7 = rank(7, 8, CorrectionKind::None, None);
         p7.on_message(3, Payload::Tree, Time::new(8));
         assert_eq!(p7.poll_send(Time::new(8)), SendPoll::Done);
     }
@@ -308,7 +365,7 @@ mod tests {
     fn correction_colored_sends_no_correction() {
         // Overlapped: rank 3 colored by a correction message — it must
         // forward tree messages (early correction) but never correct.
-        let mut p3 = CorrectedTreeProcess::new(3, tree(8), CorrectionKind::Checked, None);
+        let mut p3 = rank(3, 8, CorrectionKind::Checked, None);
         p3.on_message(4, Payload::Correction, Time::new(5));
         assert_eq!(p3.colored_via(), Some(ColoredVia::Correction));
         let sent = drain_now(&mut p3, Time::new(5));
@@ -318,9 +375,8 @@ mod tests {
 
     #[test]
     fn synchronized_correction_colored_does_not_forward() {
-        let t = tree(8);
-        let start = t.dissemination_deadline(&LogP::PAPER);
-        let mut p3 = CorrectedTreeProcess::new(3, t, CorrectionKind::Checked, Some(start));
+        let start = tree(8).dissemination_deadline(&LogP::PAPER);
+        let mut p3 = rank(3, 8, CorrectionKind::Checked, Some(start));
         p3.on_message(2, Payload::Correction, start + 3);
         assert_eq!(p3.colored_via(), Some(ColoredVia::Correction));
         assert_eq!(p3.poll_send(start + 3), SendPoll::Done);
@@ -328,9 +384,8 @@ mod tests {
 
     #[test]
     fn synchronized_participant_waits_for_global_start() {
-        let t = tree(8);
         let start = Time::new(40);
-        let mut p3 = CorrectedTreeProcess::new(3, t, CorrectionKind::Checked, Some(start));
+        let mut p3 = rank(3, 8, CorrectionKind::Checked, Some(start));
         p3.on_message(1, Payload::Tree, Time::new(6));
         // Tree child of 3 is 7.
         assert_eq!(
@@ -355,9 +410,9 @@ mod tests {
         // Overlapped, optimized opportunistic d=4: a correction from 5
         // (right, gap 2) arrives while rank 3 is still tree-forwarding;
         // the machine must still honor it (left targets trimmed).
-        let mut p3 = CorrectedTreeProcess::new(
+        let mut p3 = rank(
             3,
-            tree(8),
+            8,
             CorrectionKind::OpportunisticOptimized { distance: 4 },
             None,
         );
@@ -381,7 +436,7 @@ mod tests {
 
     #[test]
     fn failure_proof_correction_colored_replies_once_per_prober() {
-        let mut p3 = CorrectedTreeProcess::new(3, tree(8), CorrectionKind::FailureProof, None);
+        let mut p3 = rank(3, 8, CorrectionKind::FailureProof, None);
         p3.on_message(1, Payload::Correction, Time::new(9));
         assert_eq!(p3.colored_via(), Some(ColoredVia::Correction));
         let sent = drain_now(&mut p3, Time::new(9));
@@ -402,8 +457,34 @@ mod tests {
     }
 
     #[test]
+    fn a_failure_proof_rank_colored_by_correction_never_begins_correction() {
+        // Rank 3 is colored by a probe from 2, then its tree message
+        // arrives late. It still owes 2 its reply, forwards to its tree
+        // child 7 only when overlapped, never sends a correction message
+        // (synchronized, the start has passed) and keeps answering new
+        // probers: it is never done.
+        let start = Time::new(40);
+        for sync_start in [None, Some(start)] {
+            let mut p3 = rank(3, 8, CorrectionKind::FailureProof, sync_start);
+            p3.on_message(2, Payload::Correction, start + 1);
+            p3.on_message(1, Payload::Tree, start + 2);
+            assert_eq!(p3.colored_via(), Some(ColoredVia::Correction));
+            assert_eq!(p3.colored_at(), Some(start + 1));
+            let mut expected = vec![(2, Payload::Ack)];
+            if sync_start.is_none() {
+                expected.push((7, Payload::Tree));
+            }
+            assert_eq!(drain_now(&mut p3, start + 2), expected, "{sync_start:?}");
+            assert_eq!(p3.poll_send(start + 9), SendPoll::Idle);
+            p3.on_message(4, Payload::Correction, start + 10);
+            assert_eq!(drain_now(&mut p3, start + 10), vec![(4, Payload::Ack)]);
+            assert_eq!(p3.poll_send(start + 11), SendPoll::Idle);
+        }
+    }
+
+    #[test]
     fn checked_participant_runs_to_completion() {
-        let mut p3 = CorrectedTreeProcess::new(3, tree(8), CorrectionKind::Checked, None);
+        let mut p3 = rank(3, 8, CorrectionKind::Checked, None);
         p3.on_message(1, Payload::Tree, Time::new(4));
         // Feed neighbor messages so checked correction can stop.
         p3.on_message(2, Payload::Correction, Time::new(5));
@@ -418,15 +499,16 @@ mod tests {
             ]
         );
         assert_eq!(p3.poll_send(Time::new(6)), SendPoll::Done);
+        // Done for good: a late correction message changes nothing.
+        p3.on_message(6, Payload::Correction, Time::new(7));
+        assert_eq!(p3.poll_send(Time::new(7)), SendPoll::Done);
     }
 
     #[test]
-    fn the_inline_correction_machine_does_not_grow_the_process() {
-        // 168 bytes is what the process took when its machine lived in
-        // a box of its own (plus a `heard` buffer); with the machine
-        // inline and the failure-proof reply queues behind one pointer
-        // it is smaller than that, heap included.
+    fn the_per_rank_machine_is_one_cache_line() {
+        // One cache line: what the ranks of a broadcast share lives in
+        // its `TreeBroadcast`, stored once.
         let size = std::mem::size_of::<CorrectedTreeProcess>();
-        assert!(size <= 168, "CorrectedTreeProcess is {size} bytes");
+        assert!(size <= 64, "CorrectedTreeProcess is {size} bytes");
     }
 }

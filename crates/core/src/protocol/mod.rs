@@ -31,8 +31,10 @@ use crate::tree::{Tree, TreeError, TreeKind};
 use ct_logp::{LogP, Rank, Time};
 
 pub use ack_tree::AckTreeProcess;
-pub use corrected::CorrectedTreeProcess;
+pub use corrected::{CorrectedTreeProcess, TreeBroadcast};
 pub use relabel::{RelabeledPopulation, RelabeledProcess, Relabeling};
+
+use corrected::TreeRank;
 
 /// The content of a broadcast message. The paper's payloads are small
 /// (no segmentation, §2); what matters to the protocols is only the
@@ -439,10 +441,9 @@ impl BroadcastSpec {
     /// Validate this spec and resolve it against `ctx`.
     fn blueprint(&self, ctx: &BuildCtx) -> Result<Blueprint, ProtocolError> {
         self.validate(ctx)?;
+        let tree = self.build_tree(ctx.p, &ctx.logp)?;
         Ok(Blueprint {
-            tree: self.build_tree(ctx.p, &ctx.logp)?,
-            correction: self.correction,
-            sync_start: self.sync_start(ctx)?,
+            broadcast: TreeBroadcast::new(tree, self.correction, self.sync_start(ctx)?),
             acked: self.acked,
             map: self.relabeling(ctx),
         })
@@ -526,18 +527,10 @@ impl ProtocolFactory for BroadcastSpec {
         if self.acked {
             return populate_boxed(self, ctx, slot);
         }
-        let plan = self.blueprint(ctx)?;
-        let map = plan.map.clone();
-        match held::<RelabeledPopulation<CorrectedTreeProcess>>(slot) {
-            Some(store) => store.refill(
-                map,
-                |phys, machine| plan.rewind(phys, machine),
-                |phys| plan.machine(phys),
-            ),
-            None => {
-                let machines = (0..ctx.p).map(|phys| plan.machine(phys)).collect();
-                *slot = Some(Box::new(RelabeledPopulation::new(map, machines)));
-            }
+        let Blueprint { broadcast, map, .. } = self.blueprint(ctx)?;
+        match held::<RelabeledPopulation>(slot) {
+            Some(store) => store.refill(map, broadcast),
+            None => *slot = Some(Box::new(RelabeledPopulation::new(map, broadcast))),
         }
         Ok(())
     }
@@ -548,51 +541,38 @@ impl ProtocolFactory for BroadcastSpec {
 /// `build_into` and `populate`. Physical rank `phys` runs the
 /// rank-0-rooted machine of virtual rank `map.virtual_of(phys)`.
 struct Blueprint {
-    tree: Arc<Tree>,
-    correction: CorrectionKind,
-    sync_start: Option<Time>,
+    broadcast: TreeBroadcast,
     acked: bool,
     map: Relabeling,
 }
 
 impl Blueprint {
-    /// The fresh corrected-tree machine of `phys`.
-    fn machine(&self, phys: Rank) -> CorrectedTreeProcess {
-        let (v, tree) = (self.map.virtual_of(phys), Arc::clone(&self.tree));
-        CorrectedTreeProcess::new(v, tree, self.correction, self.sync_start)
-    }
-
-    /// Rewind `machine`, whatever broadcast it ran before, to exactly
-    /// [`Blueprint::machine`] of `phys`.
-    fn rewind(&self, phys: Rank, machine: &mut CorrectedTreeProcess) {
-        let v = self.map.virtual_of(phys);
-        machine.reset(v, &self.tree, self.correction, self.sync_start);
-    }
-
-    /// The cluster's form of `phys`'s machine: boxed, with the
-    /// relabeling applied at its own boundary.
+    /// The cluster's form of `phys`'s machine: boxed, with its own copy
+    /// of the broadcast and the relabeling applied at its own boundary.
     fn boxed(&self, phys: Rank) -> Box<dyn Process> {
-        let map = self.map.clone();
+        let (v, map) = (self.map.virtual_of(phys), self.map.clone());
         if self.acked {
-            let (v, tree) = (self.map.virtual_of(phys), Arc::clone(&self.tree));
+            let tree = Arc::clone(self.broadcast.tree());
             Box::new(RelabeledProcess::new(AckTreeProcess::new(v, tree), map))
         } else {
-            Box::new(RelabeledProcess::new(self.machine(phys), map))
+            let rank = TreeRank::new(v, self.broadcast.clone());
+            Box::new(RelabeledProcess::new(rank, map))
         }
     }
 
-    /// Rewind every slot of `procs` in place. `false` — with some slots
-    /// possibly rewound already, which the caller's rebuild makes moot —
-    /// when a slot is not a relabelled [`CorrectedTreeProcess`].
+    /// Rewind every slot of `procs` in place to exactly
+    /// [`Blueprint::boxed`]. `false` — with some slots possibly rewound
+    /// already, which the caller's rebuild makes moot — when a slot is
+    /// not a relabelled corrected-tree rank.
     fn rewind_boxed(&self, procs: &mut [Box<dyn Process>]) -> bool {
         for (slot, phys) in procs.iter_mut().zip(0..) {
             let Some(slot) = slot
                 .as_any_mut()
-                .and_then(|m| m.downcast_mut::<RelabeledProcess<CorrectedTreeProcess>>())
+                .and_then(|m| m.downcast_mut::<RelabeledProcess<TreeRank>>())
             else {
                 return false;
             };
-            self.rewind(phys, &mut slot.inner);
+            slot.inner.reset(self.map.virtual_of(phys), &self.broadcast);
             slot.map = self.map.clone();
         }
         true

@@ -26,7 +26,10 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use super::{ColoredVia, Payload, Population, Process, SendPoll};
+use super::{
+    ColoredVia, CorrectedTreeProcess, Payload, Population, Process, SendPoll, TreeBroadcast,
+};
+use crate::tree::Topology;
 
 /// A virtual↔physical rank bijection shared by all `P` processes.
 #[derive(Clone, Debug)]
@@ -181,56 +184,72 @@ impl<M: Process + 'static> Process for RelabeledProcess<M> {
     }
 }
 
-/// A whole broadcast of virtual-rank machines `M`, held by value in
-/// physical-rank order under the one [`Relabeling`] they share — what
-/// `P` [`RelabeledProcess`]es are, without a box and a copy of the
-/// relabeling per rank.
-pub struct RelabeledPopulation<M> {
+/// A whole corrected-tree broadcast, held by value in physical-rank
+/// order: the per-rank machines, and the [`TreeBroadcast`] and the
+/// [`Relabeling`] they share, each stored once — what `P` boxed
+/// [`RelabeledProcess`]es are, without a box and a copy of both per
+/// rank.
+pub struct RelabeledPopulation {
     map: Relabeling,
-    machines: Vec<M>,
-}
-
-impl<M> RelabeledPopulation<M> {
+    broadcast: TreeBroadcast,
     /// `machines[r]` is the machine physical rank `r` runs, i.e. the
     /// one of virtual rank `map.virtual_of(r)`.
-    pub fn new(map: Relabeling, machines: Vec<M>) -> Self {
-        assert_eq!(machines.len(), map.p() as usize, "one machine per rank");
-        RelabeledPopulation { map, machines }
+    machines: Vec<CorrectedTreeProcess>,
+}
+
+impl RelabeledPopulation {
+    /// The fresh machines of `broadcast` under the numbering `map`.
+    pub fn new(map: Relabeling, broadcast: TreeBroadcast) -> Self {
+        let mut population = RelabeledPopulation {
+            map,
+            broadcast,
+            machines: Vec::new(),
+        };
+        population.rewind();
+        population
     }
 
-    /// Turn this into the population of a broadcast under `map`, in
-    /// place: `rewind` re-initialises the machine a physical rank
-    /// already has, `make` creates those of ranks beyond the previous
-    /// `P`, and machines beyond the new `P` are dropped.
-    pub fn refill(
-        &mut self,
-        map: Relabeling,
-        mut rewind: impl FnMut(Rank, &mut M),
-        make: impl FnMut(Rank) -> M,
-    ) {
-        let p = map.p();
-        self.map = map;
+    /// Become [`RelabeledPopulation::new`] of these arguments in place:
+    /// the machine a physical rank already has is rewound, those of
+    /// ranks beyond the previous `P` are created, and machines beyond
+    /// the new `P` are dropped.
+    pub fn refill(&mut self, map: Relabeling, broadcast: TreeBroadcast) {
+        (self.map, self.broadcast) = (map, broadcast);
+        self.rewind();
+    }
+
+    fn rewind(&mut self) {
+        let p = self.map.p();
+        assert_eq!(
+            p,
+            self.broadcast.tree().num_processes(),
+            "one machine per rank"
+        );
         self.machines.truncate(p as usize);
         let kept = self.machines.len() as Rank;
+        let (map, broadcast) = (&self.map, &self.broadcast);
         for (machine, phys) in self.machines.iter_mut().zip(0..) {
-            rewind(phys, machine);
+            machine.reset(map.virtual_of(phys), broadcast);
         }
-        self.machines.extend((kept..p).map(make));
+        let fresh =
+            (kept..p).map(|phys| CorrectedTreeProcess::new(map.virtual_of(phys), broadcast));
+        self.machines.extend(fresh);
     }
 }
 
-impl<M: Process + 'static> Population for RelabeledPopulation<M> {
+impl Population for RelabeledPopulation {
     fn len(&self) -> usize {
         self.machines.len()
     }
 
     fn on_message(&mut self, rank: Rank, from: Rank, payload: Payload, now: Time) {
-        self.machines[rank as usize].on_message(self.map.virtual_of(from), payload, now);
+        let from = self.map.virtual_of(from);
+        self.machines[rank as usize].on_message(&self.broadcast, from, payload, now);
     }
 
     fn poll_send(&mut self, rank: Rank, now: Time) -> SendPoll {
-        self.map
-            .outbound(self.machines[rank as usize].poll_send(now))
+        let poll = self.machines[rank as usize].poll_send(&self.broadcast, now);
+        self.map.outbound(poll)
     }
 
     fn colored_at(&self, rank: Rank) -> Option<Time> {

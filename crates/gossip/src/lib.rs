@@ -88,6 +88,16 @@ impl GossipSpec {
             correction,
         }
     }
+
+    /// When correction may begin: the global gossip deadline in
+    /// time-limited mode; per process, as soon as its rounds are up, in
+    /// round-limited mode.
+    fn correction_start(&self) -> Time {
+        match self.mode {
+            GossipMode::TimeLimited(g) => Time::new(g),
+            GossipMode::RoundLimited(_) => Time::ZERO,
+        }
+    }
 }
 
 impl fmt::Display for GossipSpec {
@@ -125,9 +135,10 @@ impl ProtocolFactory for GossipSpec {
 pub struct GossipProcess {
     rank: Rank,
     p: u32,
-    mode: GossipMode,
+    spec: GossipSpec,
     rng: SmallRng,
-    colored_at: Option<Time>,
+    /// Meaningful once `colored_via` is set.
+    colored_at: Time,
     colored_via: Option<ColoredVia>,
     /// Hop counter for round-limited mode.
     round: u32,
@@ -145,23 +156,16 @@ impl GossipProcess {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(rank as u64 + 1);
         let is_root = rank == 0;
-        // Correction starts at the global gossip deadline in
-        // time-limited mode and per process, as soon as its rounds are
-        // up, in round-limited mode.
-        let sync_start = match spec.mode {
-            GossipMode::TimeLimited(g) => Some(Time::new(g)),
-            GossipMode::RoundLimited(_) => None,
-        };
-        let mut correction = CorrectionHost::new(spec.correction, sync_start);
+        let mut correction = CorrectionHost::default();
         if is_root {
-            correction.begin(rank, p);
+            correction.begin(spec.correction, rank, p);
         }
         GossipProcess {
             rank,
             p,
-            mode: spec.mode,
+            spec,
             rng: SmallRng::seed_from_u64(stream),
-            colored_at: is_root.then_some(Time::ZERO),
+            colored_at: Time::ZERO,
             colored_via: is_root.then_some(ColoredVia::Root),
             round: 0,
             gossip_over: false,
@@ -186,25 +190,26 @@ impl Process for GossipProcess {
     fn on_message(&mut self, from: Rank, payload: Payload, now: Time) {
         match payload {
             Payload::Gossip { round } => {
-                if self.colored_at.is_none() {
-                    self.colored_at = Some(now);
+                if self.colored_via.is_none() {
+                    self.colored_at = now;
                     self.colored_via = Some(ColoredVia::Dissemination);
                     // Colored by gossip: takes part in correction.
-                    self.correction.begin(self.rank, self.p);
+                    self.correction
+                        .begin(self.spec.correction, self.rank, self.p);
                     self.done = false;
                 }
                 // Track gossip progress even on duplicates: the round
                 // counter is a logical clock for the round-limited mode.
                 self.round = self.round.max(round);
-                if let GossipMode::RoundLimited(limit) = self.mode {
+                if let GossipMode::RoundLimited(limit) = self.spec.mode {
                     if round >= limit {
                         self.gossip_over = true;
                     }
                 }
             }
             Payload::Correction => {
-                if self.colored_at.is_none() {
-                    self.colored_at = Some(now);
+                if self.colored_via.is_none() {
+                    self.colored_at = now;
                     self.colored_via = Some(ColoredVia::Correction);
                     // Colored by correction: stays silent (§3.1).
                 }
@@ -220,7 +225,7 @@ impl Process for GossipProcess {
         if self.done {
             return SendPoll::Done;
         }
-        if self.colored_at.is_none() {
+        if self.colored_via.is_none() {
             return SendPoll::Idle;
         }
         if self.colored_via == Some(ColoredVia::Correction) {
@@ -230,7 +235,7 @@ impl Process for GossipProcess {
         }
         // Gossip phase.
         if !self.gossip_over && self.p >= 2 {
-            match self.mode {
+            match self.spec.mode {
                 GossipMode::TimeLimited(g) => {
                     if now < Time::new(g) {
                         let to = self.random_target();
@@ -256,7 +261,7 @@ impl Process for GossipProcess {
             }
         }
         // Correction phase.
-        match self.correction.poll(now) {
+        match self.correction.poll(now, self.spec.correction_start()) {
             CorrPoll::Send(to) => SendPoll::Now {
                 to,
                 payload: Payload::Correction,
@@ -271,7 +276,7 @@ impl Process for GossipProcess {
     }
 
     fn colored_at(&self) -> Option<Time> {
-        self.colored_at
+        self.colored_via.map(|_| self.colored_at)
     }
 
     fn colored_via(&self) -> Option<ColoredVia> {
@@ -416,9 +421,9 @@ mod tests {
 
     #[test]
     fn the_inline_correction_machine_does_not_grow_the_process() {
-        // 136 bytes is what the process took when its machine lived in
-        // a box of its own.
+        // The machine is inline in the host, and the host holds no copy
+        // of the kind or start the process's spec already has.
         let size = std::mem::size_of::<GossipProcess>();
-        assert!(size <= 136, "GossipProcess is {size} bytes");
+        assert!(size <= 128, "GossipProcess is {size} bytes");
     }
 }
