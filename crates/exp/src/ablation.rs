@@ -112,7 +112,7 @@ pub fn run(cfg: &AblationConfig) -> Result<Vec<AblationRow>, CampaignError> {
                 })
                 .with_reps(cfg.reps)
                 .with_seed(cfg.seed0)
-                .run_parallel(cfg.threads)?;
+                .run(cfg.threads)?;
             let n = records.len() as f64;
             rows.push(AblationRow {
                 correction: kind.to_string(),

@@ -7,30 +7,17 @@
 //! experiment", §4). Repetitions are embarrassingly parallel and can be
 //! spread over OS threads.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use ct_core::protocol::ColoredVia;
 use ct_core::tree::ring;
-use ct_logp::{LogP, Rank, Time};
-use ct_obs::event::phases;
-use ct_obs::json::JsonObject;
+use ct_logp::{LogP, Rank};
 use ct_obs::telemetry::TelemetryHub;
-use ct_obs::{
-    Event, EventKind, EventSink, MetricsRegistry, MetricsSink, MonitorConfig, MonitorReport,
-    MonitorSink, NullSink,
-};
+use ct_obs::{EventSink, NullSink};
 use ct_sim::{FaultPlan, RunArena, SimError, Simulation};
 
 use crate::variants::Variant;
-
-/// Default worker-thread count for parallel campaigns: the `CT_THREADS`
-/// environment variable when set to a positive integer (the CI and
-/// reproducibility override), otherwise the machine's available
-/// parallelism. One knob for the whole stack: this is the same function
-/// that sizes the cluster runtime's M:N worker pool.
-pub fn default_threads() -> usize {
-    ct_runtime::default_threads()
-}
 
 /// How failures are drawn for each repetition.
 #[derive(Clone, Debug, PartialEq)]
@@ -94,40 +81,6 @@ pub struct RunRecord {
     /// Simulator events processed by this repetition (the denominator
     /// of the tracked events/sec throughput metric).
     pub events: u64,
-}
-
-impl RunRecord {
-    /// Render as one JSON object (fixed field order, one line — ready
-    /// for JSONL export).
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        obj.field_u64("seed", self.seed);
-        obj.field_u64("faults", u64::from(self.faults));
-        obj.field_u64("quiescence", self.quiescence);
-        obj.field_u64("coloring", self.coloring);
-        obj.field_u64("messages", self.messages);
-        obj.field_f64("messages_per_process", self.messages_per_process);
-        obj.field_bool("all_live_colored", self.all_live_colored);
-        obj.field_u64("uncolored", u64::from(self.uncolored));
-        obj.field_u64("g_max", u64::from(self.g_max));
-        match self.lscc {
-            Some(v) => obj.field_u64("lscc", v),
-            None => obj.field_null("lscc"),
-        };
-        obj.field_u64("events", self.events);
-        obj.finish()
-    }
-}
-
-/// Render a batch of records as JSONL: one record per line, trailing
-/// newline, empty string for no records.
-pub fn records_to_jsonl(records: &[RunRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(&r.to_json());
-        out.push('\n');
-    }
-    out
 }
 
 /// A configured experiment cell: one variant, one fault regime.
@@ -202,34 +155,12 @@ impl Campaign {
             .map_err(CampaignError::Faults)
     }
 
-    /// Execute one repetition.
-    pub fn run_one(&self, rep: u32) -> Result<RunRecord, CampaignError> {
-        self.run_one_observed(rep, &mut NullSink)
-    }
-
-    /// [`Campaign::run_one`] with arena-backed storage; reusing one
-    /// arena across repetitions avoids rebuilding the engine per run.
-    pub fn run_one_reusable(
-        &self,
-        rep: u32,
-        arena: &mut RunArena,
-    ) -> Result<RunRecord, CampaignError> {
-        self.run_one_observed_reusable(rep, &mut NullSink, arena)
-    }
-
-    /// Execute one repetition, streaming its protocol events into
-    /// `sink` (the engine wraps each run in a `broadcast` phase span).
-    /// With a [`NullSink`] this is exactly [`Campaign::run_one`].
-    pub fn run_one_observed(
-        &self,
-        rep: u32,
-        sink: &mut dyn EventSink,
-    ) -> Result<RunRecord, CampaignError> {
-        self.run_one_observed_reusable(rep, sink, &mut RunArena::new())
-    }
-
-    /// [`Campaign::run_one_observed`] with arena-backed storage.
-    pub fn run_one_observed_reusable(
+    /// Execute one repetition, streaming its protocol events into `sink`
+    /// ([`NullSink`] when unobserved; the engine wraps the run in a
+    /// `broadcast` phase span). All per-run storage comes from `arena`:
+    /// reusing one arena across repetitions avoids rebuilding the engine
+    /// per run, and results are bit-identical to a fresh arena.
+    pub fn run_one(
         &self,
         rep: u32,
         sink: &mut dyn EventSink,
@@ -273,221 +204,36 @@ impl Campaign {
         })
     }
 
-    /// Execute all repetitions sequentially. One run arena serves all
-    /// repetitions (results are bit-identical to per-run allocation).
-    pub fn run(&self) -> Result<Vec<RunRecord>, CampaignError> {
-        let mut arena = RunArena::new();
-        (0..self.reps)
-            .map(|i| self.run_one_reusable(i, &mut arena))
-            .collect()
-    }
-
-    /// Execute all repetitions sequentially, calling `progress` after
-    /// each completed repetition with `(rep_index, record)` — the hook
-    /// behind structured campaign progress reporting.
-    pub fn run_with_progress(
-        &self,
-        mut progress: impl FnMut(u32, &RunRecord),
-    ) -> Result<Vec<RunRecord>, CampaignError> {
-        let mut arena = RunArena::new();
-        let mut records = Vec::with_capacity(self.reps as usize);
-        for i in 0..self.reps {
-            let record = self.run_one_reusable(i, &mut arena)?;
-            progress(i, &record);
-            records.push(record);
-        }
-        Ok(records)
-    }
-
-    /// Execute all repetitions sequentially, streaming every event into
-    /// `sink`. The whole campaign is wrapped in a `campaign` phase span
-    /// and repetition `i` in a `rep i` span. Phase-begin events carry
-    /// logical time `0` — each repetition restarts the logical clock —
-    /// and phase-end events the repetition's quiescence time.
-    pub fn run_observed(&self, sink: &mut dyn EventSink) -> Result<Vec<RunRecord>, CampaignError> {
-        let observing = sink.enabled();
-        if observing {
-            sink.emit(&Event::sim(
-                Time::ZERO,
-                EventKind::PhaseBegin {
-                    name: phases::CAMPAIGN.to_owned(),
-                },
-            ));
-        }
-        let mut arena = RunArena::new();
-        let mut records = Vec::with_capacity(self.reps as usize);
-        for i in 0..self.reps {
-            let name = format!("{} {i}", phases::REP);
-            if observing {
-                sink.emit(&Event::sim(
-                    Time::ZERO,
-                    EventKind::PhaseBegin { name: name.clone() },
-                ));
-            }
-            let record = self.run_one_observed_reusable(i, sink, &mut arena)?;
-            if observing {
-                sink.emit(&Event::sim(
-                    Time::new(record.quiescence),
-                    EventKind::PhaseEnd { name },
-                ));
-            }
-            records.push(record);
-        }
-        if observing {
-            let end = records.iter().map(|r| r.quiescence).max().unwrap_or(0);
-            sink.emit(&Event::sim(
-                Time::new(end),
-                EventKind::PhaseEnd {
-                    name: phases::CAMPAIGN.to_owned(),
-                },
-            ));
-        }
-        Ok(records)
-    }
-
-    /// Execute all repetitions while folding every event into a
-    /// [`MetricsRegistry`]: per-payload message counters, delivery and
-    /// coloring counters and the coloring-time histogram, aggregated
-    /// over the whole campaign.
-    pub fn run_metered(&self) -> Result<(Vec<RunRecord>, MetricsRegistry), CampaignError> {
-        let mut sink = MetricsSink::new();
-        let records = self.run_observed(&mut sink)?;
-        Ok((records, sink.registry))
-    }
-
-    /// Execute all repetitions under the streaming invariant monitor,
-    /// one monitor per repetition configured with that repetition's
-    /// exact fault mask (random fault regimes draw a different mask per
-    /// seed). Returns the records alongside the merged
-    /// [`MonitorReport`]; callers decide whether violations are fatal.
-    pub fn run_checked(&self) -> Result<(Vec<RunRecord>, MonitorReport), CampaignError> {
-        let mut arena = RunArena::new();
-        let mut records = Vec::with_capacity(self.reps as usize);
-        let mut report = MonitorReport::default();
-        for i in 0..self.reps {
-            let (record, rep_report) = self.run_one_checked(i, &mut arena)?;
-            records.push(record);
-            report.absorb(rep_report, i);
-        }
-        Ok((records, report))
-    }
-
-    /// One repetition under its own freshly configured monitor; returns
-    /// the record and the finished per-repetition report.
-    fn run_one_checked(
-        &self,
-        rep: u32,
-        arena: &mut RunArena,
-    ) -> Result<(RunRecord, MonitorReport), CampaignError> {
-        let plan = self.fault_plan(rep)?;
-        let cfg = MonitorConfig::new()
-            .with_p(self.p)
-            .with_logp(self.logp)
-            .with_failed(plan.mask().to_vec());
-        let mut monitor = MonitorSink::new(cfg);
-        let record = self.run_one_observed_reusable(rep, &mut monitor, arena)?;
-        Ok((record, monitor.finish()))
-    }
-
-    /// Execute all repetitions across `threads` OS threads. Results are
-    /// identical to [`Campaign::run`] (each repetition is seeded
-    /// independently); only wall-clock time changes.
+    /// Execute all repetitions, unobserved, across `threads` OS threads
+    /// (`threads <= 1`: sequentially). Each repetition is seeded
+    /// independently, so the records are identical for every thread
+    /// count; only wall-clock time changes.
     ///
     /// Each worker owns a run arena and claims repetition indices from a
-    /// shared counter; results land in lock-free per-repetition cells,
-    /// so output order is exactly the sequential order.
-    pub fn run_parallel(&self, threads: usize) -> Result<Vec<RunRecord>, CampaignError> {
-        let threads = self.clamp_threads(threads);
+    /// shared counter; results land in per-repetition once-cells — no
+    /// lock around the result vector — so output order is exactly the
+    /// sequential order.
+    pub fn run(&self, threads: usize) -> Result<Vec<RunRecord>, CampaignError> {
+        let threads = threads.min(self.reps as usize);
         if threads <= 1 {
-            return self.run();
+            let mut arena = RunArena::new();
+            return (0..self.reps)
+                .map(|i| self.run_one(i, &mut NullSink, &mut arena))
+                .collect();
         }
-        self.parallel_slots(threads, |rep, arena| self.run_one_reusable(rep, arena))
-            .into_iter()
-            .collect()
-    }
-
-    /// [`Campaign::run_metered`] across `threads` OS threads. Each
-    /// repetition meters into its own sink; the per-repetition
-    /// registries are merged in repetition order at join. Counter and
-    /// histogram merges are additive, and the registry ignores the
-    /// campaign/rep phase spans (the only events a sequential metered
-    /// run sees beyond the repetitions themselves), so the merged
-    /// registry equals the sequential one exactly.
-    pub fn run_metered_parallel(
-        &self,
-        threads: usize,
-    ) -> Result<(Vec<RunRecord>, MetricsRegistry), CampaignError> {
-        let threads = self.clamp_threads(threads);
-        if threads <= 1 {
-            return self.run_metered();
-        }
-        let slots = self.parallel_slots(threads, |rep, arena| {
-            let mut sink = MetricsSink::new();
-            let record = self.run_one_observed_reusable(rep, &mut sink, arena)?;
-            Ok((record, sink.registry))
-        });
-        let mut records = Vec::with_capacity(self.reps as usize);
-        let mut registry = MetricsRegistry::new();
-        for slot in slots {
-            let (record, rep_registry) = slot?;
-            records.push(record);
-            registry.merge(&rep_registry);
-        }
-        Ok((records, registry))
-    }
-
-    /// [`Campaign::run_checked`] across `threads` OS threads. Each
-    /// repetition runs under its own monitor exactly as in the
-    /// sequential path; the finished per-repetition reports are absorbed
-    /// in repetition order at join, so the merged [`MonitorReport`]
-    /// (violation order included) equals the sequential one.
-    pub fn run_checked_parallel(
-        &self,
-        threads: usize,
-    ) -> Result<(Vec<RunRecord>, MonitorReport), CampaignError> {
-        let threads = self.clamp_threads(threads);
-        if threads <= 1 {
-            return self.run_checked();
-        }
-        let slots = self.parallel_slots(threads, |rep, arena| self.run_one_checked(rep, arena));
-        let mut records = Vec::with_capacity(self.reps as usize);
-        let mut report = MonitorReport::default();
-        for (i, slot) in slots.into_iter().enumerate() {
-            let (record, rep_report) = slot?;
-            records.push(record);
-            report.absorb(rep_report, i as u32);
-        }
-        Ok((records, report))
-    }
-
-    fn clamp_threads(&self, threads: usize) -> usize {
-        threads.max(1).min((self.reps as usize).max(1))
-    }
-
-    /// Fan repetitions out over `threads` workers. Workers claim
-    /// repetition indices from a shared atomic counter and write each
-    /// result into its repetition's own once-cell — no lock around the
-    /// result vector — so the returned order is the sequential order
-    /// regardless of scheduling. Each worker reuses one [`RunArena`]
-    /// for all repetitions it claims.
-    fn parallel_slots<T, F>(&self, threads: usize, body: F) -> Vec<Result<T, CampaignError>>
-    where
-        T: Send + Sync,
-        F: Fn(u32, &mut RunArena) -> Result<T, CampaignError> + Sync,
-    {
-        let slots: Vec<std::sync::OnceLock<Result<T, CampaignError>>> =
-            (0..self.reps).map(|_| std::sync::OnceLock::new()).collect();
-        let next = std::sync::atomic::AtomicU32::new(0);
+        let slots: Vec<OnceLock<Result<RunRecord, CampaignError>>> =
+            (0..self.reps).map(|_| OnceLock::new()).collect();
+        let next = AtomicU32::new(0);
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
                     let mut arena = RunArena::new();
                     loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= self.reps {
                             break;
                         }
-                        let result = body(i, &mut arena);
+                        let result = self.run_one(i, &mut NullSink, &mut arena);
                         let fresh = slots[i as usize].set(result).is_ok();
                         debug_assert!(fresh, "repetition filled twice");
                     }
@@ -525,6 +271,7 @@ impl std::error::Error for CampaignError {}
 mod tests {
     use super::*;
     use ct_core::tree::TreeKind;
+    use ct_obs::{MetricsSink, MonitorConfig, MonitorSink};
 
     #[test]
     fn fault_free_checked_campaign_matches_lemma2() {
@@ -534,7 +281,7 @@ mod tests {
             LogP::PAPER,
         )
         .with_reps(3);
-        let records = c.run().unwrap();
+        let records = c.run(1).unwrap();
         assert_eq!(records.len(), 3);
         for r in &records {
             assert!(r.all_live_colored);
@@ -553,7 +300,7 @@ mod tests {
         )
         .with_faults(FaultSpec::Count(5))
         .with_reps(4);
-        for r in c.run().unwrap() {
+        for r in c.run(1).unwrap() {
             assert_eq!(r.faults, 5);
             assert!(r.all_live_colored, "checked correction heals everything");
             assert!(r.g_max >= 1);
@@ -570,130 +317,9 @@ mod tests {
         )
         .with_faults(FaultSpec::Rate(0.01))
         .with_reps(8);
-        let seq = c.run().unwrap();
-        let par = c.run_parallel(4).unwrap();
+        let seq = c.run(1).unwrap();
+        let par = c.run(4).unwrap();
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn parallel_metered_equals_sequential() {
-        let c = Campaign::new(
-            Variant::tree_checked_sync(TreeKind::BINOMIAL),
-            256,
-            LogP::PAPER,
-        )
-        .with_faults(FaultSpec::Rate(0.02))
-        .with_reps(6);
-        let (seq_records, seq_registry) = c.run_metered().unwrap();
-        let (par_records, par_registry) = c.run_metered_parallel(3).unwrap();
-        assert_eq!(seq_records, par_records);
-        assert_eq!(seq_registry, par_registry);
-    }
-
-    #[test]
-    fn parallel_checked_equals_sequential() {
-        let c = Campaign::new(
-            Variant::tree_checked_sync(TreeKind::BINOMIAL),
-            256,
-            LogP::PAPER,
-        )
-        .with_faults(FaultSpec::Rate(0.02))
-        .with_reps(6);
-        let (seq_records, seq_report) = c.run_checked().unwrap();
-        let (par_records, par_report) = c.run_checked_parallel(3).unwrap();
-        assert_eq!(seq_records, par_records);
-        assert_eq!(seq_report.events, par_report.events);
-        assert_eq!(seq_report.reps, par_report.reps);
-        assert_eq!(
-            format!("{:?}", seq_report.violations),
-            format!("{:?}", par_report.violations),
-        );
-    }
-
-    #[test]
-    fn default_threads_honors_env_override() {
-        // Runs in-process: avoid mutating the env for other tests by
-        // only asserting the fallback path's lower bound.
-        assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn records_export_as_stable_jsonl() {
-        let c = Campaign::new(
-            Variant::tree_checked_sync(TreeKind::BINOMIAL),
-            64,
-            LogP::PAPER,
-        )
-        .with_reps(2);
-        let records = c.run().unwrap();
-        let jsonl = records_to_jsonl(&records);
-        assert!(jsonl.ends_with('\n'));
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(
-            lines[0].starts_with(r#"{"seed":1,"faults":0,"#),
-            "{}",
-            lines[0]
-        );
-        assert!(
-            lines[0].contains(r#""all_live_colored":true"#),
-            "{}",
-            lines[0]
-        );
-        assert!(lines[0].contains(r#""lscc":8"#), "{}", lines[0]);
-    }
-
-    #[test]
-    fn progress_callback_sees_every_repetition_in_order() {
-        let c = Campaign::new(
-            Variant::tree_checked_sync(TreeKind::BINOMIAL),
-            64,
-            LogP::PAPER,
-        )
-        .with_reps(4);
-        let mut seen = Vec::new();
-        let records = c.run_with_progress(|i, r| seen.push((i, r.seed))).unwrap();
-        assert_eq!(records.len(), 4);
-        let expected: Vec<(u32, u64)> = (0..4).map(|i| (i, 1 + u64::from(i))).collect();
-        assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn observed_campaign_wraps_reps_in_phase_spans() {
-        let c = Campaign::new(
-            Variant::tree_checked_sync(TreeKind::BINOMIAL),
-            32,
-            LogP::PAPER,
-        )
-        .with_reps(2);
-        let mut sink = ct_obs::VecSink::new();
-        let records = c.run_observed(&mut sink).unwrap();
-        let spans: Vec<String> = sink
-            .events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EventKind::PhaseBegin { name } => Some(format!("+{name}")),
-                EventKind::PhaseEnd { name } => Some(format!("-{name}")),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            spans,
-            vec![
-                "+campaign",
-                "+rep 0",
-                "+broadcast",
-                "-broadcast",
-                "-rep 0",
-                "+rep 1",
-                "+broadcast",
-                "-broadcast",
-                "-rep 1",
-                "-campaign",
-            ]
-        );
-        // Observation never perturbs results.
-        assert_eq!(records, c.run().unwrap());
     }
 
     /// The registry's per-payload counters, fed purely from the event
@@ -711,7 +337,13 @@ mod tests {
         )
         .with_faults(FaultSpec::Count(3))
         .with_reps(reps);
-        let (records, registry) = c.run_metered().unwrap();
+        // One registry folds the whole campaign, one arena serves it.
+        let mut sink = MetricsSink::new();
+        let mut arena = RunArena::new();
+        let records: Vec<RunRecord> = (0..reps)
+            .map(|i| c.run_one(i, &mut sink, &mut arena).unwrap())
+            .collect();
+        let registry = sink.registry;
 
         // Recompute the campaign's aggregate MessageCounts straight
         // from the simulator, without any sink in the loop.
@@ -755,8 +387,9 @@ mod tests {
     }
 
     /// Every repetition of a faulty corrected campaign must pass the
-    /// streaming invariant monitor — this is the `run_observed`-path
-    /// integration the monitor exists for.
+    /// streaming invariant monitor, each under its own monitor
+    /// configured with that repetition's exact fault mask (random fault
+    /// regimes draw a different mask per seed).
     #[test]
     fn checked_campaign_has_no_violations() {
         let c = Campaign::new(
@@ -766,12 +399,21 @@ mod tests {
         )
         .with_faults(FaultSpec::Count(3))
         .with_reps(4);
-        let (records, report) = c.run_checked().unwrap();
-        assert_eq!(records.len(), 4);
-        assert_eq!(report.reps, 4);
-        assert!(report.is_ok(), "{}", report.render_text());
+        let mut arena = RunArena::new();
+        let mut records = Vec::new();
+        for i in 0..c.reps {
+            let cfg = MonitorConfig::new()
+                .with_p(c.p)
+                .with_logp(c.logp)
+                .with_failed(c.fault_plan(i).unwrap().mask().to_vec());
+            let mut monitor = MonitorSink::new(cfg);
+            records.push(c.run_one(i, &mut monitor, &mut arena).unwrap());
+            let report = monitor.finish();
+            assert_eq!(report.reps, 1, "rep {i}");
+            assert!(report.is_ok(), "rep {i}: {}", report.render_text());
+        }
         // Checking never perturbs results.
-        assert_eq!(records, c.run().unwrap());
+        assert_eq!(records, c.run(1).unwrap());
     }
 
     #[test]
@@ -785,7 +427,8 @@ mod tests {
         .with_reps(2);
         for i in 0..2 {
             let plan = c.fault_plan(i).unwrap();
-            assert_eq!(plan.count(), c.run_one(i).unwrap().faults);
+            let record = c.run_one(i, &mut NullSink, &mut RunArena::new()).unwrap();
+            assert_eq!(plan.count(), record.faults);
         }
     }
 
@@ -798,7 +441,7 @@ mod tests {
         )
         .with_faults(FaultSpec::ChunkedCount(5))
         .with_reps(3);
-        for (i, r) in c.run().unwrap().into_iter().enumerate() {
+        for (i, r) in c.run(1).unwrap().into_iter().enumerate() {
             assert_eq!(r.faults, 5);
             assert!(r.all_live_colored);
             // The plan accessor and the run itself draw the same mask.
@@ -815,7 +458,7 @@ mod tests {
         )
         .with_faults(FaultSpec::Ranks(vec![1, 2]))
         .with_reps(2);
-        for r in c.run().unwrap() {
+        for r in c.run(1).unwrap() {
             assert_eq!(r.faults, 2);
         }
     }

@@ -112,7 +112,7 @@ mod tests {
             rates: vec![0.01, 0.04],
             reps: 10,
             seed0: 21,
-            threads: crate::campaign::default_threads(),
+            threads: ct_runtime::default_threads(),
             gossip_time: 24,
             include_gossip: false,
         })
@@ -131,7 +131,7 @@ mod tests {
             rates: vec![0.02],
             reps: 8,
             seed0: 3,
-            threads: crate::campaign::default_threads(),
+            threads: ct_runtime::default_threads(),
             gossip_time: 24,
             include_gossip: false,
         })

@@ -71,7 +71,7 @@ pub fn run(cfg: &Fig1bConfig) -> Result<Vec<Fig1bRow>, CampaignError> {
                 .with_faults(FaultSpec::Count(faults))
                 .with_reps(cfg.reps)
                 .with_seed(cfg.seed0)
-                .run_parallel(cfg.threads)?;
+                .run(cfg.threads)?;
             let lscc: Vec<u64> = records
                 .iter()
                 .map(|r| r.lscc.expect("synchronized correction"))

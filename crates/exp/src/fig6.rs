@@ -68,7 +68,7 @@ pub fn run(cfg: &Fig6Config) -> Result<Vec<Fig6Row>, CampaignError> {
         let records = Campaign::new(*variant, cfg.p, logp)
             .with_reps(reps)
             .with_seed(cfg.seed0)
-            .run()?;
+            .run(1)?;
         let mean =
             records.iter().map(|r| r.messages_per_process).sum::<f64>() / records.len() as f64;
         rows.push(Fig6Row {

@@ -87,7 +87,7 @@ pub fn run(cfg: &Fig7Config) -> Result<Vec<Fig7Row>, CampaignError> {
                 let records = Campaign::new(variant, p, logp)
                     .with_reps(reps)
                     .with_seed(cfg.seed0)
-                    .run()?;
+                    .run(1)?;
                 rows.push(Fig7Row {
                     series: format!("{} ({suffix})", kind.label()),
                     p,
@@ -107,7 +107,7 @@ pub fn run(cfg: &Fig7Config) -> Result<Vec<Fig7Row>, CampaignError> {
         )
         .with_reps(cfg.gossip_reps)
         .with_seed(cfg.seed0)
-        .run()?;
+        .run(1)?;
         rows.push(Fig7Row {
             series: "gossip".into(),
             p,

@@ -68,7 +68,7 @@ mod tests {
             rates: vec![0.001, 0.04],
             reps: 8,
             seed0: 9,
-            threads: crate::campaign::default_threads(),
+            threads: ct_runtime::default_threads(),
             gossip_time: 26,
             include_gossip: true,
         })

@@ -46,7 +46,7 @@ pub mod table1;
 pub mod tuning;
 pub mod variants;
 
-pub use campaign::{default_threads, Campaign, FaultSpec, RunRecord};
+pub use campaign::{Campaign, FaultSpec, RunRecord};
 pub use perf::{analyze_campaign, CampaignAnalysis};
 pub use scale::{run_scale, ScaleConfig, ScaleReport};
 pub use variants::Variant;

@@ -16,6 +16,7 @@ use ct_obs::metrics::Histogram;
 use ct_obs::series::SeriesSample;
 use ct_obs::telemetry::{TelemetryHub, TelemetrySnapshot};
 use ct_obs::{MonitorConfig, MonitorReport, MonitorSink, VecSink};
+use ct_sim::RunArena;
 
 use crate::campaign::{Campaign, CampaignError, RunRecord};
 
@@ -62,10 +63,11 @@ pub fn analyze_campaign(campaign: &Campaign) -> Result<CampaignAnalysis, Campaig
     let mut engine = HealthEngine::new(HealthConfig::default());
     let mut health = Vec::new();
     let mut prev_snap = hub.snapshot().with_source("sim");
+    let mut arena = RunArena::new();
     for i in 0..campaign.reps {
         let plan = campaign.fault_plan(i)?;
         let mut sink = VecSink::new();
-        let record = campaign.run_one_observed(i, &mut sink)?;
+        let record = campaign.run_one(i, &mut sink, &mut arena)?;
         reps.push(analyze_rep(&sink.events, &cfg));
         let mcfg = MonitorConfig::new()
             .with_p(campaign.p)

@@ -14,6 +14,7 @@ use ct_core::tree::TreeKind;
 use ct_logp::LogP;
 use ct_obs::json::JsonObject;
 use ct_obs::{MonitorConfig, MonitorReport, MonitorSink, VecSink};
+use ct_sim::RunArena;
 
 use crate::campaign::{Campaign, CampaignError, FaultSpec, RunRecord};
 use crate::variants::Variant;
@@ -53,7 +54,7 @@ impl ResilienceConfig {
             rates: PAPER_FAULT_RATES.to_vec(),
             reps: 50,
             seed0: 1,
-            threads: crate::campaign::default_threads(),
+            threads: ct_runtime::default_threads(),
             gossip_time: 30,
             include_gossip: true,
         }
@@ -85,7 +86,7 @@ pub fn run_grid(cfg: &ResilienceConfig) -> Result<Vec<ResilienceCell>, CampaignE
                 .with_faults(FaultSpec::Rate(rate))
                 .with_reps(cfg.reps)
                 .with_seed(cfg.seed0)
-                .run_parallel(cfg.threads)?;
+                .run(cfg.threads)?;
             cells.push(ResilienceCell {
                 label: kind.label(),
                 is_tree: true,
@@ -100,7 +101,7 @@ pub fn run_grid(cfg: &ResilienceConfig) -> Result<Vec<ResilienceCell>, CampaignE
                 .with_faults(FaultSpec::Rate(rate))
                 .with_reps(cfg.reps)
                 .with_seed(cfg.seed0)
-                .run_parallel(cfg.threads)?;
+                .run(cfg.threads)?;
             cells.push(ResilienceCell {
                 label: "gossip".into(),
                 is_tree: false,
@@ -158,10 +159,11 @@ pub fn waste_probe(cfg: &ResilienceConfig, rate: f64) -> Result<WasteProbe, Camp
         .with_seed(cfg.seed0);
     let mut waste = WasteReport::default();
     let mut monitor = MonitorReport::default();
+    let mut arena = RunArena::new();
     for i in 0..reps {
         let plan = campaign.fault_plan(i)?;
         let mut sink = VecSink::new();
-        campaign.run_one_observed(i, &mut sink)?;
+        campaign.run_one(i, &mut sink, &mut arena)?;
         waste.add(&WasteReport::from_events(&sink.events, plan.mask()));
         let mcfg = MonitorConfig::new()
             .with_p(p)

@@ -31,7 +31,7 @@ use ct_core::protocol::ProtocolFactory;
 use ct_core::tree::TreeKind;
 use ct_logp::LogP;
 
-use crate::campaign::{default_threads, Campaign, CampaignError, FaultSpec, RunRecord};
+use crate::campaign::{Campaign, CampaignError, FaultSpec, RunRecord};
 use crate::csv::CsvTable;
 use crate::variants::Variant;
 
@@ -75,7 +75,7 @@ impl ScaleConfig {
             seed0: 1,
             logp: LogP::PAPER,
             tree: TreeKind::BINOMIAL,
-            threads: default_threads(),
+            threads: ct_runtime::default_threads(),
         }
     }
 
@@ -215,7 +215,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> Result<ScaleReport, CampaignError> {
                     .with_reps(cfg.reps)
                     .with_seed(cfg.seed0);
                 let start = Instant::now();
-                let records = campaign.run_parallel(cfg.threads)?;
+                let records = campaign.run(cfg.threads)?;
                 let wall_ns = start.elapsed().as_nanos() as u64;
                 let cell = ScaleCell {
                     p,

@@ -104,7 +104,7 @@ mod tests {
             rates: vec![0.001, 0.04],
             reps: 10,
             seed0: 13,
-            threads: crate::campaign::default_threads(),
+            threads: ct_runtime::default_threads(),
             gossip_time: 24,
             include_gossip: true,
         })

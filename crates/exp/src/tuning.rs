@@ -82,7 +82,7 @@ fn min_full_coloring_gossip_time_uncached(
         )
         .with_reps(reps)
         .with_seed(seed0);
-        Ok(c.run()?.iter().all(|r| r.all_live_colored))
+        Ok(c.run(1)?.iter().all(|r| r.all_live_colored))
     };
     if fully_colors(lo)? {
         return Ok(lo);
@@ -131,7 +131,7 @@ fn min_latency_gossip_time_uncached(
         let c = Campaign::new(Variant::gossip(g, CorrectionKind::Checked), p, logp)
             .with_reps(reps)
             .with_seed(seed0);
-        let records = c.run()?;
+        let records = c.run(1)?;
         let mean = records.iter().map(|r| r.quiescence as f64).sum::<f64>() / records.len() as f64;
         if mean < best.1 {
             best = (g, mean);
@@ -173,7 +173,7 @@ mod tests {
             )
             .with_reps(3)
             .with_seed(10);
-            assert!(c.run().unwrap().iter().any(|r| !r.all_live_colored));
+            assert!(c.run(1).unwrap().iter().any(|r| !r.all_live_colored));
         }
     }
 
@@ -188,7 +188,7 @@ mod tests {
             let c = Campaign::new(Variant::gossip(g, CorrectionKind::Checked), 128, logp)
                 .with_reps(2)
                 .with_seed(3);
-            let rec = c.run().unwrap();
+            let rec = c.run(1).unwrap();
             rec.iter().map(|r| r.quiescence as f64).sum::<f64>() / rec.len() as f64
         };
         assert!(mean_q(g) <= mean_q(4));

@@ -21,8 +21,6 @@ pub mod phases {
     pub const BROADCAST: &str = "broadcast";
     /// One campaign repetition.
     pub const REP: &str = "rep";
-    /// A whole campaign (all repetitions of one configuration).
-    pub const CAMPAIGN: &str = "campaign";
 }
 
 /// What happened.

@@ -733,7 +733,7 @@ impl Cluster {
         seed: u64,
         sink: &mut dyn EventSink,
     ) -> Result<RunReport, ClusterError> {
-        let result = self.run_observed_inner(factory, dead, seed, sink);
+        let result = self.run_broadcast_inner(factory, dead, seed, sink);
         if let Err(ClusterError::WorkerPanicked) = &result {
             // The black box outlives the crash: freeze the rings and
             // dump whatever the workers managed to record before dying.
@@ -742,7 +742,7 @@ impl Cluster {
         result
     }
 
-    fn run_observed_inner(
+    fn run_broadcast_inner(
         &mut self,
         factory: &dyn ProtocolFactory,
         dead: &[bool],

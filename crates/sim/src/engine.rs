@@ -45,7 +45,6 @@ use crate::faults::FaultPlan;
 use crate::metrics::{MessageCounts, Outcome};
 use crate::queue::{Bucket, EventKind, EventQueue, PackedArrive, StepOutput};
 use crate::recvpool::RecvPool;
-use crate::trace::Trace;
 
 /// Default cap on processed events — a runaway-protocol backstop far
 /// above any legitimate run (`≈ 100` events per process at `P = 2¹⁹`).
@@ -121,7 +120,6 @@ pub struct Simulation {
     logp: LogP,
     faults: FaultPlan,
     seed: u64,
-    record_trace: bool,
     max_events: u64,
     telemetry: Option<Arc<TelemetryHub>>,
     flight: Option<Arc<FlightRecorder>>,
@@ -138,7 +136,6 @@ pub struct SimulationBuilder {
     logp: LogP,
     faults: Option<FaultPlan>,
     seed: u64,
-    record_trace: bool,
     max_events: u64,
     telemetry: Option<Arc<TelemetryHub>>,
     flight: Option<Arc<FlightRecorder>>,
@@ -153,7 +150,6 @@ impl Simulation {
             logp,
             faults: None,
             seed: 0,
-            record_trace: false,
             max_events: DEFAULT_MAX_EVENTS,
             telemetry: None,
             flight: None,
@@ -191,19 +187,7 @@ impl Simulation {
         factory: &dyn ProtocolFactory,
         arena: &mut RunArena,
     ) -> Result<Outcome, SimError> {
-        if self.record_trace {
-            let mut sink = VecSink::new();
-            self.run_with_sink_reusable(factory, &mut sink, arena)
-        } else {
-            self.run_with_sink_reusable(factory, &mut NullSink, arena)
-        }
-    }
-
-    /// Run one broadcast, additionally recording a full event trace.
-    pub fn run_traced(&self, factory: &dyn ProtocolFactory) -> Result<(Outcome, Trace), SimError> {
-        let mut sink = VecSink::new();
-        let outcome = self.run_with_sink(factory, &mut sink)?;
-        Ok((outcome, Trace::from_events(&sink.events)))
+        self.run_with_sink_reusable(factory, &mut NullSink, arena)
     }
 
     /// Run one broadcast, returning the raw observability events
@@ -213,26 +197,18 @@ impl Simulation {
         factory: &dyn ProtocolFactory,
     ) -> Result<(Outcome, Vec<ObsEvent>), SimError> {
         let mut sink = VecSink::new();
-        let outcome = self.run_with_sink(factory, &mut sink)?;
+        let outcome = self.run_with_sink_reusable(factory, &mut sink, &mut RunArena::new())?;
         Ok((outcome, sink.events))
     }
 
-    /// Run one broadcast, streaming every event into `sink`.
+    /// Run one broadcast, streaming every event into `sink`, with all
+    /// per-run storage drawn from `arena` (see
+    /// [`Simulation::run_reusable`]).
     ///
     /// The sink's [`EventSink::enabled`] flag is checked once, before
-    /// the event loop: with a disabled sink (the default [`NullSink`])
-    /// no events are constructed at all and the run costs the same as
-    /// an unobserved one.
-    pub fn run_with_sink(
-        &self,
-        factory: &dyn ProtocolFactory,
-        sink: &mut dyn EventSink,
-    ) -> Result<Outcome, SimError> {
-        self.run_with_sink_reusable(factory, sink, &mut RunArena::new())
-    }
-
-    /// [`Simulation::run_with_sink`] with arena-backed storage; see
-    /// [`Simulation::run_reusable`].
+    /// the event loop: with a disabled sink ([`NullSink`]) no events are
+    /// constructed at all and the run costs the same as an unobserved
+    /// one.
     pub fn run_with_sink_reusable(
         &self,
         factory: &dyn ProtocolFactory,
@@ -598,12 +574,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Record a full event trace on every run (default off).
-    pub fn trace(mut self, on: bool) -> Self {
-        self.record_trace = on;
-        self
-    }
-
     /// Override the runaway-event cap.
     pub fn max_events(mut self, cap: u64) -> Self {
         self.max_events = cap;
@@ -659,7 +629,6 @@ impl SimulationBuilder {
             logp: self.logp,
             faults,
             seed: self.seed,
-            record_trace: self.record_trace,
             max_events: self.max_events,
             telemetry: self.telemetry,
             flight: self.flight,
@@ -671,7 +640,6 @@ impl SimulationBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceKind;
     use ct_core::correction::CorrectionKind;
     use ct_core::protocol::{BroadcastSpec, ColoredVia, Process};
     use ct_core::tree::TreeKind;
@@ -801,15 +769,20 @@ mod tests {
     #[test]
     fn trace_records_sends_and_deliveries() {
         let spec = BroadcastSpec::plain_tree(TreeKind::BINOMIAL);
-        let (out, trace) = sim(8).run_traced(&spec).unwrap();
-        let sends = trace.sends().count() as u64;
-        assert_eq!(sends, out.messages.total());
+        let (out, events) = sim(8).run_with_events(&spec).unwrap();
+        let sends: Vec<&ObsEvent> = events
+            .iter()
+            .filter(|e| matches!(e.kind, ObsEventKind::SendStart { .. }))
+            .collect();
+        assert_eq!(sends.len() as u64, out.messages.total());
         // Every delivery follows its send by exactly 2o + L.
-        for s in trace.sends() {
-            let deliver = trace
-                .events
+        for s in sends {
+            let ObsEventKind::SendStart { from, to, payload } = s.kind else {
+                unreachable!()
+            };
+            let deliver = events
                 .iter()
-                .find(|e| e.kind == TraceKind::Deliver && e.from == s.from && e.to == s.to)
+                .find(|e| e.kind == ObsEventKind::Deliver { from, to, payload })
                 .expect("fault-free: every send is delivered");
             assert_eq!(deliver.time, s.time + LogP::PAPER.transit_steps());
         }

@@ -33,4 +33,4 @@ pub use arena::RunArena;
 pub use engine::{SimError, Simulation, SimulationBuilder};
 pub use faults::FaultPlan;
 pub use metrics::{MessageCounts, Outcome};
-pub use trace::{Trace, TraceEvent, TraceKind};
+pub use trace::ascii_timeline;

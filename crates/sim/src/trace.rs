@@ -1,208 +1,95 @@
-//! Optional event traces (Figure 5-style timelines).
-//!
-//! Tracing is off by default — at `P = 2¹⁹` a trace would dwarf the
-//! simulation itself — and is enabled per run for debugging, the
-//! `protocol_trace` example and timeline tests.
+//! Figure 5-style ASCII timelines, rendered from the observability event
+//! stream (`ct trace`, the `protocol_trace` example and timeline tests).
 
-use core::fmt;
+use ct_logp::Rank;
+use ct_obs::{Event, EventKind};
 
-use ct_core::protocol::Payload;
-use ct_logp::{Rank, Time};
-
-/// What happened.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceKind {
-    /// `from` started transmitting to `to` (sender port busy `o`).
-    SendStart,
-    /// The message reached `to`'s receive port (after `o + L`).
-    Arrive,
-    /// `to` finished processing the message (`on_message` ran).
-    Deliver,
-    /// The message was dropped because `to` is dead.
-    DropDead,
-}
-
-/// One timeline entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Simulated time of the event.
-    pub time: Time,
-    /// Event class.
-    pub kind: TraceKind,
-    /// Sending rank.
-    pub from: Rank,
-    /// Receiving rank.
-    pub to: Rank,
-    /// Message kind.
-    pub payload: Payload,
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let kind = match self.kind {
-            TraceKind::SendStart => "send ",
-            TraceKind::Arrive => "arrive",
-            TraceKind::Deliver => "deliver",
-            TraceKind::DropDead => "drop",
-        };
-        write!(
-            f,
-            "t={:>5} {kind:<8} {:>4} → {:<4} {:?}",
-            self.time, self.from, self.to, self.payload
-        )
-    }
-}
-
-/// A recorded run timeline, in event order.
-#[derive(Clone, Debug, Default)]
-pub struct Trace {
-    /// All recorded events.
-    pub events: Vec<TraceEvent>,
-}
-
-impl Trace {
-    /// Project an observability event stream down to the classic
-    /// message-level trace: `send`/`arrive`/`deliver`/`drop` events are
-    /// kept; coloring and phase-span events are dropped.
-    pub fn from_events(events: &[ct_obs::Event]) -> Trace {
-        use ct_obs::EventKind as Ek;
-        let mut trace = Trace::default();
-        for e in events {
-            let (kind, from, to, payload) = match e.kind {
-                Ek::SendStart { from, to, payload } => (TraceKind::SendStart, from, to, payload),
-                Ek::Arrive { from, to, payload } => (TraceKind::Arrive, from, to, payload),
-                Ek::Deliver { from, to, payload } => (TraceKind::Deliver, from, to, payload),
-                Ek::DropDead { from, to, payload } => (TraceKind::DropDead, from, to, payload),
-                Ek::Colored { .. } | Ek::PhaseBegin { .. } | Ek::PhaseEnd { .. } => continue,
-            };
-            trace.events.push(TraceEvent {
-                time: e.time,
-                kind,
-                from,
-                to,
-                payload,
-            });
-        }
-        trace
-    }
-
-    /// Events involving `rank` (as sender or receiver).
-    pub fn for_rank(&self, rank: Rank) -> Vec<&TraceEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.from == rank || e.to == rank)
-            .collect()
-    }
-
-    /// Send-start events only, in time order.
-    pub fn sends(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.kind == TraceKind::SendStart)
-    }
-
-    /// Render an ASCII timeline of sender activity, one row per rank —
-    /// the shape of Figure 5a. `S` marks a send slot, `R` a delivery.
-    pub fn ascii_timeline(&self, p: u32, o: u64) -> String {
-        self.ascii_timeline_ranks(p, o, None)
-    }
-
-    /// [`Trace::ascii_timeline`] restricted to the given rows. The
-    /// horizon and all marks are computed from the full trace — the
-    /// filter hides rows, it does not re-time them — so the visible
-    /// rows line up column-for-column with the unfiltered rendering.
-    pub fn ascii_timeline_ranks(&self, p: u32, o: u64, ranks: Option<&[Rank]>) -> String {
-        let horizon = self
-            .events
-            .iter()
-            .map(|e| e.time.steps() + o)
-            .max()
-            .unwrap_or(0) as usize;
-        let mut rows = vec![vec![b'.'; horizon]; p as usize];
-        for e in &self.events {
-            match e.kind {
-                TraceKind::SendStart => {
-                    for dt in 0..o as usize {
-                        let t = e.time.steps() as usize + dt;
-                        if t < horizon {
-                            rows[e.from as usize][t] = b'S';
-                        }
+/// Render an ASCII timeline of sender activity, one row per rank — the
+/// shape of Figure 5a. `S` marks a send slot, `R` a delivery.
+///
+/// The horizon is the last message event (send, arrival, delivery or
+/// drop) plus `o`; coloring and phase-span events neither mark nor
+/// stretch the canvas. `ranks` restricts the printed rows. The horizon
+/// and all marks are computed from the full stream — the filter hides
+/// rows, it does not re-time them — so the visible rows line up
+/// column-for-column with the unfiltered rendering.
+pub fn ascii_timeline(events: &[Event], p: u32, o: u64, ranks: Option<&[Rank]>) -> String {
+    let horizon = events
+        .iter()
+        .filter(|e| {
+            matches!(
+                e.kind,
+                EventKind::SendStart { .. }
+                    | EventKind::Arrive { .. }
+                    | EventKind::Deliver { .. }
+                    | EventKind::DropDead { .. }
+            )
+        })
+        .map(|e| e.time.steps() + o)
+        .max()
+        .unwrap_or(0) as usize;
+    let mut rows = vec![vec![b'.'; horizon]; p as usize];
+    for e in events {
+        match e.kind {
+            EventKind::SendStart { from, .. } => {
+                for dt in 0..o as usize {
+                    let t = e.time.steps() as usize + dt;
+                    if t < horizon {
+                        rows[from as usize][t] = b'S';
                     }
                 }
-                TraceKind::Deliver => {
-                    // Delivery time marks the *end* of processing: the
-                    // receive slot occupies [t − o, t). Slots that would
-                    // precede t = 0 are skipped, not clamped — clamping
-                    // would pile every early mark onto column 0 and
-                    // overwrite same-rank S cells there.
-                    for dt in 0..o as usize {
-                        let steps = e.time.steps() as usize;
-                        if steps < dt + 1 {
-                            continue;
-                        }
-                        let t = steps - (dt + 1);
-                        if t < horizon {
-                            rows[e.to as usize][t] = b'R';
-                        }
+            }
+            EventKind::Deliver { to, .. } => {
+                // Delivery time marks the *end* of processing: the
+                // receive slot occupies [t − o, t). Slots that would
+                // precede t = 0 are skipped, not clamped — clamping
+                // would pile every early mark onto column 0 and
+                // overwrite same-rank S cells there.
+                for dt in 0..o as usize {
+                    let steps = e.time.steps() as usize;
+                    if steps < dt + 1 {
+                        continue;
+                    }
+                    let t = steps - (dt + 1);
+                    if t < horizon {
+                        rows[to as usize][t] = b'R';
                     }
                 }
-                _ => {}
             }
+            _ => {}
         }
-        let mut out = String::new();
-        for (r, row) in rows.iter().enumerate() {
-            if let Some(keep) = ranks {
-                if !keep.contains(&(r as Rank)) {
-                    continue;
-                }
-            }
-            out.push_str(&format!("{r:>5} |"));
-            out.push_str(std::str::from_utf8(row).expect("ascii"));
-            out.push('\n');
-        }
-        out
     }
+    let mut out = String::new();
+    for (r, row) in rows.iter().enumerate() {
+        if ranks.is_some_and(|keep| !keep.contains(&(r as Rank))) {
+            continue;
+        }
+        out.push_str(&format!("{r:>5} |"));
+        out.push_str(std::str::from_utf8(row).expect("ascii"));
+        out.push('\n');
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ct_core::protocol::{ColoredVia, Payload};
+    use ct_logp::Time;
 
-    fn ev(time: u64, kind: TraceKind, from: Rank, to: Rank) -> TraceEvent {
-        TraceEvent {
-            time: Time::new(time),
-            kind,
-            from,
-            to,
-            payload: Payload::Tree,
-        }
+    fn send(time: u64, from: Rank, to: Rank) -> Event {
+        let payload = Payload::Tree;
+        Event::sim(Time::new(time), EventKind::SendStart { from, to, payload })
     }
 
-    #[test]
-    fn filters_by_rank() {
-        let trace = Trace {
-            events: vec![
-                ev(0, TraceKind::SendStart, 0, 1),
-                ev(3, TraceKind::Deliver, 0, 1),
-                ev(1, TraceKind::SendStart, 0, 2),
-                ev(4, TraceKind::Deliver, 0, 2),
-            ],
-        };
-        assert_eq!(trace.for_rank(1).len(), 2);
-        assert_eq!(trace.for_rank(2).len(), 2);
-        assert_eq!(trace.for_rank(0).len(), 4);
-        assert_eq!(trace.sends().count(), 2);
+    fn deliver(time: u64, from: Rank, to: Rank) -> Event {
+        let payload = Payload::Tree;
+        Event::sim(Time::new(time), EventKind::Deliver { from, to, payload })
     }
 
     #[test]
     fn ascii_timeline_marks_send_and_receive() {
-        let trace = Trace {
-            events: vec![
-                ev(0, TraceKind::SendStart, 0, 1),
-                ev(4, TraceKind::Deliver, 0, 1),
-            ],
-        };
-        let art = trace.ascii_timeline(2, 1);
+        let art = ascii_timeline(&[send(0, 0, 1), deliver(4, 0, 1)], 2, 1, None);
         let lines: Vec<&str> = art.lines().collect();
         assert!(lines[0].contains('S'));
         assert!(lines[1].contains('R'));
@@ -213,14 +100,15 @@ mod tests {
         // A delivery whose receive slot would precede t = 0 must be
         // skipped, not clamped onto column 0 — clamping used to
         // overwrite the S of a send happening there.
-        let trace = Trace {
-            events: vec![
-                ev(0, TraceKind::SendStart, 0, 1),
-                ev(0, TraceKind::Deliver, 1, 0), // slot [−1, 0): off-canvas
-                ev(3, TraceKind::Deliver, 0, 1), // slot [2, 3)
-            ],
-        };
-        assert_eq!(trace.ascii_timeline(2, 1), "    0 |S...\n    1 |..R.\n");
+        let events = [
+            send(0, 0, 1),
+            deliver(0, 1, 0), // slot [−1, 0): off-canvas
+            deliver(3, 0, 1), // slot [2, 3)
+        ];
+        assert_eq!(
+            ascii_timeline(&events, 2, 1, None),
+            "    0 |S...\n    1 |..R.\n"
+        );
     }
 
     #[test]
@@ -228,77 +116,45 @@ mod tests {
         // o = 2: a delivery at t = 1 occupies [−1, 1); only the slot at
         // column 0 exists. The old clamp marked column 0 twice (harmless)
         // but also invented marks for deliveries at t = 0.
-        let trace = Trace {
-            events: vec![
-                ev(1, TraceKind::Deliver, 1, 0),
-                ev(0, TraceKind::Deliver, 1, 1),
-            ],
-        };
-        assert_eq!(trace.ascii_timeline(2, 2), "    0 |R..\n    1 |...\n");
+        let events = [deliver(1, 1, 0), deliver(0, 1, 1)];
+        assert_eq!(
+            ascii_timeline(&events, 2, 2, None),
+            "    0 |R..\n    1 |...\n"
+        );
     }
 
     #[test]
     fn ascii_timeline_ranks_hides_rows_without_retiming() {
-        let trace = Trace {
-            events: vec![
-                ev(0, TraceKind::SendStart, 0, 1),
-                ev(3, TraceKind::Deliver, 0, 1),
-            ],
-        };
-        let full = trace.ascii_timeline(3, 1);
-        let only1 = trace.ascii_timeline_ranks(3, 1, Some(&[1]));
+        let events = [send(0, 0, 1), deliver(3, 0, 1)];
+        let full = ascii_timeline(&events, 3, 1, None);
+        let only1 = ascii_timeline(&events, 3, 1, Some(&[1]));
         // The filtered view is exactly the matching row of the full view.
         let row1 = full.lines().nth(1).unwrap();
         assert_eq!(only1, format!("{row1}\n"));
     }
 
     #[test]
-    fn from_events_keeps_message_events_only() {
-        use ct_obs::{Event, EventKind};
-        let events = vec![
-            Event::sim(
-                Time::ZERO,
-                EventKind::PhaseBegin {
-                    name: "broadcast".into(),
-                },
-            ),
-            Event::sim(
-                Time::ZERO,
-                EventKind::SendStart {
-                    from: 0,
-                    to: 1,
-                    payload: Payload::Tree,
-                },
-            ),
-            Event::sim(
-                Time::new(4),
-                EventKind::Colored {
-                    rank: 1,
-                    via: ct_core::protocol::ColoredVia::Dissemination,
-                },
-            ),
-            Event::sim(
-                Time::new(4),
-                EventKind::Deliver {
-                    from: 0,
-                    to: 1,
-                    payload: Payload::Tree,
-                },
-            ),
+    fn coloring_and_phase_events_neither_mark_nor_stretch_the_canvas() {
+        let span = |time: u64, name: &str| {
+            let name = name.to_owned();
+            Event::sim(Time::new(time), EventKind::PhaseEnd { name })
+        };
+        let colored = Event::sim(
+            Time::new(9),
+            EventKind::Colored {
+                rank: 1,
+                via: ColoredVia::Dissemination,
+            },
+        );
+        let events = [
+            send(0, 0, 1),
+            deliver(3, 0, 1),
+            colored,
+            span(12, "broadcast"),
         ];
-        let trace = Trace::from_events(&events);
-        assert_eq!(trace.events.len(), 2);
-        assert_eq!(trace.events[0].kind, TraceKind::SendStart);
-        assert_eq!(trace.events[1].kind, TraceKind::Deliver);
-    }
-
-    #[test]
-    fn display_mentions_the_essentials() {
-        let e = ev(7, TraceKind::SendStart, 3, 9);
-        let s = e.to_string();
-        assert!(s.contains("t=    7"), "{s}");
-        assert!(s.contains("send"), "{s}");
-        assert!(s.contains("3 → 9"), "{s}");
-        assert!(s.contains("Tree"), "{s}");
+        assert_eq!(
+            ascii_timeline(&events, 2, 1, None),
+            ascii_timeline(&events[..2], 2, 1, None)
+        );
     }
 }

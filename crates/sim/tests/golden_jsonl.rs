@@ -29,7 +29,8 @@ fn golden_stream() -> VecSink {
         .seed(1)
         .build();
     let mut sink = VecSink::new();
-    sim.run_with_sink(&spec, &mut sink).expect("run succeeds");
+    sim.run_with_sink_reusable(&spec, &mut sink, &mut ct_sim::RunArena::new())
+        .expect("run succeeds");
     sink
 }
 
@@ -106,7 +107,9 @@ fn sink_events_agree_with_outcome_metrics() {
     );
     let sim = Simulation::builder(16, LogP::PAPER).seed(3).build();
     let mut sink = VecSink::new();
-    let out = sim.run_with_sink(&spec, &mut sink).unwrap();
+    let out = sim
+        .run_with_sink_reusable(&spec, &mut sink, &mut ct_sim::RunArena::new())
+        .unwrap();
 
     let sends = sink
         .events
@@ -145,7 +148,9 @@ fn observed_and_unobserved_runs_agree() {
         .build();
     let plain = sim.run(&spec).unwrap();
     let mut sink = VecSink::new();
-    let observed = sim.run_with_sink(&spec, &mut sink).unwrap();
+    let observed = sim
+        .run_with_sink_reusable(&spec, &mut sink, &mut ct_sim::RunArena::new())
+        .unwrap();
     assert_eq!(plain.colored_at, observed.colored_at);
     assert_eq!(plain.messages, observed.messages);
     assert_eq!(plain.quiescence, observed.quiescence);

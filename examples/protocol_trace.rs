@@ -2,8 +2,8 @@
 //!
 //! Reproduces the paper's Figure 5 setting (Lamé tree, k = 3, P = 9,
 //! L = o = 1, which makes the tree latency-optimal) and prints every
-//! send/arrival/delivery plus an ASCII sender/receiver timeline. Then
-//! repeats the run with a failure to show correction kicking in.
+//! event (one JSONL line each) plus an ASCII sender/receiver timeline.
+//! Then repeats the run with a failure to show correction kicking in.
 //!
 //! Run with: `cargo run --release --example protocol_trace`
 
@@ -11,7 +11,7 @@ use corrected_trees::core::correction::CorrectionKind;
 use corrected_trees::core::protocol::BroadcastSpec;
 use corrected_trees::core::tree::{Ordering, TreeKind};
 use corrected_trees::logp::LogP;
-use corrected_trees::sim::{FaultPlan, Simulation};
+use corrected_trees::sim::{ascii_timeline, FaultPlan, Simulation};
 
 fn main() {
     let p = 9;
@@ -23,26 +23,26 @@ fn main() {
 
     println!("=== Figure 5: fault-free Lamé k=3 dissemination, P=9 ===\n");
     let spec = BroadcastSpec::plain_tree(lame3);
-    let (out, trace) = Simulation::builder(p, logp)
+    let (out, events) = Simulation::builder(p, logp)
         .build()
-        .run_traced(&spec)
+        .run_with_events(&spec)
         .expect("valid configuration");
-    for e in &trace.events {
+    for e in &events {
         println!("{e}");
     }
     println!("\nsender/receiver timeline (S = sending, R = receiving):");
-    print!("{}", trace.ascii_timeline(p, logp.o()));
+    print!("{}", ascii_timeline(&events, p, logp.o(), None));
     println!("coloring latency: {} steps", out.coloring_latency);
 
     println!("\n=== same broadcast, rank 1 failed, checked correction ===\n");
     let spec = BroadcastSpec::corrected_tree_sync(lame3, CorrectionKind::Checked);
     let faults = FaultPlan::from_ranks(p, &[1]).expect("plan");
-    let (out, trace) = Simulation::builder(p, logp)
+    let (out, events) = Simulation::builder(p, logp)
         .faults(faults)
         .build()
-        .run_traced(&spec)
+        .run_with_events(&spec)
         .expect("valid configuration");
-    for e in &trace.events {
+    for e in &events {
         println!("{e}");
     }
     assert!(out.all_live_colored());

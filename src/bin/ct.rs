@@ -2,7 +2,7 @@
 //!
 //! ```console
 //! $ ct run   --tree binomial --correction checked --mode sync \
-//!            --p 1024 --faults 5 --seed 7 [--trace] [--logp L=2,o=1]
+//!            --p 1024 --faults 5 --seed 7 [--logp L=2,o=1]
 //! $ ct tree  --tree lame2 --p 16            # print topology + stats
 //! $ ct sweep --tree optimal --correction opp4 --p 4096 --rate 0.02 --reps 50
 //! $ ct trace --tree binomial --correction opp2 --p 16 --faults 1 \
@@ -16,6 +16,7 @@
 //! CLI exists so a cluster operator can poke at a configuration without
 //! writing a program.
 
+use std::io::{self, Write};
 use std::sync::Arc;
 
 use corrected_trees::analysis::Summary;
@@ -31,11 +32,11 @@ use corrected_trees::logp::LogP;
 use corrected_trees::obs::http::{http_get, monitor_handler, HttpServer};
 use corrected_trees::obs::series::{default_sample_ms, SeriesSample, SeriesStore};
 use corrected_trees::obs::telemetry::{TelemetryHub, TelemetrySnapshot};
-use corrected_trees::obs::{chrome_trace, Event, EventKind, MonitorConfig, MonitorSink, VecSink};
+use corrected_trees::obs::{chrome_trace, Event, EventKind, MonitorConfig, MonitorSink};
 use corrected_trees::runtime::{
     default_flight_cap, Cluster, ClusterConfig, PubsubOptions, Topic, TopicTable,
 };
-use corrected_trees::sim::{FaultPlan, Simulation, Trace};
+use corrected_trees::sim::{ascii_timeline, FaultPlan, Outcome, RunArena, Simulation};
 
 fn usage() -> ! {
     eprintln!(
@@ -53,7 +54,6 @@ fn usage() -> ! {
            --shuffle <SEED>        randomize process numbering (§2.1)\n\
            --faults <N> | --rate <F>   random failures (default none)\n\
            --seed <S>              run seed (default 1)\n\
-           --trace                 print the full event trace\n\
          sweep options:\n\
            --reps <N>              repetitions (default 50)\n\
          trace options (plus all run options):\n\
@@ -321,30 +321,41 @@ fn cmd_run(cli: &Cli) {
     let plan = faults(cli, p, seed, spec.root);
     let failed: Vec<u32> = plan.failed_ranks().collect();
 
-    let sim = Simulation::builder(p, logp).faults(plan).seed(seed).build();
-    if cli.flag("--trace") {
-        let (out, trace) = sim.run_traced(&spec).expect("valid configuration");
-        for e in &trace.events {
-            println!("{e}");
+    let out = Simulation::builder(p, logp)
+        .faults(plan)
+        .seed(seed)
+        .build()
+        .run(&spec)
+        .expect("valid configuration");
+    write_stdout(|w| report(w, &out, &failed));
+}
+
+/// Write a command's output through one locked, buffered stdout. A
+/// reader that goes away early (`ct trace | head -1`) ends the command
+/// quietly with status 0; any other write error exits 1.
+fn write_stdout(body: impl FnOnce(&mut dyn Write) -> io::Result<()>) {
+    let mut w = io::BufWriter::new(io::stdout().lock());
+    match body(&mut w).and_then(|()| w.flush()) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+            eprintln!("cannot write to stdout: {e}");
+            std::process::exit(1);
         }
-        report(&out, &failed);
-    } else {
-        let out = sim.run(&spec).expect("valid configuration");
-        report(&out, &failed);
+        _ => {}
     }
 }
 
-fn report(out: &corrected_trees::sim::Outcome, failed: &[u32]) {
-    println!("protocol            {}", out.label);
-    println!("processes           {}", out.p);
-    println!("failed ranks        {failed:?}");
-    println!("all live colored    {}", out.all_live_colored());
+fn report(w: &mut dyn Write, out: &Outcome, failed: &[u32]) -> io::Result<()> {
+    writeln!(w, "protocol            {}", out.label)?;
+    writeln!(w, "processes           {}", out.p)?;
+    writeln!(w, "failed ranks        {failed:?}")?;
+    writeln!(w, "all live colored    {}", out.all_live_colored())?;
     if !out.all_live_colored() {
-        println!("uncolored live      {:?}", out.uncolored_live());
+        writeln!(w, "uncolored live      {:?}", out.uncolored_live())?;
     }
-    println!("coloring latency    {} steps", out.coloring_latency);
-    println!("quiescence latency  {} steps", out.quiescence);
-    println!(
+    writeln!(w, "coloring latency    {} steps", out.coloring_latency)?;
+    writeln!(w, "quiescence latency  {} steps", out.quiescence)?;
+    writeln!(
+        w,
         "messages            {} ({:.3}/process; tree {}, corr {}, gossip {}, ack {})",
         out.messages.total(),
         out.messages_per_process(),
@@ -352,9 +363,9 @@ fn report(out: &corrected_trees::sim::Outcome, failed: &[u32]) {
         out.messages.correction,
         out.messages.gossip,
         out.messages.ack,
-    );
-    println!("colored by corr.    {}", out.correction_colored());
-    println!("max ring gap        {}", out.max_gap());
+    )?;
+    writeln!(w, "colored by corr.    {}", out.correction_colored())?;
+    writeln!(w, "max ring gap        {}", out.max_gap())
 }
 
 fn cmd_trace(cli: &Cli) {
@@ -365,38 +376,34 @@ fn cmd_trace(cli: &Cli) {
     let plan = faults(cli, p, seed, spec.root);
     let failed: Vec<u32> = plan.failed_ranks().collect();
 
-    let mut sink = VecSink::new();
-    let out = Simulation::builder(p, logp)
+    let (out, events) = Simulation::builder(p, logp)
         .faults(plan)
         .seed(seed)
         .build()
-        .run_with_sink(&spec, &mut sink)
+        .run_with_events(&spec)
         .expect("valid configuration");
 
     let ranks = parse_rank_list(cli, "--ranks");
-    match cli.value("--format").unwrap_or("ascii") {
+    write_stdout(|w| match cli.value("--format").unwrap_or("ascii") {
         "ascii" => {
-            let trace = Trace::from_events(&sink.events);
-            print!(
-                "{}",
-                trace.ascii_timeline_ranks(p, logp.o(), ranks.as_deref())
-            );
-            println!();
-            report(&out, &failed);
+            let timeline = ascii_timeline(&events, p, logp.o(), ranks.as_deref());
+            writeln!(w, "{timeline}")?;
+            report(w, &out, &failed)
         }
         "jsonl" => {
-            for e in &sink.events {
+            for e in &events {
                 if ranks.as_deref().is_none_or(|r| event_involves(e, r)) {
-                    println!("{e}");
+                    writeln!(w, "{e}")?;
                 }
             }
+            Ok(())
         }
-        "chrome" => println!("{}", chrome_trace(&sink.events, logp.o())),
+        "chrome" => writeln!(w, "{}", chrome_trace(&events, logp.o())),
         other => {
             eprintln!("unknown trace format {other:?}");
             usage()
         }
-    }
+    });
 }
 
 fn cmd_tree(cli: &Cli) {
@@ -755,7 +762,7 @@ fn cmd_check(cli: &Cli) {
                 .faults(plan)
                 .seed(seed)
                 .build()
-                .run_with_sink(&spec, &mut monitor)
+                .run_with_sink_reusable(&spec, &mut monitor, &mut RunArena::new())
                 .expect("valid configuration");
             monitor.finish()
         }
@@ -817,14 +824,13 @@ fn cmd_forensics(cli: &Cli) {
         let spec = build_spec(cli);
         let plan = faults(cli, p, seed, spec.root);
         let mask = plan.mask().to_vec();
-        let mut sink = VecSink::new();
-        Simulation::builder(p, logp)
+        let (_, events) = Simulation::builder(p, logp)
             .faults(plan)
             .seed(seed)
             .build()
-            .run_with_sink(&spec, &mut sink)
+            .run_with_events(&spec)
             .expect("valid configuration");
-        (sink.events, p, mask)
+        (events, p, mask)
     };
     let tree = kind.build(p, &logp).expect("valid tree");
     let report = analyze_forensics(&events, &tree, &mask, &logp);
@@ -1051,7 +1057,7 @@ fn cmd_stats(cli: &Cli) {
             .with_reps(reps)
             .with_seed(seed)
             .with_telemetry(Arc::clone(&hub));
-        if let Err(e) = campaign.run() {
+        if let Err(e) = campaign.run(1) {
             eprintln!("campaign failed: {e}");
             std::process::exit(2);
         }

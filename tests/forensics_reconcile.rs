@@ -9,7 +9,7 @@ use corrected_trees::core::protocol::BroadcastSpec;
 use corrected_trees::core::tree::TreeKind;
 use corrected_trees::logp::LogP;
 use corrected_trees::obs::VecSink;
-use corrected_trees::sim::{FaultPlan, Outcome, Simulation};
+use corrected_trees::sim::{FaultPlan, Outcome, RunArena, Simulation};
 
 fn faulty_run(
     p: u32,
@@ -27,7 +27,7 @@ fn faulty_run(
         .faults(plan)
         .seed(seed)
         .build()
-        .run_with_sink(&spec, &mut sink)
+        .run_with_sink_reusable(&spec, &mut sink, &mut RunArena::new())
         .expect("valid configuration");
     (out, sink.events, mask)
 }

@@ -8,44 +8,52 @@
 //! monotone.
 
 use corrected_trees::core::correction::CorrectionKind;
-use corrected_trees::core::protocol::BroadcastSpec;
+use corrected_trees::core::protocol::{BroadcastSpec, ProtocolFactory};
 use corrected_trees::core::tree::TreeKind;
 use corrected_trees::gossip::GossipSpec;
 use corrected_trees::logp::LogP;
-use corrected_trees::sim::{FaultPlan, Simulation, Trace, TraceKind};
+use corrected_trees::obs::{Event, EventKind};
+use corrected_trees::sim::{FaultPlan, Outcome, Simulation};
 use proptest::prelude::*;
 
-fn check_trace_laws(
-    trace: &Trace,
-    out: &corrected_trees::sim::Outcome,
-    logp: &LogP,
-) -> Result<(), String> {
+/// Run `factory` and keep its message events — sends, arrivals,
+/// deliveries and drops — in stream order. Coloring and phase-span
+/// events are left out.
+fn message_events(sim: Simulation, factory: &dyn ProtocolFactory) -> (Outcome, Vec<Event>) {
+    let (out, mut events) = sim.run_with_events(factory).expect("valid configuration");
+    events.retain(|e| {
+        !matches!(
+            e.kind,
+            EventKind::Colored { .. } | EventKind::PhaseBegin { .. } | EventKind::PhaseEnd { .. }
+        )
+    });
+    (out, events)
+}
+
+fn check_trace_laws(events: &[Event], out: &Outcome, logp: &LogP) -> Result<(), String> {
     let mut sends = Vec::new();
-    for e in &trace.events {
+    for e in events {
         match e.kind {
-            TraceKind::SendStart => sends.push(*e),
-            TraceKind::Arrive | TraceKind::DropDead => {
+            EventKind::SendStart { .. } => sends.push(e),
+            EventKind::Arrive { from, to, payload } | EventKind::DropDead { from, to, payload } => {
                 // Arrival exactly o + L after some matching unconsumed send.
                 let expect = e.time - (logp.o() + logp.l());
+                let send = EventKind::SendStart { from, to, payload };
                 let pos = sends
                     .iter()
-                    .position(|s| {
-                        s.from == e.from
-                            && s.to == e.to
-                            && s.payload == e.payload
-                            && s.time == expect
-                    })
+                    .position(|s| s.kind == send && s.time == expect)
                     .ok_or_else(|| format!("arrival without matching send: {e}"))?;
                 sends.swap_remove(pos);
-                if e.kind == TraceKind::DropDead && !out.failed[e.to as usize] {
+                if matches!(e.kind, EventKind::DropDead { .. }) && !out.failed[to as usize] {
                     return Err(format!("live process dropped a message: {e}"));
                 }
             }
-            TraceKind::Deliver => {
-                if out.failed[e.to as usize] {
+            EventKind::Deliver { to, .. } => {
+                if out.failed[to as usize] {
                     return Err(format!("delivery to a dead process: {e}"));
                 }
             }
+            _ => unreachable!("message events only"),
         }
     }
     if !sends.is_empty() {
@@ -64,25 +72,26 @@ fn check_trace_laws(
             if r == 0 {
                 continue;
             }
-            let ok = trace.events.iter().any(|e| {
-                e.kind == TraceKind::Deliver && e.to == r && e.payload.colors() && e.time == t
+            let ok = events.iter().any(|e| {
+                matches!(e.kind, EventKind::Deliver { to, payload, .. } if to == r && payload.colors())
+                    && e.time == t
             });
             if !ok {
                 return Err(format!("rank {r} colored at {t} without a delivery"));
             }
         }
     }
-    for e in &trace.events {
-        if e.kind == TraceKind::SendStart && e.payload.colors() {
-            let sender_colored = out.colored_at[e.from as usize].is_some_and(|t| t <= e.time);
-            if !sender_colored {
+    for e in events {
+        if let EventKind::SendStart { from, payload, .. } = e.kind {
+            let sender_colored = out.colored_at[from as usize].is_some_and(|t| t <= e.time);
+            if payload.colors() && !sender_colored {
                 return Err(format!("uncolored process sent a payload: {e}"));
             }
         }
     }
 
     // Monotone event times.
-    for w in trace.events.windows(2) {
+    for w in events.windows(2) {
         if w[1].time < w[0].time {
             return Err("trace times regressed".into());
         }
@@ -114,13 +123,9 @@ proptest! {
         // traces still obey all laws.
         let logp = LogP::PAPER;
         let faults = FaultPlan::random_count(p, n_faults, seed).expect("plan");
-        let (out, trace) = Simulation::builder(p, logp)
-            .faults(faults)
-            .seed(seed)
-            .build()
-            .run_traced(&spec)
-            .expect("valid configuration");
-        if let Err(msg) = check_trace_laws(&trace, &out, &logp) {
+        let sim = Simulation::builder(p, logp).faults(faults).seed(seed).build();
+        let (out, events) = message_events(sim, &spec);
+        if let Err(msg) = check_trace_laws(&events, &out, &logp) {
             prop_assert!(false, "{msg}");
         }
     }
@@ -133,12 +138,9 @@ proptest! {
     ) {
         let spec = GossipSpec::time_limited(gossip_time, CorrectionKind::Checked);
         let logp = LogP::PAPER;
-        let (out, trace) = Simulation::builder(p, logp)
-            .seed(seed)
-            .build()
-            .run_traced(&spec)
-            .expect("valid configuration");
-        if let Err(msg) = check_trace_laws(&trace, &out, &logp) {
+        let sim = Simulation::builder(p, logp).seed(seed).build();
+        let (out, events) = message_events(sim, &spec);
+        if let Err(msg) = check_trace_laws(&events, &out, &logp) {
             prop_assert!(false, "{msg}");
         }
     }
@@ -155,16 +157,11 @@ proptest! {
             CorrectionKind::OpportunisticOptimized { distance: 4 },
         );
         let logp = LogP::PAPER;
-        let (_, trace) = Simulation::builder(p, logp)
-            .seed(seed)
-            .build()
-            .run_traced(&spec)
-            .expect("valid configuration");
+        let (_, events) = message_events(Simulation::builder(p, logp).seed(seed).build(), &spec);
         for r in 0..p {
-            let delivers: Vec<_> = trace
-                .events
+            let delivers: Vec<_> = events
                 .iter()
-                .filter(|e| e.kind == TraceKind::Deliver && e.to == r)
+                .filter(|e| matches!(e.kind, EventKind::Deliver { to, .. } if to == r))
                 .collect();
             for w in delivers.windows(2) {
                 prop_assert!(
@@ -185,16 +182,11 @@ proptest! {
     ) {
         let logp = LogP::new(l, o, 1).expect("valid LogP");
         let spec = BroadcastSpec::corrected_tree_sync(TreeKind::BINOMIAL, CorrectionKind::Checked);
-        let (_, trace) = Simulation::builder(p, logp)
-            .seed(seed)
-            .build()
-            .run_traced(&spec)
-            .expect("valid configuration");
+        let (_, events) = message_events(Simulation::builder(p, logp).seed(seed).build(), &spec);
         for r in 0..p {
-            let sends: Vec<_> = trace
-                .events
+            let sends: Vec<_> = events
                 .iter()
-                .filter(|e| e.kind == TraceKind::SendStart && e.from == r)
+                .filter(|e| matches!(e.kind, EventKind::SendStart { from, .. } if from == r))
                 .collect();
             for w in sends.windows(2) {
                 prop_assert!(

@@ -49,7 +49,7 @@ fn corrected_trees_send_several_times_fewer_messages_than_gossip() {
         p,
         LogP::PAPER,
     )
-    .run()
+    .run(1)
     .unwrap()[0]
         .messages_per_process;
     let gossip = Campaign::new(
@@ -58,7 +58,7 @@ fn corrected_trees_send_several_times_fewer_messages_than_gossip() {
         LogP::PAPER,
     )
     .with_reps(3)
-    .run()
+    .run(1)
     .unwrap()
     .iter()
     .map(|r| r.messages_per_process)
@@ -119,7 +119,7 @@ fn latency_degradation_under_faults_is_modest_for_trees() {
         .with_faults(FaultSpec::Rate(rate))
         .with_reps(20)
         .with_seed(9)
-        .run_parallel(4)
+        .run(4)
         .unwrap();
         records.iter().map(|r| r.quiescence as f64).sum::<f64>() / records.len() as f64
     };
@@ -151,7 +151,7 @@ fn message_count_drops_under_faults() {
         .with_faults(FaultSpec::Rate(rate))
         .with_reps(10)
         .with_seed(4)
-        .run_parallel(4)
+        .run(4)
         .unwrap();
         records.iter().map(|r| r.messages_per_process).sum::<f64>() / records.len() as f64
     };

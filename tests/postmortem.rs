@@ -27,7 +27,7 @@ use corrected_trees::obs::VecSink;
 use corrected_trees::runtime::{
     Cluster, ClusterConfig, ClusterError, Postmortem, RankStall, StallReport,
 };
-use corrected_trees::sim::{FaultPlan, Simulation};
+use corrected_trees::sim::{FaultPlan, RunArena, Simulation};
 use proptest::prelude::*;
 
 proptest! {
@@ -77,7 +77,7 @@ fn sim_trace_is_byte_identical_with_flight_recorder_attached() {
         .faults(plan.clone())
         .seed(seed)
         .build()
-        .run_with_sink(&spec, &mut plain_sink)
+        .run_with_sink_reusable(&spec, &mut plain_sink, &mut RunArena::new())
         .unwrap();
 
     let recorder = Arc::new(FlightRecorder::new(1, 4096));
@@ -87,7 +87,7 @@ fn sim_trace_is_byte_identical_with_flight_recorder_attached() {
         .seed(seed)
         .flight(Arc::clone(&recorder))
         .build()
-        .run_with_sink(&spec, &mut obs_sink)
+        .run_with_sink_reusable(&spec, &mut obs_sink, &mut RunArena::new())
         .unwrap();
 
     assert_eq!(plain_sink.events, obs_sink.events);

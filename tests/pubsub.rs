@@ -28,7 +28,7 @@ use corrected_trees::logp::LogP;
 use corrected_trees::obs::telemetry::TelemetryHub;
 use corrected_trees::obs::{Event, EventKind, VecSink};
 use corrected_trees::runtime::{Cluster, ClusterConfig, PubsubOptions, Topic, TopicTable};
-use corrected_trees::sim::Simulation;
+use corrected_trees::sim::{RunArena, Simulation};
 
 /// Arrival-gate fallback of the paced topics, µs on the cluster.
 const PACED_FALLBACK_US: u64 = 50_000;
@@ -228,7 +228,7 @@ fn multiplexed_checked_topic_matches_simulator_multiset() {
     let mut sim_sink = VecSink::new();
     Simulation::builder(p, LogP::PAPER)
         .build()
-        .run_with_sink(&spec, &mut sim_sink)
+        .run_with_sink_reusable(&spec, &mut sim_sink, &mut RunArena::new())
         .expect("sim run");
 
     let reference = message_multiset(&sim_sink.events);

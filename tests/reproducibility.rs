@@ -17,23 +17,19 @@ fn identical_seeds_reproduce_faulty_gossip_bit_for_bit() {
     let spec = GossipSpec::time_limited(18, CorrectionKind::Checked);
     let run = |seed: u64| {
         let faults = FaultPlan::random_rate(512, 0.02, seed).unwrap();
-        let (out, trace) = Simulation::builder(512, LogP::PAPER)
+        Simulation::builder(512, LogP::PAPER)
             .faults(faults)
             .seed(seed)
             .build()
-            .run_traced(&spec)
-            .unwrap();
-        (out, trace)
+            .run_with_events(&spec)
+            .unwrap()
     };
-    let (a_out, a_trace) = run(7);
-    let (b_out, b_trace) = run(7);
+    let (a_out, a_events) = run(7);
+    let (b_out, b_events) = run(7);
     assert_eq!(a_out.colored_at, b_out.colored_at);
     assert_eq!(a_out.messages, b_out.messages);
     assert_eq!(a_out.events, b_out.events);
-    assert_eq!(
-        a_trace.events, b_trace.events,
-        "full traces must be identical"
-    );
+    assert_eq!(a_events, b_events, "full event streams must be identical");
 }
 
 #[test]
@@ -43,11 +39,11 @@ fn different_seeds_give_different_gossip_traces() {
         Simulation::builder(512, LogP::PAPER)
             .seed(seed)
             .build()
-            .run_traced(&spec)
+            .run_with_events(&spec)
             .unwrap()
             .1
     };
-    assert_ne!(run(1).events, run(2).events);
+    assert_ne!(run(1), run(2));
 }
 
 #[test]
@@ -78,9 +74,9 @@ fn campaigns_reproduce_across_thread_counts() {
     .with_faults(FaultSpec::Rate(0.02))
     .with_reps(12)
     .with_seed(33);
-    let one = campaign.run_parallel(1).unwrap();
-    let four = campaign.run_parallel(4).unwrap();
-    let eight = campaign.run_parallel(8).unwrap();
+    let one = campaign.run(1).unwrap();
+    let four = campaign.run(4).unwrap();
+    let eight = campaign.run(8).unwrap();
     assert_eq!(one, four);
     assert_eq!(one, eight);
 }

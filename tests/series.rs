@@ -21,7 +21,7 @@ use corrected_trees::obs::series::{SeriesRing, SeriesSample};
 use corrected_trees::obs::telemetry::TelemetryHub;
 use corrected_trees::obs::VecSink;
 use corrected_trees::runtime::{Cluster, ClusterConfig};
-use corrected_trees::sim::{FaultPlan, Simulation};
+use corrected_trees::sim::{FaultPlan, RunArena, Simulation};
 use proptest::prelude::*;
 
 /// Simulator purity: a run with the sampler polling in the background
@@ -41,7 +41,7 @@ fn sim_trace_is_byte_identical_with_sampler_attached() {
         .faults(plan.clone())
         .seed(seed)
         .build()
-        .run_with_sink(&spec, &mut plain_sink)
+        .run_with_sink_reusable(&spec, &mut plain_sink, &mut RunArena::new())
         .unwrap();
 
     let hub = Arc::new(TelemetryHub::new(1, p as usize));
@@ -52,7 +52,9 @@ fn sim_trace_is_byte_identical_with_sampler_attached() {
         .telemetry(Arc::clone(&hub))
         .sample(Duration::from_millis(5))
         .build();
-    let obs_out = sim.run_with_sink(&spec, &mut obs_sink).unwrap();
+    let obs_out = sim
+        .run_with_sink_reusable(&spec, &mut obs_sink, &mut RunArena::new())
+        .unwrap();
 
     assert_eq!(plain_sink.events, obs_sink.events);
     assert_eq!(plain_out.events, obs_out.events);

@@ -11,7 +11,7 @@ use corrected_trees::core::tree::TreeKind;
 use corrected_trees::logp::LogP;
 use corrected_trees::obs::{Event, EventKind, MonitorConfig, MonitorSink, VecSink};
 use corrected_trees::runtime::Cluster;
-use corrected_trees::sim::{FaultPlan, Simulation};
+use corrected_trees::sim::{FaultPlan, RunArena, Simulation};
 
 #[test]
 fn plain_tree_message_counts_agree() {
@@ -108,7 +108,7 @@ fn event_streams_agree_for_deterministic_dissemination() {
     let mut sim_sink = VecSink::new();
     Simulation::builder(p, LogP::PAPER)
         .build()
-        .run_with_sink(&spec, &mut sim_sink)
+        .run_with_sink_reusable(&spec, &mut sim_sink, &mut RunArena::new())
         .unwrap();
 
     let mut cluster_sink = VecSink::new();
@@ -149,7 +149,7 @@ fn event_schemas_are_identical_across_drivers() {
     let mut sim_sink = VecSink::new();
     Simulation::builder(p, LogP::PAPER)
         .build()
-        .run_with_sink(&spec, &mut sim_sink)
+        .run_with_sink_reusable(&spec, &mut sim_sink, &mut RunArena::new())
         .unwrap();
     let mut cluster_sink = VecSink::new();
     let mut cluster = Cluster::new(p, LogP::PAPER);
@@ -242,7 +242,7 @@ fn invariant_monitor_accepts_both_drivers() {
     Simulation::builder(p, LogP::PAPER)
         .faults(plan)
         .build()
-        .run_with_sink(&spec, &mut sim_monitor)
+        .run_with_sink_reusable(&spec, &mut sim_monitor, &mut RunArena::new())
         .unwrap();
     let sim_report = sim_monitor.finish();
     assert!(sim_report.is_ok(), "sim: {}", sim_report.render_text());
@@ -364,7 +364,6 @@ fn cluster_stress_200_iterations_two_workers() {
 /// the exact event stream and outcome a fresh simulation produces.
 #[test]
 fn reused_arena_matches_fresh_build_across_variants_and_faults() {
-    use corrected_trees::sim::RunArena;
     let p = 96u32;
     let specs: Vec<BroadcastSpec> = vec![
         BroadcastSpec::corrected_tree_sync(TreeKind::BINOMIAL, CorrectionKind::Checked),
@@ -394,7 +393,9 @@ fn reused_arena_matches_fresh_build_across_variants_and_faults() {
                     .build()
             };
             let mut fresh_sink = VecSink::new();
-            let fresh_out = sim().run_with_sink(spec, &mut fresh_sink).unwrap();
+            let fresh_out = sim()
+                .run_with_sink_reusable(spec, &mut fresh_sink, &mut RunArena::new())
+                .unwrap();
             let mut reused_sink = VecSink::new();
             let reused_out = sim()
                 .run_with_sink_reusable(spec, &mut reused_sink, &mut arena)
@@ -437,14 +438,14 @@ fn campaign_records_identical_between_reused_and_fresh_paths() {
             .with_faults(faults.clone())
             .with_reps(reps)
             .with_seed(seed0);
-        let reused = campaign.run().unwrap();
+        let reused = campaign.run(1).unwrap();
         let fresh: Vec<_> = (0..reps)
             .flat_map(|i| {
                 Campaign::new(variant, p, LogP::PAPER)
                     .with_faults(faults.clone())
                     .with_reps(1)
                     .with_seed(seed0 + u64::from(i))
-                    .run()
+                    .run(1)
                     .unwrap()
             })
             .collect();

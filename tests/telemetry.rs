@@ -19,7 +19,7 @@ use corrected_trees::logp::{LogP, Rank, Time};
 use corrected_trees::obs::telemetry::{Counter, TelemetryHub};
 use corrected_trees::obs::VecSink;
 use corrected_trees::runtime::{Cluster, ClusterConfig};
-use corrected_trees::sim::{FaultPlan, Simulation};
+use corrected_trees::sim::{FaultPlan, RunArena, Simulation};
 
 /// Run the reference corrected-tree sim twice — with and without a
 /// telemetry hub — and require identical event streams and outcomes.
@@ -39,7 +39,7 @@ fn sim_trace_is_byte_identical_with_telemetry_attached() {
         .faults(plan.clone())
         .seed(seed)
         .build()
-        .run_with_sink(&spec, &mut plain_sink)
+        .run_with_sink_reusable(&spec, &mut plain_sink, &mut RunArena::new())
         .unwrap();
 
     let hub = Arc::new(TelemetryHub::new(1, p as usize));
@@ -49,7 +49,7 @@ fn sim_trace_is_byte_identical_with_telemetry_attached() {
         .seed(seed)
         .telemetry(Arc::clone(&hub))
         .build()
-        .run_with_sink(&spec, &mut obs_sink)
+        .run_with_sink_reusable(&spec, &mut obs_sink, &mut RunArena::new())
         .unwrap();
 
     assert_eq!(plain_sink.events, obs_sink.events);
