@@ -8,9 +8,10 @@
 //! admitted (round-major, topic-minor) so no topic starves.
 //!
 //! Scheduling stays rank-granular: one quantum drains a rank's mailbox
-//! once and serves *all* of its installed iterations, so batch
-//! claiming, the lost-wakeup recheck and the bounded-mailbox
-//! backpressure story are exactly those of single-broadcast mode —
+//! (at its start and every 16 sends of a burst) and serves *all* of its
+//! installed iterations, so batch claiming, the lost-wakeup recheck and
+//! the bounded-mailbox backpressure story are exactly those of
+//! single-broadcast mode —
 //! multiplexing adds per-iteration state, not new scheduler paths. The
 //! win is pipelining: a corrected-tree broadcast spends most of its
 //! wall-clock waiting (correction pacing, synchronized-start barriers),

@@ -30,8 +30,9 @@ pub struct RankStall {
     pub mailbox_len: usize,
     /// Lifetime spill count of its mailbox.
     pub mailbox_spilled: u64,
-    /// µs timestamp (cluster timeline) of its last scheduling quantum
-    /// in this iteration; `None` if it was never polled.
+    /// µs timestamp (cluster timeline) of its last mailbox drain — the
+    /// start of a quantum, or a refresh point inside a send burst — in
+    /// this iteration; `None` if it was never polled.
     pub last_poll_us: Option<u64>,
 }
 

@@ -1,12 +1,14 @@
 //! The cluster runtime's quantum-time contract (DESIGN.md "Cluster
 //! runtime", *One clock*): a quantum reads the clock once, after the
 //! mailbox drain, and every `Time` and event stamp it produces derives
-//! from that read; a send burst re-reads every 16 polls; a timer that
+//! from that read; a send burst re-reads every 16 polls, right after it
+//! drains the mailbox again, so it hears its peers; a timer that
 //! fires at its deadline is polled at or after it; and the taps time a
 //! quantum from that same read — no clock read of their own — so the
 //! `sched.quantum_us` intervals tile the batch's busy time.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -234,6 +236,186 @@ fn a_send_burst_sees_time_advance_at_the_refresh_points() {
             assert_eq!((i + 1) % 16, 0, "stamp changed at poll {}", i + 1);
         }
     }
+}
+
+/// A two-rank protocol whose root sends to rank 1 until it has heard
+/// anything (at most `burst` sends), spinning `spin` per poll; rank 1
+/// replies to its first message.
+///
+/// The ranks meet once, so that rank 1 hears in the middle of the burst
+/// and its reply can only reach the root through a drain inside it:
+/// rank 1's first poll waits until the root is in its second poll (its
+/// first push is in rank 1's mailbox), and that poll waits until rank 1
+/// has received the message. Rank 1 therefore goes idle with mail
+/// waiting, and its end-of-quantum recheck queues it again with no push
+/// of the root racing the recheck — such a push would win the wake-up,
+/// and wake-ups wait in the root's batch until its quantum ends.
+struct Echo {
+    burst: u32,
+    spin: Duration,
+}
+
+/// What the two ranks of [`Echo`] see of each other.
+#[derive(Default)]
+struct Handshake {
+    root_polls: AtomicU32,
+    heard_root: AtomicBool,
+}
+
+/// Spin (yielding) until `done` holds, for at most 5 s.
+fn wait_for(done: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !done() && start.elapsed() < Duration::from_secs(5) {
+        std::thread::yield_now();
+    }
+}
+
+struct EchoRoot {
+    left: u32,
+    spin: Duration,
+    heard: bool,
+    shake: Arc<Handshake>,
+}
+
+impl Process for EchoRoot {
+    fn on_message(&mut self, _from: Rank, _payload: Payload, _now: Time) {
+        self.heard = true;
+    }
+
+    fn poll_send(&mut self, _now: Time) -> SendPoll {
+        if self.shake.root_polls.fetch_add(1, Ordering::SeqCst) == 1 {
+            wait_for(|| self.shake.heard_root.load(Ordering::SeqCst));
+        }
+        let start = Instant::now();
+        while start.elapsed() < self.spin {
+            std::hint::spin_loop();
+        }
+        if self.heard || self.left == 0 {
+            return SendPoll::Done;
+        }
+        self.left -= 1;
+        SendPoll::Now {
+            to: 1,
+            payload: Payload::Tree,
+        }
+    }
+
+    fn colored_at(&self) -> Option<Time> {
+        Some(Time::ZERO)
+    }
+
+    fn colored_via(&self) -> Option<ColoredVia> {
+        Some(ColoredVia::Root)
+    }
+}
+
+/// Colored by its first message, which it answers once.
+struct Replier {
+    colored_at: Option<Time>,
+    replied: bool,
+    shake: Arc<Handshake>,
+}
+
+impl Process for Replier {
+    fn on_message(&mut self, _from: Rank, _payload: Payload, now: Time) {
+        self.colored_at.get_or_insert(now);
+        self.shake.heard_root.store(true, Ordering::SeqCst);
+    }
+
+    fn poll_send(&mut self, _now: Time) -> SendPoll {
+        match (self.colored_at, self.replied) {
+            (None, _) => {
+                wait_for(|| self.shake.root_polls.load(Ordering::SeqCst) >= 2);
+                SendPoll::Idle
+            }
+            (Some(_), false) => {
+                self.replied = true;
+                SendPoll::Now {
+                    to: 0,
+                    payload: Payload::Tree,
+                }
+            }
+            (Some(_), true) => SendPoll::Done,
+        }
+    }
+
+    fn colored_at(&self) -> Option<Time> {
+        self.colored_at
+    }
+
+    fn colored_via(&self) -> Option<ColoredVia> {
+        self.colored_at.map(|_| ColoredVia::Dissemination)
+    }
+}
+
+impl ProtocolFactory for Echo {
+    fn label(&self) -> String {
+        "echo".into()
+    }
+
+    fn build(&self, ctx: &BuildCtx) -> Result<Vec<Box<dyn Process>>, ProtocolError> {
+        assert_eq!(ctx.p, 2);
+        let shake = Arc::new(Handshake::default());
+        Ok(vec![
+            Box::new(EchoRoot {
+                left: self.burst,
+                spin: self.spin,
+                heard: false,
+                shake: Arc::clone(&shake),
+            }),
+            Box::new(Replier {
+                colored_at: None,
+                replied: false,
+                shake,
+            }),
+        ])
+    }
+}
+
+/// (e) A send burst hears its mailbox: the root stops at the first
+/// refresh point after rank 1's reply came in — a multiple of 16 sends,
+/// long before its 10 000 — and the drain that took the reply is
+/// recorded inside the burst's quantum, after its pushes.
+#[test]
+fn a_send_burst_hears_its_mailbox_at_the_refresh_points() {
+    let factory = Echo {
+        burst: 10_000,
+        spin: Duration::from_micros(1),
+    };
+    // Room for every push and wake record of a burst that never hears.
+    let cfg = ClusterConfig::new().threads(2).flight(1 << 15);
+    let mut cluster = Cluster::with_config(2, LogP::PAPER, cfg);
+    let report = cluster.run_broadcast(&factory, &[false, false], 0).unwrap();
+    assert!(report.completed);
+    let root_sent = report.messages - 1;
+    assert!(
+        root_sent > 0 && root_sent.is_multiple_of(16) && root_sent < 10_000,
+        "the root sent {root_sent} messages"
+    );
+
+    let dump = cluster.capture_postmortem("test", None).unwrap().flight;
+    let heard_inside = dump.shards.iter().any(|shard| {
+        // Within a quantum of rank 0 (a shard runs one at a time):
+        // whether it has pushed yet, and whether it drained after that.
+        let (mut open, mut pushed, mut heard) = (false, false, false);
+        shard.records.iter().any(|r| match r.kind {
+            FlightKind::QuantumStart => {
+                (open, pushed, heard) = (r.rank == 0, false, false);
+                false
+            }
+            FlightKind::MailboxPush => {
+                pushed |= open;
+                false
+            }
+            FlightKind::MailboxDrain => {
+                heard |= pushed && r.rank == 0;
+                false
+            }
+            FlightKind::QuantumEnd => std::mem::take(&mut open) && heard,
+            _ => false,
+        })
+    });
+    assert!(heard_inside, "no MailboxDrain of rank 0 inside its burst");
 }
 
 /// `(rank, QuantumStart.wall_us, QuantumEnd.wall_us)` of every quantum
