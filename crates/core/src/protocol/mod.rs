@@ -32,7 +32,10 @@ use ct_logp::{LogP, Rank, Time};
 
 pub use ack_tree::AckTreeProcess;
 pub use corrected::{CorrectedTreeProcess, TreeBroadcast};
-pub use relabel::{RelabeledPopulation, RelabeledProcess, Relabeling};
+pub use relabel::{
+    half_len, half_of, index_in_half, rank_in_half, PopulationHalf, RelabeledPopulation,
+    RelabeledProcess, Relabeling,
+};
 
 use corrected::TreeRank;
 

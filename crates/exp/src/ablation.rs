@@ -57,7 +57,7 @@ impl AblationConfig {
             distances: vec![1, 4],
             reps: 20,
             seed0: 1,
-            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
+            threads: ct_runtime::default_threads(),
         }
     }
 }

@@ -42,7 +42,7 @@ impl Fig1bConfig {
             fault_counts: vec![1, 2, 5],
             reps: 60,
             seed0: 1,
-            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
+            threads: ct_runtime::default_threads(),
         }
     }
 }

@@ -65,7 +65,7 @@ pub use event::{Event, EventKind};
 pub use flight::{FlightDump, FlightKind, FlightRecord, FlightRecorder};
 pub use health::{HealthConfig, HealthEngine, HealthEvent, Severity};
 pub use http::{monitor_handler, HttpServer, Response};
-pub use manifest::RunManifest;
+pub use manifest::{default_threads, RunManifest};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use monitor::{Invariant, MonitorConfig, MonitorReport, MonitorSink, Violation};
 pub use series::{Sampler, SeriesRing, SeriesSample, SeriesStore};

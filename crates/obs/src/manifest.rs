@@ -223,22 +223,14 @@ pub fn summarize_fault_mask(mask: &[bool]) -> String {
 /// * `host.available_parallelism` — what the OS reports (or `unknown`);
 /// * `host.ct_threads` / `host.ct_mailbox_cap` — the raw environment
 ///   overrides, or `unset`;
-/// * `host.worker_threads` — the worker-pool size those defaults
-///   resolve to (`CT_THREADS` if set and positive, else available
-///   parallelism, else 4 — mirroring `ct_runtime::default_threads`,
-///   which cannot be called from here without a dependency cycle);
+/// * `host.worker_threads` — what [`default_threads`] resolves to;
 /// * `host.peak_rss_kb` — the process's high-water resident set at the
 ///   time of stamping ([`peak_rss_kb`]; `0` off Linux).
 pub fn host_provenance() -> Vec<(String, String)> {
     let avail = std::thread::available_parallelism().ok().map(|n| n.get());
     let ct_threads = std::env::var("CT_THREADS").ok();
     let ct_mailbox = std::env::var("CT_MAILBOX_CAP").ok();
-    let workers = ct_threads
-        .as_deref()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .or(avail)
-        .unwrap_or(4);
+    let workers = parse_threads(ct_threads.as_deref(), avail);
     vec![
         (
             "host.available_parallelism".to_owned(),
@@ -255,6 +247,28 @@ pub fn host_provenance() -> Vec<(String, String)> {
         ("host.peak_rss_kb".to_owned(), peak_rss_kb().to_string()),
         ("host.worker_threads".to_owned(), workers.to_string()),
     ]
+}
+
+/// The thread count of this process: the `CT_THREADS` environment
+/// variable when set to a positive integer, else
+/// [`std::thread::available_parallelism`], else 1. The one rule behind
+/// the cluster's worker pool, the experiment campaigns, parallel fault
+/// plan fills and the simulator's free-core check.
+pub fn default_threads() -> usize {
+    parse_threads(
+        std::env::var("CT_THREADS").ok().as_deref(),
+        std::thread::available_parallelism().ok().map(|n| n.get()),
+    )
+}
+
+/// [`default_threads`] over a raw `CT_THREADS` value and the reported
+/// parallelism, factored out for deterministic testing: positive
+/// integers win, then the parallelism, then 1.
+pub fn parse_threads(raw: Option<&str>, available: Option<usize>) -> usize {
+    match raw.and_then(|s| s.trim().parse::<usize>().ok()) {
+        Some(n) if n >= 1 => n,
+        _ => available.unwrap_or(1).max(1),
+    }
 }
 
 /// Peak resident-set size of this process in KiB: `VmHWM` from
@@ -392,6 +406,17 @@ mod tests {
             .with_extra("host.worker_threads", "99")
             .stamped();
         assert_eq!(m.extra["host.worker_threads"], "99");
+    }
+
+    #[test]
+    fn thread_count_parsing() {
+        assert_eq!(parse_threads(None, Some(8)), 8);
+        assert_eq!(parse_threads(Some("3"), Some(8)), 3);
+        assert_eq!(parse_threads(Some(" 2 "), None), 2);
+        assert_eq!(parse_threads(Some("0"), Some(8)), 8);
+        assert_eq!(parse_threads(Some("many"), Some(8)), 8);
+        assert_eq!(parse_threads(Some("-1"), None), 1);
+        assert_eq!(parse_threads(None, None), 1);
     }
 
     #[test]

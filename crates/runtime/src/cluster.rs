@@ -67,6 +67,11 @@ use ct_obs::series::{Sampler, SeriesStore, DEFAULT_SERIES_CAP};
 use ct_obs::telemetry::{Counter as Tc, Dist as Td, TelemetryHub};
 use ct_obs::{Event as ObsEvent, EventKind as ObsEventKind, EventSink, NullSink};
 
+/// Worker-pool size: the process's one thread-count rule (`CT_THREADS`,
+/// else the available parallelism), shared with the experiment
+/// campaigns and the simulator.
+pub use ct_obs::default_threads;
+
 use crate::inbox::{CoordMsg, Inbox, RecvError};
 use crate::mailbox::{Mailbox, Msg};
 use crate::postmortem::Postmortem;
@@ -75,22 +80,6 @@ use crate::timer::TimerWheel;
 
 /// Upper bound on ranks a worker claims per run-queue lock.
 const MAX_BATCH: usize = 32;
-
-/// Worker-pool size: the `CT_THREADS` environment variable when set to
-/// a positive integer, else [`std::thread::available_parallelism`],
-/// else 4. The same knob (and the same default) the experiment
-/// campaigns use for their simulator worker pools.
-pub fn default_threads() -> usize {
-    match std::env::var("CT_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4),
-    }
-}
 
 /// Mailbox ring capacity: `CT_MAILBOX_CAP` when set to a positive
 /// integer, else 64 slots per rank.

@@ -23,11 +23,10 @@
 //! `crates/core/tests/population.rs` pin this.
 
 use ct_core::protocol::Population;
-use ct_logp::Time;
 
 use crate::bits::BitSet;
 use crate::queue::EventQueue;
-use crate::recvpool::RecvPool;
+use crate::shard::{Helper, ShardStore};
 
 /// Reusable backing storage for simulation runs. Create once with
 /// [`RunArena::new`] (allocation-free) and pass to any number of
@@ -35,19 +34,27 @@ use crate::recvpool::RecvPool;
 /// runs of differing `P`, protocol or observability may share one
 /// arena.
 ///
-/// Per-rank state is flat: the three boolean flags are packed
-/// [`BitSet`]s (one bit per rank), the receive queues share one pooled
-/// [`RecvPool`] instead of a `VecDeque` per rank, the protocol machines
-/// of a `BroadcastSpec` lie by value in one vector, and the event queue
-/// holds lane storage only for the few time steps that are live at once.
+/// Per-rank state is flat: the boolean flags are packed bit vectors
+/// (one bit per rank), the receive queues share one pooled node store
+/// instead of a `VecDeque` per rank, the protocol machines of a
+/// `BroadcastSpec` lie by value, and the event queue holds lane storage
+/// only for the few time steps that are live at once.
+///
+/// The engine's per-rank state lives in two shard stores: a one-thread
+/// run keeps every rank in the first; a run whose wide steps go to two
+/// threads (the `shard` module) keeps each half of its ranks in its own,
+/// which moves to the arena's helper thread for those steps, and so do
+/// that half's machines. The helper is spawned at the arena's first such
+/// step and joined when the arena drops, so its CPU time counts as this
+/// process's for as long as the arena lives.
 pub struct RunArena {
     pub(crate) queue: EventQueue,
-    pub(crate) send_busy_until: Vec<Time>,
-    pub(crate) done: BitSet,
-    pub(crate) recv_queue: RecvPool,
-    pub(crate) recv_busy: BitSet,
+    pub(crate) shards: [ShardStore; 2],
     pub(crate) colored_seen: BitSet,
     pub(crate) population: Option<Box<dyn Population>>,
+    pub(crate) helper: Option<Helper>,
+    /// Steps this arena's runs have split between two threads.
+    pub(crate) split_steps: u64,
 }
 
 impl RunArena {
@@ -55,30 +62,32 @@ impl RunArena {
     pub fn new() -> RunArena {
         RunArena {
             queue: EventQueue::new(),
-            send_busy_until: Vec::new(),
-            done: BitSet::new(),
-            recv_queue: RecvPool::new(),
-            recv_busy: BitSet::new(),
+            shards: Default::default(),
             colored_seen: BitSet::new(),
             population: None,
+            helper: None,
+            split_steps: 0,
         }
     }
 
-    /// Restore the fresh-run state for `p` ranks, retaining capacity.
-    /// `observing` sizes the colored-event dedup bitset (empty when the
-    /// run is unobserved, exactly as a fresh run would allocate it).
+    /// Restore the fresh-run state of the queue, retaining capacity.
+    /// `observing` sizes the colored-event dedup bitset for `p` ranks
+    /// (empty when the run is unobserved, exactly as a fresh run would
+    /// allocate it). The run sizes the shard stores it uses.
     pub(crate) fn reset(&mut self, p: usize, observing: bool) {
         self.queue.reset();
-        self.send_busy_until.clear();
-        self.send_busy_until.resize(p, Time::ZERO);
-        self.done.clear_resize(p);
-        self.recv_busy.clear_resize(p);
         self.colored_seen
             .clear_resize(if observing { p } else { 0 });
-        self.recv_queue.reset(p);
         // `population` is intentionally untouched: the caller hands the
         // slot, with whatever the last run left in it, to
         // `ProtocolFactory::populate`.
+    }
+
+    /// How many time steps of this arena's runs have run on two threads
+    /// so far. Outcomes do not depend on it; it shows where the
+    /// two-thread path ran.
+    pub fn split_steps(&self) -> u64 {
+        self.split_steps
     }
 
     /// Bytes of per-rank scalar and receive-queue storage currently
@@ -87,10 +96,9 @@ impl RunArena {
     /// as `sim.arena_growth_reps`. It leaves out the two largest
     /// structures, the population of protocol machines and the event
     /// queue's lanes (DESIGN.md §7 *Memory layout* has their measured
-    /// sizes), and the three bitsets.
+    /// sizes), the bitsets and the shards' step buffers.
     pub fn footprint_bytes(&self) -> usize {
-        self.send_busy_until.capacity() * std::mem::size_of::<Time>()
-            + self.recv_queue.capacity() * 16
+        self.shards.iter().map(ShardStore::footprint_bytes).sum()
     }
 }
 

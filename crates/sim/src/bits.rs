@@ -1,7 +1,7 @@
 //! Flat bit-vector rank flags.
 //!
-//! The engine keeps three per-rank boolean flags (`done`, `recv_busy`,
-//! `colored_seen`) and consults the fault mask once per arrival. As
+//! The engine keeps four per-rank boolean flags (`done`, `recv_busy`,
+//! `dead`, `colored_seen`) and consults `dead` once per arrival. As
 //! plain `Vec<bool>` each costs one byte per rank — 1 MiB apiece at
 //! `P = 2²⁰`, evicting the caches the event loop actually needs. A
 //! [`BitSet`] packs them 64 ranks to the word (128 KiB at `P = 2²⁰`),
@@ -25,6 +25,13 @@ impl BitSet {
         let words = n.div_ceil(64);
         self.words.clear();
         self.words.resize(words, 0);
+    }
+
+    /// Become exactly `words`, retaining capacity: bit `i` is bit
+    /// `i % 64` of the `i / 64`-th word.
+    pub fn copy_words(&mut self, words: impl Iterator<Item = u64>) {
+        self.words.clear();
+        self.words.extend(words);
     }
 
     /// Bit `i` (must be within the sized range).

@@ -27,10 +27,22 @@
 //! pushed one by one. All per-run storage can be reused across runs
 //! through a [`RunArena`]; a run that ends in an error still returns the
 //! lanes it held.
+//!
+//! The lane handlers are methods of a `Shard`: the ranks one thread
+//! runs. A one-thread run is one shard of every rank. An unobserved run
+//! of a by-value population from `SHARD_MIN_P` ranks up, with a core to
+//! spare, is two shards of alternating 64-rank blocks, and its steps of
+//! `WIDE_STEP` events or more run on the arena's helper thread and this
+//! one at once, the same handlers walking each shard's own events (the
+//! `shard` module has the rule and why the merged output is the
+//! one-thread output).
 
 use std::sync::Arc;
 
-use ct_core::protocol::{BuildCtx, Payload, Population, ProtocolError, ProtocolFactory, SendPoll};
+use ct_core::protocol::{
+    half_len, half_of, index_in_half, BuildCtx, Payload, Population, PopulationHalf, ProtocolError,
+    ProtocolFactory, RelabeledPopulation, SendPoll,
+};
 use ct_logp::{LogP, Rank, Time};
 use ct_obs::event::phases;
 use ct_obs::flight::{FlightKind, FlightRecorder, NO_RANK};
@@ -44,7 +56,7 @@ use crate::bits::BitSet;
 use crate::faults::FaultPlan;
 use crate::metrics::{MessageCounts, Outcome};
 use crate::queue::{Bucket, EventKind, EventQueue, PackedArrive, StepOutput};
-use crate::recvpool::RecvPool;
+use crate::shard::{self, Helper, InFlight, Repoll, ShardStore, SHARD_MIN_P, WIDE_STEP};
 
 /// Default cap on processed events — a runaway-protocol backstop far
 /// above any legitimate run (`≈ 100` events per process at `P = 2¹⁹`).
@@ -181,7 +193,10 @@ impl Simulation {
     /// Like [`Simulation::run`], but drawing all per-run storage from
     /// `arena`. Results are bit-identical to a fresh run; the arena
     /// only saves the allocations. Reuse one arena across the
-    /// repetitions of a campaign for the intended effect.
+    /// repetitions of a campaign for the intended effect. A large
+    /// unobserved run may also take the arena's helper thread for its
+    /// widest time steps ([`RunArena`]); that changes its speed, never
+    /// its outcome.
     pub fn run_reusable(
         &self,
         factory: &dyn ProtocolFactory,
@@ -215,6 +230,20 @@ impl Simulation {
         sink: &mut dyn EventSink,
         arena: &mut RunArena,
     ) -> Result<Outcome, SimError> {
+        let in_flight = InFlight::enter();
+        self.run_in(factory, sink, arena, || in_flight.core_free())
+    }
+
+    /// [`Simulation::run_with_sink_reusable`], with `free_core` telling
+    /// whether a run may take a second thread now: asked when the run
+    /// begins, if it could shard at all, and before each wide step.
+    fn run_in(
+        &self,
+        factory: &dyn ProtocolFactory,
+        sink: &mut dyn EventSink,
+        arena: &mut RunArena,
+        free_core: impl Fn() -> bool,
+    ) -> Result<Outcome, SimError> {
         let ctx = BuildCtx {
             p: self.p,
             logp: self.logp,
@@ -223,142 +252,122 @@ impl Simulation {
         let observing = sink.enabled();
         arena.reset(self.p as usize, observing);
         factory.populate(&ctx, &mut arena.population)?;
-        let mut run = Run::new(self, arena, sink, observing);
-        run.start();
-        run.drain()?;
-        Ok(run.finish(factory.label()))
-    }
-}
-
-/// One run in flight: what it borrows from the simulation and the
-/// arena, its tallies, and the running step's output lanes. The methods
-/// are the rank loop — deliver, poll, report coloring, arm the next
-/// wake — one handler per event lane.
-struct Run<'a> {
-    sim: &'a Simulation,
-    procs: &'a mut dyn Population,
-    sink: &'a mut dyn EventSink,
-    observing: bool,
-    queue: &'a mut EventQueue,
-    send_busy_until: &'a mut [Time],
-    done: &'a mut BitSet,
-    recv_queue: &'a mut RecvPool,
-    recv_busy: &'a mut BitSet,
-    colored_seen: &'a mut BitSet,
-    /// Sender and receiver overhead.
-    o: u64,
-    /// Send start → arrival, `o + L`.
-    wire: u64,
-    /// `RecvDone` and `SenderFree` at `now + o`, `Arrive` at
-    /// `now + wire`: lanes only the running step writes.
-    out: StepOutput,
-    /// Handed to the outcome (allocated per run; it takes ownership).
-    sent_per_rank: Vec<u32>,
-    messages: MessageCounts,
-    quiescence: Time,
-    events: u64,
-}
-
-impl<'a> Run<'a> {
-    fn new(
-        sim: &'a Simulation,
-        arena: &'a mut RunArena,
-        sink: &'a mut dyn EventSink,
-        observing: bool,
-    ) -> Run<'a> {
-        let procs = arena
-            .population
+        let RunArena {
+            queue,
+            shards,
+            colored_seen,
+            population,
+            helper,
+            split_steps,
+        } = arena;
+        let procs = population
             .as_deref_mut()
             .expect("a successful populate fills the slot");
         assert_eq!(
             procs.len(),
-            sim.p as usize,
+            self.p as usize,
             "factory must build P processes"
         );
-        Run {
-            sim,
+        let run = Run {
+            sim: self,
+            events: 0,
+        };
+        let label = factory.label();
+        let sharded = self.p >= SHARD_MIN_P
+            && !observing
+            && self.flight.is_none()
+            && self.telemetry.is_none()
+            && procs.as_any_mut().is::<RelabeledPopulation>()
+            && free_core();
+        if sharded {
+            let population = procs.as_any_mut().downcast_mut().expect("just checked");
+            let threads = Threads {
+                helper,
+                free_core,
+                split_steps,
+            };
+            return run.sharded(label, queue, population, shards, threads);
+        }
+        let whole = Whole {
+            queue,
             procs,
             sink,
             observing,
-            queue: &mut arena.queue,
-            send_busy_until: &mut arena.send_busy_until,
-            done: &mut arena.done,
-            recv_queue: &mut arena.recv_queue,
-            recv_busy: &mut arena.recv_busy,
-            colored_seen: &mut arena.colored_seen,
-            o: sim.logp.o(),
-            wire: sim.logp.o() + sim.logp.l(),
-            out: StepOutput::default(),
-            sent_per_rank: vec![0; sim.p as usize],
-            messages: MessageCounts::default(),
-            quiescence: Time::ZERO,
-            events: 0,
-        }
+            flight: self.flight.as_deref(),
+            colored_seen,
+        };
+        run.whole(label, whole, &mut shards[0])
     }
+}
 
-    /// Open the broadcast phase and schedule the initial poll of every
-    /// live rank at `t = 0`.
-    fn start(&mut self) {
-        if self.observing {
-            self.sink.emit(&ObsEvent::sim(
-                Time::ZERO,
-                ObsEventKind::PhaseBegin {
-                    name: phases::BROADCAST.into(),
-                },
-            ));
-            // The root (and any pre-colored rank) is colored at t = 0.
-            for r in 0..self.sim.p {
-                self.report_coloring(r, Time::ZERO);
-            }
-        }
-        if let Some(f) = self.sim.flight.as_deref() {
-            // The single-threaded simulator owns shard 0; there is no
-            // wall clock, so wall_us stays 0 and `step` carries LogP
-            // time.
-            f.record(0, FlightKind::IterStart, NO_RANK, self.sim.seed, 0, 0);
-        }
-        for r in 0..self.sim.p {
-            if !self.sim.faults.is_failed(r) {
-                self.queue.push(Time::ZERO, r, EventKind::SenderFree);
-            }
-        }
-    }
+/// A step's events handed to one shard's handlers, or what stopped it:
+/// the first error, with the key of the event that raised it.
+pub(crate) type StepResult = Result<(), (u32, SimError)>;
 
-    /// Run time step after time step until nothing is pending. A step's
-    /// lanes go back to the queue whatever its result, so an aborted run
-    /// leaves the arena's lane pool whole.
-    fn drain(&mut self) -> Result<(), SimError> {
-        while let Some((now, lanes)) = self.queue.next_step() {
-            self.out = self.queue.output_lanes();
-            let stepped = self.step(now, &lanes);
-            let out = std::mem::take(&mut self.out);
-            self.queue
-                .finish_step(lanes, out, now + self.o, now + self.wire);
-            stepped?;
-        }
-        Ok(())
-    }
+/// What every event of a step shares.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct StepCtx {
+    now: Time,
+    /// Sender and receiver overhead.
+    o: u64,
+    p: u32,
+    /// Events the cap allows from this step on: the event of key `k` is
+    /// the run's `events + k + 1`-th.
+    room: u64,
+    limit: u64,
+}
 
-    /// The events of time `now`, in class order.
-    fn step(&mut self, now: Time, lanes: &Bucket) -> Result<(), SimError> {
-        self.arrivals(now, &lanes.arrive)?;
-        self.receive_completions(now, &lanes.recv_done)?;
-        self.sender_polls(now, &lanes.sender_free)?;
-        self.sender_polls(now, &lanes.repoll)
-    }
-
-    /// Count one event against the runaway cap.
+impl StepCtx {
+    /// Count the event of `key` against the runaway cap.
     #[inline]
-    fn count_event(&mut self) -> Result<(), SimError> {
-        self.events += 1;
-        if self.events > self.sim.max_events {
-            return Err(SimError::EventLimitExceeded {
-                limit: self.sim.max_events,
-            });
+    fn count(&self, key: u32) -> Result<(), SimError> {
+        if u64::from(key) < self.room {
+            Ok(())
+        } else {
+            Err(SimError::EventLimitExceeded { limit: self.limit })
         }
-        Ok(())
     }
+}
 
+/// How a shard's handlers reach its ranks: where a rank's per-rank state
+/// lies, its machine, and what observes it.
+pub(crate) trait Ranks {
+    /// Whether the shard runs half of a sharded step and records where
+    /// its output came from for [`shard::merge`].
+    const SHARDED: bool;
+
+    /// The index of `r` in its shard's per-rank state.
+    fn index(r: Rank) -> usize;
+
+    /// Deliver a message to `r` (at `index`).
+    fn on_message(&mut self, r: Rank, index: usize, from: Rank, payload: Payload, now: Time);
+
+    /// Poll `r` (at `index`) for its next send.
+    fn poll_send(&mut self, r: Rank, index: usize, now: Time) -> SendPoll;
+
+    /// A message reached `to`, alive or `dead`.
+    fn arrived(&mut self, _now: Time, _from: Rank, _to: Rank, _payload: Payload, _dead: bool) {}
+
+    /// `from` starts a send.
+    fn sending(&mut self, _now: Time, _from: Rank, _to: Rank, _payload: Payload) {}
+
+    /// `r`, polled at `now` by the event of `key`, asked to be polled
+    /// again at `at`: schedule it, or keep it in `kept` for the merge.
+    fn repoll(&mut self, now: Time, key: u32, r: Rank, at: Time, kept: &mut Vec<Repoll>);
+}
+
+/// Every rank of a one-thread run, by rank, with every tap, and the
+/// queue its `Repoll`s go to.
+struct Whole<'a> {
+    queue: &'a mut EventQueue,
+    procs: &'a mut dyn Population,
+    sink: &'a mut dyn EventSink,
+    observing: bool,
+    flight: Option<&'a FlightRecorder>,
+    colored_seen: &'a mut BitSet,
+}
+
+impl Whole<'_> {
     /// Emit `Colored` the first time `r` is seen colored (observed runs).
     fn report_coloring(&mut self, r: Rank, now: Time) {
         if !self.colored_seen.get(r as usize) {
@@ -369,43 +378,183 @@ impl<'a> Run<'a> {
             }
         }
     }
+}
 
-    /// `Arrive`: messages reach receive ports and queue FIFO; an idle
-    /// port starts its `o`-long processing. Dead ranks drop theirs.
-    fn arrivals(&mut self, now: Time, lane: &[PackedArrive]) -> Result<(), SimError> {
-        for a in lane {
-            self.count_event()?;
-            let (to, from, payload) = (a.to, a.from, a.payload());
-            if self.sim.faults.is_failed(to) {
-                if self.observing {
-                    self.sink.emit(&ObsEvent::sim(
-                        now,
-                        ObsEventKind::DropDead { from, to, payload },
-                    ));
-                }
-                continue;
+impl Ranks for Whole<'_> {
+    const SHARDED: bool = false;
+
+    #[inline]
+    fn index(r: Rank) -> usize {
+        r as usize
+    }
+
+    fn on_message(&mut self, r: Rank, _: usize, from: Rank, payload: Payload, now: Time) {
+        if self.observing {
+            let to = r;
+            let deliver = ObsEventKind::Deliver { from, to, payload };
+            self.sink.emit(&ObsEvent::sim(now, deliver));
+        }
+        self.procs.on_message(r, from, payload, now);
+        if self.observing {
+            self.report_coloring(r, now);
+        }
+    }
+
+    fn poll_send(&mut self, r: Rank, _: usize, now: Time) -> SendPoll {
+        self.procs.poll_send(r, now)
+    }
+
+    fn arrived(&mut self, now: Time, from: Rank, to: Rank, payload: Payload, dead: bool) {
+        if self.observing {
+            let kind = if dead {
+                ObsEventKind::DropDead { from, to, payload }
+            } else {
+                ObsEventKind::Arrive { from, to, payload }
+            };
+            self.sink.emit(&ObsEvent::sim(now, kind));
+        }
+        if let (Some(f), false) = (self.flight, dead) {
+            let (from, t) = (u64::from(from), now.steps());
+            f.record(0, FlightKind::MailboxPush, to, from, t, 0);
+        }
+    }
+
+    fn sending(&mut self, now: Time, from: Rank, to: Rank, payload: Payload) {
+        if self.observing {
+            let send = ObsEventKind::SendStart { from, to, payload };
+            self.sink.emit(&ObsEvent::sim(now, send));
+        }
+    }
+
+    fn repoll(&mut self, now: Time, _: u32, r: Rank, at: Time, _: &mut Vec<Repoll>) {
+        if let Some(f) = self.flight {
+            f.record(0, FlightKind::TimerArm, r, at.steps(), now.steps(), 0);
+        }
+        self.queue.push(at, r, EventKind::Repoll);
+    }
+}
+
+/// Half of a sharded run's ranks, by index in their half; nothing
+/// observes them.
+impl Ranks for PopulationHalf {
+    const SHARDED: bool = true;
+
+    #[inline]
+    fn index(r: Rank) -> usize {
+        index_in_half(r)
+    }
+
+    #[inline]
+    fn on_message(&mut self, _: Rank, index: usize, from: Rank, payload: Payload, now: Time) {
+        PopulationHalf::on_message(self, index, from, payload, now);
+    }
+
+    #[inline]
+    fn poll_send(&mut self, _: Rank, index: usize, now: Time) -> SendPoll {
+        PopulationHalf::poll_send(self, index, now)
+    }
+
+    fn repoll(&mut self, _: Time, key: u32, rank: Rank, at: Time, kept: &mut Vec<Repoll>) {
+        kept.push(Repoll { key, at, rank });
+    }
+}
+
+/// The ranks one thread runs in a step — all of a one-thread run's, or
+/// one shard's — with their per-rank state, the step's output and the
+/// tallies. Its methods are the rank loop — deliver, poll, report
+/// coloring, arm the next wake — one handler per event lane, the one
+/// copy of each that one-thread and sharded steps run.
+pub(crate) struct Shard<R> {
+    ranks: R,
+    /// Which half of the ranks a sharded step hands this shard
+    /// ([`half_of`]).
+    shard: usize,
+    store: ShardStore,
+    messages: MessageCounts,
+    quiescence: Time,
+}
+
+impl<R: Ranks> Shard<R> {
+    fn new(ranks: R, shard: usize, store: ShardStore) -> Shard<R> {
+        Shard {
+            ranks,
+            shard,
+            store,
+            messages: MessageCounts::default(),
+            quiescence: Time::ZERO,
+        }
+    }
+
+    /// This shard's events of the step of `lanes`, in class order.
+    pub(crate) fn step(&mut self, lanes: &Bucket, ctx: &StepCtx) -> StepResult {
+        let mut key = 0;
+        let arrival = |s: &mut Self, k, a| s.arrival(ctx, k, a);
+        self.walk(&lanes.arrive, |a| a.to, &mut key, arrival)?;
+        let recv_done = |s: &mut Self, k, r| s.receive_completion(ctx, k, r);
+        self.walk(&lanes.recv_done, |&r| r, &mut key, recv_done)?;
+        let poll = |s: &mut Self, k, r| s.sender_poll(ctx, k, r);
+        self.walk(&lanes.sender_free, |&r| r, &mut key, poll)?;
+        self.walk(&lanes.repoll, |&r| r, &mut key, poll)
+    }
+
+    /// Hand `handle` this shard's events of `lane`, the lane's first
+    /// event keyed `*key`; leave `*key` past the lane.
+    #[inline]
+    fn walk<T: Copy>(
+        &mut self,
+        lane: &[T],
+        rank: impl Fn(&T) -> Rank,
+        key: &mut u32,
+        mut handle: impl FnMut(&mut Self, u32, T) -> Result<(), SimError>,
+    ) -> StepResult {
+        let first = *key;
+        *key += u32::try_from(lane.len()).expect("a step of fewer than 2^32 events");
+        if !R::SHARDED {
+            return (first..)
+                .zip(lane)
+                .try_for_each(|(k, &event)| handle(self, k, event).map_err(|e| (k, e)));
+        }
+        // This shard's events, found 64 at a time by a branch-free mask;
+        // which of them appended a `RecvDone` or a send is recorded per
+        // 64 as well, for the merge.
+        for (chunk, base) in lane.chunks(64).zip((first..).step_by(64)) {
+            let mut mine = 0u64;
+            for (bit, event) in chunk.iter().enumerate() {
+                mine |= u64::from(half_of(rank(event)) == self.shard) << bit;
             }
-            if self.observing {
-                self.sink.emit(&ObsEvent::sim(
-                    now,
-                    ObsEventKind::Arrive { from, to, payload },
-                ));
+            let (mut recv_done, mut sends) = (0u64, 0u64);
+            while mine != 0 {
+                let bit = mine.trailing_zeros();
+                mine &= mine - 1;
+                let k = base + bit;
+                let out = &self.store.out;
+                let before = (out.recv_done.len(), out.arrive.len());
+                handle(self, k, chunk[bit as usize]).map_err(|e| (k, e))?;
+                let out = &self.store.out;
+                recv_done |= u64::from(out.recv_done.len() != before.0) << bit;
+                sends |= u64::from(out.arrive.len() != before.1) << bit;
             }
-            if let Some(f) = self.sim.flight.as_deref() {
-                f.record(
-                    0,
-                    FlightKind::MailboxPush,
-                    to,
-                    u64::from(from),
-                    now.steps(),
-                    0,
-                );
-            }
-            self.recv_queue.push_back(to, from, payload);
-            if !self.recv_busy.get(to as usize) {
-                self.recv_busy.set(to as usize);
-                self.out.recv_done.push(to);
-            }
+            self.store.recv_done_bits.push(recv_done);
+            self.store.send_bits.push(sends);
+        }
+        Ok(())
+    }
+
+    /// `Arrive`: a message reaches its receive port and queues FIFO; an
+    /// idle port starts its `o`-long processing. Dead ranks drop theirs.
+    fn arrival(&mut self, ctx: &StepCtx, key: u32, a: PackedArrive) -> Result<(), SimError> {
+        ctx.count(key)?;
+        let (to, from, payload) = (a.to, a.from, a.payload());
+        let i = R::index(to);
+        let dead = self.store.dead.get(i);
+        self.ranks.arrived(ctx.now, from, to, payload, dead);
+        if dead {
+            return Ok(());
+        }
+        self.store.recv_queue.push_back(i, from, payload);
+        if !self.store.recv_busy.get(i) {
+            self.store.recv_busy.set(i);
+            self.store.out.recv_done.push(to);
         }
         Ok(())
     }
@@ -413,109 +562,276 @@ impl<'a> Run<'a> {
     /// `RecvDone`: a rank finished processing its queue head;
     /// `on_message` runs, then the sender is polled (sends overlap
     /// receives, §2.2) and the port turns to the next queued message.
-    fn receive_completions(&mut self, now: Time, lane: &[Rank]) -> Result<(), SimError> {
-        for &r in lane {
-            self.count_event()?;
-            let (from, payload) = self
-                .recv_queue
-                .pop_front(r)
-                .expect("RecvDone implies a queued message");
-            if self.observing {
-                self.sink.emit(&ObsEvent::sim(
-                    now,
-                    ObsEventKind::Deliver {
-                        from,
-                        to: r,
-                        payload,
-                    },
-                ));
-            }
-            self.quiescence = self.quiescence.max(now);
-            self.procs.on_message(r, from, payload, now);
-            if self.observing {
-                self.report_coloring(r, now);
-            }
-            // Delivery may have unblocked sends.
-            self.done.unset(r as usize);
-            if self.send_busy_until[r as usize] <= now {
-                self.poll(r, now)?;
-            }
-            if !self.recv_queue.is_empty(r) {
-                self.out.recv_done.push(r);
-            } else {
-                self.recv_busy.unset(r as usize);
-            }
+    fn receive_completion(&mut self, ctx: &StepCtx, key: u32, r: Rank) -> Result<(), SimError> {
+        ctx.count(key)?;
+        let i = R::index(r);
+        let (from, payload) = self
+            .store
+            .recv_queue
+            .pop_front(i)
+            .expect("RecvDone implies a queued message");
+        self.quiescence = self.quiescence.max(ctx.now);
+        self.ranks.on_message(r, i, from, payload, ctx.now);
+        // Delivery may have unblocked sends.
+        self.store.done.unset(i);
+        if self.store.send_busy_until[i] <= ctx.now {
+            self.poll(ctx, key, r, i)?;
+        }
+        if !self.store.recv_queue.is_empty(i) {
+            self.store.out.recv_done.push(r);
+        } else {
+            self.store.recv_busy.unset(i);
         }
         Ok(())
     }
 
-    /// `SenderFree` and `Repoll`: poll every rank of the lane that is
-    /// neither done nor still sending.
-    fn sender_polls(&mut self, now: Time, lane: &[Rank]) -> Result<(), SimError> {
-        for &r in lane {
-            self.count_event()?;
-            if !self.done.get(r as usize) && self.send_busy_until[r as usize] <= now {
-                self.poll(r, now)?;
-            }
+    /// `SenderFree` and `Repoll`: poll the rank if it is neither done
+    /// nor still sending.
+    fn sender_poll(&mut self, ctx: &StepCtx, key: u32, r: Rank) -> Result<(), SimError> {
+        ctx.count(key)?;
+        let i = R::index(r);
+        if !self.store.done.get(i) && self.store.send_busy_until[i] <= ctx.now {
+            self.poll(ctx, key, r, i)?;
         }
         Ok(())
     }
 
     /// Poll `r`'s protocol while its sender port is free; schedules at
     /// most one send (the port then stays busy for `o`).
-    fn poll(&mut self, r: Rank, now: Time) -> Result<(), SimError> {
-        match self.procs.poll_send(r, now) {
+    fn poll(&mut self, ctx: &StepCtx, key: u32, r: Rank, i: usize) -> Result<(), SimError> {
+        let now = ctx.now;
+        match self.ranks.poll_send(r, i, now) {
             SendPoll::Now { to, payload } => {
-                debug_assert!(to < self.sim.p, "send target out of range");
-                self.sent_per_rank[r as usize] += 1;
+                debug_assert!(to < ctx.p, "send target out of range");
+                self.store.sent[i] += 1;
                 match payload {
                     Payload::Tree => self.messages.tree += 1,
                     Payload::Gossip { .. } => self.messages.gossip += 1,
                     Payload::Correction => self.messages.correction += 1,
                     Payload::Ack => self.messages.ack += 1,
                 }
-                if self.observing {
-                    self.sink.emit(&ObsEvent::sim(
-                        now,
-                        ObsEventKind::SendStart {
-                            from: r,
-                            to,
-                            payload,
-                        },
-                    ));
-                }
-                self.send_busy_until[r as usize] = now + self.o;
-                self.quiescence = self.quiescence.max(now + self.o);
-                self.out.sender_free.push(r);
+                self.ranks.sending(now, r, to, payload);
+                self.store.send_busy_until[i] = now + ctx.o;
+                self.quiescence = self.quiescence.max(now + ctx.o);
                 // The wire delivers even to dead processes; they drop it.
-                self.out.arrive.push(PackedArrive::new(to, r, payload));
+                // (The `SenderFree` lane is the arrivals' senders: see
+                // `sender_frees`.)
+                let arrive = PackedArrive::new(to, r, payload);
+                self.store.out.arrive.push(arrive);
             }
             SendPoll::WaitUntil(at) => {
                 if at <= now {
                     return Err(SimError::NonAdvancingWait { rank: r, now, at });
                 }
-                if let Some(f) = self.sim.flight.as_deref() {
-                    f.record(0, FlightKind::TimerArm, r, at.steps(), now.steps(), 0);
-                }
-                self.queue.push(at, r, EventKind::Repoll);
+                self.ranks.repoll(now, key, r, at, &mut self.store.repolls);
             }
             SendPoll::Idle => {}
-            SendPoll::Done => self.done.set(r as usize),
+            SendPoll::Done => self.store.done.set(i),
+        }
+        Ok(())
+    }
+}
+
+/// One run in flight: its simulation and its event count.
+struct Run<'a> {
+    sim: &'a Simulation,
+    events: u64,
+}
+
+impl Run<'_> {
+    /// Schedule the initial poll of every live rank at `t = 0`.
+    fn start(&self, queue: &mut EventQueue) {
+        for r in 0..self.sim.p {
+            if !self.sim.faults.is_failed(r) {
+                queue.push(Time::ZERO, r, EventKind::SenderFree);
+            }
+        }
+    }
+
+    fn ctx(&self, now: Time) -> StepCtx {
+        StepCtx {
+            now,
+            o: self.sim.logp.o(),
+            p: self.sim.p,
+            room: self.sim.max_events - self.events,
+            limit: self.sim.max_events,
+        }
+    }
+
+    /// The step's output lanes go to `port_time = now + o` and
+    /// `arrive_time = now + o + L`.
+    fn output_times(&self, now: Time) -> (Time, Time) {
+        let o = self.sim.logp.o();
+        (now + o, now + o + self.sim.logp.l())
+    }
+
+    /// A one-thread run of every rank.
+    fn whole(
+        mut self,
+        label: String,
+        ranks: Whole<'_>,
+        slot: &mut ShardStore,
+    ) -> Result<Outcome, SimError> {
+        let sim = self.sim;
+        let mut store = std::mem::take(slot);
+        store.reset(sim.p as usize, sim.faults.words().iter().copied());
+        let mut shard = Shard::new(ranks, 0, store);
+        if shard.ranks.observing {
+            let begin = ObsEventKind::PhaseBegin {
+                name: phases::BROADCAST.into(),
+            };
+            shard.ranks.sink.emit(&ObsEvent::sim(Time::ZERO, begin));
+            // The root (and any pre-colored rank) is colored at t = 0.
+            for r in 0..sim.p {
+                shard.ranks.report_coloring(r, Time::ZERO);
+            }
+        }
+        if let Some(f) = sim.flight.as_deref() {
+            // A flight-recorded run is a one-thread run and owns
+            // recorder shard 0; there is no wall clock, so wall_us stays
+            // 0 and `step` carries LogP time.
+            f.record(0, FlightKind::IterStart, NO_RANK, sim.seed, 0, 0);
+        }
+        self.start(shard.ranks.queue);
+        let drained = self.drain_whole(&mut shard);
+        let Shard {
+            ranks,
+            mut store,
+            messages,
+            quiescence,
+            ..
+        } = shard;
+        let sent_per_rank = std::mem::take(&mut store.sent);
+        *slot = store;
+        drained?;
+        if ranks.observing {
+            let end = ObsEventKind::PhaseEnd {
+                name: phases::BROADCAST.into(),
+            };
+            ranks.sink.emit(&ObsEvent::sim(quiescence, end));
+        }
+        let tallies = (messages, quiescence, sent_per_rank);
+        Ok(self.outcome(label, ranks.procs, tallies))
+    }
+
+    /// Time step after time step until nothing is pending. A step's
+    /// lanes go back to the queue whatever its result, so an aborted run
+    /// leaves the arena's lane pool whole.
+    fn drain_whole(&mut self, shard: &mut Shard<Whole<'_>>) -> Result<(), SimError> {
+        while let Some((now, lanes)) = shard.ranks.queue.next_step() {
+            let (ctx, width) = (self.ctx(now), lanes.len());
+            shard.store.out = shard.ranks.queue.output_lanes();
+            let stepped = shard.step(&lanes, &ctx);
+            let out = sender_frees(std::mem::take(&mut shard.store.out));
+            let (port, arrive) = self.output_times(now);
+            shard.ranks.queue.finish_step(lanes, out, port, arrive);
+            stepped.map_err(|(_, e)| e)?;
+            self.events += width as u64;
         }
         Ok(())
     }
 
-    /// Close the broadcast phase and assemble the outcome.
-    fn finish(self, label: String) -> Outcome {
-        let (sim, procs) = (self.sim, self.procs);
-        if self.observing {
-            self.sink.emit(&ObsEvent::sim(
-                self.quiescence,
-                ObsEventKind::PhaseEnd {
-                    name: phases::BROADCAST.into(),
-                },
-            ));
+    /// A run of the two halves of `population`, wide steps on two
+    /// threads.
+    fn sharded(
+        mut self,
+        label: String,
+        queue: &mut EventQueue,
+        population: &mut RelabeledPopulation,
+        slots: &mut [ShardStore; 2],
+        mut threads: Threads<'_, impl Fn() -> bool>,
+    ) -> Result<Outcome, SimError> {
+        let sim = self.sim;
+        let [half0, half1] = population.take_halves();
+        let shard = |half, ranks, slot: &mut ShardStore| {
+            let mut store = std::mem::take(slot);
+            let dead = sim.faults.words().iter().copied().skip(half).step_by(2);
+            store.reset(half_len(sim.p, half), dead);
+            Shard::new(ranks, half, store)
+        };
+        // Room to spread the first half's send counts to every rank's.
+        slots[0].sent.reserve_exact(sim.p as usize);
+        let mut own = shard(0, half0, &mut slots[0]);
+        let mut other = Some(shard(1, half1, &mut slots[1]));
+        self.start(queue);
+        let drained = self.drain_sharded(queue, &mut own, &mut other, &mut threads);
+        let other = other.expect("the shards are home between steps");
+        let (a, b) = (own.messages, other.messages);
+        let messages = MessageCounts {
+            tree: a.tree + b.tree,
+            gossip: a.gossip + b.gossip,
+            correction: a.correction + b.correction,
+            ack: a.ack + b.ack,
+        };
+        let quiescence = own.quiescence.max(other.quiescence);
+        population.restore_halves([own.ranks, other.ranks]);
+        *slots = [own.store, other.store];
+        drained?;
+        // From the top down, rank `r`'s count lands at `r`, at or above
+        // where the first half kept it: nothing is overwritten unread.
+        let mut sent_per_rank = std::mem::take(&mut slots[0].sent);
+        sent_per_rank.resize(sim.p as usize, 0);
+        for r in (0..sim.p).rev() {
+            let i = index_in_half(r);
+            sent_per_rank[r as usize] = match half_of(r) {
+                0 => sent_per_rank[i],
+                _ => slots[1].sent[i],
+            };
         }
+        Ok(self.outcome(label, population, (messages, quiescence, sent_per_rank)))
+    }
+
+    /// [`Run::drain_whole`] for the two shards of a sharded run: each
+    /// handles its ranks' events of a step, at the same time when the
+    /// step is wide, and their outputs merge into the step's lanes.
+    fn drain_sharded(
+        &mut self,
+        queue: &mut EventQueue,
+        own: &mut Shard<PopulationHalf>,
+        other: &mut Option<Shard<PopulationHalf>>,
+        threads: &mut Threads<'_, impl Fn() -> bool>,
+    ) -> Result<(), SimError> {
+        while let Some((now, lanes)) = queue.next_step() {
+            let (ctx, width) = (self.ctx(now), lanes.len());
+            let mut theirs = other.take().expect("the shards are home between steps");
+            own.store.out = queue.output_lanes();
+            let (lanes, theirs, mine, their_result) = match threads.for_step(width) {
+                Some(helper) => {
+                    theirs.store.reserve_step(&lanes, theirs.store.sent.len());
+                    helper.step(lanes, theirs, own, ctx)
+                }
+                None => {
+                    let mine = own.step(&lanes, &ctx);
+                    let their_result = theirs.step(&lanes, &ctx);
+                    (lanes, theirs, mine, their_result)
+                }
+            };
+            let stepped = first_error(mine, their_result);
+            if stepped.is_ok() {
+                let repoll = |r: Repoll| queue.push(r.at, r.rank, EventKind::Repoll);
+                shard::merge(&mut own.store, &theirs.store, repoll);
+            }
+            let out = sender_frees(std::mem::take(&mut own.store.out));
+            own.store.clear_output();
+            let other = other.insert(theirs);
+            other.store.clear_output();
+            let (port, arrive) = self.output_times(now);
+            queue.finish_step(lanes, out, port, arrive);
+            stepped?;
+            self.events += width as u64;
+        }
+        Ok(())
+    }
+
+    /// Assemble the outcome from the machines and the shards' tallies:
+    /// messages by kind, quiescence and messages sent per rank.
+    fn outcome(
+        self,
+        label: String,
+        procs: &dyn Population,
+        (messages, quiescence, sent_per_rank): (MessageCounts, Time, Vec<u32>),
+    ) -> Outcome {
+        let sim = self.sim;
         let colored_at: Vec<Option<Time>> = (0..sim.p).map(|r| procs.colored_at(r)).collect();
         let colored_via = (0..sim.p).map(|r| procs.colored_via(r)).collect();
         let coloring_latency = colored_at
@@ -532,10 +848,10 @@ impl<'a> Run<'a> {
             colored_at,
             colored_via,
             failed: sim.faults.mask().to_vec(),
-            messages: self.messages,
-            sent_per_rank: self.sent_per_rank,
+            messages,
+            sent_per_rank,
             coloring_latency,
-            quiescence: self.quiescence,
+            quiescence,
             events: self.events,
         };
         if let Some(hub) = &sim.telemetry {
@@ -557,6 +873,50 @@ impl<'a> Run<'a> {
             );
         }
         outcome
+    }
+}
+
+/// What a sharded run needs for its second thread: the arena's helper,
+/// the free-core rule, and the arena's count of split steps.
+struct Threads<'a, F> {
+    helper: &'a mut Option<Helper>,
+    free_core: F,
+    split_steps: &'a mut u64,
+}
+
+impl<F: Fn() -> bool> Threads<'_, F> {
+    /// The helper for a step of `width` events: spawned at the arena's
+    /// first wide step, and again if a panic ended it. `None` for a
+    /// narrow step, while no core is free, or where no thread can be
+    /// spawned.
+    fn for_step(&mut self, width: usize) -> Option<&mut Helper> {
+        if width < WIDE_STEP || !(self.free_core)() {
+            return None;
+        }
+        if self.helper.as_ref().is_none_or(Helper::is_finished) {
+            *self.helper = Helper::spawn();
+        }
+        let helper = self.helper.as_mut()?;
+        *self.split_steps += 1;
+        Some(helper)
+    }
+}
+
+/// Complete a step's output: each send frees its sender's port `o`
+/// later, in send order, so the `SenderFree` lane lists the senders of
+/// the arrival lane.
+fn sender_frees(mut out: StepOutput) -> StepOutput {
+    out.sender_free.extend(out.arrive.iter().map(|a| a.from));
+    out
+}
+
+/// The error the one-thread step would have met first: the one of the
+/// smaller key.
+fn first_error(a: StepResult, b: StepResult) -> Result<(), SimError> {
+    match (a, b) {
+        (Err((ka, ea)), Err((kb, _))) if ka < kb => Err(ea),
+        (_, Err((_, e))) | (Err((_, e)), _) => Err(e),
+        (Ok(()), Ok(())) => Ok(()),
     }
 }
 
@@ -876,6 +1236,52 @@ mod tests {
         assert_eq!(held(&arena), all, "lanes leaked out of the pool");
         assert_eq!(replay(&mut arena), GOLDEN);
         assert_eq!(arena.queue.lanes_with_storage(), clean);
+    }
+
+    #[test]
+    fn a_sharded_run_cut_short_gives_its_lanes_back() {
+        let p = 16_384;
+        let spec = BroadcastSpec::corrected_tree(TreeKind::BINOMIAL, CorrectionKind::Checked);
+        let sim = |cap| {
+            Simulation::builder(p, LogP::PAPER)
+                .faults(FaultPlan::random_count(p, p / 100, 5).unwrap())
+                .max_events(cap)
+                .build()
+        };
+        let held = |arena: &RunArena| {
+            let (arrive, ranks) = arena.queue.lanes_with_storage();
+            (arrive[0] + arrive[1], ranks[0] + ranks[1])
+        };
+        // Sharded whatever else runs in this process.
+        let sharded =
+            |cap, arena: &mut RunArena| sim(cap).run_in(&spec, &mut NullSink, arena, || true);
+        let mut arena = RunArena::new();
+        let reference = sharded(DEFAULT_MAX_EVENTS, &mut arena).unwrap();
+        let all = held(&arena);
+        let split = arena.split_steps();
+        assert!(split > 0, "wide steps ran on two threads");
+        for cap in [
+            reference.events / 2,
+            reference.events / 3 + 1,
+            reference.events - 1,
+        ] {
+            let err = sharded(cap, &mut arena);
+            assert!(matches!(err, Err(SimError::EventLimitExceeded { limit }) if limit == cap));
+            assert_eq!(
+                held(&arena),
+                all,
+                "lanes leaked out of the pool (cap {cap})"
+            );
+            let before = arena.split_steps();
+            let again = sharded(DEFAULT_MAX_EVENTS, &mut arena).unwrap();
+            assert_eq!(arena.split_steps() - before, split, "the helper serves on");
+            assert_eq!(
+                (again.events, again.messages, again.quiescence),
+                (reference.events, reference.messages, reference.quiescence)
+            );
+            assert_eq!(again.colored_at, reference.colored_at);
+            assert_eq!(held(&arena), all);
+        }
     }
 
     #[test]

@@ -72,22 +72,13 @@ fn fill_chunk(idx: usize, chunk: &mut [bool], quota: u32, seed: u64) {
 }
 
 /// How many threads to fill chunks with: 1 for small plans, else
-/// `CT_THREADS` / hardware parallelism capped by the chunk count. Only
-/// affects wall time, never the plan.
+/// [`ct_obs::default_threads`] capped by the chunk count. Only affects
+/// wall time, never the plan.
 fn fill_threads(chunks: usize) -> usize {
     if chunks < 4 {
         return 1;
     }
-    let hw = std::env::var("CT_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
-    hw.clamp(1, chunks)
+    ct_obs::default_threads().clamp(1, chunks)
 }
 
 /// Which processes are dead for one broadcast execution.
@@ -350,6 +341,12 @@ impl FaultPlan {
     #[inline]
     pub fn is_failed(&self, r: Rank) -> bool {
         self.words[r as usize / 64] & (1u64 << (r as usize % 64)) != 0
+    }
+
+    /// The packed bit vector: word `w` holds ranks `64w ..= 64w + 63`,
+    /// rank `r` at bit `r % 64`.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// The full mask, indexable by rank.

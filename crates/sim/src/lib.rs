@@ -27,6 +27,7 @@ pub mod faults;
 pub mod metrics;
 pub(crate) mod queue;
 pub(crate) mod recvpool;
+pub(crate) mod shard;
 pub mod trace;
 
 pub use arena::RunArena;

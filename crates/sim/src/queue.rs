@@ -195,7 +195,8 @@ fn append<T>(lane: &mut Vec<T>, spare: &mut Vec<Vec<T>>, item: T) {
 }
 
 impl Bucket {
-    fn len(&self) -> usize {
+    /// Events in all four lanes.
+    pub(crate) fn len(&self) -> usize {
         self.arrive.len() + self.recv_done.len() + self.sender_free.len() + self.repoll.len()
     }
 

@@ -20,7 +20,7 @@ use ct_logp::Rank;
 const NIL: u32 = u32::MAX;
 
 /// Struct-of-arrays FIFO queues for all ranks, backed by one node pool.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct RecvPool {
     /// Head node of each rank's queue (`NIL` = empty).
     head: Vec<u32>,
@@ -36,8 +36,9 @@ pub(crate) struct RecvPool {
     free: u32,
 }
 
-impl RecvPool {
-    pub fn new() -> RecvPool {
+impl Default for RecvPool {
+    /// No ranks and no nodes.
+    fn default() -> RecvPool {
         RecvPool {
             head: Vec::new(),
             tail: Vec::new(),
@@ -47,8 +48,11 @@ impl RecvPool {
             free: NIL,
         }
     }
+}
 
-    /// Empty every queue and size for `p` ranks, retaining the node
+impl RecvPool {
+    /// Empty every queue and size for `p` ranks (indices `0..p`: all
+    /// ranks of a run, or those of one of its shards), retaining the node
     /// pool. All nodes return to the free list.
     pub fn reset(&mut self, p: usize) {
         self.head.clear();
@@ -63,8 +67,8 @@ impl RecvPool {
         self.free = if nodes == 0 { NIL } else { 0 };
     }
 
-    /// Append a message to `r`'s queue.
-    pub fn push_back(&mut self, r: Rank, from: Rank, payload: Payload) {
+    /// Append a message to the queue of the rank at index `r`.
+    pub fn push_back(&mut self, r: usize, from: Rank, payload: Payload) {
         let node = if self.free != NIL {
             let node = self.free;
             self.free = self.next[node as usize];
@@ -79,7 +83,6 @@ impl RecvPool {
             self.payload.push(payload);
             node
         };
-        let r = r as usize;
         if self.tail[r] == NIL {
             self.head[r] = node;
         } else {
@@ -88,9 +91,8 @@ impl RecvPool {
         self.tail[r] = node;
     }
 
-    /// Remove and return the oldest message of `r`'s queue.
-    pub fn pop_front(&mut self, r: Rank) -> Option<(Rank, Payload)> {
-        let r = r as usize;
+    /// Remove and return the oldest message of the queue at index `r`.
+    pub fn pop_front(&mut self, r: usize) -> Option<(Rank, Payload)> {
         let node = self.head[r];
         if node == NIL {
             return None;
@@ -106,10 +108,10 @@ impl RecvPool {
         Some(msg)
     }
 
-    /// Is `r`'s queue empty?
+    /// Is the queue at index `r` empty?
     #[inline]
-    pub fn is_empty(&self, r: Rank) -> bool {
-        self.head[r as usize] == NIL
+    pub fn is_empty(&self, r: usize) -> bool {
+        self.head[r] == NIL
     }
 
     /// Total node capacity ever allocated (the peak backlog across all
@@ -125,7 +127,7 @@ mod tests {
 
     #[test]
     fn fifo_per_rank_with_interleaved_ranks() {
-        let mut pool = RecvPool::new();
+        let mut pool = RecvPool::default();
         pool.reset(4);
         pool.push_back(1, 10, Payload::Tree);
         pool.push_back(2, 20, Payload::Correction);
@@ -142,7 +144,7 @@ mod tests {
 
     #[test]
     fn reset_recycles_nodes_without_growth() {
-        let mut pool = RecvPool::new();
+        let mut pool = RecvPool::default();
         pool.reset(2);
         for _ in 0..5 {
             pool.push_back(0, 1, Payload::Tree);
@@ -159,7 +161,7 @@ mod tests {
 
     #[test]
     fn free_list_reuses_popped_nodes() {
-        let mut pool = RecvPool::new();
+        let mut pool = RecvPool::default();
         pool.reset(1);
         pool.push_back(0, 1, Payload::Tree);
         let _ = pool.pop_front(0);
