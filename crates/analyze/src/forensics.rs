@@ -243,8 +243,7 @@ impl FailureImpact {
         obj.field_u64("failed", u64::from(self.failed));
         obj.field_u64("subtree_size", u64::from(self.subtree_size));
         obj.field_u64("added_delay_max", self.added_delay_max());
-        let orphans: Vec<String> = self.orphans.iter().map(OrphanRescue::to_json).collect();
-        obj.field_raw("orphans", &format!("[{}]", orphans.join(",")));
+        obj.field_array("orphans", self.orphans.iter().map(OrphanRescue::to_json));
         obj.finish()
     }
 }
@@ -296,8 +295,7 @@ impl ForensicsReport {
         obj.field_u64("colored_via_correction", self.colored_via_correction);
         obj.field_u64("fault_free_latency", self.fault_free_latency);
         obj.field_u64("max_added_delay", self.max_added_delay());
-        let impacts: Vec<String> = self.impacts.iter().map(FailureImpact::to_json).collect();
-        obj.field_raw("impacts", &format!("[{}]", impacts.join(",")));
+        obj.field_array("impacts", self.impacts.iter().map(FailureImpact::to_json));
         obj.field_raw("waste", &self.waste.to_json());
         obj.finish()
     }

@@ -18,20 +18,22 @@
 //! - [`forensics`] joins a trace with the tree topology and fault mask
 //!   into per-failure impact reports (orphaned subtrees, rescue
 //!   provenance, added latency) and a run-level [`WasteReport`];
-//! - [`scheduler`] parses `ct-telemetry-v1` runtime snapshots (from
-//!   `ct stats` or figure manifests) and renders scheduler health
-//!   summaries (`ct analyze --view scheduler`);
-//! - [`postmortem`] parses `ct-postmortem-v1` flight-recorder dumps
-//!   and renders per-stranded-rank causal reconstructions
-//!   (`ct postmortem`, `ct analyze --view postmortem`);
-//! - [`series`] parses `ct-series-v1` time-series exports (from
+//! - [`scheduler`] renders `ct-telemetry-v1` runtime snapshots (from
+//!   `ct stats` or figure manifests) as scheduler health summaries
+//!   (`ct analyze --view scheduler`);
+//! - [`postmortem`] renders `ct-postmortem-v1` flight-recorder dumps as
+//!   per-stranded-rank causal reconstructions (`ct postmortem`,
+//!   `ct analyze --view postmortem`);
+//! - [`series`] renders `ct-series-v1` time-series exports (from
 //!   `ct serve`, `ct stats --series` or the `/series.jsonl` endpoint)
-//!   and renders rate/health trend summaries
-//!   (`ct analyze --view series`).
+//!   as rate/health trend summaries (`ct analyze --view series`).
 //!
 //! The crate is pure consumer-side: it never runs protocols itself,
 //! so it depends only on the model/schema crates and stays reusable
-//! against traces from any producer.
+//! against traces from any producer. It reads no schema itself: each
+//! schema's reader sits next to its writer in `ct-obs`
+//! ([`ct_obs::json`]), and the three views above render what those
+//! readers return.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,17 +46,13 @@ pub mod scheduler;
 pub mod series;
 pub mod summary;
 pub mod trace;
-pub mod value;
 
 pub use critical::{CostClass, CriticalPath, Segment};
+pub use ct_obs::json::Value;
 pub use dag::{CausalDag, EdgeKind, Node, NodeKind};
 pub use forensics::{analyze_forensics, FailureImpact, ForensicsReport, OrphanRescue, WasteReport};
-pub use postmortem::PostmortemReport;
-pub use scheduler::SchedulerSummary;
-pub use series::SeriesSummary;
 pub use summary::{
     analyze_rep, analyze_trace, AnalysisSummary, AnalyzeConfig, BoundsCheck, MessageBreakdown,
     PhaseSplit, RepAnalysis, SpanStat, TraceAnalysis, Utilization,
 };
-pub use trace::{infer_p, parse_event, parse_jsonl, split_reps, ParseError};
-pub use value::Value;
+pub use trace::{infer_p, parse_jsonl, split_reps, ParseError};

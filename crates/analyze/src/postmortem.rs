@@ -1,10 +1,11 @@
-//! Consumer side of `ct-postmortem-v1` dumps (`ct postmortem`,
+//! The view of `ct-postmortem-v1` dumps (`ct postmortem`,
 //! `ct analyze --view postmortem`).
 //!
 //! The runtime's flight recorder answers *what happened last*; this
-//! module turns its frozen dump into a causal story a human can act
-//! on. For every rank the dump focuses on (the stranded ranks, when
-//! the failure was a watchdog stall) it reconstructs:
+//! module turns its frozen dump, read by [`Postmortem::from_json`]
+//! beside its writer, into a causal story a human can act on. For every
+//! rank the dump focuses on (the stranded ranks, when the failure was a
+//! watchdog stall) it reconstructs:
 //!
 //! * the **last poll** — when the scheduler last ran the rank, on the
 //!   iteration clock;
@@ -16,453 +17,186 @@
 //! * the rank's **last actions**, straight from the rings.
 //!
 //! Rendering is deterministic for a fixed dump and golden-pinned like
-//! the scheduler view.
+//! the scheduler view. Tails and per-rank histories are taken from the
+//! flight rings exactly as the dump's own `tail` and `ranks` views were.
 
 use core::fmt::Write as _;
 
-use crate::value::Value;
+use ct_obs::flight::{FlightKind, FlightRecord, NO_RANK};
+use ct_obs::postmortem::{RANK_LAST_K, TAIL_MAX};
+use ct_obs::Postmortem;
 
-/// The dump schema this module understands.
-pub const POSTMORTEM_SCHEMA: &str = "ct-postmortem-v1";
-
-/// One flight record as it appears in a dump's `tail` / `ranks[].last`
-/// sections.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PmRecord {
-    /// Writer shard the record came from (worker index; the highest
-    /// shard is the coordinator).
-    pub shard: u64,
-    /// Per-shard sequence number.
-    pub seq: u64,
-    /// Record kind (wire name, e.g. `mailbox_push`).
-    pub kind: String,
-    /// The rank concerned, when the record names one.
-    pub rank: Option<u64>,
-    /// Kind-specific payload (pusher rank, drain count, deadline, …).
-    pub aux: u64,
-    /// Logical step (µs into the iteration / LogP steps).
-    pub step: u64,
-    /// Wall-clock µs since the cluster base (0 for simulator records).
-    pub wall_us: u64,
-}
-
-/// Per-stranded-rank diagnostics copied out of the embedded stall
-/// report.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PmStallRank {
-    /// The stranded rank.
-    pub rank: u64,
-    /// Its `scheduled` flag at timeout.
-    pub scheduled: bool,
-    /// Mailbox occupancy at timeout.
-    pub mailbox_len: u64,
-    /// Lifetime mailbox spill count.
-    pub mailbox_spilled: u64,
-    /// Cluster-timeline stamp of its last quantum, if any.
-    pub last_poll_us: Option<u64>,
-}
-
-/// The embedded `StallReport`, when the dump reason was a stall.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PmStall {
-    /// Broadcast iteration id that stalled.
-    pub id: u64,
-    /// The expired deadline, ms.
-    pub timeout_ms: u64,
-    /// Live ranks.
-    pub live: u64,
-    /// Live ranks colored before the deadline.
-    pub colored: u64,
-    /// Run-queue depth at timeout.
-    pub runq_depth: u64,
-    /// Pending timer-wheel entries at timeout.
-    pub pending_timers: u64,
-    /// Coordinator in-flight backlog at timeout.
-    pub coord_in_flight: u64,
-    /// µs since the iteration epoch at report time.
-    pub now_us: u64,
-    /// Iteration epoch on the cluster timeline, µs.
-    pub epoch_us: u64,
-    /// Per-stranded-rank diagnostics, ascending.
-    pub ranks: Vec<PmStallRank>,
-}
-
-/// One focused rank and its recent history.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PmRankTail {
-    /// The rank.
-    pub rank: u64,
-    /// Its last-K records, oldest first.
-    pub last: Vec<PmRecord>,
-}
-
-/// A parsed `ct-postmortem-v1` dump.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PostmortemReport {
-    /// Why the dump was taken (`watchdog_stall`, `worker_panic`,
-    /// `monitor_violation`).
-    pub reason: String,
-    /// Total ranks.
-    pub p: u64,
-    /// The embedded stall report, when present.
-    pub stall: Option<PmStall>,
-    /// Counter totals from the embedded telemetry snapshot, when
-    /// present.
-    pub counters: Option<std::collections::BTreeMap<String, f64>>,
-    /// Flight-ring capacity per shard.
-    pub flight_cap: u64,
-    /// Number of writer shards.
-    pub flight_shards: u64,
-    /// Records retained across all rings.
-    pub retained: u64,
-    /// Records lost to ring wrap across all rings.
-    pub lost: u64,
-    /// The merged time-ordered tail.
-    pub tail: Vec<PmRecord>,
-    /// Per-focused-rank recent history.
-    pub ranks: Vec<PmRankTail>,
-}
-
-fn get_u64(obj: &Value, key: &str, ctx: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("{ctx}: missing or non-integer `{key}`"))
-}
-
-fn get_bool(obj: &Value, key: &str, ctx: &str) -> Result<bool, String> {
-    match obj.get(key) {
-        Some(Value::Bool(b)) => Ok(*b),
-        _ => Err(format!("{ctx}: missing or non-boolean `{key}`")),
-    }
-}
-
-fn parse_record(v: &Value, ctx: &str) -> Result<PmRecord, String> {
-    let rank = match v.get("rank") {
-        Some(Value::Null) => None,
-        Some(other) => Some(
-            other
-                .as_u64()
-                .ok_or_else(|| format!("{ctx}: non-integer `rank`"))?,
-        ),
-        None => return Err(format!("{ctx}: missing `rank`")),
-    };
-    Ok(PmRecord {
-        shard: get_u64(v, "shard", ctx)?,
-        seq: get_u64(v, "seq", ctx)?,
-        kind: v
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("{ctx}: missing `kind`"))?
-            .to_owned(),
-        rank,
-        aux: get_u64(v, "aux", ctx)?,
-        step: get_u64(v, "step", ctx)?,
-        wall_us: get_u64(v, "wall_us", ctx)?,
-    })
-}
-
-fn parse_stall(v: &Value) -> Result<PmStall, String> {
-    let ctx = "stall";
-    let mut ranks = Vec::new();
-    for (i, rv) in v
-        .get("ranks")
-        .and_then(Value::as_arr)
-        .ok_or("stall: missing `ranks` array")?
-        .iter()
-        .enumerate()
-    {
-        let rctx = format!("stall.ranks[{i}]");
-        let last_poll_us = match rv.get("last_poll_us") {
-            Some(Value::Null) | None => None,
-            Some(other) => Some(
-                other
-                    .as_u64()
-                    .ok_or_else(|| format!("{rctx}: non-integer `last_poll_us`"))?,
-            ),
-        };
-        ranks.push(PmStallRank {
-            rank: get_u64(rv, "rank", &rctx)?,
-            scheduled: get_bool(rv, "scheduled", &rctx)?,
-            mailbox_len: get_u64(rv, "mailbox_len", &rctx)?,
-            mailbox_spilled: get_u64(rv, "mailbox_spilled", &rctx)?,
-            last_poll_us,
-        });
-    }
-    Ok(PmStall {
-        id: get_u64(v, "id", ctx)?,
-        timeout_ms: get_u64(v, "timeout_ms", ctx)?,
-        live: get_u64(v, "live", ctx)?,
-        colored: get_u64(v, "colored", ctx)?,
-        runq_depth: get_u64(v, "runq_depth", ctx)?,
-        pending_timers: get_u64(v, "pending_timers", ctx)?,
-        coord_in_flight: get_u64(v, "coord_in_flight", ctx)?,
-        now_us: get_u64(v, "now_us", ctx)?,
-        epoch_us: get_u64(v, "epoch_us", ctx)?,
-        ranks,
-    })
-}
-
-impl PostmortemReport {
-    /// Parse and validate a `ct-postmortem-v1` dump.
-    pub fn from_json(text: &str) -> Result<PostmortemReport, String> {
-        let root = Value::parse(text)?;
-        match root.get("schema").and_then(Value::as_str) {
-            Some(POSTMORTEM_SCHEMA) => {}
-            Some(other) => return Err(format!("unsupported schema `{other}`")),
-            None => return Err("missing `schema` tag".to_owned()),
-        }
-        let reason = root
-            .get("reason")
-            .and_then(Value::as_str)
-            .ok_or("missing `reason`")?
-            .to_owned();
-        let p = get_u64(&root, "p", "dump")?;
-        let stall = match root.get("stall") {
-            Some(Value::Null) | None => None,
-            Some(v) => Some(parse_stall(v)?),
-        };
-        let counters = match root.get("telemetry") {
-            Some(Value::Null) | None => None,
-            Some(t) => Some(
-                t.get("counters")
-                    .ok_or("telemetry: missing `counters`")?
-                    .to_f64_map(),
-            ),
-        };
-        let flight = root.get("flight").ok_or("missing `flight`")?;
-        let flight_cap = get_u64(flight, "cap", "flight")?;
-        let shards = flight
-            .get("shards")
-            .and_then(Value::as_arr)
-            .ok_or("flight: missing `shards` array")?;
-        let mut retained = 0u64;
-        let mut lost = 0u64;
-        for (i, s) in shards.iter().enumerate() {
-            let ctx = format!("flight.shards[{i}]");
-            lost += get_u64(s, "lost", &ctx)?;
-            retained += s
-                .get("records")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| format!("{ctx}: missing `records`"))?
-                .len() as u64;
-        }
-        let mut tail = Vec::new();
-        for (i, v) in root
-            .get("tail")
-            .and_then(Value::as_arr)
-            .ok_or("missing `tail` array")?
-            .iter()
-            .enumerate()
-        {
-            tail.push(parse_record(v, &format!("tail[{i}]"))?);
-        }
-        let mut ranks = Vec::new();
-        for (i, v) in root
-            .get("ranks")
-            .and_then(Value::as_arr)
-            .ok_or("missing `ranks` array")?
-            .iter()
-            .enumerate()
-        {
-            let ctx = format!("ranks[{i}]");
-            let rank = get_u64(v, "rank", &ctx)?;
-            let mut last = Vec::new();
-            for (j, rv) in v
-                .get("last")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| format!("{ctx}: missing `last`"))?
-                .iter()
-                .enumerate()
-            {
-                last.push(parse_record(rv, &format!("{ctx}.last[{j}]"))?);
-            }
-            ranks.push(PmRankTail { rank, last });
-        }
-        Ok(PostmortemReport {
-            reason,
-            p,
-            stall,
-            counters,
-            flight_cap,
-            flight_shards: shards.len() as u64,
-            retained,
-            lost,
-            tail,
-            ranks,
-        })
-    }
-
-    fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .as_ref()
-            .and_then(|c| c.get(name))
-            .map_or(0, |v| *v as u64)
-    }
-
-    /// Render the per-stranded-rank causal reconstruction (see the
-    /// module docs). Deterministic for a fixed dump.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "postmortem: {} (p={})", self.reason, self.p);
+/// Render the per-stranded-rank causal reconstruction of a dump read by
+/// [`Postmortem::from_json`] (see the module docs). Deterministic for a
+/// fixed dump.
+pub fn render_text(pm: &Postmortem) -> String {
+    let mut out = String::new();
+    let retained: usize = pm.flight.shards.iter().map(|s| s.records.len()).sum();
+    let _ = writeln!(out, "postmortem: {} (p={})", pm.reason, pm.p);
+    let _ = writeln!(
+        out,
+        "flight recorder: {} shards x cap {}, {} records retained, {} lost to wrap",
+        pm.flight.shards.len(),
+        pm.flight.cap,
+        retained,
+        pm.flight.total_lost()
+    );
+    if let Some(stall) = &pm.stall {
         let _ = writeln!(
             out,
-            "flight recorder: {} shards x cap {}, {} records retained, {} lost to wrap",
-            self.flight_shards, self.flight_cap, self.retained, self.lost
+            "stall: broadcast {} timed out after {} ms ({}/{} live ranks colored)",
+            stall.id, stall.timeout_ms, stall.colored, stall.live
         );
-        if let Some(stall) = &self.stall {
-            let _ = writeln!(
-                out,
-                "stall: broadcast {} timed out after {} ms ({}/{} live ranks colored)",
-                stall.id, stall.timeout_ms, stall.colored, stall.live
-            );
-            let _ = writeln!(
-                out,
-                "  run queue: {} | pending timers: {} | coordinator in-flight: {}",
-                stall.runq_depth, stall.pending_timers, stall.coord_in_flight
-            );
-        }
-        if self.counters.is_some() {
-            let _ = writeln!(
-                out,
-                "telemetry: {} quanta | {} delivered | {} stale quanta | {} rechecks | {} spills",
-                self.counter("sched.quanta"),
-                self.counter("msgs.delivered"),
-                self.counter("sched.stale_quanta"),
-                self.counter("sched.lost_wakeup_rechecks"),
-                self.counter("mailbox.spills")
-            );
-        }
-        for section in &self.ranks {
-            self.render_rank(&mut out, section);
-        }
-        let show = self.tail.len().min(10);
-        if show > 0 {
-            let _ = writeln!(
-                out,
-                "tail (last {} of {} merged records):",
-                show,
-                self.tail.len()
-            );
-            for r in &self.tail[self.tail.len() - show..] {
-                let _ = writeln!(out, "    {}", rec_line(r));
-            }
-        }
-        out
+        let _ = writeln!(
+            out,
+            "  run queue: {} | pending timers: {} | coordinator in-flight: {}",
+            stall.runq_depth, stall.pending_timers, stall.coord_in_flight
+        );
     }
+    if let Some(t) = &pm.telemetry {
+        let _ = writeln!(
+            out,
+            "telemetry: {} quanta | {} delivered | {} stale quanta | {} rechecks | {} spills",
+            t.counter("sched.quanta"),
+            t.counter("msgs.delivered"),
+            t.counter("sched.stale_quanta"),
+            t.counter("sched.lost_wakeup_rechecks"),
+            t.counter("mailbox.spills")
+        );
+    }
+    for rank in pm.focus_ranks() {
+        render_rank(&mut out, pm, rank);
+    }
+    let tail = pm.flight.merged_tail(TAIL_MAX);
+    let show = tail.len().min(10);
+    if show > 0 {
+        let _ = writeln!(
+            out,
+            "tail (last {} of {} merged records):",
+            show,
+            tail.len()
+        );
+        for r in &tail[tail.len() - show..] {
+            let _ = writeln!(out, "    {}", rec_line(r));
+        }
+    }
+    out
+}
 
-    fn render_rank(&self, out: &mut String, section: &PmRankTail) {
-        let r = section.rank;
-        match self
-            .stall
-            .as_ref()
-            .and_then(|s| s.ranks.iter().find(|sr| sr.rank == r))
-        {
-            Some(sr) => {
-                let _ = writeln!(
-                    out,
-                    "rank {:>5}: scheduled={} mailbox={} (spilled {})",
-                    r, sr.scheduled, sr.mailbox_len, sr.mailbox_spilled
-                );
-            }
-            None => {
-                let _ = writeln!(out, "rank {:>5}:", r);
-            }
-        }
-        // Last poll: the newest quantum_start naming this rank.
-        match section
-            .last
-            .iter()
+fn render_rank(out: &mut String, pm: &Postmortem, r: u32) {
+    let last = pm.flight.rank_tail(r, RANK_LAST_K);
+    let newest = |kind| {
+        last.iter()
             .rev()
-            .find(|rec| rec.kind == "quantum_start" && rec.rank == Some(r))
-        {
-            Some(q) => {
-                let _ = writeln!(
-                    out,
-                    "  last poll:         {} \u{b5}s into iteration {} (wall {} \u{b5}s)",
-                    q.step, q.aux, q.wall_us
-                );
-            }
-            None => {
-                let _ = writeln!(out, "  last poll:         none recorded");
-            }
+            .find(|(_, rec)| rec.kind == kind && rec.rank == r)
+    };
+    match pm
+        .stall
+        .as_ref()
+        .and_then(|s| s.ranks.iter().find(|sr| sr.rank == r))
+    {
+        Some(sr) => {
+            let _ = writeln!(
+                out,
+                "rank {:>5}: scheduled={} mailbox={} (spilled {})",
+                r, sr.scheduled, sr.mailbox_len, sr.mailbox_spilled
+            );
         }
-        // Last mailbox push TO this rank, with pusher identity; its
-        // absence is the orphaned-subtree signature.
-        match section
-            .last
-            .iter()
-            .rev()
-            .find(|rec| rec.kind == "mailbox_push" && rec.rank == Some(r))
-        {
-            Some(push) => {
-                // aux packs `broadcast_id << 32 | pushing_rank`; a zero
-                // broadcast id means a single-broadcast (or simulator)
-                // run, where naming it adds nothing.
-                let pusher = push.aux & 0xffff_ffff;
-                let bcast = push.aux >> 32;
-                if bcast == 0 {
-                    let _ = writeln!(
-                        out,
-                        "  last mailbox push: from rank {} at step {} (wall {} \u{b5}s)",
-                        pusher, push.step, push.wall_us
-                    );
-                } else {
-                    let _ = writeln!(
-                        out,
-                        "  last mailbox push: from rank {} (broadcast {}) at step {} (wall {} \u{b5}s)",
-                        pusher, bcast, push.step, push.wall_us
-                    );
-                }
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "  last mailbox push: none recorded - no message ever reached this rank"
-                );
-            }
+        None => {
+            let _ = writeln!(out, "rank {:>5}:", r);
         }
-        // Pending timers: arms with no later fire for this rank.
-        let last_fire = section
-            .last
-            .iter()
-            .rev()
-            .position(|rec| rec.kind == "timer_fire" && rec.rank == Some(r))
-            .map(|back| section.last.len() - 1 - back);
-        let pending: Vec<&PmRecord> = section
-            .last
-            .iter()
-            .enumerate()
-            .filter(|(i, rec)| {
-                rec.kind == "timer_arm" && rec.rank == Some(r) && last_fire.is_none_or(|f| *i > f)
-            })
-            .map(|(_, rec)| rec)
-            .collect();
-        if pending.is_empty() {
-            let _ = writeln!(out, "  pending timers:    none");
-        } else {
-            for arm in pending {
-                let _ = writeln!(
-                    out,
-                    "  pending timers:    armed for {} \u{b5}s (at step {})",
-                    arm.aux, arm.step
-                );
-            }
+    }
+    // Last poll: the newest quantum_start naming this rank.
+    match newest(FlightKind::QuantumStart) {
+        Some((_, q)) => {
+            let _ = writeln!(
+                out,
+                "  last poll:         {} \u{b5}s into iteration {} (wall {} \u{b5}s)",
+                q.step, q.aux, q.wall_us
+            );
         }
-        if !section.last.is_empty() {
-            let _ = writeln!(out, "  last actions:");
-            for rec in &section.last {
-                let _ = writeln!(out, "    {}", rec_line(rec));
-            }
+        None => {
+            let _ = writeln!(out, "  last poll:         none recorded");
+        }
+    }
+    // Last mailbox push TO this rank, with pusher identity; its
+    // absence is the orphaned-subtree signature.
+    match newest(FlightKind::MailboxPush) {
+        // A zero broadcast id means a single-broadcast (or simulator)
+        // run, where naming it adds nothing.
+        Some((_, push)) if push.push_bcast() == 0 => {
+            let _ = writeln!(
+                out,
+                "  last mailbox push: from rank {} at step {} (wall {} \u{b5}s)",
+                push.push_peer(),
+                push.step,
+                push.wall_us
+            );
+        }
+        Some((_, push)) => {
+            let _ = writeln!(
+                out,
+                "  last mailbox push: from rank {} (broadcast {}) at step {} (wall {} \u{b5}s)",
+                push.push_peer(),
+                push.push_bcast(),
+                push.step,
+                push.wall_us
+            );
+        }
+        None => {
+            let _ = writeln!(
+                out,
+                "  last mailbox push: none recorded - no message ever reached this rank"
+            );
+        }
+    }
+    // Pending timers: arms with no later fire for this rank.
+    let last_fire = last
+        .iter()
+        .rposition(|(_, rec)| rec.kind == FlightKind::TimerFire && rec.rank == r);
+    let pending: Vec<&FlightRecord> = last
+        .iter()
+        .enumerate()
+        .filter(|(i, (_, rec))| {
+            rec.kind == FlightKind::TimerArm && rec.rank == r && last_fire.is_none_or(|f| *i > f)
+        })
+        .map(|(_, (_, rec))| rec)
+        .collect();
+    if pending.is_empty() {
+        let _ = writeln!(out, "  pending timers:    none");
+    } else {
+        for arm in pending {
+            let _ = writeln!(
+                out,
+                "  pending timers:    armed for {} \u{b5}s (at step {})",
+                arm.aux, arm.step
+            );
+        }
+    }
+    if !last.is_empty() {
+        let _ = writeln!(out, "  last actions:");
+        for rec in &last {
+            let _ = writeln!(out, "    {}", rec_line(rec));
         }
     }
 }
 
-/// One record as a fixed-width text line.
-fn rec_line(r: &PmRecord) -> String {
-    let rank = r.rank.map_or_else(|| "-".to_owned(), |v| v.to_string());
+/// One merged-view entry as a fixed-width text line.
+fn rec_line((shard, r): &(usize, FlightRecord)) -> String {
+    let rank = if r.rank == NO_RANK {
+        "-".to_owned()
+    } else {
+        r.rank.to_string()
+    };
     format!(
         "[s{} #{:<4}] wall {:>8} \u{b5}s  {:<13} rank {:>5}  aux={} step={}",
-        r.shard, r.seq, r.wall_us, r.kind, rank, r.aux, r.step
+        shard,
+        r.seq,
+        r.wall_us,
+        r.kind.name(),
+        rank,
+        r.aux,
+        r.step
     )
 }
 
@@ -495,12 +229,13 @@ mod tests {
 
     #[test]
     fn parses_and_reconstructs_the_stranded_rank() {
-        let report = PostmortemReport::from_json(MINIMAL).unwrap();
-        assert_eq!(report.reason, "watchdog_stall");
-        assert_eq!(report.p, 8);
-        assert_eq!(report.retained, 2);
-        assert_eq!(report.ranks.len(), 1);
-        let text = report.render_text();
+        let pm = Postmortem::from_json(MINIMAL).unwrap();
+        assert_eq!(pm.reason, "watchdog_stall");
+        assert_eq!(pm.p, 8);
+        assert_eq!(pm.flight.shards[0].records.len(), 2);
+        assert!(pm.health.is_empty(), "a dump without `health` has none");
+        assert_eq!(pm.focus_ranks(), vec![3]);
+        let text = render_text(&pm);
         assert!(text.contains("postmortem: watchdog_stall (p=8)"), "{text}");
         assert!(text.contains("rank     3: scheduled=false"), "{text}");
         assert!(
@@ -510,22 +245,19 @@ mod tests {
         // No push ever reached rank 3 - the orphaned-subtree signature.
         assert!(text.contains("last mailbox push: none recorded"), "{text}");
         assert!(text.contains("pending timers:    none"), "{text}");
-        assert_eq!(
-            text,
-            PostmortemReport::from_json(MINIMAL).unwrap().render_text()
-        );
+        assert_eq!(text, render_text(&Postmortem::from_json(MINIMAL).unwrap()));
     }
 
     #[test]
     fn rejects_wrong_schema() {
-        let err = PostmortemReport::from_json("{\"schema\":\"nope\"}").unwrap_err();
+        let err = Postmortem::from_json("{\"schema\":\"nope\"}").unwrap_err();
         assert!(err.contains("unsupported schema"), "{err}");
     }
 
     #[test]
     fn rejects_malformed_records() {
         let bad = MINIMAL.replace("\"kind\":\"quantum_start\",", "");
-        let err = PostmortemReport::from_json(&bad).unwrap_err();
-        assert!(err.contains("kind"), "{err}");
+        let err = Postmortem::from_json(&bad).unwrap_err();
+        assert_eq!(err, "flight.shards[0].records[0].kind: missing");
     }
 }

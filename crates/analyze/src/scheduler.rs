@@ -1,357 +1,136 @@
 //! Scheduler-telemetry summaries (`ct analyze --view scheduler`).
 //!
-//! Parses a `ct-telemetry-v1` snapshot (the JSON written by `ct stats`
-//! or attached to bench manifests) back into typed form and renders a
-//! compact scheduler health report: quantum and batch-size
-//! distributions, mailbox spill counts, lost-wakeup recheck counts and
-//! the simulator's per-repetition distributions. Parsing doubles as
-//! the schema self-check the CI telemetry smoke job runs — every
-//! counter must be an unsigned integer and every histogram must be
-//! internally consistent (bounds strictly increasing, one overflow
-//! bucket, bucket counts summing to the total), so a drifted producer
-//! fails loudly here rather than silently mis-rendering.
+//! Renders a `ct-telemetry-v1` snapshot — the JSON written by `ct stats`
+//! or attached to bench manifests, read back by
+//! [`TelemetrySnapshot::from_json`] beside its writer — as a compact
+//! scheduler health report: quantum and batch-size distributions,
+//! mailbox spill counts, lost-wakeup recheck counts and the simulator's
+//! per-repetition distributions.
 
-use std::collections::BTreeMap;
+use core::fmt::Write as _;
 
-use ct_obs::metrics::Histogram;
+use ct_obs::TelemetrySnapshot;
 
-use crate::value::Value;
-
-/// The snapshot schema tag this module understands.
-pub const TELEMETRY_SCHEMA: &str = "ct-telemetry-v1";
-
-/// A parsed and validated telemetry snapshot, ready for rendering.
-#[derive(Clone, Debug)]
-pub struct SchedulerSummary {
-    /// Producer tag (`"sim"`, `"cluster"`, …).
-    pub source: String,
-    /// Worker shards merged into the snapshot.
-    pub workers: u64,
-    /// Ranks the hub tracked.
-    pub ranks: u64,
-    /// Counters by dotted name.
-    pub counters: BTreeMap<String, u64>,
-    /// Point-in-time gauges by dotted name.
-    pub gauges: BTreeMap<String, u64>,
-    /// Distributions by dotted name.
-    pub histograms: BTreeMap<String, Histogram>,
+fn dist_line(snap: &TelemetrySnapshot, name: &str) -> String {
+    match snap.histograms.get(name) {
+        Some(h) if h.count() > 0 => {
+            let mean = h.sum() as f64 / h.count() as f64;
+            format!(
+                "n={} mean={:.1} p50={:.1} p95={:.1} max={}",
+                h.count(),
+                mean,
+                h.p50().unwrap_or(0.0),
+                h.p95().unwrap_or(0.0),
+                h.max().unwrap_or(0),
+            )
+        }
+        _ => "n=0".to_owned(),
+    }
 }
 
-fn parse_u64_map(v: &Value, what: &str) -> Result<BTreeMap<String, u64>, String> {
-    let Value::Obj(fields) = v else {
-        return Err(format!("\"{what}\" must be an object"));
-    };
-    let mut map = BTreeMap::new();
-    for (k, v) in fields {
-        let n = v
-            .as_u64()
-            .ok_or_else(|| format!("{what}.{k} must be an unsigned integer"))?;
-        map.insert(k.clone(), n);
-    }
-    Ok(map)
-}
-
-fn parse_u64_array(v: &Value, what: &str) -> Result<Vec<u64>, String> {
-    let arr = v
-        .as_arr()
-        .ok_or_else(|| format!("{what} must be an array"))?;
-    arr.iter()
-        .map(|x| {
-            x.as_u64()
-                .ok_or_else(|| format!("{what} must hold unsigned integers"))
-        })
-        .collect()
-}
-
-fn parse_histogram(name: &str, v: &Value) -> Result<Histogram, String> {
-    let get = |key: &str| {
-        v.get(key)
-            .ok_or_else(|| format!("histogram {name} missing \"{key}\""))
-    };
-    let bounds = parse_u64_array(get("bounds")?, &format!("histogram {name} bounds"))?;
-    let counts = parse_u64_array(get("counts")?, &format!("histogram {name} counts"))?;
-    let count = get("count")?
-        .as_u64()
-        .ok_or_else(|| format!("histogram {name} count must be an unsigned integer"))?;
-    let sum = get("sum")?
-        .as_u64()
-        .ok_or_else(|| format!("histogram {name} sum must be an unsigned integer"))?;
-    // min/max are null exactly when the histogram is empty.
-    let min = match get("min")? {
-        Value::Null => None,
-        other => Some(
-            other
-                .as_u64()
-                .ok_or_else(|| format!("histogram {name} min must be an unsigned integer"))?,
-        ),
-    };
-    let max = match get("max")? {
-        Value::Null => None,
-        other => Some(
-            other
-                .as_u64()
-                .ok_or_else(|| format!("histogram {name} max must be an unsigned integer"))?,
-        ),
-    };
-    if bounds.is_empty() || bounds.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(format!(
-            "histogram {name} bounds must be non-empty and strictly increasing"
-        ));
-    }
-    if counts.len() != bounds.len() + 1 {
-        return Err(format!(
-            "histogram {name} needs {} buckets (one per bound plus overflow), got {}",
-            bounds.len() + 1,
-            counts.len()
-        ));
-    }
-    if counts.iter().sum::<u64>() != count {
-        return Err(format!(
-            "histogram {name} bucket counts do not sum to its count"
-        ));
-    }
-    if (count == 0) != (min.is_none() && max.is_none()) {
-        return Err(format!(
-            "histogram {name} min/max must be null exactly when empty"
-        ));
-    }
-    Ok(Histogram::from_parts(
-        bounds,
-        counts,
-        count,
-        sum,
-        min.unwrap_or(u64::MAX),
-        max.unwrap_or(0),
-    ))
-}
-
-impl SchedulerSummary {
-    /// Parse and validate one `ct-telemetry-v1` snapshot document.
-    pub fn from_snapshot_json(text: &str) -> Result<SchedulerSummary, String> {
-        let v = Value::parse(text)?;
-        let schema = v
-            .get("schema")
-            .and_then(Value::as_str)
-            .ok_or("snapshot missing \"schema\"")?;
-        if schema != TELEMETRY_SCHEMA {
-            return Err(format!(
-                "unsupported telemetry schema {schema:?} (want {TELEMETRY_SCHEMA:?})"
-            ));
-        }
-        let source = v
-            .get("source")
-            .and_then(Value::as_str)
-            .ok_or("snapshot missing \"source\"")?
-            .to_owned();
-        let workers = v
-            .get("workers")
-            .and_then(Value::as_u64)
-            .ok_or("snapshot missing \"workers\"")?;
-        let ranks = v
-            .get("ranks")
-            .and_then(Value::as_u64)
-            .ok_or("snapshot missing \"ranks\"")?;
-        let counters = parse_u64_map(
-            v.get("counters").ok_or("snapshot missing \"counters\"")?,
-            "counters",
-        )?;
-        let gauges = parse_u64_map(
-            v.get("gauges").ok_or("snapshot missing \"gauges\"")?,
-            "gauges",
-        )?;
-        let Some(Value::Obj(hist_fields)) = v.get("histograms") else {
-            return Err("snapshot missing \"histograms\" object".to_owned());
-        };
-        let mut histograms = BTreeMap::new();
-        for (name, h) in hist_fields {
-            histograms.insert(name.clone(), parse_histogram(name, h)?);
-        }
-        let Some(Value::Arr(per_worker)) = v.get("per_worker") else {
-            return Err("snapshot missing \"per_worker\" array".to_owned());
-        };
-        for (i, w) in per_worker.iter().enumerate() {
-            parse_u64_map(w, &format!("per_worker[{i}]"))?;
-        }
-        Ok(SchedulerSummary {
-            source,
-            workers,
-            ranks,
-            counters,
-            gauges,
-            histograms,
-        })
-    }
-
-    /// Value of a counter by dotted name (zero when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Value of a gauge by dotted name (zero when absent).
-    pub fn gauge(&self, name: &str) -> u64 {
-        self.gauges.get(name).copied().unwrap_or(0)
-    }
-
-    fn dist_line(&self, name: &str) -> String {
-        match self.histograms.get(name) {
-            Some(h) if h.count() > 0 => {
-                let mean = h.sum() as f64 / h.count() as f64;
-                format!(
-                    "n={} mean={:.1} p50={:.1} p95={:.1} max={}",
-                    h.count(),
-                    mean,
-                    h.p50().unwrap_or(0.0),
-                    h.p95().unwrap_or(0.0),
-                    h.max().unwrap_or(0),
-                )
-            }
-            _ => "n=0".to_owned(),
-        }
-    }
-
-    /// Render the scheduler health report. The cluster section appears
-    /// only when the snapshot saw scheduler quanta, the sim section
-    /// only when it saw simulator repetitions.
-    pub fn render_text(&self) -> String {
-        use core::fmt::Write as _;
-        let mut out = String::new();
+/// Render the scheduler health report. The cluster section appears
+/// only when the snapshot saw scheduler quanta, the sim section
+/// only when it saw simulator repetitions.
+pub fn render_text(snap: &TelemetrySnapshot) -> String {
+    let gauge = |name: &str| snap.gauges.get(name).copied().unwrap_or(0);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "scheduler summary (source={}, workers={}, ranks={})",
+        snap.source, snap.workers, snap.ranks
+    );
+    if snap.counter("sched.quanta") > 0 {
         let _ = writeln!(
             out,
-            "scheduler summary (source={}, workers={}, ranks={})",
-            self.source, self.workers, self.ranks
+            "  quanta: {} ({} stale) | batches: {} | wakes: {} | lost-wakeup rechecks: {}",
+            snap.counter("sched.quanta"),
+            snap.counter("sched.stale_quanta"),
+            snap.counter("sched.batches"),
+            snap.counter("sched.wakes"),
+            snap.counter("sched.lost_wakeup_rechecks"),
         );
-        if self.counter("sched.quanta") > 0 {
-            let _ = writeln!(
-                out,
-                "  quanta: {} ({} stale) | batches: {} | wakes: {} | lost-wakeup rechecks: {}",
-                self.counter("sched.quanta"),
-                self.counter("sched.stale_quanta"),
-                self.counter("sched.batches"),
-                self.counter("sched.wakes"),
-                self.counter("sched.lost_wakeup_rechecks"),
-            );
-            let _ = writeln!(out, "  quantum µs: {}", self.dist_line("sched.quantum_us"));
-            let _ = writeln!(out, "  batch size: {}", self.dist_line("sched.batch_size"));
-            let _ = writeln!(
-                out,
-                "  run-queue depth: {}",
-                self.dist_line("sched.runq_depth")
-            );
-            let _ = writeln!(
-                out,
-                "  messages: sent {} delivered {} stale-dropped {}",
-                self.counter("msgs.sent"),
-                self.counter("msgs.delivered"),
-                self.counter("msgs.stale_dropped"),
-            );
-            let _ = writeln!(
-                out,
-                "  mailbox: pushes {} spills {} hwm {} | drained/quantum: {}",
-                self.counter("mailbox.pushes"),
-                self.counter("mailbox.spills"),
-                self.gauge("mailbox.hwm"),
-                self.dist_line("mailbox.drained"),
-            );
-            let _ = writeln!(
-                out,
-                "  timers: arms {} fires {} cascades {} (pending {})",
-                self.counter("timer.arms"),
-                self.counter("timer.fires"),
-                self.counter("timer.cascades"),
-                self.gauge("timers.pending"),
-            );
-            let _ = writeln!(
-                out,
-                "  coordinator: batches {} colored {} | batch size: {}",
-                self.counter("coord.batches"),
-                self.counter("coord.colored"),
-                self.dist_line("coord.batch_size"),
-            );
-        }
-        if self.counter("sim.reps") > 0 {
-            let _ = writeln!(
-                out,
-                "  sim: reps {} ({} incomplete) | events {} | sends {}",
-                self.counter("sim.reps"),
-                self.counter("sim.incomplete"),
-                self.counter("sim.events"),
-                self.counter("sim.sends"),
-            );
-            let _ = writeln!(out, "  rep events: {}", self.dist_line("sim.rep_events"));
-            let _ = writeln!(out, "  rep sends: {}", self.dist_line("sim.rep_sends"));
-            let _ = writeln!(
-                out,
-                "  rep quiescence: {}",
-                self.dist_line("sim.rep_quiescence")
-            );
-        }
-        if self.counter("sched.quanta") == 0 && self.counter("sim.reps") == 0 {
-            let _ = writeln!(out, "  (no scheduler or simulator activity recorded)");
-        }
-        out
+        let _ = writeln!(out, "  quantum µs: {}", dist_line(snap, "sched.quantum_us"));
+        let _ = writeln!(out, "  batch size: {}", dist_line(snap, "sched.batch_size"));
+        let _ = writeln!(
+            out,
+            "  run-queue depth: {}",
+            dist_line(snap, "sched.runq_depth")
+        );
+        let _ = writeln!(
+            out,
+            "  messages: sent {} delivered {} stale-dropped {}",
+            snap.counter("msgs.sent"),
+            snap.counter("msgs.delivered"),
+            snap.counter("msgs.stale_dropped"),
+        );
+        let _ = writeln!(
+            out,
+            "  mailbox: pushes {} spills {} hwm {} | drained/quantum: {}",
+            snap.counter("mailbox.pushes"),
+            snap.counter("mailbox.spills"),
+            gauge("mailbox.hwm"),
+            dist_line(snap, "mailbox.drained"),
+        );
+        let _ = writeln!(
+            out,
+            "  timers: arms {} fires {} cascades {} (pending {})",
+            snap.counter("timer.arms"),
+            snap.counter("timer.fires"),
+            snap.counter("timer.cascades"),
+            gauge("timers.pending"),
+        );
+        let _ = writeln!(
+            out,
+            "  coordinator: batches {} colored {} | batch size: {}",
+            snap.counter("coord.batches"),
+            snap.counter("coord.colored"),
+            dist_line(snap, "coord.batch_size"),
+        );
     }
+    if snap.counter("sim.reps") > 0 {
+        let _ = writeln!(
+            out,
+            "  sim: reps {} ({} incomplete) | events {} | sends {}",
+            snap.counter("sim.reps"),
+            snap.counter("sim.incomplete"),
+            snap.counter("sim.events"),
+            snap.counter("sim.sends"),
+        );
+        let _ = writeln!(out, "  rep events: {}", dist_line(snap, "sim.rep_events"));
+        let _ = writeln!(out, "  rep sends: {}", dist_line(snap, "sim.rep_sends"));
+        let _ = writeln!(
+            out,
+            "  rep quiescence: {}",
+            dist_line(snap, "sim.rep_quiescence")
+        );
+    }
+    if snap.counter("sched.quanta") == 0 && snap.counter("sim.reps") == 0 {
+        let _ = writeln!(out, "  (no scheduler or simulator activity recorded)");
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ct_obs::telemetry::TelemetryHub;
 
-    fn sim_snapshot_json() -> String {
-        use ct_obs::telemetry::TelemetryHub;
+    fn sim_snapshot() -> TelemetrySnapshot {
         let hub = TelemetryHub::new(1, 8);
         hub.record_sim_rep(100, 30, 40, true);
         hub.record_sim_rep(120, 31, 44, false);
-        hub.snapshot().with_source("sim").to_json()
-    }
-
-    #[test]
-    fn parses_a_real_snapshot_round_trip() {
-        let json = sim_snapshot_json();
-        let s = SchedulerSummary::from_snapshot_json(&json).unwrap();
-        assert_eq!(s.source, "sim");
-        assert_eq!(s.workers, 1);
-        assert_eq!(s.ranks, 8);
-        assert_eq!(s.counter("sim.reps"), 2);
-        assert_eq!(s.counter("sim.events"), 220);
-        assert_eq!(s.counter("sim.incomplete"), 1);
-        let h = s.histograms.get("sim.rep_quiescence").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 84);
+        hub.snapshot().with_source("sim")
     }
 
     #[test]
     fn render_gates_sections_on_activity() {
-        let s = SchedulerSummary::from_snapshot_json(&sim_snapshot_json()).unwrap();
-        let text = s.render_text();
+        let text = render_text(&sim_snapshot());
+        assert!(
+            text.contains("scheduler summary (source=sim, workers=1, ranks=8)"),
+            "{text}"
+        );
         assert!(text.contains("sim: reps 2 (1 incomplete)"), "{text}");
         assert!(!text.contains("quanta:"), "{text}");
         assert!(!text.contains("no scheduler or simulator"), "{text}");
-    }
-
-    #[test]
-    fn rejects_wrong_schema() {
-        let err =
-            SchedulerSummary::from_snapshot_json(r#"{"schema":"ct-telemetry-v0"}"#).unwrap_err();
-        assert!(err.contains("unsupported telemetry schema"), "{err}");
-    }
-
-    #[test]
-    fn rejects_malformed_histograms() {
-        let json = sim_snapshot_json();
-        // Break one histogram's internal consistency: bump its count
-        // without touching the buckets.
-        let broken = json.replacen("\"count\":2", "\"count\":3", 1);
-        assert_ne!(json, broken, "fixture must contain a count to break");
-        let err = SchedulerSummary::from_snapshot_json(&broken).unwrap_err();
-        assert!(err.contains("do not sum"), "{err}");
-    }
-
-    #[test]
-    fn rejects_non_integer_counters() {
-        let err = SchedulerSummary::from_snapshot_json(
-            r#"{"schema":"ct-telemetry-v1","source":"sim","workers":1,"ranks":1,"counters":{"sim.reps":1.5},"gauges":{},"histograms":{},"per_worker":[{}]}"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("unsigned integer"), "{err}");
     }
 }

@@ -1,296 +1,129 @@
 //! Time-series summaries (`ct analyze --view series`).
 //!
-//! Parses a `ct-series-v1` JSONL export (written by `ct serve`,
-//! `ct stats --series` or the `/series.jsonl` endpoint) back into typed
-//! [`SeriesSample`] windows and [`HealthEvent`]s and renders a compact
-//! trend report: window cadence, per-counter totals with mean and peak
-//! rates, gauge peaks and the health-event timeline. As with the
-//! scheduler view, parsing doubles as the schema self-check the CI
-//! monitor smoke job runs — every line must carry the schema tag and a
-//! known `kind`, sample sequence numbers must increase strictly,
-//! timestamps must be monotone and every window must span at least a
-//! millisecond, so a drifted producer fails loudly here.
+//! Renders a `ct-series-v1` JSONL export (written by `ct serve`,
+//! `ct stats --series` or the `/series.jsonl` endpoint, read back by
+//! [`SeriesExport::from_jsonl`] beside its writer) as a compact trend
+//! report: window cadence, per-counter totals with mean and peak rates,
+//! gauge peaks and the health-event timeline.
 
-use std::collections::BTreeMap;
+use core::fmt::Write as _;
 
-use ct_obs::health::{HealthEvent, Severity};
-use ct_obs::series::SeriesSample;
+use ct_obs::health::Severity;
+use ct_obs::SeriesExport;
 
-use crate::value::Value;
-
-/// The JSONL schema tag this module understands.
-pub const SERIES_SCHEMA: &str = "ct-series-v1";
-
-/// A parsed and validated series export, ready for rendering.
-#[derive(Clone, Debug)]
-pub struct SeriesSummary {
-    /// Producer tag (`"sim"`, `"cluster"`, …) shared by every sample.
-    pub source: String,
-    /// The sample windows, oldest first.
-    pub samples: Vec<SeriesSample>,
-    /// The health events, in firing order.
-    pub health: Vec<HealthEvent>,
+/// Total of a counter across every window.
+fn total(export: &SeriesExport, name: &str) -> u64 {
+    export.samples.iter().map(|s| s.delta(name)).sum()
 }
 
-fn parse_u64_map(v: &Value, what: &str) -> Result<BTreeMap<String, u64>, String> {
-    let Value::Obj(fields) = v else {
-        return Err(format!("\"{what}\" must be an object"));
-    };
-    let mut map = BTreeMap::new();
-    for (k, v) in fields {
-        let n = v
-            .as_u64()
-            .ok_or_else(|| format!("{what}.{k} must be an unsigned integer"))?;
-        map.insert(k.clone(), n);
+/// Milliseconds covered by the windows.
+fn span_ms(export: &SeriesExport) -> u64 {
+    export.samples.iter().map(|s| s.dt_ms).sum()
+}
+
+fn rate_line(export: &SeriesExport, name: &str) -> Option<String> {
+    let total = total(export, name);
+    if total == 0 {
+        return None;
     }
-    Ok(map)
-}
-
-fn get_u64(v: &Value, key: &str, what: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("{what} missing unsigned integer \"{key}\""))
-}
-
-fn get_str<'a>(v: &'a Value, key: &str, what: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("{what} missing string \"{key}\""))
-}
-
-fn parse_sample(v: &Value, what: &str) -> Result<SeriesSample, String> {
-    let dt_ms = get_u64(v, "dt_ms", what)?;
-    if dt_ms == 0 {
-        return Err(format!("{what}: dt_ms must be at least 1"));
-    }
-    let busy = v
-        .get("worker_busy_us")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("{what} missing array \"worker_busy_us\""))?
+    let span_s = span_ms(export) as f64 / 1_000.0;
+    let mean = total as f64 / span_s;
+    let peak = export
+        .samples
         .iter()
-        .map(|x| {
-            x.as_u64()
-                .ok_or_else(|| format!("{what}: worker_busy_us must hold unsigned integers"))
-        })
-        .collect::<Result<Vec<u64>, String>>()?;
-    Ok(SeriesSample {
-        source: get_str(v, "source", what)?.to_owned(),
-        seq: get_u64(v, "seq", what)?,
-        t_ms: get_u64(v, "t_ms", what)?,
-        dt_ms,
-        workers: get_u64(v, "workers", what)?,
-        ranks: get_u64(v, "ranks", what)?,
-        counters: parse_u64_map(
-            v.get("counters")
-                .ok_or_else(|| format!("{what} missing \"counters\""))?,
-            "counters",
-        )?,
-        gauges: parse_u64_map(
-            v.get("gauges")
-                .ok_or_else(|| format!("{what} missing \"gauges\""))?,
-            "gauges",
-        )?,
-        worker_busy_us: busy,
-    })
+        .map(|s| s.rate(name))
+        .fold(0.0f64, f64::max);
+    Some(format!(
+        "  {name}: total {total} | mean {mean:.1}/s peak {peak:.1}/s"
+    ))
 }
 
-fn parse_health(v: &Value, what: &str) -> Result<HealthEvent, String> {
-    let severity = get_str(v, "severity", what)?;
-    let severity = Severity::parse(severity)
-        .ok_or_else(|| format!("{what}: unknown severity {severity:?}"))?;
-    let Some(Value::Obj(value_fields)) = v.get("values") else {
-        return Err(format!("{what} missing \"values\" object"));
-    };
-    let values = value_fields
-        .iter()
-        .map(|(k, x)| {
-            x.as_u64()
-                .map(|n| (k.clone(), n))
-                .ok_or_else(|| format!("{what}: values.{k} must be an unsigned integer"))
-        })
-        .collect::<Result<Vec<(String, u64)>, String>>()?;
-    Ok(HealthEvent {
-        rule: get_str(v, "rule", what)?.to_owned(),
-        severity,
-        seq: get_u64(v, "seq", what)?,
-        t_ms: get_u64(v, "t_ms", what)?,
-        values,
-        message: get_str(v, "message", what)?.to_owned(),
-    })
-}
-
-impl SeriesSummary {
-    /// Parse and validate one `ct-series-v1` JSONL document. An export
-    /// with no sample lines is valid (a run shorter than one window);
-    /// the source is then reported as `"none"`.
-    pub fn from_jsonl(text: &str) -> Result<SeriesSummary, String> {
-        let mut samples: Vec<SeriesSample> = Vec::new();
-        let mut health = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let what = format!("line {}", i + 1);
-            let v = Value::parse(line).map_err(|e| format!("{what}: {e}"))?;
-            let schema = get_str(&v, "schema", &what)?;
-            if schema != SERIES_SCHEMA {
-                return Err(format!(
-                    "{what}: unsupported series schema {schema:?} (want {SERIES_SCHEMA:?})"
-                ));
-            }
-            match get_str(&v, "kind", &what)? {
-                "sample" => {
-                    let s = parse_sample(&v, &what)?;
-                    if let Some(prev) = samples.last() {
-                        if s.seq <= prev.seq {
-                            return Err(format!(
-                                "{what}: sample seq {} does not increase past {}",
-                                s.seq, prev.seq
-                            ));
-                        }
-                        if s.t_ms < prev.t_ms {
-                            return Err(format!(
-                                "{what}: sample t_ms {} precedes {}",
-                                s.t_ms, prev.t_ms
-                            ));
-                        }
-                        if s.source != prev.source {
-                            return Err(format!(
-                                "{what}: source {:?} does not match {:?}",
-                                s.source, prev.source
-                            ));
-                        }
-                    }
-                    samples.push(s);
-                }
-                "health" => health.push(parse_health(&v, &what)?),
-                other => return Err(format!("{what}: unknown kind {other:?}")),
+/// Render the trend report: cadence, every counter with a nonzero
+/// total (catalogue order), gauge peaks and the health timeline.
+pub fn render_text(export: &SeriesExport) -> String {
+    let mut out = String::new();
+    if export.samples.is_empty() {
+        let _ = writeln!(out, "series summary: no sample windows recorded");
+    } else {
+        let first = &export.samples[0];
+        let span_s = span_ms(export) as f64 / 1_000.0;
+        let _ = writeln!(
+            out,
+            "series summary (source={}, windows={}, span={:.2}s)",
+            first.source,
+            export.samples.len(),
+            span_s
+        );
+        let dt_min = export.samples.iter().map(|s| s.dt_ms).min().unwrap_or(0);
+        let dt_max = export.samples.iter().map(|s| s.dt_ms).max().unwrap_or(0);
+        let dt_mean = span_ms(export) as f64 / export.samples.len() as f64;
+        let _ = writeln!(
+            out,
+            "  cadence: dt mean {:.0} ms (min {}, max {}) | workers={} ranks={}",
+            dt_mean, dt_min, dt_max, first.workers, first.ranks
+        );
+        let mut any = false;
+        for name in first.counters.keys() {
+            if let Some(line) = rate_line(export, name) {
+                let _ = writeln!(out, "{line}");
+                any = true;
             }
         }
-        let source = samples
-            .first()
-            .map_or_else(|| "none".to_owned(), |s| s.source.clone());
-        Ok(SeriesSummary {
-            source,
-            samples,
-            health,
-        })
-    }
-
-    /// Total of a counter across every window.
-    pub fn total(&self, name: &str) -> u64 {
-        self.samples.iter().map(|s| s.delta(name)).sum()
-    }
-
-    /// Milliseconds covered by the retained windows.
-    pub fn span_ms(&self) -> u64 {
-        self.samples.iter().map(|s| s.dt_ms).sum()
-    }
-
-    fn rate_line(&self, name: &str) -> Option<String> {
-        let total = self.total(name);
-        if total == 0 {
-            return None;
+        if !any {
+            let _ = writeln!(out, "  (no counter activity recorded)");
         }
-        let span_s = self.span_ms() as f64 / 1_000.0;
-        let mean = total as f64 / span_s;
-        let peak = self
-            .samples
-            .iter()
-            .map(|s| s.rate(name))
-            .fold(0.0f64, f64::max);
-        Some(format!(
-            "  {name}: total {total} | mean {mean:.1}/s peak {peak:.1}/s"
-        ))
+        let mut peaks: Vec<String> = Vec::new();
+        for name in first.gauges.keys() {
+            let peak = export
+                .samples
+                .iter()
+                .map(|s| s.gauge(name))
+                .max()
+                .unwrap_or(0);
+            if peak > 0 {
+                peaks.push(format!("{name} peak {peak}"));
+            }
+        }
+        if !peaks.is_empty() {
+            let _ = writeln!(out, "  gauges: {}", peaks.join(" | "));
+        }
     }
-
-    /// Render the trend report: cadence, every counter with a nonzero
-    /// total (catalogue order), gauge peaks and the health timeline.
-    pub fn render_text(&self) -> String {
-        use core::fmt::Write as _;
-        let mut out = String::new();
-        if self.samples.is_empty() {
-            let _ = writeln!(out, "series summary: no sample windows recorded");
-        } else {
-            let first = &self.samples[0];
-            let span_s = self.span_ms() as f64 / 1_000.0;
+    if export.health.is_empty() {
+        let _ = writeln!(out, "health: no events");
+    } else {
+        let count = |sev| export.health.iter().filter(|e| e.severity == sev).count();
+        let _ = writeln!(
+            out,
+            "health: {} events ({} critical, {} warning, {} info)",
+            export.health.len(),
+            count(Severity::Critical),
+            count(Severity::Warning),
+            count(Severity::Info),
+        );
+        for e in &export.health {
             let _ = writeln!(
                 out,
-                "series summary (source={}, windows={}, span={:.2}s)",
-                self.source,
-                self.samples.len(),
-                span_s
+                "  [{:>8} ms] {:<8} {}: {}",
+                e.t_ms,
+                e.severity.name().to_uppercase(),
+                e.rule,
+                e.message
             );
-            let dt_min = self.samples.iter().map(|s| s.dt_ms).min().unwrap_or(0);
-            let dt_max = self.samples.iter().map(|s| s.dt_ms).max().unwrap_or(0);
-            let dt_mean = self.span_ms() as f64 / self.samples.len() as f64;
-            let _ = writeln!(
-                out,
-                "  cadence: dt mean {:.0} ms (min {}, max {}) | workers={} ranks={}",
-                dt_mean, dt_min, dt_max, first.workers, first.ranks
-            );
-            let mut any = false;
-            for name in first.counters.keys() {
-                if let Some(line) = self.rate_line(name) {
-                    let _ = writeln!(out, "{line}");
-                    any = true;
-                }
-            }
-            if !any {
-                let _ = writeln!(out, "  (no counter activity recorded)");
-            }
-            let mut peaks: Vec<String> = Vec::new();
-            for name in first.gauges.keys() {
-                let peak = self
-                    .samples
-                    .iter()
-                    .map(|s| s.gauge(name))
-                    .max()
-                    .unwrap_or(0);
-                if peak > 0 {
-                    peaks.push(format!("{name} peak {peak}"));
-                }
-            }
-            if !peaks.is_empty() {
-                let _ = writeln!(out, "  gauges: {}", peaks.join(" | "));
-            }
         }
-        if self.health.is_empty() {
-            let _ = writeln!(out, "health: no events");
-        } else {
-            let count = |sev| self.health.iter().filter(|e| e.severity == sev).count();
-            let _ = writeln!(
-                out,
-                "health: {} events ({} critical, {} warning, {} info)",
-                self.health.len(),
-                count(Severity::Critical),
-                count(Severity::Warning),
-                count(Severity::Info),
-            );
-            for e in &self.health {
-                let _ = writeln!(
-                    out,
-                    "  [{:>8} ms] {:<8} {}: {}",
-                    e.t_ms,
-                    e.severity.name().to_uppercase(),
-                    e.rule,
-                    e.message
-                );
-            }
-        }
-        out
     }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ct_obs::series::SeriesStore;
+    use ct_obs::health::HealthEvent;
+    use ct_obs::series::{SeriesSample, SeriesStore};
     use ct_obs::telemetry::{Counter, TelemetryHub};
 
     /// A deterministic two-window export built through the real
     /// producer types (no wall clock involved).
-    fn export() -> String {
+    fn export() -> SeriesExport {
         let hub = TelemetryHub::new(1, 8);
         let store = SeriesStore::new(16);
         let mut prev = hub.snapshot().with_source("cluster");
@@ -316,59 +149,25 @@ mod tests {
             message: "broadcast wedged".to_owned(),
         };
         store.record_events(vec![e.clone()], vec![e]);
-        store.export_jsonl()
+        SeriesExport::from_jsonl(&store.export_jsonl()).unwrap()
     }
 
     #[test]
-    fn parses_a_real_export_round_trip() {
-        let s = SeriesSummary::from_jsonl(&export()).unwrap();
-        assert_eq!(s.source, "cluster");
-        assert_eq!(s.samples.len(), 2);
-        assert_eq!(s.total("msgs.delivered"), 30);
-        assert_eq!(s.total("sched.quanta"), 8);
-        assert_eq!(s.span_ms(), 200);
-        assert_eq!(s.health.len(), 1);
-        assert_eq!(s.health[0].rule, "stall_precursor");
-        let text = s.render_text();
-        assert!(text.contains("windows=2"), "{text}");
+    fn renders_a_real_export() {
+        let s = export();
+        assert_eq!(total(&s, "msgs.delivered"), 30);
+        assert_eq!(total(&s, "sched.quanta"), 8);
+        assert_eq!(span_ms(&s), 200);
+        let text = render_text(&s);
+        assert!(text.contains("source=cluster, windows=2"), "{text}");
         assert!(text.contains("msgs.delivered: total 30"), "{text}");
         assert!(text.contains("CRITICAL stall_precursor"), "{text}");
     }
 
     #[test]
-    fn empty_export_is_valid() {
-        let s = SeriesSummary::from_jsonl("").unwrap();
-        assert_eq!(s.source, "none");
-        assert!(s.samples.is_empty());
-        let text = s.render_text();
+    fn empty_export_renders() {
+        let text = render_text(&SeriesExport::default());
         assert!(text.contains("no sample windows"), "{text}");
         assert!(text.contains("health: no events"), "{text}");
-    }
-
-    #[test]
-    fn rejects_wrong_schema_and_unknown_kind() {
-        let err = SeriesSummary::from_jsonl("{\"schema\":\"ct-series-v0\",\"kind\":\"sample\"}")
-            .unwrap_err();
-        assert!(err.contains("unsupported series schema"), "{err}");
-        let err = SeriesSummary::from_jsonl("{\"schema\":\"ct-series-v1\",\"kind\":\"gap\"}")
-            .unwrap_err();
-        assert!(err.contains("unknown kind"), "{err}");
-    }
-
-    #[test]
-    fn rejects_non_monotone_sequences() {
-        let jsonl = export();
-        // Duplicate the first sample line at the end: seq goes backwards.
-        let first = jsonl.lines().next().unwrap();
-        let broken = format!("{jsonl}{first}\n");
-        let err = SeriesSummary::from_jsonl(&broken).unwrap_err();
-        assert!(err.contains("does not increase"), "{err}");
-    }
-
-    #[test]
-    fn rejects_zero_width_windows() {
-        let broken = export().replacen("\"dt_ms\":100", "\"dt_ms\":0", 1);
-        let err = SeriesSummary::from_jsonl(&broken).unwrap_err();
-        assert!(err.contains("dt_ms must be at least 1"), "{err}");
     }
 }

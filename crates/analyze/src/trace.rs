@@ -1,16 +1,13 @@
 //! Read a JSONL event stream back into [`ct_obs::Event`]s.
 //!
-//! The inverse of [`ct_obs::Event::to_json`]: the same stable schema
-//! (`t`, optional `w`, `kind`, kind-specific fields), one event per
-//! line. Also provides the repetition splitter campaigns need — a
-//! campaign trace interleaves `rep i` phase spans, and each repetition
-//! restarts the logical clock, so analysis must treat them separately.
+//! One [`ct_obs::Event::from_json`] per line, the reader that sits
+//! beside the writer [`ct_obs::Event::to_json`]. Also provides the
+//! repetition splitter campaigns need — a campaign trace interleaves
+//! `rep i` phase spans, and each repetition restarts the logical clock,
+//! so analysis must treat them separately.
 
-use ct_core::protocol::{ColoredVia, Payload};
-use ct_logp::{Rank, Time};
+use ct_logp::Rank;
 use ct_obs::{Event, EventKind};
-
-use crate::value::Value;
 
 /// A parse failure, with the 1-based line number.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -29,98 +26,6 @@ impl core::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-}
-
-fn field_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing or non-string field {key:?}"))
-}
-
-fn payload_of(v: &Value) -> Result<Payload, String> {
-    match field_str(v, "payload")? {
-        "tree" => Ok(Payload::Tree),
-        "gossip" => Ok(Payload::Gossip {
-            round: field_u64(v, "round").unwrap_or(0) as u32,
-        }),
-        "correction" => Ok(Payload::Correction),
-        "ack" => Ok(Payload::Ack),
-        other => Err(format!("unknown payload {other:?}")),
-    }
-}
-
-/// Parse one JSONL line into an [`Event`].
-pub fn parse_event(line: &str) -> Result<Event, String> {
-    let v = Value::parse(line)?;
-    let t = Time::new(field_u64(&v, "t")?);
-    let wall = v.get("w").and_then(Value::as_u64);
-    let from_to = |v: &Value| -> Result<(Rank, Rank), String> {
-        Ok((field_u64(v, "from")? as Rank, field_u64(v, "to")? as Rank))
-    };
-    let kind = match field_str(&v, "kind")? {
-        "send" => {
-            let (from, to) = from_to(&v)?;
-            EventKind::SendStart {
-                from,
-                to,
-                payload: payload_of(&v)?,
-            }
-        }
-        "arrive" => {
-            let (from, to) = from_to(&v)?;
-            EventKind::Arrive {
-                from,
-                to,
-                payload: payload_of(&v)?,
-            }
-        }
-        "deliver" => {
-            let (from, to) = from_to(&v)?;
-            EventKind::Deliver {
-                from,
-                to,
-                payload: payload_of(&v)?,
-            }
-        }
-        "drop" => {
-            let (from, to) = from_to(&v)?;
-            EventKind::DropDead {
-                from,
-                to,
-                payload: payload_of(&v)?,
-            }
-        }
-        "colored" => EventKind::Colored {
-            rank: field_u64(&v, "rank")? as Rank,
-            via: match field_str(&v, "via")? {
-                "root" => ColoredVia::Root,
-                "dissemination" => ColoredVia::Dissemination,
-                "correction" => ColoredVia::Correction,
-                other => return Err(format!("unknown via {other:?}")),
-            },
-        },
-        "phase_begin" => EventKind::PhaseBegin {
-            name: field_str(&v, "name")?.to_owned(),
-        },
-        "phase_end" => EventKind::PhaseEnd {
-            name: field_str(&v, "name")?.to_owned(),
-        },
-        other => return Err(format!("unknown kind {other:?}")),
-    };
-    let event = match wall {
-        Some(w) => Event::wall(t, w, kind),
-        None => Event::sim(t, kind),
-    };
-    Ok(match v.get("b").and_then(Value::as_u64) {
-        Some(b) => event.with_bcast(b),
-        None => event,
-    })
-}
-
 /// Parse a whole JSONL document (blank lines skipped).
 pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, ParseError> {
     let mut events = Vec::new();
@@ -129,7 +34,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, ParseError> {
         if line.is_empty() {
             continue;
         }
-        events.push(parse_event(line).map_err(|message| ParseError {
+        events.push(Event::from_json(line).map_err(|message| ParseError {
             line: i + 1,
             message,
         })?);
@@ -201,6 +106,8 @@ pub fn infer_p(events: &[Event]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ct_core::protocol::{ColoredVia, Payload};
+    use ct_logp::Time;
 
     #[test]
     fn events_round_trip_through_jsonl() {
@@ -263,8 +170,15 @@ mod tests {
     }
 
     #[test]
-    fn unknown_kind_is_rejected() {
-        assert!(parse_event(r#"{"t":0,"kind":"warp"}"#).is_err());
+    fn unknown_kinds_and_wide_ranks_are_rejected() {
+        let err = parse_jsonl(r#"{"t":0,"kind":"warp"}"#).unwrap_err();
+        assert!(err.message.contains("unknown kind"), "{err}");
+        let wide = r#"{"t":0,"kind":"send","from":4294967296,"to":1,"payload":"tree"}"#;
+        let err = parse_jsonl(wide).unwrap_err();
+        assert_eq!(err.to_string(), "line 1: from: 4294967296 is out of range");
+        let round =
+            r#"{"t":0,"kind":"send","from":0,"to":1,"payload":"gossip","round":4294967296}"#;
+        assert!(parse_jsonl(round).is_err());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! `CT_REGEN_GOLDEN=1 cargo test -p ct-analyze --test golden_scheduler`
 //! and review the diff.
 
-use ct_analyze::SchedulerSummary;
-use ct_obs::telemetry::{Counter, Dist, TelemetryHub};
+use ct_analyze::scheduler::render_text;
+use ct_obs::telemetry::{Counter, Dist, TelemetryHub, TelemetrySnapshot};
 
 const GOLDEN_SNAPSHOT_PATH: &str = "tests/data/golden_telemetry.json";
 const GOLDEN_SNAPSHOT: &str = include_str!("data/golden_telemetry.json");
@@ -79,9 +79,8 @@ fn golden_summary_text_is_byte_for_byte_stable() {
     } else {
         GOLDEN_SNAPSHOT.to_owned()
     };
-    let summary =
-        SchedulerSummary::from_snapshot_json(json.trim_end()).expect("golden snapshot parses");
-    let text = summary.render_text();
+    let snap = TelemetrySnapshot::from_json(&json).expect("golden snapshot parses");
+    let text = render_text(&snap);
     if regen() {
         std::fs::write(GOLDEN_TEXT_PATH, &text).expect("write golden summary text");
         return;
@@ -95,7 +94,7 @@ fn golden_summary_text_is_byte_for_byte_stable() {
 
 #[test]
 fn golden_summary_is_internally_consistent() {
-    let s = SchedulerSummary::from_snapshot_json(GOLDEN_SNAPSHOT.trim_end()).unwrap();
+    let s = TelemetrySnapshot::from_json(GOLDEN_SNAPSHOT).unwrap();
     assert_eq!(s.source, "cluster");
     assert_eq!(s.workers, 2);
     assert_eq!(s.ranks, 8);
@@ -104,12 +103,12 @@ fn golden_summary_is_internally_consistent() {
     assert_eq!(s.counter("sched.stale_quanta"), 1);
     assert_eq!(s.counter("sim.reps"), 2);
     assert_eq!(s.counter("sim.incomplete"), 1);
-    assert_eq!(s.gauge("mailbox.hwm"), 2);
-    assert_eq!(s.gauge("runq.depth"), 1);
+    assert_eq!(s.gauges["mailbox.hwm"], 2);
+    assert_eq!(s.gauges["runq.depth"], 1);
     let h = s.histograms.get("sched.quantum_us").unwrap();
     assert_eq!(h.count(), 2);
     assert_eq!(h.sum(), 30);
-    let text = s.render_text();
+    let text = render_text(&s);
     assert!(text.contains("quanta: 12 (1 stale)"), "{text}");
     assert!(text.contains("sim: reps 2 (1 incomplete)"), "{text}");
 }

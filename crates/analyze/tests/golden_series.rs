@@ -8,9 +8,9 @@
 //! `CT_REGEN_GOLDEN=1 cargo test -p ct-analyze --test golden_series`
 //! and review the diff.
 
-use ct_analyze::SeriesSummary;
+use ct_analyze::series::render_text;
 use ct_obs::health::{HealthConfig, HealthEngine};
-use ct_obs::series::{SeriesSample, SeriesStore};
+use ct_obs::series::{SeriesExport, SeriesSample, SeriesStore};
 use ct_obs::telemetry::{Counter, TelemetryHub};
 
 const GOLDEN_JSONL_PATH: &str = "tests/data/golden_series.jsonl";
@@ -85,8 +85,8 @@ fn golden_summary_text_is_byte_for_byte_stable() {
     } else {
         GOLDEN_JSONL.to_owned()
     };
-    let summary = SeriesSummary::from_jsonl(&jsonl).expect("golden export parses");
-    let text = summary.render_text();
+    let export = SeriesExport::from_jsonl(&jsonl).expect("golden export parses");
+    let text = render_text(&export);
     if regen() {
         std::fs::write(GOLDEN_TEXT_PATH, &text).expect("write golden series summary");
         return;
@@ -105,12 +105,13 @@ fn golden_export_is_internally_consistent() {
         // plain run checks the regenerated one.
         return;
     }
-    let s = SeriesSummary::from_jsonl(GOLDEN_JSONL).unwrap();
-    assert_eq!(s.source, "cluster");
+    let s = SeriesExport::from_jsonl(GOLDEN_JSONL).unwrap();
+    assert!(s.samples.iter().all(|w| w.source == "cluster"));
     assert_eq!(s.samples.len(), 6);
-    assert_eq!(s.span_ms(), 600);
-    assert_eq!(s.total("sched.quanta"), 176);
-    assert_eq!(s.total("msgs.delivered"), 24);
+    let total = |name| s.samples.iter().map(|w| w.delta(name)).sum::<u64>();
+    assert_eq!(s.samples.iter().map(|w| w.dt_ms).sum::<u64>(), 600);
+    assert_eq!(total("sched.quanta"), 176);
+    assert_eq!(total("msgs.delivered"), 24);
     // The wedge: three zero-progress windows with an active iteration
     // fire exactly one critical stall precursor, in window five.
     assert_eq!(s.health.len(), 1);
@@ -118,7 +119,7 @@ fn golden_export_is_internally_consistent() {
     assert_eq!(e.rule, "stall_precursor");
     assert_eq!(e.seq, 4);
     assert_eq!(e.t_ms, 500);
-    let text = s.render_text();
+    let text = render_text(&s);
     assert!(text.contains("1 critical"), "{text}");
     assert!(text.contains("stall_precursor"), "{text}");
 }

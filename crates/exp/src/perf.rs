@@ -135,15 +135,7 @@ impl CampaignAnalysis {
         mon.field_u64("reps", u64::from(self.monitor.reps));
         obj.field_raw("monitor", &mon.finish());
         obj.field_raw("waste", &self.waste.to_json());
-        let mut health = String::from("[");
-        for (i, e) in self.health.iter().enumerate() {
-            if i > 0 {
-                health.push(',');
-            }
-            health.push_str(&e.to_json());
-        }
-        health.push(']');
-        obj.field_raw("health", &health);
+        obj.field_array("health", self.health.iter().map(HealthEvent::to_json));
         obj.finish()
     }
 }

@@ -12,7 +12,7 @@ use core::fmt;
 use ct_core::protocol::{ColoredVia, Payload};
 use ct_logp::{Rank, Time};
 
-use crate::json::JsonObject;
+use crate::json::{JsonObject, Value};
 
 /// Span names used by the built-in producers (free-form strings are
 /// also accepted; these are the ones emitted in-tree).
@@ -218,6 +218,58 @@ impl Event {
             }
         }
         obj.finish()
+    }
+
+    /// Read one JSONL line written by [`Event::to_json`]. Ranks and
+    /// gossip rounds wider than 32 bits are an error, not a truncation.
+    pub fn from_json(line: &str) -> Result<Event, String> {
+        let v = Value::parse(line)?;
+        let kind = v.str_field("kind")?;
+        let message = || -> Result<(Rank, Rank, Payload), String> {
+            let payload = match v.str_field("payload")? {
+                "tree" => Payload::Tree,
+                "gossip" => Payload::Gossip {
+                    round: v.int_field("round")?,
+                },
+                "correction" => Payload::Correction,
+                "ack" => Payload::Ack,
+                other => return Err(format!("payload: unknown payload {other:?}")),
+            };
+            Ok((v.int_field("from")?, v.int_field("to")?, payload))
+        };
+        let kind = match kind {
+            "send" | "arrive" | "deliver" | "drop" => {
+                let (from, to, payload) = message()?;
+                match kind {
+                    "send" => EventKind::SendStart { from, to, payload },
+                    "arrive" => EventKind::Arrive { from, to, payload },
+                    "deliver" => EventKind::Deliver { from, to, payload },
+                    _ => EventKind::DropDead { from, to, payload },
+                }
+            }
+            "colored" => EventKind::Colored {
+                rank: v.int_field("rank")?,
+                via: match v.str_field("via")? {
+                    "root" => ColoredVia::Root,
+                    "dissemination" => ColoredVia::Dissemination,
+                    "correction" => ColoredVia::Correction,
+                    other => return Err(format!("via: unknown via {other:?}")),
+                },
+            },
+            "phase_begin" => EventKind::PhaseBegin {
+                name: v.str_field("name")?.to_owned(),
+            },
+            "phase_end" => EventKind::PhaseEnd {
+                name: v.str_field("name")?.to_owned(),
+            },
+            other => return Err(format!("kind: unknown kind {other:?}")),
+        };
+        Ok(Event {
+            time: Time::new(v.int_field("t")?),
+            wall_us: v.opt_int_field("w")?,
+            bcast: v.opt_int_field("b")?,
+            kind,
+        })
     }
 }
 

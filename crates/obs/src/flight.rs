@@ -28,7 +28,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use crate::json::JsonObject;
+use crate::json::{JsonObject, Value};
 use crate::telemetry::SHARD_ALIGN;
 
 /// Sentinel for records that concern no particular rank (for example
@@ -114,6 +114,11 @@ impl FlightKind {
         }
     }
 
+    /// Parse the stable wire name back; `None` for anything else.
+    pub fn parse(name: &str) -> Option<FlightKind> {
+        FlightKind::ALL.into_iter().find(|k| k.name() == name)
+    }
+
     fn code(self) -> u32 {
         self as u32
     }
@@ -176,17 +181,35 @@ impl FlightRecord {
     /// Render as one deterministic JSON object.
     pub fn to_json(&self) -> String {
         let mut obj = JsonObject::new();
+        self.write_fields(&mut obj);
+        obj.finish()
+    }
+
+    /// Append the record's fields to `obj` (a postmortem's merged views
+    /// lead them with the shard index).
+    pub(crate) fn write_fields(&self, obj: &mut JsonObject) {
         obj.field_u64("seq", self.seq);
         obj.field_str("kind", self.kind.name());
-        if self.rank == NO_RANK {
-            obj.field_null("rank");
-        } else {
-            obj.field_u64("rank", u64::from(self.rank));
-        }
+        obj.field_opt_u64(
+            "rank",
+            (self.rank != NO_RANK).then_some(u64::from(self.rank)),
+        );
         obj.field_u64("aux", self.aux);
         obj.field_u64("step", self.step);
         obj.field_u64("wall_us", self.wall_us);
-        obj.finish()
+    }
+
+    /// Read a record written by [`FlightRecord::to_json`].
+    pub fn from_value(v: &Value) -> Result<FlightRecord, String> {
+        let kind = v.str_field("kind")?;
+        Ok(FlightRecord {
+            seq: v.int_field("seq")?,
+            kind: FlightKind::parse(kind).ok_or_else(|| format!("kind: unknown kind {kind:?}"))?,
+            rank: v.opt_int_field("rank")?.unwrap_or(NO_RANK),
+            aux: v.int_field("aux")?,
+            step: v.int_field("step")?,
+            wall_us: v.int_field("wall_us")?,
+        })
     }
 }
 
@@ -370,16 +393,17 @@ impl ShardTail {
         obj.field_u64("shard", self.shard as u64);
         obj.field_u64("written", self.written);
         obj.field_u64("lost", self.lost);
-        let mut arr = String::from("[");
-        for (i, r) in self.records.iter().enumerate() {
-            if i > 0 {
-                arr.push(',');
-            }
-            arr.push_str(&r.to_json());
-        }
-        arr.push(']');
-        obj.field_raw("records", &arr);
+        obj.field_array("records", self.records.iter().map(FlightRecord::to_json));
         obj.finish()
+    }
+
+    fn from_value(v: &Value) -> Result<ShardTail, String> {
+        Ok(ShardTail {
+            shard: v.int_field("shard")?,
+            written: v.int_field("written")?,
+            lost: v.int_field("lost")?,
+            records: v.items("records", FlightRecord::from_value)?,
+        })
     }
 }
 
@@ -441,16 +465,16 @@ impl FlightDump {
     pub fn to_json(&self) -> String {
         let mut obj = JsonObject::new();
         obj.field_u64("cap", self.cap);
-        let mut arr = String::from("[");
-        for (i, s) in self.shards.iter().enumerate() {
-            if i > 0 {
-                arr.push(',');
-            }
-            arr.push_str(&s.to_json());
-        }
-        arr.push(']');
-        obj.field_raw("shards", &arr);
+        obj.field_array("shards", self.shards.iter().map(ShardTail::to_json));
         obj.finish()
+    }
+
+    /// Read a dump written by [`FlightDump::to_json`].
+    pub fn from_value(v: &Value) -> Result<FlightDump, String> {
+        Ok(FlightDump {
+            cap: v.int_field("cap")?,
+            shards: v.items("shards", ShardTail::from_value)?,
+        })
     }
 }
 
@@ -565,10 +589,12 @@ mod tests {
     }
 
     #[test]
-    fn kind_codes_round_trip() {
+    fn kind_codes_and_names_round_trip() {
         for kind in FlightKind::ALL {
             assert_eq!(FlightKind::from_code(kind.code()), Some(kind));
+            assert_eq!(FlightKind::parse(kind.name()), Some(kind));
         }
+        assert_eq!(FlightKind::parse("warp"), None);
         assert_eq!(FlightKind::from_code(FlightKind::ALL.len() as u32), None);
     }
 }

@@ -20,7 +20,7 @@
 //! dumps as a precursor timeline, interleave into the `ct-series-v1`
 //! JSONL export, and are stamped into campaign manifests.
 
-use crate::json::JsonObject;
+use crate::json::{JsonObject, Value};
 use crate::series::SeriesSample;
 
 /// How bad a fired rule is.
@@ -86,13 +86,24 @@ impl HealthEvent {
         obj.field_str("severity", self.severity.name());
         obj.field_u64("seq", self.seq);
         obj.field_u64("t_ms", self.t_ms);
-        let mut vals = JsonObject::new();
-        for (name, v) in &self.values {
-            vals.field_u64(name, *v);
-        }
-        obj.field_raw("values", &vals.finish());
+        obj.field_u64_map("values", self.values.iter().map(|(k, v)| (k, v)));
         obj.field_str("message", &self.message);
         obj.finish()
+    }
+
+    /// Read an event written by [`HealthEvent::to_json`] (its `schema`
+    /// and `kind` tags are the caller's to check).
+    pub fn from_value(v: &Value) -> Result<HealthEvent, String> {
+        let severity = v.str_field("severity")?;
+        Ok(HealthEvent {
+            rule: v.str_field("rule")?.to_owned(),
+            severity: Severity::parse(severity)
+                .ok_or_else(|| format!("severity: unknown severity {severity:?}"))?,
+            seq: v.int_field("seq")?,
+            t_ms: v.int_field("t_ms")?,
+            values: v.u64_map("values")?,
+            message: v.str_field("message")?.to_owned(),
+        })
     }
 }
 

@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::health::HealthEvent;
 use crate::json::JsonObject;
 use crate::series::SeriesStore;
 use crate::telemetry::TelemetryHub;
@@ -200,7 +201,7 @@ fn parse_request_line(line: &str) -> Option<(&str, &str)> {
 
 /// The `/health` body: overall status plus the currently active
 /// events.
-fn health_json(active: &[crate::health::HealthEvent], critical: usize) -> String {
+fn health_json(active: &[HealthEvent], critical: usize) -> String {
     let mut obj = JsonObject::new();
     obj.field_str("schema", crate::series::SCHEMA);
     obj.field_str(
@@ -213,15 +214,7 @@ fn health_json(active: &[crate::health::HealthEvent], critical: usize) -> String
             "degraded"
         },
     );
-    let mut arr = String::from("[");
-    for (i, e) in active.iter().enumerate() {
-        if i > 0 {
-            arr.push(',');
-        }
-        arr.push_str(&e.to_json());
-    }
-    arr.push(']');
-    obj.field_raw("active", &arr);
+    obj.field_array("active", active.iter().map(HealthEvent::to_json));
     obj.finish() + "\n"
 }
 
@@ -290,7 +283,7 @@ pub fn http_get(addr: &str, path: &str, timeout: Duration) -> std::io::Result<(u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::health::{HealthEvent, Severity};
+    use crate::health::Severity;
     use crate::series::SeriesStore;
     use crate::telemetry::Counter;
 

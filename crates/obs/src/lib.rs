@@ -38,11 +38,18 @@
 //! * [`health`] — [`HealthEngine`], per-window anomaly rules (stall
 //!   precursor, spill spike, run-queue saturation, busy imbalance,
 //!   timer-cascade storm) producing structured [`HealthEvent`]s.
+//! * [`stall`] — [`StallReport`], what the cluster watchdog saw when a
+//!   broadcast timed out.
+//! * [`postmortem`] — [`Postmortem`], the `ct-postmortem-v1` dump that
+//!   bundles a stall report, a telemetry snapshot, the health timeline
+//!   and the frozen flight rings.
 //! * [`http`] — [`HttpServer`], a minimal hand-rolled HTTP/1.1 server
 //!   exposing `/metrics`, `/series.jsonl` and `/health` to a real
 //!   Prometheus scraper.
-//! * [`json`] — the tiny hand-rolled JSON writer backing all of the
-//!   above (deterministic field order, no serde).
+//! * [`json`] — the one JSON module: the writer every schema above
+//!   renders with and the [`json::Value`] reader its `from_value` /
+//!   `from_json` reads back with, next to the writer (deterministic
+//!   field order, bounded nesting, exact integers, no serde).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,8 +63,10 @@ pub mod json;
 pub mod manifest;
 pub mod metrics;
 pub mod monitor;
+pub mod postmortem;
 pub mod series;
 pub mod sink;
+pub mod stall;
 pub mod telemetry;
 
 pub use chrome::chrome_trace;
@@ -68,6 +77,8 @@ pub use http::{monitor_handler, HttpServer, Response};
 pub use manifest::{default_threads, RunManifest};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use monitor::{Invariant, MonitorConfig, MonitorReport, MonitorSink, Violation};
-pub use series::{Sampler, SeriesRing, SeriesSample, SeriesStore};
+pub use postmortem::Postmortem;
+pub use series::{Sampler, SeriesExport, SeriesRing, SeriesSample, SeriesStore};
 pub use sink::{EventSink, JsonlSink, MetricsSink, NullSink, VecSink};
+pub use stall::{RankStall, StallReport};
 pub use telemetry::{TelemetryHub, TelemetrySnapshot};

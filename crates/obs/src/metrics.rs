@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 
 use crate::event::{Event, EventKind};
-use crate::json::JsonObject;
+use crate::json::{JsonObject, Value};
 
 /// A fixed-bucket histogram over `u64` observations.
 ///
@@ -29,28 +29,13 @@ impl Histogram {
     /// # Panics
     /// If `bounds` is empty or not strictly increasing.
     pub fn with_bounds(bounds: &[u64]) -> Histogram {
-        assert!(
-            !bounds.is_empty(),
-            "histogram needs at least one bucket bound"
-        );
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
+        let counts = vec![0; bounds.len() + 1];
+        Histogram::from_parts(bounds.to_vec(), counts, 0, 0, u64::MAX, 0)
     }
 
     /// Reassemble a histogram from raw parts — the counterpart of the
     /// accessors, used to snapshot atomic histograms
-    /// ([`crate::telemetry::TelemetryHub`]) and to parse a rendered
-    /// [`Histogram::to_json`] back into a value. An empty histogram
+    /// ([`crate::telemetry::TelemetryHub`]). An empty histogram
     /// (`count == 0`) normalizes `min`/`max` to the empty sentinels
     /// regardless of what was passed.
     ///
@@ -66,24 +51,9 @@ impl Histogram {
         min: u64,
         max: u64,
     ) -> Histogram {
-        assert!(
-            !bounds.is_empty(),
-            "histogram needs at least one bucket bound"
-        );
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        assert_eq!(
-            counts.len(),
-            bounds.len() + 1,
-            "counts must cover every bound plus overflow"
-        );
-        assert_eq!(
-            counts.iter().sum::<u64>(),
-            count,
-            "bucket counts must sum to the total count"
-        );
+        if let Err(e) = check_buckets(&bounds, &counts, count) {
+            panic!("histogram {e}");
+        }
         let (min, max) = if count == 0 {
             (u64::MAX, 0)
         } else {
@@ -97,6 +67,29 @@ impl Histogram {
             min,
             max,
         }
+    }
+
+    /// Read a histogram written by [`Histogram::to_json`], checking
+    /// what [`Histogram::from_parts`] asserts, and that `min`/`max` are
+    /// `null` exactly when it is empty.
+    pub fn from_value(v: &Value) -> Result<Histogram, String> {
+        let bounds = v.u64_array("bounds")?;
+        let counts = v.u64_array("counts")?;
+        let count = v.int_field("count")?;
+        check_buckets(&bounds, &counts, count)?;
+        let (min, max) = match (v.opt_int_field("min")?, v.opt_int_field("max")?) {
+            (Some(min), Some(max)) if count > 0 => (min, max),
+            (None, None) if count == 0 => (u64::MAX, 0),
+            _ => return Err("min: min and max must be null exactly when count is 0".to_owned()),
+        };
+        Ok(Histogram {
+            bounds,
+            counts,
+            count,
+            sum: v.int_field("sum")?,
+            min,
+            max,
+        })
     }
 
     /// The default latency buckets: powers of two from 1 to 2²⁰ —
@@ -253,18 +246,29 @@ impl Histogram {
         obj.field_u64_array("counts", &self.counts);
         obj.field_u64("count", self.count);
         obj.field_u64("sum", self.sum);
-        match (self.min(), self.max()) {
-            (Some(min), Some(max)) => {
-                obj.field_u64("min", min);
-                obj.field_u64("max", max);
-            }
-            _ => {
-                obj.field_null("min");
-                obj.field_null("max");
-            }
-        }
+        obj.field_opt_u64("min", self.min());
+        obj.field_opt_u64("max", self.max());
         obj.finish()
     }
+}
+
+/// The bucket layout both [`Histogram::from_parts`] and
+/// [`Histogram::from_value`] require.
+fn check_buckets(bounds: &[u64], counts: &[u64], count: u64) -> Result<(), String> {
+    if bounds.is_empty() || bounds.windows(2).any(|w| w[0] >= w[1]) {
+        return Err("bounds: must be non-empty and strictly increasing".to_owned());
+    }
+    if counts.len() != bounds.len() + 1 {
+        return Err(format!(
+            "counts: needs {} buckets (one per bound plus overflow), got {}",
+            bounds.len() + 1,
+            counts.len()
+        ));
+    }
+    if counts.iter().try_fold(0u64, |a, &c| a.checked_add(c)) != Some(count) {
+        return Err("counts: bucket counts do not sum to count".to_owned());
+    }
+    Ok(())
 }
 
 impl Default for Histogram {
@@ -405,16 +409,12 @@ impl MetricsRegistry {
 
     /// Render as a JSON object `{"counters":{...},"histograms":{...}}`.
     pub fn to_json(&self) -> String {
-        let mut counters = JsonObject::new();
-        for (name, v) in &self.counters {
-            counters.field_u64(name, *v);
-        }
         let mut histograms = JsonObject::new();
         for (name, h) in &self.histograms {
             histograms.field_raw(name, &h.to_json());
         }
         let mut obj = JsonObject::new();
-        obj.field_raw("counters", &counters.finish());
+        obj.field_u64_map("counters", &self.counters);
         obj.field_raw("histograms", &histograms.finish());
         obj.finish()
     }

@@ -282,8 +282,7 @@ impl MonitorReport {
         obj.field_u64("violations", self.violations.len() as u64);
         obj.field_u64("events", self.events);
         obj.field_u64("reps", u64::from(self.reps));
-        let records: Vec<String> = self.violations.iter().map(Violation::to_json).collect();
-        obj.field_raw("records", &format!("[{}]", records.join(",")));
+        obj.field_array("records", self.violations.iter().map(Violation::to_json));
         obj.finish()
     }
 

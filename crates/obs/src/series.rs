@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::health::{HealthConfig, HealthEngine, HealthEvent};
-use crate::json::JsonObject;
+use crate::json::{JsonObject, Value};
 use crate::telemetry::{Counter, TelemetryHub, TelemetrySnapshot};
 
 /// Schema tag stamped into every exported line; bump on any
@@ -164,18 +164,112 @@ impl SeriesSample {
         obj.field_u64("dt_ms", self.dt_ms);
         obj.field_u64("workers", self.workers);
         obj.field_u64("ranks", self.ranks);
-        let mut counters = JsonObject::new();
-        for (name, v) in &self.counters {
-            counters.field_u64(name, *v);
-        }
-        obj.field_raw("counters", &counters.finish());
-        let mut gauges = JsonObject::new();
-        for (name, v) in &self.gauges {
-            gauges.field_u64(name, *v);
-        }
-        obj.field_raw("gauges", &gauges.finish());
+        obj.field_u64_map("counters", &self.counters);
+        obj.field_u64_map("gauges", &self.gauges);
         obj.field_u64_array("worker_busy_us", &self.worker_busy_us);
         obj.finish()
+    }
+
+    /// Read a window written by [`SeriesSample::to_json`] (its `schema`
+    /// and `kind` tags are the caller's to check).
+    pub fn from_value(v: &Value) -> Result<SeriesSample, String> {
+        let dt_ms = v.int_field("dt_ms")?;
+        if dt_ms == 0 {
+            return Err("dt_ms must be at least 1".to_owned());
+        }
+        Ok(SeriesSample {
+            source: v.str_field("source")?.to_owned(),
+            seq: v.int_field("seq")?,
+            t_ms: v.int_field("t_ms")?,
+            dt_ms,
+            workers: v.int_field("workers")?,
+            ranks: v.int_field("ranks")?,
+            counters: v.u64_map("counters")?,
+            gauges: v.u64_map("gauges")?,
+            worker_busy_us: v.u64_array("worker_busy_us")?,
+        })
+    }
+}
+
+/// A whole `ct-series-v1` export: the sample windows, oldest first, and
+/// the health events, in firing order.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct SeriesExport {
+    /// The sample windows, oldest first.
+    pub samples: Vec<SeriesSample>,
+    /// The health events, in firing order.
+    pub health: Vec<HealthEvent>,
+}
+
+impl SeriesExport {
+    /// Render as JSONL: one `"kind":"sample"` or `"kind":"health"` line
+    /// per record, merged in time order (health after samples at equal
+    /// `t_ms`), trailing newline included. Empty string when there is
+    /// nothing to export.
+    pub fn to_jsonl(&self) -> String {
+        let mut lines: Vec<(u64, u8, String)> = Vec::new();
+        lines.extend(self.samples.iter().map(|s| (s.t_ms, 0, s.to_json())));
+        lines.extend(self.health.iter().map(|e| (e.t_ms, 1, e.to_json())));
+        lines.sort_by_key(|a| (a.0, a.1));
+        lines.into_iter().map(|(_, _, line)| line + "\n").collect()
+    }
+
+    /// Read an export written by [`SeriesExport::to_jsonl`]. Every line
+    /// must carry the schema tag and a known `kind`, sample sequence
+    /// numbers must increase strictly, timestamps must be monotone,
+    /// every sample must name the same source and span at least a
+    /// millisecond, so a drifted producer fails here. An export with no
+    /// lines is valid (a run shorter than one window).
+    pub fn from_jsonl(text: &str) -> Result<SeriesExport, String> {
+        let mut export = SeriesExport::default();
+        for (i, line) in text.lines().enumerate() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            export
+                .push_line(line)
+                .map_err(|e| format!("line {}: {e}", i + 1))?;
+        }
+        Ok(export)
+    }
+
+    fn push_line(&mut self, line: &str) -> Result<(), String> {
+        let v = Value::parse(line)?;
+        let schema = v.str_field("schema")?;
+        if schema != SCHEMA {
+            return Err(format!(
+                "schema: unsupported series schema {schema:?} (want {SCHEMA:?})"
+            ));
+        }
+        match v.str_field("kind")? {
+            "sample" => {
+                let s = SeriesSample::from_value(&v)?;
+                if let Some(prev) = self.samples.last() {
+                    if s.seq <= prev.seq {
+                        return Err(format!(
+                            "seq: sample seq {} does not increase past {}",
+                            s.seq, prev.seq
+                        ));
+                    }
+                    if s.t_ms < prev.t_ms {
+                        return Err(format!(
+                            "t_ms: sample t_ms {} precedes {}",
+                            s.t_ms, prev.t_ms
+                        ));
+                    }
+                    if s.source != prev.source {
+                        return Err(format!(
+                            "source: {:?} does not match {:?}",
+                            s.source, prev.source
+                        ));
+                    }
+                }
+                self.samples.push(s);
+            }
+            "health" => self.health.push(HealthEvent::from_value(&v)?),
+            other => return Err(format!("kind: unknown kind {other:?}")),
+        }
+        Ok(())
     }
 }
 
@@ -314,28 +408,14 @@ impl SeriesStore {
             .collect()
     }
 
-    /// Export the retained windows and the full health log as JSONL:
-    /// one `"kind":"sample"` or `"kind":"health"` line per record,
-    /// merged in time order (health after samples at equal `t_ms`),
-    /// trailing newline included. Empty string when nothing was
-    /// recorded.
+    /// Export the retained windows and the full health log
+    /// ([`SeriesExport::to_jsonl`]).
     pub fn export_jsonl(&self) -> String {
-        let samples = self.samples();
-        let events = self.events();
-        let mut lines: Vec<(u64, u8, String)> = Vec::with_capacity(samples.len() + events.len());
-        for s in &samples {
-            lines.push((s.t_ms, 0, s.to_json()));
+        SeriesExport {
+            samples: self.samples(),
+            health: self.events(),
         }
-        for e in &events {
-            lines.push((e.t_ms, 1, e.to_json()));
-        }
-        lines.sort_by_key(|a| (a.0, a.1));
-        let mut out = String::new();
-        for (_, _, line) in lines {
-            out.push_str(&line);
-            out.push('\n');
-        }
-        out
+        .to_jsonl()
     }
 }
 
@@ -502,6 +582,24 @@ mod tests {
         );
         assert!(json.ends_with("\"worker_busy_us\":[2]}"), "{json}");
         assert_eq!(json, s.to_json());
+    }
+
+    #[test]
+    fn reader_rejects_drifted_exports() {
+        let reject = |jsonl: &str| SeriesExport::from_jsonl(jsonl).unwrap_err();
+        let err = reject("{\"schema\":\"ct-series-v0\",\"kind\":\"sample\"}");
+        assert!(err.contains("unsupported series schema"), "{err}");
+        let err = reject("\n{\"schema\":\"ct-series-v1\",\"kind\":\"gap\"}");
+        assert_eq!(err, "line 2: kind: unknown kind \"gap\"");
+        let (a, b) = (sample(1).to_json(), sample(2).to_json());
+        assert!(reject(&format!("{b}\n{a}\n")).contains("does not increase"));
+        let zero = a.replacen("\"dt_ms\":100", "\"dt_ms\":0", 1);
+        assert_eq!(reject(&zero), "line 1: dt_ms must be at least 1");
+        assert_eq!(
+            SeriesExport::from_jsonl(""),
+            Ok(SeriesExport::default()),
+            "a run shorter than one window exports nothing"
+        );
     }
 
     #[test]

@@ -37,13 +37,14 @@
 //!   carries the full counter catalogue (cluster counters are zero on a
 //!   sim snapshot and vice versa), rendered byte-stably (schema tag
 //!   [`SCHEMA`], sorted maps, deterministic float format) so snapshots
-//!   can be diffed, golden-tested and parsed by `ct-analyze`.
+//!   can be diffed, golden-tested and read back by
+//!   [`TelemetrySnapshot::from_json`].
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::json::JsonObject;
+use crate::json::{u64_object, within, JsonObject, Value};
 use crate::metrics::Histogram;
 
 /// Schema tag stamped into every rendered snapshot; bump on any
@@ -636,40 +637,52 @@ impl TelemetrySnapshot {
 
     /// Render as one deterministic JSON object (schema [`SCHEMA`]).
     pub fn to_json(&self) -> String {
-        let mut counters = JsonObject::new();
-        for (name, v) in &self.counters {
-            counters.field_u64(name, *v);
-        }
-        let mut gauges = JsonObject::new();
-        for (name, v) in &self.gauges {
-            gauges.field_u64(name, *v);
-        }
         let mut histograms = JsonObject::new();
         for (name, h) in &self.histograms {
             histograms.field_raw(name, &h.to_json());
         }
-        let mut per_worker = String::from("[");
-        for (i, w) in self.per_worker.iter().enumerate() {
-            if i > 0 {
-                per_worker.push(',');
-            }
-            let mut obj = JsonObject::new();
-            for (name, v) in w {
-                obj.field_u64(name, *v);
-            }
-            per_worker.push_str(&obj.finish());
-        }
-        per_worker.push(']');
         let mut obj = JsonObject::new();
         obj.field_str("schema", SCHEMA);
         obj.field_str("source", &self.source);
         obj.field_u64("workers", self.workers);
         obj.field_u64("ranks", self.ranks);
-        obj.field_raw("counters", &counters.finish());
-        obj.field_raw("gauges", &gauges.finish());
+        obj.field_u64_map("counters", &self.counters);
+        obj.field_u64_map("gauges", &self.gauges);
         obj.field_raw("histograms", &histograms.finish());
-        obj.field_raw("per_worker", &per_worker);
+        obj.field_array("per_worker", self.per_worker.iter().map(u64_object));
         obj.finish()
+    }
+
+    /// Read a snapshot written by [`TelemetrySnapshot::to_json`]. Every
+    /// counter must be an unsigned integer and every histogram
+    /// internally consistent, so a drifted producer fails here.
+    pub fn from_json(text: &str) -> Result<TelemetrySnapshot, String> {
+        TelemetrySnapshot::from_value(&Value::parse(text)?)
+    }
+
+    /// [`TelemetrySnapshot::from_json`] over a parsed value (a snapshot
+    /// nested in a larger document).
+    pub fn from_value(v: &Value) -> Result<TelemetrySnapshot, String> {
+        let schema = v.str_field("schema")?;
+        if schema != SCHEMA {
+            return Err(format!(
+                "schema: unsupported telemetry schema {schema:?} (want {SCHEMA:?})"
+            ));
+        }
+        let mut histograms = BTreeMap::new();
+        for (name, h) in v.obj_field("histograms")? {
+            let h = Histogram::from_value(h).map_err(within(&format!("histograms.{name}")))?;
+            histograms.insert(name.clone(), h);
+        }
+        Ok(TelemetrySnapshot {
+            source: v.str_field("source")?.to_owned(),
+            workers: v.int_field("workers")?,
+            ranks: v.int_field("ranks")?,
+            counters: v.u64_map("counters")?,
+            gauges: v.u64_map("gauges")?,
+            histograms,
+            per_worker: v.items("per_worker", Value::u64_entries)?,
+        })
     }
 
     /// Render as Prometheus text exposition: every counter as
@@ -951,6 +964,31 @@ mod tests {
         for d in Dist::ALL {
             assert!(a.contains(&format!("\"{}\":", d.name())), "{}", d.name());
         }
+    }
+
+    #[test]
+    fn reader_rejects_drifted_snapshots() {
+        let err = TelemetrySnapshot::from_json(r#"{"schema":"ct-telemetry-v0"}"#).unwrap_err();
+        assert!(err.contains("unsupported telemetry schema"), "{err}");
+        let hub = TelemetryHub::new(1, 8);
+        hub.record_sim_rep(100, 30, 40, true);
+        hub.record_sim_rep(120, 31, 44, false);
+        let json = hub.snapshot().with_source("sim").to_json();
+        // Break one histogram's internal consistency: bump its count
+        // without touching the buckets.
+        let broken = json.replacen("\"count\":2", "\"count\":3", 1);
+        assert_ne!(json, broken, "fixture must contain a count to break");
+        let err = TelemetrySnapshot::from_json(&broken).unwrap_err();
+        assert!(err.contains("do not sum"), "{err}");
+        assert!(
+            err.starts_with("histograms.sim.rep_events.counts: "),
+            "{err}"
+        );
+        let err = TelemetrySnapshot::from_json(
+            r#"{"schema":"ct-telemetry-v1","source":"sim","workers":1,"ranks":1,"counters":{"sim.reps":1.5},"gauges":{},"histograms":{},"per_worker":[{}]}"#,
+        )
+        .unwrap_err();
+        assert_eq!(err, "counters.sim.reps: must be an unsigned integer");
     }
 
     #[test]

@@ -66,6 +66,7 @@ use ct_obs::metrics::Histogram;
 use ct_obs::series::{Sampler, SeriesStore, DEFAULT_SERIES_CAP};
 use ct_obs::telemetry::{Counter as Tc, Dist as Td, TelemetryHub};
 use ct_obs::{Event as ObsEvent, EventKind as ObsEventKind, EventSink, NullSink};
+use ct_obs::{Postmortem, RankStall, StallReport};
 
 /// Worker-pool size: the process's one thread-count rule (`CT_THREADS`,
 /// else the available parallelism), shared with the experiment
@@ -74,8 +75,6 @@ pub use ct_obs::default_threads;
 
 use crate::inbox::{CoordMsg, Inbox, RecvError};
 use crate::mailbox::{Mailbox, Msg};
-use crate::postmortem::Postmortem;
-use crate::stall::{RankStall, StallReport};
 use crate::timer::TimerWheel;
 
 /// Upper bound on ranks a worker claims per run-queue lock.

@@ -21,6 +21,11 @@
 //! [`harness`] layers an OSU-benchmark-style measurement loop on top:
 //! repeated broadcasts with warmup, reporting per-iteration latency from
 //! the root's start until every live rank holds the payload.
+//!
+//! What the watchdog reports on a stall ([`StallReport`]) and the dump
+//! written when a run dies ([`Postmortem`]) are `ct-obs` types, re-exported
+//! here: their readers sit next to their writers there, so a consumer
+//! such as `ct-analyze` reads them without depending on this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,15 +34,12 @@ pub mod cluster;
 pub mod harness;
 mod inbox;
 mod mailbox;
-pub mod postmortem;
 pub mod pubsub;
-pub mod stall;
 mod timer;
 
 pub use cluster::{
     default_flight_cap, default_threads, Cluster, ClusterConfig, ClusterError, RunReport,
 };
+pub use ct_obs::{Postmortem, RankStall, StallReport};
 pub use harness::{BenchConfig, BenchResult};
-pub use postmortem::Postmortem;
 pub use pubsub::{BroadcastOutcome, PubsubOptions, PubsubReport, Topic, TopicTable};
-pub use stall::{RankStall, StallReport};

@@ -21,18 +21,20 @@ use std::sync::Arc;
 
 use corrected_trees::analysis::Summary;
 use corrected_trees::analyze::{
-    analyze_forensics, analyze_trace, infer_p, parse_jsonl, split_reps, AnalysisSummary,
-    AnalyzeConfig, PostmortemReport, SchedulerSummary, SeriesSummary,
+    analyze_forensics, analyze_trace, infer_p, parse_jsonl, postmortem, scheduler, series,
+    split_reps, AnalysisSummary, AnalyzeConfig,
 };
 use corrected_trees::core::correction::CorrectionKind;
-use corrected_trees::core::protocol::{BroadcastSpec, Payload};
+use corrected_trees::core::protocol::BroadcastSpec;
 use corrected_trees::core::tree::{interleaving, stats, Ordering, Topology, TreeKind};
 use corrected_trees::exp::{Campaign, FaultSpec, Variant};
 use corrected_trees::logp::LogP;
 use corrected_trees::obs::http::{http_get, monitor_handler, HttpServer};
-use corrected_trees::obs::series::{default_sample_ms, SeriesSample, SeriesStore};
+use corrected_trees::obs::series::{default_sample_ms, SeriesExport, SeriesSample, SeriesStore};
 use corrected_trees::obs::telemetry::{TelemetryHub, TelemetrySnapshot};
-use corrected_trees::obs::{chrome_trace, Event, EventKind, MonitorConfig, MonitorSink};
+use corrected_trees::obs::{
+    chrome_trace, Event, EventKind, HealthEvent, MonitorConfig, MonitorSink, Postmortem,
+};
 use corrected_trees::runtime::{
     default_flight_cap, Cluster, ClusterConfig, PubsubOptions, Topic, TopicTable,
 };
@@ -160,7 +162,7 @@ fn usage() -> ! {
            renders the per-stranded-rank causal reconstruction (last\n\
            poll, last mailbox push and its sender, pending timers) from\n\
            a ct-postmortem-v1 dump written on watchdog stall, worker\n\
-           panic, or monitor violation; --json echoes the validated dump\n\
+           panic, or monitor violation; --json prints the dump as read\n\
          env (cluster-runtime sizing and sampling):\n\
            CT_THREADS       worker threads         (default: available cores)\n\
            CT_MAILBOX_CAP   inline mailbox slots per rank    (default 64)\n\
@@ -469,91 +471,54 @@ fn cmd_sweep(cli: &Cli) {
     );
 }
 
-fn payload_tag(p: Payload) -> &'static str {
-    match p {
-        Payload::Tree => "tree",
-        Payload::Gossip { .. } => "gossip",
-        Payload::Correction => "correction",
-        Payload::Ack => "ack",
-    }
-}
-
 fn cmd_analyze(cli: &Cli) {
-    // The scheduler view reads a telemetry snapshot, not an event
-    // trace — handle it before any trace parsing.
-    if cli.value("--view") == Some("scheduler") {
-        let Some(path) = cli.value("--input") else {
-            eprintln!(
-                "--view scheduler requires --input <snapshot.json> (write one with ct stats)"
-            );
-            std::process::exit(2);
-        };
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(2);
-        });
-        let summary = SchedulerSummary::from_snapshot_json(text.trim_end()).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(2);
-        });
-        if cli.flag("--json") {
-            // Schema-validated round trip of the snapshot itself.
-            println!("{}", text.trim_end());
-        } else {
-            print!("{}", summary.render_text());
+    // The scheduler, series and postmortem views read a telemetry
+    // snapshot, a sampler export and a flight-recorder dump, not an
+    // event trace — handle them before any trace parsing.
+    let view = cli.value("--view").unwrap_or("summary");
+    let need = match view {
+        "scheduler" => Some("<snapshot.json> (write one with ct stats)"),
+        "series" => {
+            Some("<series.jsonl> (write one with ct serve --series or ct stats --runtime --series)")
         }
-        return;
-    }
-    // Likewise for the series view: it reads a sampler JSONL export,
-    // not an event trace.
-    if cli.value("--view") == Some("series") {
+        "postmortem" => Some(
+            "<dump.json> (written on a stall by ct stats --runtime / ct top / ct check --runtime)",
+        ),
+        _ => None,
+    };
+    if let Some(need) = need {
         let Some(path) = cli.value("--input") else {
-            eprintln!(
-                "--view series requires --input <series.jsonl> (write one with \
-                 ct serve --series or ct stats --runtime --series)"
-            );
+            eprintln!("--view {view} requires --input {need}");
             std::process::exit(2);
         };
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(2);
-        });
-        let summary = SeriesSummary::from_jsonl(&text).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(2);
-        });
-        if cli.flag("--json") {
-            // Schema-validated round trip of the export itself.
-            print!("{text}");
-        } else {
-            print!("{}", summary.render_text());
+        // Under --json each view prints what it read as its writer
+        // renders it.
+        let json = cli.flag("--json");
+        match view {
+            "scheduler" => {
+                let snap = read_input(path, TelemetrySnapshot::from_json);
+                if json {
+                    println!("{}", snap.to_json());
+                } else {
+                    print!("{}", scheduler::render_text(&snap));
+                }
+            }
+            "series" => {
+                let export = read_input(path, SeriesExport::from_jsonl);
+                if json {
+                    print!("{}", export.to_jsonl());
+                } else {
+                    print!("{}", series::render_text(&export));
+                }
+            }
+            _ => render_postmortem(cli, path),
         }
-        return;
-    }
-    // Likewise for the postmortem view: it reads a flight-recorder
-    // dump, not an event trace.
-    if cli.value("--view") == Some("postmortem") {
-        let Some(path) = cli.value("--input") else {
-            eprintln!(
-                "--view postmortem requires --input <dump.json> (written on a stall by \
-                 ct stats --runtime / ct top / ct check --runtime)"
-            );
-            std::process::exit(2);
-        };
-        render_postmortem(cli, path);
         return;
     }
     let logp: LogP = cli.parsed("--logp", LogP::PAPER);
     let mut cfg = AnalyzeConfig::new(logp);
     let events = if let Some(path) = cli.value("--input") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(2);
-        });
-        parse_jsonl(&text).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(2);
-        })
+        read_trace(path)
     } else {
         // No input file: run the configuration live, exactly like
         // `ct run`, and analyze the events it produces.
@@ -577,7 +542,7 @@ fn cmd_analyze(cli: &Cli) {
         cfg = cfg.with_sync_start(t.parse().unwrap_or_else(|_| usage()));
     }
     let ta = analyze_trace(&events, &cfg);
-    match cli.value("--view").unwrap_or("summary") {
+    match view {
         "summary" => {
             let s = AnalysisSummary::from_trace(&ta);
             if cli.flag("--json") {
@@ -619,7 +584,7 @@ fn cmd_analyze(cli: &Cli) {
                         s.end,
                         s.class.label(),
                         s.rank,
-                        payload_tag(s.payload)
+                        Event::payload_tag(s.payload)
                     );
                 }
             }
@@ -648,22 +613,14 @@ fn cmd_analyze(cli: &Cli) {
 }
 
 /// Shared body of `ct postmortem` and `ct analyze --view postmortem`:
-/// parse a `ct-postmortem-v1` dump and render the causal
-/// reconstruction (or echo the validated JSON under `--json`).
+/// read a `ct-postmortem-v1` dump and render the causal reconstruction
+/// (or, under `--json`, the dump as its writer renders it).
 fn render_postmortem(cli: &Cli, path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("{path}: {e}");
-        std::process::exit(2);
-    });
-    let report = PostmortemReport::from_json(text.trim_end()).unwrap_or_else(|e| {
-        eprintln!("{path}: {e}");
-        std::process::exit(2);
-    });
+    let pm = read_input(path, Postmortem::from_json);
     if cli.flag("--json") {
-        // Schema-validated round trip of the dump itself.
-        println!("{}", text.trim_end());
+        println!("{}", pm.to_json());
     } else {
-        print!("{}", report.render_text());
+        print!("{}", postmortem::render_text(&pm));
     }
 }
 
@@ -677,15 +634,26 @@ fn cmd_postmortem(cli: &Cli) {
     render_postmortem(cli, path);
 }
 
-fn read_trace(path: &str) -> Vec<Event> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+/// Read `path` and parse it with `parse`. A file that cannot be read,
+/// is not UTF-8 or does not parse exits 2 with the file name and the
+/// error — which names its position — on stderr.
+fn read_input<T>(path: &str, parse: impl FnOnce(&str) -> Result<T, String>) -> T {
+    let fail = |e: String| -> ! {
         eprintln!("{path}: {e}");
         std::process::exit(2);
+    };
+    let bytes = std::fs::read(path).unwrap_or_else(|e| fail(e.to_string()));
+    let text = String::from_utf8(bytes).unwrap_or_else(|e| {
+        fail(format!(
+            "not UTF-8 at byte {}",
+            e.utf8_error().valid_up_to()
+        ))
     });
-    parse_jsonl(&text).unwrap_or_else(|e| {
-        eprintln!("{path}: {e}");
-        std::process::exit(2);
-    })
+    parse(&text).unwrap_or_else(|e| fail(e))
+}
+
+fn read_trace(path: &str) -> Vec<Event> {
+    read_input(path, |text| parse_jsonl(text).map_err(|e| e.to_string()))
 }
 
 /// `ct check` — run the streaming invariant monitor over a recorded
@@ -1231,10 +1199,8 @@ fn cmd_top(cli: &Cli) {
         std::process::exit(2);
     });
     let snap = hub.snapshot().with_source("cluster");
-    let summary = SchedulerSummary::from_snapshot_json(&snap.to_json())
-        .expect("own snapshot is schema-valid");
     println!("campaign done: {iters} broadcasts, {incomplete} incomplete");
-    print!("{}", summary.render_text());
+    print!("{}", scheduler::render_text(&snap));
     // The summary is always printed; incomplete broadcasts flag the
     // failure via exit status for scripted health checks.
     if incomplete > 0 {
@@ -1356,52 +1322,46 @@ const SPARK_WINDOWS: usize = 30;
 /// (`--input`): one line per sample window plus every health event,
 /// then the series summary.
 fn cmd_monitor(cli: &Cli) {
-    let text = match (cli.value("--input"), cli.value("--connect")) {
-        (Some(path), None) => std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
+    let export = match (cli.value("--input"), cli.value("--connect")) {
+        (Some(path), None) => read_input(path, SeriesExport::from_jsonl),
+        (None, Some(addr)) => SeriesExport::from_jsonl(&follow(cli, addr)).unwrap_or_else(|e| {
+            eprintln!("series export: {e}");
             std::process::exit(2);
         }),
-        (None, Some(addr)) => follow(cli, addr),
         _ => {
             eprintln!("ct monitor needs exactly one of --input <series.jsonl> / --connect <ADDR>");
             std::process::exit(2);
         }
     };
-    let summary = SeriesSummary::from_jsonl(&text).unwrap_or_else(|e| {
-        eprintln!("series export: {e}");
-        std::process::exit(2);
-    });
     // Replay: interleave sample lines and health events in time order,
     // exactly as a live follow would have printed them.
     if cli.value("--input").is_some() {
         let mut trail: Vec<f64> = Vec::new();
-        let mut health = summary.health.iter().peekable();
-        for s in &summary.samples {
-            while health.peek().is_some_and(|e| e.t_ms < s.t_ms) {
-                let e = health.next().unwrap();
-                println!(
-                    "[{:>8} ms] {} {}: {}",
-                    e.t_ms,
-                    e.severity.name().to_uppercase(),
-                    e.rule,
-                    e.message
-                );
+        let mut health = export.health.iter().peekable();
+        for s in &export.samples {
+            while let Some(e) = health.next_if(|e| e.t_ms < s.t_ms) {
+                println!("{}", health_line(e));
             }
             trail.push(s.rate("msgs.delivered"));
             let from = trail.len().saturating_sub(SPARK_WINDOWS);
             println!("{}", monitor_line(s, &trail[from..]));
         }
         for e in health {
-            println!(
-                "[{:>8} ms] {} {}: {}",
-                e.t_ms,
-                e.severity.name().to_uppercase(),
-                e.rule,
-                e.message
-            );
+            println!("{}", health_line(e));
         }
     }
-    print!("{}", summary.render_text());
+    print!("{}", series::render_text(&export));
+}
+
+/// One `ct monitor` line per health event.
+fn health_line(e: &HealthEvent) -> String {
+    format!(
+        "[{:>8} ms] {} {}: {}",
+        e.t_ms,
+        e.severity.name().to_uppercase(),
+        e.rule,
+        e.message
+    )
 }
 
 /// The `--connect` loop: poll `/series.jsonl` until the endpoint goes
@@ -1426,9 +1386,9 @@ fn follow(cli: &Cli, addr: &str) -> String {
     let mut printed_health = 0usize;
     let mut trail: Vec<f64> = Vec::new();
     loop {
-        match SeriesSummary::from_jsonl(&last) {
-            Ok(summary) => {
-                for s in &summary.samples {
+        match SeriesExport::from_jsonl(&last) {
+            Ok(export) => {
+                for s in &export.samples {
                     if printed_seq.is_some_and(|last| s.seq <= last) {
                         continue;
                     }
@@ -1437,16 +1397,10 @@ fn follow(cli: &Cli, addr: &str) -> String {
                     let from = trail.len().saturating_sub(SPARK_WINDOWS);
                     println!("{}", monitor_line(s, &trail[from..]));
                 }
-                for e in summary.health.iter().skip(printed_health) {
-                    println!(
-                        "[{:>8} ms] {} {}: {}",
-                        e.t_ms,
-                        e.severity.name().to_uppercase(),
-                        e.rule,
-                        e.message
-                    );
+                for e in export.health.iter().skip(printed_health) {
+                    println!("{}", health_line(e));
                 }
-                printed_health = summary.health.len();
+                printed_health = export.health.len();
             }
             Err(e) => eprintln!("series export: {e}"),
         }

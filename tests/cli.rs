@@ -1,7 +1,8 @@
-//! The `ct` binary, driven as a process: malformed option values are
-//! usage errors (exit status 2 and a message on stderr), never panics;
-//! a reader that closes the pipe early ends a command quietly; and the
-//! ASCII timeline of `ct trace` is pinned byte for byte.
+//! The `ct` binary, driven as a process: malformed option values and
+//! hostile input files are errors (exit status 2 and a message on
+//! stderr), never panics; a reader that closes the pipe early ends a
+//! command quietly; and the ASCII timeline of `ct trace` is pinned
+//! byte for byte.
 
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Command, Stdio};
@@ -35,6 +36,62 @@ fn unparsable_logp_is_a_usage_error_in_every_subcommand() {
             stderr.contains(r#"cannot parse --logp value "bogus""#),
             "ct {cmd}: {stderr}"
         );
+    }
+}
+
+/// Every command that reads a JSON or JSONL file, followed by the file.
+const READERS: [&[&str]; 5] = [
+    &["analyze", "--input"],
+    &["analyze", "--view", "scheduler", "--input"],
+    &["analyze", "--view", "series", "--input"],
+    &["analyze", "--view", "postmortem", "--input"],
+    &["postmortem"],
+];
+
+/// Hostile files, each with the position markers one of which its
+/// error must carry: a byte offset for a document that does not parse,
+/// a line or the `schema` field for one that parses but is no schema
+/// the reader knows.
+const HOSTILE: [(&str, &[u8], &[&str]); 3] = [
+    (
+        "truncated",
+        br#"{"schema":"ct-telemetry-v1","source":"clu"#,
+        &["at byte "],
+    ),
+    ("not-utf8", b"{\"schema\":\"\xff\xfe\"}\n", &["at byte "]),
+    (
+        "wrong-schema",
+        br#"{"schema":"ct-bogus-v1","kind":"sample"}"#,
+        &["line 1: ", "schema: "],
+    ),
+];
+
+#[test]
+fn hostile_input_is_an_error_with_a_position_in_every_reader() {
+    // 200 000 nested arrays: deeper than any stack a recursive reader has.
+    let nested = "[".repeat(200_000);
+    let inputs = HOSTILE
+        .iter()
+        .copied()
+        .chain([("nested", nested.as_bytes(), &["at byte "][..])]);
+    for (name, bytes, positions) in inputs {
+        let path = std::env::temp_dir().join(format!("ct-hostile-{}-{name}", std::process::id()));
+        std::fs::write(&path, bytes).expect("write the input");
+        for args in READERS {
+            let out = Command::new(env!("CARGO_BIN_EXE_ct"))
+                .args(args)
+                .arg(&path)
+                .output()
+                .expect("ct runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let what = format!("ct {} <{name}>: {stderr}", args.join(" "));
+            assert_eq!(out.status.code(), Some(2), "{what}");
+            assert!(stderr.contains(&*path.to_string_lossy()), "{what}");
+            assert!(positions.iter().any(|p| stderr.contains(p)), "{what}");
+            assert!(!stderr.contains("panicked"), "{what}");
+            assert!(!stderr.contains("overflowed"), "{what}");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }
 

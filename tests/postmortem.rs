@@ -15,7 +15,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use corrected_trees::analyze::PostmortemReport;
+use corrected_trees::analyze::postmortem::render_text;
 use corrected_trees::core::protocol::{
     BroadcastSpec, BuildCtx, ColoredVia, Payload, Process, ProtocolError, ProtocolFactory, SendPoll,
 };
@@ -188,9 +188,9 @@ fn forced_stall_dump_names_the_stranded_subtree() {
     );
 
     // The consumer-side reconstruction renders the same diagnosis.
-    let rendered = PostmortemReport::from_json(&json)
-        .expect("runtime dump parses")
-        .render_text();
+    let read = Postmortem::from_json(&json).expect("runtime dump parses");
+    assert_eq!(read.to_json(), json, "the dump reads back as written");
+    let rendered = render_text(&read);
     for rank in [3, 5, 7] {
         assert!(
             rendered.contains(&format!("rank     {rank}:")),
@@ -289,9 +289,10 @@ fn worker_panic_bundle_keeps_every_published_batch() {
     assert!(matches!(err, ClusterError::WorkerPanicked));
     let json = std::fs::read_to_string(&path).expect("worker panic writes the bundle");
     let _ = std::fs::remove_file(&path);
-    let bundle = PostmortemReport::from_json(json.trim_end()).expect("bundle parses");
+    let bundle = Postmortem::from_json(&json).expect("bundle parses");
     assert_eq!(bundle.reason, "worker_panic");
-    assert!(bundle.retained > 0);
+    assert!(bundle.flight.total_written() > 0);
+    assert!(bundle.flight.shards.iter().any(|s| !s.records.is_empty()));
     // Rank 5 never forwarded, so the fourth broadcast delivered fewer
     // than P−1 messages; whatever it did deliver can only add.
     let delivered = hub.counter_total(Counter::MsgsDelivered);
@@ -397,9 +398,7 @@ fn golden_report_text_is_byte_for_byte_stable() {
     } else {
         GOLDEN_DUMP.to_owned()
     };
-    let text = PostmortemReport::from_json(json.trim_end())
-        .expect("golden dump parses")
-        .render_text();
+    let text = render_text(&Postmortem::from_json(&json).expect("golden dump parses"));
     if regen() {
         std::fs::write(GOLDEN_REPORT_PATH, &text).expect("write golden report text");
         return;
@@ -413,16 +412,18 @@ fn golden_report_text_is_byte_for_byte_stable() {
 
 #[test]
 fn golden_report_is_internally_consistent() {
-    let report = PostmortemReport::from_json(GOLDEN_DUMP.trim_end()).unwrap();
+    let report = Postmortem::from_json(GOLDEN_DUMP).unwrap();
     assert_eq!(report.reason, "watchdog_stall");
     assert_eq!(report.p, 8);
-    assert_eq!(report.flight_shards, 2);
-    assert_eq!(report.retained, 9);
-    assert_eq!(report.lost, 0);
+    assert_eq!(report.flight.shards.len(), 2);
+    assert_eq!(report.flight.total_written(), 9);
+    let retained: usize = report.flight.shards.iter().map(|s| s.records.len()).sum();
+    assert_eq!(retained, 9);
+    assert_eq!(report.flight.total_lost(), 0);
     let stall = report.stall.as_ref().expect("golden dump carries a stall");
     assert_eq!(stall.ranks.len(), 1);
     assert_eq!(stall.ranks[0].rank, 3);
-    let text = report.render_text();
+    let text = render_text(&report);
     assert!(text.contains("postmortem: watchdog_stall (p=8)"), "{text}");
     assert!(text.contains("last mailbox push: none recorded"), "{text}");
     assert!(text.contains("pending timers:"), "{text}");
