@@ -1,8 +1,9 @@
 //! Minimal CSV emission.
 //!
-//! Every figure binary prints its series to stdout *and* can write the
-//! same rows to `results/<figure>.csv`. Hand-rolled (quoting only what
-//! needs quoting) to keep the dependency set at the workspace baseline.
+//! `ct fig` prints every figure's series to stdout as an aligned table
+//! ([`CsvTable::to_aligned`]) and writes the same rows to
+//! `results/<figure>.csv`. Hand-rolled (quoting only what needs
+//! quoting) to keep the dependency set at the workspace baseline.
 
 use std::fmt::Write as _;
 use std::io;
@@ -50,16 +51,39 @@ impl CsvTable {
         self.rows.is_empty()
     }
 
+    /// The header, then every row.
+    fn lines(&self) -> impl Iterator<Item = &Vec<String>> {
+        std::iter::once(&self.header).chain(&self.rows)
+    }
+
     /// Render to a CSV string (header + rows, `\n`-terminated lines).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
-        let write_line = |fields: &[String], out: &mut String| {
+        for fields in self.lines() {
             let line: Vec<String> = fields.iter().map(|f| quote(f)).collect();
             let _ = writeln!(out, "{}", line.join(","));
-        };
-        write_line(&self.header, &mut out);
-        for row in &self.rows {
-            write_line(row, &mut out);
+        }
+        out
+    }
+
+    /// Render as an aligned text table: every column padded to its
+    /// widest cell, columns two spaces apart, a rule under the header.
+    pub fn to_aligned(&self) -> String {
+        let widths: Vec<usize> = (0..self.header.len())
+            .map(|c| self.lines().map(|r| r[c].len()).max().unwrap_or(0))
+            .collect();
+        let mut out = String::new();
+        for (i, fields) in self.lines().enumerate() {
+            let line: Vec<String> = fields
+                .iter()
+                .zip(&widths)
+                .map(|(f, w)| format!("{f:<w$}"))
+                .collect();
+            let _ = writeln!(out, "{}", line.join("  "));
+            if i == 0 {
+                let rule = widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1);
+                let _ = writeln!(out, "{}", "-".repeat(rule));
+            }
         }
         out
     }
@@ -94,6 +118,13 @@ mod tests {
         assert_eq!(t.to_csv(), "a,b\n1,2\nx,y\n");
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn aligned_table_pads_the_unquoted_cells() {
+        let mut t = CsvTable::new(["series", "p"]);
+        t.row(["a,b", "4096"]);
+        assert_eq!(t.to_aligned(), "series  p   \n------------\na,b     4096\n");
     }
 
     #[test]

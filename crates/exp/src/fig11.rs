@@ -53,11 +53,21 @@ impl Fig11Config {
             seed: 1,
         }
     }
+
+    /// The larger sweep `P = 8 … 512`, at 30 iterations per point (the
+    /// paper ran 1152–36864 ranks on Piz Daint).
+    pub fn paper() -> Fig11Config {
+        Fig11Config {
+            process_counts: vec![8, 16, 32, 64, 128, 256, 512],
+            iterations: 30,
+            ..Fig11Config::quick()
+        }
+    }
 }
 
-/// One point of one series.
+/// One point of one series of a cluster figure (fig11 and fig12).
 #[derive(Clone, Debug)]
-pub struct Fig11Row {
+pub struct ClusterRow {
     /// Series name.
     pub series: String,
     /// Rank count.
@@ -67,14 +77,14 @@ pub struct Fig11Row {
 }
 
 /// Run the sweep.
-pub fn run(cfg: &Fig11Config) -> Result<Vec<Fig11Row>, ClusterError> {
+pub fn run(cfg: &Fig11Config) -> Result<Vec<ClusterRow>, ClusterError> {
     let logp = LogP::PAPER;
     let mut rows = Vec::new();
     for &p in &cfg.process_counts {
         let bench = BenchConfig::new(p).with_iterations(cfg.warmup, cfg.iterations);
 
         let native = BroadcastSpec::plain_tree(TreeKind::BINOMIAL);
-        rows.push(Fig11Row {
+        rows.push(ClusterRow {
             series: "binomial (native)".into(),
             p,
             result: harness::run_bench(&native, logp, &bench)?,
@@ -84,7 +94,7 @@ pub fn run(cfg: &Fig11Config) -> Result<Vec<Fig11Row>, ClusterError> {
             TreeKind::BINOMIAL,
             CorrectionKind::OpportunisticOptimized { distance: 1 },
         );
-        rows.push(Fig11Row {
+        rows.push(ClusterRow {
             series: "binomial (ours)".into(),
             p,
             result: harness::run_bench(&ours, logp, &bench)?,
@@ -94,7 +104,7 @@ pub fn run(cfg: &Fig11Config) -> Result<Vec<Fig11Row>, ClusterError> {
             cfg.gossip_rounds,
             CorrectionKind::Opportunistic { distance: 4 },
         );
-        rows.push(Fig11Row {
+        rows.push(ClusterRow {
             series: "gossip".into(),
             p,
             result: harness::run_bench(&gossip, logp, &bench)?,
@@ -103,8 +113,8 @@ pub fn run(cfg: &Fig11Config) -> Result<Vec<Fig11Row>, ClusterError> {
     Ok(rows)
 }
 
-/// Render as CSV.
-pub fn to_csv(rows: &[Fig11Row]) -> CsvTable {
+/// Render a cluster figure (fig11 or fig12) as CSV.
+pub fn to_csv(rows: &[ClusterRow]) -> CsvTable {
     let mut t = CsvTable::new([
         "series",
         "p",

@@ -16,12 +16,12 @@ use ct_core::correction::CorrectionKind;
 use ct_core::protocol::BroadcastSpec;
 use ct_core::tree::{Ordering, TreeKind};
 use ct_logp::LogP;
-use ct_runtime::{harness, BenchConfig, BenchResult, ClusterError};
+use ct_runtime::{harness, BenchConfig, ClusterError};
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::SeedableRng;
 
-use crate::csv::{fmt_f64, CsvTable};
+pub use crate::fig11::{to_csv, ClusterRow};
 
 /// Configuration for the Figure 12 sweep.
 #[derive(Clone, Debug)]
@@ -48,17 +48,15 @@ impl Fig12Config {
             seed: 1,
         }
     }
-}
 
-/// One point of one series.
-#[derive(Clone, Debug)]
-pub struct Fig12Row {
-    /// Series name.
-    pub series: String,
-    /// Rank count.
-    pub p: u32,
-    /// Benchmark statistics.
-    pub result: BenchResult,
+    /// The larger sweep `P = 8 … 512`, at 30 iterations per point.
+    pub fn paper() -> Fig12Config {
+        Fig12Config {
+            process_counts: vec![8, 16, 32, 64, 128, 256, 512],
+            iterations: 30,
+            ..Fig12Config::quick()
+        }
+    }
 }
 
 fn corrected(d: u32) -> BroadcastSpec {
@@ -83,13 +81,13 @@ pub fn fault_ranks(p: u32, seed: u64) -> Vec<u32> {
 }
 
 /// Run the sweep.
-pub fn run(cfg: &Fig12Config) -> Result<Vec<Fig12Row>, ClusterError> {
+pub fn run(cfg: &Fig12Config) -> Result<Vec<ClusterRow>, ClusterError> {
     let logp = LogP::PAPER;
     let mut rows = Vec::new();
     for &p in &cfg.process_counts {
         let bench = BenchConfig::new(p).with_iterations(cfg.warmup, cfg.iterations);
         for d in [0u32, 1, 2] {
-            rows.push(Fig12Row {
+            rows.push(ClusterRow {
                 series: format!("binomial (d={d})"),
                 p,
                 result: harness::run_bench(&corrected(d), logp, &bench)?,
@@ -99,7 +97,7 @@ pub fn run(cfg: &Fig12Config) -> Result<Vec<Fig12Row>, ClusterError> {
             k: 4,
             order: Ordering::Interleaved,
         });
-        rows.push(Fig12Row {
+        rows.push(ClusterRow {
             series: "lame4 (d=0)".into(),
             p,
             result: harness::run_bench(&lame4, logp, &bench)?,
@@ -110,38 +108,13 @@ pub fn run(cfg: &Fig12Config) -> Result<Vec<Fig12Row>, ClusterError> {
         let faulty_bench = BenchConfig::new(p)
             .with_iterations(cfg.warmup, cfg.iterations)
             .with_dead_ranks(&fault_ranks(p, cfg.seed));
-        rows.push(Fig12Row {
+        rows.push(ClusterRow {
             series: "binomial (d=2, with faults)".into(),
             p,
             result: harness::run_bench(&corrected(2), logp, &faulty_bench)?,
         });
     }
     Ok(rows)
-}
-
-/// Render as CSV.
-pub fn to_csv(rows: &[Fig12Row]) -> CsvTable {
-    let mut t = CsvTable::new([
-        "series",
-        "p",
-        "median_us",
-        "p25_us",
-        "p75_us",
-        "incomplete",
-        "mean_messages",
-    ]);
-    for r in rows {
-        t.row([
-            r.series.clone(),
-            r.p.to_string(),
-            fmt_f64(r.result.median_us),
-            fmt_f64(r.result.p25_us),
-            fmt_f64(r.result.p75_us),
-            r.result.incomplete.to_string(),
-            fmt_f64(r.result.mean_messages),
-        ]);
-    }
-    t
 }
 
 #[cfg(test)]

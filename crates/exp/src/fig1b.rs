@@ -34,8 +34,7 @@ pub struct Fig1bConfig {
 }
 
 impl Fig1bConfig {
-    /// Laptop-scale defaults (`P = 2¹⁴`, 60 reps); pass `p = 1 << 16`
-    /// and more reps for the paper's exact setting.
+    /// Laptop-scale defaults (`P = 2¹⁴`, 60 reps).
     pub fn quick() -> Fig1bConfig {
         Fig1bConfig {
             p: 1 << 14,
@@ -43,6 +42,15 @@ impl Fig1bConfig {
             reps: 60,
             seed0: 1,
             threads: ct_runtime::default_threads(),
+        }
+    }
+
+    /// The paper's `P = 2¹⁶`, at 1000 reps per row.
+    pub fn paper() -> Fig1bConfig {
+        Fig1bConfig {
+            p: 1 << 16,
+            reps: 1000,
+            ..Fig1bConfig::quick()
         }
     }
 }

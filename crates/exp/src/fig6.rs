@@ -46,6 +46,15 @@ impl Fig6Config {
             seed0: 1,
         }
     }
+
+    /// The paper's `P = 2¹⁶`, at 20 reps per gossip bar.
+    pub fn paper() -> Fig6Config {
+        Fig6Config {
+            p: 1 << 16,
+            gossip_reps: 20,
+            ..Fig6Config::quick()
+        }
+    }
 }
 
 /// One bar of the figure.

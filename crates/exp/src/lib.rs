@@ -14,15 +14,21 @@
 //! | [`table1`] | Table 1 — correction-cost percentiles under faults |
 //! | [`fig11`] | Figure 11 — cluster broadcast latency vs rank count |
 //! | [`fig12`] | Figure 12 — cluster latency of Corrected-Tree variants |
+//! | [`ablation`], [`correlated`], [`scale`] | extensions: every correction algorithm, whole-node crashes, the `P = 2²⁰` scaling study |
+//!
+//! [`figures`] is the table `ct fig <name>|all` runs: one entry per
+//! figure, which runs its campaign at the scale the command-line flags
+//! set, and one driver that writes each figure's CSV and provenance
+//! manifest.
 //!
 //! Shared machinery: [`variants`] (the protocol zoo), [`campaign`]
 //! (seeded Monte-Carlo runs, optionally across threads), [`tuning`]
-//! (empirical gossip-time selection, §4.1) and [`csv`] (plain-text
-//! emitters so every binary can dump machine-readable series).
+//! (empirical gossip-time selection, §4.1), [`perf`] (the manifests'
+//! analysis probe) and [`csv`] (the CSV and aligned-table emitters).
 //!
-//! Scale note: repetition counts and maximum process counts default to
-//! laptop-friendly values; every campaign accepts the paper's original
-//! scale (`P = 2¹⁶`, 10⁵ repetitions) through its config.
+//! Scale note: every config has a laptop-friendly `quick()` scale, and
+//! the paper's figures a `paper()` one (`P = 2¹⁶`; repetitions capped
+//! below the paper's 10⁵).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +45,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+pub mod figures;
 pub mod perf;
 pub mod resilience;
 pub mod scale;

@@ -2,23 +2,26 @@
 //!
 //! Bridges [`Campaign`] to `ct-analyze`: every repetition is run with
 //! an event sink, its causal DAG analyzed, and the per-repetition
-//! results aggregated into the *analysis block* that figure binaries
-//! attach to their run manifests.
+//! results aggregated into the *analysis block* that `ct fig` attaches
+//! to every figure manifest ([`with_analysis`] over the figure's
+//! [`analysis_campaign`]).
 
 use ct_analyze::{
     analyze_rep, AnalysisSummary, AnalyzeConfig, RepAnalysis, TraceAnalysis, WasteReport,
 };
 use std::sync::Arc;
 
+use ct_logp::LogP;
 use ct_obs::health::{HealthConfig, HealthEngine, HealthEvent};
 use ct_obs::json::JsonObject;
 use ct_obs::metrics::Histogram;
 use ct_obs::series::SeriesSample;
 use ct_obs::telemetry::{TelemetryHub, TelemetrySnapshot};
-use ct_obs::{MonitorConfig, MonitorReport, MonitorSink, VecSink};
+use ct_obs::{MonitorConfig, MonitorReport, MonitorSink, RunManifest, VecSink};
 use ct_sim::RunArena;
 
-use crate::campaign::{Campaign, CampaignError, RunRecord};
+use crate::campaign::{Campaign, CampaignError, FaultSpec, RunRecord};
+use crate::variants::Variant;
 
 /// A campaign's records plus the per-repetition causal analyses.
 #[derive(Clone, Debug)]
@@ -97,6 +100,35 @@ pub fn analyze_campaign(campaign: &Campaign) -> Result<CampaignAnalysis, Campaig
     })
 }
 
+/// The small fixed-seed campaign a figure analyzes for its manifest's
+/// analysis block: the figure's representative variant and fault
+/// regime, capped at 64 processes and 5 repetitions so the causal-DAG
+/// pass stays negligible next to the campaign itself.
+pub fn analysis_campaign(variant: Variant, p: u32, seed0: u64, faults: FaultSpec) -> Campaign {
+    Campaign::new(variant, p.clamp(2, 64), LogP::PAPER)
+        .with_faults(faults)
+        .with_reps(5)
+        .with_seed(seed0)
+}
+
+/// Attach the causal-analysis block for `campaign` to `manifest` under
+/// the `analysis` key (critical-path attribution, phase split,
+/// completion percentiles — see `ct-analyze`), plus the campaign's
+/// runtime-telemetry snapshot under `telemetry` (per-rep event/send
+/// distributions, `ct-telemetry-v1`). Analysis failures are reported
+/// but never fail the figure run.
+pub fn with_analysis(manifest: RunManifest, campaign: &Campaign) -> RunManifest {
+    match analyze_campaign(campaign) {
+        Ok(ca) => manifest
+            .with_extra_json("analysis", ca.analysis_json())
+            .with_extra_json("telemetry", ca.telemetry.to_json()),
+        Err(e) => {
+            eprintln!("[analysis block skipped: {e:?}]");
+            manifest
+        }
+    }
+}
+
 impl CampaignAnalysis {
     /// Aggregate the per-repetition analyses.
     pub fn summary(&self) -> AnalysisSummary {
@@ -116,10 +148,10 @@ impl CampaignAnalysis {
         h
     }
 
-    /// The JSON analysis block figure binaries embed in their run
-    /// manifests: the aggregate summary, interpolated completion
-    /// percentiles, the invariant-monitor attestation, the waste
-    /// accounting and the per-repetition health verdicts.
+    /// The JSON analysis block every figure embeds in its run manifest:
+    /// the aggregate summary, interpolated completion percentiles, the
+    /// invariant-monitor attestation, the waste accounting and the
+    /// per-repetition health verdicts.
     pub fn analysis_json(&self) -> String {
         let h = self.completion_histogram();
         let mut obj = JsonObject::new();
@@ -143,10 +175,7 @@ impl CampaignAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::FaultSpec;
-    use crate::variants::Variant;
     use ct_core::tree::TreeKind;
-    use ct_logp::LogP;
 
     fn small_campaign() -> Campaign {
         Campaign::new(

@@ -13,10 +13,11 @@ use ct_core::correction::CorrectionKind;
 use ct_core::tree::TreeKind;
 use ct_logp::LogP;
 use ct_obs::json::JsonObject;
-use ct_obs::{MonitorConfig, MonitorReport, MonitorSink, VecSink};
-use ct_sim::RunArena;
+use ct_obs::MonitorReport;
 
 use crate::campaign::{Campaign, CampaignError, FaultSpec, RunRecord};
+use crate::perf::analyze_campaign;
+use crate::tuning;
 use crate::variants::Variant;
 
 /// The paper's fault rates (fractions): 0.01%, 0.1%, 1%, 2%, 4%.
@@ -45,8 +46,7 @@ pub struct ResilienceConfig {
 }
 
 impl ResilienceConfig {
-    /// Laptop-scale defaults: `P = 4096`, 50 reps. Pass the paper's
-    /// scale (`p = 1 << 16`, `reps = 100_000`) for a full reproduction.
+    /// Laptop-scale defaults: `P = 4096`, 50 reps.
     pub fn quick() -> ResilienceConfig {
         ResilienceConfig {
             p: 1 << 12,
@@ -58,6 +58,34 @@ impl ResilienceConfig {
             gossip_time: 30,
             include_gossip: true,
         }
+    }
+
+    /// The paper's `P = 2¹⁶`, at 1000 reps per cell (the paper ran
+    /// 10⁵).
+    pub fn paper() -> ResilienceConfig {
+        ResilienceConfig {
+            p: 1 << 16,
+            reps: 1000,
+            ..ResilienceConfig::quick()
+        }
+    }
+
+    /// Set `gossip_time` to the latency-minimizing one for this `P`
+    /// (§4.1), scanned in steps of 2 over `[Lₒ, Lₒ·(⌊log₂P⌋ + 9)]`
+    /// with `Lₒ` the transit time.
+    pub fn tune_gossip_time(&mut self) -> Result<(), CampaignError> {
+        let lo = self.logp.transit_steps();
+        let log2p = u64::from(32 - self.p.leading_zeros());
+        self.gossip_time = tuning::min_latency_gossip_time(
+            self.p,
+            self.logp,
+            lo,
+            lo * (log2p + 8),
+            2,
+            3,
+            self.seed0,
+        )?;
+        Ok(())
     }
 }
 
@@ -146,10 +174,11 @@ impl WasteProbe {
 
 /// Probe one cell of the resilience grid (binomial tree, checked sync
 /// correction, the given fault rate) under the invariant monitor and
-/// the waste accounting. Event capture allocates per repetition, so the
-/// probe clamps to a tractable size (`P ≤ 4096`, 5 repetitions) — the
-/// same spirit as `ct-bench`'s analysis probe — rather than replaying
-/// the full grid.
+/// the waste accounting of [`analyze_campaign`]. Event capture
+/// allocates per repetition, so the probe clamps to a tractable size
+/// (`P ≤ 4096`, 5 repetitions) — the same spirit as
+/// [`crate::perf::analysis_campaign`] — rather than replaying the full
+/// grid.
 pub fn waste_probe(cfg: &ResilienceConfig, rate: f64) -> Result<WasteProbe, CampaignError> {
     let p = cfg.p.clamp(2, 4096);
     let reps = cfg.reps.clamp(1, 5);
@@ -157,26 +186,13 @@ pub fn waste_probe(cfg: &ResilienceConfig, rate: f64) -> Result<WasteProbe, Camp
         .with_faults(FaultSpec::Rate(rate))
         .with_reps(reps)
         .with_seed(cfg.seed0);
-    let mut waste = WasteReport::default();
-    let mut monitor = MonitorReport::default();
-    let mut arena = RunArena::new();
-    for i in 0..reps {
-        let plan = campaign.fault_plan(i)?;
-        let mut sink = VecSink::new();
-        campaign.run_one(i, &mut sink, &mut arena)?;
-        waste.add(&WasteReport::from_events(&sink.events, plan.mask()));
-        let mcfg = MonitorConfig::new()
-            .with_p(p)
-            .with_logp(cfg.logp)
-            .with_failed(plan.mask().to_vec());
-        monitor.absorb(MonitorSink::check(&sink.events, &mcfg), i);
-    }
+    let analysis = analyze_campaign(&campaign)?;
     Ok(WasteProbe {
         p,
         reps,
         rate,
-        waste,
-        monitor,
+        waste: analysis.waste,
+        monitor: analysis.monitor,
     })
 }
 

@@ -21,8 +21,8 @@
 //! parallel generator ([`crate::FaultSpec::ChunkedCount`]) so plan
 //! construction never dominates a repetition.
 //!
-//! Consumed by the `fig_scale` binary, which renders the report as a
-//! table/CSV and exits non-zero on any violation.
+//! Consumed by `ct fig fig_scale`, which renders the report as a
+//! table/CSV and exits 1 on any violation.
 
 use std::time::Instant;
 
@@ -65,7 +65,7 @@ pub struct ScaleConfig {
 impl ScaleConfig {
     /// The full study: `P ∈ {2¹², 2¹⁴, 2¹⁶, 2¹⁸, 2²⁰}`, two
     /// repetitions per cell.
-    pub fn full() -> ScaleConfig {
+    pub fn paper() -> ScaleConfig {
         ScaleConfig {
             min_exp: 12,
             max_exp: 20,
@@ -83,7 +83,7 @@ impl ScaleConfig {
     pub fn quick() -> ScaleConfig {
         ScaleConfig {
             max_exp: 16,
-            ..ScaleConfig::full()
+            ..ScaleConfig::paper()
         }
     }
 
@@ -301,16 +301,6 @@ fn check_cell(cell: &ScaleCell, logp: &LogP, violations: &mut Vec<String>) {
 }
 
 impl ScaleReport {
-    /// Aggregate ns/event over all cells at process count `p`.
-    pub fn ns_per_event_at(&self, p: u32) -> f64 {
-        let (wall, events) = self
-            .cells
-            .iter()
-            .filter(|c| c.p == p)
-            .fold((0u64, 0u64), |(w, e), c| (w + c.wall_ns, e + c.events));
-        wall as f64 / events.max(1) as f64
-    }
-
     /// Render the sweep as CSV (the `fig_scale` series).
     pub fn to_csv(&self) -> CsvTable {
         let mut t = CsvTable::new([
@@ -366,14 +356,14 @@ mod tests {
     #[test]
     fn sweep_points_always_include_the_cap() {
         assert_eq!(
-            ScaleConfig::full().process_counts(),
+            ScaleConfig::paper().process_counts(),
             vec![1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20]
         );
         let odd = ScaleConfig {
             min_exp: 6,
             max_exp: 9,
             step_exp: 2,
-            ..ScaleConfig::full()
+            ..ScaleConfig::paper()
         };
         assert_eq!(odd.process_counts(), vec![64, 256, 512]);
         assert_eq!(ScaleConfig::quick().max_exp, 16);

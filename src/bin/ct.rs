@@ -10,6 +10,7 @@
 //! $ ct check --p 256 --rate 0.02 [--runtime] [--input trace.jsonl]
 //!                                            # invariant monitor (exit 1 on violation)
 //! $ ct forensics --p 64 --faults 3           # per-failure rescue provenance + waste
+//! $ ct fig fig8 --p 512 --reps 3 --out dir    # regenerate a paper figure (CSV + manifest)
 //! ```
 //!
 //! Everything the subcommands do is also available as library API; the
@@ -27,6 +28,7 @@ use corrected_trees::analyze::{
 use corrected_trees::core::correction::CorrectionKind;
 use corrected_trees::core::protocol::BroadcastSpec;
 use corrected_trees::core::tree::{interleaving, stats, Ordering, Topology, TreeKind};
+use corrected_trees::exp::figures::{self, FigArgs, FigError};
 use corrected_trees::exp::{Campaign, FaultSpec, Variant};
 use corrected_trees::logp::LogP;
 use corrected_trees::obs::http::{http_get, monitor_handler, HttpServer};
@@ -42,7 +44,7 @@ use corrected_trees::sim::{ascii_timeline, FaultPlan, Outcome, RunArena, Simulat
 
 fn usage() -> ! {
     eprintln!(
-        "usage: ct <run|tree|sweep|trace|analyze|check|forensics|pubsub|stats|top|serve|monitor|postmortem> [options]\n\
+        "usage: ct <run|tree|sweep|trace|analyze|check|forensics|pubsub|stats|top|serve|monitor|postmortem|fig> [options]\n\
          \n\
          common options:\n\
            --tree <binomial|binomial-inorder|kary<K>|lame<K>|optimal>  (default binomial)\n\
@@ -168,8 +170,22 @@ fn usage() -> ! {
            CT_MAILBOX_CAP   inline mailbox slots per rank    (default 64)\n\
            CT_WATCHDOG_MS   stall watchdog timeout in ms     (default 30000)\n\
            CT_FLIGHT_CAP    flight-recorder records per ring (default 4096)\n\
-           CT_SAMPLE_MS     series sampler interval in ms    (default 250)"
+           CT_SAMPLE_MS     series sampler interval in ms    (default 250)\n\
+         fig options (regenerate the paper's evaluation):\n\
+           ct fig <name>|all [flags] [--out DIR]\n\
+                                   print each figure's table and write\n\
+                                   DIR/<name>.csv plus its .meta.json\n\
+                                   manifest (default DIR results)\n\
+           --paper                 the paper's scale (default quick)\n\
+           --p <N>                 processes, or the largest P of a sweep\n\
+           a flag the figure does not read is a usage error\n\
+           exit status: 0 every in-code claim holds, 1 a claim failed,\n\
+           2 usage error or failed run\n\
+           figures, with the flags each reads (under all, each its own):"
     );
+    for f in figures::table() {
+        eprintln!("  {:<11} {:<50} {}", f.name, f.about, f.flags.join(" "));
+    }
     std::process::exit(2);
 }
 
@@ -178,22 +194,29 @@ struct Cli {
 }
 
 impl Cli {
+    /// The value after `key`, if `key` is given; a `key` with nothing
+    /// after it is a usage error.
     fn value(&self, key: &str) -> Option<&str> {
-        self.args
-            .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
+        let i = self.args.iter().position(|a| a == key)?;
+        let Some(v) = self.args.get(i + 1) else {
+            eprintln!("missing value after {key}");
+            usage()
+        };
+        Some(v)
+    }
+
+    /// The parsed value after `key`, if `key` is given.
+    fn opt<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+        self.value(key).map(|v| {
+            v.parse().unwrap_or_else(|_| {
+                eprintln!("cannot parse {key} value {v:?}");
+                usage()
+            })
+        })
     }
 
     fn parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        match self.value(key) {
-            None => default,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("cannot parse {key} value {v:?}");
-                usage()
-            }),
-        }
+        self.opt(key).unwrap_or(default)
     }
 
     fn flag(&self, key: &str) -> bool {
@@ -1415,6 +1438,54 @@ fn follow(cli: &Cli, addr: &str) -> String {
     last
 }
 
+/// `ct fig <name>|all` — regenerate one figure of the evaluation, or
+/// every one, from the table in `ct_exp::figures`.
+fn cmd_fig(cli: &Cli) {
+    let name = cli.args.first().map_or("", String::as_str);
+    let Some(figs) = figures::select(name) else {
+        eprintln!("ct fig needs a figure name or all, not {name:?}");
+        usage()
+    };
+    let args = FigArgs {
+        paper: cli.flag("--paper"),
+        p: cli.opt("--p"),
+        reps: cli.opt("--reps"),
+        seed: cli.opt("--seed"),
+        threads: cli.opt("--threads"),
+        iters: cli.opt("--iters"),
+        node_size: cli.opt("--node-size"),
+        rate: cli.opt("--rate"),
+    };
+    let out = std::path::PathBuf::from(cli.value("--out").unwrap_or("results"));
+    let mut rest = cli.args[1..].iter();
+    while let Some(flag) = rest.next() {
+        if flag != "--out" && !figs.iter().any(|f| f.flags.contains(&flag.as_str())) {
+            eprintln!("{name} does not read {flag}");
+            usage()
+        }
+        if flag != "--paper" {
+            rest.next();
+        }
+    }
+    match figures::drive(&figs, &args, &out) {
+        Ok(failed) if failed.is_empty() => {}
+        Ok(failed) => {
+            for claim in failed {
+                eprintln!("claim failed: {claim}");
+            }
+            std::process::exit(1);
+        }
+        Err(FigError::Usage(e)) => {
+            eprintln!("{e}");
+            usage()
+        }
+        Err(FigError::Failed(e)) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -1436,6 +1507,7 @@ fn main() {
         "serve" => cmd_serve(&cli),
         "monitor" => cmd_monitor(&cli),
         "postmortem" => cmd_postmortem(&cli),
+        "fig" => cmd_fig(&cli),
         _ => usage(),
     }
 }

@@ -39,6 +39,78 @@ fn unparsable_logp_is_a_usage_error_in_every_subcommand() {
     }
 }
 
+/// `ct fig` invocations that are usage errors, each with a piece of its
+/// message: a missing or unparsable value, an unknown figure, a flag the
+/// figure does not read, and a value the figure cannot run with.
+const BAD_FIGS: [(&[&str], &str); 18] = [
+    (&["fig6", "--p"], "missing value after --p"),
+    (&["fig6", "--p", "many"], r#"cannot parse --p value "many""#),
+    (
+        &["fig6", "--p", "--reps", "3"],
+        r#"cannot parse --p value "--reps""#,
+    ),
+    (&["fig8", "--rate", "0.1"], "fig8 does not read --rate"),
+    (&[], r#"ct fig needs a figure name or all, not """#),
+    (
+        &["fig13"],
+        r#"ct fig needs a figure name or all, not "fig13""#,
+    ),
+    (&["fig11", "--reps", "3"], "fig11 does not read --reps"),
+    (&["fig6", "--threads", "4"], "fig6 does not read --threads"),
+    (&["ablation", "--paper"], "ablation does not read --paper"),
+    (&["fig_scale", "--quick"], "fig_scale does not read --quick"),
+    (&["all", "--max-exp", "14"], "all does not read --max-exp"),
+    (
+        &["fig7", "--p", "512"],
+        "fig7: --p 512 is below its smallest P, 1024",
+    ),
+    (
+        &["fig11", "--p", "3"],
+        "fig11: --p 3 is below its smallest P, 4",
+    ),
+    (
+        &["fig_scale", "--p", "1024"],
+        "fig_scale: --p 1024 is below its smallest P",
+    ),
+    (
+        &["fig_scale", "--p", "4294967295"],
+        "--p must be below 2^31",
+    ),
+    (
+        &["fig1b", "--p", "1"],
+        "fig1b: --p 1 is below its smallest P, 2",
+    ),
+    (
+        &["correlated", "--node-size", "0"],
+        "--node-size must be at least 1",
+    ),
+    (
+        &["all", "--p", "2048"],
+        "fig_scale: --p 2048 is below its smallest P",
+    ),
+];
+
+#[test]
+fn hostile_figure_flags_are_usage_errors_and_run_nothing() {
+    let cwd = std::env::temp_dir().join(format!("ct-bad-figs-{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).expect("scratch directory");
+    for (args, message) in BAD_FIGS {
+        let out = Command::new(env!("CARGO_BIN_EXE_ct"))
+            .arg("fig")
+            .args(args)
+            .current_dir(&cwd)
+            .output()
+            .expect("ct runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let what = format!("ct fig {}: {stderr}", args.join(" "));
+        assert_eq!(out.status.code(), Some(2), "{what}");
+        assert!(stderr.contains(message), "{what}");
+        assert!(!stderr.contains("panicked"), "{what}");
+        assert!(!cwd.join("results").exists(), "{what}");
+    }
+    std::fs::remove_dir_all(&cwd).expect("nothing was written");
+}
+
 /// Every command that reads a JSON or JSONL file, followed by the file.
 const READERS: [&[&str]; 5] = [
     &["analyze", "--input"],
