@@ -271,7 +271,7 @@ impl std::error::Error for CampaignError {}
 mod tests {
     use super::*;
     use ct_core::tree::TreeKind;
-    use ct_obs::{MetricsSink, MonitorConfig, MonitorSink};
+    use ct_obs::{EventKind, MonitorConfig, MonitorSink, VecSink};
 
     #[test]
     fn fault_free_checked_campaign_matches_lemma2() {
@@ -322,12 +322,12 @@ mod tests {
         assert_eq!(seq, par);
     }
 
-    /// The registry's per-payload counters, fed purely from the event
-    /// stream, must reproduce the engine's own `MessageCounts` on a
+    /// Per-payload send counts, folded purely from the event stream,
+    /// must reproduce the engine's own `MessageCounts` on a
     /// Figure-6-style campaign (corrected tree, random faults).
     #[test]
     fn metered_campaign_counters_match_message_counts() {
-        use ct_obs::metrics::names;
+        use ct_core::protocol::Payload;
 
         let reps = 5u32;
         let c = Campaign::new(
@@ -337,20 +337,33 @@ mod tests {
         )
         .with_faults(FaultSpec::Count(3))
         .with_reps(reps);
-        // One registry folds the whole campaign, one arena serves it.
-        let mut sink = MetricsSink::new();
+        // One sink records the whole campaign, one arena serves it.
+        let mut sink = VecSink::new();
         let mut arena = RunArena::new();
         let records: Vec<RunRecord> = (0..reps)
             .map(|i| c.run_one(i, &mut sink, &mut arena).unwrap())
             .collect();
-        let registry = sink.registry;
+        // [tree, gossip, correction, ack] sends, then colored ranks.
+        let mut sends = [0u64; 4];
+        let mut colored = 0u64;
+        for e in &sink.events {
+            match e.kind {
+                EventKind::SendStart { payload, .. } => {
+                    sends[match payload {
+                        Payload::Tree => 0,
+                        Payload::Gossip { .. } => 1,
+                        Payload::Correction => 2,
+                        Payload::Ack => 3,
+                    }] += 1;
+                }
+                EventKind::Colored { .. } => colored += 1,
+                _ => {}
+            }
+        }
 
         // Recompute the campaign's aggregate MessageCounts straight
         // from the simulator, without any sink in the loop.
-        let mut tree = 0u64;
-        let mut gossip = 0u64;
-        let mut correction = 0u64;
-        let mut ack = 0u64;
+        let mut counts = [0u64; 4];
         for i in 0..reps {
             let seed = c.seed0 + u64::from(i);
             let plan = FaultPlan::random_count(c.p, 3, seed).unwrap();
@@ -360,30 +373,27 @@ mod tests {
                 .build()
                 .run(&c.variant)
                 .unwrap();
-            tree += out.messages.tree;
-            gossip += out.messages.gossip;
-            correction += out.messages.correction;
-            ack += out.messages.ack;
+            let m = out.messages;
+            for (n, v) in counts
+                .iter_mut()
+                .zip([m.tree, m.gossip, m.correction, m.ack])
+            {
+                *n += v;
+            }
         }
 
-        assert_eq!(registry.counter(names::MSGS_TREE), tree);
-        assert_eq!(registry.counter(names::MSGS_GOSSIP), gossip);
-        assert_eq!(registry.counter(names::MSGS_CORRECTION), correction);
-        assert_eq!(registry.counter(names::MSGS_ACK), ack);
+        assert_eq!(sends, counts);
         assert_eq!(
-            registry.messages_total(),
+            sends.iter().sum::<u64>(),
             records.iter().map(|r| r.messages).sum::<u64>()
         );
         // One Colored event per rank that got colored (dead ranks and
-        // stragglers never do), and each coloring lands in the
-        // histogram.
+        // stragglers never do).
         let colored_expected: u64 = records
             .iter()
             .map(|r| u64::from(c.p - r.faults - r.uncolored))
             .sum();
-        assert_eq!(registry.counter(names::COLORED), colored_expected);
-        let hist = registry.histogram(names::COLORING_TIME).unwrap();
-        assert_eq!(hist.count(), colored_expected);
+        assert_eq!(colored, colored_expected);
     }
 
     /// Every repetition of a faulty corrected campaign must pass the

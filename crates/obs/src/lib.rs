@@ -1,6 +1,6 @@
 //! # ct-obs — unified observability layer
 //!
-//! One event schema, one metrics registry and one run-manifest format
+//! One event schema, one metric store and one run-manifest format
 //! shared by the LogP simulator (`ct-sim`) and the threaded cluster
 //! runtime (`ct-runtime`), so that a simulated broadcast and a real one
 //! can be compared event-by-event and every campaign CSV carries its
@@ -20,8 +20,8 @@
 //!   validates the event stream online against the paper's invariants
 //!   (§2.1 reliability/no-duplicates, §4.3 fail-stop, LogP wire timing)
 //!   and reports structured [`monitor::Violation`] records.
-//! * [`metrics`] — [`MetricsRegistry`]: named counters and fixed-bucket
-//!   histograms with cross-run merge. No external dependencies.
+//! * [`metrics`] — [`Histogram`], the one bucket layout (powers of two
+//!   up to 2²⁰) every distribution uses, mergeable across runs.
 //! * [`manifest`] — [`RunManifest`], written as
 //!   `results/<name>.meta.json` next to every campaign CSV.
 //! * [`chrome`] — export a recorded event stream as a
@@ -75,10 +75,10 @@ pub use flight::{FlightDump, FlightKind, FlightRecord, FlightRecorder};
 pub use health::{HealthConfig, HealthEngine, HealthEvent, Severity};
 pub use http::{monitor_handler, HttpServer, Response};
 pub use manifest::{default_threads, RunManifest};
-pub use metrics::{Histogram, MetricsRegistry};
+pub use metrics::Histogram;
 pub use monitor::{Invariant, MonitorConfig, MonitorReport, MonitorSink, Violation};
 pub use postmortem::Postmortem;
 pub use series::{Sampler, SeriesExport, SeriesRing, SeriesSample, SeriesStore};
-pub use sink::{EventSink, JsonlSink, MetricsSink, NullSink, VecSink};
+pub use sink::{EventSink, JsonlSink, NullSink, VecSink};
 pub use stall::{RankStall, StallReport};
 pub use telemetry::{TelemetryHub, TelemetrySnapshot};

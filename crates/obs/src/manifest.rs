@@ -195,28 +195,6 @@ impl RunManifest {
     }
 }
 
-/// Summarize a fault mask: `"none"`, or `"k/p failed: [r0,r1,…]"` with
-/// at most eight ranks listed.
-pub fn summarize_fault_mask(mask: &[bool]) -> String {
-    let failed: Vec<usize> = mask
-        .iter()
-        .enumerate()
-        .filter_map(|(r, &f)| f.then_some(r))
-        .collect();
-    if failed.is_empty() {
-        return "none".to_owned();
-    }
-    let shown: Vec<String> = failed.iter().take(8).map(|r| r.to_string()).collect();
-    let ellipsis = if failed.len() > 8 { ",…" } else { "" };
-    format!(
-        "{}/{} failed: [{}{}]",
-        failed.len(),
-        mask.len(),
-        shown.join(","),
-        ellipsis
-    )
-}
-
 /// Host-shape provenance: the fields that make perf baselines from
 /// different machines distinguishable. Returns sorted key/value pairs:
 ///
@@ -367,18 +345,6 @@ mod tests {
             RunManifest::path_for(Path::new("results/fig6.csv")),
             PathBuf::from("results/fig6.meta.json")
         );
-    }
-
-    #[test]
-    fn fault_mask_summaries() {
-        assert_eq!(summarize_fault_mask(&[false, false]), "none");
-        assert_eq!(
-            summarize_fault_mask(&[false, true, true, false]),
-            "2/4 failed: [1,2]"
-        );
-        let mask: Vec<bool> = (0..16).map(|r| r < 10).collect();
-        let s = summarize_fault_mask(&mask);
-        assert!(s.starts_with("10/16 failed: [0,1,2,3,4,5,6,7,…]"), "{s}");
     }
 
     #[test]

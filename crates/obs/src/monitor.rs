@@ -347,12 +347,6 @@ fn is_protocol_event(kind: &EventKind) -> bool {
     )
 }
 
-/// The phase a payload belongs to: dissemination (`tree`/`gossip`) or
-/// correction (`correction`/`ack`).
-pub fn is_correction_payload(p: Payload) -> bool {
-    matches!(p, Payload::Correction | Payload::Ack)
-}
-
 impl MonitorSink {
     /// A monitor with the given configuration.
     pub fn new(cfg: MonitorConfig) -> MonitorSink {

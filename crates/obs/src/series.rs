@@ -368,6 +368,13 @@ impl SeriesStore {
         self.ring.lock().unwrap().samples().cloned().collect()
     }
 
+    /// The retained windows numbered `seq` or later, oldest first — what
+    /// a reader that has seen every window before `seq` still lacks.
+    pub fn samples_since(&self, seq: u64) -> Vec<SeriesSample> {
+        let ring = self.ring.lock().unwrap();
+        ring.samples().filter(|s| s.seq >= seq).cloned().collect()
+    }
+
     /// Windows evicted from the ring so far.
     pub fn dropped(&self) -> u64 {
         self.ring.lock().unwrap().dropped()
@@ -645,6 +652,8 @@ mod tests {
         assert_eq!(store.active_critical().len(), 1);
         assert_eq!(store.events_from(0).len(), 1);
         assert_eq!(store.events_from(1).len(), 0);
+        assert_eq!(store.samples_since(1), vec![sample(1)]);
+        assert_eq!(store.samples_since(2), vec![]);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 
 use std::io::{self, Write};
 
-use crate::event::{Event, EventKind};
-use crate::metrics::MetricsRegistry;
+use crate::event::Event;
 
 /// Receives the event stream of a run.
 pub trait EventSink {
@@ -134,67 +133,6 @@ impl<W: Write> EventSink for JsonlSink<W> {
     }
 }
 
-/// Feeds the event stream into a [`MetricsRegistry`] (message counters
-/// by payload kind, drop counter, coloring-time histogram).
-#[derive(Clone, Debug, Default)]
-pub struct MetricsSink {
-    /// The accumulated metrics.
-    pub registry: MetricsRegistry,
-}
-
-impl MetricsSink {
-    /// An empty sink.
-    pub fn new() -> MetricsSink {
-        MetricsSink::default()
-    }
-}
-
-impl EventSink for MetricsSink {
-    fn emit(&mut self, event: &Event) {
-        self.registry.record_event(event);
-    }
-}
-
-/// Fan one stream out to two sinks (either side may be a further tee).
-///
-/// Both sides see the same emission order; the [`VecSink`] ordering
-/// caveat about cluster per-worker buffering applies to each side
-/// unchanged.
-#[derive(Debug, Default)]
-pub struct TeeSink<A, B> {
-    /// First receiver.
-    pub a: A,
-    /// Second receiver.
-    pub b: B,
-}
-
-impl<A: EventSink, B: EventSink> TeeSink<A, B> {
-    /// Combine two sinks.
-    pub fn new(a: A, b: B) -> TeeSink<A, B> {
-        TeeSink { a, b }
-    }
-}
-
-impl<A: EventSink, B: EventSink> EventSink for TeeSink<A, B> {
-    fn enabled(&self) -> bool {
-        self.a.enabled() || self.b.enabled()
-    }
-
-    fn emit(&mut self, event: &Event) {
-        if self.a.enabled() {
-            self.a.emit(event);
-        }
-        if self.b.enabled() {
-            self.b.emit(event);
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.a.flush()?;
-        self.b.flush()
-    }
-}
-
 impl EventSink for &mut dyn EventSink {
     fn enabled(&self) -> bool {
         (**self).enabled()
@@ -209,43 +147,10 @@ impl EventSink for &mut dyn EventSink {
     }
 }
 
-/// Silently ignore phase spans, forwarding everything else — useful
-/// when comparing a producer that emits spans against one that doesn't.
-#[derive(Debug, Default)]
-pub struct DropPhases<S> {
-    /// The receiving sink.
-    pub inner: S,
-}
-
-impl<S: EventSink> DropPhases<S> {
-    /// Wrap a sink.
-    pub fn new(inner: S) -> DropPhases<S> {
-        DropPhases { inner }
-    }
-}
-
-impl<S: EventSink> EventSink for DropPhases<S> {
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-
-    fn emit(&mut self, event: &Event) {
-        if !matches!(
-            event.kind,
-            EventKind::PhaseBegin { .. } | EventKind::PhaseEnd { .. }
-        ) {
-            self.inner.emit(event);
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventKind;
     use ct_core::protocol::Payload;
     use ct_logp::Time;
 
@@ -287,29 +192,5 @@ mod tests {
             String::from_utf8(bytes).unwrap(),
             "{\"t\":3,\"kind\":\"send\",\"from\":0,\"to\":1,\"payload\":\"tree\"}\n"
         );
-    }
-
-    #[test]
-    fn tee_feeds_both_sides() {
-        let mut tee = TeeSink::new(VecSink::new(), MetricsSink::new());
-        assert!(tee.enabled());
-        tee.emit(&send(0));
-        assert_eq!(tee.a.events.len(), 1);
-        assert_eq!(tee.b.registry.counter("msgs.tree"), 1);
-    }
-
-    #[test]
-    fn drop_phases_filters_spans_only() {
-        let mut s = DropPhases::new(VecSink::new());
-        s.emit(&send(0));
-        s.emit(&Event::sim(
-            Time::ZERO,
-            EventKind::PhaseBegin { name: "x".into() },
-        ));
-        s.emit(&Event::sim(
-            Time::ZERO,
-            EventKind::PhaseEnd { name: "x".into() },
-        ));
-        assert_eq!(s.inner.events.len(), 1);
     }
 }

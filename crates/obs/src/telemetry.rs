@@ -45,7 +45,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::json::{u64_object, within, JsonObject, Value};
-use crate::metrics::Histogram;
+use crate::metrics::{bucket, Histogram, BUCKETS};
 
 /// Schema tag stamped into every rendered snapshot; bump on any
 /// incompatible change to the JSON layout.
@@ -184,9 +184,8 @@ impl Counter {
     }
 }
 
-/// Mergeable distributions the hub tracks, one atomic histogram per
-/// distribution per worker shard. All use the power-of-two
-/// [`Histogram::latency_default`] buckets.
+/// Mergeable distributions the hub tracks, one atomic [`Histogram`]
+/// per distribution per worker shard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Dist {
@@ -256,14 +255,9 @@ impl Dist {
 /// crossbeam's `CachePadded` uses on x86-64 and aarch64).
 pub const SHARD_ALIGN: usize = 128;
 
-/// Buckets of every hub histogram: one per
-/// [`Histogram::latency_default`] bound plus the overflow bucket.
-const BUCKETS: usize = 22;
-
-/// A fixed-bucket histogram updated with relaxed atomic RMWs; the
-/// atomic twin of [`Histogram`] (same bounds, snapshots via
-/// [`Histogram::from_parts`]). The buckets are inline so that a shard
-/// owns every word it writes.
+/// The atomic storage of one [`Histogram`], updated with relaxed
+/// RMWs. The buckets are inline so that a shard owns every word it
+/// writes.
 struct AtomicHistogram {
     /// Per-bucket counts; last entry is the overflow bucket.
     counts: [AtomicU64; BUCKETS],
@@ -282,18 +276,16 @@ impl AtomicHistogram {
         }
     }
 
-    fn record(&self, bounds: &[u64], v: u64) {
-        let idx = bounds.partition_point(|&b| b < v);
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
+    fn record(&self, v: u64) {
+        self.counts[bucket(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Add every observation of `local` (same bounds): one RMW per
-    /// bucket that moved, one for the sum, and one per extreme only
-    /// when it moves — a load finds out, and after the first batches
-    /// it rarely does.
+    /// Add every observation of `local`: one RMW per bucket that moved,
+    /// one for the sum, and one per extreme only when it moves — a load
+    /// finds out, and after the first batches it rarely does.
     fn merge(&self, local: &Histogram) {
         let (Some(lo), Some(hi)) = (local.min(), local.max()) else {
             return;
@@ -312,20 +304,12 @@ impl AtomicHistogram {
         }
     }
 
-    fn snapshot(&self, bounds: &[u64]) -> Histogram {
-        let counts: Vec<u64> = self
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
-        // The total is the sum of the buckets just read, not a counter
-        // of its own: a separate load races with `record` and made
-        // `from_parts` panic the sampler thread mid-run.
-        let count = counts.iter().sum();
-        Histogram::from_parts(
-            bounds.to_vec(),
-            counts,
-            count,
+    /// The histogram as of now. Its count is the sum of the buckets just
+    /// read, not a counter of its own: a separate load would race with
+    /// `record`.
+    fn snapshot(&self) -> Histogram {
+        Histogram::from_buckets(
+            std::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed)),
             self.sum.load(Ordering::Relaxed),
             self.min.load(Ordering::Relaxed),
             self.max.load(Ordering::Relaxed),
@@ -361,8 +345,6 @@ impl Shard {
 /// run is still executing, which is exactly what `ct top` does.
 pub struct TelemetryHub {
     shards: Vec<Shard>,
-    /// Shared histogram bounds ([`Histogram::latency_default`]).
-    bounds: Vec<u64>,
     /// Per-rank mailbox occupancy high-water marks.
     rank_hwm: Vec<AtomicU64>,
     /// Last sampled run-queue depth.
@@ -385,11 +367,8 @@ impl TelemetryHub {
     /// shards still work — shard selection wraps — at the cost of some
     /// shard sharing.
     pub fn new(workers: usize, ranks: usize) -> TelemetryHub {
-        let bounds = Histogram::latency_default().bounds().to_vec();
-        assert_eq!(bounds.len() + 1, BUCKETS, "one bucket per bound + overflow");
         TelemetryHub {
             shards: (0..workers.max(1)).map(|_| Shard::new()).collect(),
-            bounds,
             rank_hwm: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
             runq_depth: AtomicU64::new(0),
             timers_pending: AtomicU64::new(0),
@@ -397,16 +376,6 @@ impl TelemetryHub {
             iter_live: AtomicU64::new(0),
             iter_colored: AtomicU64::new(0),
         }
-    }
-
-    /// Number of worker shards.
-    pub fn workers(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Number of per-rank high-water slots.
-    pub fn ranks(&self) -> usize {
-        self.rank_hwm.len()
     }
 
     fn shard(&self, worker: usize) -> &Shard {
@@ -429,7 +398,7 @@ impl TelemetryHub {
 
     /// Record `v` into `dist` on `worker`'s shard.
     pub fn observe(&self, worker: usize, dist: Dist, v: u64) {
-        self.shard(worker).dists[dist as usize].record(&self.bounds, v);
+        self.shard(worker).dists[dist as usize].record(v);
     }
 
     /// Fold a histogram the caller filled locally into `dist` on
@@ -437,16 +406,7 @@ impl TelemetryHub {
     /// [`TelemetryHub::observe`] once per value, with the same snapshot
     /// as a result. An empty `local` is a no-op; the caller resets it
     /// afterwards ([`Histogram::reset`]).
-    ///
-    /// # Panics
-    /// If `local` does not use the [`Histogram::latency_default`]
-    /// bounds.
     pub fn merge_dist(&self, worker: usize, dist: Dist, local: &Histogram) {
-        assert_eq!(
-            local.bounds(),
-            &self.bounds[..],
-            "cannot merge histograms with different buckets"
-        );
         self.shard(worker).dists[dist as usize].merge(local);
     }
 
@@ -529,9 +489,9 @@ impl TelemetryHub {
         }
         let mut histograms = BTreeMap::new();
         for d in Dist::ALL {
-            let mut merged = Histogram::with_bounds(&self.bounds);
+            let mut merged = Histogram::default();
             for s in &self.shards {
-                merged.merge(&s.dists[d as usize].snapshot(&self.bounds));
+                merged.merge(&s.dists[d as usize].snapshot());
             }
             histograms.insert(d.name().to_owned(), merged);
         }
@@ -871,7 +831,7 @@ mod tests {
                 }
             })
         };
-        // `Histogram::from_parts` asserts buckets == total on each one.
+        // Each snapshot must read back whole while the writer runs.
         while !writer.is_finished() {
             let _ = hub.snapshot();
         }
@@ -893,7 +853,7 @@ mod tests {
                 }
             })
         };
-        // `Histogram::from_parts` asserts buckets == total on each one.
+        // Each snapshot must read back whole while the writer runs.
         while !writer.is_finished() {
             let _ = hub.snapshot();
         }
@@ -982,6 +942,16 @@ mod tests {
         assert!(err.contains("do not sum"), "{err}");
         assert!(
             err.starts_with("histograms.sim.rep_events.counts: "),
+            "{err}"
+        );
+        // Any bucket layout but the one is rejected, naming the field.
+        let layout = Histogram::default().to_json();
+        let bounds = &layout[..layout.find("],").unwrap() + 1];
+        let other = json.replacen(bounds, "{\"bounds\":[1,2,3]", 1);
+        assert_ne!(json, other, "fixture must contain the bounds to replace");
+        let err = TelemetrySnapshot::from_json(&other).unwrap_err();
+        assert!(
+            err.starts_with("histograms.coord.batch_size.bounds: "),
             "{err}"
         );
         let err = TelemetrySnapshot::from_json(

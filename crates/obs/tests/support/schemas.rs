@@ -16,6 +16,7 @@ use ct_core::protocol::{ColoredVia, Payload};
 use ct_logp::Time;
 use ct_obs::flight::{FlightDump, FlightKind, FlightRecord, ShardTail};
 use ct_obs::health::{HealthEvent, Severity};
+use ct_obs::json::{JsonObject, Value};
 use ct_obs::metrics::Histogram;
 use ct_obs::{
     Event, EventKind, Postmortem, RankStall, SeriesSample, StallReport, TelemetrySnapshot,
@@ -88,28 +89,29 @@ pub fn u64_map(rng: &mut TestRng) -> BTreeMap<String, u64> {
         .collect()
 }
 
-/// A histogram: strictly increasing bounds, bucket counts that sum to
-/// the total (all zero, and so `null` extremes, a quarter of the time).
+/// A histogram over the one bucket layout: bucket counts that sum to
+/// the total (all zero, and so `null` extremes, a quarter of the time)
+/// and arbitrary sum and extremes, read from the JSON its writer emits.
 pub fn histogram(rng: &mut TestRng) -> Histogram {
-    let mut bounds: Vec<u64> = (0..rng.gen_range(1..5usize))
-        .map(|_| u64_any(rng))
-        .collect();
-    bounds.sort_unstable();
-    bounds.dedup();
+    let layout = Histogram::default();
     let empty = rng.gen_range(0..4u32) == 0;
-    // Each count below 2^61, so six of them cannot overflow the total.
-    let counts: Vec<u64> = (0..=bounds.len())
-        .map(|_| if empty { 0 } else { u64_any(rng) >> 3 })
+    // Each count below 2^58, so 22 of them cannot overflow the total.
+    let counts: Vec<u64> = layout
+        .counts()
+        .iter()
+        .map(|_| if empty { 0 } else { u64_any(rng) >> 6 })
         .collect();
     let count = counts.iter().sum();
-    Histogram::from_parts(
-        bounds,
-        counts,
-        count,
-        u64_any(rng),
-        u64_any(rng),
-        u64_any(rng),
-    )
+    let extreme = |rng: &mut TestRng| (count > 0).then(|| u64_any(rng));
+    let mut obj = JsonObject::new();
+    obj.field_u64_array("bounds", layout.bounds());
+    obj.field_u64_array("counts", &counts);
+    obj.field_u64("count", count);
+    obj.field_u64("sum", u64_any(rng));
+    obj.field_opt_u64("min", extreme(rng));
+    obj.field_opt_u64("max", extreme(rng));
+    Histogram::from_value(&Value::parse(&obj.finish()).expect("valid JSON"))
+        .expect("a histogram over the layout")
 }
 
 /// A telemetry snapshot with arbitrary names and values.

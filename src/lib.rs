@@ -16,8 +16,8 @@
 //! * [`analysis`] — Lemma 2/3 bounds and statistics,
 //! * [`exp`] — the experiment campaigns behind every paper figure,
 //! * [`runtime`] — the thread-based cluster runtime (MPI stand-in),
-//! * [`obs`] — the shared observability layer: event sinks, metrics
-//!   registry and run manifests,
+//! * [`obs`] — the shared observability layer: event sinks, the
+//!   telemetry hub and its histogram, and run manifests,
 //! * [`analyze`] — trace analysis: causal DAGs, critical paths with
 //!   LogP cost attribution, and failure forensics.
 //!

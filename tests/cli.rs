@@ -111,6 +111,93 @@ fn hostile_figure_flags_are_usage_errors_and_run_nothing() {
     std::fs::remove_dir_all(&cwd).expect("nothing was written");
 }
 
+/// The golden four-rank trace, rank 2 dead.
+const GOLDEN_P4: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/crates/sim/tests/data/golden_p4.jsonl"
+);
+
+/// Command lines every command rejects before it runs anything, each
+/// with a piece of its message: a flag the command does not read (one
+/// per command) and a listed rank past the last one.
+const BAD_FLAGS: [(&[&str], &str); 15] = [
+    (&["run", "--fautls", "5"], "run does not read --fautls"),
+    (&["tree", "--faults", "1"], "tree does not read --faults"),
+    (
+        &["sweep", "--format", "jsonl"],
+        "sweep does not read --format",
+    ),
+    (&["trace", "--reps", "3"], "trace does not read --reps"),
+    (&["analyze", "--dead", "1"], "analyze does not read --dead"),
+    (&["check", "--dead", "1"], "check does not read --dead"),
+    (
+        &["forensics", "--runtime"],
+        "forensics does not read --runtime",
+    ),
+    (&["pubsub", "--rate", "0.1"], "pubsub does not read --rate"),
+    (&["stats", "--failed", "1"], "stats does not read --failed"),
+    (
+        &["top", "--interval-ms", "100"],
+        "top does not read --interval-ms",
+    ),
+    (
+        &["serve", "--iters", "1", "extra"],
+        "serve does not read extra",
+    ),
+    (&["monitor", "--p", "4"], "monitor does not read --p"),
+    (
+        &["postmortem", "dump.json", "--input", "x"],
+        "postmortem does not read --input",
+    ),
+    (
+        &["check", "--input", GOLDEN_P4, "--p", "4", "--failed", "9"],
+        "--failed rank 9 out of range (p=4)",
+    ),
+    (
+        &["forensics", "--input", GOLDEN_P4, "--failed", "9"],
+        "--failed rank 9 out of range (p=4)",
+    ),
+];
+
+#[test]
+fn unread_flags_and_unknown_ranks_are_usage_errors_in_every_command() {
+    for (args, message) in BAD_FLAGS {
+        let out = Command::new(env!("CARGO_BIN_EXE_ct"))
+            .args(args)
+            .output()
+            .expect("ct runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let what = format!("ct {}: {stderr}", args.join(" "));
+        assert_eq!(out.status.code(), Some(2), "{what}");
+        assert!(stderr.contains(message), "{what}");
+        assert!(!stderr.contains("panicked"), "{what}");
+        assert_eq!(out.stdout, b"", "{what}");
+    }
+}
+
+/// `ct top` draws the sampler's windows while a campaign runs: at
+/// 25 ms windows, 2 000 broadcasts of 32 ranks span several of them,
+/// optimized or not.
+#[test]
+fn top_draws_frames_then_the_summary() {
+    let out = Command::new(env!("CARGO_BIN_EXE_ct"))
+        .args(["top", "--p", "32", "--iters", "2000"])
+        .env("CT_SAMPLE_MS", "25")
+        .output()
+        .expect("ct runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let what = format!("{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(0), "{what}");
+    let frame = stdout.find("ct top — source=cluster").expect(&what);
+    let done = stdout
+        .find("campaign done: 2000 broadcasts, 0 incomplete")
+        .expect(&what);
+    let summary = stdout
+        .find("scheduler summary (source=cluster")
+        .expect(&what);
+    assert!(frame < done && done < summary, "{what}");
+}
+
 /// Every command that reads a JSON or JSONL file, followed by the file.
 const READERS: [&[&str]; 5] = [
     &["analyze", "--input"],
