@@ -1,4 +1,5 @@
-//! M:N rank scheduler, bounded mailboxes and the per-broadcast drive loop.
+//! M:N rank scheduler, bounded mailboxes and the rank quantum; the
+//! coordinator loop every broadcast runs under is in [`crate::pubsub`].
 //!
 //! A [`Cluster`] emulates `P` single-process nodes on a fixed pool of
 //! worker threads ([`default_threads`]-sized, `CT_THREADS` override) —
@@ -57,24 +58,24 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ct_core::protocol::{BuildCtx, Process, ProtocolError, ProtocolFactory, SendPoll};
+use ct_core::protocol::{Process, ProtocolError, ProtocolFactory, SendPoll};
 use ct_logp::{LogP, Rank, Time};
-use ct_obs::event::phases;
 use ct_obs::flight::{FlightKind as Fk, FlightRecorder, NO_RANK};
 use ct_obs::health::{HealthConfig, HealthEvent};
 use ct_obs::metrics::Histogram;
 use ct_obs::series::{Sampler, SeriesStore, DEFAULT_SERIES_CAP};
 use ct_obs::telemetry::{Counter as Tc, Dist as Td, TelemetryHub};
 use ct_obs::{Event as ObsEvent, EventKind as ObsEventKind, EventSink, NullSink};
-use ct_obs::{Postmortem, RankStall, StallReport};
+use ct_obs::{Postmortem, StallReport};
 
 /// Worker-pool size: the process's one thread-count rule (`CT_THREADS`,
 /// else the available parallelism), shared with the experiment
 /// campaigns and the simulator.
 pub use ct_obs::default_threads;
 
-use crate::inbox::{CoordMsg, Inbox, RecvError};
+use crate::inbox::{CoordMsg, Inbox};
 use crate::mailbox::{Mailbox, Msg};
+use crate::pubsub::{Admission, Rule};
 use crate::timer::TimerWheel;
 
 /// Upper bound on ranks a worker claims per run-queue lock.
@@ -378,11 +379,12 @@ pub(crate) struct RankState {
     /// `id <= last_installed` that matches no installed iteration is
     /// stale (its iteration was torn down) and is dropped.
     pub(crate) last_installed: u64,
-    /// Cluster-timeline µs stamp of this rank's last mailbox drain in
-    /// the current iteration (`None` until first polled). Always
-    /// maintained — it is the clock read that follows every drain — so
-    /// the watchdog's [`StallReport`] can tell "never polled" from
-    /// "polled long ago" even on runs without telemetry.
+    /// Cluster-timeline µs stamp of this rank's last mailbox drain
+    /// (`None` until first polled). Always maintained — it is the clock
+    /// read that follows every drain — so the watchdog's
+    /// [`StallReport`] can tell "never polled" from "polled long ago"
+    /// even on runs without telemetry; a stamp older than a broadcast's
+    /// epoch counts as never polled for it.
     pub(crate) last_poll_us: Option<u64>,
 }
 
@@ -408,7 +410,7 @@ pub(crate) struct RankCell {
 
 /// Scheduler state shared by the pool.
 pub(crate) struct Sched {
-    runq: VecDeque<Rank>,
+    pub(crate) runq: VecDeque<Rank>,
     /// Per rank, its entries in `runq` that no worker has claimed yet:
     /// what an install goes by ([`Shared::schedule_installed`]).
     unclaimed: Vec<u32>,
@@ -680,15 +682,12 @@ impl Cluster {
         self.p
     }
 
-    /// Change the per-iteration completion deadline (default 30 s).
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout;
-    }
-
     /// Run one broadcast of `factory`'s protocol with `dead` marking
-    /// emulated crash failures. The protocol's initiating rank (rank 0,
-    /// or `BroadcastSpec::root` for rotated broadcasts) must be alive —
-    /// a dead initiator simply times out with nobody colored.
+    /// emulated crash failures: a one-slot window of the pub/sub
+    /// coordinator, retired once every live rank is colored (see
+    /// [`crate::pubsub`]). The protocol's initiating rank (rank 0, or
+    /// `BroadcastSpec::root` for rotated broadcasts) must be alive — a
+    /// dead initiator simply times out with nobody colored.
     pub fn run_broadcast(
         &mut self,
         factory: &dyn ProtocolFactory,
@@ -731,304 +730,32 @@ impl Cluster {
         seed: u64,
         sink: &mut dyn EventSink,
     ) -> Result<RunReport, ClusterError> {
-        let result = self.run_broadcast_inner(factory, dead, seed, sink);
-        if let Err(ClusterError::WorkerPanicked) = &result {
-            // The black box outlives the crash: freeze the rings and
-            // dump whatever the workers managed to record before dying.
-            let _ = self.capture_postmortem("worker_panic", None);
-        }
-        result
-    }
-
-    fn run_broadcast_inner(
-        &mut self,
-        factory: &dyn ProtocolFactory,
-        dead: &[bool],
-        seed: u64,
-        sink: &mut dyn EventSink,
-    ) -> Result<RunReport, ClusterError> {
-        assert_eq!(dead.len(), self.p as usize);
-        let record = sink.enabled();
-        let id = self.next_id;
-        self.next_id += 1;
-        let ctx = BuildCtx {
-            p: self.p,
-            logp: self.logp,
-            seed,
-        };
-        factory.build_into(&ctx, &mut self.procs)?;
-        assert_eq!(self.procs.len(), self.p as usize);
-
-        let live: u32 = dead.iter().filter(|&&d| !d).count() as u32;
-        // Mark the health log so this iteration's report carries only
-        // events fired from here on; publish the iteration gauges the
-        // stall-precursor rule reads ("iteration installed, these many
-        // live ranks, none colored yet").
+        // Mark the health log so this report carries only events fired
+        // from here on.
         let health_mark = self.sampler.as_ref().map(|s| s.store().events_len());
-        if let Some(t) = &self.shared.telemetry {
-            t.set_iter_progress(u64::from(live), 0);
-            t.set_iter_active(1);
-        }
-        // The iteration epoch: zero point of event timestamps AND of
-        // the latency measurement, taken before any rank is installed
-        // so no stamp can predate it.
-        let (epoch, epoch_us) = self.shared.epoch();
-        for rank in (0..self.p).rev() {
-            let process = self.procs.pop().expect("one per rank");
-            let mut st = self.shared.ranks[rank as usize]
-                .state
-                .lock()
-                .map_err(|_| ClusterError::WorkerPanicked)?;
-            debug_assert!(st.iters.is_empty(), "single-broadcast mode is exclusive");
-            st.iters.push(IterState::new(
-                id,
-                process,
-                dead[rank as usize],
-                epoch_us,
-                record,
-            ));
-            st.pending.clear();
-            st.last_installed = id;
-            st.last_poll_us = None;
-            // The mailbox is NOT cleared here: the previous harvest
-            // already emptied it, and a rank installed earlier in this
-            // loop may legitimately have started sending to this one.
-        }
-        self.shared.schedule_installed()?;
-        if let Some(f) = self.shared.flight.as_deref() {
-            // The coordinator owns the extra shard past the workers.
-            f.record(self.shared.workers, Fk::IterStart, NO_RANK, id, 0, epoch_us);
-        }
-
-        let deadline = epoch + self.timeout;
-        let mut colored = vec![false; self.p as usize];
-        let mut colored_count = 0u32;
-        let mut completed = false;
-        let mut latency = self.timeout;
-        while colored_count < live {
-            // Sleep until the inbox holds every notification still
-            // missing — the broadcast's one coordinator wake-up. With a
-            // hub attached the sleep is cut short to keep the progress
-            // gauge moving during a long broadcast.
-            let until = match &self.shared.telemetry {
-                Some(_) => deadline.min(Instant::now() + GAUGE_REFRESH),
-                None => deadline,
-            };
-            let need = u64::from(live - colored_count);
-            match self.shared.inbox.recv(until, need) {
-                Ok(CoordMsg::Colored { id: mid, ranks }) if mid == id => {
-                    for rank in ranks {
-                        if !colored[rank as usize] {
-                            colored[rank as usize] = true;
-                            colored_count += 1;
-                        }
-                    }
-                    // One relaxed store per notification keeps the
-                    // progress gauge fresh for the sampler.
-                    if let Some(t) = &self.shared.telemetry {
-                        t.set_iter_progress(u64::from(live), u64::from(colored_count));
-                    }
-                }
-                Ok(_) => {} // a stale notification, or a quiescence delta
-                Err(RecvError::Timeout) if Instant::now() < deadline => {}
-                Err(RecvError::Timeout) => break,
-                Err(RecvError::Disconnected) => return Err(ClusterError::WorkerPanicked),
-            }
-        }
-        if colored_count == live {
-            completed = true;
-            latency = epoch.elapsed();
-        }
-        // Diagnose a stall *before* teardown wipes the evidence: the
-        // stranded ranks' scheduled flags, mailboxes and last-poll
-        // stamps still describe the stuck state at this point.
-        let stall = if completed {
-            None
-        } else {
-            Some(self.stall_report(id, dead, &colored, colored_count, live, epoch, epoch_us)?)
+        let admission = Admission {
+            factory,
+            dead,
+            seed,
+            topic: 0,
+            round: 0,
+            rule: Rule::Colored,
         };
-        // Freeze the flight recorder and bundle the dump while the
-        // evidence is fresh; on completed iterations, stamp the
-        // iteration end instead (a no-op once frozen by an earlier
-        // stall in the same cluster's lifetime).
-        let postmortem = match &stall {
-            Some(report) => self.capture_postmortem("watchdog_stall", Some(report)),
-            None => None,
-        };
-        if let Some(f) = self.shared.flight.as_deref() {
-            f.record(
-                self.shared.workers,
-                Fk::IterEnd,
-                NO_RANK,
-                u64::from(completed),
-                latency.as_micros() as u64,
-                self.shared.now_us(),
-            );
-        }
-        // The iteration is over (one way or the other): retire the
-        // gauges — after the postmortem capture, so a stalled run's
-        // final samples still describe the wedge — and harvest the
-        // events this iteration fired.
-        if let Some(t) = &self.shared.telemetry {
-            t.set_iter_progress(u64::from(live), u64::from(colored_count));
-            t.set_iter_active(0);
-        }
+        let (mut outcomes, postmortem) =
+            self.run_window(1, std::iter::once(admission), &mut [sink])?;
+        let o = outcomes.pop().expect("one admission, one outcome");
         let health = match (&self.sampler, health_mark) {
             (Some(s), Some(mark)) => s.store().events_from(mark),
             _ => Vec::new(),
         };
-
-        // Tear down: reclaim each rank's protocol slot and harvest its
-        // message count and event buffer directly. Locking the state
-        // waits out any in-flight quantum on that rank; once `iter` is
-        // taken, later quanta see a stale rank and do nothing.
-        let mut messages = 0u64;
-        let mut recorded: Vec<ObsEvent> = Vec::new();
-        for rank in 0..self.p {
-            let cell = &self.shared.ranks[rank as usize];
-            let mut st = cell
-                .state
-                .lock()
-                .map_err(|_| ClusterError::WorkerPanicked)?;
-            let mut iter = st.iters.pop().expect("iteration installed");
-            debug_assert!(st.iters.is_empty(), "single-broadcast mode is exclusive");
-            messages += iter.sent;
-            recorded.append(&mut iter.events);
-            drop(st);
-            self.procs.push(iter.process);
-            let undrained = cell
-                .mailbox
-                .lock()
-                .map_err(|_| ClusterError::WorkerPanicked)?
-                .clear();
-            // The owner books a mailbox's depth when it drains it; what
-            // it never got to drain is booked here.
-            if let Some(t) = &self.shared.telemetry {
-                t.mailbox_depth(rank as usize, undrained as u64);
-            }
-        }
-        // Drop wake-ups the dead iteration left behind; a straggler
-        // flushed after this point only triggers a harmless no-op
-        // quantum.
-        self.shared
-            .sched
-            .lock()
-            .map_err(|_| ClusterError::WorkerPanicked)?
-            .timers
-            .clear();
-
-        if record {
-            // Per-rank buffers are harvested in rank order, so
-            // cross-rank events stamped in the same microsecond would
-            // otherwise interleave arbitrarily — an `Arrive` could
-            // surface before its `SendStart`. Sorting by
-            // `(time, order_class)` restores cause-before-effect at
-            // equal timestamps (send < arrive < deliver < colored) and
-            // the stable sort keeps each rank's own in-order stream
-            // intact. `MonitorSink` applies the same key before
-            // checking cross-rank invariants, so either layer alone
-            // suffices; doing it here also makes recorded cluster
-            // traces deterministic for diffing.
-            recorded.sort_by_key(|e| (e.time, e.kind.order_class()));
-            let end = recorded.last().map_or(Time::ZERO, |e| e.time);
-            sink.emit(&ObsEvent::wall(
-                Time::ZERO,
-                0,
-                ObsEventKind::PhaseBegin {
-                    name: phases::BROADCAST.into(),
-                },
-            ));
-            for e in &recorded {
-                sink.emit(e);
-            }
-            sink.emit(&ObsEvent::wall(
-                end,
-                end.steps(),
-                ObsEventKind::PhaseEnd {
-                    name: phases::BROADCAST.into(),
-                },
-            ));
-        }
-
-        let uncolored = colored
-            .iter()
-            .zip(dead)
-            .enumerate()
-            .filter_map(|(r, (&c, &d))| (!c && !d).then_some(r as Rank))
-            .collect();
         Ok(RunReport {
-            latency,
-            uncolored,
-            messages,
-            completed,
-            stall,
+            latency: o.latency,
+            uncolored: o.uncolored,
+            messages: o.messages,
+            completed: o.completed,
+            stall: o.stall,
             postmortem,
             health,
-        })
-    }
-
-    /// Assemble the watchdog's [`StallReport`] for iteration `id`: one
-    /// [`RankStall`] per live-but-uncolored rank plus global scheduler
-    /// state. Called with the stalled iteration still installed, so the
-    /// evidence (flags, mailboxes, last-poll stamps) is intact; the
-    /// system is stuck, so the brief per-rank lock holds cannot perturb
-    /// a healthy run.
-    #[allow(clippy::too_many_arguments)]
-    fn stall_report(
-        &self,
-        id: u64,
-        dead: &[bool],
-        colored: &[bool],
-        colored_count: u32,
-        live: u32,
-        epoch: Instant,
-        epoch_us: u64,
-    ) -> Result<StallReport, ClusterError> {
-        let (runq_depth, pending_timers) = {
-            let sched = self
-                .shared
-                .sched
-                .lock()
-                .map_err(|_| ClusterError::WorkerPanicked)?;
-            (sched.runq.len(), sched.timers.len())
-        };
-        let mut ranks = Vec::new();
-        for rank in 0..self.p {
-            let r = rank as usize;
-            if dead[r] || colored[r] {
-                continue;
-            }
-            let cell = &self.shared.ranks[r];
-            let last_poll_us = cell
-                .state
-                .lock()
-                .map_err(|_| ClusterError::WorkerPanicked)?
-                .last_poll_us;
-            let scheduled = cell.scheduled.load(Ordering::SeqCst);
-            let mb = cell
-                .mailbox
-                .lock()
-                .map_err(|_| ClusterError::WorkerPanicked)?;
-            ranks.push(RankStall {
-                rank,
-                scheduled,
-                mailbox_len: mb.len(),
-                mailbox_spilled: mb.spilled(),
-                last_poll_us,
-            });
-        }
-        Ok(StallReport {
-            id,
-            timeout_ms: self.timeout.as_millis() as u64,
-            p: self.p,
-            live,
-            colored: colored_count,
-            runq_depth,
-            pending_timers,
-            coord_in_flight: self.shared.inbox.len(),
-            now_us: epoch.elapsed().as_micros() as u64,
-            epoch_us,
-            ranks,
         })
     }
 
@@ -1088,11 +815,6 @@ impl Drop for Cluster {
         }
     }
 }
-
-/// Longest coordinator sleep with a telemetry hub attached: what is
-/// queued below the wake-up threshold is taken in at least this often,
-/// so the `iter.colored` gauge follows a long broadcast.
-const GAUGE_REFRESH: Duration = Duration::from_millis(50);
 
 /// Sends a quantum makes on one mailbox drain and one clock read. A
 /// send burst (rank 0's checked-correction round at P=1024) stops this
@@ -1279,80 +1001,11 @@ fn worker_main(shared: Arc<Shared>, widx: usize) {
     // saturated workers read as 61 % busy).
     let mut busy_carry_ns = 0u64;
     loop {
-        batch.clear();
         // The stamp of the claim that found work: start of this batch's
         // busy time.
-        let (claimed_ns, pass_on) = {
-            let mut sched = match shared.sched.lock() {
-                Ok(g) => g,
-                Err(_) => return,
-            };
-            let claimed_ns = loop {
-                if sched.shutdown {
-                    return;
-                }
-                let now_ns = shared.now_ns();
-                let now = now_ns / 1_000;
-                scratch.due.clear();
-                let cascaded = sched.timers.expire(now, &mut scratch.due);
-                taps.add(Tc::TimerCascades, cascaded);
-                taps.add(Tc::TimerFires, scratch.due.len() as u64);
-                for &rank in &scratch.due {
-                    taps.flight(Fk::TimerFire, rank, 0, 0, now);
-                    if !shared.ranks[rank as usize]
-                        .scheduled
-                        .swap(true, Ordering::SeqCst)
-                    {
-                        sched.push_woken(rank);
-                    }
-                }
-                if !sched.runq.is_empty() {
-                    break now_ns;
-                }
-                sched.parked += 1;
-                match sched.timers.next_deadline() {
-                    Some(d) => {
-                        // Cap the sleep so a far-future deadline still
-                        // re-checks shutdown/wake state periodically.
-                        let wait_us = d.saturating_sub(now).clamp(1, 1_000_000);
-                        match shared
-                            .sched_cv
-                            .wait_timeout(sched, Duration::from_micros(wait_us))
-                        {
-                            Ok((g, _)) => sched = g,
-                            Err(_) => return,
-                        }
-                    }
-                    None => match shared.sched_cv.wait(sched) {
-                        Ok(g) => sched = g,
-                        Err(_) => return,
-                    },
-                }
-                sched.parked -= 1;
-            };
-            // Claim a fair share of the queue in one lock acquisition.
-            if let Some(t) = taps.tel {
-                t.observe(widx, Td::RunqDepth, sched.runq.len() as u64);
-                t.set_runq_depth(sched.runq.len() as u64);
-                t.set_timers_pending(sched.timers.len() as u64);
-            }
-            let share = sched
-                .runq
-                .len()
-                .div_ceil(shared.workers)
-                .clamp(1, MAX_BATCH);
-            for _ in 0..share {
-                match sched.pop() {
-                    Some(rank) => batch.push(rank),
-                    None => break,
-                }
-            }
-            (claimed_ns, !sched.runq.is_empty() && sched.parked > 0)
+        let Some(claimed_ns) = claim(&shared, taps, &mut scratch.due, &mut batch) else {
+            return;
         };
-        // Surplus work and somebody asleep: pass the wake-up on.
-        if pass_on {
-            shared.sched_cv.notify_one();
-        }
         if let Some(t) = taps.tel {
             t.inc(widx, Tc::SchedBatches);
             t.observe(widx, Td::BatchSize, batch.len() as u64);
@@ -1384,6 +1037,82 @@ fn worker_main(shared: Arc<Shared>, widx: usize) {
             busy_carry_ns %= 1_000;
         }
     }
+}
+
+/// Claim a fair share of the run queue into `batch`, servicing the
+/// timer wheel and parking while there is none; `None` on shutdown or
+/// a poisoned scheduler lock. Returns the stamp (ns) of the claim that
+/// found work, and wakes the next sleeper if work is left over.
+fn claim(
+    shared: &Shared,
+    taps: Taps<'_>,
+    due: &mut Vec<Rank>,
+    batch: &mut Vec<Rank>,
+) -> Option<u64> {
+    batch.clear();
+    let mut sched = shared.sched.lock().ok()?;
+    let claimed_ns = loop {
+        if sched.shutdown {
+            return None;
+        }
+        let now_ns = shared.now_ns();
+        let now = now_ns / 1_000;
+        due.clear();
+        let cascaded = sched.timers.expire(now, due);
+        taps.add(Tc::TimerCascades, cascaded);
+        taps.add(Tc::TimerFires, due.len() as u64);
+        for &rank in due.iter() {
+            taps.flight(Fk::TimerFire, rank, 0, 0, now);
+            if !shared.ranks[rank as usize]
+                .scheduled
+                .swap(true, Ordering::SeqCst)
+            {
+                sched.push_woken(rank);
+            }
+        }
+        if !sched.runq.is_empty() {
+            break now_ns;
+        }
+        sched.parked += 1;
+        sched = match sched.timers.next_deadline() {
+            Some(d) => {
+                // Cap the sleep so a far-future deadline still
+                // re-checks shutdown/wake state periodically.
+                let wait_us = d.saturating_sub(now).clamp(1, 1_000_000);
+                shared
+                    .sched_cv
+                    .wait_timeout(sched, Duration::from_micros(wait_us))
+                    .ok()?
+                    .0
+            }
+            None => shared.sched_cv.wait(sched).ok()?,
+        };
+        sched.parked -= 1;
+    };
+    // Claim a fair share of the queue in one lock acquisition.
+    if let Some(t) = taps.tel {
+        t.observe(taps.widx, Td::RunqDepth, sched.runq.len() as u64);
+        t.set_runq_depth(sched.runq.len() as u64);
+        t.set_timers_pending(sched.timers.len() as u64);
+    }
+    let share = sched
+        .runq
+        .len()
+        .div_ceil(shared.workers)
+        .clamp(1, MAX_BATCH);
+    for _ in 0..share {
+        match sched.pop() {
+            Some(rank) => batch.push(rank),
+            None => break,
+        }
+    }
+    let pass_on = !sched.runq.is_empty() && sched.parked > 0;
+    drop(sched);
+    // Surplus work and somebody asleep: pass the wake-up on.
+    if pass_on {
+        shared.sched_cv.notify_one();
+    }
+    Some(claimed_ns)
 }
 
 /// What one quantum carries from step to step: the time it runs at and
@@ -1797,10 +1526,9 @@ fn flush(
         scratch.colored.clear();
     }
     // Quiescence deltas, one push per in-flight broadcast (already
-    // merged by id at accumulation time). The single-broadcast
-    // coordinator discards these (and is not woken for them); the
-    // pub/sub coordinator retires a topic once its accumulated counts
-    // balance.
+    // merged by id at accumulation time). A broadcast that retires at
+    // quiescence does so once its accumulated counts balance; one that
+    // retires on coloring only sums them and is not woken for them.
     for &(id, sent, consumed, done) in &scratch.progress {
         shared.inbox.push(CoordMsg::Progress {
             id,
@@ -1872,8 +1600,8 @@ mod tests {
     #[test]
     fn plain_tree_with_crash_times_out_and_reports_orphans() {
         let p = 16;
-        let mut cluster = Cluster::new(p, LogP::PAPER);
-        cluster.set_timeout(Duration::from_millis(200));
+        let cfg = ClusterConfig::new().timeout(Duration::from_millis(200));
+        let mut cluster = Cluster::with_config(p, LogP::PAPER, cfg);
         let spec = BroadcastSpec::plain_tree(TreeKind::BINOMIAL);
         let mut dead = no_faults(p);
         dead[1] = true; // orphan subtree {1,3,5,7,9,11,13,15}

@@ -6,14 +6,12 @@
 //! measured broadcasts, reporting the median and 25%/75% percentiles of
 //! per-iteration latency — the statistics plotted in Figures 11 and 12.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ct_core::protocol::ProtocolFactory;
-use ct_logp::{LogP, Rank, Time};
-use ct_obs::event::phases;
-use ct_obs::{Event as ObsEvent, EventKind as ObsEventKind, EventSink, NullSink};
+use ct_logp::{LogP, Rank};
 
-use crate::cluster::{Cluster, ClusterError};
+use crate::cluster::{Cluster, ClusterConfig, ClusterError};
 
 /// Benchmark configuration.
 #[derive(Clone, Debug)]
@@ -89,22 +87,8 @@ pub fn run_bench(
     logp: LogP,
     config: &BenchConfig,
 ) -> Result<BenchResult, ClusterError> {
-    run_bench_observed(factory, logp, config, &mut NullSink)
-}
-
-/// Like [`run_bench`], streaming the events of every *measured*
-/// iteration into `sink` (warmup runs are never observed). Each
-/// iteration is bracketed by `rep <i>` phase spans stamped with
-/// wall-clock time since the start of the measurement phase, so the
-/// stream doubles as a benchmark timeline.
-pub fn run_bench_observed(
-    factory: &dyn ProtocolFactory,
-    logp: LogP,
-    config: &BenchConfig,
-    sink: &mut dyn EventSink,
-) -> Result<BenchResult, ClusterError> {
-    let mut cluster = Cluster::new(config.p, logp);
-    cluster.set_timeout(config.timeout);
+    let cfg = ClusterConfig::new().timeout(config.timeout);
+    let mut cluster = Cluster::with_config(config.p, logp, cfg);
     let mut dead = vec![false; config.p as usize];
     for &r in &config.dead_ranks {
         dead[r as usize] = true;
@@ -114,32 +98,12 @@ pub fn run_bench_observed(
         let _ = cluster.run_broadcast(factory, &dead, config.seed.wrapping_add(i as u64))?;
     }
 
-    let observing = sink.enabled();
-    let bench_epoch = Instant::now();
-    let wall = |epoch: Instant| epoch.elapsed().as_micros() as u64;
     let mut latencies_us = Vec::with_capacity(config.iterations as usize);
     let mut incomplete = 0u32;
     let mut total_messages = 0u64;
     for i in 0..config.iterations {
         let seed = config.seed.wrapping_add((config.warmup + i) as u64);
-        let rep = format!("{} {i}", phases::REP);
-        if observing {
-            let w = wall(bench_epoch);
-            sink.emit(&ObsEvent::wall(
-                Time::new(w),
-                w,
-                ObsEventKind::PhaseBegin { name: rep.clone() },
-            ));
-        }
-        let report = cluster.run_broadcast_observed(factory, &dead, seed, sink)?;
-        if observing {
-            let w = wall(bench_epoch);
-            sink.emit(&ObsEvent::wall(
-                Time::new(w),
-                w,
-                ObsEventKind::PhaseEnd { name: rep },
-            ));
-        }
+        let report = cluster.run_broadcast(factory, &dead, seed)?;
         latencies_us.push(report.latency.as_secs_f64() * 1e6);
         if !report.completed {
             incomplete += 1;

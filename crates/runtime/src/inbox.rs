@@ -3,15 +3,17 @@
 //!
 //! Workers push a batch's notifications ([`CoordMsg`]) and the
 //! coordinator pops them, like a channel. What the inbox adds is *when
-//! the coordinator is woken*: a coordinator about to sleep names how
-//! many colored ranks it still needs, and a push rings the condvar only
-//! once that many are queued (0 = any message). A single-broadcast
-//! coordinator therefore sleeps through its broadcast and is woken
-//! once, by the push that completes it, instead of once per worker
-//! batch. That matters beyond the syscalls saved: with as many workers
-//! as cores, every coordinator wake-up takes a core from a worker, and
-//! how the kernel then places the three threads decided whether a
-//! plain P=1024 broadcast took 290 µs or 490 µs, for seconds at a time.
+//! the coordinator is woken*: a coordinator about to sleep names the
+//! fewest colored ranks that could let some in-flight broadcast retire,
+//! and a push rings the condvar only once that many are queued (0 =
+//! any message, as long as a broadcast that retires at quiescence is in
+//! flight). A single broadcast's coordinator therefore sleeps through
+//! it and is woken once, by the push that completes it, instead of
+//! once per worker batch. That matters beyond the syscalls saved: with
+//! as many workers as cores, every coordinator wake-up takes a core
+//! from a worker, and how the kernel then places the three threads
+//! decided whether a plain P=1024 broadcast took 290 µs or 490 µs, for
+//! seconds at a time.
 //!
 //! Queued messages are never lost to the threshold: a wait that times
 //! out returns them before it reports [`RecvError::Timeout`], and a
@@ -31,12 +33,12 @@ pub(crate) enum CoordMsg {
     /// scheduling quantum: `sent` messages pushed, `consumed` messages
     /// taken off mailboxes (delivered or dead-dropped), `done` live
     /// ranks whose protocol reported `SendPoll::Done` for the first
-    /// time. The pub/sub coordinator retires a broadcast when
+    /// time. A pub/sub broadcast retires when
     /// `colored == live && done == live && sent == consumed` — every
     /// live rank colored, every protocol machine finished, no message
     /// still in flight — which keeps per-broadcast message totals exact
-    /// instead of truncating machines mid-correction at teardown. The
-    /// single-broadcast coordinator ignores these.
+    /// instead of truncating machines mid-correction at teardown. A
+    /// single broadcast, which retires on coloring, only sums these.
     Progress {
         id: u64,
         sent: u64,

@@ -139,16 +139,20 @@ impl Mailbox {
     /// Discard every message belonging to broadcast `id`, keeping the
     /// relative order of everything else (pub/sub retirement of one
     /// topic must not disturb the FIFO streams of its neighbours).
-    /// Returns how many messages were purged.
+    /// Returns how many messages were purged. The ring restarts at slot
+    /// 0, so a rank's next messages land in the cache lines its last
+    /// ones did.
     pub fn purge_id(&mut self, id: u64) -> usize {
         let before = self.len();
         let spilled = self.spilled;
-        let mut keep: VecDeque<Msg> = VecDeque::with_capacity(before);
+        // Allocates only for survivors; a single broadcast leaves none.
+        let mut keep: VecDeque<Msg> = VecDeque::new();
         while let Some(m) = self.pop() {
             if m.id != id {
                 keep.push_back(m);
             }
         }
+        self.head = 0;
         for m in keep {
             self.push(m);
         }
@@ -156,17 +160,6 @@ impl Mailbox {
         // spill counter unchanged.
         self.spilled = spilled;
         before - self.len()
-    }
-
-    /// Discard everything (iteration teardown) and return how many
-    /// messages that was. O(1) in the steady state: slots are plain
-    /// values, so forgetting them is enough.
-    pub fn clear(&mut self) -> usize {
-        let discarded = self.len();
-        self.head = 0;
-        self.len = 0;
-        self.spill.clear();
-        discarded
     }
 }
 
@@ -279,17 +272,5 @@ mod tests {
         let from: Vec<Rank> = std::iter::from_fn(|| mb.pop()).map(|m| m.from).collect();
         assert_eq!(from, vec![1, 3, 5]);
         assert_eq!(mb.purge_id(2), 0);
-    }
-
-    #[test]
-    fn clear_resets_ring_and_spill() {
-        let mut mb = Mailbox::new(1);
-        mb.push(msg(1, 0));
-        mb.push(msg(1, 1));
-        assert_eq!(mb.clear(), 2);
-        assert!(mb.is_empty());
-        assert_eq!(mb.pop(), None);
-        mb.push(msg(2, 9));
-        assert_eq!(mb.pop().unwrap().from, 9);
     }
 }

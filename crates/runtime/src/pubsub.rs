@@ -1,4 +1,5 @@
-//! Topic-multiplexed concurrent broadcasts over one worker pool.
+//! Topic-multiplexed concurrent broadcasts over one worker pool, and
+//! the one coordinator every broadcast runs under.
 //!
 //! A [`TopicTable`] names a set of independent broadcast topics — each
 //! its own [`BroadcastSpec`] (tree shape, root, correction), failure
@@ -10,32 +11,43 @@
 //! Scheduling stays rank-granular: one quantum drains a rank's mailbox
 //! (at its start and every 16 sends of a burst) and serves *all* of its
 //! installed iterations, so batch claiming, the lost-wakeup recheck and
-//! the bounded-mailbox backpressure story are exactly those of
-//! single-broadcast mode —
-//! multiplexing adds per-iteration state, not new scheduler paths. The
-//! win is pipelining: a corrected-tree broadcast spends most of its
-//! wall-clock waiting (correction pacing, synchronized-start barriers),
-//! and concurrent topics fill those gaps with each other's work.
+//! the bounded-mailbox backpressure story are exactly those of a single
+//! broadcast — multiplexing adds per-iteration state, not new scheduler
+//! paths. The win is pipelining: a corrected-tree broadcast spends most
+//! of its wall-clock waiting (correction pacing, synchronized-start
+//! barriers), and concurrent topics fill those gaps with each other's
+//! work.
 //!
-//! ## Completion is quiescence, not coloring
+//! ## One window, two retirement rules
 //!
-//! A single broadcast tears down when every live rank is colored,
-//! truncating whatever the correction machines were still doing — fine
-//! when the iteration owns the cluster, fatal for exact message
-//! accounting under multiplexing. Here a broadcast retires only at
-//! *quiescence*: every live rank colored, every protocol machine
-//! reported [`ct_core::protocol::SendPoll::Done`], and every message
-//! sent also consumed (delivered or dead-dropped — nothing in flight).
-//! Fault-free checked-correction topics therefore report exactly the
-//! `(P-1) + M·P` total of Corollary 1 regardless of interleaving.
-//! Topics whose machines never report `Done` (failure-proof gossip
-//! correction idles forever) only retire via the per-broadcast
-//! watchdog deadline; use checked correction for pub/sub workloads.
+//! Every broadcast runs through one loop: admit into a window of `k`
+//! slots, wait on the coordinator inbox, retire. A single broadcast
+//! ([`Cluster::run_broadcast`]) is a one-slot window; only the rule
+//! that retires an admission differs:
+//!
+//! - A single broadcast retires once every live rank is colored,
+//!   truncating whatever the correction machines were still doing —
+//!   fine when the broadcast owns the cluster. Its coordinator sleeps
+//!   until the push that completes the coloring.
+//! - A pub/sub broadcast retires only at *quiescence*: every live rank
+//!   colored, every protocol machine reported
+//!   [`ct_core::protocol::SendPoll::Done`], and every message sent also
+//!   consumed (delivered or dead-dropped — nothing in flight).
+//!   Fault-free checked-correction topics therefore report exactly the
+//!   `(P-1) + M·P` total of Corollary 1 regardless of interleaving. Any
+//!   message can complete quiescence, so its coordinator wakes on each.
+//!   Topics whose machines never report `Done` (failure-proof gossip
+//!   correction idles forever) only retire via the watchdog deadline;
+//!   use checked correction for pub/sub workloads.
+//!
+//! Either way, a broadcast still in flight at its deadline retires with
+//! a [`StallReport`] (and, with a flight recorder, a postmortem dump).
 //!
 //! [`BroadcastOutcome::latency`] is admission → last live rank colored
-//! (the consumer-visible metric); retirement happens later, at
-//! quiescence, without extending the reported latency.
+//! (the consumer-visible metric); retirement at quiescence happens
+//! later, without extending the reported latency.
 
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use ct_core::protocol::{BroadcastSpec, BuildCtx, ProtocolFactory};
@@ -43,6 +55,7 @@ use ct_logp::{Rank, Time};
 use ct_obs::event::phases;
 use ct_obs::flight::{FlightKind as Fk, NO_RANK};
 use ct_obs::{Event as ObsEvent, EventKind as ObsEventKind, EventSink, NullSink};
+use ct_obs::{Postmortem, RankStall, StallReport};
 
 use crate::cluster::{Cluster, ClusterError, IterState};
 use crate::inbox::{CoordMsg, RecvError};
@@ -154,6 +167,9 @@ pub struct BroadcastOutcome {
     pub completed: bool,
     /// Live ranks never colored (empty when fully colored).
     pub uncolored: Vec<Rank>,
+    /// Watchdog diagnostics, taken at the deadline before the harvest;
+    /// `None` on completed broadcasts.
+    pub stall: Option<StallReport>,
 }
 
 /// Result of a whole pub/sub run.
@@ -181,11 +197,42 @@ impl PubsubReport {
     }
 }
 
+/// Longest coordinator sleep with a telemetry hub attached: what is
+/// queued below the wake-up threshold is taken in at least this often,
+/// so the `iter.colored` gauge follows a long broadcast.
+const GAUGE_REFRESH: Duration = Duration::from_millis(50);
+
+/// When an admitted broadcast retires (see the module docs).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rule {
+    /// Once every live rank is colored: a single broadcast, which owns
+    /// the cluster. Its events carry no broadcast id, as the
+    /// simulator's do.
+    Colored,
+    /// At quiescence: a pub/sub broadcast, whose events are stamped
+    /// with its id.
+    Quiescent,
+}
+
+/// One broadcast to admit into the window.
+pub(crate) struct Admission<'a> {
+    pub(crate) factory: &'a dyn ProtocolFactory,
+    /// Per-rank crash mask, length P.
+    pub(crate) dead: &'a [bool],
+    pub(crate) seed: u64,
+    /// Index of the sink its events go to: its topic.
+    pub(crate) topic: usize,
+    pub(crate) round: usize,
+    pub(crate) rule: Rule,
+}
+
 /// Coordinator-side state of one in-flight broadcast.
-struct Active {
+struct Active<'a> {
     topic: usize,
     round: usize,
     id: u64,
+    rule: Rule,
+    dead: &'a [bool],
     live: u32,
     colored: Vec<bool>,
     colored_count: u32,
@@ -196,15 +243,32 @@ struct Active {
     /// Messages taken off mailboxes (delivered or dead-dropped).
     consumed: u64,
     epoch: Instant,
+    /// `epoch` on the cluster timeline, µs.
+    epoch_us: u64,
     deadline: Instant,
     /// Set the moment `colored_count` reached `live`.
     latency: Option<Duration>,
     record: bool,
 }
 
-impl Active {
-    fn quiescent(&self) -> bool {
-        self.colored_count == self.live && self.done == self.live && self.sent == self.consumed
+impl Active<'_> {
+    /// Whether its rule retires it now.
+    fn retirable(&self) -> bool {
+        let colored = self.colored_count == self.live;
+        match self.rule {
+            Rule::Colored => colored,
+            Rule::Quiescent => colored && self.done == self.live && self.sent == self.consumed,
+        }
+    }
+
+    /// The fewest colored ranks the inbox must report before this
+    /// broadcast can retire: the ones still missing under
+    /// [`Rule::Colored`], none (any message) at quiescence.
+    fn need(&self) -> u64 {
+        match self.rule {
+            Rule::Colored => u64::from(self.live - self.colored_count),
+            Rule::Quiescent => 0,
+        }
     }
 }
 
@@ -238,147 +302,130 @@ impl Cluster {
         opts: &PubsubOptions,
         sinks: &mut [&mut dyn EventSink],
     ) -> Result<PubsubReport, ClusterError> {
-        let result = self.run_pubsub_inner(table, opts, sinks);
-        if let Err(ClusterError::WorkerPanicked) = &result {
-            let _ = self.capture_postmortem("worker_panic", None);
-        }
-        result
-    }
-
-    fn run_pubsub_inner(
-        &mut self,
-        table: &TopicTable,
-        opts: &PubsubOptions,
-        sinks: &mut [&mut dyn EventSink],
-    ) -> Result<PubsubReport, ClusterError> {
         assert!(!table.is_empty(), "pub/sub needs at least one topic");
         assert_eq!(
             sinks.len(),
             table.len(),
             "one event sink per topic (use NullSink for unobserved topics)"
         );
-        for topic in table.iter() {
-            assert_eq!(topic.dead.len(), self.p as usize);
-        }
-        let k = opts.k.max(1);
-        let rounds = opts.rounds.max(1);
-        let total = rounds * table.len();
         let started = Instant::now();
-
-        let mut admitted = 0usize;
-        let mut active: Vec<Active> = Vec::with_capacity(k);
-        let mut outcomes: Vec<BroadcastOutcome> = Vec::with_capacity(total);
-        while outcomes.len() < total {
-            // Refill the in-flight window (round-major, topic-minor).
-            while active.len() < k && admitted < total {
-                let topic = admitted % table.len();
-                let round = admitted / table.len();
-                admitted += 1;
-                let record = sinks[topic].enabled();
-                active.push(self.admit(&table.topics[topic], topic, round, record)?);
-            }
-            self.publish_gauges(&active);
-
-            // Retire everything retirable before blocking: a broadcast
-            // can already be quiescent at admission (zero live ranks)
-            // or past its deadline.
-            let now = Instant::now();
-            let mut retired_any = false;
-            let mut i = 0;
-            while i < active.len() {
-                let quiescent = active[i].quiescent();
-                if quiescent || now >= active[i].deadline {
-                    let a = active.remove(i);
-                    let sink = &mut *sinks[a.topic];
-                    outcomes.push(self.retire(a, quiescent, table, sink)?);
-                    retired_any = true;
-                } else {
-                    i += 1;
-                }
-            }
-            if retired_any {
-                // Freed slots: admit before waiting on the channel.
-                continue;
-            }
-            if active.is_empty() {
-                break; // defensive: nothing in flight, nothing admissible
-            }
-
-            let earliest = active.iter().map(|a| a.deadline).min().expect("non-empty");
-            // Any message can complete a topic's quiescence: wake on all.
-            match self.shared.inbox.recv(earliest, 0) {
-                Ok(CoordMsg::Colored { id, ranks }) => {
-                    if let Some(a) = active.iter_mut().find(|a| a.id == id) {
-                        for rank in ranks {
-                            if !a.colored[rank as usize] {
-                                a.colored[rank as usize] = true;
-                                a.colored_count += 1;
-                            }
-                        }
-                        if a.colored_count == a.live && a.latency.is_none() {
-                            a.latency = Some(a.epoch.elapsed());
-                        }
-                    }
-                }
-                Ok(CoordMsg::Progress {
-                    id,
-                    sent,
-                    consumed,
-                    done,
-                }) => {
-                    if let Some(a) = active.iter_mut().find(|a| a.id == id) {
-                        a.sent += sent;
-                        a.consumed += consumed;
-                        a.done += done;
-                    }
-                }
-                Err(RecvError::Timeout) => {}
-                Err(RecvError::Disconnected) => return Err(ClusterError::WorkerPanicked),
-            }
-        }
-
-        // Everything retired: drop leftover wake-ups (a straggler timer
-        // of an expired broadcast only costs a no-op quantum) and
-        // retire the gauges.
-        self.shared
-            .sched
-            .lock()
-            .map_err(|_| ClusterError::WorkerPanicked)?
-            .timers
-            .clear();
-        if let Some(t) = &self.shared.telemetry {
-            t.set_iter_progress(0, 0);
-            t.set_iter_active(0);
-        }
-        // Admission order, not retirement order: stable for reports.
-        outcomes.sort_by_key(|o| o.id);
+        let admissions = (0..opts.rounds.max(1)).flat_map(|round| {
+            table.iter().enumerate().map(move |(topic, t)| Admission {
+                factory: &t.spec,
+                dead: &t.dead,
+                seed: t.seed.wrapping_add(round as u64),
+                topic,
+                round,
+                rule: Rule::Quiescent,
+            })
+        });
+        let (outcomes, _) = self.run_window(opts.k.max(1), admissions, sinks)?;
         Ok(PubsubReport {
             outcomes,
             elapsed: started.elapsed(),
         })
     }
 
-    /// Install one broadcast of `topic` on every rank and make them
-    /// runnable — the pub/sub counterpart of the single-broadcast
-    /// install loop, minus the exclusivity: other iterations keep
-    /// running while this one is pushed.
-    fn admit(
+    /// The one coordinator: admit `admissions` in order into a window
+    /// of `k` slots, sleep on the inbox, retire each broadcast by its
+    /// [`Rule`] or at its deadline. `sinks[a.topic]` receives admission
+    /// `a`'s events. Returns one outcome per admission, in admission
+    /// order, and the dump of the latest deadline retirement when a
+    /// flight recorder is attached.
+    pub(crate) fn run_window<'a>(
         &mut self,
-        topic: &Topic,
-        tix: usize,
-        round: usize,
+        k: usize,
+        admissions: impl Iterator<Item = Admission<'a>>,
+        sinks: &mut [&mut dyn EventSink],
+    ) -> Result<(Vec<BroadcastOutcome>, Option<Postmortem>), ClusterError> {
+        let result = self.window(k, admissions, sinks);
+        if let Err(ClusterError::WorkerPanicked) = &result {
+            // The black box outlives the crash: freeze the rings and
+            // dump whatever the workers managed to record before dying.
+            let _ = self.capture_postmortem("worker_panic", None);
+        }
+        result
+    }
+
+    fn window<'a>(
+        &mut self,
+        k: usize,
+        mut admissions: impl Iterator<Item = Admission<'a>>,
+        sinks: &mut [&mut dyn EventSink],
+    ) -> Result<(Vec<BroadcastOutcome>, Option<Postmortem>), ClusterError> {
+        let mut active: Vec<Active<'a>> = Vec::with_capacity(k);
+        let (mut outcomes, mut postmortem) = (Vec::new(), None);
+        // The latest wait found the inbox empty.
+        let mut drained = false;
+        loop {
+            while active.len() < k {
+                let Some(admission) = admissions.next() else {
+                    break;
+                };
+                let record = sinks[admission.topic].enabled();
+                active.push(self.admit(admission, record)?);
+            }
+            if active.is_empty() {
+                break;
+            }
+            self.publish_gauges(&active);
+
+            // Retire everything retirable before blocking: a broadcast
+            // can already be done at admission (zero live ranks). One
+            // past its deadline retires once the inbox has handed over
+            // everything queued, so no coloring it reported is lost.
+            let in_flight = active.len();
+            let mut i = 0;
+            while i < active.len() {
+                let done = active[i].retirable();
+                if done || (drained && Instant::now() >= active[i].deadline) {
+                    let a = active.remove(i);
+                    let sink = &mut *sinks[a.topic];
+                    outcomes.push(self.retire(a, done, sink, &mut postmortem)?);
+                } else {
+                    i += 1;
+                }
+            }
+            drained = active.len() == in_flight && !self.wait(&mut active)?;
+        }
+
+        // Everything retired: drop leftover wake-ups (a straggler timer
+        // of a retired broadcast only costs a no-op quantum) and retire
+        // the gauges.
+        self.shared
+            .sched
+            .lock()
+            .map_err(|_| ClusterError::WorkerPanicked)?
+            .timers
+            .clear();
+        self.publish_gauges(&[]);
+        // Admission order, not retirement order: stable for reports.
+        outcomes.sort_by_key(|o| o.id);
+        Ok((outcomes, postmortem))
+    }
+
+    /// Install one broadcast on every rank and make them runnable;
+    /// other iterations keep running while it is pushed.
+    fn admit<'a>(
+        &mut self,
+        admission: Admission<'a>,
         record: bool,
-    ) -> Result<Active, ClusterError> {
+    ) -> Result<Active<'a>, ClusterError> {
+        let dead = admission.dead;
+        assert_eq!(dead.len(), self.p as usize);
         let id = self.next_id;
         self.next_id += 1;
         let ctx = BuildCtx {
             p: self.p,
             logp: self.logp,
-            seed: topic.seed.wrapping_add(round as u64),
+            seed: admission.seed,
         };
-        topic.spec.build_into(&ctx, &mut self.procs)?;
+        admission.factory.build_into(&ctx, &mut self.procs)?;
         assert_eq!(self.procs.len(), self.p as usize);
-        let live: u32 = topic.dead.iter().filter(|&&d| !d).count() as u32;
+        let live: u32 = dead.iter().filter(|&&d| !d).count() as u32;
+        // The iteration epoch: zero point of event timestamps and of
+        // the latency measurement, taken before any rank is installed
+        // so no stamp can predate it.
         let (epoch, epoch_us) = self.shared.epoch();
         for rank in (0..self.p).rev() {
             let process = self.procs.pop().expect("one per rank");
@@ -390,7 +437,7 @@ impl Cluster {
             st.iters.push(IterState::new(
                 id,
                 process,
-                topic.dead[rank as usize],
+                dead[rank as usize],
                 epoch_us,
                 record,
             ));
@@ -398,12 +445,15 @@ impl Cluster {
         }
         self.shared.schedule_installed()?;
         if let Some(f) = self.shared.flight.as_deref() {
+            // The coordinator owns the extra shard past the workers.
             f.record(self.shared.workers, Fk::IterStart, NO_RANK, id, 0, epoch_us);
         }
         Ok(Active {
-            topic: tix,
-            round,
+            topic: admission.topic,
+            round: admission.round,
             id,
+            rule: admission.rule,
+            dead,
             live,
             colored: vec![false; self.p as usize],
             colored_count: 0,
@@ -411,22 +461,124 @@ impl Cluster {
             sent: 0,
             consumed: 0,
             epoch,
+            epoch_us,
             deadline: epoch + self.timeout,
-            latency: None,
+            latency: (live == 0).then_some(Duration::ZERO),
             record,
         })
     }
 
-    /// Remove broadcast `a` from every rank, harvest its message count
-    /// and events, and emit its event stream (sorted, phase-wrapped,
-    /// id-stamped) into the topic's sink.
+    /// Sleep until the inbox reports the fewest colored ranks that could
+    /// let some in-flight broadcast retire, or the earliest deadline
+    /// passes, and take in one message; `false` when there was none. A
+    /// one-slot window under [`Rule::Colored`] is thus woken once, by
+    /// the push that completes it. With a hub attached the sleep is cut
+    /// short to keep the progress gauge moving.
+    fn wait(&self, active: &mut [Active<'_>]) -> Result<bool, ClusterError> {
+        let mut until = active.iter().map(|a| a.deadline).min().expect("in flight");
+        if self.shared.telemetry.is_some() {
+            until = until.min(Instant::now() + GAUGE_REFRESH);
+        }
+        let need = active.iter().map(Active::need).min().expect("in flight");
+        match self.shared.inbox.recv(until, need) {
+            Ok(CoordMsg::Colored { id, ranks }) => {
+                if let Some(a) = active.iter_mut().find(|a| a.id == id) {
+                    for rank in ranks {
+                        if !a.colored[rank as usize] {
+                            a.colored[rank as usize] = true;
+                            a.colored_count += 1;
+                        }
+                    }
+                    if a.colored_count == a.live && a.latency.is_none() {
+                        a.latency = Some(a.epoch.elapsed());
+                    }
+                }
+            }
+            Ok(CoordMsg::Progress {
+                id,
+                sent,
+                consumed,
+                done,
+            }) => {
+                if let Some(a) = active.iter_mut().find(|a| a.id == id) {
+                    a.sent += sent;
+                    a.consumed += consumed;
+                    a.done += done;
+                }
+            }
+            Err(RecvError::Timeout) => return Ok(false),
+            Err(RecvError::Disconnected) => return Err(ClusterError::WorkerPanicked),
+        }
+        Ok(true)
+    }
+
+    /// Retire broadcast `a`, `done` by its rule or else past its
+    /// deadline: diagnose a stall first, then remove it from every
+    /// rank, harvest its message count and events, and emit them into
+    /// its `sink`. A stall's postmortem replaces `postmortem`.
     fn retire(
         &mut self,
-        a: Active,
-        quiescent: bool,
-        table: &TopicTable,
+        a: Active<'_>,
+        done: bool,
         sink: &mut dyn EventSink,
+        postmortem: &mut Option<Postmortem>,
     ) -> Result<BroadcastOutcome, ClusterError> {
+        // Diagnose a stall *before* the harvest wipes the evidence: the
+        // stranded ranks' scheduled flags, mailboxes and last-poll
+        // stamps still describe the stuck state here, and the flight
+        // recorder is frozen while it is fresh.
+        let stall = if done {
+            None
+        } else {
+            Some(self.stall_report(&a)?)
+        };
+        if let Some(report) = &stall {
+            *postmortem = self.capture_postmortem("watchdog_stall", Some(report));
+        }
+        // A quiescent broadcast by definition has nothing queued; any
+        // other may still have messages in flight.
+        let purge = !(done && a.rule == Rule::Quiescent);
+        let (messages, recorded) = self.harvest(a.id, purge)?;
+        let latency = a.latency.unwrap_or(self.timeout);
+        if let Some(f) = self.shared.flight.as_deref() {
+            f.record(
+                self.shared.workers,
+                Fk::IterEnd,
+                NO_RANK,
+                u64::from(done),
+                latency.as_micros() as u64,
+                self.shared.now_us(),
+            );
+        }
+        if a.record {
+            let bcast = (a.rule == Rule::Quiescent).then_some(a.id);
+            emit(sink, recorded, bcast);
+        }
+        let uncolored = a
+            .colored
+            .iter()
+            .zip(a.dead)
+            .enumerate()
+            .filter_map(|(r, (&c, &d))| (!c && !d).then_some(r as Rank))
+            .collect();
+        Ok(BroadcastOutcome {
+            topic: a.topic,
+            round: a.round,
+            id: a.id,
+            latency,
+            messages,
+            completed: done,
+            uncolored,
+            stall,
+        })
+    }
+
+    /// Remove broadcast `id` from every rank and return its message
+    /// count and recorded events. Locking a rank's state waits out any
+    /// quantum in flight on it; once the iteration is taken, later
+    /// quanta no longer see it. With `purge`, its queued messages go
+    /// too — by id, so concurrent topics' traffic survives.
+    fn harvest(&mut self, id: u64, purge: bool) -> Result<(u64, Vec<ObsEvent>), ClusterError> {
         let mut messages = 0u64;
         let mut recorded: Vec<ObsEvent> = Vec::new();
         for rank in 0..self.p {
@@ -438,10 +590,15 @@ impl Cluster {
             let pos = st
                 .iters
                 .iter()
-                .position(|i| i.id == a.id)
+                .position(|i| i.id == id)
                 .expect("iteration installed");
-            let mut iter = st.iters.swap_remove(pos);
-            st.pending.retain(|m| m.id != a.id);
+            // `swap_remove` would copy the last one onto itself.
+            let mut iter = if pos + 1 == st.iters.len() {
+                st.iters.pop().expect("found above")
+            } else {
+                st.iters.swap_remove(pos)
+            };
+            st.pending.retain(|m| m.id != id);
             drop(st);
             messages += iter.sent;
             recorded.append(&mut iter.events);
@@ -451,87 +608,84 @@ impl Cluster {
             if self.procs.len() < self.p as usize {
                 self.procs.push(iter.process);
             }
-            if !quiescent {
-                // An expired broadcast may still have messages queued;
-                // a quiescent one by definition has none. Purge by id —
-                // concurrent topics' traffic must survive.
+            if purge {
                 let mut mb = cell
                     .mailbox
                     .lock()
                     .map_err(|_| ClusterError::WorkerPanicked)?;
                 let depth = mb.len();
-                mb.purge_id(a.id);
+                mb.purge_id(id);
                 drop(mb);
-                // The purge shrinks the mailbox behind its owner's back:
-                // book the depth the owner's next drain will not see.
+                // The owner books a mailbox's depth when it drains it;
+                // what it never got to drain is booked here.
                 if let Some(t) = &self.shared.telemetry {
                     t.mailbox_depth(rank as usize, depth as u64);
                 }
             }
         }
-        let latency = a.latency.unwrap_or(self.timeout);
-        if let Some(f) = self.shared.flight.as_deref() {
-            f.record(
-                self.shared.workers,
-                Fk::IterEnd,
-                NO_RANK,
-                u64::from(quiescent),
-                latency.as_micros() as u64,
-                self.shared.now_us(),
-            );
-        }
-        if a.record {
-            // Same deterministic order as single-broadcast harvests:
-            // stable (time, order_class) sort restores
-            // cause-before-effect at equal timestamps.
-            recorded.sort_by_key(|e| (e.time, e.kind.order_class()));
-            let end = recorded.last().map_or(Time::ZERO, |e| e.time);
-            sink.emit(
-                &ObsEvent::wall(
-                    Time::ZERO,
-                    0,
-                    ObsEventKind::PhaseBegin {
-                        name: phases::BROADCAST.into(),
-                    },
-                )
-                .with_bcast(a.id),
-            );
-            for e in recorded {
-                sink.emit(&e.with_bcast(a.id));
+        Ok((messages, recorded))
+    }
+
+    /// The watchdog's [`StallReport`] for `a`: one [`RankStall`] per
+    /// live-but-uncolored rank plus global scheduler state. Called with
+    /// `a` still installed, so the evidence is intact; the system is
+    /// stuck, so the brief per-rank lock holds cannot perturb a healthy
+    /// run. A rank counts as polled only if it drained its mailbox since
+    /// `a`'s epoch.
+    fn stall_report(&self, a: &Active<'_>) -> Result<StallReport, ClusterError> {
+        let (runq_depth, pending_timers) = {
+            let sched = self
+                .shared
+                .sched
+                .lock()
+                .map_err(|_| ClusterError::WorkerPanicked)?;
+            (sched.runq.len(), sched.timers.len())
+        };
+        let mut ranks = Vec::new();
+        for rank in 0..self.p {
+            let r = rank as usize;
+            if a.dead[r] || a.colored[r] {
+                continue;
             }
-            sink.emit(
-                &ObsEvent::wall(
-                    end,
-                    end.steps(),
-                    ObsEventKind::PhaseEnd {
-                        name: phases::BROADCAST.into(),
-                    },
-                )
-                .with_bcast(a.id),
-            );
+            let cell = &self.shared.ranks[r];
+            let last_poll_us = cell
+                .state
+                .lock()
+                .map_err(|_| ClusterError::WorkerPanicked)?
+                .last_poll_us
+                .filter(|&us| us >= a.epoch_us);
+            let scheduled = cell.scheduled.load(Ordering::SeqCst);
+            let mb = cell
+                .mailbox
+                .lock()
+                .map_err(|_| ClusterError::WorkerPanicked)?;
+            ranks.push(RankStall {
+                rank,
+                scheduled,
+                mailbox_len: mb.len(),
+                mailbox_spilled: mb.spilled(),
+                last_poll_us,
+            });
         }
-        let uncolored = a
-            .colored
-            .iter()
-            .zip(&table.topics[a.topic].dead)
-            .enumerate()
-            .filter_map(|(r, (&c, &d))| (!c && !d).then_some(r as Rank))
-            .collect();
-        Ok(BroadcastOutcome {
-            topic: a.topic,
-            round: a.round,
+        Ok(StallReport {
             id: a.id,
-            latency,
-            messages,
-            completed: quiescent,
-            uncolored,
+            timeout_ms: self.timeout.as_millis() as u64,
+            p: self.p,
+            live: a.live,
+            colored: a.colored_count,
+            runq_depth,
+            pending_timers,
+            coord_in_flight: self.shared.inbox.len(),
+            now_us: a.epoch.elapsed().as_micros() as u64,
+            epoch_us: a.epoch_us,
+            ranks,
         })
     }
 
     /// Publish the concurrency-aware iteration gauges: `iter.active` is
     /// the in-flight broadcast count, `iter.live`/`iter.colored` sum
     /// over them (the shape the `stall_precursor` health rule expects).
-    fn publish_gauges(&self, active: &[Active]) {
+    fn publish_gauges(&self, active: &[Active<'_>]) {
         if let Some(t) = &self.shared.telemetry {
             let live: u64 = active.iter().map(|a| u64::from(a.live)).sum();
             let colored: u64 = active.iter().map(|a| u64::from(a.colored_count)).sum();
@@ -539,6 +693,35 @@ impl Cluster {
             t.set_iter_progress(live, colored);
         }
     }
+}
+
+/// Emit a harvested broadcast into `sink`, stamped with `bcast`, inside
+/// its `broadcast` phase span. Per-rank buffers are harvested in rank
+/// order, so cross-rank events stamped in the same microsecond would
+/// otherwise interleave arbitrarily — an `Arrive` could surface before
+/// its `SendStart`. Sorting by `(time, order_class)` restores
+/// cause-before-effect at equal timestamps (send < arrive < deliver <
+/// colored) and the stable sort keeps each rank's own in-order stream
+/// intact. `MonitorSink` applies the same key before checking
+/// cross-rank invariants, so either layer alone suffices; doing it here
+/// also makes recorded cluster traces deterministic for diffing.
+fn emit(sink: &mut dyn EventSink, mut recorded: Vec<ObsEvent>, bcast: Option<u64>) {
+    recorded.sort_by_key(|e| (e.time, e.kind.order_class()));
+    let end = recorded.last().map_or(Time::ZERO, |e| e.time);
+    let phase = |time: Time, kind| ObsEvent {
+        bcast,
+        ..ObsEvent::wall(time, time.steps(), kind)
+    };
+    let name = || phases::BROADCAST.to_owned();
+    sink.emit(&phase(
+        Time::ZERO,
+        ObsEventKind::PhaseBegin { name: name() },
+    ));
+    for mut e in recorded {
+        e.bcast = bcast;
+        sink.emit(&e);
+    }
+    sink.emit(&phase(end, ObsEventKind::PhaseEnd { name: name() }));
 }
 
 #[cfg(test)]

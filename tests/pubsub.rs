@@ -121,8 +121,8 @@ fn multiplexed_topic_streams_equal_solo_runs_at_p512_k4() {
 
     // Multiplexed run: all four topics admitted together (k = 4), one
     // VecSink per topic.
-    let mut cluster = Cluster::new(p, LogP::PAPER);
-    cluster.set_timeout(Duration::from_secs(60));
+    let cfg = ClusterConfig::new().timeout(Duration::from_secs(60));
+    let mut cluster = Cluster::with_config(p, LogP::PAPER, cfg);
     let mut sinks: Vec<VecSink> = (0..table.len()).map(|_| VecSink::new()).collect();
     {
         let mut refs: Vec<&mut dyn corrected_trees::obs::EventSink> = sinks
@@ -151,8 +151,8 @@ fn multiplexed_topic_streams_equal_solo_runs_at_p512_k4() {
     for (t, topic) in table.iter().enumerate() {
         let mut solo_table = TopicTable::new();
         solo_table.push(topic.clone());
-        let mut solo_cluster = Cluster::new(p, LogP::PAPER);
-        solo_cluster.set_timeout(Duration::from_secs(60));
+        let cfg = ClusterConfig::new().timeout(Duration::from_secs(60));
+        let mut solo_cluster = Cluster::with_config(p, LogP::PAPER, cfg);
         let mut solo_sink = VecSink::new();
         {
             let mut refs: Vec<&mut dyn corrected_trees::obs::EventSink> = vec![&mut solo_sink];
@@ -211,8 +211,8 @@ fn multiplexed_checked_topic_matches_simulator_multiset() {
         ));
     }
 
-    let mut cluster = Cluster::new(p, LogP::PAPER);
-    cluster.set_timeout(Duration::from_secs(60));
+    let cfg = ClusterConfig::new().timeout(Duration::from_secs(60));
+    let mut cluster = Cluster::with_config(p, LogP::PAPER, cfg);
     let mut sinks: Vec<VecSink> = (0..table.len()).map(|_| VecSink::new()).collect();
     {
         let mut refs: Vec<&mut dyn corrected_trees::obs::EventSink> = sinks
@@ -290,4 +290,73 @@ fn run_queue_depth_is_bounded_by_the_rank_count_not_by_the_admissions() {
         assert!(report.completed, "seed {seed}: {:?}", report.uncolored);
     }
     assert!(deepest(&hub) <= 2 * u64::from(p), "depth {}", deepest(&hub));
+}
+
+#[test]
+fn a_stranded_topic_retires_with_the_watchdogs_evidence() {
+    // Two plain-binomial topics in flight together; the one with rank
+    // 1 dead orphans ranks 3, 5 and 7 and only its deadline retires it.
+    let p = 8u32;
+    let cfg = ClusterConfig::new().timeout(Duration::from_millis(300));
+    let mut cluster = Cluster::with_config(p, LogP::PAPER, cfg);
+    let spec = BroadcastSpec::plain_tree(TreeKind::BINOMIAL);
+    let mut dead = vec![false; p as usize];
+    dead[1] = true;
+    let mut table = TopicTable::new();
+    table.push(Topic::new("healthy", spec, p, 1));
+    table.push(Topic::new("stranded", spec, p, 2).with_dead(dead));
+    let report = cluster
+        .run_pubsub(&table, &PubsubOptions { k: 2, rounds: 1 })
+        .expect("pub/sub run");
+
+    let healthy = &report.outcomes[0];
+    assert!(healthy.completed, "{healthy:?}");
+    assert_eq!(healthy.messages, u64::from(p) - 1);
+    assert!(healthy.stall.is_none());
+
+    let stranded = &report.outcomes[1];
+    assert!(!stranded.completed);
+    assert_eq!(stranded.uncolored, vec![3, 5, 7]);
+    let stall = stranded.stall.as_ref().expect("a deadline retirement");
+    assert_eq!(stall.stranded(), stranded.uncolored);
+    assert_eq!(stall.id, stranded.id);
+    for r in &stall.ranks {
+        assert!(r.last_poll_us.is_some(), "rank {} never polled", r.rank);
+    }
+}
+
+#[test]
+fn a_single_broadcast_is_a_one_slot_admission() {
+    // The single broadcast and a one-topic pub/sub run go through the
+    // same coordinator; on a fault-free plain tree both see the whole
+    // broadcast, and only the retirement rule and the id stamp differ.
+    let p = 64u32;
+    let spec = BroadcastSpec::plain_tree(TreeKind::BINOMIAL);
+    let mut cluster = Cluster::new(p, LogP::PAPER);
+
+    let mut solo = VecSink::new();
+    let report = cluster
+        .run_broadcast_observed(&spec, &vec![false; p as usize], 5, &mut solo)
+        .expect("single broadcast");
+    assert!(report.completed);
+    assert_eq!(report.messages, u64::from(p) - 1);
+    assert!(report.uncolored.is_empty());
+    assert!(solo.events.iter().all(|e| e.bcast.is_none()));
+
+    let mut table = TopicTable::new();
+    table.push(Topic::new("one", spec, p, 5));
+    let mut slot = VecSink::new();
+    let pubsub = {
+        let mut refs: Vec<&mut dyn corrected_trees::obs::EventSink> = vec![&mut slot];
+        cluster
+            .run_pubsub_observed(&table, &PubsubOptions { k: 1, rounds: 1 }, &mut refs)
+            .expect("one-topic pub/sub run")
+    };
+    let outcome = &pubsub.outcomes[0];
+    assert!(outcome.completed);
+    assert_eq!(outcome.messages, u64::from(p) - 1);
+    assert!(outcome.uncolored.is_empty());
+    assert!(slot.events.iter().all(|e| e.bcast == Some(outcome.id)));
+
+    assert_eq!(canonical(&solo.events), canonical(&slot.events));
 }

@@ -10,7 +10,7 @@ use corrected_trees::core::protocol::{BroadcastSpec, Payload};
 use corrected_trees::core::tree::TreeKind;
 use corrected_trees::logp::LogP;
 use corrected_trees::obs::{Event, EventKind, MonitorConfig, MonitorSink, VecSink};
-use corrected_trees::runtime::Cluster;
+use corrected_trees::runtime::{Cluster, ClusterConfig};
 use corrected_trees::sim::{FaultPlan, RunArena, Simulation};
 
 #[test]
@@ -75,8 +75,8 @@ fn plain_tree_leaves_identical_orphans_on_both_drivers() {
 
     let mut dead = vec![false; p as usize];
     dead[2] = true;
-    let mut cluster = Cluster::new(p, LogP::PAPER);
-    cluster.set_timeout(std::time::Duration::from_millis(300));
+    let cfg = ClusterConfig::new().timeout(std::time::Duration::from_millis(300));
+    let mut cluster = Cluster::with_config(p, LogP::PAPER, cfg);
     let report = cluster.run_broadcast(&spec, &dead, 0).unwrap();
     assert!(!report.completed);
     assert_eq!(sim_out.uncolored_live(), report.uncolored);
