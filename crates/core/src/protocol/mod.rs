@@ -1,9 +1,10 @@
 //! Transport-agnostic broadcast protocols.
 //!
 //! A broadcast instance is one [`Process`] state machine per rank —
-//! a vector of boxes the `ct-runtime` thread cluster hands out rank by
-//! rank, or a [`Population`] the `ct-sim` LogP simulator addresses by
-//! rank. The driver owns delivery and timing and obeys one contract:
+//! boxes a [`Blueprint`] places one at a time as the `ct-runtime`
+//! cluster's ranks install themselves, or a [`Population`] the `ct-sim`
+//! LogP simulator addresses by rank. Either engine owns delivery and
+//! timing and obeys one contract:
 //!
 //! * [`Process::on_message`] is invoked when a message has been fully
 //!   received (LogP: arrival plus receive overhead `o`).
@@ -24,7 +25,7 @@ pub mod relabel;
 
 use core::any::Any;
 use core::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::correction::CorrectionKind;
 use crate::tree::{Tree, TreeError, TreeKind};
@@ -108,10 +109,9 @@ pub trait Process: Send {
     /// How this process became colored, if it has.
     fn colored_via(&self) -> Option<ColoredVia>;
 
-    /// The concrete slot content, for factories that re-initialise the
-    /// machines of a previous broadcast in place
-    /// ([`ProtocolFactory::build_into`]). `None` (the default) opts out:
-    /// the slot is rebuilt from scratch.
+    /// The concrete slot content, for blueprints that re-initialise the
+    /// machine of a previous broadcast in place ([`Blueprint::place`]).
+    /// `None` (the default) opts out: the machine is built afresh.
     fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
         None
     }
@@ -211,6 +211,65 @@ pub struct BuildCtx {
     pub seed: u64,
 }
 
+/// One broadcast resolved against its [`BuildCtx`], handing out its
+/// machines one rank at a time: what the cluster holds instead of a
+/// vector of `P` boxes, so that each rank installs its own machine
+/// under its own lock.
+pub trait Blueprint: Send + Sync {
+    /// The machine of physical rank `phys`, behaving exactly like
+    /// [`ProtocolFactory::build`]'s. `old` is a machine some earlier
+    /// broadcast is done with: it is rewound in place when it is of the
+    /// same type, and dropped otherwise. Each rank is placed at most
+    /// once per blueprint.
+    fn place(&self, phys: Rank, old: Option<Box<dyn Process>>) -> Box<dyn Process>;
+}
+
+/// The default [`Blueprint`]: the vector [`ProtocolFactory::build`]
+/// returned, handed out box by box.
+struct Built(Vec<Mutex<Option<Box<dyn Process>>>>);
+
+impl Blueprint for Built {
+    fn place(&self, phys: Rank, _old: Option<Box<dyn Process>>) -> Box<dyn Process> {
+        self.0[phys as usize]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .expect("each rank is placed once per blueprint")
+    }
+}
+
+/// What [`ProtocolFactory::build_into`] leaves in a slot while it places
+/// that slot's machine: a zero-sized box, so it costs no allocation.
+struct Vacant;
+
+impl Process for Vacant {
+    fn on_message(&mut self, _from: Rank, _payload: Payload, _now: Time) {}
+
+    fn poll_send(&mut self, _now: Time) -> SendPoll {
+        SendPoll::Done
+    }
+
+    fn colored_at(&self) -> Option<Time> {
+        None
+    }
+
+    fn colored_via(&self) -> Option<ColoredVia> {
+        None
+    }
+}
+
+/// [`ProtocolFactory::build_into`] once resolved: place each of the `p`
+/// slots of `out` over the machine it held.
+fn place_all(plan: &dyn Blueprint, p: u32, out: &mut Vec<Box<dyn Process>>) {
+    out.truncate(p as usize);
+    for (phys, slot) in (0..).zip(out.iter_mut()) {
+        let old = std::mem::replace(slot, Box::new(Vacant));
+        *slot = plan.place(phys, Some(old));
+    }
+    let placed = out.len() as Rank;
+    out.extend((placed..p).map(|phys| plan.place(phys, None)));
+}
+
 /// Anything that can instantiate a full set of per-rank processes.
 pub trait ProtocolFactory {
     /// Stable label for experiment output.
@@ -219,26 +278,33 @@ pub trait ProtocolFactory {
     /// Build the `P` state machines for one broadcast.
     fn build(&self, ctx: &BuildCtx) -> Result<Vec<Box<dyn Process>>, ProtocolError>;
 
-    /// Build into an existing vector, reusing its backing storage.
+    /// Resolve one broadcast against `ctx` for rank-by-rank placement;
+    /// errors surface here, as [`ProtocolFactory::build`] would report
+    /// them.
     ///
-    /// The default delegates to [`ProtocolFactory::build`] and moves the
-    /// boxes over; factories whose per-rank machines are expensive to
-    /// allocate may override this to rebuild in place
-    /// ([`BroadcastSpec`] does). Either way the machines behave exactly
-    /// like freshly built ones. On error `out` is left empty.
+    /// The default calls [`ProtocolFactory::build`] once and hands each
+    /// rank its box; a factory whose machines can be rewound in place
+    /// overrides it ([`BroadcastSpec`] does).
+    fn blueprint(&self, ctx: &BuildCtx) -> Result<Arc<dyn Blueprint>, ProtocolError> {
+        let procs = self.build(ctx)?;
+        Ok(Arc::new(Built(
+            procs.into_iter().map(|m| Mutex::new(Some(m))).collect(),
+        )))
+    }
+
+    /// Build into an existing vector, reusing its backing storage and,
+    /// where the [`ProtocolFactory::blueprint`] can, each slot's
+    /// machine: every slot is [`Blueprint::place`]d over what it held.
+    /// Either way the machines behave exactly like freshly built ones.
+    /// On error `out` is left empty.
     fn build_into(
         &self,
         ctx: &BuildCtx,
         out: &mut Vec<Box<dyn Process>>,
     ) -> Result<(), ProtocolError> {
-        out.clear();
-        match self.build(ctx) {
-            Ok(procs) => {
-                out.extend(procs);
-                Ok(())
-            }
-            Err(e) => Err(e),
-        }
+        let plan = self.blueprint(ctx).inspect_err(|_| out.clear())?;
+        place_all(&*plan, ctx.p, out);
+        Ok(())
     }
 
     /// Put the population of one broadcast into `slot`, reusing what a
@@ -442,10 +508,10 @@ impl BroadcastSpec {
     }
 
     /// Validate this spec and resolve it against `ctx`.
-    fn blueprint(&self, ctx: &BuildCtx) -> Result<Blueprint, ProtocolError> {
+    fn resolve(&self, ctx: &BuildCtx) -> Result<SpecBlueprint, ProtocolError> {
         self.validate(ctx)?;
         let tree = self.build_tree(ctx.p, &ctx.logp)?;
-        Ok(Blueprint {
+        Ok(SpecBlueprint {
             broadcast: TreeBroadcast::new(tree, self.correction, self.sync_start(ctx)?),
             acked: self.acked,
             map: self.relabeling(ctx),
@@ -487,33 +553,29 @@ impl ProtocolFactory for BroadcastSpec {
     }
 
     fn build(&self, ctx: &BuildCtx) -> Result<Vec<Box<dyn Process>>, ProtocolError> {
-        let plan = self.blueprint(ctx)?;
+        let plan = self.resolve(ctx)?;
         Ok((0..ctx.p).map(|phys| plan.boxed(phys)).collect())
     }
 
-    /// Re-initialises in place when `out` still holds the `P` machines
-    /// of a previous corrected-tree broadcast, whatever its root,
-    /// numbering or correction was: no allocation for linear and
-    /// rotated numberings, the two tables of the new numbering for a
-    /// shuffled one. Acked specs, and any other content of `out`, are
-    /// built afresh.
+    /// Rewinds a previous corrected-tree machine in place, whatever its
+    /// root, numbering or correction was: no allocation for linear and
+    /// rotated numberings (the two tables of a shuffled one are made
+    /// once, here). Acked specs, and any other old machine, are built
+    /// afresh.
+    fn blueprint(&self, ctx: &BuildCtx) -> Result<Arc<dyn Blueprint>, ProtocolError> {
+        Ok(Arc::new(self.resolve(ctx)?))
+    }
+
+    /// The default over the resolved spec itself, without the
+    /// blueprint's `Arc`: rewinding a previous corrected-tree set then
+    /// allocates nothing.
     fn build_into(
         &self,
         ctx: &BuildCtx,
         out: &mut Vec<Box<dyn Process>>,
     ) -> Result<(), ProtocolError> {
-        let plan = match self.blueprint(ctx) {
-            Ok(plan) => plan,
-            Err(e) => {
-                out.clear();
-                return Err(e);
-            }
-        };
-        let reusable = !self.acked && out.len() == ctx.p as usize;
-        if !(reusable && plan.rewind_boxed(out)) {
-            out.clear();
-            out.extend((0..ctx.p).map(|phys| plan.boxed(phys)));
-        }
+        let plan = self.resolve(ctx).inspect_err(|_| out.clear())?;
+        place_all(&plan, ctx.p, out);
         Ok(())
     }
 
@@ -530,7 +592,7 @@ impl ProtocolFactory for BroadcastSpec {
         if self.acked {
             return populate_boxed(self, ctx, slot);
         }
-        let Blueprint { broadcast, map, .. } = self.blueprint(ctx)?;
+        let SpecBlueprint { broadcast, map, .. } = self.resolve(ctx)?;
         match held::<RelabeledPopulation>(slot) {
             Some(store) => store.refill(map, broadcast),
             None => *slot = Some(Box::new(RelabeledPopulation::new(map, broadcast))),
@@ -541,15 +603,15 @@ impl ProtocolFactory for BroadcastSpec {
 
 /// A valid [`BroadcastSpec`] resolved against one [`BuildCtx`]: the one
 /// definition of "the machine of physical rank `r`" behind `build`,
-/// `build_into` and `populate`. Physical rank `phys` runs the
+/// `blueprint` and `populate`. Physical rank `phys` runs the
 /// rank-0-rooted machine of virtual rank `map.virtual_of(phys)`.
-struct Blueprint {
+struct SpecBlueprint {
     broadcast: TreeBroadcast,
     acked: bool,
     map: Relabeling,
 }
 
-impl Blueprint {
+impl SpecBlueprint {
     /// The cluster's form of `phys`'s machine: boxed, with its own copy
     /// of the broadcast and the relabeling applied at its own boundary.
     fn boxed(&self, phys: Rank) -> Box<dyn Process> {
@@ -562,23 +624,21 @@ impl Blueprint {
             Box::new(RelabeledProcess::new(rank, map))
         }
     }
+}
 
-    /// Rewind every slot of `procs` in place to exactly
-    /// [`Blueprint::boxed`]. `false` — with some slots possibly rewound
-    /// already, which the caller's rebuild makes moot — when a slot is
-    /// not a relabelled corrected-tree rank.
-    fn rewind_boxed(&self, procs: &mut [Box<dyn Process>]) -> bool {
-        for (slot, phys) in procs.iter_mut().zip(0..) {
-            let Some(slot) = slot
+impl Blueprint for SpecBlueprint {
+    fn place(&self, phys: Rank, old: Option<Box<dyn Process>>) -> Box<dyn Process> {
+        if let Some(mut old) = old.filter(|_| !self.acked) {
+            let slot = old
                 .as_any_mut()
-                .and_then(|m| m.downcast_mut::<RelabeledProcess<TreeRank>>())
-            else {
-                return false;
-            };
-            slot.inner.reset(self.map.virtual_of(phys), &self.broadcast);
-            slot.map = self.map.clone();
+                .and_then(|m| m.downcast_mut::<RelabeledProcess<TreeRank>>());
+            if let Some(slot) = slot {
+                slot.inner.reset(self.map.virtual_of(phys), &self.broadcast);
+                slot.map = self.map.clone();
+                return old;
+            }
         }
-        true
+        self.boxed(phys)
     }
 }
 

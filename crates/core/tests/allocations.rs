@@ -1,7 +1,8 @@
 //! The allocation contract of admission and the protocol machines.
 //!
 //! Once a set of slots exists, re-initialising it for the next
-//! broadcast — the cluster's boxes through `BroadcastSpec::build_into`
+//! broadcast — boxes through `BroadcastSpec::build_into` or one rank at
+//! a time through its blueprint's `place`, as the cluster's ranks do,
 //! or the simulator's by-value population through
 //! `BroadcastSpec::populate` — and running a checked or failure-proof
 //! corrected-tree broadcast on it to quiescence — crash faults and the
@@ -145,6 +146,54 @@ fn admission_and_a_checked_broadcast_allocate_nothing_once_the_slots_exist() {
                         );
                     }
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn placing_a_rank_over_its_previous_machine_allocates_nothing() {
+    let p = 256u32;
+    let checked = BroadcastSpec::corrected_tree(TreeKind::BINOMIAL, CorrectionKind::Checked);
+    let sync = BroadcastSpec::corrected_tree_sync(TreeKind::BINOMIAL, CorrectionKind::Checked);
+    // Linear and rotated numberings, handing their machines to one
+    // another.
+    let specs = [
+        checked,
+        checked.with_root(p / 3),
+        sync.with_root(p - 1),
+        sync,
+    ];
+    let mut dead = vec![false; p as usize];
+    for r in [1, 2, 3, p / 2, p / 2 + 1] {
+        dead[r as usize] = true;
+    }
+    // The cluster's form: every rank places its machine over the one it
+    // held, from a blueprint resolved at admission, outside the count.
+    let mut placed: Vec<Box<dyn Process>> = Vec::new();
+    let mut held: Vec<Box<dyn Process>> = Vec::with_capacity(p as usize);
+    let mut pump = Pump::default();
+    for lap in 0..3u64 {
+        for (i, spec) in specs.iter().enumerate() {
+            let ctx = BuildCtx {
+                p,
+                logp: LogP::PAPER,
+                seed: lap,
+            };
+            let plan = spec.blueprint(&ctx).unwrap();
+            let before = allocations();
+            held.extend(placed.drain(..).rev());
+            for rank in 0..p {
+                placed.push(plan.place(rank, held.pop()));
+            }
+            let sent = pump.run(&mut placed, &dead);
+            let allocated = allocations() - before;
+            assert!(sent >= u64::from(p) - 1, "{spec}: {sent} messages");
+            let colored = (0..p).filter(|&r| placed.colored_at(r).is_some()).count();
+            assert_eq!(colored, p as usize - 5, "{spec}: healed");
+            // The first lap builds the machines and grows the buffers.
+            if lap > 0 {
+                assert_eq!(allocated, 0, "lap {lap} spec {i} ({spec})");
             }
         }
     }

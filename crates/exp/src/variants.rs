@@ -7,8 +7,11 @@
 //! campaign needs to convert quiescence into correction time `L_SCC`.
 
 use ct_core::correction::CorrectionKind;
+use std::sync::Arc;
+
 use ct_core::protocol::{
-    BroadcastSpec, BuildCtx, Population, Process, ProtocolError, ProtocolFactory, StartMode,
+    Blueprint, BroadcastSpec, BuildCtx, Population, Process, ProtocolError, ProtocolFactory,
+    StartMode,
 };
 use ct_core::tree::TreeKind;
 use ct_gossip::{GossipMode, GossipSpec};
@@ -84,8 +87,9 @@ impl Variant {
 }
 
 impl Variant {
-    /// The wrapped spec: every [`ProtocolFactory`] method forwards to
-    /// it, so a variant rewinds in place wherever its spec can.
+    /// The wrapped spec: every [`ProtocolFactory`] method a spec
+    /// overrides forwards to it, so a variant rewinds in place wherever
+    /// its spec can (`build_into` through the forwarded blueprint).
     fn factory(&self) -> &dyn ProtocolFactory {
         match self {
             Variant::Tree(s) => s,
@@ -103,12 +107,8 @@ impl ProtocolFactory for Variant {
         self.factory().build(ctx)
     }
 
-    fn build_into(
-        &self,
-        ctx: &BuildCtx,
-        out: &mut Vec<Box<dyn Process>>,
-    ) -> Result<(), ProtocolError> {
-        self.factory().build_into(ctx, out)
+    fn blueprint(&self, ctx: &BuildCtx) -> Result<Arc<dyn Blueprint>, ProtocolError> {
+        self.factory().blueprint(ctx)
     }
 
     fn populate(

@@ -1,7 +1,8 @@
 //! A `Variant` is a thin wrapper: whatever its spec can re-initialise
-//! in place, the variant re-initialises in place. Every campaign and
-//! figure-binary repetition goes through one, so a variant that only
-//! forwarded `build` would allocate `P` fresh boxes per repetition.
+//! in place — boxes, a rank's placed machine, a population — the variant
+//! re-initialises in place. Every campaign, figure and cluster
+//! repetition goes through one, so a variant that only forwarded
+//! `build` would allocate `P` fresh boxes per repetition.
 
 use ct_core::correction::CorrectionKind;
 use ct_core::protocol::{BroadcastSpec, BuildCtx, Process, ProtocolFactory};
@@ -42,6 +43,20 @@ fn build_into_through_a_variant_rewinds_the_boxes_in_place() {
     assert_eq!(before.len(), P as usize);
     checked().build_into(&ctx, &mut procs).unwrap();
     assert_eq!(addresses(&procs), before);
+}
+
+#[test]
+fn a_variant_forwards_its_specs_blueprint_so_placing_rewinds_in_place() {
+    let ctx = BuildCtx {
+        p: P,
+        logp: LogP::PAPER,
+        seed: 0,
+    };
+    let address = |m: &dyn Process| m as *const dyn Process as *const ();
+    let first = checked().blueprint(&ctx).unwrap().place(7, None);
+    let before = address(&*first);
+    let second = checked().blueprint(&ctx).unwrap().place(7, Some(first));
+    assert_eq!(address(&*second), before);
 }
 
 #[test]

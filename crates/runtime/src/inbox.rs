@@ -4,12 +4,14 @@
 //! Workers push a batch's notifications ([`CoordMsg`]) and the
 //! coordinator pops them, like a channel. What the inbox adds is *when
 //! the coordinator is woken*: a coordinator about to sleep names the
-//! fewest colored ranks that could let some in-flight broadcast retire,
-//! and a push rings the condvar only once that many are queued (0 =
-//! any message, as long as a broadcast that retires at quiescence is in
-//! flight). A single broadcast's coordinator therefore sleeps through
-//! it and is woken once, by the push that completes it, instead of
-//! once per worker batch. That matters beyond the syscalls saved: with
+//! fewest rank reports — ranks newly colored, machines newly done —
+//! that could let some in-flight broadcast retire, and a push rings the
+//! condvar only once that many are queued (0 = any message, once some
+//! broadcast has all it needs but the balance of its counts). A single
+//! broadcast's coordinator therefore sleeps through it and is woken
+//! once, by the push that completes it, instead of once per worker
+//! batch; a pub/sub broadcast wakes it per batch only once all its
+//! ranks are colored and done. That matters beyond the syscalls saved: with
 //! as many workers as cores, every coordinator wake-up takes a core
 //! from a worker, and how the kernel then places the three threads
 //! decided whether a plain P=1024 broadcast took 290 µs or 490 µs, for
@@ -33,12 +35,16 @@ pub(crate) enum CoordMsg {
     /// scheduling quantum: `sent` messages pushed, `consumed` messages
     /// taken off mailboxes (delivered or dead-dropped), `done` live
     /// ranks whose protocol reported `SendPoll::Done` for the first
-    /// time. A pub/sub broadcast retires when
+    /// time. Their `sent` sum is the broadcast's message count. A
+    /// pub/sub broadcast retires when
     /// `colored == live && done == live && sent == consumed` — every
     /// live rank colored, every protocol machine finished, no message
     /// still in flight — which keeps per-broadcast message totals exact
-    /// instead of truncating machines mid-correction at teardown. A
-    /// single broadcast, which retires on coloring, only sums these.
+    /// instead of truncating machines mid-correction at retirement. A
+    /// single broadcast retires on coloring, fenced by
+    /// `sent ≥ consumed`: a worker pushes a batch's deltas before its
+    /// [`CoordMsg::Colored`], so every message that colored a rank is
+    /// counted once its sender has reported too.
     Progress {
         id: u64,
         sent: u64,
@@ -48,12 +54,12 @@ pub(crate) enum CoordMsg {
 }
 
 impl CoordMsg {
-    /// Colored ranks this message reports: what the wake-up threshold
-    /// counts.
-    fn colored(&self) -> u64 {
+    /// Ranks this message reports colored or done: what the wake-up
+    /// threshold counts.
+    fn reports(&self) -> u64 {
         match self {
             CoordMsg::Colored { ranks, .. } => ranks.len() as u64,
-            CoordMsg::Progress { .. } => 0,
+            CoordMsg::Progress { done, .. } => u64::from(*done),
         }
     }
 }
@@ -69,9 +75,9 @@ pub(crate) enum RecvError {
 
 struct State {
     msgs: VecDeque<CoordMsg>,
-    /// Colored ranks reported by the messages in `msgs`.
-    colored: u64,
-    /// The coordinator is asleep and wants the bell once `colored`
+    /// Rank reports ([`CoordMsg::reports`]) of the messages in `msgs`.
+    reports: u64,
+    /// The coordinator is asleep and wants the bell once `reports`
     /// reaches `wake_at`; cleared by the push that rings it, so one
     /// sleep costs one `notify`.
     waiting: bool,
@@ -91,7 +97,7 @@ impl Inbox {
         Inbox {
             state: Mutex::new(State {
                 msgs: VecDeque::new(),
-                colored: 0,
+                reports: 0,
                 waiting: false,
                 wake_at: 0,
                 workers,
@@ -109,9 +115,9 @@ impl Inbox {
     /// Queue `msg`; wake the coordinator if that is what it waits for.
     pub(crate) fn push(&self, msg: CoordMsg) {
         let mut st = self.lock();
-        st.colored += msg.colored();
+        st.reports += msg.reports();
         st.msgs.push_back(msg);
-        let ring = st.waiting && st.colored >= st.wake_at;
+        let ring = st.waiting && st.reports >= st.wake_at;
         if ring {
             st.waiting = false;
         }
@@ -122,13 +128,13 @@ impl Inbox {
     }
 
     /// The oldest queued message; with none queued, sleep until `until`
-    /// or until the queue reports `need` colored ranks (0: holds any
+    /// or until the queue holds `need` rank reports (0: holds any
     /// message), whichever is first.
     pub(crate) fn recv(&self, until: Instant, need: u64) -> Result<CoordMsg, RecvError> {
         let mut st = self.lock();
         loop {
             if let Some(msg) = st.msgs.pop_front() {
-                st.colored -= msg.colored();
+                st.reports -= msg.reports();
                 return Ok(msg);
             }
             if st.workers == 0 {
@@ -235,6 +241,33 @@ mod tests {
             inbox.recv(soon(10), 2),
             Ok(CoordMsg::Colored { ref ranks, .. }) if ranks.len() == 2
         ));
+        h.join().unwrap();
+    }
+
+    #[test]
+    fn machines_reported_done_count_towards_the_need() {
+        let inbox = Arc::new(Inbox::new(1));
+        let pusher = Arc::clone(&inbox);
+        let h = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            pusher.push(colored(4, 2));
+            pusher.push(progress(4));
+            std::thread::sleep(Duration::from_millis(150));
+            pusher.push(CoordMsg::Progress {
+                id: 4,
+                sent: 0,
+                consumed: 0,
+                done: 2,
+            });
+        });
+        let start = Instant::now();
+        // Two colored and a delta with no machine done do not reach
+        // four; the delta that reports two machines done does.
+        assert!(matches!(
+            inbox.recv(soon(5_000), 4),
+            Ok(CoordMsg::Colored { id: 4, .. })
+        ));
+        assert!(start.elapsed() >= Duration::from_millis(150));
         h.join().unwrap();
     }
 

@@ -103,6 +103,7 @@ impl Mailbox {
     }
 
     /// Remove the oldest message, if any.
+    #[cfg(test)]
     pub fn pop(&mut self) -> Option<Msg> {
         if self.len > 0 {
             let msg = self.ring[self.head];
@@ -120,7 +121,9 @@ impl Mailbox {
     /// Move up to `max` oldest messages into `out`; returns how many.
     /// The ring part is at most two slice copies (up to the wrap, then
     /// from slot 0); the spill queue, whose entries are all younger
-    /// than the ring's, follows.
+    /// than the ring's, follows. A drain that empties the ring restarts
+    /// it at slot 0, so a rank's next messages land in the cache lines
+    /// its last ones did.
     pub fn drain_into(&mut self, out: &mut Vec<Msg>, max: usize) -> usize {
         let from_ring = self.len.min(max);
         let first = from_ring.min(self.ring.len() - self.head);
@@ -131,35 +134,12 @@ impl Mailbox {
             self.head -= self.ring.len();
         }
         self.len -= from_ring;
+        if self.len == 0 {
+            self.head = 0;
+        }
         let from_spill = self.spill.len().min(max - from_ring);
         out.extend(self.spill.drain(..from_spill));
         from_ring + from_spill
-    }
-
-    /// Discard every message belonging to broadcast `id`, keeping the
-    /// relative order of everything else (pub/sub retirement of one
-    /// topic must not disturb the FIFO streams of its neighbours).
-    /// Returns how many messages were purged. The ring restarts at slot
-    /// 0, so a rank's next messages land in the cache lines its last
-    /// ones did.
-    pub fn purge_id(&mut self, id: u64) -> usize {
-        let before = self.len();
-        let spilled = self.spilled;
-        // Allocates only for survivors; a single broadcast leaves none.
-        let mut keep: VecDeque<Msg> = VecDeque::new();
-        while let Some(m) = self.pop() {
-            if m.id != id {
-                keep.push_back(m);
-            }
-        }
-        self.head = 0;
-        for m in keep {
-            self.push(m);
-        }
-        // Re-queueing survivors is not new traffic; keep the lifetime
-        // spill counter unchanged.
-        self.spilled = spilled;
-        before - self.len()
     }
 }
 
@@ -250,7 +230,8 @@ mod tests {
         let from: Vec<Rank> = out.iter().map(|m| m.from).collect();
         assert_eq!(from, vec![10, 11, 12, 13, 14, 15]);
         assert!(mb.is_empty());
-        // Head landed mid-ring; pushes and pops still line up.
+        // The emptying drain restarted the ring at slot 0; pushes and
+        // pops still line up.
         for i in 20..24 {
             mb.push(msg(1, i));
         }
@@ -261,16 +242,18 @@ mod tests {
     }
 
     #[test]
-    fn purge_id_keeps_other_topics_in_order() {
-        let mut mb = Mailbox::new(2);
-        for i in 0..6 {
-            mb.push(msg(u64::from(i % 2) + 1, i));
+    fn an_emptying_drain_restarts_the_ring_at_slot_0() {
+        let mut mb = Mailbox::new(4);
+        for i in 0..3 {
+            mb.push(msg(1, i));
         }
-        let spilled = mb.spilled();
-        assert_eq!(mb.purge_id(1), 3);
-        assert_eq!(mb.spilled(), spilled);
-        let from: Vec<Rank> = std::iter::from_fn(|| mb.pop()).map(|m| m.from).collect();
-        assert_eq!(from, vec![1, 3, 5]);
-        assert_eq!(mb.purge_id(2), 0);
+        let mut out = Vec::new();
+        assert_eq!(mb.drain_into(&mut out, 2), 2);
+        assert_eq!(mb.head, 2, "a partial drain leaves the head where it is");
+        assert_eq!(mb.drain_into(&mut out, usize::MAX), 1);
+        assert_eq!(mb.head, 0);
+        mb.push(msg(2, 9));
+        assert_eq!(mb.ring[0], msg(2, 9));
+        assert_eq!(mb.len(), 1);
     }
 }

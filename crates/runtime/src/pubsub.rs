@@ -25,23 +25,35 @@
 //! ([`Cluster::run_broadcast`]) is a one-slot window; only the rule
 //! that retires an admission differs:
 //!
-//! - A single broadcast retires once every live rank is colored,
+//! - A single broadcast retires once every live rank is colored and
+//!   every message it took in is accounted for (`sent ≥ consumed`),
 //!   truncating whatever the correction machines were still doing —
 //!   fine when the broadcast owns the cluster. Its coordinator sleeps
-//!   until the push that completes the coloring.
+//!   until the push that completes the coloring. The fence keeps the
+//!   truncated count exact where it can be: a worker reports a batch's
+//!   sends and receipts before its colorings, so by the time every
+//!   rank is known colored, every message that colored one has been
+//!   reported received — and `sent ≥ consumed` waits for its sender's
+//!   report too. A plain tree thus reports exactly `P − 1`.
 //! - A pub/sub broadcast retires only at *quiescence*: every live rank
 //!   colored, every protocol machine reported
 //!   [`ct_core::protocol::SendPoll::Done`], and every message sent also
 //!   consumed (delivered or dead-dropped — nothing in flight).
 //!   Fault-free checked-correction topics therefore report exactly the
-//!   `(P-1) + M·P` total of Corollary 1 regardless of interleaving. Any
-//!   message can complete quiescence, so its coordinator wakes on each.
+//!   `(P-1) + M·P` total of Corollary 1 regardless of interleaving.
+//!   Once every live rank is colored and done, any message can complete
+//!   quiescence, so from then on its coordinator wakes on each.
 //!   Topics whose machines never report `Done` (failure-proof gossip
 //!   correction idles forever) only retire via the watchdog deadline;
 //!   use checked correction for pub/sub workloads.
 //!
 //! Either way, a broadcast still in flight at its deadline retires with
 //! a [`StallReport`] (and, with a flight recorder, a postmortem dump).
+//! Retiring is one scheduler-lock acquisition that takes the broadcast
+//! out of the window: its ranks drop it when they next sync, and what
+//! it left in their mailboxes is dropped by id at their next drain.
+//! Only a broadcast whose events are recorded is also harvested rank by
+//! rank. Its message count is the sum of the workers' reports.
 //!
 //! [`BroadcastOutcome::latency`] is admission → last live rank colored
 //! (the consumer-visible metric); retirement at quiescence happens
@@ -57,7 +69,7 @@ use ct_obs::flight::{FlightKind as Fk, NO_RANK};
 use ct_obs::{Event as ObsEvent, EventKind as ObsEventKind, EventSink, NullSink};
 use ct_obs::{Postmortem, RankStall, StallReport};
 
-use crate::cluster::{Cluster, ClusterError, IterState};
+use crate::cluster::{Cluster, ClusterError, Entry, Window};
 use crate::inbox::{CoordMsg, RecvError};
 
 /// One broadcast topic: a protocol spec plus the failure mask and seed
@@ -161,13 +173,14 @@ pub struct BroadcastOutcome {
     /// Admission → last live rank colored. Equal to the watchdog
     /// timeout when the broadcast never fully colored.
     pub latency: Duration,
-    /// Total messages sent; exact (not truncated) when `completed`.
+    /// Total messages sent, as the workers reported them by retirement;
+    /// exact (not truncated) when `completed`.
     pub messages: u64,
     /// Whether the broadcast reached quiescence before its deadline.
     pub completed: bool,
     /// Live ranks never colored (empty when fully colored).
     pub uncolored: Vec<Rank>,
-    /// Watchdog diagnostics, taken at the deadline before the harvest;
+    /// Watchdog diagnostics, taken at the deadline before retirement;
     /// `None` on completed broadcasts.
     pub stall: Option<StallReport>,
 }
@@ -238,7 +251,7 @@ struct Active<'a> {
     colored_count: u32,
     /// Live ranks whose protocol machine reported `Done`.
     done: u32,
-    /// Messages pushed on behalf of this broadcast.
+    /// Messages pushed on behalf of this broadcast: its message count.
     sent: u64,
     /// Messages taken off mailboxes (delivered or dead-dropped).
     consumed: u64,
@@ -256,18 +269,21 @@ impl Active<'_> {
     fn retirable(&self) -> bool {
         let colored = self.colored_count == self.live;
         match self.rule {
-            Rule::Colored => colored,
+            Rule::Colored => colored && self.sent >= self.consumed,
             Rule::Quiescent => colored && self.done == self.live && self.sent == self.consumed,
         }
     }
 
-    /// The fewest colored ranks the inbox must report before this
-    /// broadcast can retire: the ones still missing under
-    /// [`Rule::Colored`], none (any message) at quiescence.
+    /// The fewest rank reports the inbox must hold before this
+    /// broadcast can retire: the colorings still missing, and under
+    /// [`Rule::Quiescent`] the machines not yet done too. None once all
+    /// are in: then any message can be the one that balances its
+    /// counts.
     fn need(&self) -> u64 {
+        let colored = u64::from(self.live - self.colored_count);
         match self.rule {
-            Rule::Colored => u64::from(self.live - self.colored_count),
-            Rule::Quiescent => 0,
+            Rule::Colored => colored,
+            Rule::Quiescent => colored + u64::from(self.live.saturating_sub(self.done)),
         }
     }
 }
@@ -363,7 +379,7 @@ impl Cluster {
                     break;
                 };
                 let record = sinks[admission.topic].enabled();
-                active.push(self.admit(admission, record)?);
+                active.push(self.admit(admission, record, k)?);
             }
             if active.is_empty() {
                 break;
@@ -389,27 +405,22 @@ impl Cluster {
             drained = active.len() == in_flight && !self.wait(&mut active)?;
         }
 
-        // Everything retired: drop leftover wake-ups (a straggler timer
-        // of a retired broadcast only costs a no-op quantum) and retire
-        // the gauges.
-        self.shared
-            .sched
-            .lock()
-            .map_err(|_| ClusterError::WorkerPanicked)?
-            .timers
-            .clear();
+        // Everything retired (the last withdrawal dropped the leftover
+        // wake-ups): retire the gauges.
         self.publish_gauges(&[]);
         // Admission order, not retirement order: stable for reports.
         outcomes.sort_by_key(|o| o.id);
         Ok((outcomes, postmortem))
     }
 
-    /// Install one broadcast on every rank and make them runnable;
-    /// other iterations keep running while it is pushed.
+    /// Publish one broadcast into the window of `k` and make every rank
+    /// runnable; each rank installs it in its own next quantum, while
+    /// other iterations keep running.
     fn admit<'a>(
         &mut self,
         admission: Admission<'a>,
         record: bool,
+        k: usize,
     ) -> Result<Active<'a>, ClusterError> {
         let dead = admission.dead;
         assert_eq!(dead.len(), self.p as usize);
@@ -420,30 +431,20 @@ impl Cluster {
             logp: self.logp,
             seed: admission.seed,
         };
-        admission.factory.build_into(&ctx, &mut self.procs)?;
-        assert_eq!(self.procs.len(), self.p as usize);
+        let blueprint = admission.factory.blueprint(&ctx)?;
         let live: u32 = dead.iter().filter(|&&d| !d).count() as u32;
         // The iteration epoch: zero point of event timestamps and of
-        // the latency measurement, taken before any rank is installed
-        // so no stamp can predate it.
+        // the latency measurement, taken before the broadcast is
+        // published so no stamp can predate it.
         let (epoch, epoch_us) = self.shared.epoch();
-        for rank in (0..self.p).rev() {
-            let process = self.procs.pop().expect("one per rank");
-            let mut st = self.shared.ranks[rank as usize]
-                .state
-                .lock()
-                .map_err(|_| ClusterError::WorkerPanicked)?;
-            debug_assert!(st.last_installed < id, "installs must be id-ordered");
-            st.iters.push(IterState::new(
-                id,
-                process,
-                dead[rank as usize],
-                epoch_us,
-                record,
-            ));
-            st.last_installed = id;
-        }
-        self.shared.schedule_installed()?;
+        let entry = Entry {
+            id,
+            epoch_us,
+            record,
+            dead: dead.into(),
+            blueprint,
+        };
+        self.shared.publish(entry, k)?;
         if let Some(f) = self.shared.flight.as_deref() {
             // The coordinator owns the extra shard past the workers.
             f.record(self.shared.workers, Fk::IterStart, NO_RANK, id, 0, epoch_us);
@@ -468,7 +469,7 @@ impl Cluster {
         })
     }
 
-    /// Sleep until the inbox reports the fewest colored ranks that could
+    /// Sleep until the inbox holds the fewest rank reports that could
     /// let some in-flight broadcast retire, or the earliest deadline
     /// passes, and take in one message; `false` when there was none. A
     /// one-slot window under [`Rule::Colored`] is thus woken once, by
@@ -513,9 +514,10 @@ impl Cluster {
     }
 
     /// Retire broadcast `a`, `done` by its rule or else past its
-    /// deadline: diagnose a stall first, then remove it from every
-    /// rank, harvest its message count and events, and emit them into
-    /// its `sink`. A stall's postmortem replaces `postmortem`.
+    /// deadline: diagnose a stall first, then withdraw it from the
+    /// window — its ranks drop it when they next sync — and, when it
+    /// records, harvest its events into its `sink`. A stall's
+    /// postmortem replaces `postmortem`.
     fn retire(
         &mut self,
         a: Active<'_>,
@@ -523,10 +525,10 @@ impl Cluster {
         sink: &mut dyn EventSink,
         postmortem: &mut Option<Postmortem>,
     ) -> Result<BroadcastOutcome, ClusterError> {
-        // Diagnose a stall *before* the harvest wipes the evidence: the
-        // stranded ranks' scheduled flags, mailboxes and last-poll
-        // stamps still describe the stuck state here, and the flight
-        // recorder is frozen while it is fresh.
+        // Diagnose a stall before anything moves on: the stranded
+        // ranks' scheduled flags, mailboxes and last-poll stamps still
+        // describe the stuck state here, and the flight recorder is
+        // frozen while it is fresh.
         let stall = if done {
             None
         } else {
@@ -535,10 +537,7 @@ impl Cluster {
         if let Some(report) = &stall {
             *postmortem = self.capture_postmortem("watchdog_stall", Some(report));
         }
-        // A quiescent broadcast by definition has nothing queued; any
-        // other may still have messages in flight.
-        let purge = !(done && a.rule == Rule::Quiescent);
-        let (messages, recorded) = self.harvest(a.id, purge)?;
+        let window = self.shared.withdraw(a.id)?;
         let latency = a.latency.unwrap_or(self.timeout);
         if let Some(f) = self.shared.flight.as_deref() {
             f.record(
@@ -551,6 +550,7 @@ impl Cluster {
             );
         }
         if a.record {
+            let recorded = self.harvest(a.id, &window)?;
             let bcast = (a.rule == Rule::Quiescent).then_some(a.id);
             emit(sink, recorded, bcast);
         }
@@ -566,71 +566,46 @@ impl Cluster {
             round: a.round,
             id: a.id,
             latency,
-            messages,
+            messages: a.sent,
             completed: done,
             uncolored,
             stall,
         })
     }
 
-    /// Remove broadcast `id` from every rank and return its message
-    /// count and recorded events. Locking a rank's state waits out any
-    /// quantum in flight on it; once the iteration is taken, later
-    /// quanta no longer see it. With `purge`, its queued messages go
-    /// too — by id, so concurrent topics' traffic survives.
-    fn harvest(&mut self, id: u64, purge: bool) -> Result<(u64, Vec<ObsEvent>), ClusterError> {
-        let mut messages = 0u64;
+    /// Take recorded broadcast `id`, already withdrawn (`window` is
+    /// what remains), off every rank that installed it and return its
+    /// events. Locking a rank's state waits out any quantum in flight
+    /// on it; once the iteration is taken, later quanta no longer see
+    /// it. A rank that has not installed it yet is synced with `window`
+    /// here and marked past `id`, so that a worker still holding an
+    /// older window cannot install it later.
+    fn harvest(&self, id: u64, window: &Window) -> Result<Vec<ObsEvent>, ClusterError> {
         let mut recorded: Vec<ObsEvent> = Vec::new();
         for rank in 0..self.p {
-            let cell = &self.shared.ranks[rank as usize];
-            let mut st = cell
+            let mut st = self.shared.ranks[rank as usize]
                 .state
                 .lock()
                 .map_err(|_| ClusterError::WorkerPanicked)?;
-            let pos = st
-                .iters
-                .iter()
-                .position(|i| i.id == id)
-                .expect("iteration installed");
-            // `swap_remove` would copy the last one onto itself.
-            let mut iter = if pos + 1 == st.iters.len() {
-                st.iters.pop().expect("found above")
-            } else {
-                st.iters.swap_remove(pos)
-            };
-            st.pending.retain(|m| m.id != id);
-            drop(st);
-            messages += iter.sent;
-            recorded.append(&mut iter.events);
-            // Hand the machine back for the next admission's
-            // `build_into` to re-initialise (one retirement's worth;
-            // a second before the next admission is simply dropped).
-            if self.procs.len() < self.p as usize {
-                self.procs.push(iter.process);
-            }
-            if purge {
-                let mut mb = cell
-                    .mailbox
-                    .lock()
-                    .map_err(|_| ClusterError::WorkerPanicked)?;
-                let depth = mb.len();
-                mb.purge_id(id);
-                drop(mb);
-                // The owner books a mailbox's depth when it drains it;
-                // what it never got to drain is booked here.
-                if let Some(t) = &self.shared.telemetry {
-                    t.mailbox_depth(rank as usize, depth as u64);
+            if let Some(pos) = st.iters.iter().position(|i| i.id == id) {
+                let mut iter = st.iters.remove(pos);
+                recorded.append(&mut iter.events);
+                if st.iters.len() + st.spare.len() < window.k {
+                    st.spare.push(iter.process);
                 }
+            } else if id > st.last_installed {
+                st.sync(rank, window);
+                st.last_installed = st.last_installed.max(id);
             }
         }
-        Ok((messages, recorded))
+        Ok(recorded)
     }
 
     /// The watchdog's [`StallReport`] for `a`: one [`RankStall`] per
     /// live-but-uncolored rank plus global scheduler state. Called with
-    /// `a` still installed, so the evidence is intact; the system is
-    /// stuck, so the brief per-rank lock holds cannot perturb a healthy
-    /// run. A rank counts as polled only if it drained its mailbox since
+    /// `a` still in the window, so the evidence is intact; the system
+    /// is stuck, so the brief per-rank lock holds cannot perturb a
+    /// healthy run. A rank counts as polled only if it drained its mailbox since
     /// `a`'s epoch.
     fn stall_report(&self, a: &Active<'_>) -> Result<StallReport, ClusterError> {
         let (runq_depth, pending_timers) = {
@@ -699,15 +674,23 @@ impl Cluster {
 /// its `broadcast` phase span. Per-rank buffers are harvested in rank
 /// order, so cross-rank events stamped in the same microsecond would
 /// otherwise interleave arbitrarily — an `Arrive` could surface before
-/// its `SendStart`. Sorting by `(time, order_class)` restores
+/// its `SendStart`. Ordering by `(time, order_class)` restores
 /// cause-before-effect at equal timestamps (send < arrive < deliver <
-/// colored) and the stable sort keeps each rank's own in-order stream
-/// intact. `MonitorSink` applies the same key before checking
-/// cross-rank invariants, so either layer alone suffices; doing it here
-/// also makes recorded cluster traces deterministic for diffing.
+/// colored), and ties keep harvest order, so each rank's own in-order
+/// stream stays intact. `MonitorSink` applies the same key before
+/// checking cross-rank invariants, so either layer alone suffices;
+/// doing it here also makes recorded cluster traces deterministic for
+/// diffing. The sort moves 16-byte `(key, index)` pairs, not the
+/// events: the index completes the key, so an unstable sort of the
+/// pairs is the stable sort of the events.
 fn emit(sink: &mut dyn EventSink, mut recorded: Vec<ObsEvent>, bcast: Option<u64>) {
-    recorded.sort_by_key(|e| (e.time, e.kind.order_class()));
-    let end = recorded.last().map_or(Time::ZERO, |e| e.time);
+    let mut order: Vec<(u64, u64)> = recorded
+        .iter()
+        .zip(0u64..)
+        .map(|(e, i)| (e.time.steps(), u64::from(e.kind.order_class()) << 32 | i))
+        .collect();
+    order.sort_unstable();
+    let end = order.last().map_or(Time::ZERO, |&(t, _)| Time::new(t));
     let phase = |time: Time, kind| ObsEvent {
         bcast,
         ..ObsEvent::wall(time, time.steps(), kind)
@@ -717,9 +700,10 @@ fn emit(sink: &mut dyn EventSink, mut recorded: Vec<ObsEvent>, bcast: Option<u64
         Time::ZERO,
         ObsEventKind::PhaseBegin { name: name() },
     ));
-    for mut e in recorded {
+    for &(_, key) in &order {
+        let e = &mut recorded[(key & u64::from(u32::MAX)) as usize];
         e.bcast = bcast;
-        sink.emit(&e);
+        sink.emit(e);
     }
     sink.emit(&phase(end, ObsEventKind::PhaseEnd { name: name() }));
 }
@@ -729,6 +713,7 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
     use ct_core::correction::CorrectionKind;
+    use ct_core::protocol::{ColoredVia, Payload};
     use ct_core::tree::TreeKind;
     use ct_logp::LogP;
     use ct_obs::{EventKind, VecSink};
@@ -764,9 +749,8 @@ mod tests {
         let order: Vec<(usize, usize)> =
             report.outcomes.iter().map(|o| (o.round, o.topic)).collect();
         assert_eq!(order, vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]);
-        // Retired machines went back to the pool the next install
-        // (here or in single-broadcast mode) rebuilds from.
-        assert_eq!(cluster.procs.len(), p as usize);
+        // A rank keeps no more machines than the window has slots.
+        assert!(cluster.most_machines_per_rank() <= opts.k);
     }
 
     #[test]
@@ -852,6 +836,45 @@ mod tests {
         for o in &report.outcomes {
             assert_eq!(o.messages, u64::from(p) - 1);
         }
+    }
+
+    #[test]
+    fn emit_orders_events_as_a_stable_sort_by_time_and_class_would() {
+        // Harvest order with many ties: equal stamps across ranks and
+        // within one, every kind, times out of order.
+        let mut x = 7u64;
+        let recorded: Vec<ObsEvent> = (0..2_000u32)
+            .map(|i| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let (from, to, payload) = (i % 13, (i + 1) % 13, Payload::Tree);
+                let kind = match (x >> 40) % 5 {
+                    0 => EventKind::SendStart { from, to, payload },
+                    1 => EventKind::Arrive { from, to, payload },
+                    2 => EventKind::DropDead { from, to, payload },
+                    3 => EventKind::Deliver { from, to, payload },
+                    _ => EventKind::Colored {
+                        rank: to,
+                        via: ColoredVia::Dissemination,
+                    },
+                };
+                let t = Time::new((x >> 20) % 40);
+                ObsEvent::wall(t, t.steps(), kind)
+            })
+            .collect();
+        let mut expected = recorded.clone();
+        expected.sort_by_key(|e| (e.time, e.kind.order_class()));
+        for e in &mut expected {
+            e.bcast = Some(9);
+        }
+        let mut sink = VecSink::new();
+        emit(&mut sink, recorded, Some(9));
+        let n = sink.events.len();
+        assert_eq!(sink.events[1..n - 1], expected[..]);
+        let end = &sink.events[n - 1];
+        assert!(matches!(end.kind, EventKind::PhaseEnd { .. }));
+        assert_eq!(end.time, expected[expected.len() - 1].time);
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl TimerWheel {
         cascaded
     }
 
-    /// Drop every pending timer (iteration teardown).
+    /// Drop every pending timer (the window emptied).
     pub fn clear(&mut self) {
         for slot in &mut self.slots {
             slot.clear();

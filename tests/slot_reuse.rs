@@ -1,4 +1,5 @@
-//! `BroadcastSpec::build_into` (the cluster's boxes) and
+//! `BroadcastSpec::blueprint` (the machine the cluster places on one
+//! rank), `build_into` (the same over a vector of boxes) and
 //! `BroadcastSpec::populate` (the simulator's by-value population)
 //! re-initialise the previous broadcast's machines in place. Whatever
 //! state they were left in — and whatever root or numbering they ran
@@ -10,8 +11,8 @@ use std::collections::VecDeque;
 
 use corrected_trees::core::correction::CorrectionKind;
 use corrected_trees::core::protocol::{
-    BroadcastSpec, BuildCtx, CorrectedTreeProcess, Payload, Population, Process, ProtocolFactory,
-    SendPoll,
+    AckTreeProcess, BroadcastSpec, BuildCtx, CorrectedTreeProcess, Payload, Population, Process,
+    ProtocolFactory, RelabeledProcess, SendPoll,
 };
 use corrected_trees::core::tree::{Ordering, TreeKind};
 use corrected_trees::gossip::GossipSpec;
@@ -151,6 +152,81 @@ fn build_into_over_dirty_machines_matches_a_fresh_build_for_every_correction() {
             assert_eq!(reused, pump(&mut fresh, plan.mask()), "{spec} plan {j}");
             assert!(!reused.0.is_empty());
         }
+    }
+}
+
+/// Place every rank of `factory`'s broadcast over the machine `procs`
+/// held for it, as the cluster's ranks do one at a time.
+fn place_each(
+    factory: &dyn ProtocolFactory,
+    ctx: &BuildCtx,
+    procs: Vec<Box<dyn Process>>,
+) -> Vec<Box<dyn Process>> {
+    let plan = factory.blueprint(ctx).unwrap();
+    (0..)
+        .zip(procs)
+        .map(|(r, old)| plan.place(r, Some(old)))
+        .collect()
+}
+
+#[test]
+fn placing_over_a_dirty_machine_replays_a_fresh_build_for_every_correction() {
+    let dirtying = FaultPlan::from_ranks(P, &[1, 2, 33, 34, 35]).unwrap();
+    let plan = FaultPlan::from_ranks(P, &[5, 17, 40]).unwrap();
+    let specs = specs();
+    for (i, spec) in specs.iter().enumerate() {
+        // Left dirty by a different spec's broadcast, as in the test
+        // above: whatever root, numbering and correction it ran under.
+        let previous = &specs[(i + 1) % specs.len()];
+        let mut procs = previous.build(&ctx(0)).unwrap();
+        pump(&mut procs, dirtying.mask());
+        let before = addresses(&procs);
+        let mut placed = place_each(spec, &ctx(7), procs);
+        assert_eq!(addresses(&placed), before, "{spec}: a machine was rebuilt");
+        let mut fresh = spec.build(&ctx(7)).unwrap();
+        let replayed = pump(&mut placed, plan.mask());
+        assert_eq!(replayed, pump(&mut fresh, plan.mask()), "{spec}");
+        assert!(!replayed.0.is_empty());
+    }
+}
+
+/// What a boxed machine is: a relabelled ack-tree rank, another machine
+/// that offers its concrete type (a corrected-tree rank), or one that
+/// does not (gossip).
+fn machine_kind(m: &mut Box<dyn Process>) -> &'static str {
+    match m.as_any_mut() {
+        Some(any) if any.is::<RelabeledProcess<AckTreeProcess>>() => "ack tree",
+        Some(_) => "corrected tree",
+        None => "gossip",
+    }
+}
+
+#[test]
+fn placing_over_a_foreign_machine_replaces_it() {
+    let checked = BroadcastSpec::corrected_tree(TreeKind::BINOMIAL, CorrectionKind::Checked);
+    let gossip = GossipSpec::round_limited(8, CorrectionKind::Checked);
+    let acked = BroadcastSpec::ack_tree(TreeKind::BINOMIAL).with_root(19);
+    let plan = FaultPlan::from_ranks(P, &[9, 10]).unwrap();
+    // Gossip and ack-tree machines under a spec, and a spec's machines
+    // under an acked spec, which never rewinds.
+    let steps: [(&dyn ProtocolFactory, &dyn ProtocolFactory, &str); 3] = [
+        (&gossip, &checked, "corrected tree"),
+        (&acked, &checked, "corrected tree"),
+        (&checked, &acked, "ack tree"),
+    ];
+    for (previous, next, kind) in steps {
+        let label = format!("{} → {}", previous.label(), next.label());
+        let mut procs = previous.build(&ctx(1)).unwrap();
+        pump(&mut procs, plan.mask());
+        assert!(procs.iter_mut().all(|m| machine_kind(m) != kind), "{label}");
+        let mut placed = place_each(next, &ctx(2), procs);
+        assert!(
+            placed.iter_mut().all(|m| machine_kind(m) == kind),
+            "{label}"
+        );
+        let mut fresh = next.build(&ctx(2)).unwrap();
+        let replayed = pump(&mut placed, plan.mask());
+        assert_eq!(replayed, pump(&mut fresh, plan.mask()), "{label}");
     }
 }
 

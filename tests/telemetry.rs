@@ -162,13 +162,11 @@ fn a_returned_broadcast_is_fully_published() {
 
 /// A rank that follows a script: colored from the start or by its first
 /// message, it answers its `k`-th poll with the `k`-th batch of sends
-/// (then `Done`), after waiting for `gate` if that poll has one.
+/// (then `Done`).
 #[derive(Clone, Default)]
 struct Scripted {
     colored_at: Option<Time>,
     polls: Vec<Vec<Rank>>,
-    /// `(k, open)`: poll `k` waits (up to 5 s) until `open()` holds.
-    gate: Option<(usize, Arc<dyn Fn() -> bool + Send + Sync>)>,
     poll: usize,
     queued: Vec<Rank>,
 }
@@ -190,12 +188,6 @@ impl Process for Scripted {
 
     fn poll_send(&mut self, _now: Time) -> SendPoll {
         if self.queued.is_empty() {
-            if let Some((at, open)) = &self.gate {
-                let start = Instant::now();
-                while *at == self.poll && !open() && start.elapsed() < Duration::from_secs(5) {
-                    std::thread::yield_now();
-                }
-            }
             let Some(sends) = self.polls.get(self.poll) else {
                 return SendPoll::Done;
             };
@@ -258,34 +250,30 @@ fn mailbox_hwm_is_the_depth_the_owner_drains() {
     assert_eq!(hub.snapshot().gauges["mailbox.hwm"], 5);
 }
 
-/// What the owner never drains, teardown books. All three ranks are
-/// colored from the start, so the first batch completes the broadcast;
-/// in it rank 2 sends one message to rank 1 and then five to rank 0.
-/// The worker's next batch is [1, 0], and rank 1's quantum holds the
-/// worker until the coordinator's teardown (rank order: 0 first) has
-/// cleared rank 0's mailbox — its five messages are never drained.
+/// Retirement leaves mailboxes alone: what a retired broadcast left in
+/// one is booked by its owner's next drain. All three ranks are colored
+/// from the start, so the first batch completes the broadcast; in it
+/// rank 2 sends one message to rank 1 and then five to rank 0, which
+/// the worker drains after the broadcast has retired.
 #[test]
-fn messages_left_undrained_at_teardown_count_towards_mailbox_hwm() {
+fn messages_left_at_retirement_are_booked_by_the_owners_next_drain() {
     let hub = Arc::new(TelemetryHub::new(1, 3));
-    let torn_down = {
-        let hub = Arc::clone(&hub);
-        move || hub.rank_hwm(0) >= 5
-    };
     let factory = ScriptedFactory(vec![
         Scripted::new(true, vec![vec![]]),
-        Scripted {
-            gate: Some((1, Arc::new(torn_down))),
-            ..Scripted::new(true, vec![vec![]])
-        },
+        Scripted::new(true, vec![vec![]]),
         Scripted::new(true, vec![vec![1, 0, 0, 0, 0, 0]]),
     ]);
     let cfg = ClusterConfig::new().threads(1).telemetry(Arc::clone(&hub));
     let mut cluster = Cluster::with_config(3, LogP::PAPER, cfg);
     let report = cluster.run_broadcast(&factory, &[false; 3], 0).unwrap();
     assert!(report.completed);
+    assert_eq!(report.messages, 6);
+    let start = Instant::now();
+    while hub.rank_hwm(0) < 5 && start.elapsed() < Duration::from_secs(5) {
+        std::thread::yield_now();
+    }
     assert_eq!(hub.rank_hwm(0), 5);
-    // Rank 1's one message is booked either way: by its quantum if the
-    // worker got there first (wait for it to finish), else by teardown.
+    // Rank 1's one message is drained in the same batch as rank 0's.
     drop(cluster);
     assert_eq!(hub.rank_hwm(1), 1);
 }
