@@ -19,8 +19,6 @@ use crate::json::{JsonObject, Value};
 pub mod phases {
     /// One whole broadcast, root send to quiescence.
     pub const BROADCAST: &str = "broadcast";
-    /// One campaign repetition.
-    pub const REP: &str = "rep";
 }
 
 /// What happened.
@@ -104,8 +102,7 @@ impl EventKind {
     /// `(time, order_class, original index)` restores an order in which
     /// causes precede effects: span begins first, then sends, then wire
     /// arrivals (including drops at dead ranks), then deliveries, then
-    /// coloring, then span ends. [`crate::monitor::MonitorSink`] sorts
-    /// with exactly this key before checking cross-rank invariants.
+    /// coloring, then span ends: [`crate::causal::causal_order`].
     pub fn order_class(&self) -> u8 {
         match self {
             EventKind::PhaseBegin { .. } => 0,

@@ -66,7 +66,7 @@ use ct_core::protocol::{BroadcastSpec, BuildCtx, ProtocolFactory};
 use ct_logp::{Rank, Time};
 use ct_obs::event::phases;
 use ct_obs::flight::{FlightKind as Fk, NO_RANK};
-use ct_obs::{Event as ObsEvent, EventKind as ObsEventKind, EventSink, NullSink};
+use ct_obs::{causal_order, Event as ObsEvent, EventKind as ObsEventKind, EventSink, NullSink};
 use ct_obs::{Postmortem, RankStall, StallReport};
 
 use crate::cluster::{Cluster, ClusterError, Entry, Window};
@@ -674,23 +674,13 @@ impl Cluster {
 /// its `broadcast` phase span. Per-rank buffers are harvested in rank
 /// order, so cross-rank events stamped in the same microsecond would
 /// otherwise interleave arbitrarily — an `Arrive` could surface before
-/// its `SendStart`. Ordering by `(time, order_class)` restores
-/// cause-before-effect at equal timestamps (send < arrive < deliver <
-/// colored), and ties keep harvest order, so each rank's own in-order
-/// stream stays intact. `MonitorSink` applies the same key before
-/// checking cross-rank invariants, so either layer alone suffices;
-/// doing it here also makes recorded cluster traces deterministic for
-/// diffing. The sort moves 16-byte `(key, index)` pairs, not the
-/// events: the index completes the key, so an unstable sort of the
-/// pairs is the stable sort of the events.
+/// its `SendStart`. Emitting in [`causal_order`] restores
+/// cause-before-effect at equal timestamps, keeps each rank's own
+/// stream in order, and makes recorded cluster traces deterministic
+/// for diffing.
 fn emit(sink: &mut dyn EventSink, mut recorded: Vec<ObsEvent>, bcast: Option<u64>) {
-    let mut order: Vec<(u64, u64)> = recorded
-        .iter()
-        .zip(0u64..)
-        .map(|(e, i)| (e.time.steps(), u64::from(e.kind.order_class()) << 32 | i))
-        .collect();
-    order.sort_unstable();
-    let end = order.last().map_or(Time::ZERO, |&(t, _)| Time::new(t));
+    let order = causal_order(&recorded);
+    let end = order.last().map_or(Time::ZERO, |&i| recorded[i].time);
     let phase = |time: Time, kind| ObsEvent {
         bcast,
         ..ObsEvent::wall(time, time.steps(), kind)
@@ -700,8 +690,8 @@ fn emit(sink: &mut dyn EventSink, mut recorded: Vec<ObsEvent>, bcast: Option<u64
         Time::ZERO,
         ObsEventKind::PhaseBegin { name: name() },
     ));
-    for &(_, key) in &order {
-        let e = &mut recorded[(key & u64::from(u32::MAX)) as usize];
+    for i in order {
+        let e = &mut recorded[i];
         e.bcast = bcast;
         sink.emit(e);
     }
