@@ -53,7 +53,7 @@ pub use ct_obs::json::Value;
 pub use dag::{CausalDag, EdgeKind, Node, NodeKind};
 pub use forensics::{analyze_forensics, FailureImpact, ForensicsReport, OrphanRescue, WasteReport};
 pub use summary::{
-    analyze_rep, analyze_rep_indexed, analyze_trace, AnalysisSummary, AnalyzeConfig, BoundsCheck,
-    MessageBreakdown, PhaseSplit, RepAnalysis, SpanStat, TraceAnalysis, Utilization,
+    analyze_rep, analyze_rep_indexed, AnalysisSummary, AnalyzeConfig, BoundsCheck,
+    MessageBreakdown, PhaseSplit, RepAnalysis, Utilization,
 };
 pub use trace::{parse_jsonl, ParseError};

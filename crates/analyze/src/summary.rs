@@ -5,10 +5,10 @@
 //! ([`crate::critical`]), dissemination/correction phase split,
 //! per-rank busy/idle utilization, and — for synchronized-correction
 //! runs — the observed correction time checked against the Lemma 3
-//! bounds from `ct-analysis`. [`analyze_trace`] analyzes a trace — one
-//! repetition — and [`AnalysisSummary`] aggregates repetitions into the
-//! JSON-renderable block that `ct analyze` prints and campaigns attach
-//! to their manifests.
+//! bounds from `ct-analysis`. A trace is one repetition.
+//! [`AnalysisSummary`] aggregates repetitions into the JSON-renderable
+//! block that `ct analyze` prints and campaigns attach to their
+//! manifests.
 
 use ct_analysis::lscc_bounds;
 use ct_core::protocol::{ColoredVia, Payload};
@@ -279,61 +279,7 @@ pub fn analyze_rep_indexed(
     }
 }
 
-/// A named phase span's aggregate timing over a trace.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanStat {
-    /// Span name (`broadcast`, …).
-    pub name: String,
-    /// How many times the span opened.
-    pub count: u64,
-    /// Total steps across all open→close pairs.
-    pub total_steps: u64,
-}
-
-/// Per-repetition results — of one trace ([`analyze_trace`]), or of a
-/// campaign's runs — plus the phase-span inventory.
-#[derive(Clone, Debug)]
-pub struct TraceAnalysis {
-    /// One analysis per repetition, in run order.
-    pub reps: Vec<RepAnalysis>,
-    /// Named phase spans found in the raw stream.
-    pub spans: Vec<SpanStat>,
-}
-
-/// Analyze a whole trace: its one repetition, and its phase spans.
-pub fn analyze_trace(events: &[Event], cfg: &AnalyzeConfig) -> TraceAnalysis {
-    let mut spans: Vec<SpanStat> = Vec::new();
-    let mut open: Vec<(String, u64)> = Vec::new();
-    for e in events {
-        match &e.kind {
-            EventKind::PhaseBegin { name } => open.push((name.clone(), e.time.steps())),
-            EventKind::PhaseEnd { name } => {
-                if let Some(pos) = open.iter().rposition(|(n, _)| n == name) {
-                    let (_, begin) = open.remove(pos);
-                    let steps = e.time.steps().saturating_sub(begin);
-                    match spans.iter_mut().find(|s| &s.name == name) {
-                        Some(s) => {
-                            s.count += 1;
-                            s.total_steps += steps;
-                        }
-                        None => spans.push(SpanStat {
-                            name: name.clone(),
-                            count: 1,
-                            total_steps: steps,
-                        }),
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    TraceAnalysis {
-        reps: vec![analyze_rep(events, cfg)],
-        spans,
-    }
-}
-
-/// Aggregated, JSON-renderable summary of a [`TraceAnalysis`].
+/// Aggregated, JSON-renderable summary of repetition analyses.
 #[derive(Clone, Debug)]
 pub struct AnalysisSummary {
     /// Process count (max over reps).
@@ -362,9 +308,9 @@ pub struct AnalysisSummary {
 }
 
 impl AnalysisSummary {
-    /// Aggregate a trace analysis.
-    pub fn from_trace(ta: &TraceAnalysis) -> AnalysisSummary {
-        let n = ta.reps.len().max(1) as f64;
+    /// Aggregate repetition analyses.
+    pub fn from_reps(reps: &[RepAnalysis]) -> AnalysisSummary {
+        let n = reps.len().max(1) as f64;
         let mut completion = (u64::MAX, 0.0, 0u64);
         let mut len_mean = 0.0;
         let mut hops_mean = 0.0;
@@ -376,7 +322,7 @@ impl AnalysisSummary {
         let mut busy = (0.0, 0.0f64);
         let mut bounds = (0u32, 0u32, None::<i64>);
         let mut p = 0u32;
-        for r in &ta.reps {
+        for r in reps {
             p = p.max(r.p);
             completion.0 = completion.0.min(r.completion);
             completion.1 += r.completion as f64 / n;
@@ -416,7 +362,7 @@ impl AnalysisSummary {
         };
         AnalysisSummary {
             p,
-            reps: ta.reps.len() as u32,
+            reps: reps.len() as u32,
             completion,
             critpath_len_mean: len_mean,
             hops_mean,
@@ -661,36 +607,9 @@ mod tests {
     }
 
     #[test]
-    fn span_inventory_counts_pairs() {
-        let mut events = vec![ev(
-            0,
-            EventKind::PhaseBegin {
-                name: "broadcast".into(),
-            },
-        )];
-        events.extend(one_hop());
-        events.push(ev(
-            9,
-            EventKind::PhaseEnd {
-                name: "broadcast".into(),
-            },
-        ));
-        let ta = analyze_trace(&events, &AnalyzeConfig::new(LogP::PAPER));
-        assert_eq!(ta.reps.len(), 1);
-        assert_eq!(
-            ta.spans,
-            vec![SpanStat {
-                name: "broadcast".into(),
-                count: 1,
-                total_steps: 9
-            }]
-        );
-    }
-
-    #[test]
     fn summary_aggregates_and_renders() {
-        let ta = analyze_trace(&one_hop(), &AnalyzeConfig::new(LogP::PAPER));
-        let s = AnalysisSummary::from_trace(&ta);
+        let rep = analyze_rep(&one_hop(), &AnalyzeConfig::new(LogP::PAPER));
+        let s = AnalysisSummary::from_reps(&[rep]);
         assert_eq!(s.p, 2);
         assert_eq!(s.reps, 1);
         assert_eq!(s.completion, (4, 4.0, 4));
@@ -710,8 +629,8 @@ mod tests {
 
     #[test]
     fn empty_trace_summary_is_zeroed() {
-        let ta = analyze_trace(&[], &AnalyzeConfig::new(LogP::PAPER));
-        let s = AnalysisSummary::from_trace(&ta);
+        let rep = analyze_rep(&[], &AnalyzeConfig::new(LogP::PAPER));
+        let s = AnalysisSummary::from_reps(&[rep]);
         assert_eq!(s.completion, (0, 0.0, 0));
         assert_eq!(s.critpath_len_mean, 0.0);
         let _ = s.to_json();

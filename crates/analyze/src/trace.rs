@@ -118,7 +118,7 @@ mod tests {
     }
 
     #[test]
-    fn traces_without_rep_spans_are_one_rep() {
+    fn a_rep_infers_p_from_the_highest_rank() {
         let send = Event::sim(
             Time::ZERO,
             EventKind::SendStart {
@@ -128,8 +128,6 @@ mod tests {
             },
         );
         let cfg = crate::AnalyzeConfig::new(ct_logp::LogP::PAPER);
-        let ta = crate::analyze_trace(&[send], &cfg);
-        assert_eq!(ta.reps.len(), 1);
-        assert_eq!(ta.reps[0].p, 6);
+        assert_eq!(crate::analyze_rep(&[send], &cfg).p, 6);
     }
 }

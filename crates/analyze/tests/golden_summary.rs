@@ -9,7 +9,7 @@
 //! and review the diff. If `ct-sim`'s golden trace itself changed,
 //! regenerate that one first.
 
-use ct_analyze::{analyze_trace, parse_jsonl, AnalysisSummary, AnalyzeConfig};
+use ct_analyze::{analyze_rep, parse_jsonl, AnalysisSummary, AnalyzeConfig};
 use ct_logp::LogP;
 
 // The simulator's golden trace: P = 4, binomial/interleaved with
@@ -21,8 +21,8 @@ const GOLDEN_SUMMARY: &str = include_str!("data/golden_p4_summary.json");
 
 fn summarize() -> AnalysisSummary {
     let events = parse_jsonl(GOLDEN_TRACE).expect("golden trace parses");
-    let ta = analyze_trace(&events, &AnalyzeConfig::new(LogP::PAPER));
-    AnalysisSummary::from_trace(&ta)
+    let rep = analyze_rep(&events, &AnalyzeConfig::new(LogP::PAPER));
+    AnalysisSummary::from_reps(&[rep])
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! A `#[global_allocator]` that counts heap allocations per thread, so
-//! that the test harness's own threads do not disturb the count. Shared
+//! that the test runner's own threads do not disturb the count. Shared
 //! by the allocation-contract tests of several crates: include it with
 //! `#[path = ".../support/counting_alloc.rs"] mod counting_alloc;` (a
 //! test binary gets the allocator by including the file).

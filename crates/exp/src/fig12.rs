@@ -15,8 +15,7 @@
 use ct_core::correction::CorrectionKind;
 use ct_core::protocol::BroadcastSpec;
 use ct_core::tree::{Ordering, TreeKind};
-use ct_logp::LogP;
-use ct_runtime::{harness, BenchConfig, ClusterError};
+use ct_runtime::ClusterError;
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::SeedableRng;
@@ -82,37 +81,29 @@ pub fn fault_ranks(p: u32, seed: u64) -> Vec<u32> {
 
 /// Run the sweep.
 pub fn run(cfg: &Fig12Config) -> Result<Vec<ClusterRow>, ClusterError> {
-    let logp = LogP::PAPER;
+    let counts = (cfg.warmup, cfg.iterations);
+    let lame4 = BroadcastSpec::plain_tree(TreeKind::Lame {
+        k: 4,
+        order: Ordering::Interleaved,
+    });
     let mut rows = Vec::new();
     for &p in &cfg.process_counts {
-        let bench = BenchConfig::new(p).with_iterations(cfg.warmup, cfg.iterations);
         for d in [0u32, 1, 2] {
-            rows.push(ClusterRow {
-                series: format!("binomial (d={d})"),
-                p,
-                result: harness::run_bench(&corrected(d), logp, &bench)?,
-            });
+            let series = format!("binomial (d={d})");
+            rows.push(ClusterRow::measure(series, &corrected(d), p, &[], counts)?);
         }
-        let lame4 = BroadcastSpec::plain_tree(TreeKind::Lame {
-            k: 4,
-            order: Ordering::Interleaved,
-        });
-        rows.push(ClusterRow {
-            series: "lame4 (d=0)".into(),
-            p,
-            result: harness::run_bench(&lame4, logp, &bench)?,
-        });
+        rows.push(ClusterRow::measure("lame4 (d=0)", &lame4, p, &[], counts)?);
         // Binomial d=2 with emulated failures (must stay fault-tolerant:
         // with d=2 only isolated failures are guaranteed coverable, so
         // this mirrors the paper's sparse random failures).
-        let faulty_bench = BenchConfig::new(p)
-            .with_iterations(cfg.warmup, cfg.iterations)
-            .with_dead_ranks(&fault_ranks(p, cfg.seed));
-        rows.push(ClusterRow {
-            series: "binomial (d=2, with faults)".into(),
+        let (series, dead) = ("binomial (d=2, with faults)", fault_ranks(p, cfg.seed));
+        rows.push(ClusterRow::measure(
+            series,
+            &corrected(2),
             p,
-            result: harness::run_bench(&corrected(2), logp, &faulty_bench)?,
-        });
+            &dead,
+            counts,
+        )?);
     }
     Ok(rows)
 }
@@ -141,10 +132,10 @@ mod tests {
         let rows = run(&cfg).unwrap();
         assert_eq!(rows.len(), 5);
         for r in &rows {
-            assert!(r.result.median_us > 0.0, "{}", r.series);
+            assert!(r.median_us > 0.0, "{}", r.series);
             // All series complete: the faulty one uses d=2 against a
             // single isolated failure.
-            assert_eq!(r.result.incomplete, 0, "{}", r.series);
+            assert_eq!(r.incomplete, 0, "{}", r.series);
         }
     }
 }

@@ -6,9 +6,7 @@
 //! to every figure manifest ([`with_analysis`] over the figure's
 //! [`analysis_campaign`]).
 
-use ct_analyze::{
-    analyze_rep_indexed, AnalysisSummary, AnalyzeConfig, RepAnalysis, TraceAnalysis, WasteReport,
-};
+use ct_analyze::{analyze_rep_indexed, AnalysisSummary, AnalyzeConfig, RepAnalysis, WasteReport};
 use std::sync::Arc;
 
 use ct_logp::LogP;
@@ -136,10 +134,7 @@ pub fn with_analysis(manifest: RunManifest, campaign: &Campaign) -> RunManifest 
 impl CampaignAnalysis {
     /// Aggregate the per-repetition analyses.
     pub fn summary(&self) -> AnalysisSummary {
-        AnalysisSummary::from_trace(&TraceAnalysis {
-            reps: self.reps.clone(),
-            spans: Vec::new(),
-        })
+        AnalysisSummary::from_reps(&self.reps)
     }
 
     /// Completion times folded into the default latency histogram

@@ -39,15 +39,13 @@ pub const NO_RANK: u32 = u32::MAX;
 /// kind/rank, aux payload, logical step, wall-clock µs.
 const RECORD_WORDS: usize = 5;
 
-/// What a flight record describes. One schema is shared by the cluster
-/// runtime and the LogP simulator so post-mortem tooling reads both.
+/// What a flight record of the cluster runtime describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FlightKind {
-    /// A broadcast iteration was installed (`aux` = broadcast id on the
-    /// cluster, seed in the simulator).
+    /// A broadcast iteration was installed (`aux` = broadcast id).
     IterStart,
     /// A broadcast iteration finished (`aux` = 1 if every live rank was
-    /// colored, 0 otherwise; `step` = latency in µs / LogP steps).
+    /// colored, 0 otherwise; `step` = latency in µs).
     IterEnd,
     /// A worker began a scheduling quantum for `rank` (`aux` =
     /// broadcast id — or 0 when the quantum served several concurrent
@@ -142,11 +140,9 @@ pub struct FlightRecord {
     /// Kind-specific payload (pusher/waker rank, drain count, deadline,
     /// batch size, broadcast id, completion flag — see [`FlightKind`]).
     pub aux: u64,
-    /// Logical step: µs into the iteration on the cluster, LogP steps
-    /// in the simulator.
+    /// Logical step: µs into the iteration.
     pub step: u64,
-    /// Wall-clock µs since the cluster base (0 in the simulator, which
-    /// has no wall clock).
+    /// Wall-clock µs since the cluster base.
     pub wall_us: u64,
 }
 

@@ -16,9 +16,11 @@
 //! interval it fires less than a second into a wedged broadcast —
 //! minutes before a production-scale watchdog (default 30 s) would.
 //!
-//! Events ride `RunReport.health`, are appended to `ct-postmortem-v1`
-//! dumps as a precursor timeline, interleave into the `ct-series-v1`
-//! JSONL export, and are stamped into campaign manifests.
+//! Events ride the `health` of each cluster broadcast's outcome (those
+//! fired between its admission and its retirement), are appended to
+//! `ct-postmortem-v1` dumps as a precursor timeline, interleave into
+//! the `ct-series-v1` JSONL export, and are stamped into campaign
+//! manifests.
 
 use crate::json::{JsonObject, Value};
 use crate::series::SeriesSample;

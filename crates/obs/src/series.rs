@@ -7,22 +7,21 @@
 //! watchdog fires. This module adds the time axis.
 //!
 //! A [`Sampler`] is a background thread that polls a hub at a fixed
-//! interval (`ClusterConfig::sample(Duration)` /
-//! `SimulationBuilder::sample`, `CT_SAMPLE_MS` override) and turns each
-//! pair of consecutive snapshots into a [`SeriesSample`] — the
-//! per-window counter *deltas* plus point-in-time gauges, stamped with
-//! a monotonic clock so NTP steps can never produce negative rates.
+//! interval (the cluster runtime's `ClusterConfig::sample(Duration)`,
+//! `CT_SAMPLE_MS` override) and turns each pair of consecutive
+//! snapshots into a [`SeriesSample`] — the per-window counter *deltas*
+//! plus point-in-time gauges, stamped with a monotonic clock so NTP
+//! steps can never produce negative rates.
 //! Samples land in a fixed-capacity [`SeriesRing`] (oldest-first
 //! overwrite with a loss counter, same contract as the flight
 //! recorder's shard rings) inside a shared [`SeriesStore`], and every
 //! window is also fed through a [`HealthEngine`](crate::health) whose
 //! fired events accumulate alongside.
 //!
-//! The store exports one byte-stable JSONL shape for sim and cluster
-//! sources — schema tag [`SCHEMA`], `"kind":"sample"` and
-//! `"kind":"health"` lines interleaved in time order — consumed by
-//! `ct monitor`, `ct analyze --view series` and the `/series.jsonl`
-//! HTTP endpoint.
+//! The store exports one byte-stable JSONL shape — schema tag
+//! [`SCHEMA`], `"kind":"sample"` and `"kind":"health"` lines
+//! interleaved in time order — consumed by `ct monitor`, `ct analyze
+//! --view series` and the `/series.jsonl` HTTP endpoint.
 //!
 //! Same `Option` discipline as the hub and recorder: no sampler
 //! configured means no thread, no atomically-read hub, and

@@ -61,7 +61,8 @@ impl RankStall {
 
 /// What the watchdog saw when a broadcast iteration timed out — the
 /// structured replacement for an opaque "not completed" (see module
-/// docs). Attached to `RunReport::stall` on incomplete iterations.
+/// docs). Attached to the `stall` of a cluster broadcast's outcome
+/// when its deadline retired it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StallReport {
     /// Broadcast iteration id that stalled.

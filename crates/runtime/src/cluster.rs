@@ -70,7 +70,7 @@ use std::time::{Duration, Instant};
 use ct_core::protocol::{Blueprint, Process, ProtocolError, ProtocolFactory, SendPoll};
 use ct_logp::{LogP, Rank, Time};
 use ct_obs::flight::{FlightKind as Fk, FlightRecorder, NO_RANK};
-use ct_obs::health::{HealthConfig, HealthEvent};
+use ct_obs::health::HealthConfig;
 use ct_obs::metrics::Histogram;
 use ct_obs::series::{Sampler, SeriesStore, DEFAULT_SERIES_CAP};
 use ct_obs::telemetry::{Counter as Tc, Dist as Td, TelemetryHub};
@@ -84,7 +84,7 @@ pub use ct_obs::default_threads;
 
 use crate::inbox::{CoordMsg, Inbox};
 use crate::mailbox::{Mailbox, Msg};
-use crate::pubsub::{Admission, Rule};
+use crate::pubsub::{Admission, BroadcastOutcome, Rule};
 use crate::timer::TimerWheel;
 
 /// Upper bound on ranks a worker claims per run-queue lock.
@@ -158,12 +158,12 @@ pub struct ClusterConfig {
     /// Where to write the `ct-postmortem-v1` dump when the run dies
     /// (watchdog stall or worker panic) with a flight recorder
     /// attached; `None` keeps the dump in-memory only
-    /// ([`RunReport::postmortem`]).
+    /// ([`BroadcastOutcome::postmortem`]).
     pub postmortem: Option<PathBuf>,
     /// Continuous-sampling interval: with a telemetry hub attached, a
     /// background [`Sampler`] polls it this often into a `ct-series-v1`
     /// ring and evaluates the health rules per window
-    /// ([`Cluster::series`], [`RunReport::health`]). `None` (the
+    /// ([`Cluster::series`], [`BroadcastOutcome::health`]). `None` (the
     /// default) spawns no thread — same zero-cost discipline as the
     /// hub and the recorder. `ct` enables it with the
     /// `CT_SAMPLE_MS`-driven [`ct_obs::series::default_sample_ms`].
@@ -265,44 +265,6 @@ impl From<ProtocolError> for ClusterError {
     fn from(e: ProtocolError) -> Self {
         ClusterError::Protocol(e)
     }
-}
-
-/// Result of one broadcast iteration on the cluster.
-#[derive(Clone, Debug)]
-pub struct RunReport {
-    /// Wall-clock time from the iteration epoch until the last live
-    /// rank reported the payload (coloring latency). The epoch is a
-    /// whole-µs point of the cluster timeline (`Shared::epoch`) and
-    /// the zero of every recorded event timestamp
-    /// (`now_us − epoch_us`), so no event can postdate the latency. It
-    /// is taken before the broadcast is published so events can never
-    /// predate it either, which means latency includes the admission's
-    /// O(P) enqueue sweep and each rank's own install — low
-    /// microseconds even at P=4096, but a systematic inclusion to keep
-    /// in mind for cross-P comparisons (see DESIGN.md "Cluster
-    /// runtime", *One clock*).
-    pub latency: Duration,
-    /// Live ranks that never got colored before the timeout (empty on
-    /// success).
-    pub uncolored: Vec<Rank>,
-    /// Total messages sent by all ranks.
-    pub messages: u64,
-    /// Whether the iteration completed before the deadline.
-    pub completed: bool,
-    /// Watchdog diagnostics, captured at the moment of timeout and
-    /// before retirement; `None` on completed iterations.
-    pub stall: Option<StallReport>,
-    /// The `ct-postmortem-v1` bundle captured on a stall when a flight
-    /// recorder is attached ([`ClusterConfig::flight`]); also written
-    /// to [`ClusterConfig::postmortem`] when a path is set. `None` on
-    /// completed iterations and on runs without a recorder.
-    pub postmortem: Option<Postmortem>,
-    /// Health events the continuous sampler fired during this
-    /// iteration ([`ClusterConfig::sample`]); empty without a sampler.
-    /// On a stalled iteration the `stall_precursor` event lands here —
-    /// fired K sample windows into the wedge, well before the watchdog
-    /// gave up.
-    pub health: Vec<HealthEvent>,
 }
 
 /// One in-flight broadcast iteration on a rank. A rank holds one of
@@ -813,7 +775,7 @@ impl Cluster {
         factory: &dyn ProtocolFactory,
         dead: &[bool],
         seed: u64,
-    ) -> Result<RunReport, ClusterError> {
+    ) -> Result<BroadcastOutcome, ClusterError> {
         self.run_broadcast_observed(factory, dead, seed, &mut NullSink)
     }
 
@@ -825,7 +787,7 @@ impl Cluster {
         factory: &dyn ProtocolFactory,
         dead: &[bool],
         seed: u64,
-    ) -> Result<(RunReport, Vec<ObsEvent>), ClusterError> {
+    ) -> Result<(BroadcastOutcome, Vec<ObsEvent>), ClusterError> {
         let mut sink = ct_obs::VecSink::new();
         let report = self.run_broadcast_observed(factory, dead, seed, &mut sink)?;
         Ok((report, sink.events))
@@ -849,10 +811,7 @@ impl Cluster {
         dead: &[bool],
         seed: u64,
         sink: &mut dyn EventSink,
-    ) -> Result<RunReport, ClusterError> {
-        // Mark the health log so this report carries only events fired
-        // from here on.
-        let health_mark = self.sampler.as_ref().map(|s| s.store().events_len());
+    ) -> Result<BroadcastOutcome, ClusterError> {
         let admission = Admission {
             factory,
             dead,
@@ -861,22 +820,8 @@ impl Cluster {
             round: 0,
             rule: Rule::Colored,
         };
-        let (mut outcomes, postmortem) =
-            self.run_window(1, std::iter::once(admission), &mut [sink])?;
-        let o = outcomes.pop().expect("one admission, one outcome");
-        let health = match (&self.sampler, health_mark) {
-            (Some(s), Some(mark)) => s.store().events_from(mark),
-            _ => Vec::new(),
-        };
-        Ok(RunReport {
-            latency: o.latency,
-            uncolored: o.uncolored,
-            messages: o.messages,
-            completed: o.completed,
-            stall: o.stall,
-            postmortem,
-            health,
-        })
+        let mut outcomes = self.run_window(1, std::iter::once(admission), &mut [sink])?;
+        Ok(outcomes.pop().expect("one admission, one outcome"))
     }
 
     /// Freeze the flight recorder and bundle a [`Postmortem`]: the
@@ -994,7 +939,8 @@ impl Taps<'_> {
 /// coordinator has learnt from a batch the hub already shows; a running
 /// worker's counters lag by at most one batch (≤ [`MAX_BATCH`] quanta),
 /// and the `QuantumUs` sample of a batch's last quantum, which the
-/// post-flush clock read closes, by one more. A worker that unwinds
+/// post-flush clock read closes, by one more — published with the next
+/// batch, or when the worker shuts down. A worker that unwinds
 /// mid-batch takes that batch's tallies with it — at most one
 /// unpublished batch per panicking worker; one that leaves because it
 /// found a peer's lock poisoned publishes on its way out. Without a hub
@@ -1142,6 +1088,8 @@ fn worker_main(shared: Arc<Shared>, widx: usize) {
         // busy time.
         let Some(claimed_ns) = claim(&shared, taps, &mut scratch.due, &mut batch, &mut window)
         else {
+            // The last batch's closing `QuantumUs` sample is still here.
+            tally.publish(taps);
             return;
         };
         if let Some(t) = taps.tel {

@@ -18,9 +18,12 @@
 //! overlapped correction and round-limited gossip — exactly the paper's
 //! prototype scope.
 //!
-//! [`harness`] layers an OSU-benchmark-style measurement loop on top:
-//! repeated broadcasts with warmup, reporting per-iteration latency from
-//! the root's start until every live rank holds the payload.
+//! Every broadcast, single ([`Cluster::run_broadcast`]) or pub/sub
+//! ([`Cluster::run_pubsub`]), is one admission into the coordinator's
+//! window and yields one [`BroadcastOutcome`]: its latency from the
+//! epoch until every live rank holds the payload, its message count,
+//! and on a stall the watchdog's evidence. Repeating broadcasts the
+//! `osu_bcast` way (§4.4) is the caller's loop (`ct-exp`'s fig 11/12).
 //!
 //! What the watchdog reports on a stall ([`StallReport`]) and the dump
 //! written when a run dies ([`Postmortem`]) are `ct-obs` types, re-exported
@@ -32,15 +35,11 @@
 #![warn(clippy::too_many_lines)]
 
 pub mod cluster;
-pub mod harness;
 mod inbox;
 mod mailbox;
 pub mod pubsub;
 mod timer;
 
-pub use cluster::{
-    default_flight_cap, default_threads, Cluster, ClusterConfig, ClusterError, RunReport,
-};
+pub use cluster::{default_flight_cap, default_threads, Cluster, ClusterConfig, ClusterError};
 pub use ct_obs::{Postmortem, RankStall, StallReport};
-pub use harness::{BenchConfig, BenchResult};
 pub use pubsub::{BroadcastOutcome, PubsubOptions, PubsubReport, Topic, TopicTable};

@@ -66,6 +66,7 @@ use ct_core::protocol::{BroadcastSpec, BuildCtx, ProtocolFactory};
 use ct_logp::{Rank, Time};
 use ct_obs::event::phases;
 use ct_obs::flight::{FlightKind as Fk, NO_RANK};
+use ct_obs::health::HealthEvent;
 use ct_obs::{causal_order, Event as ObsEvent, EventKind as ObsEventKind, EventSink, NullSink};
 use ct_obs::{Postmortem, RankStall, StallReport};
 
@@ -161,28 +162,52 @@ impl Default for PubsubOptions {
     }
 }
 
-/// Result of one broadcast of one topic within a pub/sub run.
+/// Result of one broadcast on the cluster: of a single broadcast
+/// ([`Cluster::run_broadcast`]) or of one topic's round within a pub/sub
+/// run.
 #[derive(Clone, Debug)]
 pub struct BroadcastOutcome {
-    /// Index into the [`TopicTable`].
+    /// Index into the [`TopicTable`] (0 for a single broadcast).
     pub topic: usize,
-    /// Round number (0-based).
+    /// Round number (0-based; 0 for a single broadcast).
     pub round: usize,
     /// The broadcast id its messages and events carry.
     pub id: u64,
     /// Admission → last live rank colored. Equal to the watchdog
-    /// timeout when the broadcast never fully colored.
+    /// timeout when the broadcast never fully colored. The epoch is a
+    /// whole-µs point of the cluster timeline and the zero of every
+    /// recorded event timestamp, so no event can postdate the latency.
+    /// It is taken before the broadcast is published so events can
+    /// never predate it either, which means latency includes the
+    /// admission's O(P) enqueue sweep and each rank's own install —
+    /// low microseconds even at P=4096, but a systematic inclusion to
+    /// keep in mind for cross-P comparisons (see DESIGN.md "Cluster
+    /// runtime", *One clock*).
     pub latency: Duration,
     /// Total messages sent, as the workers reported them by retirement;
-    /// exact (not truncated) when `completed`.
+    /// exact (not truncated) when a pub/sub broadcast `completed`.
     pub messages: u64,
-    /// Whether the broadcast reached quiescence before its deadline.
+    /// Whether the broadcast met its retirement rule before its
+    /// deadline.
     pub completed: bool,
     /// Live ranks never colored (empty when fully colored).
     pub uncolored: Vec<Rank>,
     /// Watchdog diagnostics, taken at the deadline before retirement;
     /// `None` on completed broadcasts.
     pub stall: Option<StallReport>,
+    /// The `ct-postmortem-v1` bundle this broadcast's deadline
+    /// retirement captured when a flight recorder is attached
+    /// ([`crate::ClusterConfig::flight`]); also written to
+    /// [`crate::ClusterConfig::postmortem`] when a path is set. `None`
+    /// on completed broadcasts and on runs without a recorder.
+    pub postmortem: Option<Postmortem>,
+    /// Health events the continuous sampler fired between this
+    /// broadcast's admission and its retirement
+    /// ([`crate::ClusterConfig::sample`]); empty without a sampler. On
+    /// a stalled broadcast the `stall_precursor` event lands here —
+    /// fired K sample windows into the wedge, well before the watchdog
+    /// gave up.
+    pub health: Vec<HealthEvent>,
 }
 
 /// Result of a whole pub/sub run.
@@ -262,6 +287,9 @@ struct Active<'a> {
     /// Set the moment `colored_count` reached `live`.
     latency: Option<Duration>,
     record: bool,
+    /// The sampler's health-log length at admission: what this
+    /// broadcast's outcome reports from.
+    health_mark: Option<usize>,
 }
 
 impl Active<'_> {
@@ -335,7 +363,7 @@ impl Cluster {
                 rule: Rule::Quiescent,
             })
         });
-        let (outcomes, _) = self.run_window(opts.k.max(1), admissions, sinks)?;
+        let outcomes = self.run_window(opts.k.max(1), admissions, sinks)?;
         Ok(PubsubReport {
             outcomes,
             elapsed: started.elapsed(),
@@ -346,14 +374,13 @@ impl Cluster {
     /// of `k` slots, sleep on the inbox, retire each broadcast by its
     /// [`Rule`] or at its deadline. `sinks[a.topic]` receives admission
     /// `a`'s events. Returns one outcome per admission, in admission
-    /// order, and the dump of the latest deadline retirement when a
-    /// flight recorder is attached.
+    /// order.
     pub(crate) fn run_window<'a>(
         &mut self,
         k: usize,
         admissions: impl Iterator<Item = Admission<'a>>,
         sinks: &mut [&mut dyn EventSink],
-    ) -> Result<(Vec<BroadcastOutcome>, Option<Postmortem>), ClusterError> {
+    ) -> Result<Vec<BroadcastOutcome>, ClusterError> {
         let result = self.window(k, admissions, sinks);
         if let Err(ClusterError::WorkerPanicked) = &result {
             // The black box outlives the crash: freeze the rings and
@@ -368,9 +395,9 @@ impl Cluster {
         k: usize,
         mut admissions: impl Iterator<Item = Admission<'a>>,
         sinks: &mut [&mut dyn EventSink],
-    ) -> Result<(Vec<BroadcastOutcome>, Option<Postmortem>), ClusterError> {
+    ) -> Result<Vec<BroadcastOutcome>, ClusterError> {
         let mut active: Vec<Active<'a>> = Vec::with_capacity(k);
-        let (mut outcomes, mut postmortem) = (Vec::new(), None);
+        let mut outcomes = Vec::new();
         // The latest wait found the inbox empty.
         let mut drained = false;
         loop {
@@ -397,7 +424,7 @@ impl Cluster {
                 if done || (drained && Instant::now() >= active[i].deadline) {
                     let a = active.remove(i);
                     let sink = &mut *sinks[a.topic];
-                    outcomes.push(self.retire(a, done, sink, &mut postmortem)?);
+                    outcomes.push(self.retire(a, done, sink)?);
                 } else {
                     i += 1;
                 }
@@ -410,7 +437,7 @@ impl Cluster {
         self.publish_gauges(&[]);
         // Admission order, not retirement order: stable for reports.
         outcomes.sort_by_key(|o| o.id);
-        Ok((outcomes, postmortem))
+        Ok(outcomes)
     }
 
     /// Publish one broadcast into the window of `k` and make every rank
@@ -424,6 +451,7 @@ impl Cluster {
     ) -> Result<Active<'a>, ClusterError> {
         let dead = admission.dead;
         assert_eq!(dead.len(), self.p as usize);
+        let health_mark = self.series().map(|store| store.events_len());
         let id = self.next_id;
         self.next_id += 1;
         let ctx = BuildCtx {
@@ -466,6 +494,7 @@ impl Cluster {
             deadline: epoch + self.timeout,
             latency: (live == 0).then_some(Duration::ZERO),
             record,
+            health_mark,
         })
     }
 
@@ -516,14 +545,12 @@ impl Cluster {
     /// Retire broadcast `a`, `done` by its rule or else past its
     /// deadline: diagnose a stall first, then withdraw it from the
     /// window — its ranks drop it when they next sync — and, when it
-    /// records, harvest its events into its `sink`. A stall's
-    /// postmortem replaces `postmortem`.
+    /// records, harvest its events into its `sink`.
     fn retire(
         &mut self,
         a: Active<'_>,
         done: bool,
         sink: &mut dyn EventSink,
-        postmortem: &mut Option<Postmortem>,
     ) -> Result<BroadcastOutcome, ClusterError> {
         // Diagnose a stall before anything moves on: the stranded
         // ranks' scheduled flags, mailboxes and last-poll stamps still
@@ -534,9 +561,9 @@ impl Cluster {
         } else {
             Some(self.stall_report(&a)?)
         };
-        if let Some(report) = &stall {
-            *postmortem = self.capture_postmortem("watchdog_stall", Some(report));
-        }
+        let postmortem = stall
+            .as_ref()
+            .and_then(|report| self.capture_postmortem("watchdog_stall", Some(report)));
         let window = self.shared.withdraw(a.id)?;
         let latency = a.latency.unwrap_or(self.timeout);
         if let Some(f) = self.shared.flight.as_deref() {
@@ -561,6 +588,10 @@ impl Cluster {
             .enumerate()
             .filter_map(|(r, (&c, &d))| (!c && !d).then_some(r as Rank))
             .collect();
+        let health = match (self.series(), a.health_mark) {
+            (Some(store), Some(mark)) => store.events_from(mark),
+            _ => Vec::new(),
+        };
         Ok(BroadcastOutcome {
             topic: a.topic,
             round: a.round,
@@ -570,6 +601,8 @@ impl Cluster {
             completed: done,
             uncolored,
             stall,
+            postmortem,
+            health,
         })
     }
 

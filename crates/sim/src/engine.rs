@@ -45,9 +45,6 @@ use ct_core::protocol::{
 };
 use ct_logp::{LogP, Rank, Time};
 use ct_obs::event::phases;
-use ct_obs::flight::{FlightKind, FlightRecorder, NO_RANK};
-use ct_obs::health::HealthConfig;
-use ct_obs::series::{Sampler, SeriesStore, DEFAULT_SERIES_CAP};
 use ct_obs::telemetry::TelemetryHub;
 use ct_obs::{Event as ObsEvent, EventKind as ObsEventKind, EventSink, NullSink, VecSink};
 
@@ -134,11 +131,6 @@ pub struct Simulation {
     seed: u64,
     max_events: u64,
     telemetry: Option<Arc<TelemetryHub>>,
-    flight: Option<Arc<FlightRecorder>>,
-    /// Continuous sampler over the attached hub (`Arc` because
-    /// `Simulation` is `Clone`; the thread stops when the last clone
-    /// drops).
-    sampler: Option<Arc<Sampler>>,
 }
 
 /// Builder for [`Simulation`].
@@ -150,8 +142,6 @@ pub struct SimulationBuilder {
     seed: u64,
     max_events: u64,
     telemetry: Option<Arc<TelemetryHub>>,
-    flight: Option<Arc<FlightRecorder>>,
-    sample: Option<std::time::Duration>,
 }
 
 impl Simulation {
@@ -164,15 +154,7 @@ impl Simulation {
             seed: 0,
             max_events: DEFAULT_MAX_EVENTS,
             telemetry: None,
-            flight: None,
-            sample: None,
         }
-    }
-
-    /// The continuous sampler's shared store ([`SimulationBuilder::sample`]);
-    /// `None` unless both `telemetry` and `sample` were configured.
-    pub fn series(&self) -> Option<Arc<SeriesStore>> {
-        self.sampler.as_ref().map(|s| s.store())
     }
 
     /// The LogP parameters in use.
@@ -275,7 +257,6 @@ impl Simulation {
         let label = factory.label();
         let sharded = self.p >= SHARD_MIN_P
             && !observing
-            && self.flight.is_none()
             && self.telemetry.is_none()
             && procs.as_any_mut().is::<RelabeledPopulation>()
             && free_core();
@@ -293,7 +274,6 @@ impl Simulation {
             procs,
             sink,
             observing,
-            flight: self.flight.as_deref(),
             colored_seen,
         };
         run.whole(label, whole, &mut shards[0])
@@ -351,9 +331,9 @@ pub(crate) trait Ranks {
     /// `from` starts a send.
     fn sending(&mut self, _now: Time, _from: Rank, _to: Rank, _payload: Payload) {}
 
-    /// `r`, polled at `now` by the event of `key`, asked to be polled
-    /// again at `at`: schedule it, or keep it in `kept` for the merge.
-    fn repoll(&mut self, now: Time, key: u32, r: Rank, at: Time, kept: &mut Vec<Repoll>);
+    /// `r`, polled by the event of `key`, asked to be polled again at
+    /// `at`: schedule it, or keep it in `kept` for the merge.
+    fn repoll(&mut self, key: u32, r: Rank, at: Time, kept: &mut Vec<Repoll>);
 }
 
 /// Every rank of a one-thread run, by rank, with every tap, and the
@@ -363,7 +343,6 @@ struct Whole<'a> {
     procs: &'a mut dyn Population,
     sink: &'a mut dyn EventSink,
     observing: bool,
-    flight: Option<&'a FlightRecorder>,
     colored_seen: &'a mut BitSet,
 }
 
@@ -413,10 +392,6 @@ impl Ranks for Whole<'_> {
             };
             self.sink.emit(&ObsEvent::sim(now, kind));
         }
-        if let (Some(f), false) = (self.flight, dead) {
-            let (from, t) = (u64::from(from), now.steps());
-            f.record(0, FlightKind::MailboxPush, to, from, t, 0);
-        }
     }
 
     fn sending(&mut self, now: Time, from: Rank, to: Rank, payload: Payload) {
@@ -426,10 +401,7 @@ impl Ranks for Whole<'_> {
         }
     }
 
-    fn repoll(&mut self, now: Time, _: u32, r: Rank, at: Time, _: &mut Vec<Repoll>) {
-        if let Some(f) = self.flight {
-            f.record(0, FlightKind::TimerArm, r, at.steps(), now.steps(), 0);
-        }
+    fn repoll(&mut self, _: u32, r: Rank, at: Time, _: &mut Vec<Repoll>) {
         self.queue.push(at, r, EventKind::Repoll);
     }
 }
@@ -454,7 +426,7 @@ impl Ranks for PopulationHalf {
         PopulationHalf::poll_send(self, index, now)
     }
 
-    fn repoll(&mut self, _: Time, key: u32, rank: Rank, at: Time, kept: &mut Vec<Repoll>) {
+    fn repoll(&mut self, key: u32, rank: Rank, at: Time, kept: &mut Vec<Repoll>) {
         kept.push(Repoll { key, at, rank });
     }
 }
@@ -623,7 +595,7 @@ impl<R: Ranks> Shard<R> {
                 if at <= now {
                     return Err(SimError::NonAdvancingWait { rank: r, now, at });
                 }
-                self.ranks.repoll(now, key, r, at, &mut self.store.repolls);
+                self.ranks.repoll(key, r, at, &mut self.store.repolls);
             }
             SendPoll::Idle => {}
             SendPoll::Done => self.store.done.set(i),
@@ -685,12 +657,6 @@ impl Run<'_> {
             for r in 0..sim.p {
                 shard.ranks.report_coloring(r, Time::ZERO);
             }
-        }
-        if let Some(f) = sim.flight.as_deref() {
-            // A flight-recorded run is a one-thread run and owns
-            // recorder shard 0; there is no wall clock, so wall_us stays
-            // 0 and `step` carries LogP time.
-            f.record(0, FlightKind::IterStart, NO_RANK, sim.seed, 0, 0);
         }
         self.start(shard.ranks.queue);
         let drained = self.drain_whole(&mut shard);
@@ -862,16 +828,6 @@ impl Run<'_> {
                 outcome.all_live_colored(),
             );
         }
-        if let Some(f) = sim.flight.as_deref() {
-            f.record(
-                0,
-                FlightKind::IterEnd,
-                NO_RANK,
-                u64::from(outcome.all_live_colored()),
-                outcome.quiescence.steps(),
-                0,
-            );
-        }
         outcome
     }
 }
@@ -949,41 +905,9 @@ impl SimulationBuilder {
         self
     }
 
-    /// Record flight-recorder events into `recorder`'s shard 0 (default
-    /// off): iteration markers, message arrivals (with sender identity)
-    /// and protocol timer arms, in the same record schema the cluster
-    /// runtime writes. A pure observer — outcomes and traces are
-    /// bit-identical with the recorder on or off.
-    pub fn flight(mut self, recorder: Arc<FlightRecorder>) -> Self {
-        self.flight = Some(recorder);
-        self
-    }
-
-    /// Continuously sample the attached telemetry hub every `interval`
-    /// into a `ct-series-v1` ring, evaluating the health rules per
-    /// window (default off; requires [`SimulationBuilder::telemetry`]
-    /// to have any effect). The sampler is a pure observer on its own
-    /// thread — outcomes and traces are bit-identical with sampling on
-    /// or off.
-    pub fn sample(mut self, interval: std::time::Duration) -> Self {
-        self.sample = Some(interval);
-        self
-    }
-
-    /// Finalize. When both a telemetry hub and a sampling interval are
-    /// configured, this spawns the background sampler thread.
+    /// Finalize.
     pub fn build(self) -> Simulation {
         let faults = self.faults.unwrap_or_else(|| FaultPlan::none(self.p));
-        let sampler = match (&self.telemetry, self.sample) {
-            (Some(hub), Some(interval)) => Some(Arc::new(Sampler::spawn(
-                Arc::clone(hub),
-                "sim",
-                interval,
-                DEFAULT_SERIES_CAP,
-                HealthConfig::default(),
-            ))),
-            _ => None,
-        };
         Simulation {
             p: self.p,
             logp: self.logp,
@@ -991,8 +915,6 @@ impl SimulationBuilder {
             seed: self.seed,
             max_events: self.max_events,
             telemetry: self.telemetry,
-            flight: self.flight,
-            sampler,
         }
     }
 }

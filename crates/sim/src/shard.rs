@@ -22,7 +22,7 @@
 //! holds is then exactly the one-thread lane, and so is every outcome.
 //!
 //! What stays on one thread: runs under [`SHARD_MIN_P`] ranks, observed
-//! runs (an enabled sink, a flight recorder or a telemetry hub), boxed
+//! runs (an enabled sink or a telemetry hub), boxed
 //! populations, and runs that would take a core another run needs (the
 //! free-core rule, [`InFlight`]). A sharded run hands its narrow steps
 //! (under [`WIDE_STEP`] events) to the two shards in turn on its own

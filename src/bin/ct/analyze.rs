@@ -4,8 +4,8 @@
 use std::path::PathBuf;
 
 use corrected_trees::analyze::{
-    analyze_forensics, analyze_trace, parse_jsonl, postmortem, scheduler, series, AnalysisSummary,
-    AnalyzeConfig, TraceAnalysis,
+    analyze_forensics, analyze_rep, parse_jsonl, postmortem, scheduler, series, AnalysisSummary,
+    AnalyzeConfig, RepAnalysis,
 };
 use corrected_trees::exp::{FaultSpec, Variant};
 use corrected_trees::logp::LogP;
@@ -115,11 +115,11 @@ pub fn analyze(cli: &Cli) {
     if let Some(t) = cli.opt("--sync-start") {
         cfg = cfg.with_sync_start(t);
     }
-    let ta = analyze_trace(&events, &cfg);
+    let rep = analyze_rep(&events, &cfg);
     match view {
-        "summary" => print_summary(cli, &ta),
-        "critical-path" => print_critical_paths(&ta),
-        "utilization" => print_utilization(cli, &ta),
+        "summary" => print_summary(cli, &rep),
+        "critical-path" => print_critical_path(&rep),
+        "utilization" => print_utilization(cli, &rep),
         other => misuse(format_args!("unknown analyze view {other:?}")),
     }
 }
@@ -144,85 +144,74 @@ fn render_file(cli: &Cli, view: &str) {
         }
         "series" => {
             let export = read_input(path, SeriesExport::from_jsonl);
-            if cli.flag("--json") {
-                print!("{}", export.to_jsonl());
+            let out = if cli.flag("--json") {
+                export.to_jsonl()
             } else {
-                print!("{}", series::render_text(&export));
-            }
+                series::render_text(&export)
+            };
+            write_stdout(|w| w.write_all(out.as_bytes()));
         }
         _ => render_postmortem(cli, path),
     }
 }
 
-fn print_summary(cli: &Cli, ta: &TraceAnalysis) {
-    let s = AnalysisSummary::from_trace(ta);
+fn print_summary(cli: &Cli, rep: &RepAnalysis) {
+    let s = AnalysisSummary::from_reps(std::slice::from_ref(rep));
     emit(
         cli,
         || s.to_json(),
         || {
             let mut out = s.render_text();
-            for (i, rep) in ta.reps.iter().enumerate() {
-                if let Some(b) = &rep.bounds {
-                    out += &format!(
-                        "rep {i}: L_SCC observed {} vs bounds [{}, {}] (g_max {}) — {}\n",
-                        b.observed,
-                        b.lower,
-                        b.upper,
-                        b.g_max,
-                        if b.violated() { "VIOLATED" } else { "ok" }
-                    );
-                }
+            if let Some(b) = &rep.bounds {
+                out += &format!(
+                    "rep 0: L_SCC observed {} vs bounds [{}, {}] (g_max {}) — {}\n",
+                    b.observed,
+                    b.lower,
+                    b.upper,
+                    b.g_max,
+                    if b.violated() { "VIOLATED" } else { "ok" }
+                );
             }
             out
         },
     );
 }
 
-fn print_critical_paths(ta: &TraceAnalysis) {
+fn print_critical_path(rep: &RepAnalysis) {
+    let cp = &rep.critpath;
     write_stdout(|w| {
-        for (i, rep) in ta.reps.iter().enumerate() {
-            let cp = &rep.critpath;
+        writeln!(
+            w,
+            "rep 0: completion {} = o {} + L {} + idle {} over {} hops \
+             (dissemination {}, correction {})",
+            cp.len, cp.o_steps, cp.l_steps, cp.idle_steps, cp.hops, cp.diss_steps, cp.corr_steps
+        )?;
+        for s in &cp.segments {
             writeln!(
                 w,
-                "rep {i}: completion {} = o {} + L {} + idle {} over {} hops \
-                 (dissemination {}, correction {})",
-                cp.len,
-                cp.o_steps,
-                cp.l_steps,
-                cp.idle_steps,
-                cp.hops,
-                cp.diss_steps,
-                cp.corr_steps
+                "  [{:>6}..{:>6}]  {:<4}  rank {:<6}  {}",
+                s.start,
+                s.end,
+                s.class.label(),
+                s.rank,
+                Event::payload_tag(s.payload)
             )?;
-            for s in &cp.segments {
-                writeln!(
-                    w,
-                    "  [{:>6}..{:>6}]  {:<4}  rank {:<6}  {}",
-                    s.start,
-                    s.end,
-                    s.class.label(),
-                    s.rank,
-                    Event::payload_tag(s.payload)
-                )?;
-            }
         }
         Ok(())
     });
 }
 
-fn print_utilization(cli: &Cli, ta: &TraceAnalysis) {
+fn print_utilization(cli: &Cli, rep: &RepAnalysis) {
     let ranks = cli.ranks("--ranks");
     write_stdout(|w| {
-        for (i, rep) in ta.reps.iter().enumerate() {
-            writeln!(w, "rep {i}: completion {}", rep.completion)?;
-            for r in 0..rep.utilization.busy.len() {
-                if ranks.as_ref().is_some_and(|k| !k.contains(&(r as u32))) {
-                    continue;
-                }
-                let frac = rep.utilization.busy_frac(r);
-                let bar = "#".repeat((frac * 40.0).round() as usize);
-                writeln!(w, "  rank {r:>5}  busy {:>5.1}%  {bar}", frac * 100.0)?;
+        writeln!(w, "rep 0: completion {}", rep.completion)?;
+        for r in 0..rep.utilization.busy.len() {
+            if ranks.as_ref().is_some_and(|k| !k.contains(&(r as u32))) {
+                continue;
             }
+            let frac = rep.utilization.busy_frac(r);
+            let bar = "#".repeat((frac * 40.0).round() as usize);
+            writeln!(w, "  rank {r:>5}  busy {:>5.1}%  {bar}", frac * 100.0)?;
         }
         Ok(())
     });

@@ -21,7 +21,7 @@ use corrected_trees::runtime::{
 };
 use corrected_trees::sim::FaultPlan;
 
-use crate::cli::{build_spec, dead_mask, read_input, Cli, SPEC};
+use crate::cli::{build_spec, dead_mask, read_input, write_stdout, Cli, SPEC};
 use crate::{fail, misuse};
 
 pub const USAGE: &str = "\
@@ -567,22 +567,25 @@ pub fn monitor(cli: &Cli) {
             .unwrap_or_else(|e| fail(format_args!("series export: {e}"))),
         _ => fail("ct monitor needs exactly one of --input <series.jsonl> / --connect <ADDR>"),
     };
-    // Replay: interleave sample lines and health events in time order,
-    // exactly as a live follow would have printed them.
-    if cli.value("--input").is_some() {
-        let mut trail = Vec::new();
-        let mut health = export.health.iter().peekable();
-        for s in &export.samples {
-            while let Some(e) = health.next_if(|e| e.t_ms < s.t_ms) {
-                println!("{}", health_line(e));
+    let replay = cli.value("--input").is_some();
+    write_stdout(|w| {
+        // Replay: interleave sample lines and health events in time
+        // order, exactly as a live follow would have printed them.
+        if replay {
+            let mut trail = Vec::new();
+            let mut health = export.health.iter().peekable();
+            for s in &export.samples {
+                while let Some(e) = health.next_if(|e| e.t_ms < s.t_ms) {
+                    writeln!(w, "{}", health_line(e))?;
+                }
+                writeln!(w, "{}", monitor_line(s, &mut trail))?;
             }
-            println!("{}", monitor_line(s, &mut trail));
+            for e in health {
+                writeln!(w, "{}", health_line(e))?;
+            }
         }
-        for e in health {
-            println!("{}", health_line(e));
-        }
-    }
-    print!("{}", series::render_text(&export));
+        write!(w, "{}", series::render_text(&export))
+    });
 }
 
 /// The `--connect` loop: poll `/series.jsonl` until the endpoint goes
@@ -604,19 +607,20 @@ fn follow(cli: &Cli, addr: &str) -> String {
     let mut trail = Vec::new();
     loop {
         match SeriesExport::from_jsonl(&last) {
-            Ok(export) => {
+            Ok(export) => write_stdout(|w| {
                 for s in &export.samples {
                     if printed_seq.is_some_and(|last| s.seq <= last) {
                         continue;
                     }
                     printed_seq = Some(s.seq);
-                    println!("{}", monitor_line(s, &mut trail));
+                    writeln!(w, "{}", monitor_line(s, &mut trail))?;
                 }
                 for e in export.health.iter().skip(printed_health) {
-                    println!("{}", health_line(e));
+                    writeln!(w, "{}", health_line(e))?;
                 }
                 printed_health = export.health.len();
-            }
+                Ok(())
+            }),
             Err(e) => eprintln!("series export: {e}"),
         }
         std::thread::sleep(Duration::from_millis(interval_ms.max(10)));

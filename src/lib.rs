@@ -4,8 +4,8 @@
 //! (Küttler et al., PPoPP 2019): a two-phase fault-tolerant broadcast
 //! (tree dissemination + ring correction), with a LogP discrete-event
 //! simulator, the Corrected Gossip baseline, analytical bounds, an
-//! in-process message-passing cluster runtime and a full experiment
-//! harness.
+//! in-process message-passing cluster runtime and the experiment
+//! campaigns behind every figure.
 //!
 //! This crate re-exports the workspace members under stable names:
 //!

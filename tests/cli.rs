@@ -380,8 +380,8 @@ fn chrome_forensics_and_critical_path_match_their_golden_output() {
 
 /// `ct trace … | head -1`: the reader takes one line and closes the
 /// pipe while `ct` still has about 300 KB to write. Then `ct analyze`,
-/// `ct check` and `ct forensics … | true`: the reader closes the pipe
-/// before reading anything.
+/// `ct check`, `ct forensics` and `ct monitor --input … | true`: the
+/// reader closes the pipe before reading anything.
 #[test]
 fn a_closed_stdout_ends_trace_quietly() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_ct"))
@@ -396,9 +396,21 @@ fn a_closed_stdout_ends_trace_quietly() {
         .expect("one line");
     assert!(first.contains(r#""kind":"phase_begin""#), "{first}");
     assert_quiet_exit(child, "ct trace");
-    for cmd in ["analyze", "check", "forensics"] {
+    let live = ["--p", "64", "--faults", "3", "--seed", "5", "--json"];
+    let series = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/analyze/tests/data/golden_series.jsonl"
+    );
+    let runs: [(&str, &[&str]); 4] = [
+        ("analyze", &live),
+        ("check", &live),
+        ("forensics", &live),
+        ("monitor", &["--input", series]),
+    ];
+    for (cmd, args) in runs {
         let mut child = Command::new(env!("CARGO_BIN_EXE_ct"))
-            .args([cmd, "--p", "64", "--faults", "3", "--seed", "5", "--json"])
+            .arg(cmd)
+            .args(args)
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()

@@ -326,6 +326,40 @@ fn a_stranded_topic_retires_with_the_watchdogs_evidence() {
 }
 
 #[test]
+fn only_the_stalled_topic_carries_the_flight_recorders_dump() {
+    // The stranded topic of the test above between two healthy ones,
+    // in a window of two, with a flight recorder attached: its deadline
+    // retirement captures the dump, into its own outcome only.
+    let p = 8u32;
+    let cfg = ClusterConfig::new()
+        .timeout(Duration::from_millis(300))
+        .flight(1024);
+    let mut cluster = Cluster::with_config(p, LogP::PAPER, cfg);
+    let spec = BroadcastSpec::plain_tree(TreeKind::BINOMIAL);
+    let mut dead = vec![false; p as usize];
+    dead[1] = true;
+    let mut table = TopicTable::new();
+    table.push(Topic::new("healthy", spec, p, 1));
+    table.push(Topic::new("stranded", spec, p, 2).with_dead(dead));
+    table.push(Topic::new("late", spec, p, 3));
+    let report = cluster
+        .run_pubsub(&table, &PubsubOptions { k: 2, rounds: 1 })
+        .expect("pub/sub run");
+
+    for o in [&report.outcomes[0], &report.outcomes[2]] {
+        assert!(o.completed, "{o:?}");
+        assert!(o.stall.is_none() && o.postmortem.is_none(), "{o:?}");
+    }
+    let stranded = &report.outcomes[1];
+    assert!(!stranded.completed);
+    let stall = stranded.stall.as_ref().expect("a deadline retirement");
+    let pm = stranded.postmortem.as_ref().expect("the recorder's dump");
+    assert_eq!(pm.reason, "watchdog_stall");
+    assert_eq!(pm.stall.as_ref().map(|s| s.id), Some(stall.id));
+    assert!(pm.flight.total_written() > 0);
+}
+
+#[test]
 fn a_single_broadcast_is_a_one_slot_admission() {
     // The single broadcast and a one-topic pub/sub run go through the
     // same coordinator; on a fault-free plain tree both see the whole

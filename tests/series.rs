@@ -1,68 +1,24 @@
-//! Continuous-sampler contract tests across both drivers.
+//! Continuous-sampler contract tests of the cluster runtime.
 //!
 //! Three guarantees: attaching the background sampler never perturbs
-//! what a run computes (traces and outcomes are byte-identical on vs
-//! off, in the simulator and on the cluster); a forced cluster stall
-//! fires the `stall_precursor` health rule strictly before the
-//! watchdog expires, and the event shows up in all three places it is
-//! promised — `RunReport::health`, the `ct-series-v1` JSONL export and
-//! the `ct-postmortem-v1` dump; and the series ring retains exactly
-//! the newest `min(cap, pushed)` windows for any push sequence.
+//! what a cluster run computes; a forced cluster stall fires the
+//! `stall_precursor` health rule strictly before the watchdog expires,
+//! and the event shows up in all three places it is promised —
+//! `BroadcastOutcome::health`, the `ct-series-v1` JSONL export and the
+//! `ct-postmortem-v1` dump; and the series ring retains exactly the
+//! newest `min(cap, pushed)` windows for any push sequence.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use corrected_trees::core::correction::CorrectionKind;
 use corrected_trees::core::protocol::BroadcastSpec;
 use corrected_trees::core::tree::TreeKind;
 use corrected_trees::logp::LogP;
 use corrected_trees::obs::health::Severity;
 use corrected_trees::obs::series::{SeriesRing, SeriesSample};
 use corrected_trees::obs::telemetry::TelemetryHub;
-use corrected_trees::obs::VecSink;
 use corrected_trees::runtime::{Cluster, ClusterConfig};
-use corrected_trees::sim::{FaultPlan, RunArena, Simulation};
 use proptest::prelude::*;
-
-/// Simulator purity: a run with the sampler polling in the background
-/// must produce byte-identical events and outcomes to one without.
-#[test]
-fn sim_trace_is_byte_identical_with_sampler_attached() {
-    let p = 64u32;
-    let seed = 42u64;
-    let spec = BroadcastSpec::corrected_tree(
-        TreeKind::BINOMIAL,
-        CorrectionKind::OpportunisticOptimized { distance: 4 },
-    );
-    let plan = FaultPlan::random_count_protecting(p, 3, seed, 0).unwrap();
-
-    let mut plain_sink = VecSink::new();
-    let plain_out = Simulation::builder(p, LogP::PAPER)
-        .faults(plan.clone())
-        .seed(seed)
-        .build()
-        .run_with_sink_reusable(&spec, &mut plain_sink, &mut RunArena::new())
-        .unwrap();
-
-    let hub = Arc::new(TelemetryHub::new(1, p as usize));
-    let mut obs_sink = VecSink::new();
-    let sim = Simulation::builder(p, LogP::PAPER)
-        .faults(plan)
-        .seed(seed)
-        .telemetry(Arc::clone(&hub))
-        .sample(Duration::from_millis(5))
-        .build();
-    let obs_out = sim
-        .run_with_sink_reusable(&spec, &mut obs_sink, &mut RunArena::new())
-        .unwrap();
-
-    assert_eq!(plain_sink.events, obs_sink.events);
-    assert_eq!(plain_out.events, obs_out.events);
-    assert_eq!(plain_out.messages.total(), obs_out.messages.total());
-    assert_eq!(plain_out.colored_at, obs_out.colored_at);
-    // The sampler really was attached and sampling this run.
-    assert!(sim.series().is_some());
-}
 
 /// Cluster purity: sampling changes nothing about the protocol result.
 #[test]

@@ -442,8 +442,9 @@ fn quanta(dump: &FlightDump) -> Vec<(Rank, u64, u64)> {
 
 /// (d) With the always-on pair attached a quantum still reads the clock
 /// once: its `sched.quantum_us` interval runs from that read to the
-/// next one the worker makes anyway, so on one worker the intervals sum
-/// to no more than the busy time (each batch's first and last stamp are
+/// next one the worker makes anyway, so every quantum that is not stale
+/// closes exactly one interval, on one worker the intervals sum to no
+/// more than the busy time (each batch's first and last stamp are
 /// floored to whole µs: one µs of slack per batch), and no flight
 /// record of a quantum is stamped before the quantum's start.
 #[test]
@@ -462,16 +463,19 @@ fn quantum_intervals_tile_the_busy_time() {
         assert!(report.completed, "broadcast {i}: {:?}", report.uncolored);
     }
     let dump = cluster.capture_postmortem("test", None).unwrap().flight;
-    // Joins the worker: its last batch's busy time is in the hub.
+    // Joins the worker: it publishes on its way out, so its last
+    // batch's busy time and closing interval are in the hub.
     drop(cluster);
 
     let snap = hub.snapshot();
     let quantum_us = &snap.histograms["sched.quantum_us"];
     let (busy_us, batches) = (snap.counter("sched.busy_us"), snap.counter("sched.batches"));
-    assert!(
-        quantum_us.count() > 20 * u64::from(p),
-        "{}",
-        quantum_us.count()
+    // Every rank runs at least one quantum per broadcast.
+    let sched_quanta = snap.counter("sched.quanta");
+    assert!(sched_quanta >= 20 * u64::from(p), "{sched_quanta}");
+    assert_eq!(
+        quantum_us.count(),
+        sched_quanta - snap.counter("sched.stale_quanta")
     );
     assert!(
         quantum_us.sum() <= busy_us + batches,
