@@ -63,10 +63,14 @@ pub fn causal_order(events: &[Event]) -> Vec<usize> {
     keys.iter().map(|&(_, k)| (k & index) as usize).collect()
 }
 
+/// The most processes a trace may imply: 2^24, 16× the 2^20 ranks the
+/// simulator's scale figure reaches. Readers size per-rank arrays by
+/// the implied count, so a rank past it is refused, not allocated for.
+pub const MAX_P: u32 = 1 << 24;
+
 /// The process count a trace implies: one past the highest rank any
-/// event names (0 for a trace that names none). A trace naming rank
-/// `u32::MAX` would need 2^32 processes, which no rank counts: that is
-/// an error naming the rank.
+/// event names (0 for a trace that names none). A trace that implies
+/// more than [`MAX_P`] processes is an error naming the rank.
 pub fn infer_p(events: &[Event]) -> Result<u32, String> {
     let highest = events.iter().fold(None, |m, e| match &e.kind {
         EventKind::SendStart { from, to, .. }
@@ -78,8 +82,8 @@ pub fn infer_p(events: &[Event]) -> Result<u32, String> {
     });
     match highest {
         None => Ok(0),
-        Some(r @ Rank::MAX) => Err(format!(
-            "rank {r} leaves no process count: ranks must be below {r}"
+        Some(r) if r >= MAX_P => Err(format!(
+            "rank {r} implies more than {MAX_P} processes: ranks must be below {MAX_P}"
         )),
         Some(r) => Ok(r + 1),
     }
@@ -378,6 +382,10 @@ mod tests {
     fn infer_p_is_one_past_the_highest_rank_and_rejects_the_last_rank() {
         assert_eq!(infer_p(&[]), Ok(0));
         assert_eq!(infer_p(&[send(0, 0, 5, Payload::Tree)]), Ok(6));
+        let last = send(0, 0, MAX_P - 1, Payload::Tree);
+        assert_eq!(infer_p(&[last]), Ok(MAX_P));
+        let err = infer_p(&[send(0, MAX_P, 0, Payload::Tree)]).unwrap_err();
+        assert!(err.contains(&format!("rank {MAX_P}")), "{err}");
         let wide = [ev(
             0,
             EventKind::Colored {

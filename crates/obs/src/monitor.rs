@@ -27,7 +27,7 @@
 //! | `dead-silent` | no `SendStart`/`Deliver`/`Colored`/`Arrive` involves a dead rank as actor (§4.3 fail-stop) |
 //! | `drop-dead-target` | `DropDead` only targets dead ranks |
 //! | `reliability` | every live rank is `Colored` by end of run (§2.1) |
-//! | `rank-range` | every rank is below `u32::MAX`, so the trace implies a process count; else no cross-rank check runs |
+//! | `rank-range` | every rank is below `causal::MAX_P` (2^24), so the trace implies a process count; else no cross-rank check runs |
 //!
 //! ## One causal index
 //!
@@ -90,7 +90,8 @@ pub enum Invariant {
     DropDeadTarget,
     /// A live rank left uncolored at end of run (§2.1 reliability).
     Reliability,
-    /// A rank of `u32::MAX`, which leaves the trace no process count.
+    /// A rank of [`crate::causal::MAX_P`] or more, which leaves the
+    /// trace no process count.
     RankRange,
 }
 
@@ -484,8 +485,8 @@ impl Checker<'_> {
     /// Causal order: the cross-rank invariants, read off the index.
     fn causal(&mut self, events: &[Event], idx: &CausalIndex) {
         // Protocol events always name a rank, so no process count means
-        // one named rank `u32::MAX`: the index has no per-rank cells to
-        // judge.
+        // one named a rank of `MAX_P` or more: the index has no per-rank
+        // cells to judge.
         if idx.p() == 0 {
             let message = infer_p(events).err().unwrap_or_default();
             self.violation(Invariant::RankRange, message, None, None);

@@ -8,8 +8,8 @@
 //! *before* teardown clears any state: for every stranded rank it
 //! captures the `scheduled` flag, mailbox occupancy and spill count and
 //! the time of its last scheduling quantum, plus the global run-queue
-//! depth, pending-timer count and the coordinator's in-flight batch
-//! backlog. A stuck rank with a non-empty mailbox and `scheduled ==
+//! depth, pending-timer count and the worker posts the coordinator
+//! had not read yet. A stuck rank with a non-empty mailbox and `scheduled ==
 //! false` is a lost wake-up; `scheduled == true` with an old last-poll
 //! stamp is a worker that never got to it; an empty mailbox with no
 //! pending timers is a protocol that legitimately has nothing to do
@@ -73,14 +73,14 @@ pub struct StallReport {
     pub p: u32,
     /// Live (non-dead) ranks.
     pub live: u32,
-    /// Live ranks the coordinator saw colored before the deadline.
+    /// Live ranks whose coloring was reported before the deadline.
     pub colored: u32,
-    /// Run-queue depth at report time.
+    /// Run-queue depth (ranks queued) at report time.
     pub runq_depth: usize,
     /// Pending timer-wheel entries at report time.
     pub pending_timers: usize,
-    /// Coordinator notifications received but not yet processed
-    /// (in-flight batch backlog) at report time.
+    /// Worker posts to the coordinator's ledger that it had not read
+    /// yet at report time.
     pub coord_in_flight: usize,
     /// µs since the iteration epoch at report time (for aging
     /// [`RankStall::last_poll_us`] stamps, which share the cluster

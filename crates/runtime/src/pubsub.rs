@@ -21,43 +21,45 @@
 //! ## One window, two retirement rules
 //!
 //! Every broadcast runs through one loop: admit into a window of `k`
-//! slots, wait on the coordinator inbox, retire. A single broadcast
+//! slots, wait on the coordinator's ledger of running totals
+//! ([`crate::inbox`]), retire. A single broadcast
 //! ([`Cluster::run_broadcast`]) is a one-slot window; only the rule
-//! that retires an admission differs:
+//! that retires an admission differs, and the ledger wakes the
+//! coordinator at most twice per broadcast under either:
 //!
 //! - A single broadcast retires once every live rank is colored and
 //!   every message it took in is accounted for (`sent ≥ consumed`),
 //!   truncating whatever the correction machines were still doing —
-//!   fine when the broadcast owns the cluster. Its coordinator sleeps
-//!   until the push that completes the coloring. The fence keeps the
-//!   truncated count exact where it can be: a worker reports a batch's
-//!   sends and receipts before its colorings, so by the time every
-//!   rank is known colored, every message that colored one has been
-//!   reported received — and `sent ≥ consumed` waits for its sender's
-//!   report too. A plain tree thus reports exactly `P − 1`.
+//!   fine when the broadcast owns the cluster. The fence keeps the
+//!   truncated count exact where it can be: a worker posts a batch's
+//!   sends and receipts with its colorings, so by the time every rank
+//!   is known colored, every message that colored one has been posted
+//!   received — and `sent ≥ consumed` waits for its sender's post too.
+//!   A plain tree thus reports exactly `P − 1`.
 //! - A pub/sub broadcast retires only at *quiescence*: every live rank
 //!   colored, every protocol machine reported
 //!   [`ct_core::protocol::SendPoll::Done`], and every message sent also
 //!   consumed (delivered or dead-dropped — nothing in flight).
 //!   Fault-free checked-correction topics therefore report exactly the
 //!   `(P-1) + M·P` total of Corollary 1 regardless of interleaving.
-//!   Once every live rank is colored and done, any message can complete
-//!   quiescence, so from then on its coordinator wakes on each.
 //!   Topics whose machines never report `Done` (failure-proof gossip
 //!   correction idles forever) only retire via the watchdog deadline;
 //!   use checked correction for pub/sub workloads.
 //!
 //! Either way, a broadcast still in flight at its deadline retires with
-//! a [`StallReport`] (and, with a flight recorder, a postmortem dump).
+//! a [`StallReport`] (and, with a flight recorder, a postmortem dump),
+//! whose uncolored ranks are those whose iteration never reported its
+//! coloring.
 //! Retiring is one scheduler-lock acquisition that takes the broadcast
 //! out of the window: its ranks drop it when they next sync, and what
 //! it left in their mailboxes is dropped by id at their next drain.
 //! Only a broadcast whose events are recorded is also harvested rank by
-//! rank. Its message count is the sum of the workers' reports.
+//! rank. Its message count is the sum of the workers' posts.
 //!
-//! [`BroadcastOutcome::latency`] is admission → last live rank colored
-//! (the consumer-visible metric); retirement at quiescence happens
-//! later, without extending the reported latency.
+//! [`BroadcastOutcome::latency`] is admission → the post that reported
+//! the last live rank colored (the consumer-visible metric), stamped by
+//! the ledger; retirement at quiescence happens later, without
+//! extending the reported latency.
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -71,7 +73,7 @@ use ct_obs::{causal_order, Event as ObsEvent, EventKind as ObsEventKind, EventSi
 use ct_obs::{Postmortem, RankStall, StallReport};
 
 use crate::cluster::{Cluster, ClusterError, Entry, Window};
-use crate::inbox::{CoordMsg, RecvError};
+use crate::inbox::{Account, Disconnected};
 
 /// One broadcast topic: a protocol spec plus the failure mask and seed
 /// its broadcasts run under.
@@ -173,16 +175,16 @@ pub struct BroadcastOutcome {
     pub round: usize,
     /// The broadcast id its messages and events carry.
     pub id: u64,
-    /// Admission → last live rank colored. Equal to the watchdog
-    /// timeout when the broadcast never fully colored. The epoch is a
-    /// whole-µs point of the cluster timeline and the zero of every
-    /// recorded event timestamp, so no event can postdate the latency.
-    /// It is taken before the broadcast is published so events can
-    /// never predate it either, which means latency includes the
-    /// admission's O(P) enqueue sweep and each rank's own install —
-    /// low microseconds even at P=4096, but a systematic inclusion to
-    /// keep in mind for cross-P comparisons (see DESIGN.md "Cluster
-    /// runtime", *One clock*).
+    /// Admission → the worker post that reported the last live rank
+    /// colored. Equal to the watchdog timeout when the broadcast never
+    /// fully colored. The epoch is a whole-µs point of the cluster
+    /// timeline and the zero of every recorded event timestamp, and the
+    /// post follows the quantum that stamped the last coloring, so no
+    /// coloring event can postdate the latency. The epoch is taken
+    /// before the broadcast is published, so events can never predate
+    /// it either: latency includes the admission's O(1) publication and
+    /// each rank's own install, which its first quantum does (see
+    /// DESIGN.md "Cluster runtime", *One clock*).
     pub latency: Duration,
     /// Total messages sent, as the workers reported them by retirement;
     /// exact (not truncated) when a pub/sub broadcast `completed`.
@@ -235,13 +237,13 @@ impl PubsubReport {
     }
 }
 
-/// Longest coordinator sleep with a telemetry hub attached: what is
-/// queued below the wake-up threshold is taken in at least this often,
-/// so the `iter.colored` gauge follows a long broadcast.
+/// Longest coordinator sleep with a telemetry hub attached: the ledger's
+/// totals are read at least this often, so the `iter.colored` gauge
+/// follows a long broadcast.
 const GAUGE_REFRESH: Duration = Duration::from_millis(50);
 
 /// When an admitted broadcast retires (see the module docs).
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Rule {
     /// Once every live rank is colored: a single broadcast, which owns
     /// the cluster. Its events carry no broadcast id, as the
@@ -268,52 +270,17 @@ pub(crate) struct Admission<'a> {
 struct Active<'a> {
     topic: usize,
     round: usize,
-    id: u64,
-    rule: Rule,
     dead: &'a [bool],
-    live: u32,
-    colored: Vec<bool>,
-    colored_count: u32,
-    /// Live ranks whose protocol machine reported `Done`.
-    done: u32,
-    /// Messages pushed on behalf of this broadcast: its message count.
-    sent: u64,
-    /// Messages taken off mailboxes (delivered or dead-dropped).
-    consumed: u64,
+    /// Its ledger account as of the coordinator's latest read.
+    account: Account,
     epoch: Instant,
     /// `epoch` on the cluster timeline, µs.
     epoch_us: u64,
     deadline: Instant,
-    /// Set the moment `colored_count` reached `live`.
-    latency: Option<Duration>,
     record: bool,
     /// The sampler's health-log length at admission: what this
     /// broadcast's outcome reports from.
     health_mark: Option<usize>,
-}
-
-impl Active<'_> {
-    /// Whether its rule retires it now.
-    fn retirable(&self) -> bool {
-        let colored = self.colored_count == self.live;
-        match self.rule {
-            Rule::Colored => colored && self.sent >= self.consumed,
-            Rule::Quiescent => colored && self.done == self.live && self.sent == self.consumed,
-        }
-    }
-
-    /// The fewest rank reports the inbox must hold before this
-    /// broadcast can retire: the colorings still missing, and under
-    /// [`Rule::Quiescent`] the machines not yet done too. None once all
-    /// are in: then any message can be the one that balances its
-    /// counts.
-    fn need(&self) -> u64 {
-        let colored = u64::from(self.live - self.colored_count);
-        match self.rule {
-            Rule::Colored => colored,
-            Rule::Quiescent => colored + u64::from(self.live.saturating_sub(self.done)),
-        }
-    }
 }
 
 impl Cluster {
@@ -371,7 +338,7 @@ impl Cluster {
     }
 
     /// The one coordinator: admit `admissions` in order into a window
-    /// of `k` slots, sleep on the inbox, retire each broadcast by its
+    /// of `k` slots, sleep on the ledger, retire each broadcast by its
     /// [`Rule`] or at its deadline. `sinks[a.topic]` receives admission
     /// `a`'s events. Returns one outcome per admission, in admission
     /// order.
@@ -398,8 +365,6 @@ impl Cluster {
     ) -> Result<Vec<BroadcastOutcome>, ClusterError> {
         let mut active: Vec<Active<'a>> = Vec::with_capacity(k);
         let mut outcomes = Vec::new();
-        // The latest wait found the inbox empty.
-        let mut drained = false;
         loop {
             while active.len() < k {
                 let Some(admission) = admissions.next() else {
@@ -415,21 +380,37 @@ impl Cluster {
 
             // Retire everything retirable before blocking: a broadcast
             // can already be done at admission (zero live ranks). One
-            // past its deadline retires once the inbox has handed over
-            // everything queued, so no coloring it reported is lost.
-            let in_flight = active.len();
+            // past its deadline retires on the totals the latest read
+            // took in.
+            let now = Instant::now();
             let mut i = 0;
             while i < active.len() {
-                let done = active[i].retirable();
-                if done || (drained && Instant::now() >= active[i].deadline) {
+                if active[i].account.retirable || now >= active[i].deadline {
                     let a = active.remove(i);
                     let sink = &mut *sinks[a.topic];
-                    outcomes.push(self.retire(a, done, sink)?);
+                    outcomes.push(self.retire(a, sink)?);
                 } else {
                     i += 1;
                 }
             }
-            drained = active.len() == in_flight && !self.wait(&mut active)?;
+            if active.is_empty() {
+                continue;
+            }
+            // Sleep until the ledger rings or the earliest deadline
+            // passes, then take in every in-flight broadcast's totals.
+            // With a hub attached the sleep is cut short to keep the
+            // progress gauge moving.
+            let mut until = active.iter().map(|a| a.deadline).min().expect("in flight");
+            if self.shared.telemetry.is_some() {
+                until = until.min(Instant::now() + GAUGE_REFRESH);
+            }
+            let read = |account: &Account| {
+                if let Some(a) = active.iter_mut().find(|a| a.account.id == account.id) {
+                    a.account = *account;
+                }
+            };
+            let woken = self.shared.ledger.wait(until, read);
+            woken.map_err(|Disconnected| ClusterError::WorkerPanicked)?;
         }
 
         // Everything retired (the last withdrawal dropped the leftover
@@ -440,9 +421,9 @@ impl Cluster {
         Ok(outcomes)
     }
 
-    /// Publish one broadcast into the window of `k` and make every rank
-    /// runnable; each rank installs it in its own next quantum, while
-    /// other iterations keep running.
+    /// Open one broadcast's ledger account, then publish it into the
+    /// window of `k`; each rank installs it in its own next quantum,
+    /// while other iterations keep running.
     fn admit<'a>(
         &mut self,
         admission: Admission<'a>,
@@ -461,6 +442,7 @@ impl Cluster {
         };
         let blueprint = admission.factory.blueprint(&ctx)?;
         let live: u32 = dead.iter().filter(|&&d| !d).count() as u32;
+        let account = self.shared.ledger.open(id, live, admission.rule);
         // The iteration epoch: zero point of event timestamps and of
         // the latency measurement, taken before the broadcast is
         // published so no stamp can predate it.
@@ -480,82 +462,32 @@ impl Cluster {
         Ok(Active {
             topic: admission.topic,
             round: admission.round,
-            id,
-            rule: admission.rule,
             dead,
-            live,
-            colored: vec![false; self.p as usize],
-            colored_count: 0,
-            done: 0,
-            sent: 0,
-            consumed: 0,
+            account,
             epoch,
             epoch_us,
             deadline: epoch + self.timeout,
-            latency: (live == 0).then_some(Duration::ZERO),
             record,
             health_mark,
         })
     }
 
-    /// Sleep until the inbox holds the fewest rank reports that could
-    /// let some in-flight broadcast retire, or the earliest deadline
-    /// passes, and take in one message; `false` when there was none. A
-    /// one-slot window under [`Rule::Colored`] is thus woken once, by
-    /// the push that completes it. With a hub attached the sleep is cut
-    /// short to keep the progress gauge moving.
-    fn wait(&self, active: &mut [Active<'_>]) -> Result<bool, ClusterError> {
-        let mut until = active.iter().map(|a| a.deadline).min().expect("in flight");
-        if self.shared.telemetry.is_some() {
-            until = until.min(Instant::now() + GAUGE_REFRESH);
-        }
-        let need = active.iter().map(Active::need).min().expect("in flight");
-        match self.shared.inbox.recv(until, need) {
-            Ok(CoordMsg::Colored { id, ranks }) => {
-                if let Some(a) = active.iter_mut().find(|a| a.id == id) {
-                    for rank in ranks {
-                        if !a.colored[rank as usize] {
-                            a.colored[rank as usize] = true;
-                            a.colored_count += 1;
-                        }
-                    }
-                    if a.colored_count == a.live && a.latency.is_none() {
-                        a.latency = Some(a.epoch.elapsed());
-                    }
-                }
-            }
-            Ok(CoordMsg::Progress {
-                id,
-                sent,
-                consumed,
-                done,
-            }) => {
-                if let Some(a) = active.iter_mut().find(|a| a.id == id) {
-                    a.sent += sent;
-                    a.consumed += consumed;
-                    a.done += done;
-                }
-            }
-            Err(RecvError::Timeout) => return Ok(false),
-            Err(RecvError::Disconnected) => return Err(ClusterError::WorkerPanicked),
-        }
-        Ok(true)
-    }
-
-    /// Retire broadcast `a`, `done` by its rule or else past its
+    /// Retire broadcast `a`, retirable by its rule or else past its
     /// deadline: diagnose a stall first, then withdraw it from the
-    /// window — its ranks drop it when they next sync — and, when it
-    /// records, harvest its events into its `sink`.
+    /// window — its ranks drop it when they next sync — close its
+    /// account and, when it records, harvest its events into its
+    /// `sink`.
     fn retire(
         &mut self,
         a: Active<'_>,
-        done: bool,
         sink: &mut dyn EventSink,
     ) -> Result<BroadcastOutcome, ClusterError> {
+        let id = a.account.id;
+        let done = a.account.retirable;
         // Diagnose a stall before anything moves on: the stranded
-        // ranks' scheduled flags, mailboxes and last-poll stamps still
-        // describe the stuck state here, and the flight recorder is
-        // frozen while it is fresh.
+        // ranks' iterations, scheduled flags, mailboxes and last-poll
+        // stamps still describe the stuck state here, and the flight
+        // recorder is frozen while it is fresh.
         let stall = if done {
             None
         } else {
@@ -564,8 +496,13 @@ impl Cluster {
         let postmortem = stall
             .as_ref()
             .and_then(|report| self.capture_postmortem("watchdog_stall", Some(report)));
-        let window = self.shared.withdraw(a.id)?;
-        let latency = a.latency.unwrap_or(self.timeout);
+        let window = self.shared.withdraw(id)?;
+        let account = self.shared.ledger.close(id).unwrap_or(a.account);
+        let latency = match (account.live, account.colored_at) {
+            (0, _) => Duration::ZERO,
+            (_, Some(at)) => at.saturating_duration_since(a.epoch),
+            (_, None) => self.timeout,
+        };
         if let Some(f) = self.shared.flight.as_deref() {
             f.record(
                 self.shared.workers,
@@ -577,17 +514,10 @@ impl Cluster {
             );
         }
         if a.record {
-            let recorded = self.harvest(a.id, &window)?;
-            let bcast = (a.rule == Rule::Quiescent).then_some(a.id);
+            let recorded = self.harvest(id, &window)?;
+            let bcast = (account.rule == Rule::Quiescent).then_some(id);
             emit(sink, recorded, bcast);
         }
-        let uncolored = a
-            .colored
-            .iter()
-            .zip(a.dead)
-            .enumerate()
-            .filter_map(|(r, (&c, &d))| (!c && !d).then_some(r as Rank))
-            .collect();
         let health = match (self.series(), a.health_mark) {
             (Some(store), Some(mark)) => store.events_from(mark),
             _ => Vec::new(),
@@ -595,11 +525,11 @@ impl Cluster {
         Ok(BroadcastOutcome {
             topic: a.topic,
             round: a.round,
-            id: a.id,
+            id,
             latency,
-            messages: a.sent,
+            messages: account.totals.sent,
             completed: done,
-            uncolored,
+            uncolored: stall.as_ref().map_or_else(Vec::new, StallReport::stranded),
             stall,
             postmortem,
             health,
@@ -635,33 +565,39 @@ impl Cluster {
     }
 
     /// The watchdog's [`StallReport`] for `a`: one [`RankStall`] per
-    /// live-but-uncolored rank plus global scheduler state. Called with
-    /// `a` still in the window, so the evidence is intact; the system
-    /// is stuck, so the brief per-rank lock holds cannot perturb a
-    /// healthy run. A rank counts as polled only if it drained its mailbox since
-    /// `a`'s epoch.
+    /// live rank whose iteration has not reported its coloring, plus
+    /// global scheduler state. Called with `a` still in the window, so
+    /// every rank that installed it still holds it and the evidence is
+    /// intact; the system is stuck, so the brief per-rank lock holds
+    /// cannot perturb a healthy run. A rank counts as polled only if it
+    /// drained its mailbox since `a`'s epoch.
     fn stall_report(&self, a: &Active<'_>) -> Result<StallReport, ClusterError> {
+        let id = a.account.id;
         let (runq_depth, pending_timers) = {
             let sched = self
                 .shared
                 .sched
                 .lock()
                 .map_err(|_| ClusterError::WorkerPanicked)?;
-            (sched.runq.len(), sched.timers.len())
+            (sched.depth, sched.timers.len())
         };
         let mut ranks = Vec::new();
         for rank in 0..self.p {
             let r = rank as usize;
-            if a.dead[r] || a.colored[r] {
+            if a.dead[r] {
                 continue;
             }
             let cell = &self.shared.ranks[r];
-            let last_poll_us = cell
-                .state
-                .lock()
-                .map_err(|_| ClusterError::WorkerPanicked)?
-                .last_poll_us
-                .filter(|&us| us >= a.epoch_us);
+            let last_poll_us = {
+                let st = cell
+                    .state
+                    .lock()
+                    .map_err(|_| ClusterError::WorkerPanicked)?;
+                if st.iters.iter().any(|i| i.id == id && i.notified) {
+                    continue;
+                }
+                st.last_poll_us.filter(|&us| us >= a.epoch_us)
+            };
             let scheduled = cell.scheduled.load(Ordering::SeqCst);
             let mb = cell
                 .mailbox
@@ -676,14 +612,14 @@ impl Cluster {
             });
         }
         Ok(StallReport {
-            id: a.id,
+            id,
             timeout_ms: self.timeout.as_millis() as u64,
             p: self.p,
-            live: a.live,
-            colored: a.colored_count,
+            live: a.account.live,
+            colored: a.account.live - ranks.len() as u32,
             runq_depth,
             pending_timers,
-            coord_in_flight: self.shared.inbox.len(),
+            coord_in_flight: self.shared.ledger.unread(),
             now_us: a.epoch.elapsed().as_micros() as u64,
             epoch_us: a.epoch_us,
             ranks,
@@ -695,8 +631,11 @@ impl Cluster {
     /// over them (the shape the `stall_precursor` health rule expects).
     fn publish_gauges(&self, active: &[Active<'_>]) {
         if let Some(t) = &self.shared.telemetry {
-            let live: u64 = active.iter().map(|a| u64::from(a.live)).sum();
-            let colored: u64 = active.iter().map(|a| u64::from(a.colored_count)).sum();
+            let live: u64 = active.iter().map(|a| u64::from(a.account.live)).sum();
+            let colored: u64 = active
+                .iter()
+                .map(|a| u64::from(a.account.totals.colored))
+                .sum();
             t.set_iter_active(active.len() as u64);
             t.set_iter_progress(live, colored);
         }

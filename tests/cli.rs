@@ -214,11 +214,16 @@ const WIDE_RANK: &[u8] = br#"{"t":0,"kind":"colored","rank":4294967295,"via":"ro
 {"t":1,"kind":"send","from":4294967295,"to":1,"payload":"tree"}
 "#;
 
+/// A trace naming rank 2^32 − 2: a process count, but one no reader
+/// allocates for.
+const HUGE_RANK: &[u8] = br#"{"t":0,"kind":"colored","rank":4294967294,"via":"root"}
+"#;
+
 /// Hostile files, each with the position markers one of which its
 /// error must carry: a byte offset for a document that does not parse,
 /// a line or the `schema` field for one that parses but is no schema
 /// the reader knows, the rank for a trace that implies no process count.
-const HOSTILE: [(&str, &[u8], &[&str]); 4] = [
+const HOSTILE: [(&str, &[u8], &[&str]); 5] = [
     (
         "truncated",
         br#"{"schema":"ct-telemetry-v1","source":"clu"#,
@@ -234,6 +239,11 @@ const HOSTILE: [(&str, &[u8], &[&str]); 4] = [
         "wide-rank",
         WIDE_RANK,
         &["rank 4294967295", "at byte ", "line 1: "],
+    ),
+    (
+        "huge-rank",
+        HUGE_RANK,
+        &["rank 4294967294", "line 1: ", "schema: "],
     ),
 ];
 
@@ -267,11 +277,12 @@ fn hostile_input_is_an_error_with_a_position_in_every_reader() {
 }
 
 /// Traces `ct forensics --input` cannot reconstruct a broadcast from,
-/// each with a piece of its message: one naming no rank, and one whose
+/// each with a piece of its message: one naming no rank, and two whose
 /// ranks imply no process count.
-const NO_BROADCAST: [(&str, &[u8], &str); 2] = [
+const NO_BROADCAST: [(&str, &[u8], &str); 3] = [
     ("empty", b"", "no rank to reconstruct a broadcast over"),
     ("wide-rank", WIDE_RANK, "rank 4294967295"),
+    ("huge-rank", HUGE_RANK, "rank 4294967294"),
 ];
 
 #[test]

@@ -248,11 +248,11 @@ fn multiplexed_checked_topic_matches_simulator_multiset() {
 
 #[test]
 fn run_queue_depth_is_bounded_by_the_rank_count_not_by_the_admissions() {
-    // An install adds no run-queue entry to a rank that still has an
-    // unclaimed one and a wake-up none to a rank that has two, so
+    // An admission sweeps only ranks no pending sweep covers, and a
+    // wake-up adds no entry to a rank that has one unclaimed, so
     // however many broadcasts are admitted the queue holds at most two
-    // entries per rank. (When every admission enqueued every rank, 48
-    // admissions at k = 16 left the queue thousands deep.)
+    // ranks' worth per rank. (When every admission enqueued every rank,
+    // 48 admissions at k = 16 left the queue thousands deep.)
     let p = 256u32;
     let hub = Arc::new(TelemetryHub::new(2, p as usize));
     let cfg = ClusterConfig::new()
