@@ -73,10 +73,9 @@ pub fn render_text(snap: &TelemetrySnapshot) -> String {
         );
         let _ = writeln!(
             out,
-            "  timers: arms {} fires {} cascades {} (pending {})",
+            "  timers: arms {} fires {} (pending {})",
             snap.counter("timer.arms"),
             snap.counter("timer.fires"),
-            snap.counter("timer.cascades"),
             gauge("timers.pending"),
         );
         let _ = writeln!(

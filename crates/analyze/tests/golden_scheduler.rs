@@ -34,7 +34,6 @@ fn golden_snapshot_json() -> String {
         hub.add(w, Counter::MailboxSpills, n - 1);
         hub.add(w, Counter::TimerArms, n);
         hub.add(w, Counter::TimerFires, n);
-        hub.add(w, Counter::TimerCascades, n - 1);
         hub.add(w, Counter::CoordBatches, n);
         hub.add(w, Counter::CoordColored, 4 * n);
         hub.observe(w, Dist::QuantumUs, 10 * n);

@@ -9,7 +9,7 @@
 //! and review the diff.
 
 use ct_analyze::series::render_text;
-use ct_obs::health::{HealthConfig, HealthEngine};
+use ct_obs::health::HealthEngine;
 use ct_obs::series::{SeriesExport, SeriesSample, SeriesStore};
 use ct_obs::telemetry::{Counter, TelemetryHub};
 
@@ -26,7 +26,7 @@ const GOLDEN_TEXT: &str = include_str!("data/golden_series_summary.txt");
 fn golden_export() -> String {
     let hub = TelemetryHub::new(2, 8);
     let store = SeriesStore::new(16);
-    let mut engine = HealthEngine::new(HealthConfig::default());
+    let mut engine = HealthEngine::new();
     hub.set_iter_active(1);
     let mut prev = hub.snapshot().with_source("cluster");
     for seq in 0..6u64 {

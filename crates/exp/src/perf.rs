@@ -10,7 +10,7 @@ use ct_analyze::{analyze_rep_indexed, AnalysisSummary, AnalyzeConfig, RepAnalysi
 use std::sync::Arc;
 
 use ct_logp::LogP;
-use ct_obs::health::{HealthConfig, HealthEngine, HealthEvent};
+use ct_obs::health::{HealthEngine, HealthEvent};
 use ct_obs::json::JsonObject;
 use ct_obs::metrics::Histogram;
 use ct_obs::series::SeriesSample;
@@ -61,7 +61,7 @@ pub fn analyze_campaign(campaign: &Campaign) -> Result<CampaignAnalysis, Campaig
     let mut reps = Vec::with_capacity(campaign.reps as usize);
     let mut monitor = MonitorReport::default();
     let mut waste = WasteReport::default();
-    let mut engine = HealthEngine::new(HealthConfig::default());
+    let mut engine = HealthEngine::new();
     let mut health = Vec::new();
     let mut prev_snap = hub.snapshot().with_source("sim");
     let mut arena = RunArena::new();

@@ -12,10 +12,12 @@
 //! thread), so the hot path has no RMW, CAS loop, lock or division:
 //! one flag load, two cursor loads, seven plain stores (five record
 //! words into one or two cache lines of the ring, the two cursors) —
-//! 3–4 ns a record while the ring stays in cache. The shard headers
-//! are aligned like the telemetry hub's
-//! ([`crate::telemetry::SHARD_ALIGN`]), so the cursor a worker stores
-//! on every record shares no cache line with its neighbour's. The
+//! 3–4 ns a record while the ring stays in cache. (The telemetry hub
+//! can take a lock because a worker publishes into it once per batch;
+//! a flight record is written per event.) The shard headers are aligned
+//! like the hub's shards ([`crate::telemetry::SHARD_ALIGN`]), so the
+//! cursor a worker stores on every record shares no cache line with its
+//! neighbour's. The
 //! recorder is attached via the same `Option` discipline as the
 //! telemetry hub and costs nothing when absent.
 //!

@@ -10,9 +10,11 @@
 //! *active* while the condition holds, and re-arms when the condition
 //! clears.
 //!
-//! The flagship rule is `stall_precursor`: an installed iteration whose
-//! uncolored live ranks see zero deliveries and zero coloring progress
-//! for K consecutive windows. With the default K=3 and a 250 ms sample
+//! Four rules, each with a fixed threshold: `stall_precursor`,
+//! `mailbox_spill_spike`, `runq_saturation` and
+//! `worker_busy_imbalance`. The flagship is `stall_precursor`: an
+//! installed iteration whose uncolored live ranks see zero deliveries
+//! and zero coloring progress for K consecutive windows. With K=3 and a 250 ms sample
 //! interval it fires less than a second into a wedged broadcast —
 //! minutes before a production-scale watchdog (default 30 s) would.
 //!
@@ -109,73 +111,46 @@ impl HealthEvent {
     }
 }
 
-/// Thresholds for the rule engine. The defaults are deliberately
-/// conservative: quiet on every healthy workload in the test suite,
-/// loud within a second of a genuine wedge.
-#[derive(Clone, Debug)]
-pub struct HealthConfig {
-    /// `stall_precursor`: consecutive zero-progress windows (with an
-    /// iteration installed and uncolored live ranks present) before
-    /// firing.
-    pub stall_windows: u32,
-    /// `mailbox_spill_spike`: spills per second above which the window
-    /// is anomalous.
-    pub spill_rate: f64,
-    /// `runq_saturation`: consecutive windows with run-queue depth at
-    /// or above the rank count before firing.
-    pub runq_windows: u32,
-    /// `worker_busy_imbalance`: max/mean busy-time ratio above which
-    /// the window is anomalous. Note max/mean is bounded by the worker
-    /// count, so the threshold must sit below the pool size to be
-    /// reachable (the default 3.0 needs four or more workers).
-    pub imbalance_ratio: f64,
-    /// `worker_busy_imbalance`: minimum total busy µs in the window
-    /// before imbalance is judged at all (idle windows are noise).
-    pub imbalance_min_busy_us: u64,
-    /// `timer_cascade_storm`: cascades per second above which the
-    /// window is anomalous.
-    pub cascade_rate: f64,
-}
-
-impl Default for HealthConfig {
-    fn default() -> HealthConfig {
-        HealthConfig {
-            stall_windows: 3,
-            spill_rate: 1_000.0,
-            runq_windows: 3,
-            imbalance_ratio: 3.0,
-            imbalance_min_busy_us: 10_000,
-            cascade_rate: 1_000.0,
-        }
-    }
-}
+/// Thresholds of the rules. Deliberately conservative: quiet on every
+/// healthy workload in the test suite, loud within a second of a
+/// genuine wedge.
+///
+/// `stall_precursor`: consecutive zero-progress windows (with an
+/// iteration installed and uncolored live ranks present) before firing.
+const STALL_WINDOWS: u32 = 3;
+/// `mailbox_spill_spike`: spills per second above which the window is
+/// anomalous.
+const SPILL_RATE: f64 = 1_000.0;
+/// `runq_saturation`: consecutive windows with run-queue depth at or
+/// above the rank count before firing.
+const RUNQ_WINDOWS: u32 = 3;
+/// `worker_busy_imbalance`: max/mean busy-time ratio above which the
+/// window is anomalous. Max/mean is bounded by the worker count, so
+/// the rule needs four or more workers to fire.
+const IMBALANCE_RATIO: f64 = 3.0;
+/// `worker_busy_imbalance`: minimum total busy µs in the window before
+/// imbalance is judged at all (idle windows are noise).
+const IMBALANCE_MIN_BUSY_US: u64 = 10_000;
 
 /// Rule ids, in evaluation order.
 const RULE_STALL: &str = "stall_precursor";
 const RULE_SPILL: &str = "mailbox_spill_spike";
 const RULE_RUNQ: &str = "runq_saturation";
 const RULE_IMBALANCE: &str = "worker_busy_imbalance";
-const RULE_CASCADE: &str = "timer_cascade_storm";
 
 /// Per-window rule evaluator with rising-edge/active/re-arm state; see
 /// the module docs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct HealthEngine {
-    cfg: HealthConfig,
     stall_streak: u32,
     runq_streak: u32,
     active: Vec<HealthEvent>,
 }
 
 impl HealthEngine {
-    /// An engine with the given thresholds and no history.
-    pub fn new(cfg: HealthConfig) -> HealthEngine {
-        HealthEngine {
-            cfg,
-            stall_streak: 0,
-            runq_streak: 0,
-            active: Vec::new(),
-        }
+    /// An engine with no history.
+    pub fn new() -> HealthEngine {
+        HealthEngine::default()
     }
 
     /// Events currently active (fired and not yet cleared).
@@ -208,7 +183,7 @@ impl HealthEngine {
         } else {
             self.stall_streak = 0;
         }
-        let k = self.cfg.stall_windows.max(1);
+        let k = STALL_WINDOWS;
         if self.stall_streak >= k {
             if !self.is_active(RULE_STALL) {
                 let span_ms = u64::from(k) * s.dt_ms;
@@ -237,7 +212,7 @@ impl HealthEngine {
 
         // mailbox_spill_spike — ring overflow rate above threshold.
         let spill_rate = s.rate("mailbox.spills");
-        if spill_rate > self.cfg.spill_rate {
+        if spill_rate > SPILL_RATE {
             if !self.is_active(RULE_SPILL) {
                 let e = HealthEvent {
                     rule: RULE_SPILL.to_owned(),
@@ -269,7 +244,7 @@ impl HealthEngine {
         } else {
             self.runq_streak = 0;
         }
-        if self.runq_streak >= self.cfg.runq_windows.max(1) {
+        if self.runq_streak >= RUNQ_WINDOWS {
             if !self.is_active(RULE_RUNQ) {
                 let e = HealthEvent {
                     rule: RULE_RUNQ.to_owned(),
@@ -283,7 +258,7 @@ impl HealthEngine {
                     message: format!(
                         "run queue saturated: depth {depth} >= {} ranks across \
                          {} consecutive windows — workers cannot keep up",
-                        s.ranks, self.cfg.runq_windows
+                        s.ranks, RUNQ_WINDOWS
                     ),
                 };
                 self.active.push(e.clone());
@@ -300,11 +275,10 @@ impl HealthEngine {
         let mut imbalanced = false;
         let mut max_busy = 0u64;
         let mut mean_busy = 0u64;
-        if workers >= 2 && total_busy >= self.cfg.imbalance_min_busy_us {
+        if workers >= 2 && total_busy >= IMBALANCE_MIN_BUSY_US {
             max_busy = s.worker_busy_us.iter().copied().max().unwrap_or(0);
             mean_busy = total_busy / workers;
-            imbalanced =
-                mean_busy > 0 && (max_busy as f64) / (mean_busy as f64) > self.cfg.imbalance_ratio;
+            imbalanced = mean_busy > 0 && (max_busy as f64) / (mean_busy as f64) > IMBALANCE_RATIO;
         }
         if imbalanced {
             if !self.is_active(RULE_IMBALANCE) {
@@ -328,32 +302,6 @@ impl HealthEngine {
             }
         } else {
             self.active.retain(|e| e.rule != RULE_IMBALANCE);
-        }
-
-        // timer_cascade_storm — overflow-heap migrations above
-        // threshold: the wheel horizon is too short for the workload.
-        let cascade_rate = s.rate("timer.cascades");
-        if cascade_rate > self.cfg.cascade_rate {
-            if !self.is_active(RULE_CASCADE) {
-                let e = HealthEvent {
-                    rule: RULE_CASCADE.to_owned(),
-                    severity: Severity::Warning,
-                    seq: s.seq,
-                    t_ms: s.t_ms,
-                    values: vec![
-                        ("timer.cascades".to_owned(), s.delta("timer.cascades")),
-                        ("rate_per_s".to_owned(), cascade_rate as u64),
-                    ],
-                    message: format!(
-                        "timer-wheel cascade storm: {cascade_rate:.0} overflow \
-                         migrations/s — arms land beyond the wheel horizon"
-                    ),
-                };
-                self.active.push(e.clone());
-                fired.push(e);
-            }
-        } else {
-            self.active.retain(|e| e.rule != RULE_CASCADE);
         }
 
         fired
@@ -391,7 +339,7 @@ mod tests {
 
     #[test]
     fn stall_precursor_fires_after_k_windows_and_only_once() {
-        let mut eng = HealthEngine::new(HealthConfig::default());
+        let mut eng = HealthEngine::new();
         assert!(eng.observe(&wedged(0)).is_empty());
         assert!(eng.observe(&wedged(1)).is_empty());
         let fired = eng.observe(&wedged(2));
@@ -410,7 +358,7 @@ mod tests {
     fn stall_precursor_covers_concurrent_broadcasts() {
         // Under pub/sub iter.active is a topic count; a wedge with
         // several iterations installed must still fire.
-        let mut eng = HealthEngine::new(HealthConfig::default());
+        let mut eng = HealthEngine::new();
         let multi = |seq| {
             let mut s = window(seq);
             s.gauges.insert("iter.active".to_owned(), 4);
@@ -428,7 +376,7 @@ mod tests {
 
     #[test]
     fn stall_precursor_resets_on_any_progress() {
-        let mut eng = HealthEngine::new(HealthConfig::default());
+        let mut eng = HealthEngine::new();
         eng.observe(&wedged(0));
         eng.observe(&wedged(1));
         // One delivery breaks the streak...
@@ -443,7 +391,7 @@ mod tests {
 
     #[test]
     fn stall_precursor_ignores_idle_and_completed_iterations() {
-        let mut eng = HealthEngine::new(HealthConfig::default());
+        let mut eng = HealthEngine::new();
         // No iteration installed.
         for seq in 0..6 {
             assert!(eng.observe(&window(seq)).is_empty());
@@ -460,7 +408,7 @@ mod tests {
 
     #[test]
     fn stall_precursor_rearms_after_clearing() {
-        let mut eng = HealthEngine::new(HealthConfig::default());
+        let mut eng = HealthEngine::new();
         for seq in 0..3 {
             eng.observe(&wedged(seq));
         }
@@ -476,7 +424,7 @@ mod tests {
 
     #[test]
     fn spill_spike_boundary() {
-        let mut eng = HealthEngine::new(HealthConfig::default());
+        let mut eng = HealthEngine::new();
         // 100 spills in 100 ms = 1000/s: at the threshold, not over.
         let mut at = window(0);
         at.counters.insert("mailbox.spills".to_owned(), 100);
@@ -498,7 +446,7 @@ mod tests {
 
     #[test]
     fn runq_saturation_needs_consecutive_windows() {
-        let mut eng = HealthEngine::new(HealthConfig::default());
+        let mut eng = HealthEngine::new();
         let mut deep = window(0);
         deep.gauges.insert("runq.depth".to_owned(), 8);
         assert!(eng.observe(&deep).is_empty());
@@ -513,7 +461,7 @@ mod tests {
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].rule, "runq_saturation");
         // Depth below the rank count never counts.
-        let mut eng2 = HealthEngine::new(HealthConfig::default());
+        let mut eng2 = HealthEngine::new();
         for seq in 0..6 {
             let mut s = window(seq);
             s.gauges.insert("runq.depth".to_owned(), 7);
@@ -523,7 +471,7 @@ mod tests {
 
     #[test]
     fn imbalance_boundary_and_idle_guard() {
-        let mut eng = HealthEngine::new(HealthConfig::default());
+        let mut eng = HealthEngine::new();
         // Idle pool (below min busy): ratio is ignored.
         let mut idle = window(0);
         idle.worker_busy_us = vec![900, 0, 0, 0];
@@ -539,19 +487,6 @@ mod tests {
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].rule, "worker_busy_imbalance");
         assert_eq!(fired[0].severity, Severity::Info);
-    }
-
-    #[test]
-    fn cascade_storm_boundary() {
-        let mut eng = HealthEngine::new(HealthConfig::default());
-        let mut at = window(0);
-        at.counters.insert("timer.cascades".to_owned(), 100);
-        assert!(eng.observe(&at).is_empty());
-        let mut over = window(1);
-        over.counters.insert("timer.cascades".to_owned(), 200);
-        let fired = eng.observe(&over);
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].rule, "timer_cascade_storm");
     }
 
     #[test]

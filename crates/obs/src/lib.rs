@@ -30,9 +30,9 @@
 //!   `results/<name>.meta.json` next to every campaign CSV.
 //! * [`chrome`] — export a recorded event stream as a
 //!   `chrome://tracing` / Perfetto JSON document.
-//! * [`telemetry`] — [`TelemetryHub`], the lock-free sharded store of
-//!   live scheduler/runtime counters behind `ct top`, `ct stats` and
-//!   the `telemetry` manifest block.
+//! * [`telemetry`] — [`TelemetryHub`], the sharded store of live
+//!   scheduler/runtime counters behind `ct top`, `ct stats` and the
+//!   `telemetry` manifest block, fed one [`telemetry::Tally`] at a time.
 //! * [`flight`] — [`FlightRecorder`], the always-on black box: bounded
 //!   per-worker rings of recent scheduler/mailbox/timer events, frozen
 //!   and dumped into `ct-postmortem-v1` bundles on stall or panic.
@@ -40,8 +40,8 @@
 //!   a background thread turning hub snapshots into per-window deltas
 //!   behind `ct serve`, `ct monitor` and `ct top`.
 //! * [`health`] — [`HealthEngine`], per-window anomaly rules (stall
-//!   precursor, spill spike, run-queue saturation, busy imbalance,
-//!   timer-cascade storm) producing structured [`HealthEvent`]s.
+//!   precursor, spill spike, run-queue saturation, busy imbalance)
+//!   producing structured [`HealthEvent`]s.
 //! * [`stall`] — [`StallReport`], what the cluster watchdog saw when a
 //!   broadcast timed out.
 //! * [`postmortem`] — [`Postmortem`], the `ct-postmortem-v1` dump that
@@ -78,7 +78,7 @@ pub use causal::{causal_order, infer_p, CausalIndex};
 pub use chrome::chrome_trace;
 pub use event::{Event, EventKind};
 pub use flight::{FlightDump, FlightKind, FlightRecord, FlightRecorder};
-pub use health::{HealthConfig, HealthEngine, HealthEvent, Severity};
+pub use health::{HealthEngine, HealthEvent, Severity};
 pub use http::{monitor_handler, HttpServer, Response};
 pub use manifest::{default_threads, RunManifest};
 pub use metrics::Histogram;

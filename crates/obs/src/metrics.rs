@@ -1,6 +1,6 @@
 //! The one histogram layout every producer shares: fixed power-of-two
-//! buckets, mergeable across runs and worker shards. The hub's atomic
-//! shards ([`crate::telemetry::TelemetryHub`]) store the same layout.
+//! buckets, mergeable across runs and worker shards
+//! ([`crate::telemetry::Tally`]).
 
 use crate::json::{JsonObject, Value};
 
@@ -18,10 +18,10 @@ const BOUNDS: [u64; 21] = {
 };
 
 /// Buckets: one per bound plus the overflow bucket.
-pub(crate) const BUCKETS: usize = BOUNDS.len() + 1;
+const BUCKETS: usize = BOUNDS.len() + 1;
 
 /// The bucket `v` falls into (`BUCKETS - 1` = overflow).
-pub(crate) fn bucket(v: u64) -> usize {
+fn bucket(v: u64) -> usize {
     BOUNDS.partition_point(|&b| b < v)
 }
 
@@ -43,26 +43,12 @@ pub struct Histogram {
 impl Histogram {
     /// An empty histogram.
     pub fn latency_default() -> Histogram {
-        Histogram::from_buckets([0; BUCKETS], 0, u64::MAX, 0)
-    }
-
-    /// Reassemble a histogram from its buckets — how the hub snapshots
-    /// its atomic shards. The count is the sum of the buckets, and an
-    /// empty histogram normalizes `min`/`max` to the empty sentinels
-    /// whatever was passed.
-    pub(crate) fn from_buckets(counts: [u64; BUCKETS], sum: u64, min: u64, max: u64) -> Histogram {
-        let count = counts.iter().sum();
-        let (min, max) = if count == 0 {
-            (u64::MAX, 0)
-        } else {
-            (min, max)
-        };
         Histogram {
-            counts,
-            count,
-            sum,
-            min,
-            max,
+            counts: [0; BUCKETS],
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
         }
     }
 
@@ -208,9 +194,8 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Forget every observation. What a producer that tallies locally
-    /// calls after handing the tally over
-    /// ([`crate::telemetry::TelemetryHub::merge_dist`]).
+    /// Forget every observation (what a published
+    /// [`crate::telemetry::Tally`] does with its histograms).
     pub fn reset(&mut self) {
         *self = Histogram::latency_default();
     }

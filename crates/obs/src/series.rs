@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::health::{HealthConfig, HealthEngine, HealthEvent};
+use crate::health::{HealthEngine, HealthEvent};
 use crate::json::{JsonObject, Value};
 use crate::telemetry::{Counter, TelemetryHub, TelemetrySnapshot};
 
@@ -438,14 +438,8 @@ pub struct Sampler {
 impl Sampler {
     /// Spawn a sampler polling `hub` every `interval` (clamped to at
     /// least 1 ms), tagging snapshots with `source`, retaining `cap`
-    /// windows and evaluating `rules` per window.
-    pub fn spawn(
-        hub: Arc<TelemetryHub>,
-        source: &str,
-        interval: Duration,
-        cap: usize,
-        rules: HealthConfig,
-    ) -> Sampler {
+    /// windows and evaluating the health rules per window.
+    pub fn spawn(hub: Arc<TelemetryHub>, source: &str, interval: Duration, cap: usize) -> Sampler {
         let store = Arc::new(SeriesStore::new(cap));
         let stop = Arc::new(AtomicBool::new(false));
         let thread_store = Arc::clone(&store);
@@ -456,7 +450,7 @@ impl Sampler {
             .name("ct-sampler".to_owned())
             .spawn(move || {
                 let started = Instant::now();
-                let mut engine = HealthEngine::new(rules);
+                let mut engine = HealthEngine::new();
                 let mut prev = hub.snapshot().with_source(&source);
                 let mut prev_ms = 0u64;
                 let mut seq = 0u64;
@@ -658,13 +652,7 @@ mod tests {
     #[test]
     fn sampler_observes_a_live_hub_and_stops_cleanly() {
         let hub = Arc::new(TelemetryHub::new(1, 4));
-        let mut sampler = Sampler::spawn(
-            Arc::clone(&hub),
-            "cluster",
-            Duration::from_millis(5),
-            64,
-            HealthConfig::default(),
-        );
+        let mut sampler = Sampler::spawn(Arc::clone(&hub), "cluster", Duration::from_millis(5), 64);
         for i in 0..20 {
             hub.add(0, Counter::MsgsDelivered, 2);
             hub.observe(0, Dist::QuantumUs, i);

@@ -77,7 +77,7 @@ pub struct StallReport {
     pub colored: u32,
     /// Run-queue depth (ranks queued) at report time.
     pub runq_depth: usize,
-    /// Pending timer-wheel entries at report time.
+    /// Pending timers at report time.
     pub pending_timers: usize,
     /// Worker posts to the coordinator's ledger that it had not read
     /// yet at report time.

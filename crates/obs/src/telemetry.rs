@@ -1,37 +1,35 @@
-//! Live runtime telemetry: a lock-free, sharded hub of scheduler and
-//! protocol counters the cluster runtime and the simulator feed while
-//! they run.
+//! Live runtime telemetry: a sharded hub of scheduler and protocol
+//! counters the cluster runtime and the simulator feed while they run.
 //!
 //! Event traces ([`crate::EventSink`]) answer *what the protocol did*;
 //! the [`TelemetryHub`] answers *what the machinery underneath did* —
 //! how many scheduling quanta ran, how large the claimed batches were,
-//! how deep mailboxes got, how often the timer wheel cascaded, how many
-//! lost-wakeup rechecks actually fired. It is the backing store of
-//! `ct top`, `ct stats` and the `telemetry` manifest block.
+//! how deep mailboxes got, how many timers fired, how many lost-wakeup
+//! rechecks actually fired. It is the backing store of `ct top`,
+//! `ct stats` and the `telemetry` manifest block.
 //!
 //! Design:
 //!
-//! * **Sharded and lock-free.** The hub holds one [`Counter`]/[`Dist`]
-//!   shard per worker thread, counters and histogram buckets inline and
-//!   the whole shard aligned to [`SHARD_ALIGN`] bytes, so no word one
-//!   worker writes shares a cache line with a word another writes —
-//!   wherever the allocator puts the shard array. An update is relaxed
-//!   atomic RMWs on the caller's own shard and nothing else: one for
-//!   [`TelemetryHub::add`], four for [`TelemetryHub::observe`], one per
-//!   bucket that moved (plus the sum, and the extremes when they move)
-//!   for [`TelemetryHub::merge_dist`] — no lock that could perturb the
-//!   scheduler it is measuring. Producers with a hot loop do not pay
-//!   even that per event: the cluster's workers tally in plain locals
-//!   and hand the hub one batch at a time. Per-rank state is one
-//!   high-water slot per rank, written only when the mark rises.
-//!   Relaxed ordering is sufficient everywhere: the values are
-//!   statistics, and [`TelemetryHub::snapshot`] merges whatever has
-//!   landed by the time it runs.
+//! * **One tally shape.** A [`Tally`] is every [`Counter`] and one
+//!   [`Histogram`] per [`Dist`] in plain integers. A producer with a hot
+//!   loop counts into a local one and hands it over with one
+//!   [`TelemetryHub::publish`] per batch; the cluster's workers publish
+//!   once per run-queue batch, the simulator once per repetition
+//!   ([`TelemetryHub::record_sim_rep`]). The hub holds one tally per
+//!   worker behind a mutex, the shard aligned to [`SHARD_ALIGN`] bytes,
+//!   so no word one worker writes shares a cache line with a word
+//!   another writes — wherever the allocator puts the shard array. A
+//!   shard's lock is taken by its worker once per batch and by a
+//!   snapshot, so it is all but uncontended. [`TelemetryHub::add`] and
+//!   [`TelemetryHub::observe`] take the same lock for one update.
+//!   Per-rank state is one relaxed high-water slot per rank, written
+//!   only when the mark rises, and the gauges are relaxed stores.
 //! * **Zero-cost when disabled.** Producers carry an
 //!   `Option<Arc<TelemetryHub>>` and hoist the `is-some` check exactly
 //!   like the [`crate::EventSink::enabled`] pattern: with no hub
 //!   attached, the instrumented paths compile down to a branch on a
-//!   register and the event stream and message totals are bit-for-bit
+//!   register (and the cluster's plain adds into a local tally nobody
+//!   publishes), and the event stream and message totals are bit-for-bit
 //!   those of an uninstrumented run.
 //! * **One schema for sim and cluster.** [`TelemetrySnapshot`] always
 //!   carries the full counter catalogue (cluster counters are zero on a
@@ -43,9 +41,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::json::{u64_object, within, JsonObject, Value};
-use crate::metrics::{bucket, Histogram, BUCKETS};
+use crate::metrics::Histogram;
 
 /// Schema tag stamped into every rendered snapshot; bump on any
 /// incompatible change to the JSON layout.
@@ -82,12 +81,10 @@ pub enum Counter {
     MailboxPushes,
     /// Pushes that overflowed the ring into the heap spill queue.
     MailboxSpills,
-    /// Timer-wheel insertions (protocol `WaitUntil` arms).
+    /// Timer insertions (protocol `WaitUntil` arms).
     TimerArms,
     /// Timers that fired (rank appended to the due list).
     TimerFires,
-    /// Overflow-heap entries migrated down into wheel slots.
-    TimerCascades,
     /// Batched coordinator notifications sent.
     CoordBatches,
     /// Colored-rank notifications carried by those batches.
@@ -104,7 +101,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in rendering order.
-    pub const ALL: [Counter; 20] = [
+    pub const ALL: [Counter; 19] = [
         Counter::SchedQuanta,
         Counter::SchedStaleQuanta,
         Counter::SchedBatches,
@@ -118,7 +115,6 @@ impl Counter {
         Counter::MailboxSpills,
         Counter::TimerArms,
         Counter::TimerFires,
-        Counter::TimerCascades,
         Counter::CoordBatches,
         Counter::CoordColored,
         Counter::SimReps,
@@ -143,7 +139,6 @@ impl Counter {
             Counter::MailboxSpills => "mailbox.spills",
             Counter::TimerArms => "timer.arms",
             Counter::TimerFires => "timer.fires",
-            Counter::TimerCascades => "timer.cascades",
             Counter::CoordBatches => "coord.batches",
             Counter::CoordColored => "coord.colored",
             Counter::SimReps => "sim.reps",
@@ -171,9 +166,8 @@ impl Counter {
             Counter::MsgsStaleDropped => "Stale messages discarded by broadcast id.",
             Counter::MailboxPushes => "Mailbox pushes (ring or spill).",
             Counter::MailboxSpills => "Pushes that overflowed the ring into the heap spill queue.",
-            Counter::TimerArms => "Timer-wheel insertions (protocol WaitUntil arms).",
+            Counter::TimerArms => "Timer insertions (protocol WaitUntil arms).",
             Counter::TimerFires => "Timers that fired (rank appended to the due list).",
-            Counter::TimerCascades => "Overflow-heap entries migrated down into wheel slots.",
             Counter::CoordBatches => "Batched coordinator notifications sent.",
             Counter::CoordColored => "Colored-rank notifications carried by coordinator batches.",
             Counter::SimReps => "Simulator repetitions completed.",
@@ -184,8 +178,8 @@ impl Counter {
     }
 }
 
-/// Mergeable distributions the hub tracks, one atomic [`Histogram`]
-/// per distribution per worker shard.
+/// Mergeable distributions the hub tracks, one [`Histogram`] per
+/// distribution per [`Tally`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Dist {
@@ -255,89 +249,65 @@ impl Dist {
 /// crossbeam's `CachePadded` uses on x86-64 and aarch64).
 pub const SHARD_ALIGN: usize = 128;
 
-/// The atomic storage of one [`Histogram`], updated with relaxed
-/// RMWs. The buckets are inline so that a shard owns every word it
-/// writes.
-struct AtomicHistogram {
-    /// Per-bucket counts; last entry is the overflow bucket.
-    counts: [AtomicU64; BUCKETS],
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
+/// Every [`Counter`] and one [`Histogram`] per [`Dist`], in plain
+/// integers: what a producer counts locally between publications
+/// ([`TelemetryHub::publish`]), and what each hub shard holds.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Tally {
+    counters: [u64; Counter::ALL.len()],
+    dists: [Histogram; Dist::ALL.len()],
 }
 
-impl AtomicHistogram {
-    fn new() -> AtomicHistogram {
-        AtomicHistogram {
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
+impl Tally {
+    /// Add `delta` to `counter`.
+    #[inline]
+    pub fn add(&mut self, counter: Counter, delta: u64) {
+        self.counters[counter as usize] += delta;
     }
 
-    fn record(&self, v: u64) {
-        self.counts[bucket(v)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+    /// Increment `counter` by one.
+    #[inline]
+    pub fn inc(&mut self, counter: Counter) {
+        self.add(counter, 1);
     }
 
-    /// Add every observation of `local`: one RMW per bucket that moved,
-    /// one for the sum, and one per extreme only when it moves — a load
-    /// finds out, and after the first batches it rarely does.
-    fn merge(&self, local: &Histogram) {
-        let (Some(lo), Some(hi)) = (local.min(), local.max()) else {
-            return;
-        };
-        if lo < self.min.load(Ordering::Relaxed) {
-            self.min.fetch_min(lo, Ordering::Relaxed);
+    /// Record `v` into `dist`.
+    #[inline]
+    pub fn observe(&mut self, dist: Dist, v: u64) {
+        self.dists[dist as usize].record(v);
+    }
+
+    /// Add everything `other` counted to this tally and empty `other`.
+    fn take_from(&mut self, other: &mut Tally) {
+        for (c, o) in self.counters.iter_mut().zip(&mut other.counters) {
+            *c += std::mem::take(o);
         }
-        if hi > self.max.load(Ordering::Relaxed) {
-            self.max.fetch_max(hi, Ordering::Relaxed);
-        }
-        self.sum.fetch_add(local.sum(), Ordering::Relaxed);
-        for (slot, &n) in self.counts.iter().zip(local.counts()) {
-            if n > 0 {
-                slot.fetch_add(n, Ordering::Relaxed);
+        for (h, o) in self.dists.iter_mut().zip(&mut other.dists) {
+            if o.count() > 0 {
+                h.merge(o);
+                o.reset();
             }
         }
     }
-
-    /// The histogram as of now. Its count is the sum of the buckets just
-    /// read, not a counter of its own: a separate load would race with
-    /// `record`.
-    fn snapshot(&self) -> Histogram {
-        Histogram::from_buckets(
-            std::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed)),
-            self.sum.load(Ordering::Relaxed),
-            self.min.load(Ordering::Relaxed),
-            self.max.load(Ordering::Relaxed),
-        )
-    }
 }
 
-/// One worker's private slice of the hub: nothing behind a pointer,
-/// and [`SHARD_ALIGN`]-aligned (which also pads its size to a multiple
-/// of that), so neighbours in the shard array share no cache line.
-#[repr(C, align(128))]
-struct Shard {
-    counters: [AtomicU64; Counter::ALL.len()],
-    dists: [AtomicHistogram; Dist::ALL.len()],
-}
+/// One worker's slice of the hub. [`SHARD_ALIGN`]-aligned, which also
+/// pads its size to a multiple of that, and nothing behind a pointer
+/// (the mutex and the tally are inline), so neighbours in the shard
+/// array share no cache line.
+#[repr(align(128))]
+struct Shard(Mutex<Tally>);
 
 const _: () = assert!(std::mem::align_of::<Shard>() == SHARD_ALIGN);
 
 impl Shard {
-    fn new() -> Shard {
-        Shard {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            dists: std::array::from_fn(|_| AtomicHistogram::new()),
-        }
+    /// The tally; a poisoned lock still holds sound statistics.
+    fn lock(&self) -> MutexGuard<'_, Tally> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// Lock-free, sharded store of live runtime counters (see module docs).
+/// Sharded store of live runtime counters (see module docs).
 ///
 /// Construct one per run (or campaign), hand `Arc` clones to the
 /// producers (`ClusterConfig::telemetry`, `SimulationBuilder::telemetry`)
@@ -368,7 +338,9 @@ impl TelemetryHub {
     /// shard sharing.
     pub fn new(workers: usize, ranks: usize) -> TelemetryHub {
         TelemetryHub {
-            shards: (0..workers.max(1)).map(|_| Shard::new()).collect(),
+            shards: (0..workers.max(1))
+                .map(|_| Shard(Mutex::default()))
+                .collect(),
             rank_hwm: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
             runq_depth: AtomicU64::new(0),
             timers_pending: AtomicU64::new(0),
@@ -378,17 +350,17 @@ impl TelemetryHub {
         }
     }
 
-    fn shard(&self, worker: usize) -> &Shard {
+    fn shard(&self, worker: usize) -> MutexGuard<'_, Tally> {
         // No division for a worker that has a shard of its own.
         match self.shards.get(worker) {
-            Some(shard) => shard,
-            None => &self.shards[worker % self.shards.len()],
+            Some(shard) => shard.lock(),
+            None => self.shards[worker % self.shards.len()].lock(),
         }
     }
 
     /// Add `delta` to `counter` on `worker`'s shard.
     pub fn add(&self, worker: usize, counter: Counter, delta: u64) {
-        self.shard(worker).counters[counter as usize].fetch_add(delta, Ordering::Relaxed);
+        self.shard(worker).add(counter, delta);
     }
 
     /// Increment `counter` by one on `worker`'s shard.
@@ -398,16 +370,16 @@ impl TelemetryHub {
 
     /// Record `v` into `dist` on `worker`'s shard.
     pub fn observe(&self, worker: usize, dist: Dist, v: u64) {
-        self.shard(worker).dists[dist as usize].record(v);
+        self.shard(worker).observe(dist, v);
     }
 
-    /// Fold a histogram the caller filled locally into `dist` on
-    /// `worker`'s shard — the per-batch counterpart of calling
-    /// [`TelemetryHub::observe`] once per value, with the same snapshot
-    /// as a result. An empty `local` is a no-op; the caller resets it
-    /// afterwards ([`Histogram::reset`]).
-    pub fn merge_dist(&self, worker: usize, dist: Dist, local: &Histogram) {
-        self.shard(worker).dists[dist as usize].merge(local);
+    /// Fold everything `tally` counted into `worker`'s shard under one
+    /// lock, and empty `tally` for the producer to count on — the
+    /// per-batch counterpart of calling [`TelemetryHub::add`] and
+    /// [`TelemetryHub::observe`] once per event, with the same snapshot
+    /// as a result.
+    pub fn publish(&self, worker: usize, tally: &mut Tally) {
+        self.shard(worker).take_from(tally);
     }
 
     /// Raise `rank`'s mailbox-occupancy high-water mark to `depth`. The
@@ -459,7 +431,7 @@ impl TelemetryHub {
     pub fn counter_total(&self, counter: Counter) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.counters[counter as usize].load(Ordering::Relaxed))
+            .map(|s| s.lock().counters[counter as usize])
             .sum()
     }
 
@@ -468,33 +440,35 @@ impl TelemetryHub {
     /// hot loop stays untouched (the update runs once per repetition,
     /// after the outcome is already assembled).
     pub fn record_sim_rep(&self, events: u64, sends: u64, quiescence: u64, complete: bool) {
-        self.inc(0, Counter::SimReps);
-        self.add(0, Counter::SimEvents, events);
-        self.add(0, Counter::SimSends, sends);
+        let mut t = self.shard(0);
+        t.inc(Counter::SimReps);
+        t.add(Counter::SimEvents, events);
+        t.add(Counter::SimSends, sends);
         if !complete {
-            self.inc(0, Counter::SimIncomplete);
+            t.inc(Counter::SimIncomplete);
         }
-        self.observe(0, Dist::SimRepEvents, events);
-        self.observe(0, Dist::SimRepSends, sends);
-        self.observe(0, Dist::SimRepQuiescence, quiescence);
+        t.observe(Dist::SimRepEvents, events);
+        t.observe(Dist::SimRepSends, sends);
+        t.observe(Dist::SimRepQuiescence, quiescence);
     }
 
     /// Merge every shard into a point-in-time [`TelemetrySnapshot`]
     /// with source `"unknown"` (callers tag it via
     /// [`TelemetrySnapshot::with_source`]).
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let mut counters = BTreeMap::new();
-        for c in Counter::ALL {
-            counters.insert(c.name().to_owned(), self.counter_total(c));
+        let mut total = Tally::default();
+        let mut per_worker = Vec::with_capacity(self.shards.len());
+        for shard in &self.shards {
+            let mut s = shard.lock().clone();
+            let nonzero = Counter::ALL.iter().zip(s.counters);
+            let nonzero = nonzero.filter(|&(_, v)| v != 0);
+            per_worker.push(nonzero.map(|(c, v)| (c.name().to_owned(), v)).collect());
+            total.take_from(&mut s);
         }
-        let mut histograms = BTreeMap::new();
-        for d in Dist::ALL {
-            let mut merged = Histogram::default();
-            for s in &self.shards {
-                merged.merge(&s.dists[d as usize].snapshot());
-            }
-            histograms.insert(d.name().to_owned(), merged);
-        }
+        let counters = Counter::ALL.iter().zip(total.counters);
+        let counters = counters.map(|(c, v)| (c.name().to_owned(), v)).collect();
+        let dists = Dist::ALL.iter().zip(total.dists);
+        let histograms = dists.map(|(d, h)| (d.name().to_owned(), h)).collect();
         let mut gauges = BTreeMap::new();
         gauges.insert(
             "iter.active".to_owned(),
@@ -524,19 +498,6 @@ impl TelemetryHub {
                 .max()
                 .unwrap_or(0),
         );
-        let per_worker = self
-            .shards
-            .iter()
-            .map(|s| {
-                Counter::ALL
-                    .iter()
-                    .filter_map(|&c| {
-                        let v = s.counters[c as usize].load(Ordering::Relaxed);
-                        (v != 0).then(|| (c.name().to_owned(), v))
-                    })
-                    .collect()
-            })
-            .collect();
         TelemetrySnapshot {
             source: "unknown".to_owned(),
             workers: self.shards.len() as u64,
@@ -750,7 +711,7 @@ fn gauge_help(name: &str) -> Option<&'static str> {
         "iter.colored" => Some("Live ranks colored so far, summed over installed iterations."),
         "iter.live" => Some("Live (non-dead) ranks summed over installed iterations."),
         "runq.depth" => Some("Run-queue depth at snapshot time."),
-        "timers.pending" => Some("Pending timer-wheel entries at snapshot time."),
+        "timers.pending" => Some("Pending timers at snapshot time."),
         "mailbox.hwm" => Some("Highest mailbox occupancy seen on any rank."),
         _ => None,
     }
@@ -772,7 +733,7 @@ mod tests {
             let hot: Vec<usize> = hub
                 .shards
                 .iter()
-                .map(|s| std::ptr::from_ref(&s.counters[0]) as usize)
+                .map(|s| std::ptr::from_ref(s) as usize)
                 .collect();
             for addr in &hot {
                 assert_eq!(addr % SHARD_ALIGN, 0, "{workers} workers: {hot:x?}");
@@ -784,56 +745,63 @@ mod tests {
                 );
             }
         }
-        // Buckets included: a shard reaches no memory outside itself.
+        // Lock, counters and buckets included: a shard reaches no
+        // memory outside itself.
         assert_eq!(std::mem::size_of::<Shard>() % SHARD_ALIGN, 0);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Publishing a locally filled histogram is indistinguishable
-        /// from observing its values one by one.
+        /// Publishing a locally filled tally is indistinguishable
+        /// from adding and observing its values one by one, and leaves
+        /// the tally empty.
         #[test]
-        fn merge_dist_equals_observing_one_by_one(
+        fn publish_equals_observing_one_by_one(
             batches in proptest::collection::vec(
                 proptest::collection::vec(0u64..3_000_000, 0..40), 0..6),
         ) {
-            let merged = TelemetryHub::new(2, 1);
+            let published = TelemetryHub::new(2, 1);
             let observed = TelemetryHub::new(2, 1);
-            let mut local = Histogram::latency_default();
+            let mut local = Tally::default();
             for (i, batch) in batches.iter().enumerate() {
                 for &v in batch {
-                    local.record(v);
+                    local.observe(Dist::MailboxDrained, v);
+                    local.add(Counter::MsgsSent, v);
                     observed.observe(i & 1, Dist::MailboxDrained, v);
+                    observed.add(i & 1, Counter::MsgsSent, v);
                 }
-                // An empty batch merges as a no-op.
-                merged.merge_dist(i & 1, Dist::MailboxDrained, &local);
-                local.reset();
+                // An empty batch publishes as a no-op.
+                published.publish(i & 1, &mut local);
+                prop_assert_eq!(&local, &Tally::default());
             }
-            // Count, sum, extremes and every bucket.
-            prop_assert_eq!(merged.snapshot(), observed.snapshot());
+            // Counters, per-worker breakdowns, and each histogram's
+            // count, sum, extremes and every bucket.
+            prop_assert_eq!(published.snapshot(), observed.snapshot());
         }
     }
 
     #[test]
-    fn snapshot_during_merge_is_consistent() {
+    fn snapshot_during_publish_is_consistent() {
         let hub = std::sync::Arc::new(TelemetryHub::new(1, 1));
         let writer = {
             let hub = std::sync::Arc::clone(&hub);
             std::thread::spawn(move || {
-                let mut local = Histogram::latency_default();
+                let mut local = Tally::default();
                 for batch in 0..20_000u64 {
                     for v in 0..20 {
-                        local.record((batch + v) & 63);
+                        local.observe(Dist::QuantumUs, (batch + v) & 63);
                     }
-                    hub.merge_dist(0, Dist::QuantumUs, &local);
-                    local.reset();
+                    hub.publish(0, &mut local);
                 }
             })
         };
-        // Each snapshot must read back whole while the writer runs.
+        // Each snapshot must read back whole batches while the writer
+        // runs.
         while !writer.is_finished() {
-            let _ = hub.snapshot();
+            let h = &hub.snapshot().histograms["sched.quantum_us"];
+            assert_eq!(h.count() % 20, 0, "{h:?}");
+            assert_eq!(h.counts().iter().sum::<u64>(), h.count());
         }
         writer.join().unwrap();
         assert_eq!(
@@ -848,14 +816,21 @@ mod tests {
         let writer = {
             let hub = std::sync::Arc::clone(&hub);
             std::thread::spawn(move || {
+                // One observation per publication, the finest grain.
+                let mut local = Tally::default();
                 for v in 0..400_000u64 {
-                    hub.observe(0, Dist::QuantumUs, v & 63);
+                    local.observe(Dist::QuantumUs, v & 63);
+                    local.inc(Counter::SchedQuanta);
+                    hub.publish(0, &mut local);
                 }
             })
         };
-        // Each snapshot must read back whole while the writer runs.
+        // Each snapshot must read back whole while the writer runs: the
+        // counter and the histogram of one publication land together.
         while !writer.is_finished() {
-            let _ = hub.snapshot();
+            let snap = hub.snapshot();
+            let h = &snap.histograms["sched.quantum_us"];
+            assert_eq!(snap.counter("sched.quanta"), h.count());
         }
         writer.join().unwrap();
         assert_eq!(

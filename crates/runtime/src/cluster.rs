@@ -11,7 +11,7 @@
 //! one for a quantum: drain the mailbox, deliver messages, poll the
 //! protocol for sends, and hand outgoing messages straight to the
 //! destination mailbox. Protocol-requested wake-ups
-//! (`SendPoll::WaitUntil`) go into a shared hashed timer wheel the pool
+//! (`SendPoll::WaitUntil`) go into one shared timer heap the pool
 //! services between quanta, so idle ranks cost nothing — no P blocked
 //! `recv_timeout` calls.
 //!
@@ -71,10 +71,8 @@ use std::time::{Duration, Instant};
 use ct_core::protocol::{Blueprint, Process, ProtocolError, ProtocolFactory, SendPoll};
 use ct_logp::{LogP, Rank, Time};
 use ct_obs::flight::{FlightKind as Fk, FlightRecorder, NO_RANK};
-use ct_obs::health::HealthConfig;
-use ct_obs::metrics::Histogram;
 use ct_obs::series::{Sampler, SeriesStore, DEFAULT_SERIES_CAP};
-use ct_obs::telemetry::{Counter as Tc, Dist as Td, TelemetryHub};
+use ct_obs::telemetry::{Counter as Tc, Dist as Td, Tally, TelemetryHub};
 use ct_obs::{Event as ObsEvent, EventKind as ObsEventKind, EventSink, NullSink};
 use ct_obs::{Postmortem, StallReport};
 
@@ -86,7 +84,7 @@ pub use ct_obs::default_threads;
 use crate::inbox::{Counts, Ledger};
 use crate::mailbox::{Mailbox, Msg};
 use crate::pubsub::{Admission, BroadcastOutcome, Rule};
-use crate::timer::TimerWheel;
+use crate::timer::Timers;
 
 /// Upper bound on ranks a worker claims per run-queue lock.
 const MAX_BATCH: usize = 32;
@@ -424,7 +422,7 @@ pub(crate) struct Sched {
     /// Per rank, `admissions` as of its latest claim.
     claimed: Vec<u64>,
     admissions: u64,
-    pub(crate) timers: TimerWheel,
+    pub(crate) timers: Timers,
     pub(crate) shutdown: bool,
     /// Workers asleep on `sched_cv`. Work that enters the run queue
     /// wakes at most one of them, and only when somebody is left to
@@ -619,7 +617,7 @@ impl Shared {
     /// Retire broadcast `id` from the window; returns the window that
     /// remains. No rank is touched: each drops its iteration when it
     /// next syncs. A window left empty also empties the run queue and
-    /// the timer wheel — nothing in flight needs a quantum, and the
+    /// the timers — nothing in flight needs a quantum, and the
     /// next admission schedules every rank — so what a broadcast
     /// retired on coloring left behind does not run ahead of the next
     /// one: its messages are dropped by id when their rank next drains.
@@ -653,7 +651,7 @@ struct Scratch {
     msgs: Vec<Msg>,
     /// Ranks made runnable by this batch's sends (CAS already won).
     wakes: Vec<Rank>,
-    /// Timer arms `(deadline_us, rank)` to flush into the wheel.
+    /// Timer arms `(deadline_us, rank)` to flush into the heap.
     timers: Vec<(u64, Rank)>,
     /// Per-broadcast deltas to post to the coordinator's ledger; merged
     /// by id at accumulation time (at most one entry per in-flight
@@ -717,7 +715,6 @@ impl Cluster {
                 "cluster",
                 interval,
                 DEFAULT_SERIES_CAP,
-                HealthConfig::default(),
             )),
             _ => None,
         };
@@ -744,7 +741,7 @@ impl Cluster {
                 unclaimed: vec![false; p as usize],
                 claimed: vec![0; p as usize],
                 admissions: 0,
-                timers: TimerWheel::new(),
+                timers: Timers::new(),
                 shutdown: false,
                 parked: 0,
                 window: Arc::new(Window {
@@ -951,40 +948,26 @@ impl Taps<'_> {
             f.record(self.widx, kind, rank, aux, step, wall_us);
         }
     }
-
-    fn add(&self, counter: Tc, n: u64) {
-        if n > 0 {
-            if let Some(t) = self.tel {
-                t.add(self.widx, counter, n);
-            }
-        }
-    }
 }
 
-/// What a worker's taps keep to themselves between publications.
+/// What a worker keeps to itself between publications.
 ///
-/// With a hub attached the worker counts in plain locals and hands the
-/// hub one batch at a time: per-quantum counters add up in `counts`,
-/// the two per-quantum distributions in ordinary [`Histogram`]s, and
-/// [`Tally::publish`] — the first thing `flush` does — folds them into
-/// the worker's shard with one RMW per counter or bucket that moved.
-/// Publication precedes the batch's ledger post, so whatever the
-/// coordinator has learnt from a batch the hub already shows; a running
-/// worker's counters lag by at most one batch (≤ [`MAX_BATCH`] quanta),
-/// and the `QuantumUs` sample of a batch's last quantum, which the
-/// post-flush clock read closes, by one more — published with the next
-/// batch, or when the worker shuts down. A worker that unwinds
-/// mid-batch takes that batch's tallies with it — at most one
-/// unpublished batch per panicking worker; one that leaves because it
-/// found a peer's lock poisoned publishes on its way out. Without a hub
-/// only `stamp_us` is ever touched.
-struct Tally {
-    /// Per-quantum counters not yet published.
-    counts: QuantumCounts,
-    /// `Td::QuantumUs` samples not yet published.
-    quantum_us: Histogram,
-    /// `Td::MailboxDrained` samples not yet published.
-    drained: Histogram,
+/// The worker counts into `tally` — per quantum, at each claim and per
+/// batch — and, with a hub attached, hands it over with one
+/// [`TelemetryHub::publish`] per batch, in `flush` just before the
+/// batch's ledger post, so whatever the coordinator has learnt from a
+/// batch the hub already shows; a running worker's counters lag by at
+/// most one batch (≤ [`MAX_BATCH`] quanta). The batch's busy time and
+/// the `QuantumUs` sample of its last quantum, which the post-flush
+/// clock read closes, lag by one more — published with the next batch,
+/// or before the worker parks or shuts down, so a parked worker holds
+/// nothing back. A worker that unwinds mid-batch takes that batch's
+/// tally with it — at most one unpublished batch per panicking worker;
+/// one that leaves because it found a peer's lock poisoned publishes on
+/// its way out. Without a hub the counters are counted and never read,
+/// and no histogram is recorded.
+struct Local {
+    tally: Tally,
     /// Post-drain stamp (µs) of the quantum whose `QuantumUs` interval
     /// is open: it ends at the next stamp the worker reads anyway — the
     /// next quantum's, or the one after the flush — so the intervals
@@ -996,12 +979,10 @@ struct Tally {
     stamp_us: u64,
 }
 
-impl Tally {
-    fn new() -> Tally {
-        Tally {
-            counts: QuantumCounts::default(),
-            quantum_us: Histogram::latency_default(),
-            drained: Histogram::latency_default(),
+impl Local {
+    fn new() -> Local {
+        Local {
+            tally: Tally::default(),
             open_us: None,
             stamp_us: 0,
         }
@@ -1012,79 +993,27 @@ impl Tally {
     fn quantum_begins(&mut self, now_us: u64, drained: u64) {
         self.close_interval(now_us);
         self.open_us = Some(now_us);
-        self.drained.record(drained);
+        self.tally.observe(Td::MailboxDrained, drained);
     }
 
     /// End the open `QuantumUs` interval, if any, at `now_us`.
     fn close_interval(&mut self, now_us: u64) {
         if let Some(open_us) = self.open_us.take() {
-            self.quantum_us.record(now_us.saturating_sub(open_us));
+            self.tally
+                .observe(Td::QuantumUs, now_us.saturating_sub(open_us));
         }
     }
 
-    /// Hand everything tallied since the last call to the hub.
+    /// Hand everything counted since the last call to the hub.
     fn publish(&mut self, taps: Taps<'_>) {
-        let Some(t) = taps.tel else { return };
-        let c = std::mem::take(&mut self.counts);
-        taps.add(Tc::SchedQuanta, c.quanta);
-        taps.add(Tc::SchedStaleQuanta, c.stale_quanta);
-        taps.add(Tc::MsgsDelivered, c.delivered);
-        taps.add(Tc::MsgsStaleDropped, c.stale_dropped);
-        // Every send is exactly one mailbox push.
-        taps.add(Tc::MsgsSent, c.sent);
-        taps.add(Tc::MailboxPushes, c.sent);
-        taps.add(Tc::MailboxSpills, c.spills);
-        taps.add(Tc::SchedWakes, c.wakes);
-        taps.add(Tc::SchedRechecks, c.rechecks);
-        taps.add(Tc::TimerArms, c.timer_arms);
-        t.merge_dist(taps.widx, Td::QuantumUs, &self.quantum_us);
-        self.quantum_us.reset();
-        t.merge_dist(taps.widx, Td::MailboxDrained, &self.drained);
-        self.drained.reset();
-    }
-}
-
-/// What quanta count: one quantum's worth in [`Quantum::counts`], a
-/// batch's worth in [`Tally::counts`].
-#[derive(Default)]
-struct QuantumCounts {
-    /// Quanta counted here (1 in a quantum's own counts), and how many
-    /// of them were stale.
-    quanta: u64,
-    stale_quanta: u64,
-    delivered: u64,
-    stale_dropped: u64,
-    sent: u64,
-    spills: u64,
-    wakes: u64,
-    rechecks: u64,
-    timer_arms: u64,
-}
-
-impl QuantumCounts {
-    /// The counts a quantum starts from.
-    fn one_quantum() -> QuantumCounts {
-        QuantumCounts {
-            quanta: 1,
-            ..QuantumCounts::default()
+        if let Some(t) = taps.tel {
+            t.publish(taps.widx, &mut self.tally);
         }
     }
-
-    fn absorb(&mut self, c: &QuantumCounts) {
-        self.quanta += c.quanta;
-        self.stale_quanta += c.stale_quanta;
-        self.delivered += c.delivered;
-        self.stale_dropped += c.stale_dropped;
-        self.sent += c.sent;
-        self.spills += c.spills;
-        self.wakes += c.wakes;
-        self.rechecks += c.rechecks;
-        self.timer_arms += c.timer_arms;
-    }
 }
 
-/// Scheduler loop: claim a batch of runnable ranks (servicing the timer
-/// wheel while idle), drive a quantum per rank, flush batched effects.
+/// Scheduler loop: claim a batch of runnable ranks (servicing the
+/// timers while idle), drive a quantum per rank, flush batched effects.
 ///
 /// `widx` names this worker's telemetry shard; with no hub attached
 /// every instrumented path reduces to one `Option` branch.
@@ -1103,7 +1032,7 @@ fn worker_main(shared: Arc<Shared>, widx: usize) {
         fl: shared.flight.as_deref(),
         widx,
     };
-    let mut tally = Tally::new();
+    let mut local = Local::new();
     let mut scratch = Scratch::default();
     let mut batch: Vec<Rank> = Vec::with_capacity(MAX_BATCH);
     // The window as of this worker's latest claim.
@@ -1119,59 +1048,73 @@ fn worker_main(shared: Arc<Shared>, widx: usize) {
     loop {
         // The stamp of the claim that found work: start of this batch's
         // busy time.
-        let Some(claimed_ns) = claim(&shared, taps, &mut scratch.due, &mut batch, &mut window)
-        else {
-            // The last batch's closing `QuantumUs` sample is still here.
-            tally.publish(taps);
+        let claimed = claim(
+            &shared,
+            taps,
+            &mut local.tally,
+            &mut scratch.due,
+            &mut batch,
+            &mut window,
+        );
+        let Some(claimed_ns) = claimed else {
+            // The last batch's busy time and closing `QuantumUs` sample
+            // are still here.
+            local.publish(taps);
             return;
         };
-        if let Some(t) = taps.tel {
-            t.inc(widx, Tc::SchedBatches);
-            t.observe(widx, Td::BatchSize, batch.len() as u64);
+        local.tally.inc(Tc::SchedBatches);
+        if taps.tel.is_some() {
+            local.tally.observe(Td::BatchSize, batch.len() as u64);
         }
-        tally.stamp_us = claimed_ns / 1_000;
+        local.stamp_us = claimed_ns / 1_000;
         for &rank in &batch {
-            if run_quantum(&shared, rank, &window, &mut scratch, taps, &mut tally).is_err() {
+            if run_quantum(&shared, rank, &window, &mut scratch, taps, &mut local).is_err() {
                 // Another worker panicked; the coordinator will surface
                 // WorkerPanicked and the cluster is unrecoverable.
                 // Still flush best-effort: it publishes what this batch
                 // tallied, and ranks whose wake-up CAS was already won
                 // are not abandoned scheduled=true with no run-queue
                 // entry, should poisoning ever be made survivable.
-                let _ = flush(&shared, &mut scratch, taps, &mut tally);
+                let _ = flush(&shared, &mut scratch, taps, &mut local);
                 return;
             }
         }
-        if flush(&shared, &mut scratch, taps, &mut tally).is_err() {
+        if flush(&shared, &mut scratch, taps, &mut local).is_err() {
             return;
         }
-        if let Some(t) = taps.tel {
+        if taps.tel.is_some() {
             // The batch's one extra clock read. Busy is everything but
             // parking, claim through flush, and the last quantum's
-            // interval ends where the busy time does.
+            // interval ends where the busy time does. Both ride with
+            // the next publication.
             let end_ns = shared.now_ns();
-            tally.close_interval(end_ns / 1_000);
+            local.close_interval(end_ns / 1_000);
             busy_carry_ns += end_ns.saturating_sub(claimed_ns);
-            t.add(widx, Tc::SchedBusyUs, busy_carry_ns / 1_000);
+            local.tally.add(Tc::SchedBusyUs, busy_carry_ns / 1_000);
             busy_carry_ns %= 1_000;
         }
     }
 }
 
 /// Claim a fair share of the run queue into `batch`, servicing the
-/// timer wheel and parking while there is none, and take the current
-/// window when it changed; `None` on shutdown or a poisoned scheduler
-/// lock. Returns the stamp (ns) of the claim that found work, and wakes the
-/// next sleeper if work is left over.
+/// timers and parking while there is none, and take the current window
+/// when it changed; `None` on shutdown or a poisoned scheduler lock.
+/// Returns the stamp (ns) of the claim that found work, and wakes the
+/// next sleeper if work is left over. Timer fires and the run-queue
+/// depth are counted into `tally`, which is published before the worker
+/// parks.
 fn claim(
     shared: &Shared,
     taps: Taps<'_>,
+    tally: &mut Tally,
     due: &mut Vec<Rank>,
     batch: &mut Vec<Rank>,
     window: &mut Arc<Window>,
 ) -> Option<u64> {
     batch.clear();
     let mut sched = shared.sched.lock().ok()?;
+    // Whether `tally` may hold counts the hub lacks.
+    let mut held = true;
     let claimed_ns = loop {
         if sched.shutdown {
             return None;
@@ -1179,9 +1122,11 @@ fn claim(
         let now_ns = shared.now_ns();
         let now = now_ns / 1_000;
         due.clear();
-        let cascaded = sched.timers.expire(now, due);
-        taps.add(Tc::TimerCascades, cascaded);
-        taps.add(Tc::TimerFires, due.len() as u64);
+        sched.timers.expire(now, due);
+        if !due.is_empty() {
+            tally.add(Tc::TimerFires, due.len() as u64);
+            held = true;
+        }
         for &rank in due.iter() {
             taps.flight(Fk::TimerFire, rank, 0, 0, now);
             if !shared.ranks[rank as usize]
@@ -1197,11 +1142,20 @@ fn claim(
         batch.extend(std::iter::from_fn(|| sched.pop(&shared.ranks)).take(share));
         if !batch.is_empty() {
             if let Some(t) = taps.tel {
-                t.observe(taps.widx, Td::RunqDepth, depth as u64);
+                tally.observe(Td::RunqDepth, depth as u64);
                 t.set_runq_depth(depth as u64);
                 t.set_timers_pending(sched.timers.len() as u64);
             }
             break now_ns;
+        }
+        if let (Some(t), true) = (taps.tel, held) {
+            // A parked worker holds nothing back from the hub: publish
+            // outside the lock, then look again.
+            drop(sched);
+            t.publish(taps.widx, tally);
+            held = false;
+            sched = shared.sched.lock().ok()?;
+            continue;
         }
         sched.parked += 1;
         sched = match sched.timers.next_deadline() {
@@ -1235,7 +1189,7 @@ fn claim(
 }
 
 /// What one quantum carries from step to step: the time it runs at and
-/// the counters it accumulates.
+/// the worker's tally it counts into.
 struct Quantum<'a> {
     shared: &'a Shared,
     rank: Rank,
@@ -1248,7 +1202,7 @@ struct Quantum<'a> {
     now_us: u64,
     /// Sends since the latest drain.
     sends: u32,
-    counts: QuantumCounts,
+    local: &'a mut Local,
 }
 
 /// Why [`Quantum::drive`] stopped driving a machine.
@@ -1287,12 +1241,7 @@ impl Quantum<'_> {
     /// as they book the quantum's first. (Nothing can be installed
     /// while the quantum holds the state lock, so a drain that takes
     /// nothing leaves the parked messages where they are.)
-    fn hear(
-        &mut self,
-        st: &mut RankState,
-        msgs: &mut Vec<Msg>,
-        tally: &mut Tally,
-    ) -> Result<(), Poisoned> {
+    fn hear(&mut self, st: &mut RankState, msgs: &mut Vec<Msg>) -> Result<(), Poisoned> {
         let drained = self.drain(st, msgs)?;
         if drained == 0 {
             return Ok(());
@@ -1300,7 +1249,7 @@ impl Quantum<'_> {
         let (rank, taps) = (self.rank, self.taps);
         taps.flight(Fk::MailboxDrain, rank, drained as u64, 0, self.now_us);
         if let Some(t) = taps.tel {
-            tally.drained.record(drained as u64);
+            self.local.tally.observe(Td::MailboxDrained, drained as u64);
             t.mailbox_depth(rank as usize, drained as u64);
         }
         self.route(st, msgs);
@@ -1314,10 +1263,9 @@ impl Quantum<'_> {
         st: &mut RankState,
         i: usize,
         scratch: &mut Scratch,
-        tally: &mut Tally,
     ) -> Result<(), Poisoned> {
         while self.drive(&mut st.iters[i], scratch)? == Stop::Refresh {
-            self.hear(st, &mut scratch.msgs, tally)?;
+            self.hear(st, &mut scratch.msgs)?;
         }
         Ok(())
     }
@@ -1338,7 +1286,7 @@ impl Quantum<'_> {
                 if m.id > st.last_installed {
                     st.pending.push(m);
                 } else {
-                    self.counts.stale_dropped += 1;
+                    self.local.tally.inc(Tc::MsgsStaleDropped);
                 }
                 continue;
             };
@@ -1350,7 +1298,7 @@ impl Quantum<'_> {
                 iter.note(now, ObsEventKind::DropDead { from, to, payload });
                 continue;
             }
-            self.counts.delivered += 1;
+            self.local.tally.inc(Tc::MsgsDelivered);
             iter.note(now, ObsEventKind::Arrive { from, to, payload });
             iter.process.on_message(from, payload, now);
             iter.note(now, ObsEventKind::Deliver { from, to, payload });
@@ -1391,7 +1339,7 @@ impl Quantum<'_> {
                             .lock()
                             .map_err(|_| Poisoned)?
                             .push(Msg { id, from, payload });
-                    self.counts.spills += u64::from(spilled);
+                    self.local.tally.add(Tc::MailboxSpills, u64::from(spilled));
                     // aux packs broadcast id and pusher: the black box
                     // can answer "who last fed this mailbox, on behalf
                     // of which topic".
@@ -1411,7 +1359,7 @@ impl Quantum<'_> {
                         && !peer.scheduled.swap(true, Ordering::SeqCst)
                     {
                         scratch.wakes.push(to);
-                        self.counts.wakes += 1;
+                        self.local.tally.inc(Tc::SchedWakes);
                         taps.flight(Fk::Wake, to, u64::from(rank), now.steps(), now_us);
                     }
                 }
@@ -1420,13 +1368,13 @@ impl Quantum<'_> {
                         // Always arm, no dedup: a timer consumed by a
                         // coinciding message wake must be replaceable,
                         // and a stale duplicate only costs a harmless
-                        // extra poll. The wheel fires at
+                        // extra poll. A timer fires at
                         // `now_us ≥ deadline_us` and the woken quantum
                         // reads its stamp later still, so the machine is
                         // next polled with `now ≥ t`.
                         let deadline_us = iter.epoch_us.saturating_add(t.steps());
                         scratch.timers.push((deadline_us, rank));
-                        self.counts.timer_arms += 1;
+                        self.local.tally.inc(Tc::TimerArms);
                         taps.flight(Fk::TimerArm, rank, deadline_us, t.steps(), now_us);
                     }
                     break;
@@ -1438,7 +1386,9 @@ impl Quantum<'_> {
                 SendPoll::Idle => break,
             }
         }
-        self.counts.sent += sent;
+        // Every send is exactly one mailbox push.
+        self.local.tally.add(Tc::MsgsSent, sent);
+        self.local.tally.add(Tc::MailboxPushes, sent);
         let mut delta = Counts {
             sent,
             consumed: std::mem::take(&mut iter.consumed),
@@ -1471,22 +1421,22 @@ impl Quantum<'_> {
 /// protocol for sends (hearing the mailbox again every
 /// [`STAMP_REFRESH_POLLS`] sends), report coloring. Effects that need
 /// shared locks (wake-ups, timers, coordinator traffic) accumulate in
-/// `scratch`, what the taps count in `tally`; both are flushed once per
-/// batch.
+/// `scratch`, counts in `local`; both are flushed once per batch.
 fn run_quantum(
     shared: &Shared,
     rank: Rank,
     window: &Window,
     scratch: &mut Scratch,
     taps: Taps<'_>,
-    tally: &mut Tally,
+    local: &mut Local,
 ) -> Result<(), Poisoned> {
     let cell = &shared.ranks[rank as usize];
     let mut guard = cell.state.lock().map_err(|_| Poisoned)?;
     let st = &mut *guard;
     st.sync(rank, window);
+    local.tally.inc(Tc::SchedQuanta);
     if st.iters.is_empty() {
-        return stale_quantum(shared, rank, guard, scratch, taps, tally);
+        return stale_quantum(shared, rank, guard, scratch, taps, local);
     }
 
     let mut q = Quantum {
@@ -1495,11 +1445,11 @@ fn run_quantum(
         taps,
         now_us: 0, // read by the drain
         sends: 0,
-        counts: QuantumCounts::one_quantum(),
+        local,
     };
     let drained = q.drain(st, &mut scratch.msgs)?;
     if let Some(t) = taps.tel {
-        tally.quantum_begins(q.now_us, drained as u64);
+        q.local.quantum_begins(q.now_us, drained as u64);
         // A mailbox only grows between its owner's drains, and a drain
         // takes everything: what was just drained is the deepest the
         // mailbox got since the last one. (So does a stale quantum's.)
@@ -1528,18 +1478,18 @@ fn run_quantum(
 
     q.route(st, &scratch.msgs);
     for i in 0..st.iters.len() {
-        q.settle(st, i, scratch, tally)?;
+        q.settle(st, i, scratch)?;
     }
     // A later iteration's burst may have heard mail for one that had
     // already settled: poll that one again — and only that one. Nobody
     // else would: the rank holds its `scheduled` flag until this
     // quantum ends.
     while let Some(i) = st.iters.iter().position(|iter| iter.consumed > 0) {
-        q.settle(st, i, scratch, tally)?;
+        q.settle(st, i, scratch)?;
     }
     // The end of a quantum reads no clock: its records carry the
     // quantum's last stamp (a send burst refreshed it on the way).
-    tally.stamp_us = q.now_us;
+    q.local.stamp_us = q.now_us;
     taps.flight(
         Fk::QuantumEnd,
         rank,
@@ -1548,7 +1498,7 @@ fn run_quantum(
         q.now_us,
     );
     drop(guard);
-    release(cell, rank, q.counts, scratch, taps, tally)
+    release(cell, rank, scratch, taps, q.local)
 }
 
 /// A quantum on a rank with nothing installed — a stale wake-up between
@@ -1565,19 +1515,19 @@ fn stale_quantum(
     mut guard: std::sync::MutexGuard<'_, RankState>,
     scratch: &mut Scratch,
     taps: Taps<'_>,
-    tally: &mut Tally,
+    local: &mut Local,
 ) -> Result<(), Poisoned> {
     let cell = &shared.ranks[rank as usize];
+    local.tally.inc(Tc::SchedStaleQuanta);
+    taps.flight(Fk::StaleQuantum, rank, 0, 0, local.stamp_us);
     let mut q = Quantum {
         shared,
         rank,
         taps,
-        now_us: tally.stamp_us,
+        now_us: local.stamp_us,
         sends: 0,
-        counts: QuantumCounts::one_quantum(),
+        local,
     };
-    q.counts.stale_quanta = 1;
-    taps.flight(Fk::StaleQuantum, rank, 0, 0, tally.stamp_us);
     scratch.msgs.clear();
     let drained = cell
         .mailbox
@@ -1589,7 +1539,7 @@ fn stale_quantum(
     }
     q.route(&mut guard, &scratch.msgs);
     drop(guard);
-    release(cell, rank, q.counts, scratch, taps, tally)
+    release(cell, rank, scratch, taps, q.local)
 }
 
 /// End a quantum: clear the rank's flag, then recheck. A sender that
@@ -1600,48 +1550,44 @@ fn stale_quantum(
 fn release(
     cell: &RankCell,
     rank: Rank,
-    mut counts: QuantumCounts,
     scratch: &mut Scratch,
     taps: Taps<'_>,
-    tally: &mut Tally,
+    local: &mut Local,
 ) -> Result<(), Poisoned> {
     cell.scheduled.store(false, Ordering::SeqCst);
     if !cell.mailbox.lock().map_err(|_| Poisoned)?.is_empty()
         && !cell.scheduled.swap(true, Ordering::SeqCst)
     {
         scratch.wakes.push(rank);
-        counts.rechecks += 1;
-        counts.wakes += 1;
-        taps.flight(Fk::Recheck, rank, 0, 0, tally.stamp_us);
-    }
-    if taps.tel.is_some() {
-        tally.counts.absorb(&counts);
+        local.tally.inc(Tc::SchedRechecks);
+        local.tally.inc(Tc::SchedWakes);
+        taps.flight(Fk::Recheck, rank, 0, 0, local.stamp_us);
     }
     Ok(())
 }
 
-/// Flush a batch's accumulated effects: the taps' tallies to the hub,
+/// Flush a batch's accumulated effects: the worker's tally to the hub,
 /// then one ledger post for every broadcast the batch touched and one
 /// scheduler-lock acquisition for wake-ups and timer arms.
 fn flush(
     shared: &Shared,
     scratch: &mut Scratch,
     taps: Taps<'_>,
-    tally: &mut Tally,
+    local: &mut Local,
 ) -> Result<(), Poisoned> {
-    // First, so that the hub already shows whatever the coordinator
-    // learns from the post below.
-    tally.publish(taps);
-    if !scratch.deltas.is_empty() {
-        for &(id, d) in scratch.deltas.iter().filter(|(_, d)| d.colored > 0) {
-            let n = u64::from(d.colored);
-            if let Some(t) = taps.tel {
-                t.inc(taps.widx, Tc::CoordBatches);
-                t.add(taps.widx, Tc::CoordColored, n);
-                t.observe(taps.widx, Td::CoordBatchSize, n);
-            }
-            taps.flight(Fk::CoordBatch, NO_RANK, n, id, tally.stamp_us);
+    for &(id, d) in scratch.deltas.iter().filter(|(_, d)| d.colored > 0) {
+        let n = u64::from(d.colored);
+        local.tally.inc(Tc::CoordBatches);
+        local.tally.add(Tc::CoordColored, n);
+        if taps.tel.is_some() {
+            local.tally.observe(Td::CoordBatchSize, n);
         }
+        taps.flight(Fk::CoordBatch, NO_RANK, n, id, local.stamp_us);
+    }
+    // Before the post, so that the hub already shows whatever the
+    // coordinator learns from it.
+    local.publish(taps);
+    if !scratch.deltas.is_empty() {
         // Sends, receipts and colorings of a batch land together: a
         // broadcast that retires on coloring is fenced by every send
         // that reached a rank it learns is colored (see
@@ -1955,7 +1901,7 @@ mod tests {
         };
         let mut scratch = Scratch::default();
         let window = Arc::clone(&shared.sched.lock().unwrap().window);
-        let quantum = run_quantum(shared, 0, &window, &mut scratch, taps, &mut Tally::new());
+        let quantum = run_quantum(shared, 0, &window, &mut scratch, taps, &mut Local::new());
         assert!(quantum.is_ok());
 
         // Iteration 1 is polled once more, after the pass, and finishes;
@@ -2363,7 +2309,16 @@ mod tests {
         };
         let mut window = Arc::clone(&shared.sched.lock().unwrap().window);
         let mut batch = Vec::new();
-        assert!(claim(shared, taps, &mut Vec::new(), &mut batch, &mut window).is_some());
+        let mut tally = Tally::default();
+        assert!(claim(
+            shared,
+            taps,
+            &mut tally,
+            &mut Vec::new(),
+            &mut batch,
+            &mut window
+        )
+        .is_some());
         assert_eq!(batch, (0..MAX_BATCH as Rank).collect::<Vec<_>>());
         let flagged = |r: usize| shared.ranks[r].scheduled.load(Ordering::SeqCst);
         assert!((0..MAX_BATCH).all(flagged) && !flagged(MAX_BATCH));

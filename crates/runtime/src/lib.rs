@@ -5,7 +5,7 @@
 //! rank state machines ([`cluster::default_threads`]-sized, `CT_THREADS`
 //! override); each rank owns a bounded mailbox (fixed-capacity ring,
 //! heap spill only under overload) and ranks become runnable on message
-//! arrival or via a shared timer wheel, so P=4096 needs no 4096 OS
+//! arrival or via a shared timer heap, so P=4096 needs no 4096 OS
 //! threads. Crash failures are emulated ("faults were emulated as crash
 //! failures and deadlocks without noticeable differences", §4.4 — a dead
 //! rank here simply discards all traffic and sends nothing).

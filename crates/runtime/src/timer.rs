@@ -1,15 +1,14 @@
-//! Hashed timer wheel for protocol wake-ups.
+//! Pending protocol wake-ups, in one heap.
 //!
 //! `SendPoll::WaitUntil` asks the driver to poll a rank again at a
-//! logical time. The old cluster translated that into P blocked
-//! `recv_timeout` calls — one OS timer per rank. The M:N scheduler
-//! instead funnels every pending wake-up into one shared [`TimerWheel`]
-//! serviced by the worker pool: a classic hashed wheel of
-//! [`SLOTS`] buckets at [`GRANULARITY_US`] µs per slot, with a binary
-//! heap catching deadlines beyond one wheel revolution.
+//! logical time. The M:N scheduler funnels every such wake-up into one
+//! shared [`Timers`] heap serviced by the worker pool. Only the
+//! synchronized correction start and the paced Corollary 1 schedule arm
+//! timers at all, and no benchmark workload runs either, so a binary
+//! heap keyed by `(deadline, rank)` is all the structure they need.
 //!
 //! Deadlines are `u64` microseconds relative to the cluster's base
-//! `Instant`, so the wheel never touches the clock itself — callers
+//! `Instant`, so the heap never touches the clock itself — callers
 //! pass `now` in. Firing a timer only makes a rank runnable; a stale
 //! timer (the rank already progressed past its wait) is harmless
 //! because polling a protocol state machine is idempotent.
@@ -19,210 +18,176 @@ use std::collections::BinaryHeap;
 
 use ct_logp::Rank;
 
-/// Number of buckets in the wheel (one revolution = `SLOTS × GRANULARITY_US` µs).
-const SLOTS: usize = 512;
-/// Microseconds per bucket.
-const GRANULARITY_US: u64 = 16;
-
-/// Horizon of one revolution in µs (8.192 ms with the defaults).
-const HORIZON_US: u64 = SLOTS as u64 * GRANULARITY_US;
-
-/// Hashed timer wheel mapping µs deadlines to runnable ranks.
-pub(crate) struct TimerWheel {
-    slots: Vec<Vec<(u64, Rank)>>,
-    /// Deadlines at or beyond one revolution from the cursor.
-    overflow: BinaryHeap<Reverse<(u64, Rank)>>,
-    /// µs timestamp the cursor has been advanced to.
-    cursor_us: u64,
-    /// Pending entry count (slots + overflow).
-    pending: usize,
+/// Min-heap of `(deadline_us, rank)` wake-ups. Arms are not
+/// deduplicated: a rank armed twice fires twice.
+pub(crate) struct Timers {
+    heap: BinaryHeap<Reverse<(u64, Rank)>>,
 }
 
-impl TimerWheel {
-    pub fn new() -> TimerWheel {
-        TimerWheel {
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
-            overflow: BinaryHeap::new(),
-            cursor_us: 0,
-            pending: 0,
+impl Timers {
+    pub fn new() -> Timers {
+        Timers {
+            heap: BinaryHeap::new(),
         }
     }
 
     /// Number of pending timers.
     pub fn len(&self) -> usize {
-        self.pending
+        self.heap.len()
     }
 
-    /// Schedule `rank` to become runnable at `deadline_us`. Deadlines
-    /// already in the past are clamped to the cursor so they fire on
-    /// the next `expire` call.
+    /// Schedule `rank` to become runnable at `deadline_us`. A deadline
+    /// already in the past fires on the next `expire` call.
     pub fn insert(&mut self, deadline_us: u64, rank: Rank) {
-        let deadline_us = deadline_us.max(self.cursor_us);
-        if deadline_us >= self.cursor_us + HORIZON_US {
-            self.overflow.push(Reverse((deadline_us, rank)));
-        } else {
-            let slot = (deadline_us / GRANULARITY_US) as usize % SLOTS;
-            self.slots[slot].push((deadline_us, rank));
-        }
-        self.pending += 1;
+        self.heap.push(Reverse((deadline_us, rank)));
     }
 
     /// Earliest pending deadline, if any.
     pub fn next_deadline(&self) -> Option<u64> {
-        let mut best: Option<u64> = self.overflow.peek().map(|Reverse((d, _))| *d);
-        // The wheel only holds deadlines within one revolution of the
-        // cursor, so a linear scan over occupied slots is exact.
-        for slot in &self.slots {
-            for &(d, _) in slot {
-                if best.map(|b| d < b).unwrap_or(true) {
-                    best = Some(d);
-                }
-            }
-        }
-        best
+        self.heap.peek().map(|Reverse((d, _))| *d)
     }
 
-    /// Advance the cursor to `now_us`, appending every expired rank to
-    /// `due`. Entries whose deadline is still in the future stay put.
-    /// Returns the number of overflow-heap entries cascaded down into
-    /// wheel slots (telemetry; zero when nothing crossed the horizon).
-    pub fn expire(&mut self, now_us: u64, due: &mut Vec<Rank>) -> u64 {
-        if now_us < self.cursor_us {
-            return 0;
-        }
-        if self.pending == 0 {
-            self.cursor_us = now_us;
-            return 0;
-        }
-        // Walk at most one full revolution of buckets; each bucket is
-        // visited once per revolution regardless of how far the clock
-        // jumped.
-        let from_slot = self.cursor_us / GRANULARITY_US;
-        let to_slot = now_us / GRANULARITY_US;
-        let steps = (to_slot - from_slot).min(SLOTS as u64);
-        for s in from_slot..=from_slot + steps {
-            let idx = (s as usize) % SLOTS;
-            if self.slots[idx].is_empty() {
-                continue;
-            }
-            let mut keep = Vec::new();
-            for (d, rank) in self.slots[idx].drain(..) {
-                if d <= now_us {
-                    due.push(rank);
-                    self.pending -= 1;
-                } else {
-                    keep.push((d, rank));
-                }
-            }
-            self.slots[idx] = keep;
-        }
-        self.cursor_us = now_us;
-        // Pull overflow entries that are now due or have come within
-        // the horizon.
-        let mut cascaded = 0u64;
-        while let Some(Reverse((d, rank))) = self.overflow.peek().copied() {
-            if d <= now_us {
-                self.overflow.pop();
-                due.push(rank);
-                self.pending -= 1;
-            } else if d < self.cursor_us + HORIZON_US {
-                self.overflow.pop();
-                let slot = (d / GRANULARITY_US) as usize % SLOTS;
-                self.slots[slot].push((d, rank));
-                cascaded += 1;
-            } else {
+    /// Append every rank whose deadline is at or before `now_us` to
+    /// `due`, in `(deadline, rank)` order.
+    pub fn expire(&mut self, now_us: u64, due: &mut Vec<Rank>) {
+        while let Some(&Reverse((d, rank))) = self.heap.peek() {
+            if d > now_us {
                 break;
             }
+            self.heap.pop();
+            due.push(rank);
         }
-        cascaded
     }
 
     /// Drop every pending timer (the window emptied).
     pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            slot.clear();
-        }
-        self.overflow.clear();
-        self.pending = 0;
+        self.heap.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// One revolution of the hashed wheel this heap replaced, µs: the
+    /// horizon its overflow path started at.
+    const OLD_HORIZON_US: u64 = 8_192;
 
     #[test]
-    fn fires_in_deadline_order_within_horizon() {
-        let mut w = TimerWheel::new();
-        w.insert(300, 3);
-        w.insert(100, 1);
-        w.insert(200, 2);
-        assert_eq!(w.next_deadline(), Some(100));
+    fn fires_in_deadline_order() {
+        let mut t = Timers::new();
+        t.insert(300, 3);
+        t.insert(100, 1);
+        t.insert(200, 2);
+        assert_eq!(t.next_deadline(), Some(100));
         let mut due = Vec::new();
-        w.expire(150, &mut due);
+        t.expire(150, &mut due);
         assert_eq!(due, vec![1]);
-        w.expire(400, &mut due);
-        due.sort();
+        t.expire(400, &mut due);
         assert_eq!(due, vec![1, 2, 3]);
-        assert_eq!(w.len(), 0);
-        assert_eq!(w.next_deadline(), None);
+        assert_eq!(t.len(), 0);
+        assert_eq!(t.next_deadline(), None);
     }
 
     #[test]
     fn past_deadlines_fire_on_next_expire() {
-        let mut w = TimerWheel::new();
+        let mut t = Timers::new();
         let mut due = Vec::new();
-        w.expire(10_000, &mut due);
+        t.expire(10_000, &mut due);
         assert!(due.is_empty());
-        w.insert(5, 7); // already past the cursor — clamped
-        assert_eq!(w.next_deadline(), Some(10_000));
-        w.expire(10_000, &mut due);
+        t.insert(5, 7); // already past
+        assert_eq!(t.next_deadline(), Some(5));
+        t.expire(10_000, &mut due);
         assert_eq!(due, vec![7]);
     }
 
     #[test]
-    fn overflow_beyond_horizon_still_fires() {
-        let mut w = TimerWheel::new();
-        let far = HORIZON_US * 3 + 42;
-        w.insert(far, 9);
-        w.insert(50, 1);
-        assert_eq!(w.len(), 2);
-        assert_eq!(w.next_deadline(), Some(50));
+    fn a_far_deadline_fires_in_one_expire() {
+        let mut t = Timers::new();
+        let far = OLD_HORIZON_US * 3 + 42;
+        t.insert(far, 9);
+        t.insert(50, 1);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.next_deadline(), Some(50));
         let mut due = Vec::new();
-        // Advance in hops smaller than the horizon.
-        let mut t = 0;
-        while t < far {
-            t += HORIZON_US / 2;
-            w.expire(t.min(far), &mut due);
-        }
-        due.sort();
+        t.expire(far - 1, &mut due);
+        assert_eq!(due, vec![1]);
+        assert_eq!(t.next_deadline(), Some(far));
+        // No intermediate hops: the one expire at the deadline fires it.
+        t.expire(far, &mut due);
         assert_eq!(due, vec![1, 9]);
-        assert_eq!(w.len(), 0);
+        assert_eq!(t.len(), 0);
     }
 
     #[test]
     fn big_clock_jump_expires_everything_due() {
-        let mut w = TimerWheel::new();
+        let mut t = Timers::new();
         for r in 0..20 {
-            w.insert((r as u64) * 37, r);
+            t.insert((r as u64) * 37, r);
         }
-        w.insert(HORIZON_US * 10, 99);
+        t.insert(OLD_HORIZON_US * 10, 99);
         let mut due = Vec::new();
-        w.expire(HORIZON_US * 20, &mut due);
+        t.expire(OLD_HORIZON_US * 20, &mut due);
         assert_eq!(due.len(), 21);
-        assert_eq!(w.len(), 0);
+        assert_eq!(t.len(), 0);
     }
 
     #[test]
     fn clear_drops_pending() {
-        let mut w = TimerWheel::new();
-        w.insert(10, 0);
-        w.insert(HORIZON_US * 2, 1);
-        w.clear();
-        assert_eq!(w.len(), 0);
-        assert_eq!(w.next_deadline(), None);
+        let mut t = Timers::new();
+        t.insert(10, 0);
+        t.insert(OLD_HORIZON_US * 2, 1);
+        t.clear();
+        assert_eq!(t.len(), 0);
+        assert_eq!(t.next_deadline(), None);
         let mut due = Vec::new();
-        w.expire(HORIZON_US * 5, &mut due);
+        t.expire(OLD_HORIZON_US * 5, &mut due);
         assert!(due.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Against a sorted-`Vec` model, over random insert / expire /
+        /// clear sequences with past and far deadlines: `expire(now)`
+        /// hands out exactly the ranks due by `now`, in
+        /// `(deadline, rank)` order, and `next_deadline` is the model's
+        /// minimum.
+        #[test]
+        fn matches_a_sorted_vec_model(
+            ops in proptest::collection::vec((0u8..10, 0u64..100_000, 0u32..64), 1..200),
+        ) {
+            let mut timers = Timers::new();
+            let mut model: Vec<(u64, Rank)> = Vec::new();
+            let mut now = 0u64;
+            let mut due = Vec::new();
+            for (op, x, rank) in ops {
+                match op {
+                    // Up to 20 ms in the past, up to ten old horizons ahead.
+                    0..=5 => {
+                        let deadline = (now + x).saturating_sub(20_000);
+                        timers.insert(deadline, rank);
+                        let at = model.partition_point(|&e| e <= (deadline, rank));
+                        model.insert(at, (deadline, rank));
+                    }
+                    // Short hops, and now and then a big clock jump.
+                    6..=8 => {
+                        now += if op == 8 { x * 10 } else { x / 8 };
+                        due.clear();
+                        timers.expire(now, &mut due);
+                        let n = model.partition_point(|&(d, _)| d <= now);
+                        let want: Vec<Rank> = model.drain(..n).map(|(_, r)| r).collect();
+                        prop_assert_eq!(&due, &want);
+                    }
+                    _ => {
+                        timers.clear();
+                        model.clear();
+                    }
+                }
+                prop_assert_eq!(timers.len(), model.len());
+                prop_assert_eq!(timers.next_deadline(), model.first().map(|&(d, _)| d));
+            }
+        }
     }
 }

@@ -116,7 +116,6 @@ fn single_worker_counters_are_exact() {
     assert_eq!(snap.counter("mailbox.spills"), 0);
     assert_eq!(snap.counter("timer.arms"), 0, "plain tree arms no timers");
     assert_eq!(snap.counter("timer.fires"), 0);
-    assert_eq!(snap.counter("timer.cascades"), 0);
     assert_eq!(snap.counter("coord.batches"), 1);
     assert_eq!(snap.counter("coord.colored"), 8);
 
