@@ -29,6 +29,10 @@ pub(crate) struct Msg {
     pub from: Rank,
     /// Message kind.
     pub payload: Payload,
+    /// The low 32 bits of the sender's stamp at the send (µs on the
+    /// cluster timeline): it fills what would be padding, so a `Msg`
+    /// stays 24 bytes. See [`Msg::sent_us`].
+    pub stamp: u32,
 }
 
 impl Msg {
@@ -37,7 +41,16 @@ impl Msg {
         id: 0,
         from: 0,
         payload: Payload::Tree,
+        stamp: 0,
     };
+
+    /// The sender's whole stamp, widened against `reference`, a stamp
+    /// of the receiver's. The two lie µs apart, far fewer than 2³¹, so
+    /// the 32-bit difference says which way and how far.
+    pub fn sent_us(&self, reference: u64) -> u64 {
+        let ahead = self.stamp.wrapping_sub(reference as u32) as i32;
+        reference.saturating_add_signed(i64::from(ahead))
+    }
 }
 
 /// Fixed-capacity ring with an overflow spill queue (see module docs).
@@ -152,7 +165,27 @@ mod tests {
             id,
             from,
             payload: Payload::Tree,
+            stamp: 0,
         }
+    }
+
+    #[test]
+    fn the_stamp_fits_in_what_was_padding() {
+        assert_eq!(std::mem::size_of::<Msg>(), 24);
+    }
+
+    #[test]
+    fn a_stamp_widens_across_the_u32_wrap_either_way() {
+        const WRAP: u64 = 1 << 32;
+        let stamped = |sent_us: u64| Msg {
+            stamp: sent_us as u32,
+            ..msg(1, 0)
+        };
+        // The sender is past the wrap, the receiver not yet; and back.
+        assert_eq!(stamped(WRAP + 7).sent_us(WRAP - 3), WRAP + 7);
+        assert_eq!(stamped(WRAP - 5).sent_us(WRAP + 3), WRAP - 5);
+        assert_eq!(stamped(40).sent_us(40), 40);
+        assert_eq!(stamped(3).sent_us(10), 3);
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! The cluster runtime's quantum-time contract (DESIGN.md "Cluster
-//! runtime", *One clock*): a quantum reads the clock once, after the
-//! mailbox drain, and every `Time` and event stamp it produces derives
-//! from that read; a send burst re-reads every 16 polls, right after it
-//! drains the mailbox again, so it hears its peers; a timer that
-//! fires at its deadline is polled at or after it; and the taps time a
-//! quantum from that same read — no clock read of their own — so the
-//! `sched.quantum_us` intervals tile the batch's busy time.
+//! runtime", *One clock*): a quantum reads no clock of its own. Its
+//! stamp is the latest of its worker's latest stamp, its rank's last
+//! one and the send stamp of every message it routes, and every `Time`
+//! and event stamp it produces derives from it, so no arrival is
+//! stamped before its send (a). A send burst re-reads the clock every
+//! 16 polls and drains the mailbox there, so time advances in it (b)
+//! and it hears its peers (e); a timer that fires at its deadline is
+//! polled at or after it (c); with a hub attached, the tap's one read
+//! per quantum times it, and the `sched.quantum_us` intervals tile the
+//! batch's busy time (d); and the rank a send wakes runs next, on the
+//! sender's worker (f).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -440,9 +444,9 @@ fn quanta(dump: &FlightDump) -> Vec<(Rank, u64, u64)> {
     out
 }
 
-/// (d) With the always-on pair attached a quantum still reads the clock
-/// once: its `sched.quantum_us` interval runs from that read to the
-/// next one the worker makes anyway, so every quantum that is not stale
+/// (d) With the always-on pair attached the tap reads the clock once per
+/// quantum, for `sched.quantum_us` alone: a quantum's interval runs from
+/// that read to the worker's next one, so every quantum that is not stale
 /// closes exactly one interval, on one worker the intervals sum to no
 /// more than the busy time (each batch's first and last stamp are
 /// floored to whole µs: one µs of slack per batch), and no flight
@@ -571,4 +575,52 @@ fn a_fired_timer_polls_at_or_after_its_deadline() {
         assert_eq!(hub.counter_total(Counter::TimerArms), 1, "rep {rep}");
         assert_eq!(hub.counter_total(Counter::TimerFires), 1, "rep {rep}");
     }
+}
+
+/// (f) The rank a send wakes runs next, on the sender's worker: on one
+/// worker with a flight recorder, the quantum that follows one whose
+/// sends won a wake-up is the quantum of the rank its last winning send
+/// woke.
+#[test]
+fn the_rank_a_send_wakes_runs_next_on_the_senders_worker() {
+    let p = 64u32;
+    let spec = BroadcastSpec::plain_tree(TreeKind::BINOMIAL);
+    let cfg = ClusterConfig::new().threads(1).flight(1 << 15);
+    let mut cluster = Cluster::with_config(p, LogP::PAPER, cfg);
+    let broadcasts = 20u64;
+    for i in 0..broadcasts {
+        let report = cluster
+            .run_broadcast(&spec, &vec![false; p as usize], i)
+            .unwrap();
+        assert!(report.completed, "broadcast {i}: {:?}", report.uncolored);
+        assert_eq!(report.messages, u64::from(p) - 1, "broadcast {i}");
+    }
+    let dump = cluster.capture_postmortem("test", None).unwrap().flight;
+
+    let mut handoffs = 0;
+    // The rank of the quantum running, the rank its latest winning send
+    // woke, and the rank that must run next.
+    let (mut running, mut woke, mut expected) = (None, None, None);
+    for r in &dump.shards[0].records {
+        match r.kind {
+            FlightKind::QuantumStart | FlightKind::StaleQuantum => {
+                if let Some(want) = expected.take() {
+                    assert_eq!(r.rank, want, "record {}: rank {want} was handed off", r.seq);
+                    handoffs += 1;
+                }
+                running = (r.kind == FlightKind::QuantumStart).then_some(r.rank);
+                woke = None;
+            }
+            FlightKind::Wake if running == Some(r.aux as Rank) => woke = Some(r.rank),
+            FlightKind::QuantumEnd => {
+                expected = woke.take();
+                running = None;
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        handoffs >= broadcasts,
+        "{handoffs} hand-offs in {broadcasts} broadcasts"
+    );
 }
