@@ -64,7 +64,7 @@ impl WasteReport {
         let dead = |r: Rank| failed.get(r as usize).copied().unwrap_or(false);
         let mut report = WasteReport::default();
         for (i, e) in events.iter().enumerate() {
-            if e.bcast.unwrap_or(0) != b {
+            if e.bcast().unwrap_or(0) != b {
                 continue;
             }
             match &e.kind {

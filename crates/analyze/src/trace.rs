@@ -43,17 +43,12 @@ mod tests {
     use super::*;
     use ct_core::protocol::{ColoredVia, Payload};
     use ct_logp::Time;
-    use ct_obs::EventKind;
+    use ct_obs::{EventKind, Phase};
 
     #[test]
     fn events_round_trip_through_jsonl() {
         let events = vec![
-            Event::sim(
-                Time::ZERO,
-                EventKind::PhaseBegin {
-                    name: "broadcast".into(),
-                },
-            ),
+            Event::sim(Time::ZERO, EventKind::PhaseBegin(Phase::Broadcast)),
             Event::sim(
                 Time::ZERO,
                 EventKind::Colored {
@@ -86,12 +81,7 @@ mod tests {
                     payload: Payload::Correction,
                 },
             ),
-            Event::sim(
-                Time::new(9),
-                EventKind::PhaseEnd {
-                    name: "broadcast".into(),
-                },
-            ),
+            Event::sim(Time::new(9), EventKind::PhaseEnd(Phase::Broadcast)),
         ];
         let jsonl: String = events.iter().map(|e| e.to_json() + "\n").collect();
         let parsed = parse_jsonl(&jsonl).unwrap();
@@ -100,8 +90,9 @@ mod tests {
 
     #[test]
     fn parse_errors_carry_line_numbers() {
-        let err = parse_jsonl("{\"t\":0,\"kind\":\"phase_begin\",\"name\":\"x\"}\nnot json\n")
-            .unwrap_err();
+        let err =
+            parse_jsonl("{\"t\":0,\"kind\":\"phase_begin\",\"name\":\"broadcast\"}\nnot json\n")
+                .unwrap_err();
         assert_eq!(err.line, 2);
     }
 

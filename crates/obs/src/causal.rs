@@ -135,13 +135,8 @@ impl CausalIndex {
         let p = infer_p(events).unwrap_or(0);
         let mut bcasts: Vec<u64> = events
             .iter()
-            .filter(|e| {
-                !matches!(
-                    e.kind,
-                    EventKind::PhaseBegin { .. } | EventKind::PhaseEnd { .. }
-                )
-            })
-            .map(|e| e.bcast.unwrap_or(0))
+            .filter(|e| !matches!(e.kind, EventKind::PhaseBegin(_) | EventKind::PhaseEnd(_)))
+            .map(|e| e.bcast().unwrap_or(0))
             .collect();
         bcasts.sort_unstable();
         bcasts.dedup();
@@ -158,7 +153,7 @@ impl CausalIndex {
         let mut channels: HashMap<(usize, Rank, Rank), Channel> = HashMap::new();
         for &i in &idx.order {
             let e = &events[i];
-            let b = e.bcast.unwrap_or(0);
+            let b = e.bcast().unwrap_or(0);
             let slot = idx.bcasts.binary_search(&b).unwrap_or(0);
             let link = i as u32 + 1;
             match &e.kind {
@@ -194,7 +189,7 @@ impl CausalIndex {
                         record(&mut idx.firsts[cell][COLORED], true, link);
                     }
                 }
-                EventKind::PhaseBegin { .. } | EventKind::PhaseEnd { .. } => {}
+                EventKind::PhaseBegin(_) | EventKind::PhaseEnd(_) => {}
             }
         }
         let mut stranded: Vec<_> = channels

@@ -18,7 +18,7 @@ use crate::json::JsonObject;
 const PHASE_TID: u64 = u64::MAX >> 1;
 
 fn ts(e: &Event) -> u64 {
-    e.wall_us.unwrap_or_else(|| e.time.steps())
+    e.wall_us().unwrap_or_else(|| e.time.steps())
 }
 
 fn trace_event(e: &Event, o: u64) -> Option<String> {
@@ -77,16 +77,10 @@ fn trace_event(e: &Event, o: u64) -> Option<String> {
             obj.field_u64("pid", 0);
             obj.field_u64("tid", u64::from(*rank));
         }
-        EventKind::PhaseBegin { name } => {
-            obj.field_str("name", name);
-            obj.field_str("ph", "B");
-            obj.field_u64("ts", ts(e));
-            obj.field_u64("pid", 0);
-            obj.field_u64("tid", PHASE_TID);
-        }
-        EventKind::PhaseEnd { name } => {
-            obj.field_str("name", name);
-            obj.field_str("ph", "E");
+        EventKind::PhaseBegin(phase) | EventKind::PhaseEnd(phase) => {
+            let begin = matches!(e.kind, EventKind::PhaseBegin(_));
+            obj.field_str("name", phase.name());
+            obj.field_str("ph", if begin { "B" } else { "E" });
             obj.field_u64("ts", ts(e));
             obj.field_u64("pid", 0);
             obj.field_u64("tid", PHASE_TID);
@@ -164,6 +158,7 @@ pub fn chrome_trace(events: &[Event], o: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Phase;
     use ct_core::protocol::{ColoredVia, Payload};
     use ct_logp::Time;
 
@@ -198,18 +193,8 @@ mod tests {
     #[test]
     fn phases_pair_begin_and_end() {
         let events = vec![
-            Event::sim(
-                Time::ZERO,
-                EventKind::PhaseBegin {
-                    name: "broadcast".into(),
-                },
-            ),
-            Event::sim(
-                Time::new(9),
-                EventKind::PhaseEnd {
-                    name: "broadcast".into(),
-                },
-            ),
+            Event::sim(Time::ZERO, EventKind::PhaseBegin(Phase::Broadcast)),
+            Event::sim(Time::new(9), EventKind::PhaseEnd(Phase::Broadcast)),
         ];
         let json = chrome_trace(&events, 1);
         assert!(json.contains(r#""ph":"B""#), "{json}");

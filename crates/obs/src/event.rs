@@ -6,23 +6,38 @@
 //! event carries the producer's logical [`Time`] (LogP steps in the
 //! simulator, microseconds since the run epoch on the cluster) and,
 //! when a wall clock exists, wall-clock microseconds.
+//!
+//! An [`Event`] is a 48-byte `Copy` value that owns no heap memory.
+//! [`Event::from_json`] refuses, naming the field, what it cannot hold:
+//! a phase outside the closed [`Phase`] set, `"b":0`, or the `w` value
+//! reserved for "no wall clock" (`u64::MAX`).
 
 use core::fmt;
+use core::num::NonZeroU64;
 
 use ct_core::protocol::{ColoredVia, Payload};
 use ct_logp::{Rank, Time};
 
 use crate::json::{JsonObject, Value};
 
-/// Span names used by the built-in producers (free-form strings are
-/// also accepted; these are the ones emitted in-tree).
-pub mod phases {
+/// The spans producers open and close, written as the JSONL `"name"`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Phase {
     /// One whole broadcast, root send to quiescence.
-    pub const BROADCAST: &str = "broadcast";
+    Broadcast,
+}
+
+impl Phase {
+    /// The span's JSONL name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Phase::Broadcast => "broadcast",
+        }
+    }
 }
 
 /// What happened.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// `from` started transmitting to `to` (sender port busy `o`).
     SendStart {
@@ -67,16 +82,10 @@ pub enum EventKind {
         /// How it was colored.
         via: ColoredVia,
     },
-    /// A named span opened (e.g. [`phases::BROADCAST`]).
-    PhaseBegin {
-        /// Span name.
-        name: String,
-    },
+    /// A span opened.
+    PhaseBegin(Phase),
     /// The matching span closed.
-    PhaseEnd {
-        /// Span name.
-        name: String,
-    },
+    PhaseEnd(Phase),
 }
 
 impl EventKind {
@@ -88,8 +97,8 @@ impl EventKind {
             EventKind::Deliver { .. } => "deliver",
             EventKind::DropDead { .. } => "drop",
             EventKind::Colored { .. } => "colored",
-            EventKind::PhaseBegin { .. } => "phase_begin",
-            EventKind::PhaseEnd { .. } => "phase_end",
+            EventKind::PhaseBegin(_) => "phase_begin",
+            EventKind::PhaseEnd(_) => "phase_end",
         }
     }
 
@@ -105,31 +114,29 @@ impl EventKind {
     /// coloring, then span ends: [`crate::causal::causal_order`].
     pub fn order_class(&self) -> u8 {
         match self {
-            EventKind::PhaseBegin { .. } => 0,
+            EventKind::PhaseBegin(_) => 0,
             EventKind::SendStart { .. } => 1,
             EventKind::Arrive { .. } | EventKind::DropDead { .. } => 2,
             EventKind::Deliver { .. } => 3,
             EventKind::Colored { .. } => 4,
-            EventKind::PhaseEnd { .. } => 5,
+            EventKind::PhaseEnd(_) => 5,
         }
     }
 }
 
+/// The `wall_us` value that means "no wall clock".
+const NO_WALL: u64 = u64::MAX;
+
 /// One observability event.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Event {
     /// Logical time: LogP steps in the simulator, microseconds since
     /// the run epoch on the cluster runtime.
     pub time: Time,
-    /// Wall-clock microseconds since the run epoch, where a wall clock
-    /// exists (cluster runtime). `None` for simulated runs.
-    pub wall_us: Option<u64>,
-    /// Broadcast id, for producers multiplexing several concurrent
-    /// broadcasts into one stream (the cluster pub/sub layer). `None`
-    /// for single-broadcast streams — the id is then implied by the
-    /// enclosing [`phases::BROADCAST`] span, and the serialized form is
-    /// unchanged.
-    pub bcast: Option<u64>,
+    /// [`Event::wall_us`], or [`NO_WALL`].
+    wall_us: u64,
+    /// [`Event::bcast`].
+    bcast: Option<NonZeroU64>,
     /// What happened.
     pub kind: EventKind,
 }
@@ -139,26 +146,44 @@ impl Event {
     pub fn sim(time: Time, kind: EventKind) -> Event {
         Event {
             time,
-            wall_us: None,
+            wall_us: NO_WALL,
             bcast: None,
             kind,
         }
     }
 
-    /// A cluster-runtime event stamped with both clocks.
+    /// A cluster-runtime event stamped with both clocks; `wall_us` is
+    /// below `u64::MAX`.
     pub fn wall(time: Time, wall_us: u64, kind: EventKind) -> Event {
+        debug_assert_ne!(wall_us, NO_WALL, "u64::MAX means no wall clock");
         Event {
             time,
-            wall_us: Some(wall_us),
+            wall_us,
             bcast: None,
             kind,
         }
     }
 
-    /// The same event, labeled as belonging to broadcast `id`.
+    /// The same event, labeled as belonging to broadcast `id`, which is
+    /// nonzero: ids start at 1.
     pub fn with_bcast(mut self, id: u64) -> Event {
-        self.bcast = Some(id);
+        self.bcast = Some(NonZeroU64::new(id).expect("broadcast ids start at 1"));
         self
+    }
+
+    /// Wall-clock microseconds since the run epoch, where a wall clock
+    /// exists (cluster runtime). `None` for simulated runs.
+    pub fn wall_us(&self) -> Option<u64> {
+        (self.wall_us != NO_WALL).then_some(self.wall_us)
+    }
+
+    /// Broadcast id, for producers multiplexing several concurrent
+    /// broadcasts into one stream (the cluster pub/sub layer). `None`
+    /// for single-broadcast streams — the id is then implied by the
+    /// enclosing [`Phase::Broadcast`] span, and the serialized form is
+    /// unchanged.
+    pub fn bcast(&self) -> Option<u64> {
+        self.bcast.map(NonZeroU64::get)
     }
 
     /// The stable payload tag used by the JSONL schema.
@@ -180,10 +205,10 @@ impl Event {
     pub fn to_json(&self) -> String {
         let mut obj = JsonObject::new();
         obj.field_u64("t", self.time.steps());
-        if let Some(w) = self.wall_us {
+        if let Some(w) = self.wall_us() {
             obj.field_u64("w", w);
         }
-        if let Some(b) = self.bcast {
+        if let Some(b) = self.bcast() {
             obj.field_u64("b", b);
         }
         obj.field_str("kind", self.kind.tag());
@@ -210,18 +235,24 @@ impl Event {
                     },
                 );
             }
-            EventKind::PhaseBegin { name } | EventKind::PhaseEnd { name } => {
-                obj.field_str("name", name);
+            EventKind::PhaseBegin(phase) | EventKind::PhaseEnd(phase) => {
+                obj.field_str("name", phase.name());
             }
         }
         obj.finish()
     }
 
     /// Read one JSONL line written by [`Event::to_json`]. Ranks and
-    /// gossip rounds wider than 32 bits are an error, not a truncation.
+    /// gossip rounds wider than 32 bits are an error, not a truncation,
+    /// and so is a value the record cannot hold: an unknown phase name,
+    /// `"b":0` or `"w":18446744073709551615`.
     pub fn from_json(line: &str) -> Result<Event, String> {
         let v = Value::parse(line)?;
         let kind = v.str_field("kind")?;
+        let phase = || match v.str_field("name")? {
+            "broadcast" => Ok(Phase::Broadcast),
+            other => Err(format!("name: unknown phase {other:?}")),
+        };
         let message = || -> Result<(Rank, Rank, Payload), String> {
             let payload = match v.str_field("payload")? {
                 "tree" => Payload::Tree,
@@ -253,17 +284,17 @@ impl Event {
                     other => return Err(format!("via: unknown via {other:?}")),
                 },
             },
-            "phase_begin" => EventKind::PhaseBegin {
-                name: v.str_field("name")?.to_owned(),
-            },
-            "phase_end" => EventKind::PhaseEnd {
-                name: v.str_field("name")?.to_owned(),
-            },
+            "phase_begin" => EventKind::PhaseBegin(phase()?),
+            "phase_end" => EventKind::PhaseEnd(phase()?),
             other => return Err(format!("kind: unknown kind {other:?}")),
+        };
+        let wall_us = match v.opt_int_field("w")? {
+            Some(NO_WALL) => return Err(format!("w: {NO_WALL} is reserved for no wall clock")),
+            w => w.unwrap_or(NO_WALL),
         };
         Ok(Event {
             time: Time::new(v.int_field("t")?),
-            wall_us: v.opt_int_field("w")?,
+            wall_us,
             bcast: v.opt_int_field("b")?,
             kind,
         })
@@ -326,12 +357,7 @@ mod tests {
             c.to_json(),
             r#"{"t":24,"kind":"colored","rank":63,"via":"correction"}"#
         );
-        let p = Event::sim(
-            Time::ZERO,
-            EventKind::PhaseBegin {
-                name: phases::BROADCAST.into(),
-            },
-        );
+        let p = Event::sim(Time::ZERO, EventKind::PhaseBegin(Phase::Broadcast));
         assert_eq!(
             p.to_json(),
             r#"{"t":0,"kind":"phase_begin","name":"broadcast"}"#
@@ -354,16 +380,49 @@ mod tests {
             r#"{"t":9,"w":11,"b":37,"kind":"colored","rank":4,"via":"dissemination"}"#
         );
         // Unlabeled events keep the original schema byte-for-byte.
-        let plain = Event::sim(Time::new(9), EventKind::PhaseEnd { name: "rep".into() });
+        let plain = Event::sim(Time::new(9), EventKind::PhaseEnd(Phase::Broadcast));
         assert_eq!(
             plain.to_json(),
-            r#"{"t":9,"kind":"phase_end","name":"rep"}"#
+            r#"{"t":9,"kind":"phase_end","name":"broadcast"}"#
         );
     }
 
     #[test]
     fn display_matches_json() {
-        let e = Event::sim(Time::new(1), EventKind::PhaseEnd { name: "rep".into() });
+        let e = Event::sim(Time::new(1), EventKind::PhaseEnd(Phase::Broadcast));
         assert_eq!(e.to_string(), e.to_json());
+    }
+
+    #[test]
+    fn an_event_is_a_48_byte_copy_value() {
+        fn copy<T: Copy>() {}
+        copy::<Event>();
+        assert_eq!(core::mem::size_of::<EventKind>(), 20);
+        assert_eq!(core::mem::size_of::<Event>(), 48);
+    }
+
+    #[test]
+    fn values_the_record_cannot_hold_are_refused_by_field() {
+        for (line, error) in [
+            (
+                r#"{"t":0,"kind":"phase_begin","name":"rep"}"#,
+                r#"name: unknown phase "rep""#,
+            ),
+            (
+                r#"{"t":0,"b":0,"kind":"colored","rank":1,"via":"root"}"#,
+                "b: 0 is out of range",
+            ),
+            (
+                r#"{"t":0,"w":18446744073709551615,"kind":"colored","rank":1,"via":"root"}"#,
+                "w: 18446744073709551615 is reserved for no wall clock",
+            ),
+        ] {
+            assert_eq!(Event::from_json(line), Err(error.to_owned()), "{line}");
+        }
+        let edge =
+            r#"{"t":0,"w":18446744073709551614,"b":1,"kind":"phase_end","name":"broadcast"}"#;
+        let e = Event::from_json(edge).unwrap();
+        assert_eq!((e.wall_us(), e.bcast()), (Some(u64::MAX - 1), Some(1)));
+        assert_eq!(e.to_json(), edge);
     }
 }

@@ -76,7 +76,7 @@ pub mod telemetry;
 
 pub use causal::{causal_order, infer_p, CausalIndex};
 pub use chrome::chrome_trace;
-pub use event::{Event, EventKind};
+pub use event::{Event, EventKind, Phase};
 pub use flight::{FlightDump, FlightKind, FlightRecord, FlightRecorder};
 pub use health::{HealthEngine, HealthEvent, Severity};
 pub use http::{monitor_handler, HttpServer, Response};

@@ -59,7 +59,7 @@ use ct_core::protocol::Payload;
 use ct_logp::{LogP, Rank};
 
 use crate::causal::{infer_p, CausalIndex};
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, Phase};
 use crate::json::JsonObject;
 use crate::sink::EventSink;
 
@@ -359,10 +359,10 @@ impl MonitorSink {
             checker.time_monotone(events);
             checker.causal(events, idx);
         }
-        for (name, begin) in open.into_iter().rev() {
+        for (phase, begin) in open.into_iter().rev() {
             checker.violation(
                 Invariant::PhaseNesting,
-                format!("span {name:?} never closed"),
+                format!("span {:?} never closed", phase.name()),
                 None,
                 Some(begin),
             );
@@ -390,7 +390,7 @@ impl EventSink for MonitorSink {
     }
 
     fn emit(&mut self, event: &Event) {
-        self.buf.push(event.clone());
+        self.buf.push(*event);
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
@@ -416,42 +416,25 @@ impl Checker<'_> {
             invariant,
             rep: 0,
             message,
-            event: event.cloned(),
-            witness: witness.cloned(),
+            event: event.copied(),
+            witness: witness.copied(),
         });
     }
 
     /// Emission order: every span end closes the innermost open span.
     /// Returns the spans left open, outermost first.
-    fn phase_nesting<'e>(&mut self, events: &'e [Event]) -> Vec<(&'e str, &'e Event)> {
-        let mut open: Vec<(&str, &Event)> = Vec::new();
+    fn phase_nesting<'e>(&mut self, events: &'e [Event]) -> Vec<(Phase, &'e Event)> {
+        let mut open: Vec<(Phase, &Event)> = Vec::new();
         for e in events {
-            match &e.kind {
-                EventKind::PhaseBegin { name } => open.push((name, e)),
-                EventKind::PhaseEnd { name } => match open.last() {
-                    Some((top, _)) if top == name => {
-                        open.pop();
-                    }
-                    Some(&(top, begin)) => {
-                        self.violation(
-                            Invariant::PhaseNesting,
-                            format!("span end {name:?} while {top:?} is open"),
-                            Some(e),
-                            Some(begin),
-                        );
-                        // Recover: close the matching open span if one
-                        // exists, so a single mismatch does not cascade.
-                        if let Some(pos) = open.iter().rposition(|(n, _)| n == name) {
-                            open.truncate(pos);
-                        }
-                    }
-                    None => self.violation(
-                        Invariant::PhaseNesting,
-                        format!("span end {name:?} with no open span"),
-                        Some(e),
-                        None,
-                    ),
-                },
+            match e.kind {
+                EventKind::PhaseBegin(phase) => open.push((phase, e)),
+                // An end closes the innermost open span, if there is one.
+                EventKind::PhaseEnd(phase) if open.pop().is_none() => self.violation(
+                    Invariant::PhaseNesting,
+                    format!("span end {:?} with no open span", phase.name()),
+                    Some(e),
+                    None,
+                ),
                 _ => {}
             }
         }
@@ -493,7 +476,7 @@ impl Checker<'_> {
             return;
         }
         let cfg = self.cfg;
-        let wall = events.iter().any(|e| e.wall_us.is_some());
+        let wall = events.iter().any(|e| e.wall_us().is_some());
         let p = cfg.p.unwrap_or(idx.p());
         let dead = |r: Rank| match &cfg.failed {
             Some(mask) => mask.get(r as usize).copied().unwrap_or(false),
@@ -512,7 +495,7 @@ impl Checker<'_> {
 
         for &i in idx.order() {
             let e = &events[i];
-            let b = e.bcast.unwrap_or(0);
+            let b = e.bcast().unwrap_or(0);
             match &e.kind {
                 EventKind::SendStart { from, to, .. } => {
                     if dead(*from) {
@@ -622,7 +605,7 @@ impl Checker<'_> {
                         );
                     }
                 }
-                EventKind::PhaseBegin { .. } | EventKind::PhaseEnd { .. } => {}
+                EventKind::PhaseBegin(_) | EventKind::PhaseEnd(_) => {}
             }
         }
 
@@ -636,7 +619,7 @@ impl Checker<'_> {
                         Invariant::WireComplete,
                         format!(
                             "{pending} send(s) on {from}->{to} never arrived or dropped{}",
-                            tag(send.bcast.unwrap_or(0))
+                            tag(send.bcast().unwrap_or(0))
                         ),
                         None,
                         Some(send),
@@ -765,13 +748,14 @@ mod tests {
         Event::sim(Time::new(t), EventKind::Colored { rank, via })
     }
 
-    fn phase(t: u64, name: &str, begin: bool) -> Event {
+    fn phase(t: u64, begin: bool) -> Event {
+        let phase = Phase::Broadcast;
         Event::sim(
             Time::new(t),
             if begin {
-                EventKind::PhaseBegin { name: name.into() }
+                EventKind::PhaseBegin(phase)
             } else {
-                EventKind::PhaseEnd { name: name.into() }
+                EventKind::PhaseEnd(phase)
             },
         )
     }
@@ -779,13 +763,13 @@ mod tests {
     /// A minimal clean 2-rank broadcast under LogP::PAPER (o=1, L=2).
     fn clean_run() -> Vec<Event> {
         vec![
-            phase(0, "broadcast", true),
+            phase(0, true),
             colored(0, 0, ColoredVia::Root),
             send(0, 0, 1),
             arrive(3, 0, 1),
             deliver(4, 0, 1),
             colored(4, 1, ColoredVia::Dissemination),
-            phase(4, "broadcast", false),
+            phase(4, false),
         ]
     }
 
@@ -906,10 +890,11 @@ mod tests {
     #[test]
     fn non_monotone_and_bad_nesting_are_flagged() {
         let events = vec![
-            phase(0, "a", true),
+            phase(0, true),
             send(5, 0, 1),
             arrive(3, 0, 1),
-            phase(8, "b", false),
+            phase(8, false),
+            phase(9, false),
         ];
         let report = MonitorSink::check(
             &events,
@@ -938,12 +923,7 @@ mod tests {
     fn equal_timestamp_interleaving_is_repaired_by_stable_sort() {
         let w = |t: u64, kind: EventKind| Event::wall(Time::new(t), t, kind);
         let events = vec![
-            w(
-                0,
-                EventKind::PhaseBegin {
-                    name: "broadcast".into(),
-                },
-            ),
+            w(0, EventKind::PhaseBegin(Phase::Broadcast)),
             w(
                 0,
                 EventKind::Colored {
@@ -984,12 +964,7 @@ mod tests {
                     via: ColoredVia::Dissemination,
                 },
             ),
-            w(
-                9,
-                EventKind::PhaseEnd {
-                    name: "broadcast".into(),
-                },
-            ),
+            w(9, EventKind::PhaseEnd(Phase::Broadcast)),
         ];
         let report = MonitorSink::check(&events, &MonitorConfig::new().with_p(2));
         assert!(report.is_ok(), "{}", report.render_text());

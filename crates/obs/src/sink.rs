@@ -78,7 +78,7 @@ impl VecSink {
 
 impl EventSink for VecSink {
     fn emit(&mut self, event: &Event) {
-        self.events.push(event.clone());
+        self.events.push(*event);
     }
 }
 

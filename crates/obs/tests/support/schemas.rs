@@ -19,7 +19,7 @@ use ct_obs::health::{HealthEvent, Severity};
 use ct_obs::json::{JsonObject, Value};
 use ct_obs::metrics::Histogram;
 use ct_obs::{
-    Event, EventKind, Postmortem, RankStall, SeriesSample, StallReport, TelemetrySnapshot,
+    Event, EventKind, Phase, Postmortem, RankStall, SeriesSample, StallReport, TelemetrySnapshot,
 };
 use proptest::prelude::{Strategy, TestRng};
 
@@ -140,7 +140,10 @@ fn payload(rng: &mut TestRng) -> Payload {
     }
 }
 
-/// An event of any kind, on either clock, labeled or not.
+/// An event of any kind, on either clock, labeled or not. Its values
+/// are the ones the record holds: a phase from the closed set, a
+/// nonzero broadcast id and a wall clock below `u64::MAX`, which means
+/// "none".
 pub fn event(rng: &mut TestRng) -> Event {
     let (from, to) = (u32_any(rng), u32_any(rng));
     let kind = match rng.gen_range(0..7u32) {
@@ -172,15 +175,18 @@ pub fn event(rng: &mut TestRng) -> Event {
                 ColoredVia::Correction,
             ][rng.gen_range(0..3usize)],
         },
-        5 => EventKind::PhaseBegin { name: text(rng) },
-        _ => EventKind::PhaseEnd { name: text(rng) },
+        5 => EventKind::PhaseBegin(Phase::Broadcast),
+        _ => EventKind::PhaseEnd(Phase::Broadcast),
     };
-    Event {
-        time: Time::new(u64_any(rng)),
-        wall_us: opt(rng, u64_any),
-        bcast: opt(rng, u64_any),
-        kind,
+    let time = Time::new(u64_any(rng));
+    let mut e = match opt(rng, |rng| u64_any(rng).min(u64::MAX - 1)) {
+        Some(w) => Event::wall(time, w, kind),
+        None => Event::sim(time, kind),
+    };
+    if let Some(b) = opt(rng, |rng| u64_any(rng).max(1)) {
+        e = e.with_bcast(b);
     }
+    e
 }
 
 /// A sample window; `dt_ms` is at least 1, as the sampler writes it.

@@ -66,11 +66,10 @@ use std::time::{Duration, Instant};
 
 use ct_core::protocol::{BroadcastSpec, BuildCtx, ProtocolFactory};
 use ct_logp::{Rank, Time};
-use ct_obs::event::phases;
 use ct_obs::flight::{FlightKind as Fk, NO_RANK};
 use ct_obs::health::HealthEvent;
 use ct_obs::{causal_order, Event as ObsEvent, EventKind as ObsEventKind, EventSink, NullSink};
-use ct_obs::{Postmortem, RankStall, StallReport};
+use ct_obs::{Phase, Postmortem, RankStall, StallReport};
 
 use crate::cluster::{Cluster, ClusterError, Entry, Window};
 use crate::inbox::{Account, Disconnected};
@@ -516,7 +515,7 @@ impl Cluster {
         if a.record {
             let recorded = self.harvest(id, &window)?;
             let bcast = (account.rule == Rule::Quiescent).then_some(id);
-            emit(sink, recorded, bcast);
+            emit(sink, &recorded, bcast);
         }
         let health = match (self.series(), a.health_mark) {
             (Some(store), Some(mark)) => store.events_from(mark),
@@ -650,24 +649,17 @@ impl Cluster {
 /// cause-before-effect at equal timestamps, keeps each rank's own
 /// stream in order, and makes recorded cluster traces deterministic
 /// for diffing.
-fn emit(sink: &mut dyn EventSink, mut recorded: Vec<ObsEvent>, bcast: Option<u64>) {
-    let order = causal_order(&recorded);
+fn emit(sink: &mut dyn EventSink, recorded: &[ObsEvent], bcast: Option<u64>) {
+    let order = causal_order(recorded);
     let end = order.last().map_or(Time::ZERO, |&i| recorded[i].time);
-    let phase = |time: Time, kind| ObsEvent {
-        bcast,
-        ..ObsEvent::wall(time, time.steps(), kind)
-    };
-    let name = || phases::BROADCAST.to_owned();
-    sink.emit(&phase(
-        Time::ZERO,
-        ObsEventKind::PhaseBegin { name: name() },
-    ));
+    let stamp = |e: ObsEvent| bcast.map_or(e, |b| e.with_bcast(b));
+    let phase = |time: Time, kind| stamp(ObsEvent::wall(time, time.steps(), kind));
+    let span = Phase::Broadcast;
+    sink.emit(&phase(Time::ZERO, ObsEventKind::PhaseBegin(span)));
     for i in order {
-        let e = &mut recorded[i];
-        e.bcast = bcast;
-        sink.emit(e);
+        sink.emit(&stamp(recorded[i]));
     }
-    sink.emit(&phase(end, ObsEventKind::PhaseEnd { name: name() }));
+    sink.emit(&phase(end, ObsEventKind::PhaseEnd(span)));
 }
 
 #[cfg(test)]
@@ -828,10 +820,10 @@ mod tests {
         let mut expected = recorded.clone();
         expected.sort_by_key(|e| (e.time, e.kind.order_class()));
         for e in &mut expected {
-            e.bcast = Some(9);
+            *e = e.with_bcast(9);
         }
         let mut sink = VecSink::new();
-        emit(&mut sink, recorded, Some(9));
+        emit(&mut sink, &recorded, Some(9));
         let n = sink.events.len();
         assert_eq!(sink.events[1..n - 1], expected[..]);
         let end = &sink.events[n - 1];
@@ -863,7 +855,7 @@ mod tests {
             assert_eq!(ids.len(), 2);
             assert!(!sink.events.is_empty());
             for e in &sink.events {
-                let b = e.bcast.expect("pub/sub events carry a broadcast id");
+                let b = e.bcast().expect("pub/sub events carry a broadcast id");
                 assert!(ids.contains(&b), "event {e:?} not from topic {tix}");
             }
             // Each broadcast's span carries a full coloring.
@@ -871,7 +863,9 @@ mod tests {
                 let colored = sink
                     .events
                     .iter()
-                    .filter(|e| e.bcast == Some(id) && matches!(e.kind, EventKind::Colored { .. }))
+                    .filter(|e| {
+                        e.bcast() == Some(id) && matches!(e.kind, EventKind::Colored { .. })
+                    })
                     .count();
                 assert_eq!(colored, p as usize, "broadcast {id}");
             }

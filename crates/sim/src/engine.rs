@@ -44,9 +44,8 @@ use ct_core::protocol::{
     ProtocolFactory, RelabeledPopulation, SendPoll,
 };
 use ct_logp::{LogP, Rank, Time};
-use ct_obs::event::phases;
 use ct_obs::telemetry::TelemetryHub;
-use ct_obs::{Event as ObsEvent, EventKind as ObsEventKind, EventSink, NullSink, VecSink};
+use ct_obs::{Event as ObsEvent, EventKind as ObsEventKind, EventSink, NullSink, Phase, VecSink};
 
 use crate::arena::RunArena;
 use crate::bits::BitSet;
@@ -649,9 +648,7 @@ impl Run<'_> {
         store.reset(sim.p as usize, sim.faults.words().iter().copied());
         let mut shard = Shard::new(ranks, 0, store);
         if shard.ranks.observing {
-            let begin = ObsEventKind::PhaseBegin {
-                name: phases::BROADCAST.into(),
-            };
+            let begin = ObsEventKind::PhaseBegin(Phase::Broadcast);
             shard.ranks.sink.emit(&ObsEvent::sim(Time::ZERO, begin));
             // The root (and any pre-colored rank) is colored at t = 0.
             for r in 0..sim.p {
@@ -671,9 +668,7 @@ impl Run<'_> {
         *slot = store;
         drained?;
         if ranks.observing {
-            let end = ObsEventKind::PhaseEnd {
-                name: phases::BROADCAST.into(),
-            };
+            let end = ObsEventKind::PhaseEnd(Phase::Broadcast);
             ranks.sink.emit(&ObsEvent::sim(quiescence, end));
         }
         let tallies = (messages, quiescence, sent_per_rank);

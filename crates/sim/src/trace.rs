@@ -135,9 +135,9 @@ mod tests {
 
     #[test]
     fn coloring_and_phase_events_neither_mark_nor_stretch_the_canvas() {
-        let span = |time: u64, name: &str| {
-            let name = name.to_owned();
-            Event::sim(Time::new(time), EventKind::PhaseEnd { name })
+        let span = |time: u64| {
+            let phase = ct_obs::Phase::Broadcast;
+            Event::sim(Time::new(time), EventKind::PhaseEnd(phase))
         };
         let colored = Event::sim(
             Time::new(9),
@@ -146,12 +146,7 @@ mod tests {
                 via: ColoredVia::Dissemination,
             },
         );
-        let events = [
-            send(0, 0, 1),
-            deliver(3, 0, 1),
-            colored,
-            span(12, "broadcast"),
-        ];
+        let events = [send(0, 0, 1), deliver(3, 0, 1), colored, span(12)];
         assert_eq!(
             ascii_timeline(&events, 2, 1, None),
             ascii_timeline(&events[..2], 2, 1, None)

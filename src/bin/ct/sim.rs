@@ -82,7 +82,7 @@ fn event_involves(event: &Event, ranks: &[u32]) -> bool {
         | EventKind::Deliver { from, to, .. }
         | EventKind::DropDead { from, to, .. } => ranks.contains(&from) || ranks.contains(&to),
         EventKind::Colored { rank, .. } => ranks.contains(&rank),
-        EventKind::PhaseBegin { .. } | EventKind::PhaseEnd { .. } => true,
+        EventKind::PhaseBegin(_) | EventKind::PhaseEnd(_) => true,
     }
 }
 

@@ -219,11 +219,15 @@ const WIDE_RANK: &[u8] = br#"{"t":0,"kind":"colored","rank":4294967295,"via":"ro
 const HUGE_RANK: &[u8] = br#"{"t":0,"kind":"colored","rank":4294967294,"via":"root"}
 "#;
 
+/// A trace opening a span outside the closed phase set.
+const UNKNOWN_PHASE: &[u8] = br#"{"t":0,"kind":"phase_begin","name":"rep"}
+"#;
+
 /// Hostile files, each with the position markers one of which its
 /// error must carry: a byte offset for a document that does not parse,
 /// a line or the `schema` field for one that parses but is no schema
 /// the reader knows, the rank for a trace that implies no process count.
-const HOSTILE: [(&str, &[u8], &[&str]); 5] = [
+const HOSTILE: [(&str, &[u8], &[&str]); 6] = [
     (
         "truncated",
         br#"{"schema":"ct-telemetry-v1","source":"clu"#,
@@ -244,6 +248,11 @@ const HOSTILE: [(&str, &[u8], &[&str]); 5] = [
         "huge-rank",
         HUGE_RANK,
         &["rank 4294967294", "line 1: ", "schema: "],
+    ),
+    (
+        "unknown-phase",
+        UNKNOWN_PHASE,
+        &["unknown phase", "line 1: ", "schema: "],
     ),
 ];
 

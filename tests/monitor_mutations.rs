@@ -124,7 +124,7 @@ fn mutate_double_deliver(events: &mut Vec<Event>) {
         .iter()
         .position(|e| matches!(e.kind, EventKind::Deliver { payload, .. } if payload.colors()))
         .expect("golden trace has coloring deliveries");
-    let dup = events[i].clone();
+    let dup = events[i];
     events.insert(i + 1, dup);
 }
 
@@ -268,9 +268,9 @@ fn cross_wired_topic_delivery_is_flagged() {
     let mut events = multiplexed_events();
     let i = events
         .iter()
-        .position(|e| e.bcast == Some(1) && matches!(e.kind, EventKind::Deliver { .. }))
+        .position(|e| e.bcast() == Some(1) && matches!(e.kind, EventKind::Deliver { .. }))
         .expect("broadcast 1 has deliveries");
-    events[i] = events[i].clone().with_bcast(2);
+    events[i] = events[i].with_bcast(2);
     let report = check(&events);
     assert!(
         ids(&report).contains(&"deliver-unmatched"),

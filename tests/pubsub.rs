@@ -139,7 +139,7 @@ fn multiplexed_topic_streams_equal_solo_runs_at_p512_k4() {
     // Every event in a topic's sink must carry that topic's broadcast
     // id — the filtering the equality claim rests on.
     for sink in &sinks {
-        let ids: std::collections::BTreeSet<_> = sink.events.iter().map(|e| e.bcast).collect();
+        let ids: std::collections::BTreeSet<_> = sink.events.iter().map(|e| e.bcast()).collect();
         assert_eq!(ids.len(), 1, "one broadcast id per topic per round");
         assert!(ids.iter().all(|id| id.is_some()));
     }
@@ -375,7 +375,7 @@ fn a_single_broadcast_is_a_one_slot_admission() {
     assert!(report.completed);
     assert_eq!(report.messages, u64::from(p) - 1);
     assert!(report.uncolored.is_empty());
-    assert!(solo.events.iter().all(|e| e.bcast.is_none()));
+    assert!(solo.events.iter().all(|e| e.bcast().is_none()));
 
     let mut table = TopicTable::new();
     table.push(Topic::new("one", spec, p, 5));
@@ -390,7 +390,7 @@ fn a_single_broadcast_is_a_one_slot_admission() {
     assert!(outcome.completed);
     assert_eq!(outcome.messages, u64::from(p) - 1);
     assert!(outcome.uncolored.is_empty());
-    assert!(slot.events.iter().all(|e| e.bcast == Some(outcome.id)));
+    assert!(slot.events.iter().all(|e| e.bcast() == Some(outcome.id)));
 
     assert_eq!(canonical(&solo.events), canonical(&slot.events));
 }

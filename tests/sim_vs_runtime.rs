@@ -164,15 +164,7 @@ fn event_schemas_are_identical_across_drivers() {
         let mut lines: Vec<String> = events
             .iter()
             .filter(|e| event_key(e).is_some() || matches!(e.kind, EventKind::Colored { .. }))
-            .map(|e| {
-                let stripped = Event {
-                    time: corrected_trees::logp::Time::ZERO,
-                    wall_us: None,
-                    bcast: None,
-                    kind: e.kind.clone(),
-                };
-                stripped.to_json()
-            })
+            .map(|e| Event::sim(corrected_trees::logp::Time::ZERO, e.kind).to_json())
             .collect();
         lines.sort();
         lines
@@ -181,8 +173,8 @@ fn event_schemas_are_identical_across_drivers() {
 
     // Wall-clock stamping: never on simulator events, always on cluster
     // protocol events.
-    assert!(sim_sink.events.iter().all(|e| e.wall_us.is_none()));
-    assert!(cluster_sink.events.iter().all(|e| e.wall_us.is_some()));
+    assert!(sim_sink.events.iter().all(|e| e.wall_us().is_none()));
+    assert!(cluster_sink.events.iter().all(|e| e.wall_us().is_some()));
 }
 
 #[test]
