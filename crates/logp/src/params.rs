@@ -16,6 +16,8 @@ use crate::time::Time;
 ///
 /// Invariants enforced by [`LogP::new`]:
 /// * `L ≥ 1`, `o ≥ 1` (the paper assumes `{o, L} ∈ ℤ⁺`),
+/// * `L, o ≤ LogP::MAX_STEPS`, so that no run's clock reaches the
+///   saturating `Time::NEVER` sentinel,
 /// * `1 ≤ g ≤ o` (small-message assumption, §2.2).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct LogP {
@@ -32,6 +34,13 @@ pub enum LogPError {
     ZeroLatency,
     /// `o` must be a positive integer.
     ZeroOverhead,
+    /// `L` or `o` exceeds [`LogP::MAX_STEPS`].
+    TooLarge {
+        /// `"L"` or `"o"`.
+        param: &'static str,
+        /// The offending value.
+        value: u64,
+    },
     /// The small-message assumption requires `1 ≤ g ≤ o`.
     GapOutOfRange {
         /// The offending gap value.
@@ -48,6 +57,11 @@ impl fmt::Display for LogPError {
         match self {
             LogPError::ZeroLatency => write!(f, "LogP latency L must be ≥ 1"),
             LogPError::ZeroOverhead => write!(f, "LogP overhead o must be ≥ 1"),
+            LogPError::TooLarge { param, value } => write!(
+                f,
+                "LogP {param}={value} exceeds the limit of {} steps",
+                LogP::MAX_STEPS
+            ),
             LogPError::GapOutOfRange { g, o } => {
                 write!(
                     f,
@@ -71,6 +85,12 @@ impl LogP {
     /// Lamé tree latency-optimal (`2o + L = 3 = k`).
     pub const FIG5: LogP = LogP { l: 1, o: 1, g: 1 };
 
+    /// The largest `L` and `o`, in steps. The port and wire delays a
+    /// simulated step schedules then stay below 2³³ steps, so within the
+    /// simulator's default cap of 2·10⁹ events they cannot carry a run's
+    /// clock to the saturating `Time::NEVER`.
+    pub const MAX_STEPS: u64 = u32::MAX as u64;
+
     /// Construct a validated parameter set with `g = min(o, g)` supplied
     /// explicitly.
     pub fn new(l: u64, o: u64, g: u64) -> Result<Self, LogPError> {
@@ -79,6 +99,11 @@ impl LogP {
         }
         if o == 0 {
             return Err(LogPError::ZeroOverhead);
+        }
+        for (param, value) in [("L", l), ("o", o)] {
+            if value > Self::MAX_STEPS {
+                return Err(LogPError::TooLarge { param, value });
+            }
         }
         if g == 0 || g > o {
             return Err(LogPError::GapOutOfRange { g, o });
@@ -219,6 +244,31 @@ mod tests {
         assert_eq!(
             LogP::new(1, 2, 0),
             Err(LogPError::GapOutOfRange { g: 0, o: 2 })
+        );
+    }
+
+    #[test]
+    fn validation_rejects_l_or_o_beyond_the_step_limit() {
+        let max = LogP::MAX_STEPS;
+        assert!(LogP::new(max, max, 1).is_ok());
+        assert_eq!(
+            LogP::new(max + 1, 1, 1),
+            Err(LogPError::TooLarge {
+                param: "L",
+                value: max + 1
+            })
+        );
+        assert_eq!(
+            LogP::new(1, u64::MAX, 1),
+            Err(LogPError::TooLarge {
+                param: "o",
+                value: u64::MAX
+            })
+        );
+        let err = "L=18446744073709551615,o=1".parse::<LogP>().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "LogP L=18446744073709551615 exceeds the limit of 4294967295 steps"
         );
     }
 

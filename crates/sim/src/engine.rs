@@ -10,23 +10,24 @@
 //! * `Repoll(r)` — a protocol-requested `WaitUntil` expired.
 //!
 //! Ties are broken first by an event-class order (deliveries before
-//! sender polls — see `EventKind::class` in the queue module), then by
-//! insertion order, so a run is a pure function of `(P, LogP, faults,
-//! seed, protocol)`.
+//! sender polls — see `Bucket` in the queue module), then by insertion
+//! order, so a run is a pure function of `(P, LogP, faults, seed,
+//! protocol)`.
 //!
-//! The unit of work is a time step, not an event. Events live in a
-//! calendar queue ([`crate::queue`]) that hands out the earliest pending
-//! step's four lanes whole; the engine walks each lane as a slice, in
-//! class order — which *is* `(time, class, insertion)` order, because
-//! under LogP (`o ≥ 1`, `L ≥ 1`) nothing a step schedules can join it.
-//! The same invariants make three destination lanes the step's own:
-//! only the step at `now` schedules a `RecvDone` or `SenderFree` at
+//! The unit of work is a time step, not an event. Events live in an
+//! ordered map of pending time steps ([`crate::queue`]) that hands out
+//! the earliest step's four lanes whole; the engine walks each lane as a
+//! slice, in class order — which *is* `(time, class, insertion)` order,
+//! because under LogP (`o ≥ 1`, `L ≥ 1`) nothing a step schedules can
+//! join it. The same invariants make three destination lanes the step's
+//! own: only the step at `now` schedules a `RecvDone` or `SenderFree` at
 //! `now + o` or an `Arrive` at `now + o + L`, so the handlers append to
 //! three local vectors that the queue installs as whole lanes when the
-//! step ends. Only `Repoll` (any future time) and the `t = 0` polls are
-//! pushed one by one. All per-run storage can be reused across runs
-//! through a [`RunArena`]; a run that ends in an error still returns the
-//! lanes it held.
+//! step ends, and the `t = 0` polls go in as one lane before the first
+//! step. Only a `Repoll` (any future time) is scheduled event by event.
+//! All per-run storage can be reused across runs through a
+//! [`RunArena`]; a run that ends in an error still returns the lanes it
+//! held.
 //!
 //! The lane handlers are methods of a `Shard`: the ranks one thread
 //! runs. A one-thread run is one shard of every rank. An unobserved run
@@ -51,7 +52,7 @@ use crate::arena::RunArena;
 use crate::bits::BitSet;
 use crate::faults::FaultPlan;
 use crate::metrics::{MessageCounts, Outcome};
-use crate::queue::{Bucket, EventKind, EventQueue, PackedArrive, StepOutput};
+use crate::queue::{Bucket, EventQueue, PackedArrive, StepOutput};
 use crate::shard::{self, Helper, InFlight, Repoll, ShardStore, SHARD_MIN_P, WIDE_STEP};
 
 /// Default cap on processed events — a runaway-protocol backstop far
@@ -401,7 +402,7 @@ impl Ranks for Whole<'_> {
     }
 
     fn repoll(&mut self, _: u32, r: Rank, at: Time, _: &mut Vec<Repoll>) {
-        self.queue.push(at, r, EventKind::Repoll);
+        self.queue.repoll(at, r);
     }
 }
 
@@ -612,11 +613,8 @@ struct Run<'a> {
 impl Run<'_> {
     /// Schedule the initial poll of every live rank at `t = 0`.
     fn start(&self, queue: &mut EventQueue) {
-        for r in 0..self.sim.p {
-            if !self.sim.faults.is_failed(r) {
-                queue.push(Time::ZERO, r, EventKind::SenderFree);
-            }
-        }
+        let faults = &self.sim.faults;
+        queue.start((0..self.sim.p).filter(|&r| !faults.is_failed(r)));
     }
 
     fn ctx(&self, now: Time) -> StepCtx {
@@ -769,7 +767,7 @@ impl Run<'_> {
             };
             let stepped = first_error(mine, their_result);
             if stepped.is_ok() {
-                let repoll = |r: Repoll| queue.push(r.at, r.rank, EventKind::Repoll);
+                let repoll = |r: Repoll| queue.repoll(r.at, r.rank);
                 shard::merge(&mut own.store, &theirs.store, repoll);
             }
             let out = sender_frees(std::mem::take(&mut own.store.out));

@@ -22,21 +22,34 @@ const LOGP_COMMANDS: [&str; 11] = [
     "serve",
 ];
 
-#[test]
-fn unparsable_logp_is_a_usage_error_in_every_subcommand() {
+/// Every `LOGP_COMMANDS` entry refuses `--logp value`: exit 2, the value
+/// named on stderr, no panic.
+fn assert_logp_refused_everywhere(value: &str) {
     for cmd in LOGP_COMMANDS {
         let out = Command::new(env!("CARGO_BIN_EXE_ct"))
-            .args([cmd, "--p", "16", "--logp", "bogus"])
+            .args([cmd, "--p", "16", "--logp", value])
             .output()
             .expect("ct runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "ct {cmd}: {stderr}");
-        assert!(!stderr.contains("panicked"), "ct {cmd}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "ct {cmd} {value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "ct {cmd} {value}: {stderr}");
         assert!(
-            stderr.contains(r#"cannot parse --logp value "bogus""#),
-            "ct {cmd}: {stderr}"
+            stderr.contains(&format!("cannot parse --logp value {value:?}")),
+            "ct {cmd} {value}: {stderr}"
         );
     }
+}
+
+#[test]
+fn unparsable_logp_is_a_usage_error_in_every_subcommand() {
+    assert_logp_refused_everywhere("bogus");
+}
+
+#[test]
+fn out_of_range_logp_is_a_usage_error_in_every_subcommand() {
+    // Past `LogP::MAX_STEPS`, `now + o + L` would saturate at `Time::NEVER`.
+    assert_logp_refused_everywhere("L=18446744073709551615,o=1");
+    assert_logp_refused_everywhere("L=9223372036854775807,o=9223372036854775807");
 }
 
 /// `ct fig` invocations that are usage errors, each with a piece of its
