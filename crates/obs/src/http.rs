@@ -17,7 +17,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::health::HealthEvent;
 use crate::json::JsonObject;
@@ -27,8 +27,10 @@ use crate::telemetry::TelemetryHub;
 /// Largest request head (request line + headers) we accept.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
-/// How long one client may take to deliver its request or drain the
-/// response before the connection is dropped.
+/// How long a client may take to deliver its whole request head,
+/// counted from its accept, and then each write of the response; past
+/// it the connection is dropped. Requests are served one at a time, so
+/// this bounds how long one slow sender delays every other client.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// One response: status, media type and body.
@@ -148,13 +150,16 @@ impl Drop for HttpServer {
     }
 }
 
-/// Read one request head, dispatch, write one response.
+/// Read one request head, dispatch, write one response. The head must
+/// arrive within [`IO_TIMEOUT`] of the call, which follows the accept:
+/// each read may wait only what is left of that, and a head still
+/// incomplete then drops the connection unanswered.
 fn serve_one<F>(stream: &mut TcpStream, handler: &F) -> std::io::Result<()>
 where
     F: Fn(&str) -> Response,
 {
+    let deadline = Instant::now() + IO_TIMEOUT;
     stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
@@ -162,6 +167,11 @@ where
         if buf.len() >= MAX_REQUEST_BYTES {
             break;
         }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             break;
@@ -337,6 +347,37 @@ mod tests {
         let (status, _) = http_get(&addr, "/nope", timeout).expect("GET unknown");
         assert_eq!(status, 404);
 
+        server.stop();
+    }
+
+    #[test]
+    fn a_trickling_client_delays_the_next_one_by_one_timeout_at_most() {
+        let ok = |_: &str| Response::ok("text/plain", "ok\n".to_owned());
+        let mut server = HttpServer::spawn("127.0.0.1:0", ok).expect("bind");
+        let addr = server.addr();
+        // One byte every 500 ms: each read of it is far inside the
+        // timeout, and the whole head would take 11.5 s.
+        let mut slow = TcpStream::connect(addr).expect("connect");
+        let trickle = std::thread::spawn(move || {
+            for &byte in b"GET /metrics HTTP/1.1\r\n" {
+                if slow.write_all(&[byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(500));
+            }
+        });
+        // Connections are accepted in the order they were made, so the
+        // trickler is served first.
+        let started = Instant::now();
+        let (status, body) =
+            http_get(&addr.to_string(), "/metrics", Duration::from_secs(30)).expect("GET /metrics");
+        let waited = started.elapsed();
+        assert_eq!((status, body.as_str()), (200, "ok\n"));
+        assert!(
+            waited <= IO_TIMEOUT + Duration::from_secs(1),
+            "answered after {waited:?}"
+        );
+        trickle.join().unwrap();
         server.stop();
     }
 

@@ -62,9 +62,9 @@
 //! installs what is new, placing the machine over a spare one so the
 //! previous broadcast's machine is rewound in place, and retires what
 //! is gone. The coordinator locks no rank to admit or retire a
-//! broadcast; its message count is the sum of the workers' batched
-//! reports, and only a broadcast whose events are recorded is
-//! harvested rank by rank.
+//! broadcast: its message count is the sum of the workers' batched
+//! reports, and a recorded broadcast's events are in the one [`Trace`]
+//! its ranks hand them to as they run.
 //!
 //! Stale messages are discarded by broadcast id, so iterations cannot
 //! bleed into one another even with messages still queued.
@@ -273,7 +273,8 @@ pub(crate) struct IterState {
     /// ([`Shared::epoch`]): protocol time is `now_us − epoch_us`, timer
     /// deadlines are `epoch_us + t`.
     pub(crate) epoch_us: u64,
-    pub(crate) record: bool,
+    /// The broadcast's event buffer, when it records.
+    pub(crate) trace: Option<Arc<Trace>>,
     /// Messages routed to this iteration (delivered or dead-dropped)
     /// not yet reported to the coordinator: a quantum counts here while
     /// routing and reports whenever it stops driving the machine, so a
@@ -285,8 +286,6 @@ pub(crate) struct IterState {
     /// Whether the coordinator has been told this rank's protocol
     /// machine reported [`SendPoll::Done`] (quiescence tracking).
     pub(crate) done_notified: bool,
-    /// Buffered observability events (when recording).
-    pub(crate) events: Vec<ObsEvent>,
 }
 
 impl IterState {
@@ -296,18 +295,17 @@ impl IterState {
         process: Box<dyn Process>,
         dead: bool,
         epoch_us: u64,
-        record: bool,
+        trace: Option<Arc<Trace>>,
     ) -> IterState {
         IterState {
             id,
             process,
             dead,
             epoch_us,
-            record,
+            trace,
             consumed: 0,
             notified: false,
             done_notified: false,
-            events: Vec::new(),
         }
     }
 
@@ -316,12 +314,28 @@ impl IterState {
         Time::new(now_us.saturating_sub(self.epoch_us))
     }
 
-    /// Buffer an observability event stamped `now` (when recording).
-    fn note(&mut self, now: Time, kind: ObsEventKind) {
-        if self.record {
-            self.events.push(ObsEvent::wall(now, now.steps(), kind));
+    /// Stage an event stamped `now`, when the broadcast records.
+    fn note(&self, staged: &mut Vec<(u64, ObsEvent)>, now: Time, kind: ObsEventKind) {
+        if self.trace.is_some() {
+            staged.push((self.id, ObsEvent::wall(now, now.steps(), kind)));
         }
     }
+}
+
+/// A recorded broadcast's events: one buffer that the coordinator
+/// creates at admission and takes at retirement, and that each rank
+/// installing the broadcast hands its events to as it runs (DESIGN.md
+/// "Cluster runtime", *Recorded events*). What is handed over after
+/// the take is never read.
+pub(crate) type Trace = Mutex<Vec<ObsEvent>>;
+
+/// Hand broadcast `id`'s staged events to its `trace`, in the order
+/// they were staged.
+fn hand_over(trace: &Trace, id: u64, staged: &mut Vec<(u64, ObsEvent)>) -> Result<(), Poisoned> {
+    let events = staged.iter().filter(|s| s.0 == id).map(|s| s.1);
+    trace.lock().map_err(|_| Poisoned)?.extend(events);
+    staged.retain(|s| s.0 != id);
+    Ok(())
 }
 
 /// Mutable per-rank state a worker locks for the span of one quantum.
@@ -360,9 +374,8 @@ pub(crate) struct RankState {
 impl RankState {
     /// Bring this rank's iterations in line with `window`, unless it
     /// synced with that generation or a newer one already: every
-    /// unrecorded iteration whose broadcast retired goes (its machine
-    /// becomes a spare; a recorded one waits for the coordinator's
-    /// harvest), then every broadcast newer than `last_installed` is
+    /// iteration whose broadcast retired goes (its machine becomes a
+    /// spare), then every broadcast newer than `last_installed` is
     /// installed over a spare machine. Spares beyond the window's `k`
     /// machines are freed. Returns whether it installed anything.
     pub(crate) fn sync(&mut self, rank: Rank, window: &Window) -> bool {
@@ -370,14 +383,9 @@ impl RankState {
             return false;
         }
         self.synced = window.gen;
-        let mut i = 0;
-        while i < self.iters.len() {
-            let id = self.iters[i].id;
-            if self.iters[i].record || window.entries.iter().any(|e| e.id == id) {
-                i += 1;
-            } else {
-                let retired = self.iters.remove(i);
-                self.spare.push(retired.process);
+        for i in (0..self.iters.len()).rev() {
+            if !window.entries.iter().any(|e| e.id == self.iters[i].id) {
+                self.spare.push(self.iters.remove(i).process);
             }
         }
         // Entries are in id order.
@@ -387,7 +395,7 @@ impl RankState {
         for e in &window.entries[from..] {
             let process = e.blueprint.place(rank, self.spare.pop());
             let dead = e.dead[rank as usize];
-            let iter = IterState::new(e.id, process, dead, e.epoch_us, e.record);
+            let iter = IterState::new(e.id, process, dead, e.epoch_us, e.trace.clone());
             self.iters.push(iter);
             self.last_installed = e.id;
         }
@@ -399,9 +407,9 @@ impl RankState {
 
 /// One rank: a schedule flag, a mailbox and the protocol state.
 ///
-/// Lock order: `state` before `mailbox`; `mailbox` and the scheduler
-/// lock are leaves (never held while taking another lock); no two
-/// `state` locks are ever held at once.
+/// Lock order: `state` before `mailbox` or a [`Trace`]; these and the
+/// scheduler lock are leaves (never held while taking another lock);
+/// no two `state` locks are ever held at once.
 pub(crate) struct RankCell {
     /// Set while the rank sits in the run queue or a worker's batch.
     /// Senders and timer expiry that win the `false → true` CAS take
@@ -417,10 +425,9 @@ pub(crate) struct RankCell {
     /// The highest broadcast id a quantum of this rank installed: what
     /// [`RankState::last_installed`] was when a quantum last raised it,
     /// for a sweep to read without the state lock
-    /// ([`Sched::sweep_skips`]). Only a quantum raises it, not the
-    /// harvest, which installs and marks past ids without polling: so
-    /// when it says the latest admission is installed, a quantum that
-    /// polls that iteration and drains the mailbox afterwards runs.
+    /// ([`Sched::sweep_skips`]). Only a quantum installs, so when it
+    /// says the latest admission is installed, a quantum that polls
+    /// that iteration and drains the mailbox afterwards runs.
     pub(crate) installed: AtomicU64,
     pub(crate) mailbox: Mutex<Mailbox>,
     pub(crate) state: Mutex<RankState>,
@@ -469,7 +476,8 @@ pub(crate) struct Sched {
 pub(crate) struct Entry {
     pub(crate) id: u64,
     pub(crate) epoch_us: u64,
-    pub(crate) record: bool,
+    /// The event buffer of a recorded broadcast.
+    pub(crate) trace: Option<Arc<Trace>>,
     /// Per-rank crash mask, length P.
     pub(crate) dead: Arc<[bool]>,
     pub(crate) blueprint: Arc<dyn Blueprint>,
@@ -657,34 +665,32 @@ impl Shared {
         Ok(())
     }
 
-    /// Retire broadcast `id` from the window; returns the window that
-    /// remains. No rank is touched: each drops its iteration when it
-    /// next syncs. A window left empty also empties the run queue and
-    /// the timers — nothing in flight needs a quantum, and the
-    /// next admission schedules every rank — so what a broadcast
-    /// retired on coloring left behind does not run ahead of the next
-    /// one: its messages are dropped by id when their rank next drains.
-    pub(crate) fn withdraw(&self, id: u64) -> Result<Arc<Window>, ClusterError> {
+    /// Retire broadcast `id` from the window; no rank is touched: each
+    /// drops its iteration when it next syncs. A window left empty also
+    /// empties the run queue and the timers — nothing in flight needs a
+    /// quantum, and the next admission schedules every rank — so what a
+    /// broadcast retired on coloring left behind does not run ahead of
+    /// the next one: its messages are dropped when their rank drains.
+    pub(crate) fn withdraw(&self, id: u64) -> Result<(), ClusterError> {
         let mut sched = self
             .sched
             .lock()
             .map_err(|_| ClusterError::WorkerPanicked)?;
         let entries = sched.window.entries.iter().filter(|e| e.id != id).cloned();
-        let window = Arc::new(Window {
+        sched.window = Arc::new(Window {
             gen: sched.window.gen + 1,
             k: sched.window.k,
             entries: entries.collect(),
         });
-        sched.window = Arc::clone(&window);
-        self.window_gen.store(window.gen, Ordering::Release);
-        if window.entries.is_empty() {
+        self.window_gen.store(sched.window.gen, Ordering::Release);
+        if sched.window.entries.is_empty() {
             sched.runq.clear();
             sched.sweeps.clear();
             sched.depth = 0;
             sched.unclaimed.fill(false);
             sched.timers.clear();
         }
-        Ok(window)
+        Ok(())
     }
 }
 
@@ -707,6 +713,9 @@ struct Scratch {
     deltas: Vec<(u64, Counts)>,
     /// Timer-expiry drain target.
     due: Vec<Rank>,
+    /// Recorded events of the running quantum, by broadcast id, not yet
+    /// handed to their [`Trace`].
+    staged: Vec<(u64, ObsEvent)>,
 }
 
 /// Merge broadcast `id`'s delta into the batch's list (linear scan: at
@@ -883,9 +892,9 @@ impl Cluster {
     /// Recording is decided once per iteration from
     /// [`EventSink::enabled`]: with a disabled sink (the default
     /// [`NullSink`]) workers buffer nothing and the iteration behaves
-    /// exactly like an unobserved one. Events are buffered per rank and
-    /// merged time-sorted after the iteration, so observation adds no
-    /// cross-thread traffic on the hot path.
+    /// exactly like an unobserved one. A recording iteration's ranks
+    /// hand their events to its one buffer as they run, taking its lock
+    /// once per send; retirement emits them in causal order.
     pub fn run_broadcast_observed(
         &mut self,
         factory: &dyn ProtocolFactory,
@@ -1316,7 +1325,7 @@ impl Quantum<'_> {
             .mailbox
             .lock()
             .map_err(|_| Poisoned)?
-            .drain_into(msgs, usize::MAX);
+            .drain_into(msgs);
         self.sends = 0;
         let reference = self.now_us;
         for m in st.pending.iter().chain(msgs.iter()) {
@@ -1334,9 +1343,9 @@ impl Quantum<'_> {
     /// advance inside a burst. (Nothing can be installed while the
     /// quantum holds the state lock, so a drain that takes nothing
     /// leaves the parked messages where they are.)
-    fn hear(&mut self, st: &mut RankState, msgs: &mut Vec<Msg>) -> Result<(), Poisoned> {
+    fn hear(&mut self, st: &mut RankState, scratch: &mut Scratch) -> Result<(), Poisoned> {
         self.now_us = self.now_us.max(self.shared.now_us());
-        let drained = self.drain(st, msgs)?;
+        let drained = self.drain(st, &mut scratch.msgs)?;
         if drained == 0 {
             return Ok(());
         }
@@ -1346,7 +1355,7 @@ impl Quantum<'_> {
             self.local.tally.observe(Td::MailboxDrained, drained as u64);
             t.mailbox_depth(rank as usize, drained as u64);
         }
-        self.route(st, msgs);
+        self.route(st, &scratch.msgs, &mut scratch.staged);
         Ok(())
     }
 
@@ -1359,7 +1368,7 @@ impl Quantum<'_> {
         scratch: &mut Scratch,
     ) -> Result<(), Poisoned> {
         while self.drive(&mut st.iters[i], scratch)? == Stop::Refresh {
-            self.hear(st, &mut scratch.msgs)?;
+            self.hear(st, scratch)?;
         }
         Ok(())
     }
@@ -1371,8 +1380,8 @@ impl Quantum<'_> {
     /// rank), outruns installation (a peer of a topic being admitted
     /// got ahead of this rank's install; parked in `pending` until the
     /// quantum that follows the install), or is stale (its iteration
-    /// already retired) and is discarded.
-    fn route(&mut self, st: &mut RankState, drained: &[Msg]) {
+    /// already retired) and is discarded. Recorded events are staged.
+    fn route(&mut self, st: &mut RankState, drained: &[Msg], staged: &mut Vec<(u64, ObsEvent)>) {
         let rank = self.rank;
         let parked = std::mem::take(&mut st.pending);
         for &m in parked.iter().chain(drained) {
@@ -1389,20 +1398,20 @@ impl Quantum<'_> {
             let (from, to, payload) = (m.from, rank, m.payload);
             if iter.dead {
                 // Crash emulation: drop the message, but observably.
-                iter.note(now, ObsEventKind::DropDead { from, to, payload });
+                iter.note(staged, now, ObsEventKind::DropDead { from, to, payload });
                 continue;
             }
             self.local.tally.inc(Tc::MsgsDelivered);
-            iter.note(now, ObsEventKind::Arrive { from, to, payload });
+            iter.note(staged, now, ObsEventKind::Arrive { from, to, payload });
             iter.process.on_message(from, payload, now);
-            iter.note(now, ObsEventKind::Deliver { from, to, payload });
+            iter.note(staged, now, ObsEventKind::Deliver { from, to, payload });
         }
     }
 
     /// Drive one installed protocol as far as it goes right now — or up
     /// to the next refresh point — report its coloring, and book its
     /// quiescence deltas (a dead rank only ever has `consumed` to
-    /// report).
+    /// report). A recorded one hands its events over before each push.
     fn drive(&mut self, iter: &mut IterState, scratch: &mut Scratch) -> Result<Stop, Poisoned> {
         let (shared, rank, taps) = (self.shared, self.rank, self.taps);
         let now_us = self.now_us;
@@ -1420,7 +1429,13 @@ impl Quantum<'_> {
                     self.sends += 1;
                     sent += 1;
                     let from = rank;
-                    iter.note(now, ObsEventKind::SendStart { from, to, payload });
+                    if let Some(trace) = &iter.trace {
+                        let send = ObsEventKind::SendStart { from, to, payload };
+                        scratch
+                            .staged
+                            .push((iter.id, ObsEvent::wall(now, now.steps(), send)));
+                        hand_over(trace, iter.id, &mut scratch.staged)?;
+                    }
                     let peer = &shared.ranks[to as usize];
                     let id = iter.id;
                     // The message carries the stamp `SendStart` has, so
@@ -1500,15 +1515,13 @@ impl Quantum<'_> {
         if !iter.notified && iter.process.colored_at().is_some() {
             iter.notified = true;
             delta.colored = 1;
-            if iter.record {
+            if iter.trace.is_some() {
                 if let (Some(at), Some(via)) =
                     (iter.process.colored_at(), iter.process.colored_via())
                 {
-                    iter.events.push(ObsEvent::wall(
-                        at,
-                        iter.at(self.now_us).steps(),
-                        ObsEventKind::Colored { rank, via },
-                    ));
+                    let colored = ObsEventKind::Colored { rank, via };
+                    let event = ObsEvent::wall(at, iter.at(self.now_us).steps(), colored);
+                    scratch.staged.push((iter.id, event));
                 }
             }
         }
@@ -1582,7 +1595,7 @@ fn run_quantum(
         taps.flight(Fk::MailboxDrain, rank, drained as u64, 0, q.now_us);
     }
 
-    q.route(st, &scratch.msgs);
+    q.route(st, &scratch.msgs, &mut scratch.staged);
     for i in 0..st.iters.len() {
         q.settle(st, i, scratch)?;
     }
@@ -1592,6 +1605,13 @@ fn run_quantum(
     // quantum ends.
     while let Some(i) = st.iters.iter().position(|iter| iter.consumed > 0) {
         q.settle(st, i, scratch)?;
+    }
+    // Still under the state lock, and ahead of the ledger post of this
+    // quantum's deltas: what is left staged goes to its buffers.
+    while let Some(&(id, _)) = scratch.staged.first() {
+        let iter = st.iters.iter().find(|i| i.id == id).expect("installed");
+        let trace = iter.trace.as_deref().expect("only a recorded one stages");
+        hand_over(trace, id, &mut scratch.staged)?;
     }
     // The end of a quantum reads no clock: its records carry the
     // quantum's last stamp (a send burst refreshed it on the way), and
@@ -1640,11 +1660,11 @@ fn stale_quantum(
         .mailbox
         .lock()
         .map_err(|_| Poisoned)?
-        .drain_into(&mut scratch.msgs, usize::MAX);
+        .drain_into(&mut scratch.msgs);
     if let (Some(t), 1..) = (taps.tel, drained) {
         t.mailbox_depth(rank as usize, drained as u64);
     }
-    q.route(&mut guard, &scratch.msgs);
+    q.route(&mut guard, &scratch.msgs, &mut scratch.staged);
     drop(guard);
     release(cell, rank, scratch, taps, q.local)
 }
@@ -1970,7 +1990,7 @@ mod tests {
                 probe(2, burst, Some((Arc::clone(shared), mail))),
             ];
             for (id, process) in (1..).zip(iters) {
-                st.iters.push(IterState::new(id, process, false, 0, false));
+                st.iters.push(IterState::new(id, process, false, 0, None));
             }
             st.last_installed = 3;
         }
@@ -2350,7 +2370,7 @@ mod tests {
         let entry = Entry {
             id,
             epoch_us: 0,
-            record: false,
+            trace: None,
             dead: no_faults(cluster.p).into(),
             blueprint: spec.blueprint(&ctx).unwrap(),
         };
@@ -2481,6 +2501,7 @@ mod tests {
             stamp: sent_us as u32,
         };
         shared.ranks[0].mailbox.lock().unwrap().push(msg);
+        let trace = Arc::new(Trace::default());
         {
             let probe = Probe {
                 polls: Arc::default(),
@@ -2489,8 +2510,14 @@ mod tests {
                 heard: false,
             };
             let mut st = shared.ranks[0].state.lock().unwrap();
-            st.iters
-                .push(IterState::new(1, Box::new(probe), false, epoch_us, true));
+            let iter = IterState::new(
+                1,
+                Box::new(probe),
+                false,
+                epoch_us,
+                Some(Arc::clone(&trace)),
+            );
+            st.iters.push(iter);
             st.last_installed = 1;
         }
         let mut local = Local::new();
@@ -2501,13 +2528,13 @@ mod tests {
 
         // The sender's `SendStart` was stamped `sent_us − epoch_us`.
         let send_start = sent_us - epoch_us;
-        let st = shared.ranks[0].state.lock().unwrap();
-        let arrive = st.iters[0]
-            .events
+        let events = trace.lock().unwrap();
+        let arrive = events
             .iter()
             .find(|e| matches!(e.kind, ObsEventKind::Arrive { from: 1, .. }))
             .expect("the message arrived");
         assert!(arrive.time.steps() >= send_start, "{arrive:?}");
+        let st = shared.ranks[0].state.lock().unwrap();
         assert_eq!(st.last_poll_us, Some(sent_us));
         assert_eq!(local.stamp_us, sent_us);
     }

@@ -131,28 +131,21 @@ impl Mailbox {
         }
     }
 
-    /// Move up to `max` oldest messages into `out`; returns how many.
+    /// Move every message into `out`, oldest first; returns how many.
     /// The ring part is at most two slice copies (up to the wrap, then
     /// from slot 0); the spill queue, whose entries are all younger
-    /// than the ring's, follows. A drain that empties the ring restarts
-    /// it at slot 0, so a rank's next messages land in the cache lines
-    /// its last ones did.
-    pub fn drain_into(&mut self, out: &mut Vec<Msg>, max: usize) -> usize {
-        let from_ring = self.len.min(max);
-        let first = from_ring.min(self.ring.len() - self.head);
+    /// than the ring's, follows. The emptied ring restarts at slot 0,
+    /// so a rank's next messages land in the cache lines its last ones
+    /// did.
+    pub fn drain_into(&mut self, out: &mut Vec<Msg>) -> usize {
+        let drained = self.len();
+        let first = self.len.min(self.ring.len() - self.head);
         out.extend_from_slice(&self.ring[self.head..self.head + first]);
-        out.extend_from_slice(&self.ring[..from_ring - first]);
-        self.head += from_ring;
-        if self.head >= self.ring.len() {
-            self.head -= self.ring.len();
-        }
-        self.len -= from_ring;
-        if self.len == 0 {
-            self.head = 0;
-        }
-        let from_spill = self.spill.len().min(max - from_ring);
-        out.extend(self.spill.drain(..from_spill));
-        from_ring + from_spill
+        out.extend_from_slice(&self.ring[..self.len - first]);
+        self.head = 0;
+        self.len = 0;
+        out.extend(self.spill.drain(..));
+        drained
     }
 }
 
@@ -231,14 +224,15 @@ mod tests {
     }
 
     #[test]
-    fn drain_into_respects_max() {
+    fn a_drain_takes_the_ring_then_the_spill_queue() {
         let mut mb = Mailbox::new(2);
         for i in 0..5 {
             mb.push(msg(1, i));
         }
         let mut out = Vec::new();
-        assert_eq!(mb.drain_into(&mut out, 3), 3);
-        assert_eq!(mb.drain_into(&mut out, 10), 2);
+        assert_eq!(mb.drain_into(&mut out), 5);
+        assert!(mb.is_empty());
+        assert_eq!(mb.drain_into(&mut out), 0);
         let from: Vec<Rank> = out.iter().map(|m| m.from).collect();
         assert_eq!(from, vec![0, 1, 2, 3, 4]);
     }
@@ -255,11 +249,8 @@ mod tests {
             mb.push(msg(1, i)); // 4 in the ring (slots 3, 0, 1, 2), 2 spilled
         }
         let mut out = Vec::new();
-        // Stops inside the second slice.
-        assert_eq!(mb.drain_into(&mut out, 3), 3);
-        assert_eq!(mb.len(), 3);
-        // The rest: one ring slot, then the spill queue.
-        assert_eq!(mb.drain_into(&mut out, usize::MAX), 3);
+        // Both ring slices, then the spill queue.
+        assert_eq!(mb.drain_into(&mut out), 6);
         let from: Vec<Rank> = out.iter().map(|m| m.from).collect();
         assert_eq!(from, vec![10, 11, 12, 13, 14, 15]);
         assert!(mb.is_empty());
@@ -275,15 +266,16 @@ mod tests {
     }
 
     #[test]
-    fn an_emptying_drain_restarts_the_ring_at_slot_0() {
+    fn a_drain_restarts_the_ring_at_slot_0() {
         let mut mb = Mailbox::new(4);
         for i in 0..3 {
             mb.push(msg(1, i));
         }
+        mb.pop();
+        mb.pop();
+        assert_eq!(mb.head, 2, "pops leave the head past what they took");
         let mut out = Vec::new();
-        assert_eq!(mb.drain_into(&mut out, 2), 2);
-        assert_eq!(mb.head, 2, "a partial drain leaves the head where it is");
-        assert_eq!(mb.drain_into(&mut out, usize::MAX), 1);
+        assert_eq!(mb.drain_into(&mut out), 1);
         assert_eq!(mb.head, 0);
         mb.push(msg(2, 9));
         assert_eq!(mb.ring[0], msg(2, 9));

@@ -53,8 +53,9 @@
 //! Retiring is one scheduler-lock acquisition that takes the broadcast
 //! out of the window: its ranks drop it when they next sync, and what
 //! it left in their mailboxes is dropped by id at their next drain.
-//! Only a broadcast whose events are recorded is also harvested rank by
-//! rank. Its message count is the sum of the workers' posts.
+//! Its message count is the sum of the workers' posts, and a recorded
+//! broadcast's events are in the one buffer its ranks handed them to
+//! as they ran, which retiring takes.
 //!
 //! [`BroadcastOutcome::latency`] is admission → the post that reported
 //! the last live rank colored (the consumer-visible metric), stamped by
@@ -62,6 +63,7 @@
 //! extending the reported latency.
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ct_core::protocol::{BroadcastSpec, BuildCtx, ProtocolFactory};
@@ -71,7 +73,7 @@ use ct_obs::health::HealthEvent;
 use ct_obs::{causal_order, Event as ObsEvent, EventKind as ObsEventKind, EventSink, NullSink};
 use ct_obs::{Phase, Postmortem, RankStall, StallReport};
 
-use crate::cluster::{Cluster, ClusterError, Entry, Window};
+use crate::cluster::{Cluster, ClusterError, Entry, Trace};
 use crate::inbox::{Account, Disconnected};
 
 /// One broadcast topic: a protocol spec plus the failure mask and seed
@@ -276,7 +278,8 @@ struct Active<'a> {
     /// `epoch` on the cluster timeline, µs.
     epoch_us: u64,
     deadline: Instant,
-    record: bool,
+    /// The event buffer, when it records.
+    trace: Option<Arc<Trace>>,
     /// The sampler's health-log length at admission: what this
     /// broadcast's outcome reports from.
     health_mark: Option<usize>,
@@ -446,10 +449,11 @@ impl Cluster {
         // the latency measurement, taken before the broadcast is
         // published so no stamp can predate it.
         let (epoch, epoch_us) = self.shared.epoch();
+        let trace = record.then(|| Arc::new(Trace::default()));
         let entry = Entry {
             id,
             epoch_us,
-            record,
+            trace: trace.clone(),
             dead: dead.into(),
             blueprint,
         };
@@ -466,7 +470,7 @@ impl Cluster {
             epoch,
             epoch_us,
             deadline: epoch + self.timeout,
-            record,
+            trace,
             health_mark,
         })
     }
@@ -474,8 +478,7 @@ impl Cluster {
     /// Retire broadcast `a`, retirable by its rule or else past its
     /// deadline: diagnose a stall first, then withdraw it from the
     /// window — its ranks drop it when they next sync — close its
-    /// account and, when it records, harvest its events into its
-    /// `sink`.
+    /// account and, when it records, take its events into its `sink`.
     fn retire(
         &mut self,
         a: Active<'_>,
@@ -495,7 +498,7 @@ impl Cluster {
         let postmortem = stall
             .as_ref()
             .and_then(|report| self.capture_postmortem("watchdog_stall", Some(report)));
-        let window = self.shared.withdraw(id)?;
+        self.shared.withdraw(id)?;
         let account = self.shared.ledger.close(id).unwrap_or(a.account);
         let latency = match (account.live, account.colored_at) {
             (0, _) => Duration::ZERO,
@@ -512,8 +515,9 @@ impl Cluster {
                 self.shared.now_us(),
             );
         }
-        if a.record {
-            let recorded = self.harvest(id, &window)?;
+        if let Some(trace) = &a.trace {
+            let taken = trace.lock().map(|mut events| std::mem::take(&mut *events));
+            let recorded = taken.map_err(|_| ClusterError::WorkerPanicked)?;
             let bcast = (account.rule == Rule::Quiescent).then_some(id);
             emit(sink, &recorded, bcast);
         }
@@ -533,34 +537,6 @@ impl Cluster {
             postmortem,
             health,
         })
-    }
-
-    /// Take recorded broadcast `id`, already withdrawn (`window` is
-    /// what remains), off every rank that installed it and return its
-    /// events. Locking a rank's state waits out any quantum in flight
-    /// on it; once the iteration is taken, later quanta no longer see
-    /// it. A rank that has not installed it yet is synced with `window`
-    /// here and marked past `id`, so that a worker still holding an
-    /// older window cannot install it later.
-    fn harvest(&self, id: u64, window: &Window) -> Result<Vec<ObsEvent>, ClusterError> {
-        let mut recorded: Vec<ObsEvent> = Vec::new();
-        for rank in 0..self.p {
-            let mut st = self.shared.ranks[rank as usize]
-                .state
-                .lock()
-                .map_err(|_| ClusterError::WorkerPanicked)?;
-            if let Some(pos) = st.iters.iter().position(|i| i.id == id) {
-                let mut iter = st.iters.remove(pos);
-                recorded.append(&mut iter.events);
-                if st.iters.len() + st.spare.len() < window.k {
-                    st.spare.push(iter.process);
-                }
-            } else if id > st.last_installed {
-                st.sync(rank, window);
-                st.last_installed = st.last_installed.max(id);
-            }
-        }
-        Ok(recorded)
     }
 
     /// The watchdog's [`StallReport`] for `a`: one [`RankStall`] per
@@ -641,9 +617,9 @@ impl Cluster {
     }
 }
 
-/// Emit a harvested broadcast into `sink`, stamped with `bcast`, inside
-/// its `broadcast` phase span. Per-rank buffers are harvested in rank
-/// order, so cross-rank events stamped in the same microsecond would
+/// Emit a recorded broadcast into `sink`, stamped with `bcast`, inside
+/// its `broadcast` phase span. Ranks hand their events over as they
+/// run, so cross-rank events stamped in the same microsecond would
 /// otherwise interleave arbitrarily — an `Arrive` could surface before
 /// its `SendStart`. Emitting in [`causal_order`] restores
 /// cause-before-effect at equal timestamps, keeps each rank's own
@@ -794,7 +770,7 @@ mod tests {
 
     #[test]
     fn emit_orders_events_as_a_stable_sort_by_time_and_class_would() {
-        // Harvest order with many ties: equal stamps across ranks and
+        // Hand-over order with many ties: equal stamps across ranks and
         // within one, every kind, times out of order.
         let mut x = 7u64;
         let recorded: Vec<ObsEvent> = (0..2_000u32)

@@ -394,3 +394,74 @@ fn a_single_broadcast_is_a_one_slot_admission() {
 
     assert_eq!(canonical(&solo.events), canonical(&slot.events));
 }
+
+#[test]
+fn a_recorded_topic_trace_agrees_with_its_outcome() {
+    // A pub/sub broadcast retires at quiescence, and a quantum's events
+    // reach its broadcast's buffer before the ledger post that carries
+    // its counts: so a completed broadcast's trace holds every message
+    // its outcome counts, each once, on two workers too.
+    let p = 128u32;
+    let cfg = ClusterConfig::new().threads(2);
+    let mut cluster = Cluster::with_config(p, LogP::PAPER, cfg);
+    let spec = BroadcastSpec::corrected_tree(TreeKind::BINOMIAL, CorrectionKind::Checked);
+    let mut table = TopicTable::new();
+    for t in 0..4u32 {
+        let root = t * 37;
+        // Two dead ranks per topic, never its root.
+        let mut dead = vec![false; p as usize];
+        for offset in [3 + t, 70 + 5 * t] {
+            dead[((root + offset) % p) as usize] = true;
+        }
+        let topic = Topic::new(format!("checked-r{root}"), spec.with_root(root), p, 60);
+        table.push(topic.with_dead(dead));
+    }
+    let mut sinks: Vec<VecSink> = (0..table.len()).map(|_| VecSink::new()).collect();
+    let report = {
+        let mut refs: Vec<&mut dyn corrected_trees::obs::EventSink> = sinks
+            .iter_mut()
+            .map(|s| s as &mut dyn corrected_trees::obs::EventSink)
+            .collect();
+        cluster
+            .run_pubsub_observed(&table, &PubsubOptions { k: 4, rounds: 2 }, &mut refs)
+            .expect("pub/sub run")
+    };
+    assert_eq!(report.outcomes.len(), 8);
+    for (t, sink) in sinks.iter().enumerate() {
+        let ids: Vec<u64> = report
+            .outcomes
+            .iter()
+            .filter(|o| o.topic == t)
+            .map(|o| o.id)
+            .collect();
+        for e in &sink.events {
+            let id = e.bcast().expect("every event carries its broadcast id");
+            assert!(ids.contains(&id), "topic {t}: {e:?}");
+        }
+    }
+    let completed: Vec<_> = report.outcomes.iter().filter(|o| o.completed).collect();
+    assert!(!completed.is_empty(), "{:?}", report.outcomes);
+    for o in completed {
+        let dead = &table.get(o.topic).expect("its topic").dead;
+        let (mut sends, mut arrivals, mut drops, mut deliveries) = (0u64, 0u64, 0u64, 0u64);
+        let mut colored = Vec::new();
+        let events = sinks[o.topic].events.iter();
+        for e in events.filter(|e| e.bcast() == Some(o.id)) {
+            match e.kind {
+                EventKind::SendStart { .. } => sends += 1,
+                EventKind::Arrive { .. } => arrivals += 1,
+                EventKind::DropDead { .. } => drops += 1,
+                EventKind::Deliver { .. } => deliveries += 1,
+                EventKind::Colored { rank, .. } => colored.push(rank),
+                _ => {}
+            }
+        }
+        let label = format!("topic {} round {}", o.topic, o.round);
+        assert_eq!(sends, o.messages, "{label}: sends");
+        assert_eq!(arrivals + drops, o.messages, "{label}: arrivals and drops");
+        assert_eq!(deliveries, arrivals, "{label}: deliveries");
+        colored.sort_unstable();
+        let live: Vec<u32> = (0..p).filter(|&r| !dead[r as usize]).collect();
+        assert_eq!(colored, live, "{label}: one coloring per live rank");
+    }
+}
