@@ -6,13 +6,12 @@
 //!
 //! - [`trace`] parses event streams back from JSONL; a trace is one
 //!   repetition;
-//! - [`dag`] reconstructs the causal DAG — send→arrive wire edges,
-//!   arrive→deliver port edges (the matches of the trace's
-//!   [`ct_obs::CausalIndex`]), per-rank occupancy edges;
-//! - [`critical`] extracts the critical path by backward
-//!   latest-predecessor chaining and attributes every step of it to
-//!   LogP cost classes (`o`, `L`, idle) and protocol phases
-//!   (dissemination vs correction);
+//! - [`critical`] extracts the critical path: one forward walk picks
+//!   each message event's binding in-edge from the matches of the
+//!   trace's [`ct_obs::CausalIndex`] and its rank's previous send and
+//!   delivery, and a backward walk from the completion event
+//!   attributes every step of the path to LogP cost classes (`o`, `L`,
+//!   idle) and protocol phases (dissemination vs correction);
 //! - [`summary`] aggregates per-repetition analyses — phase split,
 //!   per-rank utilization, message breakdown — and checks observed
 //!   correction times against the Lemma 3 bounds from `ct-analysis`;
@@ -40,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod critical;
-pub mod dag;
 pub mod forensics;
 pub mod postmortem;
 pub mod scheduler;
@@ -50,7 +48,6 @@ pub mod trace;
 
 pub use critical::{CostClass, CriticalPath, Segment};
 pub use ct_obs::json::Value;
-pub use dag::{CausalDag, EdgeKind, Node, NodeKind};
 pub use forensics::{analyze_forensics, FailureImpact, ForensicsReport, OrphanRescue, WasteReport};
 pub use summary::{
     analyze_rep, analyze_rep_indexed, AnalysisSummary, AnalyzeConfig, BoundsCheck,

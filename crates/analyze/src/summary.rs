@@ -18,7 +18,6 @@ use ct_obs::json::{fmt_f64, JsonObject};
 use ct_obs::{CausalIndex, Event, EventKind};
 
 use crate::critical::CriticalPath;
-use crate::dag::{CausalDag, NodeKind};
 
 /// Analyzer configuration.
 #[derive(Clone, Copy, Debug)]
@@ -180,9 +179,8 @@ pub fn analyze_rep_indexed(
 ) -> RepAnalysis {
     let p = cfg.p.unwrap_or(index.p());
     let o = cfg.logp.o();
-    let dag = CausalDag::from_index(events, index, o);
-    let critpath = CriticalPath::extract(&dag);
-    let completion = dag.completion;
+    let critpath = CriticalPath::extract(events, index, o);
+    let completion = critpath.len;
 
     let mut messages = MessageBreakdown::default();
     let mut diss_end = 0u64;
@@ -222,10 +220,11 @@ pub fn analyze_rep_indexed(
     // Busy time: union of send slots [t, t+o] and receive-processing
     // slots [t−o, t] per rank, interval-merged.
     let mut intervals: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p as usize];
-    for n in &dag.nodes {
-        let (rank, span) = match n.kind {
-            NodeKind::Send => (n.from, (n.t, n.t + o)),
-            NodeKind::Deliver => (n.to, (n.t.saturating_sub(o), n.t)),
+    for e in events {
+        let t = e.time.steps();
+        let (rank, span) = match e.kind {
+            EventKind::SendStart { from, .. } => (from, (t, t + o)),
+            EventKind::Deliver { to, .. } => (to, (t.saturating_sub(o), t)),
             _ => continue,
         };
         if (rank as usize) < intervals.len() {

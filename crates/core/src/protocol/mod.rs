@@ -95,8 +95,10 @@ pub enum SendPoll {
     Done,
 }
 
-/// One rank's protocol state machine.
-pub trait Process: Send {
+/// One rank's protocol state machine. It is [`Any`], so a blueprint
+/// can re-initialise the machine of a previous broadcast in place
+/// ([`Blueprint::place`]).
+pub trait Process: Any + Send {
     /// Deliver a fully received message.
     fn on_message(&mut self, from: Rank, payload: Payload, now: Time);
 
@@ -108,13 +110,6 @@ pub trait Process: Send {
 
     /// How this process became colored, if it has.
     fn colored_via(&self) -> Option<ColoredVia>;
-
-    /// The concrete slot content, for blueprints that re-initialise the
-    /// machine of a previous broadcast in place ([`Blueprint::place`]).
-    /// `None` (the default) opts out: the machine is built afresh.
-    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
-        None
-    }
 }
 
 /// All `P` machines of one broadcast, addressed by physical rank: the
@@ -123,8 +118,10 @@ pub trait Process: Send {
 ///
 /// A vector of boxed processes — what any factory builds — is one; a
 /// factory whose machines all have one type can do without the box per
-/// rank ([`RelabeledPopulation`], [`ProtocolFactory::populate`]).
-pub trait Population: Send {
+/// rank ([`RelabeledPopulation`], [`ProtocolFactory::populate`]). It
+/// is [`Any`], so such a factory can re-initialise the population of a
+/// previous broadcast in place.
+pub trait Population: Any + Send {
     /// Number of ranks `P`.
     fn len(&self) -> usize;
 
@@ -144,11 +141,6 @@ pub trait Population: Send {
 
     /// How `rank` became colored, if it has.
     fn colored_via(&self, rank: Rank) -> Option<ColoredVia>;
-
-    /// The concrete store, for factories that re-initialise the
-    /// population of a previous broadcast in place
-    /// ([`ProtocolFactory::populate`]).
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 impl Population for Vec<Box<dyn Process>> {
@@ -171,16 +163,13 @@ impl Population for Vec<Box<dyn Process>> {
     fn colored_via(&self, rank: Rank) -> Option<ColoredVia> {
         self[rank as usize].colored_via()
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// The store of type `S` a population slot holds, if that is what it
 /// holds.
-fn held<S: Population + 'static>(slot: &mut Option<Box<dyn Population>>) -> Option<&mut S> {
-    slot.as_mut()?.as_any_mut().downcast_mut()
+fn held<S: Population>(slot: &mut Option<Box<dyn Population>>) -> Option<&mut S> {
+    let store: &mut dyn Any = slot.as_deref_mut()?;
+    store.downcast_mut()
 }
 
 /// [`ProtocolFactory::populate`] for any factory: `build_into` over a
@@ -629,10 +618,8 @@ impl SpecBlueprint {
 impl Blueprint for SpecBlueprint {
     fn place(&self, phys: Rank, old: Option<Box<dyn Process>>) -> Box<dyn Process> {
         if let Some(mut old) = old.filter(|_| !self.acked) {
-            let slot = old
-                .as_any_mut()
-                .and_then(|m| m.downcast_mut::<RelabeledProcess<TreeRank>>());
-            if let Some(slot) = slot {
+            let machine: &mut dyn Any = &mut *old;
+            if let Some(slot) = machine.downcast_mut::<RelabeledProcess<TreeRank>>() {
                 slot.inner.reset(self.map.virtual_of(phys), &self.broadcast);
                 slot.map = self.map.clone();
                 return old;

@@ -161,7 +161,7 @@ impl<M> RelabeledProcess<M> {
     }
 }
 
-impl<M: Process + 'static> Process for RelabeledProcess<M> {
+impl<M: Process> Process for RelabeledProcess<M> {
     fn on_message(&mut self, from: Rank, payload: Payload, now: Time) {
         self.inner
             .on_message(self.map.virtual_of(from), payload, now);
@@ -177,10 +177,6 @@ impl<M: Process + 'static> Process for RelabeledProcess<M> {
 
     fn colored_via(&self) -> Option<ColoredVia> {
         self.inner.colored_via()
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn core::any::Any> {
-        Some(self)
     }
 }
 
@@ -387,10 +383,6 @@ impl Population for RelabeledPopulation {
 
     fn colored_via(&self, rank: Rank) -> Option<ColoredVia> {
         self.machine(rank).colored_via()
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-        self
     }
 }
 

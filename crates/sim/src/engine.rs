@@ -38,6 +38,7 @@
 //! `shard` module has the rule and why the merged output is the
 //! one-thread output).
 
+use std::any::Any;
 use std::sync::Arc;
 
 use ct_core::protocol::{
@@ -258,10 +259,11 @@ impl Simulation {
         let sharded = self.p >= SHARD_MIN_P
             && !observing
             && self.telemetry.is_none()
-            && procs.as_any_mut().is::<RelabeledPopulation>()
+            && (&*procs as &dyn Any).is::<RelabeledPopulation>()
             && free_core();
         if sharded {
-            let population = procs.as_any_mut().downcast_mut().expect("just checked");
+            let store: &mut dyn Any = procs;
+            let population = store.downcast_mut().expect("just checked");
             let threads = Threads {
                 helper,
                 free_core,

@@ -18,8 +18,8 @@
 //! * [`runtime`] — the thread-based cluster runtime (MPI stand-in),
 //! * [`obs`] — the shared observability layer: event sinks, the
 //!   telemetry hub and its histogram, and run manifests,
-//! * [`analyze`] — trace analysis: causal DAGs, critical paths with
-//!   LogP cost attribution, and failure forensics.
+//! * [`analyze`] — trace analysis: critical paths with LogP cost
+//!   attribution, and failure forensics.
 //!
 //! ## Quickstart
 //!

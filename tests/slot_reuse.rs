@@ -7,6 +7,7 @@
 //! message trace under a deterministic FIFO pump, for every correction
 //! kind.
 
+use std::any::Any;
 use std::collections::VecDeque;
 
 use corrected_trees::core::correction::CorrectionKind;
@@ -15,7 +16,7 @@ use corrected_trees::core::protocol::{
     ProtocolFactory, RelabeledProcess, SendPoll,
 };
 use corrected_trees::core::tree::{Ordering, TreeKind};
-use corrected_trees::gossip::GossipSpec;
+use corrected_trees::gossip::{GossipProcess, GossipSpec};
 use corrected_trees::logp::{LogP, Rank, Time};
 use corrected_trees::sim::FaultPlan;
 
@@ -190,14 +191,16 @@ fn placing_over_a_dirty_machine_replays_a_fresh_build_for_every_correction() {
     }
 }
 
-/// What a boxed machine is: a relabelled ack-tree rank, another machine
-/// that offers its concrete type (a corrected-tree rank), or one that
-/// does not (gossip).
-fn machine_kind(m: &mut Box<dyn Process>) -> &'static str {
-    match m.as_any_mut() {
-        Some(any) if any.is::<RelabeledProcess<AckTreeProcess>>() => "ack tree",
-        Some(_) => "corrected tree",
-        None => "gossip",
+/// What a machine is: a relabelled ack-tree rank, a gossip rank, or
+/// (the only other kind these specs build) a corrected-tree rank.
+fn machine_kind(m: &dyn Process) -> &'static str {
+    let any: &dyn Any = m;
+    if any.is::<RelabeledProcess<AckTreeProcess>>() {
+        "ack tree"
+    } else if any.is::<GossipProcess>() {
+        "gossip"
+    } else {
+        "corrected tree"
     }
 }
 
@@ -218,12 +221,9 @@ fn placing_over_a_foreign_machine_replaces_it() {
         let label = format!("{} → {}", previous.label(), next.label());
         let mut procs = previous.build(&ctx(1)).unwrap();
         pump(&mut procs, plan.mask());
-        assert!(procs.iter_mut().all(|m| machine_kind(m) != kind), "{label}");
+        assert!(procs.iter().all(|m| machine_kind(&**m) != kind), "{label}");
         let mut placed = place_each(next, &ctx(2), procs);
-        assert!(
-            placed.iter_mut().all(|m| machine_kind(m) == kind),
-            "{label}"
-        );
+        assert!(placed.iter().all(|m| machine_kind(&**m) == kind), "{label}");
         let mut fresh = next.build(&ctx(2)).unwrap();
         let replayed = pump(&mut placed, plan.mask());
         assert_eq!(replayed, pump(&mut fresh, plan.mask()), "{label}");

@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use corrected_trees::analyze::{analyze_rep, AnalyzeConfig};
 use corrected_trees::core::correction::CorrectionKind;
 use corrected_trees::core::protocol::{
     BroadcastSpec, BuildCtx, ColoredVia, Payload, Process, ProtocolError, ProtocolFactory, SendPoll,
@@ -60,6 +61,16 @@ fn recorded_two_worker_broadcasts_are_causally_stamped() {
                 .with_failed(dead),
         );
         assert!(monitor.is_ok(), "broadcast {i}: {}", monitor.render_text());
+
+        // The critical path telescopes on wall-clock time too, where a
+        // transit can be shorter than `o`: its segments tile
+        // [0, completion] with no gap or overlap.
+        let analysis = analyze_rep(&sink.events, &AnalyzeConfig::new(LogP::PAPER).with_p(p));
+        let path = &analysis.critpath;
+        assert_eq!(path.len, analysis.completion, "broadcast {i}");
+        assert!(path.attribution_is_exact(), "broadcast {i}: {path:?}");
+        let end = (path.segments.iter()).try_fold(0, |at, s| (s.start == at).then_some(s.end));
+        assert_eq!(end, Some(path.len), "broadcast {i}: {path:?}");
 
         // Per channel the k-th send, the k-th arrival (or dead-drop) and
         // the k-th delivery are one message (FIFO mailboxes; each rank's
