@@ -118,27 +118,19 @@ pub fn render_text(export: &SeriesExport) -> String {
 mod tests {
     use super::*;
     use ct_obs::health::HealthEvent;
-    use ct_obs::series::{SeriesSample, SeriesStore};
+    use ct_obs::series::SeriesStore;
     use ct_obs::telemetry::{Counter, TelemetryHub};
 
     /// A deterministic two-window export built through the real
-    /// producer types (no wall clock involved).
+    /// producer step (no wall clock involved), with one health event.
     fn export() -> SeriesExport {
         let hub = TelemetryHub::new(1, 8);
         let store = SeriesStore::new(16);
-        let mut prev = hub.snapshot().with_source("cluster");
+        store.sample(hub.snapshot().with_source("cluster"), 0);
         for seq in 0..2u64 {
             hub.add(0, Counter::MsgsDelivered, 10 * (seq + 1));
             hub.add(0, Counter::SchedQuanta, 4);
-            let next = hub.snapshot().with_source("cluster");
-            store.push_sample(SeriesSample::between(
-                &prev,
-                &next,
-                seq,
-                (seq + 1) * 100,
-                100,
-            ));
-            prev = next;
+            store.sample(hub.snapshot().with_source("cluster"), (seq + 1) * 100);
         }
         let e = HealthEvent {
             rule: "stall_precursor".to_owned(),
@@ -148,8 +140,10 @@ mod tests {
             values: vec![("iter.live".to_owned(), 7)],
             message: "broadcast wedged".to_owned(),
         };
-        store.record_events(vec![e.clone()], vec![e]);
-        SeriesExport::from_jsonl(&store.export_jsonl()).unwrap()
+        SeriesExport {
+            samples: store.samples(),
+            health: vec![e],
+        }
     }
 
     #[test]

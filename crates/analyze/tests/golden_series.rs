@@ -9,8 +9,7 @@
 //! and review the diff.
 
 use ct_analyze::series::render_text;
-use ct_obs::health::HealthEngine;
-use ct_obs::series::{SeriesExport, SeriesSample, SeriesStore};
+use ct_obs::series::{SeriesExport, SeriesStore};
 use ct_obs::telemetry::{Counter, TelemetryHub};
 
 const GOLDEN_JSONL_PATH: &str = "tests/data/golden_series.jsonl";
@@ -18,17 +17,16 @@ const GOLDEN_JSONL: &str = include_str!("data/golden_series.jsonl");
 const GOLDEN_TEXT_PATH: &str = "tests/data/golden_series_summary.txt";
 const GOLDEN_TEXT: &str = include_str!("data/golden_series_summary.txt");
 
-/// A fixed six-window export built through the real producer types —
-/// hub, [`SeriesSample::between`], [`HealthEngine`], [`SeriesStore`] —
-/// with synthetic 100 ms timestamps. The first two windows make
+/// A fixed six-window export built through the real producer step —
+/// hub snapshots into [`SeriesStore::sample`] — with synthetic 100 ms
+/// timestamps. The first two windows make
 /// progress; an iteration then wedges at 4/7 colored, so the stall
 /// rule's three-window streak fires in window five.
 fn golden_export() -> String {
     let hub = TelemetryHub::new(2, 8);
     let store = SeriesStore::new(16);
-    let mut engine = HealthEngine::new();
     hub.set_iter_active(1);
-    let mut prev = hub.snapshot().with_source("cluster");
+    store.sample(hub.snapshot().with_source("cluster"), 0);
     for seq in 0..6u64 {
         match seq {
             // Two healthy windows: deliveries flow, coloring advances.
@@ -48,12 +46,7 @@ fn golden_export() -> String {
                 hub.set_iter_progress(7, 4);
             }
         }
-        let next = hub.snapshot().with_source("cluster");
-        let sample = SeriesSample::between(&prev, &next, seq, (seq + 1) * 100, 100);
-        let fired = engine.observe(&sample);
-        store.push_sample(sample);
-        store.record_events(fired, engine.active().to_vec());
-        prev = next;
+        store.sample(hub.snapshot().with_source("cluster"), (seq + 1) * 100);
     }
     store.export_jsonl()
 }

@@ -1,7 +1,7 @@
 //! Campaign-level trace analysis.
 //!
 //! Bridges [`Campaign`] to `ct-analyze`: every repetition is run with
-//! an event sink, its causal DAG analyzed, and the per-repetition
+//! an event sink, its causal index analyzed, and the per-repetition
 //! results aggregated into the *analysis block* that `ct fig` attaches
 //! to every figure manifest ([`with_analysis`] over the figure's
 //! [`analysis_campaign`]).
@@ -10,10 +10,10 @@ use ct_analyze::{analyze_rep_indexed, AnalysisSummary, AnalyzeConfig, RepAnalysi
 use std::sync::Arc;
 
 use ct_logp::LogP;
-use ct_obs::health::{HealthEngine, HealthEvent};
+use ct_obs::health::HealthEvent;
 use ct_obs::json::JsonObject;
 use ct_obs::metrics::Histogram;
-use ct_obs::series::SeriesSample;
+use ct_obs::series::SeriesStore;
 use ct_obs::telemetry::{TelemetryHub, TelemetrySnapshot};
 use ct_obs::{CausalIndex, MonitorConfig, MonitorReport, MonitorSink, RunManifest, VecSink};
 use ct_sim::RunArena;
@@ -26,7 +26,7 @@ use crate::variants::Variant;
 pub struct CampaignAnalysis {
     /// The usual campaign measurements, one per repetition.
     pub records: Vec<RunRecord>,
-    /// The causal-DAG analysis of each repetition's trace.
+    /// The causal analysis of each repetition's trace.
     pub reps: Vec<RepAnalysis>,
     /// Streaming invariant-monitor verdict over every repetition (the
     /// `violations: 0` attestation figure manifests carry).
@@ -37,7 +37,7 @@ pub struct CampaignAnalysis {
     /// `"sim"`): rep counts, event/send totals, per-rep distributions.
     pub telemetry: TelemetrySnapshot,
     /// Health events from replaying each repetition's counter deltas
-    /// through the [`HealthEngine`] as one synthetic one-second window
+    /// through a [`SeriesStore`] as one synthetic one-second window
     /// per repetition (deterministic — no wall clock involved). Empty
     /// for a healthy campaign; anomalies land in the manifest's
     /// `health` block.
@@ -45,7 +45,7 @@ pub struct CampaignAnalysis {
 }
 
 /// Run every repetition of `campaign` under an event sink and analyze
-/// each trace — causal DAG, invariant monitor and waste accounting in
+/// each trace — critical path, invariant monitor and waste accounting in
 /// one pass. Costs one traced (allocating) simulation per
 /// repetition — meant for analysis passes, not for the hot path of
 /// large campaigns.
@@ -61,9 +61,8 @@ pub fn analyze_campaign(campaign: &Campaign) -> Result<CampaignAnalysis, Campaig
     let mut reps = Vec::with_capacity(campaign.reps as usize);
     let mut monitor = MonitorReport::default();
     let mut waste = WasteReport::default();
-    let mut engine = HealthEngine::new();
-    let mut health = Vec::new();
-    let mut prev_snap = hub.snapshot().with_source("sim");
+    let series = SeriesStore::new(1);
+    series.sample(hub.snapshot().with_source("sim"), 0);
     let mut arena = RunArena::new();
     for i in 0..campaign.reps {
         let plan = campaign.fault_plan(i)?;
@@ -81,16 +80,8 @@ pub fn analyze_campaign(campaign: &Campaign) -> Result<CampaignAnalysis, Campaig
             waste.add(&WasteReport::from_index(events, &index, plan.mask(), b));
         }
         records.push(record);
-        let next_snap = hub.snapshot().with_source("sim");
         let t_ms = (u64::from(i) + 1) * 1_000;
-        health.extend(engine.observe(&SeriesSample::between(
-            &prev_snap,
-            &next_snap,
-            u64::from(i),
-            t_ms,
-            1_000,
-        )));
-        prev_snap = next_snap;
+        series.sample(hub.snapshot().with_source("sim"), t_ms);
     }
     Ok(CampaignAnalysis {
         records,
@@ -98,13 +89,13 @@ pub fn analyze_campaign(campaign: &Campaign) -> Result<CampaignAnalysis, Campaig
         monitor,
         waste,
         telemetry: hub.snapshot().with_source("sim"),
-        health,
+        health: series.events(),
     })
 }
 
 /// The small fixed-seed campaign a figure analyzes for its manifest's
 /// analysis block: the figure's representative variant and fault
-/// regime, capped at 64 processes and 5 repetitions so the causal-DAG
+/// regime, capped at 64 processes and 5 repetitions so the analysis
 /// pass stays negligible next to the campaign itself.
 pub fn analysis_campaign(variant: Variant, p: u32, seed0: u64, faults: FaultSpec) -> Campaign {
     Campaign::new(variant, p.clamp(2, 64), LogP::PAPER)

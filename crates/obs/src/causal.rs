@@ -5,7 +5,7 @@
 //! questions: which send did this arrival consume, which arrival did
 //! this delivery process, which event first colored each rank.
 //! [`CausalIndex`] answers them in one pass; the invariant monitor, the
-//! causal DAG, the chrome export and forensics read it instead of
+//! critical path, the chrome export and forensics read it instead of
 //! matching for themselves.
 //!
 //! ## Causal order

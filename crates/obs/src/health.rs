@@ -1,22 +1,26 @@
 //! Health rules over telemetry sample windows.
 //!
 //! A [`HealthEngine`] is fed one [`SeriesSample`](crate::series::SeriesSample)
-//! per window (by the background [`Sampler`](crate::series::Sampler) or
-//! by a replay tool) and evaluates a fixed set of anomaly rules against
-//! the window's deltas and gauges. Each rule that crosses its boundary
-//! produces a structured [`HealthEvent`] — rule id, severity, the
-//! window that fired it, the offending values and a human sentence —
-//! exactly once per episode: the event fires on the rising edge, stays
-//! *active* while the condition holds, and re-arms when the condition
-//! clears.
+//! per window by [`SeriesStore::sample`](crate::series::SeriesStore::sample),
+//! the one producer step, and evaluates a fixed set of anomaly rules
+//! against the window's deltas and gauges. Each rule that crosses its
+//! boundary produces a structured [`HealthEvent`] — rule id, severity,
+//! the window that fired it, the offending values and a human sentence
+//! — exactly once per episode: the event fires on the rising edge,
+//! stays *active* while the condition holds, and re-arms when the
+//! condition clears.
 //!
 //! Four rules, each with a fixed threshold: `stall_precursor`,
 //! `mailbox_spill_spike`, `runq_saturation` and
-//! `worker_busy_imbalance`. The flagship is `stall_precursor`: an
-//! installed iteration whose uncolored live ranks see zero deliveries
-//! and zero coloring progress for K consecutive windows. With K=3 and a 250 ms sample
-//! interval it fires less than a second into a wedged broadcast —
-//! minutes before a production-scale watchdog (default 30 s) would.
+//! `worker_busy_imbalance`. Each is one row of a table — id, severity,
+//! how many anomalous windows in a row it takes, and a check that
+//! reports the offending values and the sentence — and one loop runs
+//! that edge protocol for all four. The flagship is `stall_precursor`:
+//! an installed iteration whose uncolored live ranks see zero
+//! deliveries and zero coloring progress for K consecutive windows.
+//! With K=3 and a 250 ms sample interval it fires less than a second
+//! into a wedged broadcast — minutes before a production-scale
+//! watchdog (default 30 s) would.
 //!
 //! Events ride the `health` of each cluster broadcast's outcome (those
 //! fired between its admission and its retirement), are appended to
@@ -132,18 +136,136 @@ const IMBALANCE_RATIO: f64 = 3.0;
 /// imbalance is judged at all (idle windows are noise).
 const IMBALANCE_MIN_BUSY_US: u64 = 10_000;
 
-/// Rule ids, in evaluation order.
-const RULE_STALL: &str = "stall_precursor";
-const RULE_SPILL: &str = "mailbox_spill_spike";
-const RULE_RUNQ: &str = "runq_saturation";
-const RULE_IMBALANCE: &str = "worker_busy_imbalance";
+/// A check's report on an anomalous window: the offending values, in order, and the sentence.
+type Finding = (Vec<(&'static str, u64)>, String);
+
+/// One health rule: it fires once `check` finds `windows` anomalous windows in a row.
+struct Rule {
+    id: &'static str,
+    severity: Severity,
+    windows: u32,
+    check: fn(&SeriesSample) -> Option<Finding>,
+}
+
+/// The rules, in evaluation order.
+const RULES: [Rule; 4] = [
+    Rule {
+        id: "stall_precursor",
+        severity: Severity::Critical,
+        windows: STALL_WINDOWS,
+        check: stall,
+    },
+    Rule {
+        id: "mailbox_spill_spike",
+        severity: Severity::Warning,
+        windows: 1,
+        check: spill_spike,
+    },
+    Rule {
+        id: "runq_saturation",
+        severity: Severity::Warning,
+        windows: RUNQ_WINDOWS,
+        check: runq_saturation,
+    },
+    Rule {
+        id: "worker_busy_imbalance",
+        severity: Severity::Info,
+        windows: 1,
+        check: busy_imbalance,
+    },
+];
+
+/// `stall_precursor`: installed iteration(s) with uncolored live ranks and zero delivery
+/// and coloring progress. `iter.active` is a count (several broadcasts may be in flight
+/// under pub/sub); any installed iteration arms the rule.
+fn stall(s: &SeriesSample) -> Option<Finding> {
+    let live = s.gauge("iter.live");
+    let colored = s.gauge("iter.colored");
+    let wedged = s.gauge("iter.active") >= 1
+        && colored < live
+        && s.delta("msgs.delivered") == 0
+        && s.delta("coord.colored") == 0;
+    wedged.then(|| {
+        let k = STALL_WINDOWS;
+        let span_ms = u64::from(k) * s.dt_ms;
+        (
+            vec![
+                ("iter.colored", colored),
+                ("iter.live", live),
+                ("windows", u64::from(k)),
+            ],
+            format!(
+                "broadcast wedged: {colored}/{live} live ranks colored with zero \
+                 deliveries for {k} consecutive windows (~{span_ms} ms) — \
+                 stall likely before the watchdog fires"
+            ),
+        )
+    })
+}
+
+/// `mailbox_spill_spike`: ring overflow rate above threshold.
+fn spill_spike(s: &SeriesSample) -> Option<Finding> {
+    let spill_rate = s.rate("mailbox.spills");
+    (spill_rate > SPILL_RATE).then(|| {
+        (
+            vec![
+                ("mailbox.spills", s.delta("mailbox.spills")),
+                ("rate_per_s", spill_rate as u64),
+            ],
+            format!(
+                "mailbox rings overflowing into the spill heap at \
+                 {spill_rate:.0}/s — raise CT_MAILBOX_CAP or reduce fan-in"
+            ),
+        )
+    })
+}
+
+/// `runq_saturation`: run queue at or beyond the rank count: workers cannot keep up.
+fn runq_saturation(s: &SeriesSample) -> Option<Finding> {
+    let depth = s.gauge("runq.depth");
+    (s.ranks > 0 && depth >= s.ranks).then(|| {
+        (
+            vec![("runq.depth", depth), ("ranks", s.ranks)],
+            format!(
+                "run queue saturated: depth {depth} >= {} ranks across \
+                 {} consecutive windows — workers cannot keep up",
+                s.ranks, RUNQ_WINDOWS
+            ),
+        )
+    })
+}
+
+/// `worker_busy_imbalance`: one worker doing several times the pool's mean busy time.
+fn busy_imbalance(s: &SeriesSample) -> Option<Finding> {
+    let total_busy: u64 = s.worker_busy_us.iter().sum();
+    let workers = s.worker_busy_us.len() as u64;
+    if workers < 2 || total_busy < IMBALANCE_MIN_BUSY_US {
+        return None;
+    }
+    let max_busy = s.worker_busy_us.iter().copied().max().unwrap_or(0);
+    let mean_busy = total_busy / workers;
+    let imbalanced = mean_busy > 0 && (max_busy as f64) / (mean_busy as f64) > IMBALANCE_RATIO;
+    imbalanced.then(|| {
+        (
+            vec![
+                ("max_busy_us", max_busy),
+                ("mean_busy_us", mean_busy),
+                ("workers", workers),
+            ],
+            format!(
+                "worker busy-time imbalance: hottest worker {max_busy} µs vs \
+                 pool mean {mean_busy} µs this window — check shard affinity"
+            ),
+        )
+    })
+}
 
 /// Per-window rule evaluator with rising-edge/active/re-arm state; see
 /// the module docs.
 #[derive(Clone, Debug, Default)]
 pub struct HealthEngine {
-    stall_streak: u32,
-    runq_streak: u32,
+    /// Per rule, in [`RULES`] order: consecutive anomalous windows.
+    streaks: [u32; RULES.len()],
     active: Vec<HealthEvent>,
 }
 
@@ -158,152 +280,30 @@ impl HealthEngine {
         &self.active
     }
 
-    fn is_active(&self, rule: &str) -> bool {
-        self.active.iter().any(|e| e.rule == rule)
-    }
-
     /// Evaluate every rule against one sample window; returns the
     /// events that fired on this window (rising edges only).
     pub fn observe(&mut self, s: &SeriesSample) -> Vec<HealthEvent> {
         let mut fired = Vec::new();
-
-        // stall_precursor — installed iteration(s) with uncolored live
-        // ranks making zero delivery and zero coloring progress for K
-        // consecutive windows. `iter.active` is a count (several
-        // broadcasts may be in flight under pub/sub); any installed
-        // iteration arms the rule.
-        let live = s.gauge("iter.live");
-        let colored = s.gauge("iter.colored");
-        let wedged = s.gauge("iter.active") >= 1
-            && colored < live
-            && s.delta("msgs.delivered") == 0
-            && s.delta("coord.colored") == 0;
-        if wedged {
-            self.stall_streak += 1;
-        } else {
-            self.stall_streak = 0;
-        }
-        let k = STALL_WINDOWS;
-        if self.stall_streak >= k {
-            if !self.is_active(RULE_STALL) {
-                let span_ms = u64::from(k) * s.dt_ms;
-                let e = HealthEvent {
-                    rule: RULE_STALL.to_owned(),
-                    severity: Severity::Critical,
-                    seq: s.seq,
-                    t_ms: s.t_ms,
-                    values: vec![
-                        ("iter.colored".to_owned(), colored),
-                        ("iter.live".to_owned(), live),
-                        ("windows".to_owned(), u64::from(k)),
-                    ],
-                    message: format!(
-                        "broadcast wedged: {colored}/{live} live ranks colored with zero \
-                         deliveries for {k} consecutive windows (~{span_ms} ms) — \
-                         stall likely before the watchdog fires"
-                    ),
-                };
-                self.active.push(e.clone());
-                fired.push(e);
+        for (rule, streak) in RULES.iter().zip(&mut self.streaks) {
+            let finding = (rule.check)(s);
+            *streak = if finding.is_some() { *streak + 1 } else { 0 };
+            match finding {
+                Some(_) if self.active.iter().any(|e| e.rule == rule.id) => {}
+                Some((values, message)) if *streak >= rule.windows => {
+                    let e = HealthEvent {
+                        rule: rule.id.to_owned(),
+                        severity: rule.severity,
+                        seq: s.seq,
+                        t_ms: s.t_ms,
+                        values: values.into_iter().map(|(k, v)| (k.to_owned(), v)).collect(),
+                        message,
+                    };
+                    self.active.push(e.clone());
+                    fired.push(e);
+                }
+                _ => self.active.retain(|e| e.rule != rule.id),
             }
-        } else {
-            self.active.retain(|e| e.rule != RULE_STALL);
         }
-
-        // mailbox_spill_spike — ring overflow rate above threshold.
-        let spill_rate = s.rate("mailbox.spills");
-        if spill_rate > SPILL_RATE {
-            if !self.is_active(RULE_SPILL) {
-                let e = HealthEvent {
-                    rule: RULE_SPILL.to_owned(),
-                    severity: Severity::Warning,
-                    seq: s.seq,
-                    t_ms: s.t_ms,
-                    values: vec![
-                        ("mailbox.spills".to_owned(), s.delta("mailbox.spills")),
-                        ("rate_per_s".to_owned(), spill_rate as u64),
-                    ],
-                    message: format!(
-                        "mailbox rings overflowing into the spill heap at \
-                         {spill_rate:.0}/s — raise CT_MAILBOX_CAP or reduce fan-in"
-                    ),
-                };
-                self.active.push(e.clone());
-                fired.push(e);
-            }
-        } else {
-            self.active.retain(|e| e.rule != RULE_SPILL);
-        }
-
-        // runq_saturation — run queue at or beyond the rank count for K
-        // consecutive windows: workers are not draining what arrives.
-        let depth = s.gauge("runq.depth");
-        let saturated = s.ranks > 0 && depth >= s.ranks;
-        if saturated {
-            self.runq_streak += 1;
-        } else {
-            self.runq_streak = 0;
-        }
-        if self.runq_streak >= RUNQ_WINDOWS {
-            if !self.is_active(RULE_RUNQ) {
-                let e = HealthEvent {
-                    rule: RULE_RUNQ.to_owned(),
-                    severity: Severity::Warning,
-                    seq: s.seq,
-                    t_ms: s.t_ms,
-                    values: vec![
-                        ("runq.depth".to_owned(), depth),
-                        ("ranks".to_owned(), s.ranks),
-                    ],
-                    message: format!(
-                        "run queue saturated: depth {depth} >= {} ranks across \
-                         {} consecutive windows — workers cannot keep up",
-                        s.ranks, RUNQ_WINDOWS
-                    ),
-                };
-                self.active.push(e.clone());
-                fired.push(e);
-            }
-        } else {
-            self.active.retain(|e| e.rule != RULE_RUNQ);
-        }
-
-        // worker_busy_imbalance — one worker doing several times the
-        // mean busy time of the pool in a non-idle window.
-        let total_busy: u64 = s.worker_busy_us.iter().sum();
-        let workers = s.worker_busy_us.len() as u64;
-        let mut imbalanced = false;
-        let mut max_busy = 0u64;
-        let mut mean_busy = 0u64;
-        if workers >= 2 && total_busy >= IMBALANCE_MIN_BUSY_US {
-            max_busy = s.worker_busy_us.iter().copied().max().unwrap_or(0);
-            mean_busy = total_busy / workers;
-            imbalanced = mean_busy > 0 && (max_busy as f64) / (mean_busy as f64) > IMBALANCE_RATIO;
-        }
-        if imbalanced {
-            if !self.is_active(RULE_IMBALANCE) {
-                let e = HealthEvent {
-                    rule: RULE_IMBALANCE.to_owned(),
-                    severity: Severity::Info,
-                    seq: s.seq,
-                    t_ms: s.t_ms,
-                    values: vec![
-                        ("max_busy_us".to_owned(), max_busy),
-                        ("mean_busy_us".to_owned(), mean_busy),
-                        ("workers".to_owned(), workers),
-                    ],
-                    message: format!(
-                        "worker busy-time imbalance: hottest worker {max_busy} µs vs \
-                         pool mean {mean_busy} µs this window — check shard affinity"
-                    ),
-                };
-                self.active.push(e.clone());
-                fired.push(e);
-            }
-        } else {
-            self.active.retain(|e| e.rule != RULE_IMBALANCE);
-        }
-
         fired
     }
 }

@@ -293,7 +293,6 @@ pub fn http_get(addr: &str, path: &str, timeout: Duration) -> std::io::Result<(u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::health::Severity;
     use crate::series::SeriesStore;
     use crate::telemetry::Counter;
 
@@ -385,18 +384,15 @@ mod tests {
     fn health_route_is_503_while_a_critical_event_is_active() {
         let hub = Arc::new(TelemetryHub::new(1, 4));
         let store = Arc::new(SeriesStore::new(8));
-        let e = HealthEvent {
-            rule: "stall_precursor".to_owned(),
-            severity: Severity::Critical,
-            seq: 3,
-            t_ms: 300,
-            values: vec![],
-            message: "wedged".to_owned(),
-        };
-        store.record_events(vec![e.clone()], vec![e]);
+        // Three windows of a broadcast wedged at 2/3 colored.
+        hub.set_iter_active(1);
+        hub.set_iter_progress(3, 2);
+        for t_ms in 0..4 {
+            store.sample(hub.snapshot(), t_ms);
+        }
         let mut server = HttpServer::spawn(
             "127.0.0.1:0",
-            monitor_handler(hub, "cluster", Some(Arc::clone(&store))),
+            monitor_handler(Arc::clone(&hub), "cluster", Some(Arc::clone(&store))),
         )
         .expect("bind");
         let addr = server.addr().to_string();
@@ -406,7 +402,8 @@ mod tests {
         assert!(body.contains("\"status\":\"critical\""), "{body}");
         assert!(body.contains("stall_precursor"), "{body}");
         // Condition clears: back to 200.
-        store.record_events(vec![], vec![]);
+        hub.add(0, Counter::MsgsDelivered, 1);
+        store.sample(hub.snapshot(), 4);
         let (status, body) =
             http_get(&addr, "/health", Duration::from_secs(5)).expect("GET /health");
         assert_eq!(status, 200);

@@ -36,12 +36,13 @@
 //! * [`flight`] — [`FlightRecorder`], the always-on black box: bounded
 //!   per-worker rings of recent scheduler/mailbox/timer events, frozen
 //!   and dumped into `ct-postmortem-v1` bundles on stall or panic.
-//! * [`series`] — [`Sampler`] and the `ct-series-v1` time-series ring:
-//!   a background thread turning hub snapshots into per-window deltas
-//!   behind `ct serve`, `ct monitor` and `ct top`.
-//! * [`health`] — [`HealthEngine`], per-window anomaly rules (stall
-//!   precursor, spill spike, run-queue saturation, busy imbalance)
-//!   producing structured [`HealthEvent`]s.
+//! * [`series`] — [`SeriesStore`], the `ct-series-v1` time series:
+//!   one producer step turns each hub snapshot into a per-window delta
+//!   and runs the health rules on it, and a [`Sampler`] thread takes
+//!   that step behind `ct serve`, `ct monitor` and `ct top`.
+//! * [`health`] — per-window anomaly rules (stall precursor, spill
+//!   spike, run-queue saturation, busy imbalance) producing structured
+//!   [`HealthEvent`]s.
 //! * [`stall`] — [`StallReport`], what the cluster watchdog saw when a
 //!   broadcast timed out.
 //! * [`postmortem`] — [`Postmortem`], the `ct-postmortem-v1` dump that
@@ -78,13 +79,13 @@ pub use causal::{causal_order, infer_p, CausalIndex};
 pub use chrome::chrome_trace;
 pub use event::{Event, EventKind, Phase};
 pub use flight::{FlightDump, FlightKind, FlightRecord, FlightRecorder};
-pub use health::{HealthEngine, HealthEvent, Severity};
+pub use health::{HealthEvent, Severity};
 pub use http::{monitor_handler, HttpServer, Response};
 pub use manifest::{default_threads, RunManifest};
 pub use metrics::Histogram;
 pub use monitor::{Invariant, MonitorConfig, MonitorReport, MonitorSink, Violation};
 pub use postmortem::Postmortem;
-pub use series::{Sampler, SeriesExport, SeriesRing, SeriesSample, SeriesStore};
+pub use series::{Sampler, SeriesExport, SeriesSample, SeriesStore};
 pub use sink::{EventSink, JsonlSink, NullSink, VecSink};
 pub use stall::{RankStall, StallReport};
 pub use telemetry::{TelemetryHub, TelemetrySnapshot};

@@ -208,7 +208,7 @@ pub fn host_provenance() -> Vec<(String, String)> {
     let avail = std::thread::available_parallelism().ok().map(|n| n.get());
     let ct_threads = std::env::var("CT_THREADS").ok();
     let ct_mailbox = std::env::var("CT_MAILBOX_CAP").ok();
-    let workers = parse_threads(ct_threads.as_deref(), avail);
+    let workers = parse_positive(ct_threads.as_deref(), avail.map_or(1, |n| n as u64));
     vec![
         (
             "host.available_parallelism".to_owned(),
@@ -233,19 +233,22 @@ pub fn host_provenance() -> Vec<(String, String)> {
 /// the cluster's worker pool, the experiment campaigns, parallel fault
 /// plan fills and the simulator's free-core check.
 pub fn default_threads() -> usize {
-    parse_threads(
-        std::env::var("CT_THREADS").ok().as_deref(),
-        std::thread::available_parallelism().ok().map(|n| n.get()),
-    )
+    let available = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
+    env_positive("CT_THREADS", available) as usize
 }
 
-/// [`default_threads`] over a raw `CT_THREADS` value and the reported
-/// parallelism, factored out for deterministic testing: positive
-/// integers win, then the parallelism, then 1.
-pub fn parse_threads(raw: Option<&str>, available: Option<usize>) -> usize {
-    match raw.and_then(|s| s.trim().parse::<usize>().ok()) {
+/// The environment variable `name` read as a positive integer, else `default`: how
+/// `CT_THREADS`, `CT_MAILBOX_CAP`, `CT_WATCHDOG_MS`, `CT_FLIGHT_CAP` and `CT_SAMPLE_MS` are read.
+pub fn env_positive(name: &str, default: u64) -> u64 {
+    parse_positive(std::env::var(name).ok().as_deref(), default)
+}
+
+/// [`env_positive`] over the raw value, for deterministic tests: trimmed, a positive
+/// integer wins, anything else yields `default`.
+pub fn parse_positive(raw: Option<&str>, default: u64) -> u64 {
+    match raw.and_then(|s| s.trim().parse::<u64>().ok()) {
         Some(n) if n >= 1 => n,
-        _ => available.unwrap_or(1).max(1),
+        _ => default,
     }
 }
 
@@ -375,14 +378,32 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_parsing() {
-        assert_eq!(parse_threads(None, Some(8)), 8);
-        assert_eq!(parse_threads(Some("3"), Some(8)), 3);
-        assert_eq!(parse_threads(Some(" 2 "), None), 2);
-        assert_eq!(parse_threads(Some("0"), Some(8)), 8);
-        assert_eq!(parse_threads(Some("many"), Some(8)), 8);
-        assert_eq!(parse_threads(Some("-1"), None), 1);
-        assert_eq!(parse_threads(None, None), 1);
+    fn positive_knob_parsing() {
+        // (raw value, default, read): the cases of the CT_THREADS,
+        // CT_SAMPLE_MS and CT_WATCHDOG_MS readers this one replaced.
+        let cases = [
+            (None, 8, 8),
+            (Some("3"), 8, 3),
+            (Some(" 2 "), 1, 2),
+            (Some("0"), 8, 8),
+            (Some("many"), 8, 8),
+            (Some("-1"), 1, 1),
+            (None, 1, 1),
+            (None, 250, 250),
+            (Some("50"), 250, 50),
+            (Some(" 125 "), 250, 125),
+            (Some("0"), 250, 250),
+            (Some("-5"), 250, 250),
+            (Some("soon"), 250, 250),
+            (None, 30_000, 30_000),
+            (Some("250"), 30_000, 250),
+            (Some(" 1000 "), 30_000, 1000),
+            (Some("0"), 30_000, 30_000),
+            (Some("lots"), 30_000, 30_000),
+        ];
+        for (raw, default, read) in cases {
+            assert_eq!(parse_positive(raw, default), read, "{raw:?}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Continuous telemetry: timestamped snapshot deltas in a bounded ring.
+//! Continuous telemetry: timestamped snapshot deltas in a bounded store.
 //!
 //! The hub ([`crate::TelemetryHub`]) and the flight recorder observe
 //! two instants — a snapshot at run end, the last few thousand records
@@ -6,17 +6,19 @@
 //! rates climbing, delivery rates flatlining minutes before the
 //! watchdog fires. This module adds the time axis.
 //!
-//! A [`Sampler`] is a background thread that polls a hub at a fixed
-//! interval (the cluster runtime's `ClusterConfig::sample(Duration)`,
-//! `CT_SAMPLE_MS` override) and turns each pair of consecutive
-//! snapshots into a [`SeriesSample`] — the per-window counter *deltas*
-//! plus point-in-time gauges, stamped with a monotonic clock so NTP
-//! steps can never produce negative rates.
-//! Samples land in a fixed-capacity [`SeriesRing`] (oldest-first
-//! overwrite with a loss counter, same contract as the flight
-//! recorder's shard rings) inside a shared [`SeriesStore`], and every
-//! window is also fed through a [`HealthEngine`](crate::health) whose
-//! fired events accumulate alongside.
+//! [`SeriesStore::sample`] is the one producer step: it takes a hub
+//! snapshot and its monotonic timestamp, and turns it and the previous
+//! one into a [`SeriesSample`] — the per-window counter *deltas* plus
+//! point-in-time gauges — feeds that window to the store's
+//! [`HealthEngine`](crate::health::HealthEngine), logs the events that
+//! fire, and keeps the newest windows up to a capacity, counting the
+//! ones it evicts. Everything the store knows sits behind one lock, so
+//! a reader never sees a window without the events it fired.
+//!
+//! A [`Sampler`] is a background thread that calls that step at a
+//! fixed interval (the cluster runtime's `ClusterConfig::sample(Duration)`,
+//! `CT_SAMPLE_MS` override); replay tools call it with synthetic
+//! timestamps.
 //!
 //! The store exports one byte-stable JSONL shape — schema tag
 //! [`SCHEMA`], `"kind":"sample"` and `"kind":"health"` lines
@@ -28,11 +30,12 @@
 //! byte-identical traces and outcomes.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::convert::Infallible;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crate::health::{HealthEngine, HealthEvent};
+use crate::health::{HealthEngine, HealthEvent, Severity};
 use crate::json::{JsonObject, Value};
 use crate::telemetry::{Counter, TelemetryHub, TelemetrySnapshot};
 
@@ -47,18 +50,10 @@ pub const DEFAULT_SAMPLE_MS: u64 = 250;
 /// interval is 2.5 minutes of history.
 pub const DEFAULT_SERIES_CAP: usize = 600;
 
-/// Sampler interval override: `CT_SAMPLE_MS` when set to a positive
-/// integer, else [`DEFAULT_SAMPLE_MS`].
+/// Sampler interval: `CT_SAMPLE_MS` when set to a positive integer,
+/// else [`DEFAULT_SAMPLE_MS`].
 pub fn default_sample_ms() -> u64 {
-    parse_sample_ms(std::env::var("CT_SAMPLE_MS").ok().as_deref())
-}
-
-/// [`default_sample_ms`] with the raw env value passed in, factored out
-/// so tests can cover the parse without mutating the environment.
-pub fn parse_sample_ms(raw: Option<&str>) -> u64 {
-    raw.and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .unwrap_or(DEFAULT_SAMPLE_MS)
+    crate::manifest::env_positive("CT_SAMPLE_MS", DEFAULT_SAMPLE_MS)
 }
 
 /// One sample window: the counter deltas between two consecutive hub
@@ -272,221 +267,160 @@ impl SeriesExport {
     }
 }
 
-/// Fixed-capacity ring of sample windows: oldest-first overwrite with
-/// a loss counter, so a reader can tell exactly how much history fell
-/// off the back.
-#[derive(Debug)]
-pub struct SeriesRing {
-    cap: usize,
-    samples: VecDeque<SeriesSample>,
-    dropped: u64,
-}
-
-impl SeriesRing {
-    /// A ring retaining at most `cap` (>= 1) windows.
-    pub fn new(cap: usize) -> SeriesRing {
-        let cap = cap.max(1);
-        SeriesRing {
-            cap,
-            samples: VecDeque::with_capacity(cap),
-            dropped: 0,
-        }
-    }
-
-    /// Append one window, evicting the oldest when full.
-    pub fn push(&mut self, s: SeriesSample) {
-        if self.samples.len() == self.cap {
-            self.samples.pop_front();
-            self.dropped += 1;
-        }
-        self.samples.push_back(s);
-    }
-
-    /// Windows currently retained.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when no window has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Maximum windows retained.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Windows evicted so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The retained windows, oldest first.
-    pub fn samples(&self) -> impl Iterator<Item = &SeriesSample> {
-        self.samples.iter()
-    }
-}
-
-/// Shared sink a [`Sampler`] fills and consumers read: the sample ring,
-/// the full health-event log, and the set of currently active events.
-/// Every method takes one short mutex hold; the producer side is a
-/// background thread touching it a few times per second.
+/// Shared sink a [`Sampler`] fills and consumers read; see the module
+/// docs. Every method takes the one lock for a short hold; the
+/// producer side is a background thread touching it a few times per
+/// second.
 #[derive(Debug)]
 pub struct SeriesStore {
-    ring: Mutex<SeriesRing>,
-    events: Mutex<Vec<HealthEvent>>,
-    active: Mutex<Vec<HealthEvent>>,
+    /// Most windows retained (>= 1).
+    cap: usize,
+    series: Mutex<Series>,
+}
+
+/// What a [`SeriesStore`] knows, under its one lock.
+#[derive(Debug, Default)]
+struct Series {
+    /// The newest windows, oldest first.
+    windows: VecDeque<SeriesSample>,
+    /// Windows evicted so far.
+    dropped: u64,
+    /// Every health event fired, in firing order.
+    events: Vec<HealthEvent>,
+    engine: HealthEngine,
+    /// The latest snapshot and its `t_ms`: where the next window starts.
+    prev: Option<(TelemetrySnapshot, u64)>,
 }
 
 impl SeriesStore {
-    /// A store whose ring retains `cap` windows.
+    /// A store retaining the newest `cap` (>= 1) windows.
     pub fn new(cap: usize) -> SeriesStore {
         SeriesStore {
-            ring: Mutex::new(SeriesRing::new(cap)),
-            events: Mutex::new(Vec::new()),
-            active: Mutex::new(Vec::new()),
+            cap: cap.max(1),
+            series: Mutex::new(Series::default()),
         }
     }
 
-    /// Append one sample window.
-    pub fn push_sample(&self, s: SeriesSample) {
-        self.ring.lock().unwrap().push(s);
+    fn lock(&self) -> MutexGuard<'_, Series> {
+        self.series.lock().expect("no producer step panicked")
     }
 
-    /// Append newly fired events and replace the active set.
-    pub fn record_events(&self, fired: Vec<HealthEvent>, active: Vec<HealthEvent>) {
-        if !fired.is_empty() {
-            self.events.lock().unwrap().extend(fired);
+    /// The producer step. The first call only records `next` as the
+    /// starting snapshot; each later one closes the window since the
+    /// previous call ([`SeriesSample::between`], numbered from 0, `t_ms`
+    /// on the caller's monotonic clock), runs the health rules on it,
+    /// logs what fires and evicts the oldest window past the capacity.
+    pub fn sample(&self, next: TelemetrySnapshot, t_ms: u64) {
+        let s = &mut *self.lock();
+        if let Some((prev, prev_ms)) = &s.prev {
+            let seq = s.dropped + s.windows.len() as u64;
+            let dt_ms = t_ms.saturating_sub(*prev_ms);
+            let window = SeriesSample::between(prev, &next, seq, t_ms, dt_ms);
+            s.events.extend(s.engine.observe(&window));
+            if s.windows.len() == self.cap {
+                s.windows.pop_front();
+                s.dropped += 1;
+            }
+            s.windows.push_back(window);
         }
-        *self.active.lock().unwrap() = active;
+        s.prev = Some((next, t_ms));
     }
 
     /// The retained sample windows, oldest first.
     pub fn samples(&self) -> Vec<SeriesSample> {
-        self.ring.lock().unwrap().samples().cloned().collect()
+        self.lock().windows.iter().cloned().collect()
     }
 
     /// The retained windows numbered `seq` or later, oldest first — what
     /// a reader that has seen every window before `seq` still lacks.
     pub fn samples_since(&self, seq: u64) -> Vec<SeriesSample> {
-        let ring = self.ring.lock().unwrap();
-        ring.samples().filter(|s| s.seq >= seq).cloned().collect()
+        let s = self.lock();
+        s.windows.iter().filter(|w| w.seq >= seq).cloned().collect()
     }
 
-    /// Windows evicted from the ring so far.
+    /// Windows evicted so far.
     pub fn dropped(&self) -> u64 {
-        self.ring.lock().unwrap().dropped()
+        self.lock().dropped
     }
 
     /// Every health event fired since the store was created.
     pub fn events(&self) -> Vec<HealthEvent> {
-        self.events.lock().unwrap().clone()
+        self.lock().events.clone()
     }
 
     /// Total events fired so far; use as a mark for
     /// [`SeriesStore::events_from`].
     pub fn events_len(&self) -> usize {
-        self.events.lock().unwrap().len()
+        self.lock().events.len()
     }
 
     /// Events fired at or after a mark previously taken with
     /// [`SeriesStore::events_len`].
     pub fn events_from(&self, mark: usize) -> Vec<HealthEvent> {
-        let events = self.events.lock().unwrap();
-        events.get(mark..).unwrap_or(&[]).to_vec()
+        self.lock().events.get(mark..).unwrap_or(&[]).to_vec()
     }
 
     /// Events whose condition currently holds.
     pub fn active(&self) -> Vec<HealthEvent> {
-        self.active.lock().unwrap().clone()
+        self.lock().engine.active().to_vec()
     }
 
     /// Active events of critical severity (drives the `/health`
     /// endpoint's non-200 status).
     pub fn active_critical(&self) -> Vec<HealthEvent> {
-        self.active
-            .lock()
-            .unwrap()
-            .iter()
-            .filter(|e| e.severity == crate::health::Severity::Critical)
-            .cloned()
-            .collect()
+        let mut active = self.active();
+        active.retain(|e| e.severity == Severity::Critical);
+        active
     }
 
     /// Export the retained windows and the full health log
     /// ([`SeriesExport::to_jsonl`]).
     pub fn export_jsonl(&self) -> String {
+        let s = self.lock();
         SeriesExport {
-            samples: self.samples(),
-            health: self.events(),
+            samples: s.windows.iter().cloned().collect(),
+            health: s.events.clone(),
         }
         .to_jsonl()
     }
 }
 
-/// Background thread polling a [`TelemetryHub`] into a [`SeriesStore`];
-/// see the module docs. Dropping the sampler stops and joins the
-/// thread.
+/// Background thread feeding a [`TelemetryHub`]'s snapshots into a
+/// [`SeriesStore`]; see the module docs. Dropping the sampler stops and
+/// joins the thread.
 #[derive(Debug)]
 pub struct Sampler {
     store: Arc<SeriesStore>,
-    stop: Arc<AtomicBool>,
+    /// Never sent on: dropping it wakes the thread's wait to exit.
+    stop: Option<mpsc::Sender<Infallible>>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Sampler {
     /// Spawn a sampler polling `hub` every `interval` (clamped to at
     /// least 1 ms), tagging snapshots with `source`, retaining `cap`
-    /// windows and evaluating the health rules per window.
+    /// windows and evaluating the health rules per window. The starting
+    /// snapshot is taken here, at `t_ms` 0 of the sampler's clock.
     pub fn spawn(hub: Arc<TelemetryHub>, source: &str, interval: Duration, cap: usize) -> Sampler {
         let store = Arc::new(SeriesStore::new(cap));
-        let stop = Arc::new(AtomicBool::new(false));
+        let started = Instant::now();
+        store.sample(hub.snapshot().with_source(source), 0);
+        let (stop, stopped) = mpsc::channel();
         let thread_store = Arc::clone(&store);
-        let thread_stop = Arc::clone(&stop);
         let source = source.to_owned();
         let interval = interval.max(Duration::from_millis(1));
         let thread = std::thread::Builder::new()
             .name("ct-sampler".to_owned())
             .spawn(move || {
-                let started = Instant::now();
-                let mut engine = HealthEngine::new();
-                let mut prev = hub.snapshot().with_source(&source);
-                let mut prev_ms = 0u64;
-                let mut seq = 0u64;
-                while !thread_stop.load(Ordering::Acquire) {
-                    // Sleep in short slices so stop() returns promptly
-                    // even with second-scale intervals.
-                    let mut slept = Duration::ZERO;
-                    while slept < interval && !thread_stop.load(Ordering::Acquire) {
-                        let slice = (interval - slept).min(Duration::from_millis(25));
-                        std::thread::sleep(slice);
-                        slept += slice;
-                    }
-                    if thread_stop.load(Ordering::Acquire) {
-                        break;
-                    }
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
                     let t_ms = started.elapsed().as_millis() as u64;
-                    let next = hub.snapshot().with_source(&source);
-                    let sample = SeriesSample::between(
-                        &prev,
-                        &next,
-                        seq,
-                        t_ms,
-                        t_ms.saturating_sub(prev_ms),
-                    );
-                    let fired = engine.observe(&sample);
-                    thread_store.push_sample(sample);
-                    thread_store.record_events(fired, engine.active().to_vec());
-                    prev = next;
-                    prev_ms = t_ms;
-                    seq += 1;
+                    thread_store.sample(hub.snapshot().with_source(&source), t_ms);
                 }
             })
             .expect("spawn sampler thread");
         Sampler {
             store,
-            stop,
+            stop: Some(stop),
             thread: Some(thread),
         }
     }
@@ -495,19 +429,14 @@ impl Sampler {
     pub fn store(&self) -> Arc<SeriesStore> {
         Arc::clone(&self.store)
     }
-
-    /// Signal the thread to stop and join it (idempotent).
-    pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
 }
 
 impl Drop for Sampler {
     fn drop(&mut self) {
-        self.stop();
+        drop(self.stop.take());
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
     }
 }
 
@@ -528,16 +457,6 @@ mod tests {
             gauges: BTreeMap::new(),
             worker_busy_us: vec![seq],
         }
-    }
-
-    #[test]
-    fn sample_ms_parsing() {
-        assert_eq!(parse_sample_ms(None), DEFAULT_SAMPLE_MS);
-        assert_eq!(parse_sample_ms(Some("50")), 50);
-        assert_eq!(parse_sample_ms(Some(" 125 ")), 125);
-        assert_eq!(parse_sample_ms(Some("0")), DEFAULT_SAMPLE_MS);
-        assert_eq!(parse_sample_ms(Some("-5")), DEFAULT_SAMPLE_MS);
-        assert_eq!(parse_sample_ms(Some("soon")), DEFAULT_SAMPLE_MS);
     }
 
     #[test]
@@ -603,63 +522,63 @@ mod tests {
     }
 
     #[test]
-    fn ring_overwrites_oldest_first_and_counts_drops() {
-        let mut ring = SeriesRing::new(3);
-        for seq in 0..5 {
-            ring.push(sample(seq));
+    fn the_store_logs_what_each_window_fires_and_keeps_the_newest() {
+        let hub = TelemetryHub::new(1, 8);
+        hub.set_iter_active(1);
+        hub.set_iter_progress(7, 4);
+        let snap = || hub.snapshot().with_source("test");
+        let store = SeriesStore::new(2);
+        store.sample(snap(), 0);
+        assert!(
+            store.samples().is_empty(),
+            "the first call starts the clock"
+        );
+        for t_ms in [100, 200, 300] {
+            store.sample(snap(), t_ms);
         }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 2);
-        let seqs: Vec<u64> = ring.samples().map(|s| s.seq).collect();
-        assert_eq!(seqs, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn store_merges_samples_and_events_in_time_order() {
-        let store = SeriesStore::new(16);
-        store.push_sample(sample(0));
-        store.push_sample(sample(1));
-        let e = HealthEvent {
-            rule: "stall_precursor".to_owned(),
-            severity: crate::health::Severity::Critical,
-            seq: 1,
-            t_ms: 100,
-            values: vec![],
-            message: "wedged".to_owned(),
-        };
-        store.record_events(vec![e.clone()], vec![e]);
-        let jsonl = store.export_jsonl();
-        let kinds: Vec<&str> = jsonl
-            .lines()
-            .map(|l| {
-                if l.contains("\"kind\":\"sample\"") {
-                    "sample"
-                } else {
-                    "health"
-                }
-            })
+        let windows: Vec<(u64, u64, u64)> = store
+            .samples()
+            .iter()
+            .map(|w| (w.seq, w.t_ms, w.dt_ms))
             .collect();
-        // The t_ms=100 health line lands after the t_ms=100 sample.
-        assert_eq!(kinds, vec!["sample", "sample", "health"]);
+        assert_eq!(windows, [(1, 200, 100), (2, 300, 100)]);
+        assert_eq!(store.dropped(), 1);
+        // Three wedged windows fire the stall precursor in the third.
+        let events = store.events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(
+            (events[0].rule.as_str(), events[0].seq),
+            ("stall_precursor", 2)
+        );
+        assert_eq!(store.active_critical(), events);
+        let jsonl = store.export_jsonl();
+        let kinds: Vec<bool> = jsonl
+            .lines()
+            .map(|l| l.contains("\"kind\":\"health\""))
+            .collect();
+        // The t_ms=300 health line lands after the t_ms=300 sample.
+        assert_eq!(kinds, [false, false, true]);
         assert!(jsonl.ends_with('\n'));
-        assert_eq!(store.active_critical().len(), 1);
-        assert_eq!(store.events_from(0).len(), 1);
-        assert_eq!(store.events_from(1).len(), 0);
-        assert_eq!(store.samples_since(1), vec![sample(1)]);
-        assert_eq!(store.samples_since(2), vec![]);
+        assert_eq!(store.events_from(1), vec![]);
+        assert_eq!(store.samples_since(2).len(), 1);
+        // One delivery clears the rule; the log keeps the event.
+        hub.add(0, Counter::MsgsDelivered, 1);
+        store.sample(snap(), 400);
+        assert!(store.active().is_empty());
+        assert_eq!(store.events_len(), 1);
     }
 
     #[test]
     fn sampler_observes_a_live_hub_and_stops_cleanly() {
         let hub = Arc::new(TelemetryHub::new(1, 4));
-        let mut sampler = Sampler::spawn(Arc::clone(&hub), "cluster", Duration::from_millis(5), 64);
+        let sampler = Sampler::spawn(Arc::clone(&hub), "cluster", Duration::from_millis(5), 64);
         for i in 0..20 {
             hub.add(0, Counter::MsgsDelivered, 2);
             hub.observe(0, Dist::QuantumUs, i);
             std::thread::sleep(Duration::from_millis(5));
         }
-        sampler.stop();
         let store = sampler.store();
+        drop(sampler);
         let samples = store.samples();
         assert!(!samples.is_empty(), "sampler recorded at least one window");
         let delivered: u64 = samples.iter().map(|s| s.delta("msgs.delivered")).sum();
@@ -670,7 +589,17 @@ mod tests {
             assert!(w[1].t_ms >= w[0].t_ms);
         }
         assert!(samples.iter().all(|s| s.dt_ms >= 1));
-        // Stopping twice is fine.
-        sampler.stop();
+        // Dropped means stopped: no window lands afterwards.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(store.samples().len(), samples.len());
+    }
+
+    #[test]
+    fn dropping_a_sampler_does_not_wait_out_its_interval() {
+        let hub = Arc::new(TelemetryHub::new(1, 4));
+        let sampler = Sampler::spawn(hub, "cluster", Duration::from_secs(600), 4);
+        let started = Instant::now();
+        drop(sampler);
+        assert!(started.elapsed() < Duration::from_secs(60));
     }
 }

@@ -80,6 +80,7 @@ use std::time::{Duration, Instant};
 use ct_core::protocol::{Blueprint, Process, ProtocolError, ProtocolFactory, SendPoll};
 use ct_logp::{LogP, Rank, Time};
 use ct_obs::flight::{FlightKind as Fk, FlightRecorder, NO_RANK};
+use ct_obs::manifest::env_positive;
 use ct_obs::series::{Sampler, SeriesStore, DEFAULT_SERIES_CAP};
 use ct_obs::telemetry::{Counter as Tc, Dist as Td, Tally, TelemetryHub};
 use ct_obs::{Event as ObsEvent, EventKind as ObsEventKind, EventSink, NullSink};
@@ -102,24 +103,6 @@ const MAX_BATCH: usize = 32;
 /// its own sends woke, beyond the batch it claimed. It bounds how long
 /// the batch's other wake-ups and its ledger post wait for the flush.
 const MAX_HANDOFFS: usize = 8 * MAX_BATCH;
-
-/// `name` read as a positive integer, else `default`: how
-/// `CT_MAILBOX_CAP` (default 64 slots per rank), `CT_WATCHDOG_MS` and
-/// `CT_FLIGHT_CAP` are read. The watchdog's generous 30 000 ms default
-/// means a completed iteration never waits on it and CPU contention on
-/// oversubscribed machines does not turn into spurious incompleteness;
-/// stress tests and CI set the variable to fail fast instead.
-fn env_positive(name: &str, default: u64) -> u64 {
-    parse_positive(std::env::var(name).ok().as_deref(), default)
-}
-
-/// [`env_positive`]'s parsing, factored out for deterministic testing.
-fn parse_positive(raw: Option<&str>, default: u64) -> u64 {
-    match raw.and_then(|s| s.trim().parse::<u64>().ok()) {
-        Some(n) if n >= 1 => n,
-        _ => default,
-    }
-}
 
 /// Flight-recorder ring capacity (records per worker shard) used when
 /// [`ClusterConfig::flight`] is enabled without an explicit size:
@@ -156,7 +139,7 @@ pub struct ClusterConfig {
     pub postmortem: Option<PathBuf>,
     /// Continuous-sampling interval: with a telemetry hub attached, a
     /// background [`Sampler`] polls it this often into a `ct-series-v1`
-    /// ring and evaluates the health rules per window
+    /// store that evaluates the health rules per window
     /// ([`Cluster::series`], [`BroadcastOutcome::health`]). `None` (the
     /// default) spawns no thread — same zero-cost discipline as the
     /// hub and the recorder. `ct` enables it with the
@@ -167,7 +150,10 @@ pub struct ClusterConfig {
 impl ClusterConfig {
     /// Environment-driven defaults: [`default_threads`] workers, 64-slot
     /// mailboxes (`CT_MAILBOX_CAP` override) and a generous 30 s
-    /// watchdog timeout (`CT_WATCHDOG_MS` override).
+    /// watchdog timeout (`CT_WATCHDOG_MS` override), so that a completed
+    /// iteration never waits on it and CPU contention on oversubscribed
+    /// machines does not turn into spurious incompleteness; stress
+    /// tests and CI set the variable to fail fast instead.
     pub fn new() -> ClusterConfig {
         ClusterConfig {
             threads: default_threads(),
@@ -841,7 +827,7 @@ impl Cluster {
         }
     }
 
-    /// The continuous sampler's shared store — the live series ring
+    /// The continuous sampler's shared store — the live series windows
     /// plus health log behind the `/series.jsonl` and `/health`
     /// endpoints. `None` unless [`ClusterConfig::sample`] and
     /// [`ClusterConfig::telemetry`] are both set.
@@ -1829,16 +1815,6 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_ms_parsing() {
-        let parse = |raw| parse_positive(raw, 30_000);
-        assert_eq!(parse(None), 30_000);
-        assert_eq!(parse(Some("250")), 250);
-        assert_eq!(parse(Some(" 1000 ")), 1000);
-        assert_eq!(parse(Some("0")), 30_000);
-        assert_eq!(parse(Some("lots")), 30_000);
-    }
-
-    #[test]
     fn iterations_are_isolated() {
         let p = 16;
         let mut cluster = Cluster::new(p, LogP::PAPER);
@@ -2482,6 +2458,20 @@ mod tests {
         assert!(sched.unclaimed[5]);
         drop(sched);
         assert_eq!(drain(&cluster), [0, 1, 2, 3, 4, 6, 7, 5]);
+    }
+
+    #[test]
+    fn a_sweep_hands_out_a_rank_whose_flag_a_parked_wake_up_holds() {
+        // Rank 5's flag is held with no queue entry, as by a wake-up
+        // parked in another worker's hand-off slot or wake list until
+        // its batch ends. The sweep hands the rank out anyway, and so
+        // is what runs that wake-up early.
+        let cluster = idle(8);
+        cluster.shared.ranks[5]
+            .scheduled
+            .store(true, Ordering::SeqCst);
+        admit(&cluster, 1);
+        assert_eq!(drain(&cluster), (0..8).collect::<Vec<Rank>>());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `stall_precursor` health rule strictly before the watchdog expires,
 //! and the event shows up in all three places it is promised —
 //! `BroadcastOutcome::health`, the `ct-series-v1` JSONL export and the
-//! `ct-postmortem-v1` dump; and the series ring retains exactly the
+//! `ct-postmortem-v1` dump; and the series store retains exactly the
 //! newest `min(cap, pushed)` windows for any push sequence.
 
 use std::sync::Arc;
@@ -15,7 +15,7 @@ use corrected_trees::core::protocol::BroadcastSpec;
 use corrected_trees::core::tree::TreeKind;
 use corrected_trees::logp::LogP;
 use corrected_trees::obs::health::Severity;
-use corrected_trees::obs::series::{SeriesRing, SeriesSample};
+use corrected_trees::obs::series::SeriesStore;
 use corrected_trees::obs::telemetry::TelemetryHub;
 use corrected_trees::runtime::{Cluster, ClusterConfig};
 use proptest::prelude::*;
@@ -110,30 +110,26 @@ fn forced_stall_fires_precursor_before_watchdog_everywhere() {
     assert!(pm.to_json().contains("\"rule\":\"stall_precursor\""));
 }
 
-/// Windows stamped 1..=n so retention is checkable by timestamp.
-fn window(i: u64) -> SeriesSample {
-    let hub = TelemetryHub::new(1, 1);
-    let snap = hub.snapshot();
-    SeriesSample::between(&snap, &snap, i, i, 1)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// For any capacity and push count, the ring retains exactly the
+    /// For any capacity and window count, the store retains exactly the
     /// newest `min(cap, pushed)` windows in order and reports the rest
     /// as dropped.
     #[test]
     fn ring_wrap_retains_newest(cap in 1usize..40, pushed in 0u64..120) {
-        let mut ring = SeriesRing::new(cap);
-        for i in 0..pushed {
-            ring.push(window(i));
+        let snap = TelemetryHub::new(1, 1).snapshot();
+        let store = SeriesStore::new(cap);
+        // The first snapshot starts the clock; each later one closes a
+        // window, numbered from 0.
+        for t_ms in 0..=pushed {
+            store.sample(snap.clone(), t_ms);
         }
-        let kept = ring.samples().map(|s| s.seq).collect::<Vec<u64>>();
+        let kept = store.samples().iter().map(|s| s.seq).collect::<Vec<u64>>();
         let expect_len = (pushed as usize).min(cap);
         prop_assert_eq!(kept.len(), expect_len);
         let first = pushed - expect_len as u64;
         prop_assert_eq!(kept, (first..pushed).collect::<Vec<u64>>());
-        prop_assert_eq!(ring.dropped(), pushed.saturating_sub(cap as u64));
+        prop_assert_eq!(store.dropped(), pushed.saturating_sub(cap as u64));
     }
 }

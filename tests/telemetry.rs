@@ -254,6 +254,13 @@ fn mailbox_hwm_is_the_depth_the_owner_drains() {
 /// from the start, so the first batch completes the broadcast; in it
 /// rank 2 sends one message to rank 1 and then five to rank 0, which
 /// the worker drains after the broadcast has retired.
+///
+/// Rank 2's burst wakes rank 1 and then rank 0. Rank 0 takes the
+/// hand-off slot and runs right after rank 2; rank 1 waits in the
+/// batch's wake list, which is queued only at the batch's flush, after
+/// the ledger post that lets the broadcast retire. So nothing orders
+/// rank 1's drain before the cluster's shutdown except a later
+/// broadcast that needs a quantum of rank 1.
 #[test]
 fn messages_left_at_retirement_are_booked_by_the_owners_next_drain() {
     let hub = Arc::new(TelemetryHub::new(1, 3));
@@ -272,7 +279,15 @@ fn messages_left_at_retirement_are_booked_by_the_owners_next_drain() {
         std::thread::yield_now();
     }
     assert_eq!(hub.rank_hwm(0), 5);
-    // Rank 1's one message is drained in the same batch as rank 0's.
+    // A broadcast in which nobody sends retires only after each rank
+    // has run a quantum, and rank 1's drains its mailbox first.
+    let quiet = ScriptedFactory(vec![Scripted::new(true, vec![vec![]]); 3]);
+    assert!(
+        cluster
+            .run_broadcast(&quiet, &[false; 3], 1)
+            .unwrap()
+            .completed
+    );
     drop(cluster);
     assert_eq!(hub.rank_hwm(1), 1);
 }
