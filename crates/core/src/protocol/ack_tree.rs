@@ -19,12 +19,12 @@ use ct_logp::{Rank, Time};
 
 use crate::tree::{Topology, Tree};
 
-use super::{ColoredVia, Payload, Process, SendPoll};
+use super::{ColoredVia, Machine, Payload, SendPoll};
 
-/// State machine for one rank of the acknowledged tree broadcast.
+/// State machine for one rank of the acknowledged tree broadcast; the
+/// tree is what all ranks share.
 pub struct AckTreeProcess {
     rank: Rank,
-    tree: Arc<Tree>,
     colored_at: Option<Time>,
     colored_via: Option<ColoredVia>,
     next_child: usize,
@@ -34,12 +34,20 @@ pub struct AckTreeProcess {
 }
 
 impl AckTreeProcess {
-    /// Create the machine for `rank` of the shared topology.
-    pub fn new(rank: Rank, tree: Arc<Tree>) -> Self {
+    /// Has the root observed a fully acknowledged broadcast down `tree`?
+    /// Only meaningful on rank 0.
+    pub fn root_completed(&self, tree: &Tree) -> bool {
+        self.rank == 0 && self.acks_received == tree.children(self.rank).len()
+    }
+}
+
+impl Machine for AckTreeProcess {
+    type Shared = Arc<Tree>;
+
+    fn new(rank: Rank, _tree: &Arc<Tree>) -> Self {
         let is_root = rank == 0;
         AckTreeProcess {
             rank,
-            tree,
             colored_at: is_root.then_some(Time::ZERO),
             colored_via: is_root.then_some(ColoredVia::Root),
             next_child: 0,
@@ -49,19 +57,7 @@ impl AckTreeProcess {
         }
     }
 
-    fn num_children(&self) -> usize {
-        self.tree.children(self.rank).len()
-    }
-
-    /// Has the root observed a fully acknowledged broadcast? Only
-    /// meaningful on rank 0.
-    pub fn root_completed(&self) -> bool {
-        self.rank == 0 && self.acks_received == self.num_children()
-    }
-}
-
-impl Process for AckTreeProcess {
-    fn on_message(&mut self, from: Rank, payload: Payload, now: Time) {
+    fn on_message(&mut self, tree: &Arc<Tree>, from: Rank, payload: Payload, now: Time) {
         match payload {
             Payload::Tree => {
                 if self.colored_at.is_none() {
@@ -70,7 +66,7 @@ impl Process for AckTreeProcess {
                 }
             }
             Payload::Ack => {
-                debug_assert!(self.tree.children(self.rank).contains(&from));
+                debug_assert!(tree.children(self.rank).contains(&from));
                 self.acks_received += 1;
             }
             Payload::Correction | Payload::Gossip { .. } => {
@@ -79,15 +75,14 @@ impl Process for AckTreeProcess {
         }
     }
 
-    fn poll_send(&mut self, now: Time) -> SendPoll {
-        let _ = now;
+    fn poll_send(&mut self, tree: &Arc<Tree>, _now: Time) -> SendPoll {
         if self.done {
             return SendPoll::Done;
         }
         if self.colored_at.is_none() {
             return SendPoll::Idle;
         }
-        let children = self.tree.children(self.rank);
+        let children = tree.children(self.rank);
         if self.next_child < children.len() {
             let to = children[self.next_child];
             self.next_child += 1;
@@ -102,7 +97,7 @@ impl Process for AckTreeProcess {
         if self.rank != 0 && !self.ack_sent {
             self.ack_sent = true;
             return SendPoll::Now {
-                to: self.tree.parent(self.rank).expect("non-root"),
+                to: tree.parent(self.rank).expect("non-root"),
                 payload: Payload::Ack,
             };
         }
@@ -131,94 +126,97 @@ mod tests {
 
     #[test]
     fn leaf_acks_immediately_after_coloring() {
-        let mut p7 = AckTreeProcess::new(7, tree(8));
-        assert_eq!(p7.poll_send(Time::ZERO), SendPoll::Idle);
-        p7.on_message(3, Payload::Tree, Time::new(12));
+        let t = tree(8);
+        let mut p7 = AckTreeProcess::new(7, &t);
+        assert_eq!(p7.poll_send(&t, Time::ZERO), SendPoll::Idle);
+        p7.on_message(&t, 3, Payload::Tree, Time::new(12));
         assert_eq!(
-            p7.poll_send(Time::new(12)),
+            p7.poll_send(&t, Time::new(12)),
             SendPoll::Now {
                 to: 3,
                 payload: Payload::Ack
             }
         );
-        assert_eq!(p7.poll_send(Time::new(13)), SendPoll::Done);
+        assert_eq!(p7.poll_send(&t, Time::new(13)), SendPoll::Done);
     }
 
     #[test]
     fn inner_node_waits_for_all_child_acks() {
         // Rank 1 in binomial(8) has children {3, 5}.
-        let mut p1 = AckTreeProcess::new(1, tree(8));
-        p1.on_message(0, Payload::Tree, Time::new(4));
+        let t = tree(8);
+        let mut p1 = AckTreeProcess::new(1, &t);
+        p1.on_message(&t, 0, Payload::Tree, Time::new(4));
         assert_eq!(
-            p1.poll_send(Time::new(4)),
+            p1.poll_send(&t, Time::new(4)),
             SendPoll::Now {
                 to: 3,
                 payload: Payload::Tree
             }
         );
         assert_eq!(
-            p1.poll_send(Time::new(5)),
+            p1.poll_send(&t, Time::new(5)),
             SendPoll::Now {
                 to: 5,
                 payload: Payload::Tree
             }
         );
-        assert_eq!(p1.poll_send(Time::new(6)), SendPoll::Idle);
-        p1.on_message(3, Payload::Ack, Time::new(14));
-        assert_eq!(p1.poll_send(Time::new(14)), SendPoll::Idle);
-        p1.on_message(5, Payload::Ack, Time::new(15));
+        assert_eq!(p1.poll_send(&t, Time::new(6)), SendPoll::Idle);
+        p1.on_message(&t, 3, Payload::Ack, Time::new(14));
+        assert_eq!(p1.poll_send(&t, Time::new(14)), SendPoll::Idle);
+        p1.on_message(&t, 5, Payload::Ack, Time::new(15));
         assert_eq!(
-            p1.poll_send(Time::new(15)),
+            p1.poll_send(&t, Time::new(15)),
             SendPoll::Now {
                 to: 0,
                 payload: Payload::Ack
             }
         );
-        assert_eq!(p1.poll_send(Time::new(16)), SendPoll::Done);
+        assert_eq!(p1.poll_send(&t, Time::new(16)), SendPoll::Done);
     }
 
     #[test]
     fn root_completes_only_after_every_ack() {
-        let mut root = AckTreeProcess::new(0, tree(8));
+        let t = tree(8);
+        let mut root = AckTreeProcess::new(0, &t);
         for to in [1u32, 2, 4] {
             assert_eq!(
-                root.poll_send(Time::ZERO),
+                root.poll_send(&t, Time::ZERO),
                 SendPoll::Now {
                     to,
                     payload: Payload::Tree
                 }
             );
         }
-        assert_eq!(root.poll_send(Time::ZERO), SendPoll::Idle);
-        assert!(!root.root_completed());
+        assert_eq!(root.poll_send(&t, Time::ZERO), SendPoll::Idle);
+        assert!(!root.root_completed(&t));
         for from in [1u32, 2, 4] {
-            root.on_message(from, Payload::Ack, Time::new(20));
+            root.on_message(&t, from, Payload::Ack, Time::new(20));
         }
-        assert!(root.root_completed());
-        assert_eq!(root.poll_send(Time::new(20)), SendPoll::Done);
+        assert!(root.root_completed(&t));
+        assert_eq!(root.poll_send(&t, Time::new(20)), SendPoll::Done);
     }
 
     #[test]
     fn two_process_ack_roundtrip() {
         let t = tree(2);
-        let mut root = AckTreeProcess::new(0, Arc::clone(&t));
-        let mut leaf = AckTreeProcess::new(1, t);
+        let mut root = AckTreeProcess::new(0, &t);
+        let mut leaf = AckTreeProcess::new(1, &t);
         assert_eq!(
-            root.poll_send(Time::ZERO),
+            root.poll_send(&t, Time::ZERO),
             SendPoll::Now {
                 to: 1,
                 payload: Payload::Tree
             }
         );
-        leaf.on_message(0, Payload::Tree, Time::new(4));
+        leaf.on_message(&t, 0, Payload::Tree, Time::new(4));
         assert_eq!(
-            leaf.poll_send(Time::new(4)),
+            leaf.poll_send(&t, Time::new(4)),
             SendPoll::Now {
                 to: 0,
                 payload: Payload::Ack
             }
         );
-        root.on_message(1, Payload::Ack, Time::new(8));
-        assert!(root.root_completed());
+        root.on_message(&t, 1, Payload::Ack, Time::new(8));
+        assert!(root.root_completed(&t));
     }
 }

@@ -30,11 +30,11 @@ use ct_logp::{Rank, Time};
 use crate::correction::{CorrPoll, CorrectionHost, CorrectionKind};
 use crate::tree::{Topology, Tree};
 
-use super::{ColoredVia, Payload, Process, SendPoll};
+use super::{ColoredVia, Machine, Payload, SendPoll};
 
 /// The part of a corrected-tree broadcast that is the same for all of
 /// its ranks.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct TreeBroadcast {
     tree: Arc<Tree>,
     kind: CorrectionKind,
@@ -58,6 +58,22 @@ impl TreeBroadcast {
     /// The dissemination tree.
     pub fn tree(&self) -> &Arc<Tree> {
         &self.tree
+    }
+}
+
+impl Clone for TreeBroadcast {
+    fn clone(&self) -> Self {
+        let tree = Arc::clone(&self.tree);
+        TreeBroadcast { tree, ..*self }
+    }
+
+    /// Re-points the tree only when it changed: rewinding `P` placed
+    /// ranks then touches no shared counter.
+    fn clone_from(&mut self, source: &Self) {
+        if !Arc::ptr_eq(&self.tree, &source.tree) {
+            self.tree = Arc::clone(&source.tree);
+        }
+        (self.kind, self.sync_start) = (source.kind, source.sync_start);
     }
 }
 
@@ -101,8 +117,15 @@ pub struct CorrectedTreeProcess {
 }
 
 impl CorrectedTreeProcess {
-    /// Create the machine for `rank` of `broadcast`.
-    pub fn new(rank: Rank, broadcast: &TreeBroadcast) -> Self {
+    fn is_colored(&self) -> bool {
+        !self.colored_at.is_never()
+    }
+}
+
+impl Machine for CorrectedTreeProcess {
+    type Shared = TreeBroadcast;
+
+    fn new(rank: Rank, broadcast: &TreeBroadcast) -> Self {
         let mut process = CorrectedTreeProcess {
             rank,
             next_child: 0,
@@ -114,12 +137,9 @@ impl CorrectedTreeProcess {
         process
     }
 
-    /// Rewind to exactly the state [`CorrectedTreeProcess::new`] would
-    /// produce for these arguments, keeping the reply buffer's capacity
-    /// — the in-place path of `BroadcastSpec::build_into` and
-    /// `populate`. Only the root is colored, and it alone has begun
-    /// correction.
-    pub fn reset(&mut self, rank: Rank, b: &TreeBroadcast) {
+    /// Keeps the reply buffer's capacity. Only the root is colored, and
+    /// it alone has begun correction.
+    fn reset(&mut self, rank: Rank, b: &TreeBroadcast) {
         let is_root = rank == 0;
         self.rank = rank;
         self.next_child = 0;
@@ -134,12 +154,7 @@ impl CorrectedTreeProcess {
         }
     }
 
-    fn is_colored(&self) -> bool {
-        !self.colored_at.is_never()
-    }
-
-    /// Deliver a fully received message ([`Process::on_message`]).
-    pub fn on_message(&mut self, b: &TreeBroadcast, from: Rank, payload: Payload, now: Time) {
+    fn on_message(&mut self, b: &TreeBroadcast, from: Rank, payload: Payload, now: Time) {
         match payload {
             Payload::Tree | Payload::Gossip { .. } => {
                 if !self.is_colored() {
@@ -188,9 +203,7 @@ impl CorrectedTreeProcess {
         }
     }
 
-    /// Ask for the next send; the sender port is free at `now`
-    /// ([`Process::poll_send`]).
-    pub fn poll_send(&mut self, b: &TreeBroadcast, now: Time) -> SendPoll {
+    fn poll_send(&mut self, b: &TreeBroadcast, now: Time) -> SendPoll {
         if self.next_child == DONE {
             return SendPoll::Done;
         }
@@ -235,13 +248,11 @@ impl CorrectedTreeProcess {
         }
     }
 
-    /// When this process became colored, if it has.
-    pub fn colored_at(&self) -> Option<Time> {
+    fn colored_at(&self) -> Option<Time> {
         self.is_colored().then_some(self.colored_at)
     }
 
-    /// How this process became colored, if it has.
-    pub fn colored_via(&self) -> Option<ColoredVia> {
+    fn colored_via(&self) -> Option<ColoredVia> {
         Some(if !self.is_colored() {
             return None;
         } else if !self.correction.has_begun() {
@@ -254,53 +265,10 @@ impl CorrectedTreeProcess {
     }
 }
 
-/// One rank of a corrected-tree broadcast as a [`Process`] of its own:
-/// the machine with a copy of the broadcast it runs, the form the
-/// cluster's per-rank boxes hold.
-pub(super) struct TreeRank {
-    machine: CorrectedTreeProcess,
-    broadcast: TreeBroadcast,
-}
-
-impl TreeRank {
-    pub(super) fn new(rank: Rank, broadcast: TreeBroadcast) -> TreeRank {
-        let machine = CorrectedTreeProcess::new(rank, &broadcast);
-        TreeRank { machine, broadcast }
-    }
-
-    /// Become [`TreeRank::new`] of these arguments in place, re-pointing
-    /// the tree only when it changed: rewinding `P` boxed slots then
-    /// touches no shared counter.
-    pub(super) fn reset(&mut self, rank: Rank, b: &TreeBroadcast) {
-        if !Arc::ptr_eq(&self.broadcast.tree, &b.tree) {
-            self.broadcast.tree = Arc::clone(&b.tree);
-        }
-        (self.broadcast.kind, self.broadcast.sync_start) = (b.kind, b.sync_start);
-        self.machine.reset(rank, b);
-    }
-}
-
-impl Process for TreeRank {
-    fn on_message(&mut self, from: Rank, payload: Payload, now: Time) {
-        self.machine.on_message(&self.broadcast, from, payload, now);
-    }
-
-    fn poll_send(&mut self, now: Time) -> SendPoll {
-        self.machine.poll_send(&self.broadcast, now)
-    }
-
-    fn colored_at(&self) -> Option<Time> {
-        self.machine.colored_at()
-    }
-
-    fn colored_via(&self) -> Option<ColoredVia> {
-        self.machine.colored_via()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{Blueprint, Plan, Process, Relabeling};
     use crate::tree::TreeKind;
     use ct_logp::LogP;
 
@@ -308,12 +276,19 @@ mod tests {
         Arc::new(TreeKind::BINOMIAL.build(p, &LogP::PAPER).unwrap())
     }
 
-    /// Rank `rank` of a binomial broadcast over `p`.
-    fn rank(rank: Rank, p: u32, kind: CorrectionKind, sync_start: Option<Time>) -> TreeRank {
-        TreeRank::new(rank, TreeBroadcast::new(tree(p), kind, sync_start))
+    /// Rank `rank` of a binomial broadcast over `p`, linearly numbered.
+    fn rank(
+        rank: Rank,
+        p: u32,
+        kind: CorrectionKind,
+        sync_start: Option<Time>,
+    ) -> Box<dyn Process> {
+        let shared = TreeBroadcast::new(tree(p), kind, sync_start);
+        let map = Relabeling::rotation(p, 0);
+        Plan::<CorrectedTreeProcess> { shared, map }.place(rank, None)
     }
 
-    fn drain_now(proc_: &mut TreeRank, now: Time) -> Vec<(Rank, Payload)> {
+    fn drain_now(proc_: &mut Box<dyn Process>, now: Time) -> Vec<(Rank, Payload)> {
         let mut out = Vec::new();
         loop {
             match proc_.poll_send(now) {

@@ -1,10 +1,13 @@
 //! Transport-agnostic broadcast protocols.
 //!
-//! A broadcast instance is one [`Process`] state machine per rank —
-//! boxes a [`Blueprint`] places one at a time as the `ct-runtime`
-//! cluster's ranks install themselves, or a [`Population`] the `ct-sim`
-//! LogP simulator addresses by rank. Either engine owns delivery and
-//! timing and obeys one contract:
+//! A broadcast instance is one state machine per rank. Every protocol is
+//! a [`Machine`]: per-rank state only, driven together with the part of
+//! the broadcast all of its ranks share. One [`Plan`] per broadcast
+//! fills both engines' stores: the by-value population ([`Machines`])
+//! the `ct-sim` LogP simulator addresses by rank, and the boxes
+//! ([`Placed`], a [`Process`] each) a [`Blueprint`] places one at a
+//! time as the `ct-runtime` cluster's ranks install themselves. Either
+//! engine owns delivery and timing and obeys one contract:
 //!
 //! * [`Process::on_message`] is invoked when a message has been fully
 //!   received (LogP: arrival plus receive overhead `o`).
@@ -25,7 +28,7 @@ pub mod relabel;
 
 use core::any::Any;
 use core::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use crate::correction::CorrectionKind;
 use crate::tree::{Tree, TreeError, TreeKind};
@@ -34,11 +37,9 @@ use ct_logp::{LogP, Rank, Time};
 pub use ack_tree::AckTreeProcess;
 pub use corrected::{CorrectedTreeProcess, TreeBroadcast};
 pub use relabel::{
-    half_len, half_of, index_in_half, rank_in_half, PopulationHalf, RelabeledPopulation,
-    RelabeledProcess, Relabeling,
+    half_len, half_of, index_in_half, rank_in_half, Machines, Placed, Plan, PopulationHalf,
+    Relabeling,
 };
-
-use corrected::TreeRank;
 
 /// The content of a broadcast message. The paper's payloads are small
 /// (no segmentation, §2); what matters to the protocols is only the
@@ -95,8 +96,9 @@ pub enum SendPoll {
     Done,
 }
 
-/// One rank's protocol state machine. It is [`Any`], so a blueprint
-/// can re-initialise the machine of a previous broadcast in place
+/// One rank's protocol state machine as a box of its own, what the
+/// cluster's ranks hold ([`Placed`]). It is [`Any`], so a blueprint can
+/// re-initialise the machine of a previous broadcast in place
 /// ([`Blueprint::place`]).
 pub trait Process: Any + Send {
     /// Deliver a fully received message.
@@ -112,14 +114,44 @@ pub trait Process: Any + Send {
     fn colored_via(&self) -> Option<ColoredVia>;
 }
 
+/// One rank's protocol state machine, per-rank state only: what all
+/// ranks of a broadcast share (its tree, its correction, its gossip
+/// budget) is [`Machine::Shared`], stored once by whoever holds the
+/// machines and handed to each call. Ranks are virtual: the root is 0,
+/// and a [`Relabeling`] maps them onto the physical ranks a driver
+/// addresses. Each method but the constructors is the [`Process`]
+/// method of the same name.
+pub trait Machine: Send + Sized + 'static {
+    /// The part of a broadcast that is the same for all of its ranks.
+    type Shared: Clone + Send + Sync + 'static;
+
+    /// The machine of virtual rank `rank`.
+    fn new(rank: Rank, shared: &Self::Shared) -> Self;
+
+    /// Become [`Machine::new`] of these arguments in place.
+    fn reset(&mut self, rank: Rank, shared: &Self::Shared) {
+        *self = Self::new(rank, shared);
+    }
+
+    /// Deliver a fully received message from virtual rank `from`.
+    fn on_message(&mut self, shared: &Self::Shared, from: Rank, payload: Payload, now: Time);
+
+    /// Ask for the next send, addressed to a virtual rank.
+    fn poll_send(&mut self, shared: &Self::Shared, now: Time) -> SendPoll;
+
+    /// When this rank became colored, if it has.
+    fn colored_at(&self) -> Option<Time>;
+
+    /// How this rank became colored, if it has.
+    fn colored_via(&self) -> Option<ColoredVia>;
+}
+
 /// All `P` machines of one broadcast, addressed by physical rank: the
 /// form a single-threaded driver holds them in. Each method is the
 /// [`Process`] method of the same name applied to `rank`'s machine.
 ///
-/// A vector of boxed processes — what any factory builds — is one; a
-/// factory whose machines all have one type can do without the box per
-/// rank ([`RelabeledPopulation`], [`ProtocolFactory::populate`]). It
-/// is [`Any`], so such a factory can re-initialise the population of a
+/// Every protocol's is a [`Machines`], which [`Plan::populate`] fills.
+/// It is [`Any`], so a plan can re-initialise the population of a
 /// previous broadcast in place.
 pub trait Population: Any + Send {
     /// Number of ranks `P`.
@@ -143,51 +175,6 @@ pub trait Population: Any + Send {
     fn colored_via(&self, rank: Rank) -> Option<ColoredVia>;
 }
 
-impl Population for Vec<Box<dyn Process>> {
-    fn len(&self) -> usize {
-        Vec::len(self)
-    }
-
-    fn on_message(&mut self, rank: Rank, from: Rank, payload: Payload, now: Time) {
-        self[rank as usize].on_message(from, payload, now);
-    }
-
-    fn poll_send(&mut self, rank: Rank, now: Time) -> SendPoll {
-        self[rank as usize].poll_send(now)
-    }
-
-    fn colored_at(&self, rank: Rank) -> Option<Time> {
-        self[rank as usize].colored_at()
-    }
-
-    fn colored_via(&self, rank: Rank) -> Option<ColoredVia> {
-        self[rank as usize].colored_via()
-    }
-}
-
-/// The store of type `S` a population slot holds, if that is what it
-/// holds.
-fn held<S: Population>(slot: &mut Option<Box<dyn Population>>) -> Option<&mut S> {
-    let store: &mut dyn Any = slot.as_deref_mut()?;
-    store.downcast_mut()
-}
-
-/// [`ProtocolFactory::populate`] for any factory: `build_into` over a
-/// vector of boxes kept in the slot.
-fn populate_boxed<F: ProtocolFactory + ?Sized>(
-    factory: &F,
-    ctx: &BuildCtx,
-    slot: &mut Option<Box<dyn Population>>,
-) -> Result<(), ProtocolError> {
-    if let Some(procs) = held::<Vec<Box<dyn Process>>>(slot) {
-        return factory.build_into(ctx, procs);
-    }
-    let mut procs = Vec::new();
-    factory.build_into(ctx, &mut procs)?;
-    *slot = Some(Box::new(procs));
-    Ok(())
-}
-
 /// Context handed to a [`ProtocolFactory`].
 #[derive(Clone, Copy, Debug)]
 pub struct BuildCtx {
@@ -203,28 +190,13 @@ pub struct BuildCtx {
 /// One broadcast resolved against its [`BuildCtx`], handing out its
 /// machines one rank at a time: what the cluster holds instead of a
 /// vector of `P` boxes, so that each rank installs its own machine
-/// under its own lock.
+/// under its own lock. Every protocol's is a [`Plan`].
 pub trait Blueprint: Send + Sync {
-    /// The machine of physical rank `phys`, behaving exactly like
-    /// [`ProtocolFactory::build`]'s. `old` is a machine some earlier
-    /// broadcast is done with: it is rewound in place when it is of the
-    /// same type, and dropped otherwise. Each rank is placed at most
-    /// once per blueprint.
+    /// The machine of physical rank `phys`. `old` is a machine some
+    /// earlier broadcast is done with: it is rewound in place when it is
+    /// of the same type, and dropped otherwise. Each rank is placed at
+    /// most once per blueprint.
     fn place(&self, phys: Rank, old: Option<Box<dyn Process>>) -> Box<dyn Process>;
-}
-
-/// The default [`Blueprint`]: the vector [`ProtocolFactory::build`]
-/// returned, handed out box by box.
-struct Built(Vec<Mutex<Option<Box<dyn Process>>>>);
-
-impl Blueprint for Built {
-    fn place(&self, phys: Rank, _old: Option<Box<dyn Process>>) -> Box<dyn Process> {
-        self.0[phys as usize]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-            .expect("each rank is placed once per blueprint")
-    }
 }
 
 /// What [`ProtocolFactory::build_into`] leaves in a slot while it places
@@ -259,33 +231,30 @@ fn place_all(plan: &dyn Blueprint, p: u32, out: &mut Vec<Box<dyn Process>>) {
     out.extend((placed..p).map(|phys| plan.place(phys, None)));
 }
 
-/// Anything that can instantiate a full set of per-rank processes.
+/// Anything that can instantiate the per-rank machines of a broadcast.
+/// Each method is a thin call into the protocol's [`Plan`].
 pub trait ProtocolFactory {
     /// Stable label for experiment output.
     fn label(&self) -> String;
 
-    /// Build the `P` state machines for one broadcast.
-    fn build(&self, ctx: &BuildCtx) -> Result<Vec<Box<dyn Process>>, ProtocolError>;
+    /// Resolve one broadcast against `ctx` for rank-by-rank placement.
+    fn blueprint(&self, ctx: &BuildCtx) -> Result<Arc<dyn Blueprint>, ProtocolError>;
 
-    /// Resolve one broadcast against `ctx` for rank-by-rank placement;
-    /// errors surface here, as [`ProtocolFactory::build`] would report
-    /// them.
-    ///
-    /// The default calls [`ProtocolFactory::build`] once and hands each
-    /// rank its box; a factory whose machines can be rewound in place
-    /// overrides it ([`BroadcastSpec`] does).
-    fn blueprint(&self, ctx: &BuildCtx) -> Result<Arc<dyn Blueprint>, ProtocolError> {
-        let procs = self.build(ctx)?;
-        Ok(Arc::new(Built(
-            procs.into_iter().map(|m| Mutex::new(Some(m))).collect(),
-        )))
-    }
+    /// Put the population of one broadcast into `slot` by value,
+    /// re-initialising in place what a previous broadcast of the same
+    /// protocol left there ([`Plan::populate`]). After an error the slot
+    /// holds nothing to run: the previous broadcast's population or an
+    /// empty one.
+    fn populate(
+        &self,
+        ctx: &BuildCtx,
+        slot: &mut Option<Box<dyn Population>>,
+    ) -> Result<(), ProtocolError>;
 
-    /// Build into an existing vector, reusing its backing storage and,
-    /// where the [`ProtocolFactory::blueprint`] can, each slot's
-    /// machine: every slot is [`Blueprint::place`]d over what it held.
-    /// Either way the machines behave exactly like freshly built ones.
-    /// On error `out` is left empty.
+    /// Build into an existing vector, reusing its backing storage and
+    /// each slot's machine where it can: every slot is
+    /// [`Blueprint::place`]d over what it held, so the machines behave
+    /// exactly like freshly placed ones. On error `out` is left empty.
     fn build_into(
         &self,
         ctx: &BuildCtx,
@@ -294,24 +263,6 @@ pub trait ProtocolFactory {
         let plan = self.blueprint(ctx).inspect_err(|_| out.clear())?;
         place_all(&*plan, ctx.p, out);
         Ok(())
-    }
-
-    /// Put the population of one broadcast into `slot`, reusing what a
-    /// previous broadcast — of any factory — left there when it can.
-    ///
-    /// The default keeps a vector of boxes in the slot and hands it to
-    /// [`ProtocolFactory::build_into`]; a factory whose machines all
-    /// have one type may keep them by value instead ([`BroadcastSpec`]
-    /// does). Either way the population behaves exactly like the
-    /// vector [`ProtocolFactory::build`] returns. After an error the
-    /// slot holds nothing to run: the previous broadcast's population
-    /// or an empty one.
-    fn populate(
-        &self,
-        ctx: &BuildCtx,
-        slot: &mut Option<Box<dyn Population>>,
-    ) -> Result<(), ProtocolError> {
-        populate_boxed(self, ctx, slot)
     }
 }
 
@@ -496,14 +447,18 @@ impl BroadcastSpec {
         }
     }
 
-    /// Validate this spec and resolve it against `ctx`.
-    fn resolve(&self, ctx: &BuildCtx) -> Result<SpecBlueprint, ProtocolError> {
+    /// Validate this spec and resolve it against `ctx`: the plan of its
+    /// corrected-tree machines, or of its ack-tree machines when acked.
+    fn resolve(&self, ctx: &BuildCtx) -> Result<SpecPlan, ProtocolError> {
         self.validate(ctx)?;
         let tree = self.build_tree(ctx.p, &ctx.logp)?;
-        Ok(SpecBlueprint {
-            broadcast: TreeBroadcast::new(tree, self.correction, self.sync_start(ctx)?),
-            acked: self.acked,
-            map: self.relabeling(ctx),
+        let map = self.relabeling(ctx);
+        Ok(match self.acked {
+            true => SpecPlan::Acked(Plan { shared: tree, map }),
+            false => {
+                let shared = TreeBroadcast::new(tree, self.correction, self.sync_start(ctx)?);
+                SpecPlan::Tree(Plan { shared, map })
+            }
         })
     }
 
@@ -536,96 +491,54 @@ impl fmt::Display for BroadcastSpec {
     }
 }
 
+/// A valid [`BroadcastSpec`] resolved against one [`BuildCtx`].
+enum SpecPlan {
+    Tree(Plan<CorrectedTreeProcess>),
+    Acked(Plan<AckTreeProcess>),
+}
+
 impl ProtocolFactory for BroadcastSpec {
     fn label(&self) -> String {
         self.to_string()
     }
 
-    fn build(&self, ctx: &BuildCtx) -> Result<Vec<Box<dyn Process>>, ProtocolError> {
-        let plan = self.resolve(ctx)?;
-        Ok((0..ctx.p).map(|phys| plan.boxed(phys)).collect())
-    }
-
-    /// Rewinds a previous corrected-tree machine in place, whatever its
-    /// root, numbering or correction was: no allocation for linear and
-    /// rotated numberings (the two tables of a shuffled one are made
-    /// once, here). Acked specs, and any other old machine, are built
-    /// afresh.
     fn blueprint(&self, ctx: &BuildCtx) -> Result<Arc<dyn Blueprint>, ProtocolError> {
-        Ok(Arc::new(self.resolve(ctx)?))
+        Ok(match self.resolve(ctx)? {
+            SpecPlan::Tree(plan) => Arc::new(plan),
+            SpecPlan::Acked(plan) => Arc::new(plan),
+        })
     }
 
-    /// The default over the resolved spec itself, without the
-    /// blueprint's `Arc`: rewinding a previous corrected-tree set then
-    /// allocates nothing.
-    fn build_into(
-        &self,
-        ctx: &BuildCtx,
-        out: &mut Vec<Box<dyn Process>>,
-    ) -> Result<(), ProtocolError> {
-        let plan = self.resolve(ctx).inspect_err(|_| out.clear())?;
-        place_all(&plan, ctx.p, out);
-        Ok(())
-    }
-
-    /// Keeps the corrected-tree machines by value: whatever root,
-    /// numbering, correction or `P` the slot's previous broadcast had,
-    /// its store is re-initialised in place (allocating as
-    /// [`ProtocolFactory::build_into`] does, plus the machines of ranks
-    /// beyond the previous `P`). Acked specs take the boxed default.
+    /// Whatever root, numbering, correction or `P` the slot's previous
+    /// broadcast of the same machines had, its store is re-initialised
+    /// in place (allocating as [`ProtocolFactory::build_into`] does, plus
+    /// the machines of ranks beyond the previous `P`).
     fn populate(
         &self,
         ctx: &BuildCtx,
         slot: &mut Option<Box<dyn Population>>,
     ) -> Result<(), ProtocolError> {
-        if self.acked {
-            return populate_boxed(self, ctx, slot);
-        }
-        let SpecBlueprint { broadcast, map, .. } = self.resolve(ctx)?;
-        match held::<RelabeledPopulation>(slot) {
-            Some(store) => store.refill(map, broadcast),
-            None => *slot = Some(Box::new(RelabeledPopulation::new(map, broadcast))),
+        match self.resolve(ctx)? {
+            SpecPlan::Tree(plan) => plan.populate(slot),
+            SpecPlan::Acked(plan) => plan.populate(slot),
         }
         Ok(())
     }
-}
 
-/// A valid [`BroadcastSpec`] resolved against one [`BuildCtx`]: the one
-/// definition of "the machine of physical rank `r`" behind `build`,
-/// `blueprint` and `populate`. Physical rank `phys` runs the
-/// rank-0-rooted machine of virtual rank `map.virtual_of(phys)`.
-struct SpecBlueprint {
-    broadcast: TreeBroadcast,
-    acked: bool,
-    map: Relabeling,
-}
-
-impl SpecBlueprint {
-    /// The cluster's form of `phys`'s machine: boxed, with its own copy
-    /// of the broadcast and the relabeling applied at its own boundary.
-    fn boxed(&self, phys: Rank) -> Box<dyn Process> {
-        let (v, map) = (self.map.virtual_of(phys), self.map.clone());
-        if self.acked {
-            let tree = Arc::clone(self.broadcast.tree());
-            Box::new(RelabeledProcess::new(AckTreeProcess::new(v, tree), map))
-        } else {
-            let rank = TreeRank::new(v, self.broadcast.clone());
-            Box::new(RelabeledProcess::new(rank, map))
+    /// The default over the resolved plan itself, without the
+    /// blueprint's `Arc`: rewinding a previous set of the same machines
+    /// then allocates nothing for linear and rotated numberings (the two
+    /// tables of a shuffled one are made once, here).
+    fn build_into(
+        &self,
+        ctx: &BuildCtx,
+        out: &mut Vec<Box<dyn Process>>,
+    ) -> Result<(), ProtocolError> {
+        match self.resolve(ctx).inspect_err(|_| out.clear())? {
+            SpecPlan::Tree(plan) => place_all(&plan, ctx.p, out),
+            SpecPlan::Acked(plan) => place_all(&plan, ctx.p, out),
         }
-    }
-}
-
-impl Blueprint for SpecBlueprint {
-    fn place(&self, phys: Rank, old: Option<Box<dyn Process>>) -> Box<dyn Process> {
-        if let Some(mut old) = old.filter(|_| !self.acked) {
-            let machine: &mut dyn Any = &mut *old;
-            if let Some(slot) = machine.downcast_mut::<RelabeledProcess<TreeRank>>() {
-                slot.inner.reset(self.map.virtual_of(phys), &self.broadcast);
-                slot.map = self.map.clone();
-                return old;
-            }
-        }
-        self.boxed(phys)
+        Ok(())
     }
 }
 
@@ -670,7 +583,8 @@ mod tests {
             seed: 1,
         };
         let spec = BroadcastSpec::corrected_tree_sync(TreeKind::BINOMIAL, CorrectionKind::Checked);
-        let procs = spec.build(&ctx).unwrap();
+        let mut procs = Vec::new();
+        spec.build_into(&ctx, &mut procs).unwrap();
         assert_eq!(procs.len(), 33);
         // Only the root is colored initially.
         assert_eq!(procs[0].colored_via(), Some(ColoredVia::Root));
@@ -694,7 +608,7 @@ mod tests {
             shuffle_seed: None,
         };
         assert!(matches!(
-            spec.build(&ctx),
+            spec.populate(&ctx, &mut None),
             Err(ProtocolError::InvalidConfig(_))
         ));
     }
@@ -710,7 +624,7 @@ mod tests {
             k: 0,
             order: Ordering::Interleaved,
         });
-        match spec.build(&ctx) {
+        match spec.blueprint(&ctx) {
             Err(ProtocolError::Tree(TreeError::ZeroArity)) => {}
             Err(other) => panic!("wrong error: {other}"),
             Ok(_) => panic!("build must fail"),

@@ -3,9 +3,10 @@
 //! The paper fixes the root at rank 0 "without loss of generality" (§2)
 //! and the protocols are written that way, on *virtual* ranks. A
 //! [`Relabeling`] is the bijection to the *physical* ranks the driver
-//! addresses, applied at the process boundary — per rank by
-//! [`RelabeledProcess`], once for a whole broadcast by
-//! [`RelabeledPopulation`]:
+//! addresses, applied at the machine boundary — per rank by the
+//! cluster's box ([`Placed`]), once for a whole broadcast by the
+//! simulator's by-value population ([`Machines`]), both of which a
+//! [`Plan`] fills:
 //!
 //! * a **rotation** `v ↔ (v + root) mod P` roots the broadcast anywhere.
 //!   It is an automorphism of the correction ring (all ring distances
@@ -19,6 +20,7 @@
 //!   physical block across the virtual ring (where all gap guarantees
 //!   live) turns one `m`-sized gap into `m` unit gaps.
 
+use std::any::Any;
 use std::sync::Arc;
 
 use ct_logp::{ring_gap_cw, Rank, Time};
@@ -26,10 +28,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use super::{
-    ColoredVia, CorrectedTreeProcess, Payload, Population, Process, SendPoll, TreeBroadcast,
-};
-use crate::tree::Topology;
+use super::{Blueprint, ColoredVia, Machine, Payload, Population, Process, SendPoll};
 
 /// A virtual↔physical rank bijection shared by all `P` processes.
 #[derive(Clone, Debug)]
@@ -147,36 +146,81 @@ impl Relabeling {
     }
 }
 
-/// A virtual-rank protocol state machine `M` on its physical host.
-pub struct RelabeledProcess<M> {
-    pub(super) inner: M,
-    pub(super) map: Relabeling,
+/// One broadcast resolved against its context: the part all of its
+/// ranks share and their numbering. Physical rank `phys` runs the
+/// machine of virtual rank `map.virtual_of(phys)`. It places the
+/// cluster's boxes one rank at a time ([`Blueprint`]) and fills the
+/// simulator's by-value population ([`Plan::populate`]): one definition
+/// of "the machine of physical rank `r`" for both.
+pub struct Plan<M: Machine> {
+    /// What every rank of the broadcast shares.
+    pub shared: M::Shared,
+    /// The numbering; its `P` is the broadcast's.
+    pub map: Relabeling,
 }
 
-impl<M> RelabeledProcess<M> {
-    /// Wrap `inner` (the machine for some virtual rank) with the shared
-    /// relabeling.
-    pub fn new(inner: M, map: Relabeling) -> Self {
-        RelabeledProcess { inner, map }
+impl<M: Machine> Plan<M> {
+    /// Put this broadcast's machines into `slot`: the [`Machines<M>`]
+    /// a previous broadcast left there is re-initialised in place (its
+    /// machines rewound, those of ranks beyond its `P` created), and any
+    /// other store is replaced.
+    pub fn populate(self, slot: &mut Option<Box<dyn Population>>) {
+        let held = slot.as_deref_mut().map(|store| store as &mut dyn Any);
+        match held.and_then(|store| store.downcast_mut::<Machines<M>>()) {
+            Some(store) => store.refill(self),
+            None => *slot = Some(Box::new(Machines::new(self))),
+        }
     }
 }
 
-impl<M: Process> Process for RelabeledProcess<M> {
+/// One rank of a broadcast as a [`Process`] of its own: the machine, a
+/// copy of the broadcast's shared part and the numbering, applied at its
+/// own boundary. It is the box the cluster's ranks hold.
+pub struct Placed<M: Machine> {
+    machine: M,
+    shared: M::Shared,
+    map: Relabeling,
+}
+
+impl<M: Machine> Process for Placed<M> {
     fn on_message(&mut self, from: Rank, payload: Payload, now: Time) {
-        self.inner
-            .on_message(self.map.virtual_of(from), payload, now);
+        let from = self.map.virtual_of(from);
+        self.machine.on_message(&self.shared, from, payload, now);
     }
 
     fn poll_send(&mut self, now: Time) -> SendPoll {
-        self.map.outbound(self.inner.poll_send(now))
+        self.map.outbound(self.machine.poll_send(&self.shared, now))
     }
 
     fn colored_at(&self) -> Option<Time> {
-        self.inner.colored_at()
+        self.machine.colored_at()
     }
 
     fn colored_via(&self) -> Option<ColoredVia> {
-        self.inner.colored_via()
+        self.machine.colored_via()
+    }
+}
+
+impl<M: Machine> Blueprint for Plan<M> {
+    /// Rewinds a previous [`Placed<M>`] in place, whatever its root,
+    /// numbering or parameters were: no allocation for linear and
+    /// rotated numberings. Any other old machine is replaced.
+    fn place(&self, phys: Rank, old: Option<Box<dyn Process>>) -> Box<dyn Process> {
+        let rank = self.map.virtual_of(phys);
+        if let Some(mut old) = old {
+            let any: &mut dyn Any = &mut *old;
+            if let Some(placed) = any.downcast_mut::<Placed<M>>() {
+                placed.shared.clone_from(&self.shared);
+                placed.map.clone_from(&self.map);
+                placed.machine.reset(rank, &self.shared);
+                return old;
+            }
+        }
+        Box::new(Placed {
+            machine: M::new(rank, &self.shared),
+            shared: self.shared.clone(),
+            map: self.map.clone(),
+        })
     }
 }
 
@@ -211,58 +255,58 @@ pub fn half_len(p: u32, half: usize) -> usize {
         }
 }
 
-/// A whole corrected-tree broadcast, held by value: the per-rank
-/// machines, and the [`TreeBroadcast`] and the [`Relabeling`] they
-/// share, each stored once — what `P` boxed [`RelabeledProcess`]es are,
-/// without a box and a copy of both per rank.
+/// A whole broadcast held by value: the per-rank machines, and the
+/// shared part and the [`Relabeling`] they share, each stored once —
+/// what `P` [`Placed`] boxes are, without a box and a copy of both per
+/// rank. It is every protocol's [`Population`].
 ///
 /// The machines lie in one vector, by rank, until a driver takes them
 /// as two halves of alternating 64-rank blocks ([`half_of`]) to run
-/// them on two threads ([`RelabeledPopulation::take_halves`]). From then
-/// on they stay in halves, which serve every other use too.
-pub struct RelabeledPopulation {
+/// them on two threads ([`Machines::take_halves`]). From then on they
+/// stay in halves, which serve every other use too.
+pub struct Machines<M: Machine> {
     map: Relabeling,
-    broadcast: TreeBroadcast,
+    shared: M::Shared,
     /// Whole, `halves[0][r]` is the machine of physical rank `r` and
     /// `halves[1]` is empty; split, `halves[h][i]` is that of
     /// `rank_in_half(h, i)`. A rank's machine is the one of its virtual
     /// rank under `map`.
-    halves: [Vec<CorrectedTreeProcess>; 2],
+    halves: [Vec<M>; 2],
     split: bool,
 }
 
-/// One half of a [`RelabeledPopulation`]'s machines, addressed by
-/// [`index_in_half`], with a handle on the broadcast and the numbering
+/// One half of a [`Machines`]' machines, addressed by
+/// [`index_in_half`], with a handle on the shared part and the numbering
 /// they share: what one thread of a driver needs to run those ranks.
-pub struct PopulationHalf {
+pub struct PopulationHalf<M: Machine> {
     map: Relabeling,
-    broadcast: TreeBroadcast,
-    machines: Vec<CorrectedTreeProcess>,
+    shared: M::Shared,
+    machines: Vec<M>,
 }
 
-impl PopulationHalf {
+impl<M: Machine> PopulationHalf<M> {
     /// [`Population::on_message`] for the rank at `index`; `from` is a
     /// physical rank.
     #[inline]
     pub fn on_message(&mut self, index: usize, from: Rank, payload: Payload, now: Time) {
         let from = self.map.virtual_of(from);
-        self.machines[index].on_message(&self.broadcast, from, payload, now);
+        self.machines[index].on_message(&self.shared, from, payload, now);
     }
 
     /// [`Population::poll_send`] for the rank at `index`.
     #[inline]
     pub fn poll_send(&mut self, index: usize, now: Time) -> SendPoll {
-        let poll = self.machines[index].poll_send(&self.broadcast, now);
+        let poll = self.machines[index].poll_send(&self.shared, now);
         self.map.outbound(poll)
     }
 }
 
-impl RelabeledPopulation {
-    /// The fresh machines of `broadcast` under the numbering `map`.
-    pub fn new(map: Relabeling, broadcast: TreeBroadcast) -> Self {
-        let mut population = RelabeledPopulation {
+impl<M: Machine> Machines<M> {
+    /// The fresh machines of `plan`.
+    fn new(Plan { shared, map }: Plan<M>) -> Self {
+        let mut population = Machines {
             map,
-            broadcast,
+            shared,
             halves: [Vec::new(), Vec::new()],
             split: false,
         };
@@ -271,13 +315,13 @@ impl RelabeledPopulation {
     }
 
     /// Move both halves of the machines out, each with a handle on the
-    /// shared broadcast and numbering. The population holds no machine
-    /// until [`RelabeledPopulation::restore_halves`] gives them back.
+    /// shared part and the numbering. The population holds no machine
+    /// until [`Machines::restore_halves`] gives them back.
     ///
     /// Taking halves from split machines copies no machine and allocates
     /// nothing. The first take splits them: fresh machines, as a rewind
     /// leaves them, come out as fresh halves.
-    pub fn take_halves(&mut self) -> [PopulationHalf; 2] {
+    pub fn take_halves(&mut self) -> [PopulationHalf<M>; 2] {
         if !self.split {
             // Free the whole vector before the halves are built, so the
             // split never holds more than P machines.
@@ -287,36 +331,30 @@ impl RelabeledPopulation {
         }
         self.halves.each_mut().map(|machines| PopulationHalf {
             map: self.map.clone(),
-            broadcast: self.broadcast.clone(),
+            shared: self.shared.clone(),
             machines: std::mem::take(machines),
         })
     }
 
-    /// Put back the halves [`RelabeledPopulation::take_halves`] moved
-    /// out.
-    pub fn restore_halves(&mut self, halves: [PopulationHalf; 2]) {
+    /// Put back the halves [`Machines::take_halves`] moved out.
+    pub fn restore_halves(&mut self, halves: [PopulationHalf<M>; 2]) {
         for (slot, half) in self.halves.iter_mut().zip(halves) {
             *slot = half.machines;
         }
     }
 
-    /// Become [`RelabeledPopulation::new`] of these arguments in place:
-    /// the machine a physical rank already has is rewound, those of
-    /// ranks beyond the previous `P` are created, and machines beyond
-    /// the new `P` are dropped.
-    pub fn refill(&mut self, map: Relabeling, broadcast: TreeBroadcast) {
-        (self.map, self.broadcast) = (map, broadcast);
+    /// Become [`Machines::new`] of `plan` in place: the machine a
+    /// physical rank already has is rewound, those of ranks beyond the
+    /// previous `P` are created, and machines beyond the new `P` are
+    /// dropped.
+    fn refill(&mut self, Plan { shared, map }: Plan<M>) {
+        (self.map, self.shared) = (map, shared);
         self.rewind();
     }
 
     fn rewind(&mut self) {
         let p = self.map.p();
-        assert_eq!(
-            p,
-            self.broadcast.tree().num_processes(),
-            "one machine per rank"
-        );
-        let (map, broadcast, split) = (&self.map, &self.broadcast, self.split);
+        let (map, shared, split) = (&self.map, &self.shared, self.split);
         for (half, machines) in self.halves.iter_mut().enumerate() {
             let (len, rank_of): (usize, fn(usize, usize) -> Rank) = match (split, half) {
                 (true, _) => (half_len(p, half), rank_in_half),
@@ -327,17 +365,15 @@ impl RelabeledPopulation {
             let kept = machines.len();
             let virtual_of = |index| map.virtual_of(rank_of(half, index));
             for (index, machine) in machines.iter_mut().enumerate() {
-                machine.reset(virtual_of(index), broadcast);
+                machine.reset(virtual_of(index), shared);
             }
-            let fresh =
-                (kept..len).map(|index| CorrectedTreeProcess::new(virtual_of(index), broadcast));
-            machines.extend(fresh);
+            machines.extend((kept..len).map(|index| M::new(virtual_of(index), shared)));
         }
     }
 
     /// `rank`'s machine.
     #[inline]
-    fn machine(&self, rank: Rank) -> &CorrectedTreeProcess {
+    fn machine(&self, rank: Rank) -> &M {
         match self.split {
             true => &self.halves[half_of(rank)][index_in_half(rank)],
             false => &self.halves[0][rank as usize],
@@ -349,18 +385,14 @@ impl RelabeledPopulation {
 /// layout indexes its one vector directly: a half index computed at run
 /// time costs ≈ 6 % at P = 1024.)
 #[inline]
-fn machine_mut(
-    halves: &mut [Vec<CorrectedTreeProcess>; 2],
-    split: bool,
-    rank: Rank,
-) -> &mut CorrectedTreeProcess {
+fn machine_mut<M>(halves: &mut [Vec<M>; 2], split: bool, rank: Rank) -> &mut M {
     match split {
         true => &mut halves[half_of(rank)][index_in_half(rank)],
         false => &mut halves[0][rank as usize],
     }
 }
 
-impl Population for RelabeledPopulation {
+impl<M: Machine> Population for Machines<M> {
     fn len(&self) -> usize {
         self.halves[0].len() + self.halves[1].len()
     }
@@ -368,12 +400,12 @@ impl Population for RelabeledPopulation {
     fn on_message(&mut self, rank: Rank, from: Rank, payload: Payload, now: Time) {
         let from = self.map.virtual_of(from);
         let machine = machine_mut(&mut self.halves, self.split, rank);
-        machine.on_message(&self.broadcast, from, payload, now);
+        machine.on_message(&self.shared, from, payload, now);
     }
 
     fn poll_send(&mut self, rank: Rank, now: Time) -> SendPoll {
         let machine = machine_mut(&mut self.halves, self.split, rank);
-        let poll = machine.poll_send(&self.broadcast, now);
+        let poll = machine.poll_send(&self.shared, now);
         self.map.outbound(poll)
     }
 
@@ -433,14 +465,16 @@ mod tests {
     #[test]
     fn halves_move_out_and_back_whole() {
         use crate::correction::CorrectionKind;
+        use crate::protocol::{CorrectedTreeProcess, TreeBroadcast};
         use crate::tree::TreeKind;
         let tree = Arc::new(
             TreeKind::BINOMIAL
                 .build(300, &ct_logp::LogP::PAPER)
                 .unwrap(),
         );
-        let broadcast = TreeBroadcast::new(tree, CorrectionKind::Checked, None);
-        let mut population = RelabeledPopulation::new(Relabeling::rotation(300, 0), broadcast);
+        let shared = TreeBroadcast::new(tree, CorrectionKind::Checked, None);
+        let map = Relabeling::rotation(300, 0);
+        let mut population = Machines::<CorrectedTreeProcess>::new(Plan { shared, map });
         assert_eq!(population.halves[1].len(), 0, "whole until split");
         let mut halves = population.take_halves();
         assert_eq!(population.len(), 0);
@@ -465,8 +499,11 @@ mod tests {
                 .build(200, &ct_logp::LogP::PAPER)
                 .unwrap(),
         );
-        let broadcast = TreeBroadcast::new(tree, CorrectionKind::Checked, None);
-        population.refill(Relabeling::rotation(200, 0), broadcast);
+        let shared = TreeBroadcast::new(tree, CorrectionKind::Checked, None);
+        population.refill(Plan {
+            shared,
+            map: Relabeling::rotation(200, 0),
+        });
         assert_eq!(
             population.halves.each_ref().map(Vec::len),
             [simple(200, 0), simple(200, 1)]

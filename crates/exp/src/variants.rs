@@ -10,8 +10,7 @@ use ct_core::correction::CorrectionKind;
 use std::sync::Arc;
 
 use ct_core::protocol::{
-    Blueprint, BroadcastSpec, BuildCtx, Population, Process, ProtocolError, ProtocolFactory,
-    StartMode,
+    Blueprint, BroadcastSpec, BuildCtx, Population, ProtocolError, ProtocolFactory, StartMode,
 };
 use ct_core::tree::TreeKind;
 use ct_gossip::{GossipMode, GossipSpec};
@@ -103,10 +102,6 @@ impl ProtocolFactory for Variant {
         self.factory().label()
     }
 
-    fn build(&self, ctx: &BuildCtx) -> Result<Vec<Box<dyn Process>>, ProtocolError> {
-        self.factory().build(ctx)
-    }
-
     fn blueprint(&self, ctx: &BuildCtx) -> Result<Arc<dyn Blueprint>, ProtocolError> {
         self.factory().blueprint(ctx)
     }
@@ -177,7 +172,12 @@ mod tests {
             Variant::ack_tree(TreeKind::OPTIMAL),
             Variant::gossip(10, CorrectionKind::Checked),
         ] {
-            assert_eq!(v.build(&ctx).unwrap().len(), 16, "{}", v.label());
+            let mut procs = Vec::new();
+            v.build_into(&ctx, &mut procs).unwrap();
+            assert_eq!(procs.len(), 16, "{}", v.label());
+            let mut slot = None;
+            v.populate(&ctx, &mut slot).unwrap();
+            assert_eq!(slot.expect("populated").len(), 16, "{}", v.label());
         }
     }
 }

@@ -1,8 +1,8 @@
 //! A `Variant` is a thin wrapper: whatever its spec can re-initialise
 //! in place — boxes, a rank's placed machine, a population — the variant
 //! re-initialises in place. Every campaign, figure and cluster
-//! repetition goes through one, so a variant that only forwarded
-//! `build` would allocate `P` fresh boxes per repetition.
+//! repetition goes through one, so a variant that built its spec's
+//! machines afresh would allocate `P` of them per repetition.
 
 use ct_core::correction::CorrectionKind;
 use ct_core::protocol::{BroadcastSpec, BuildCtx, Process, ProtocolFactory};

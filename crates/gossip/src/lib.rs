@@ -19,10 +19,12 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::sync::Arc;
 
 use ct_core::correction::{CorrPoll, CorrectionHost, CorrectionKind};
 use ct_core::protocol::{
-    BuildCtx, ColoredVia, Payload, Process, ProtocolError, ProtocolFactory, SendPoll,
+    Blueprint, BuildCtx, ColoredVia, Machine, Payload, Plan, Population, ProtocolError,
+    ProtocolFactory, Relabeling, SendPoll,
 };
 use ct_logp::{Rank, Time};
 use rand::rngs::SmallRng;
@@ -106,36 +108,62 @@ impl fmt::Display for GossipSpec {
     }
 }
 
+impl GossipSpec {
+    /// Validate this spec and resolve it against `ctx`. Gossip ranks are
+    /// their own virtual ranks: the root is physical 0.
+    fn plan(&self, ctx: &BuildCtx) -> Result<Plan<GossipProcess>, ProtocolError> {
+        match self.mode {
+            GossipMode::TimeLimited(0) => Err(ProtocolError::InvalidConfig(
+                "gossip time must be ≥ 1 step".into(),
+            )),
+            GossipMode::RoundLimited(0) => Err(ProtocolError::InvalidConfig(
+                "gossip round limit must be ≥ 1".into(),
+            )),
+            _ => Ok(Plan {
+                shared: GossipBroadcast {
+                    spec: *self,
+                    p: ctx.p,
+                    seed: ctx.seed,
+                },
+                map: Relabeling::rotation(ctx.p, 0),
+            }),
+        }
+    }
+}
+
 impl ProtocolFactory for GossipSpec {
     fn label(&self) -> String {
         self.to_string()
     }
 
-    fn build(&self, ctx: &BuildCtx) -> Result<Vec<Box<dyn Process>>, ProtocolError> {
-        match self.mode {
-            GossipMode::TimeLimited(0) => {
-                return Err(ProtocolError::InvalidConfig(
-                    "gossip time must be ≥ 1 step".into(),
-                ))
-            }
-            GossipMode::RoundLimited(0) => {
-                return Err(ProtocolError::InvalidConfig(
-                    "gossip round limit must be ≥ 1".into(),
-                ))
-            }
-            _ => {}
-        }
-        Ok((0..ctx.p)
-            .map(|r| Box::new(GossipProcess::new(r, ctx.p, *self, ctx.seed)) as Box<dyn Process>)
-            .collect())
+    fn blueprint(&self, ctx: &BuildCtx) -> Result<Arc<dyn Blueprint>, ProtocolError> {
+        Ok(Arc::new(self.plan(ctx)?))
     }
+
+    fn populate(
+        &self,
+        ctx: &BuildCtx,
+        slot: &mut Option<Box<dyn Population>>,
+    ) -> Result<(), ProtocolError> {
+        self.plan(ctx).map(|plan| plan.populate(slot))
+    }
+}
+
+/// The part of a Corrected Gossip broadcast that is the same for all of
+/// its ranks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GossipBroadcast {
+    /// Gossip budget and correction.
+    pub spec: GossipSpec,
+    /// Number of processes.
+    pub p: u32,
+    /// The run seed every rank's RNG stream derives from.
+    pub seed: u64,
 }
 
 /// Per-rank state machine for Corrected Gossip.
 pub struct GossipProcess {
     rank: Rank,
-    p: u32,
-    spec: GossipSpec,
     rng: SmallRng,
     /// Meaningful once `colored_via` is set.
     colored_at: Time,
@@ -149,21 +177,35 @@ pub struct GossipProcess {
 }
 
 impl GossipProcess {
-    /// Create the machine for `rank` of `p`; the per-process RNG stream
-    /// is derived from `(seed, rank)` so runs are reproducible.
-    pub fn new(rank: Rank, p: u32, spec: GossipSpec, seed: u64) -> Self {
-        let stream = seed
+    /// A uniformly random rank of `p` different from our own.
+    pub fn random_target(&mut self, p: u32) -> Rank {
+        debug_assert!(p >= 2);
+        let raw = self.rng.gen_range(0..p - 1);
+        if raw >= self.rank {
+            raw + 1
+        } else {
+            raw
+        }
+    }
+}
+
+impl Machine for GossipProcess {
+    type Shared = GossipBroadcast;
+
+    /// The per-process RNG stream is derived from `(seed, rank)`, so
+    /// runs are reproducible.
+    fn new(rank: Rank, b: &GossipBroadcast) -> Self {
+        let stream = b
+            .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(rank as u64 + 1);
         let is_root = rank == 0;
         let mut correction = CorrectionHost::default();
         if is_root {
-            correction.begin(spec.correction, rank, p);
+            correction.begin(b.spec.correction, rank, b.p);
         }
         GossipProcess {
             rank,
-            p,
-            spec,
             rng: SmallRng::seed_from_u64(stream),
             colored_at: Time::ZERO,
             colored_via: is_root.then_some(ColoredVia::Root),
@@ -174,34 +216,20 @@ impl GossipProcess {
         }
     }
 
-    /// A uniformly random rank different from our own.
-    pub fn random_target(&mut self) -> Rank {
-        debug_assert!(self.p >= 2);
-        let raw = self.rng.gen_range(0..self.p - 1);
-        if raw >= self.rank {
-            raw + 1
-        } else {
-            raw
-        }
-    }
-}
-
-impl Process for GossipProcess {
-    fn on_message(&mut self, from: Rank, payload: Payload, now: Time) {
+    fn on_message(&mut self, b: &GossipBroadcast, from: Rank, payload: Payload, now: Time) {
         match payload {
             Payload::Gossip { round } => {
                 if self.colored_via.is_none() {
                     self.colored_at = now;
                     self.colored_via = Some(ColoredVia::Dissemination);
                     // Colored by gossip: takes part in correction.
-                    self.correction
-                        .begin(self.spec.correction, self.rank, self.p);
+                    self.correction.begin(b.spec.correction, self.rank, b.p);
                     self.done = false;
                 }
                 // Track gossip progress even on duplicates: the round
                 // counter is a logical clock for the round-limited mode.
                 self.round = self.round.max(round);
-                if let GossipMode::RoundLimited(limit) = self.spec.mode {
+                if let GossipMode::RoundLimited(limit) = b.spec.mode {
                     if round >= limit {
                         self.gossip_over = true;
                     }
@@ -221,7 +249,7 @@ impl Process for GossipProcess {
         }
     }
 
-    fn poll_send(&mut self, now: Time) -> SendPoll {
+    fn poll_send(&mut self, b: &GossipBroadcast, now: Time) -> SendPoll {
         if self.done {
             return SendPoll::Done;
         }
@@ -234,11 +262,11 @@ impl Process for GossipProcess {
             return SendPoll::Done;
         }
         // Gossip phase.
-        if !self.gossip_over && self.p >= 2 {
-            match self.spec.mode {
+        if !self.gossip_over && b.p >= 2 {
+            match b.spec.mode {
                 GossipMode::TimeLimited(g) => {
                     if now < Time::new(g) {
-                        let to = self.random_target();
+                        let to = self.random_target(b.p);
                         self.round += 1;
                         return SendPoll::Now {
                             to,
@@ -249,7 +277,7 @@ impl Process for GossipProcess {
                 }
                 GossipMode::RoundLimited(limit) => {
                     if self.round < limit {
-                        let to = self.random_target();
+                        let to = self.random_target(b.p);
                         self.round += 1;
                         return SendPoll::Now {
                             to,
@@ -261,7 +289,7 @@ impl Process for GossipProcess {
             }
         }
         // Correction phase.
-        match self.correction.poll(now, self.spec.correction_start()) {
+        match self.correction.poll(now, b.spec.correction_start()) {
             CorrPoll::Send(to) => SendPoll::Now {
                 to,
                 payload: Payload::Correction,
@@ -367,10 +395,15 @@ mod tests {
     #[test]
     fn different_ranks_use_different_streams() {
         let spec = GossipSpec::time_limited(10, CorrectionKind::Checked);
-        let mut a = GossipProcess::new(1, 1000, spec, 7);
-        let mut b = GossipProcess::new(2, 1000, spec, 7);
-        let ta: Vec<Rank> = (0..20).map(|_| a.random_target()).collect();
-        let tb: Vec<Rank> = (0..20).map(|_| b.random_target()).collect();
+        let shared = GossipBroadcast {
+            spec,
+            p: 1000,
+            seed: 7,
+        };
+        let mut a = GossipProcess::new(1, &shared);
+        let mut b = GossipProcess::new(2, &shared);
+        let ta: Vec<Rank> = (0..20).map(|_| a.random_target(1000)).collect();
+        let tb: Vec<Rank> = (0..20).map(|_| b.random_target(1000)).collect();
         assert_ne!(ta, tb);
         assert!(ta.iter().all(|&t| t != 1 && t < 1000));
         assert!(tb.iter().all(|&t| t != 2));
@@ -384,10 +417,10 @@ mod tests {
             seed: 0,
         };
         assert!(GossipSpec::time_limited(0, CorrectionKind::Checked)
-            .build(&ctx)
+            .populate(&ctx, &mut None)
             .is_err());
         assert!(GossipSpec::round_limited(0, CorrectionKind::Checked)
-            .build(&ctx)
+            .blueprint(&ctx)
             .is_err());
     }
 
@@ -422,8 +455,8 @@ mod tests {
     #[test]
     fn the_inline_correction_machine_does_not_grow_the_process() {
         // The machine is inline in the host, and the host holds no copy
-        // of the kind or start the process's spec already has.
+        // of the kind, start or `P` the broadcast's shared part has.
         let size = std::mem::size_of::<GossipProcess>();
-        assert!(size <= 128, "GossipProcess is {size} bytes");
+        assert!(size <= 96, "GossipProcess is {size} bytes");
     }
 }

@@ -1735,7 +1735,9 @@ fn flush(
 mod tests {
     use super::*;
     use ct_core::correction::CorrectionKind;
-    use ct_core::protocol::{BroadcastSpec, ColoredVia, Payload};
+    use ct_core::protocol::{
+        BroadcastSpec, BuildCtx, ColoredVia, Machine, Payload, Plan, Population, Relabeling,
+    };
     use ct_core::tree::TreeKind;
     use std::sync::atomic::AtomicU32;
 
@@ -1993,23 +1995,6 @@ mod tests {
         );
     }
 
-    /// A factory without a blueprint of its own: each broadcast gets the
-    /// boxes `build` returns, handed out rank by rank.
-    struct Boxed(BroadcastSpec);
-
-    impl ProtocolFactory for Boxed {
-        fn label(&self) -> String {
-            format!("boxed {}", self.0)
-        }
-
-        fn build(
-            &self,
-            ctx: &ct_core::protocol::BuildCtx,
-        ) -> Result<Vec<Box<dyn Process>>, ProtocolError> {
-            self.0.build(ctx)
-        }
-    }
-
     #[test]
     fn ranks_keep_at_most_k_machines_across_mixed_broadcasts() {
         use crate::pubsub::{PubsubOptions, Topic, TopicTable};
@@ -2039,8 +2024,10 @@ mod tests {
                     assert!(report.completed, "broadcast {i}: {:?}", report.uncolored);
                 }
                 2 => {
-                    let boxed = Boxed(checked.with_root(17));
-                    let report = cluster.run_broadcast(&boxed, &dead, i).unwrap();
+                    // Machines of another type, which no corrected tree
+                    // rewinds (fault-free: nothing heals a stalled ack).
+                    let acked = BroadcastSpec::ack_tree(TreeKind::BINOMIAL).with_root(17);
+                    let report = cluster.run_broadcast(&acked, &no_faults(p), i).unwrap();
                     assert!(report.completed, "broadcast {i}: {:?}", report.uncolored);
                 }
                 _ => {
@@ -2063,10 +2050,17 @@ mod tests {
         left: u32,
     }
 
-    impl Process for Flood {
-        fn on_message(&mut self, _from: Rank, _payload: Payload, _now: Time) {}
+    impl Machine for Flood {
+        type Shared = ();
 
-        fn poll_send(&mut self, now: Time) -> SendPoll {
+        fn new(rank: Rank, _: &()) -> Self {
+            let burst = if rank == 0 { 40 } else { 0 };
+            Flood { burst, left: burst }
+        }
+
+        fn on_message(&mut self, _: &(), _from: Rank, _payload: Payload, _now: Time) {}
+
+        fn poll_send(&mut self, _: &(), now: Time) -> SendPoll {
             if self.left == 0 {
                 self.left = self.burst;
                 return SendPoll::WaitUntil(Time::new(now.steps() + 20));
@@ -2089,21 +2083,27 @@ mod tests {
 
     struct Flooding;
 
+    fn flooding(ctx: &BuildCtx) -> Plan<Flood> {
+        let map = Relabeling::rotation(ctx.p, 0);
+        Plan { shared: (), map }
+    }
+
     impl ProtocolFactory for Flooding {
         fn label(&self) -> String {
             "flooding".into()
         }
 
-        fn build(
+        fn blueprint(&self, ctx: &BuildCtx) -> Result<Arc<dyn Blueprint>, ProtocolError> {
+            Ok(Arc::new(flooding(ctx)))
+        }
+
+        fn populate(
             &self,
-            ctx: &ct_core::protocol::BuildCtx,
-        ) -> Result<Vec<Box<dyn Process>>, ProtocolError> {
-            Ok((0..ctx.p)
-                .map(|r| {
-                    let burst = if r == 0 { 40 } else { 0 };
-                    Box::new(Flood { burst, left: burst }) as Box<dyn Process>
-                })
-                .collect())
+            ctx: &BuildCtx,
+            slot: &mut Option<Box<dyn Population>>,
+        ) -> Result<(), ProtocolError> {
+            flooding(ctx).populate(slot);
+            Ok(())
         }
     }
 
@@ -2139,61 +2139,61 @@ mod tests {
     /// quantum, and the report of its send, for 50 ms. Rank 1's quantum
     /// ends when the send is done, and its next one delivers, colors
     /// and reports it in the meantime.
-    struct LateSender {
-        polls: u32,
+    struct LateReport;
+
+    /// The flags the two ranks of one broadcast share.
+    #[derive(Clone, Default)]
+    struct Flags {
         receiving: Arc<AtomicBool>,
         sent: Arc<AtomicBool>,
     }
 
-    impl Process for LateSender {
-        fn on_message(&mut self, _from: Rank, _payload: Payload, _now: Time) {}
+    /// Rank 0 is the late sender, rank 1 its receiver.
+    struct Late {
+        rank: Rank,
+        polls: u32,
+        colored_at: Option<Time>,
+    }
 
-        fn poll_send(&mut self, now: Time) -> SendPoll {
+    impl Machine for Late {
+        type Shared = Flags;
+
+        fn new(rank: Rank, _: &Flags) -> Self {
+            let colored_at = (rank == 0).then_some(Time::ZERO);
+            Late {
+                rank,
+                polls: 0,
+                colored_at,
+            }
+        }
+
+        fn on_message(&mut self, _: &Flags, _from: Rank, _payload: Payload, now: Time) {
+            self.colored_at.get_or_insert(now);
+        }
+
+        fn poll_send(&mut self, flags: &Flags, now: Time) -> SendPoll {
             self.polls += 1;
-            match self.polls {
-                1 => SendPoll::WaitUntil(Time::new(now.steps() + 1)),
-                2 => {
-                    spin_until(&self.receiving);
+            match (self.rank, self.polls) {
+                (0, 1) => SendPoll::WaitUntil(Time::new(now.steps() + 1)),
+                (0, 2) => {
+                    spin_until(&flags.receiving);
                     SendPoll::Now {
                         to: 1,
                         payload: Payload::Tree,
                     }
                 }
-                _ => {
-                    self.sent.store(true, Ordering::SeqCst);
+                (0, _) => {
+                    flags.sent.store(true, Ordering::SeqCst);
                     std::thread::sleep(Duration::from_millis(50));
                     SendPoll::Done
                 }
+                _ if self.colored_at.is_some() => SendPoll::Done,
+                _ => {
+                    flags.receiving.store(true, Ordering::SeqCst);
+                    spin_until(&flags.sent);
+                    SendPoll::Idle
+                }
             }
-        }
-
-        fn colored_at(&self) -> Option<Time> {
-            Some(Time::ZERO)
-        }
-
-        fn colored_via(&self) -> Option<ColoredVia> {
-            Some(ColoredVia::Root)
-        }
-    }
-
-    struct Receiver {
-        colored_at: Option<Time>,
-        receiving: Arc<AtomicBool>,
-        sent: Arc<AtomicBool>,
-    }
-
-    impl Process for Receiver {
-        fn on_message(&mut self, _from: Rank, _payload: Payload, now: Time) {
-            self.colored_at.get_or_insert(now);
-        }
-
-        fn poll_send(&mut self, _now: Time) -> SendPoll {
-            if self.colored_at.is_some() {
-                return SendPoll::Done;
-            }
-            self.receiving.store(true, Ordering::SeqCst);
-            spin_until(&self.sent);
-            SendPoll::Idle
         }
 
         fn colored_at(&self) -> Option<Time> {
@@ -2201,34 +2201,39 @@ mod tests {
         }
 
         fn colored_via(&self) -> Option<ColoredVia> {
-            self.colored_at.map(|_| ColoredVia::Dissemination)
+            let via = match self.rank {
+                0 => ColoredVia::Root,
+                _ => ColoredVia::Dissemination,
+            };
+            self.colored_at.map(|_| via)
         }
     }
 
-    struct LateReport;
+    /// Each broadcast gets flags of its own.
+    fn late_report() -> Plan<Late> {
+        let map = Relabeling::rotation(2, 0);
+        Plan {
+            shared: Flags::default(),
+            map,
+        }
+    }
 
     impl ProtocolFactory for LateReport {
         fn label(&self) -> String {
             "late report".into()
         }
 
-        fn build(
+        fn blueprint(&self, _ctx: &BuildCtx) -> Result<Arc<dyn Blueprint>, ProtocolError> {
+            Ok(Arc::new(late_report()))
+        }
+
+        fn populate(
             &self,
-            _ctx: &ct_core::protocol::BuildCtx,
-        ) -> Result<Vec<Box<dyn Process>>, ProtocolError> {
-            let (receiving, sent) = (Arc::default(), Arc::default());
-            Ok(vec![
-                Box::new(LateSender {
-                    polls: 0,
-                    receiving: Arc::clone(&receiving),
-                    sent: Arc::clone(&sent),
-                }),
-                Box::new(Receiver {
-                    colored_at: None,
-                    receiving,
-                    sent,
-                }),
-            ])
+            _ctx: &BuildCtx,
+            slot: &mut Option<Box<dyn Population>>,
+        ) -> Result<(), ProtocolError> {
+            late_report().populate(slot);
+            Ok(())
         }
     }
 

@@ -14,10 +14,9 @@
 //! engine resets every field to exactly the values a fresh run starts
 //! from, and the protocol machines are rebuilt each run (via
 //! [`ProtocolFactory::populate`](ct_core::protocol::ProtocolFactory::populate)
-//! over the arena's population slot: a `BroadcastSpec` without acks
-//! keeps its machines there by value and rewinds the previous run's in
-//! place to exactly their freshly built state, any other factory
-//! rebuilds a vector of boxes kept in the same slot). A reused arena
+//! over the arena's population slot: every protocol keeps its machines
+//! there by value and rewinds the previous run's of the same machine
+//! type in place to exactly their freshly built state). A reused arena
 //! therefore produces bit-identical outcomes and event streams; the
 //! golden-trace and driver-contract suites, `tests/slot_reuse.rs` and
 //! `crates/core/tests/population.rs` pin this.
@@ -36,8 +35,8 @@ use crate::shard::{Helper, ShardStore};
 ///
 /// Per-rank state is flat: the boolean flags are packed bit vectors
 /// (one bit per rank), the receive queues share one pooled node store
-/// instead of a `VecDeque` per rank, the protocol machines of a
-/// `BroadcastSpec` lie by value, and the event queue holds lane storage
+/// instead of a `VecDeque` per rank, the protocol machines lie by
+/// value, and the event queue holds lane storage
 /// only for the few time steps that are live at once.
 ///
 /// The engine's per-rank state lives in two shard stores: a one-thread

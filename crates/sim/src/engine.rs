@@ -42,8 +42,8 @@ use std::any::Any;
 use std::sync::Arc;
 
 use ct_core::protocol::{
-    half_len, half_of, index_in_half, BuildCtx, Payload, Population, PopulationHalf, ProtocolError,
-    ProtocolFactory, RelabeledPopulation, SendPoll,
+    half_len, half_of, index_in_half, BuildCtx, CorrectedTreeProcess, Machine, Machines, Payload,
+    Population, PopulationHalf, ProtocolError, ProtocolFactory, SendPoll,
 };
 use ct_logp::{LogP, Rank, Time};
 use ct_obs::telemetry::TelemetryHub;
@@ -54,7 +54,7 @@ use crate::bits::BitSet;
 use crate::faults::FaultPlan;
 use crate::metrics::{MessageCounts, Outcome};
 use crate::queue::{Bucket, EventQueue, PackedArrive, StepOutput};
-use crate::shard::{self, Helper, InFlight, Repoll, ShardStore, SHARD_MIN_P, WIDE_STEP};
+use crate::shard::{self, Half, Helper, InFlight, Repoll, ShardStore, SHARD_MIN_P, WIDE_STEP};
 
 /// Default cap on processed events — a runaway-protocol backstop far
 /// above any legitimate run (`≈ 100` events per process at `P = 2¹⁹`).
@@ -259,7 +259,7 @@ impl Simulation {
         let sharded = self.p >= SHARD_MIN_P
             && !observing
             && self.telemetry.is_none()
-            && (&*procs as &dyn Any).is::<RelabeledPopulation>()
+            && (&*procs as &dyn Any).is::<Machines<CorrectedTreeProcess>>()
             && free_core();
         if sharded {
             let store: &mut dyn Any = procs;
@@ -410,7 +410,7 @@ impl Ranks for Whole<'_> {
 
 /// Half of a sharded run's ranks, by index in their half; nothing
 /// observes them.
-impl Ranks for PopulationHalf {
+impl<M: Machine> Ranks for PopulationHalf<M> {
     const SHARDED: bool = true;
 
     #[inline]
@@ -698,7 +698,7 @@ impl Run<'_> {
         mut self,
         label: String,
         queue: &mut EventQueue,
-        population: &mut RelabeledPopulation,
+        population: &mut Machines<CorrectedTreeProcess>,
         slots: &mut [ShardStore; 2],
         mut threads: Threads<'_, impl Fn() -> bool>,
     ) -> Result<Outcome, SimError> {
@@ -748,8 +748,8 @@ impl Run<'_> {
     fn drain_sharded(
         &mut self,
         queue: &mut EventQueue,
-        own: &mut Shard<PopulationHalf>,
-        other: &mut Option<Shard<PopulationHalf>>,
+        own: &mut Shard<Half>,
+        other: &mut Option<Shard<Half>>,
         threads: &mut Threads<'_, impl Fn() -> bool>,
     ) -> Result<(), SimError> {
         while let Some((now, lanes)) = queue.next_step() {
@@ -918,7 +918,7 @@ impl SimulationBuilder {
 mod tests {
     use super::*;
     use ct_core::correction::CorrectionKind;
-    use ct_core::protocol::{BroadcastSpec, ColoredVia, Process};
+    use ct_core::protocol::{Blueprint, BroadcastSpec, ColoredVia, Plan, Relabeling};
     use ct_core::tree::TreeKind;
 
     fn sim(p: u32) -> Simulation {
@@ -1080,9 +1080,13 @@ mod tests {
 
     /// A machine that asks to be woken at the very time it is polled.
     struct Stuck;
-    impl Process for Stuck {
-        fn on_message(&mut self, _: Rank, _: Payload, _: Time) {}
-        fn poll_send(&mut self, now: Time) -> SendPoll {
+    impl Machine for Stuck {
+        type Shared = ();
+        fn new(_: Rank, _: &()) -> Self {
+            Stuck
+        }
+        fn on_message(&mut self, _: &(), _: Rank, _: Payload, _: Time) {}
+        fn poll_send(&mut self, _: &(), now: Time) -> SendPoll {
             SendPoll::WaitUntil(now)
         }
         fn colored_at(&self) -> Option<Time> {
@@ -1093,12 +1097,24 @@ mod tests {
         }
     }
     struct StuckFactory;
+    fn stuck(ctx: &BuildCtx) -> Plan<Stuck> {
+        let map = Relabeling::rotation(ctx.p, 0);
+        Plan { shared: (), map }
+    }
     impl ProtocolFactory for StuckFactory {
         fn label(&self) -> String {
             "stuck".into()
         }
-        fn build(&self, ctx: &BuildCtx) -> Result<Vec<Box<dyn Process>>, ProtocolError> {
-            Ok((0..ctx.p).map(|_| Box::new(Stuck) as _).collect())
+        fn blueprint(&self, ctx: &BuildCtx) -> Result<Arc<dyn Blueprint>, ProtocolError> {
+            Ok(Arc::new(stuck(ctx)))
+        }
+        fn populate(
+            &self,
+            ctx: &BuildCtx,
+            slot: &mut Option<Box<dyn Population>>,
+        ) -> Result<(), ProtocolError> {
+            stuck(ctx).populate(slot);
+            Ok(())
         }
     }
 

@@ -22,8 +22,8 @@
 //! holds is then exactly the one-thread lane, and so is every outcome.
 //!
 //! What stays on one thread: runs under [`SHARD_MIN_P`] ranks, observed
-//! runs (an enabled sink or a telemetry hub), boxed
-//! populations, and runs that would take a core another run needs (the
+//! runs (an enabled sink or a telemetry hub), populations of any
+//! machine but the corrected tree's, and runs that would take a core another run needs (the
 //! free-core rule, [`InFlight`]). A sharded run hands its narrow steps
 //! (under [`WIDE_STEP`] events) to the two shards in turn on its own
 //! thread. A shard's per-rank state, step buffers and half of the
@@ -41,7 +41,7 @@ use std::thread::JoinHandle;
 
 #[cfg(doc)]
 use ct_core::protocol::half_of;
-use ct_core::protocol::PopulationHalf;
+use ct_core::protocol::{CorrectedTreeProcess, PopulationHalf};
 use ct_logp::{Rank, Time};
 
 use crate::bits::BitSet;
@@ -55,6 +55,10 @@ pub(crate) const SHARD_MIN_P: u32 = 16_384;
 
 /// A sharded run's steps with fewer events run on its own thread.
 pub(crate) const WIDE_STEP: usize = 2_048;
+
+/// The machines one shard of a sharded run holds: only corrected-tree
+/// populations shard so far.
+pub(crate) type Half = PopulationHalf<CorrectedTreeProcess>;
 
 /// The per-rank engine state of the ranks one shard runs, addressed by
 /// the shard's rank index, and the buffers its steps fill. Kept in the
@@ -263,7 +267,7 @@ pub(crate) struct Helper {
 
 /// A wide step's share for the helper.
 struct Job {
-    shard: Shard<PopulationHalf>,
+    shard: Shard<Half>,
     lanes: Arc<Bucket>,
     ctx: StepCtx,
 }
@@ -274,7 +278,7 @@ enum Slot {
     Idle,
     Job(Job),
     Busy,
-    Done(Shard<PopulationHalf>, StepResult),
+    Done(Shard<Half>, StepResult),
     Panicked(Box<dyn Any + Send>),
 }
 
@@ -367,10 +371,10 @@ impl Helper {
     pub(crate) fn step(
         &mut self,
         mut lanes: Bucket,
-        other: Shard<PopulationHalf>,
-        own: &mut Shard<PopulationHalf>,
+        other: Shard<Half>,
+        own: &mut Shard<Half>,
         ctx: StepCtx,
-    ) -> (Bucket, Shard<PopulationHalf>, StepResult, StepResult) {
+    ) -> (Bucket, Shard<Half>, StepResult, StepResult) {
         let mut state = self.exchange.lock();
         // A step abandoned by a panic on this thread may still run.
         while matches!(state.slot, Slot::Job(_) | Slot::Busy) {

@@ -3,6 +3,7 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -454,13 +455,17 @@ pub fn top(cli: &Cli) {
         observed.iters,
     );
     // The campaign drops its cluster when done, which stops the sampler
-    // after its last window.
-    let campaign = std::thread::spawn(move || observed.run(false));
+    // after its last window, and then the sender it holds, which ends the
+    // wait below at once rather than at the end of a window.
+    let (running, finished) = mpsc::channel::<()>();
+    let campaign = std::thread::spawn(move || {
+        let _running = running;
+        observed.run(false)
+    });
     let clear = std::io::stdout().is_terminal();
     let mut frames = Frames::default();
     let window = Duration::from_millis(default_sample_ms());
-    while !campaign.is_finished() {
-        std::thread::sleep(window);
+    while let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(window) {
         frames.draw(&store, clear);
     }
     let incomplete = campaign

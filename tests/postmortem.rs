@@ -16,7 +16,8 @@ use std::sync::Arc;
 
 use corrected_trees::analyze::postmortem::render_text;
 use corrected_trees::core::protocol::{
-    BroadcastSpec, BuildCtx, ColoredVia, Payload, Process, ProtocolError, ProtocolFactory, SendPoll,
+    Blueprint, BroadcastSpec, BuildCtx, ColoredVia, Payload, Plan, Population, Process,
+    ProtocolError, ProtocolFactory, SendPoll,
 };
 use corrected_trees::core::tree::TreeKind;
 use corrected_trees::logp::{LogP, Rank, Time};
@@ -26,6 +27,10 @@ use corrected_trees::runtime::{
     Cluster, ClusterConfig, ClusterError, Postmortem, RankStall, StallReport,
 };
 use proptest::prelude::*;
+
+#[path = "../crates/core/tests/support/scripted.rs"]
+mod scripted;
+use scripted::{scripted, Scripted};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -183,24 +188,38 @@ impl Process for BombRank {
     }
 }
 
+impl Bomb {
+    fn plan(&self, ctx: &BuildCtx) -> Result<Plan<Scripted>, ProtocolError> {
+        let tree = BroadcastSpec::plain_tree(TreeKind::BINOMIAL).blueprint(ctx)?;
+        let armed = Arc::clone(&self.armed);
+        Ok(scripted(ctx.p, move |rank| {
+            let inner = tree.place(rank, None);
+            match rank {
+                5 => Box::new(BombRank {
+                    inner,
+                    armed: Arc::clone(&armed),
+                }),
+                _ => inner,
+            }
+        }))
+    }
+}
+
 impl ProtocolFactory for Bomb {
     fn label(&self) -> String {
         "bomb".into()
     }
 
-    fn build(&self, ctx: &BuildCtx) -> Result<Vec<Box<dyn Process>>, ProtocolError> {
-        let ranks = BroadcastSpec::plain_tree(TreeKind::BINOMIAL).build(ctx)?;
-        Ok(ranks
-            .into_iter()
-            .enumerate()
-            .map(|(rank, inner)| match rank {
-                5 => Box::new(BombRank {
-                    inner,
-                    armed: Arc::clone(&self.armed),
-                }),
-                _ => inner,
-            })
-            .collect())
+    fn blueprint(&self, ctx: &BuildCtx) -> Result<Arc<dyn Blueprint>, ProtocolError> {
+        Ok(Arc::new(self.plan(ctx)?))
+    }
+
+    fn populate(
+        &self,
+        ctx: &BuildCtx,
+        slot: &mut Option<Box<dyn Population>>,
+    ) -> Result<(), ProtocolError> {
+        self.plan(ctx).map(|plan| plan.populate(slot))
     }
 }
 

@@ -52,7 +52,8 @@ fn out_of_range_root_is_rejected() {
         logp: LogP::PAPER,
         seed: 0,
     };
-    assert!(spec.build(&ctx).is_err());
+    assert!(spec.blueprint(&ctx).is_err());
+    assert!(spec.populate(&ctx, &mut None).is_err());
 }
 
 proptest! {

@@ -1,24 +1,27 @@
-//! `BroadcastSpec::blueprint` (the machine the cluster places on one
-//! rank), `build_into` (the same over a vector of boxes) and
-//! `BroadcastSpec::populate` (the simulator's by-value population)
-//! re-initialise the previous broadcast's machines in place. Whatever
-//! state they were left in — and whatever root or numbering they ran
-//! under — the rebuilt set must behave exactly like a fresh one: same
-//! message trace under a deterministic FIFO pump, for every correction
-//! kind.
+//! A factory's `blueprint` (the machine the cluster places on one
+//! rank), `build_into` (the same over a vector of boxes) and `populate`
+//! (the simulator's by-value population) re-initialise the previous
+//! broadcast's machines in place. Whatever state they were left in —
+//! and whatever root or numbering they ran under — the rebuilt set must
+//! behave exactly like a fresh one: same message trace under a
+//! deterministic FIFO pump, for every correction kind.
 
 use std::any::Any;
 use std::collections::VecDeque;
 
 use corrected_trees::core::correction::CorrectionKind;
 use corrected_trees::core::protocol::{
-    AckTreeProcess, BroadcastSpec, BuildCtx, CorrectedTreeProcess, Payload, Population, Process,
-    ProtocolFactory, RelabeledProcess, SendPoll,
+    AckTreeProcess, BroadcastSpec, BuildCtx, CorrectedTreeProcess, Payload, Placed, Population,
+    Process, ProtocolFactory, SendPoll,
 };
 use corrected_trees::core::tree::{Ordering, TreeKind};
 use corrected_trees::gossip::{GossipProcess, GossipSpec};
 use corrected_trees::logp::{LogP, Rank, Time};
 use corrected_trees::sim::FaultPlan;
+
+#[path = "../crates/core/tests/support/boxes.rs"]
+mod boxes;
+use boxes::Boxes;
 
 const P: u32 = 64;
 
@@ -142,14 +145,14 @@ fn build_into_over_dirty_machines_matches_a_fresh_build_for_every_correction() {
         // in every kind of state: uncolored, correction-colored,
         // mid-correction, done.
         let previous = &specs[(i + specs.len() - 1) % specs.len()];
-        let mut procs = previous.build(&ctx(0)).unwrap();
+        let mut procs = Boxes::build(previous, &ctx(0));
         pump(&mut procs, dirtying.mask());
         for (j, plan) in plans.iter().enumerate() {
-            let before = addresses(&procs);
-            spec.build_into(&ctx(j as u64), &mut procs).unwrap();
-            assert_eq!(addresses(&procs), before, "{spec}: slots reallocated");
+            let before = addresses(&procs.0);
+            spec.build_into(&ctx(j as u64), &mut procs.0).unwrap();
+            assert_eq!(addresses(&procs.0), before, "{spec}: slots reallocated");
             let reused = pump(&mut procs, plan.mask());
-            let mut fresh = spec.build(&ctx(j as u64)).unwrap();
+            let mut fresh = Boxes::build(spec, &ctx(j as u64));
             assert_eq!(reused, pump(&mut fresh, plan.mask()), "{spec} plan {j}");
             assert!(!reused.0.is_empty());
         }
@@ -158,16 +161,14 @@ fn build_into_over_dirty_machines_matches_a_fresh_build_for_every_correction() {
 
 /// Place every rank of `factory`'s broadcast over the machine `procs`
 /// held for it, as the cluster's ranks do one at a time.
-fn place_each(
-    factory: &dyn ProtocolFactory,
-    ctx: &BuildCtx,
-    procs: Vec<Box<dyn Process>>,
-) -> Vec<Box<dyn Process>> {
+fn place_each(factory: &dyn ProtocolFactory, ctx: &BuildCtx, procs: Boxes) -> Boxes {
     let plan = factory.blueprint(ctx).unwrap();
-    (0..)
-        .zip(procs)
-        .map(|(r, old)| plan.place(r, Some(old)))
-        .collect()
+    Boxes(
+        (0..)
+            .zip(procs.0)
+            .map(|(r, old)| plan.place(r, Some(old)))
+            .collect(),
+    )
 }
 
 #[test]
@@ -179,28 +180,34 @@ fn placing_over_a_dirty_machine_replays_a_fresh_build_for_every_correction() {
         // Left dirty by a different spec's broadcast, as in the test
         // above: whatever root, numbering and correction it ran under.
         let previous = &specs[(i + 1) % specs.len()];
-        let mut procs = previous.build(&ctx(0)).unwrap();
+        let mut procs = Boxes::build(previous, &ctx(0));
         pump(&mut procs, dirtying.mask());
-        let before = addresses(&procs);
+        let before = addresses(&procs.0);
         let mut placed = place_each(spec, &ctx(7), procs);
-        assert_eq!(addresses(&placed), before, "{spec}: a machine was rebuilt");
-        let mut fresh = spec.build(&ctx(7)).unwrap();
+        assert_eq!(
+            addresses(&placed.0),
+            before,
+            "{spec}: a machine was rebuilt"
+        );
+        let mut fresh = Boxes::build(spec, &ctx(7));
         let replayed = pump(&mut placed, plan.mask());
         assert_eq!(replayed, pump(&mut fresh, plan.mask()), "{spec}");
         assert!(!replayed.0.is_empty());
     }
 }
 
-/// What a machine is: a relabelled ack-tree rank, a gossip rank, or
-/// (the only other kind these specs build) a corrected-tree rank.
+/// What a placed machine is: an ack-tree, a gossip or a corrected-tree
+/// rank.
 fn machine_kind(m: &dyn Process) -> &'static str {
     let any: &dyn Any = m;
-    if any.is::<RelabeledProcess<AckTreeProcess>>() {
+    if any.is::<Placed<AckTreeProcess>>() {
         "ack tree"
-    } else if any.is::<GossipProcess>() {
+    } else if any.is::<Placed<GossipProcess>>() {
         "gossip"
-    } else {
+    } else if any.is::<Placed<CorrectedTreeProcess>>() {
         "corrected tree"
+    } else {
+        "other"
     }
 }
 
@@ -210,21 +217,27 @@ fn placing_over_a_foreign_machine_replaces_it() {
     let gossip = GossipSpec::round_limited(8, CorrectionKind::Checked);
     let acked = BroadcastSpec::ack_tree(TreeKind::BINOMIAL).with_root(19);
     let plan = FaultPlan::from_ranks(P, &[9, 10]).unwrap();
-    // Gossip and ack-tree machines under a spec, and a spec's machines
-    // under an acked spec, which never rewinds.
-    let steps: [(&dyn ProtocolFactory, &dyn ProtocolFactory, &str); 3] = [
+    // Each protocol's machines under the others'.
+    let steps: [(&dyn ProtocolFactory, &dyn ProtocolFactory, &str); 4] = [
         (&gossip, &checked, "corrected tree"),
         (&acked, &checked, "corrected tree"),
         (&checked, &acked, "ack tree"),
+        (&acked, &gossip, "gossip"),
     ];
     for (previous, next, kind) in steps {
         let label = format!("{} → {}", previous.label(), next.label());
-        let mut procs = previous.build(&ctx(1)).unwrap();
+        let mut procs = Boxes::build(previous, &ctx(1));
         pump(&mut procs, plan.mask());
-        assert!(procs.iter().all(|m| machine_kind(&**m) != kind), "{label}");
+        assert!(
+            procs.0.iter().all(|m| machine_kind(&**m) != kind),
+            "{label}"
+        );
         let mut placed = place_each(next, &ctx(2), procs);
-        assert!(placed.iter().all(|m| machine_kind(&**m) == kind), "{label}");
-        let mut fresh = next.build(&ctx(2)).unwrap();
+        assert!(
+            placed.0.iter().all(|m| machine_kind(&**m) == kind),
+            "{label}"
+        );
+        let mut fresh = Boxes::build(next, &ctx(2));
         let replayed = pump(&mut placed, plan.mask());
         assert_eq!(replayed, pump(&mut fresh, plan.mask()), "{label}");
     }
@@ -240,15 +253,15 @@ fn build_into_falls_back_to_build_when_slots_cannot_be_reused() {
     ];
     for spec in &fallbacks {
         // From corrected-tree machines to an acked set and back.
-        let mut procs = checked.build(&ctx(1)).unwrap();
+        let mut procs = Boxes::build(&checked, &ctx(1));
         pump(&mut procs, plan.mask());
-        spec.build_into(&ctx(2), &mut procs).unwrap();
-        let mut fresh = spec.build(&ctx(2)).unwrap();
+        spec.build_into(&ctx(2), &mut procs.0).unwrap();
+        let mut fresh = Boxes::build(spec, &ctx(2));
         let dead = vec![false; P as usize];
         assert_eq!(pump(&mut procs, &dead), pump(&mut fresh, &dead), "{spec}");
 
-        checked.build_into(&ctx(3), &mut procs).unwrap();
-        let mut fresh = checked.build(&ctx(3)).unwrap();
+        checked.build_into(&ctx(3), &mut procs.0).unwrap();
+        let mut fresh = Boxes::build(&checked, &ctx(3));
         assert_eq!(
             pump(&mut procs, plan.mask()),
             pump(&mut fresh, plan.mask()),
@@ -257,7 +270,7 @@ fn build_into_falls_back_to_build_when_slots_cannot_be_reused() {
     }
 
     // A vector of the wrong length is rebuilt, an invalid spec empties it.
-    let mut procs = checked.build(&BuildCtx { p: 16, ..ctx(0) }).unwrap();
+    let Boxes(mut procs) = Boxes::build(&checked, &BuildCtx { p: 16, ..ctx(0) });
     checked.build_into(&ctx(0), &mut procs).unwrap();
     assert_eq!(procs.len(), P as usize);
     assert!(checked
@@ -266,7 +279,7 @@ fn build_into_falls_back_to_build_when_slots_cannot_be_reused() {
         .is_err());
     assert!(procs.is_empty());
     // ... on the in-place path too (P reusable machines, unbuildable tree).
-    let mut procs = checked.build(&ctx(0)).unwrap();
+    let Boxes(mut procs) = Boxes::build(&checked, &ctx(0));
     let zero_ary = BroadcastSpec::plain_tree(TreeKind::Kary {
         k: 0,
         order: Ordering::Interleaved,
@@ -283,27 +296,39 @@ fn store(slot: &Option<Box<dyn Population>>) -> *const () {
 #[test]
 fn a_population_slot_handed_from_spec_to_spec_equals_a_fresh_one_at_every_step() {
     // The by-value element is the bare per-rank machine: no relabeling
-    // and no copy of the broadcast's shared part per rank.
+    // and no copy of the broadcast's shared part per rank. (Gossip's
+    // machine was 128 bytes with its own `P` and spec, and is 96
+    // without; the cluster's corrected-tree box, machine plus both
+    // copies, is 120 bytes.)
     let element = std::mem::size_of::<CorrectedTreeProcess>();
     assert!(element <= 64, "by-value element is {element} bytes");
+    let element = std::mem::size_of::<GossipProcess>();
+    assert!(element <= 96, "by-value gossip element is {element} bytes");
+    let placed = std::mem::size_of::<Placed<CorrectedTreeProcess>>();
+    assert!(placed <= 120, "the cluster's tree box is {placed} bytes");
 
     let plain = BroadcastSpec::corrected_tree(TreeKind::BINOMIAL, CorrectionKind::Checked);
     let failure_proof =
         BroadcastSpec::corrected_tree_sync(TreeKind::LAME2, CorrectionKind::FailureProof);
+    let acked = BroadcastSpec::ack_tree(TreeKind::BINOMIAL);
     // Round-limited: the pump holds time still while messages fly.
     let gossip = GossipSpec::round_limited(8, CorrectionKind::Checked);
     // (factory, P, does it rewind the store the previous step left?)
-    let steps: [(&dyn ProtocolFactory, u32, bool); 8] = [
+    let steps: [(&dyn ProtocolFactory, u32, bool); 12] = [
         (&plain, P, false),
         (&plain.with_root(19), P, true),
         (&plain.with_shuffle(0xBEEF), P, true),
         (&failure_proof, P, true),
         (&failure_proof, 48, true),
         (&plain, 80, true),
-        // A foreign factory falls back to a vector of boxes ...
+        // Another protocol's machines replace the store ...
         (&gossip, 80, false),
-        // ... which a spec cannot rewind.
+        // ... which rewinds for that protocol alone.
+        (&gossip, P, true),
         (&plain, P, false),
+        (&acked.with_root(19), P, false),
+        (&acked.with_shuffle(0xBEEF), 48, true),
+        (&gossip, P, false),
     ];
     let mut slot: Option<Box<dyn Population>> = None;
     for (i, &(factory, p, rewinds)) in steps.iter().enumerate() {
@@ -332,7 +357,7 @@ fn a_population_slot_handed_from_spec_to_spec_equals_a_fresh_one_at_every_step()
     // A spec that does not build leaves nothing of its own to run.
     assert!(plain.with_root(P).populate(&ctx(0), &mut slot).is_err());
     plain.populate(&ctx(0), &mut slot).unwrap();
-    let mut fresh = plain.build(&ctx(0)).unwrap();
+    let mut fresh = Boxes::build(&plain, &ctx(0));
     let dead = vec![false; P as usize];
     assert_eq!(
         pump(slot.as_deref_mut().unwrap(), &dead),

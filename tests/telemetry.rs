@@ -12,7 +12,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use corrected_trees::core::protocol::{
-    BroadcastSpec, BuildCtx, ColoredVia, Payload, Process, ProtocolError, ProtocolFactory, SendPoll,
+    Blueprint, BroadcastSpec, BuildCtx, ColoredVia, Machine, Payload, Plan, Population,
+    ProtocolError, ProtocolFactory, Relabeling, SendPoll,
 };
 use corrected_trees::core::tree::TreeKind;
 use corrected_trees::logp::{LogP, Rank, Time};
@@ -180,12 +181,19 @@ impl Scripted {
     }
 }
 
-impl Process for Scripted {
-    fn on_message(&mut self, _from: Rank, _payload: Payload, now: Time) {
+/// Every rank's script, shared by the ranks of one broadcast.
+impl Machine for Scripted {
+    type Shared = Arc<Vec<Scripted>>;
+
+    fn new(rank: Rank, scripts: &Self::Shared) -> Self {
+        scripts[rank as usize].clone()
+    }
+
+    fn on_message(&mut self, _: &Self::Shared, _from: Rank, _payload: Payload, now: Time) {
         self.colored_at.get_or_insert(now);
     }
 
-    fn poll_send(&mut self, _now: Time) -> SendPoll {
+    fn poll_send(&mut self, _: &Self::Shared, _now: Time) -> SendPoll {
         if self.queued.is_empty() {
             let Some(sends) = self.polls.get(self.poll) else {
                 return SendPoll::Done;
@@ -214,18 +222,33 @@ impl Process for Scripted {
 /// One fresh copy of each scripted rank per broadcast.
 struct ScriptedFactory(Vec<Scripted>);
 
+impl ScriptedFactory {
+    fn plan(&self, ctx: &BuildCtx) -> Plan<Scripted> {
+        assert_eq!(ctx.p as usize, self.0.len());
+        let map = Relabeling::rotation(ctx.p, 0);
+        Plan {
+            shared: Arc::new(self.0.clone()),
+            map,
+        }
+    }
+}
+
 impl ProtocolFactory for ScriptedFactory {
     fn label(&self) -> String {
         "scripted".into()
     }
 
-    fn build(&self, ctx: &BuildCtx) -> Result<Vec<Box<dyn Process>>, ProtocolError> {
-        assert_eq!(ctx.p as usize, self.0.len());
-        Ok(self
-            .0
-            .iter()
-            .map(|rank| Box::new(rank.clone()) as Box<dyn Process>)
-            .collect())
+    fn blueprint(&self, ctx: &BuildCtx) -> Result<Arc<dyn Blueprint>, ProtocolError> {
+        Ok(Arc::new(self.plan(ctx)))
+    }
+
+    fn populate(
+        &self,
+        ctx: &BuildCtx,
+        slot: &mut Option<Box<dyn Population>>,
+    ) -> Result<(), ProtocolError> {
+        self.plan(ctx).populate(slot);
+        Ok(())
     }
 }
 

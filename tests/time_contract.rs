@@ -19,7 +19,8 @@ use std::time::{Duration, Instant};
 use corrected_trees::analyze::{analyze_rep, AnalyzeConfig};
 use corrected_trees::core::correction::CorrectionKind;
 use corrected_trees::core::protocol::{
-    BroadcastSpec, BuildCtx, ColoredVia, Payload, Process, ProtocolError, ProtocolFactory, SendPoll,
+    Blueprint, BroadcastSpec, BuildCtx, ColoredVia, Payload, Plan, Population, Process,
+    ProtocolError, ProtocolFactory, SendPoll,
 };
 use corrected_trees::core::tree::TreeKind;
 use corrected_trees::logp::{LogP, Rank, Time};
@@ -28,6 +29,10 @@ use corrected_trees::obs::telemetry::{Counter, TelemetryHub};
 use corrected_trees::obs::{EventKind, MonitorConfig, MonitorSink, VecSink};
 use corrected_trees::runtime::{Cluster, ClusterConfig};
 use corrected_trees::sim::FaultPlan;
+
+#[path = "../crates/core/tests/support/scripted.rs"]
+mod scripted;
+use scripted::{scripted, Scripted};
 
 /// (a) Causality of recorded stamps across workers: per message
 /// `SendStart.t ≤ Arrive.t ≤ Deliver.t`, and the invariant monitor
@@ -188,21 +193,37 @@ impl Process for Leaf {
     }
 }
 
+impl Burst {
+    fn plan(&self, ctx: &BuildCtx) -> Plan<Scripted> {
+        assert_eq!(ctx.p, 2);
+        let (left, spin, polls) = (self.burst, self.spin, Arc::clone(&self.polls));
+        scripted(2, move |rank| match rank {
+            0 => Box::new(BurstRoot {
+                left,
+                spin,
+                polls: Arc::clone(&polls),
+            }),
+            _ => Box::<Leaf>::default(),
+        })
+    }
+}
+
 impl ProtocolFactory for Burst {
     fn label(&self) -> String {
         "burst".into()
     }
 
-    fn build(&self, ctx: &BuildCtx) -> Result<Vec<Box<dyn Process>>, ProtocolError> {
-        assert_eq!(ctx.p, 2);
-        Ok(vec![
-            Box::new(BurstRoot {
-                left: self.burst,
-                spin: self.spin,
-                polls: Arc::clone(&self.polls),
-            }),
-            Box::<Leaf>::default(),
-        ])
+    fn blueprint(&self, ctx: &BuildCtx) -> Result<Arc<dyn Blueprint>, ProtocolError> {
+        Ok(Arc::new(self.plan(ctx)))
+    }
+
+    fn populate(
+        &self,
+        ctx: &BuildCtx,
+        slot: &mut Option<Box<dyn Population>>,
+    ) -> Result<(), ProtocolError> {
+        self.plan(ctx).populate(slot);
+        Ok(())
     }
 }
 
@@ -363,27 +384,44 @@ impl Process for Replier {
     }
 }
 
+impl Echo {
+    /// Both ranks of one broadcast share one handshake.
+    fn plan(&self, ctx: &BuildCtx) -> Plan<Scripted> {
+        assert_eq!(ctx.p, 2);
+        let (left, spin) = (self.burst, self.spin);
+        let shake = Arc::new(Handshake::default());
+        scripted(2, move |rank| match rank {
+            0 => Box::new(EchoRoot {
+                left,
+                spin,
+                heard: false,
+                shake: Arc::clone(&shake),
+            }),
+            _ => Box::new(Replier {
+                colored_at: None,
+                replied: false,
+                shake: Arc::clone(&shake),
+            }),
+        })
+    }
+}
+
 impl ProtocolFactory for Echo {
     fn label(&self) -> String {
         "echo".into()
     }
 
-    fn build(&self, ctx: &BuildCtx) -> Result<Vec<Box<dyn Process>>, ProtocolError> {
-        assert_eq!(ctx.p, 2);
-        let shake = Arc::new(Handshake::default());
-        Ok(vec![
-            Box::new(EchoRoot {
-                left: self.burst,
-                spin: self.spin,
-                heard: false,
-                shake: Arc::clone(&shake),
-            }),
-            Box::new(Replier {
-                colored_at: None,
-                replied: false,
-                shake,
-            }),
-        ])
+    fn blueprint(&self, ctx: &BuildCtx) -> Result<Arc<dyn Blueprint>, ProtocolError> {
+        Ok(Arc::new(self.plan(ctx)))
+    }
+
+    fn populate(
+        &self,
+        ctx: &BuildCtx,
+        slot: &mut Option<Box<dyn Population>>,
+    ) -> Result<(), ProtocolError> {
+        self.plan(ctx).populate(slot);
+        Ok(())
     }
 }
 
@@ -541,19 +579,37 @@ impl Process for SleeperRank {
     }
 }
 
+impl Sleeper {
+    fn plan(&self, ctx: &BuildCtx) -> Plan<Scripted> {
+        assert_eq!(ctx.p, 1);
+        let (delay, polls) = (self.delay, Arc::clone(&self.polls));
+        scripted(1, move |_| {
+            Box::new(SleeperRank {
+                delay,
+                wake_at: None,
+                colored_at: None,
+                polls: Arc::clone(&polls),
+            })
+        })
+    }
+}
+
 impl ProtocolFactory for Sleeper {
     fn label(&self) -> String {
         "sleeper".into()
     }
 
-    fn build(&self, ctx: &BuildCtx) -> Result<Vec<Box<dyn Process>>, ProtocolError> {
-        assert_eq!(ctx.p, 1);
-        Ok(vec![Box::new(SleeperRank {
-            delay: self.delay,
-            wake_at: None,
-            colored_at: None,
-            polls: Arc::clone(&self.polls),
-        })])
+    fn blueprint(&self, ctx: &BuildCtx) -> Result<Arc<dyn Blueprint>, ProtocolError> {
+        Ok(Arc::new(self.plan(ctx)))
+    }
+
+    fn populate(
+        &self,
+        ctx: &BuildCtx,
+        slot: &mut Option<Box<dyn Population>>,
+    ) -> Result<(), ProtocolError> {
+        self.plan(ctx).populate(slot);
+        Ok(())
     }
 }
 
