@@ -1,16 +1,6 @@
-//! # ct-analysis — closed-form analysis and statistics
-//!
-//! The executable form of §4.2: the fault-free cost of synchronized
-//! checked correction (Lemma 2, Corollary 1), the gap-size bounds on
-//! correction latency under failures (Lemma 3), and the descriptive
-//! statistics (means, quantiles, whiskers) used to aggregate Monte-Carlo
-//! campaigns into the paper's figures and Table 1.
+//! A re-export of `ct_core::bounds`. `benchmark/` is this crate's only
+//! dependent; ROADMAP item 21 deletes it.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
-pub mod bounds;
-pub mod stats;
-
-pub use bounds::{lff_scc, lff_scc_discrete, lscc_bounds, m_scc, m_scc_discrete};
-pub use stats::{percentile, Summary};
+pub use ct_core::bounds::*;

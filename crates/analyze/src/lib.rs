@@ -14,7 +14,7 @@
 //!   idle) and protocol phases (dissemination vs correction);
 //! - [`summary`] aggregates per-repetition analyses — phase split,
 //!   per-rank utilization, message breakdown — and checks observed
-//!   correction times against the Lemma 3 bounds from `ct-analysis`;
+//!   correction times against the Lemma 3 bounds from `ct_core::bounds`;
 //! - [`forensics`] joins a trace with the tree topology and fault mask
 //!   into per-failure impact reports (orphaned subtrees, rescue
 //!   provenance, added latency) and a run-level [`WasteReport`];

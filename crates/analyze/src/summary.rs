@@ -5,12 +5,12 @@
 //! ([`crate::critical`]), dissemination/correction phase split,
 //! per-rank busy/idle utilization, and — for synchronized-correction
 //! runs — the observed correction time checked against the Lemma 3
-//! bounds from `ct-analysis`. A trace is one repetition.
+//! bounds from `ct_core::bounds`. A trace is one repetition.
 //! [`AnalysisSummary`] aggregates repetitions into the JSON-renderable
 //! block that `ct analyze` prints and campaigns attach to their
 //! manifests.
 
-use ct_analysis::lscc_bounds;
+use ct_core::bounds::lscc_bounds;
 use ct_core::protocol::{ColoredVia, Payload};
 use ct_core::tree::ring;
 use ct_logp::{LogP, Rank};

@@ -13,12 +13,15 @@
 //! correction stays cheap regardless of where the fault hits.
 //!
 //! [`protocol`] assembles trees and correction algorithms into complete,
-//! transport-agnostic broadcast state machines that are driven identically
-//! by the `ct-sim` LogP simulator and the `ct-runtime` thread cluster.
+//! transport-agnostic broadcast state machines (Corrected Gossip's
+//! included, [`protocol::gossip`]) that are driven identically by the
+//! `ct-sim` LogP simulator and the `ct-runtime` thread cluster; [`bounds`]
+//! is §4.2's closed form of synchronized checked correction.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bounds;
 pub mod correction;
 pub mod protocol;
 pub mod reduce;

@@ -24,6 +24,7 @@
 
 pub mod ack_tree;
 pub mod corrected;
+pub mod gossip;
 pub mod relabel;
 
 use core::any::Any;

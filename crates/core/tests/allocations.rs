@@ -10,10 +10,10 @@
 //! allocates nothing when the numbering is linear or rotated, and only
 //! the two tables of the new numbering when it is shuffled, whichever
 //! of the three the slots ran under before. (Gossip's rows are in
-//! `crates/gossip/tests/allocations.rs`.)
+//! `mod gossip`.)
 //!
-//! Heap allocations are counted by the per-thread `#[global_allocator]`
-//! of `support/counting_alloc.rs` (CI runs this file with
+//! Heap allocations are counted per thread by the test kit's `Counting`
+//! allocator, which this binary installs (CI runs this file with
 //! `--test-threads=1` all the same).
 
 use ct_core::correction::CorrectionKind;
@@ -21,15 +21,12 @@ use ct_core::protocol::{BroadcastSpec, BuildCtx, Population, Process, ProtocolFa
 use ct_core::tree::TreeKind;
 use ct_logp::LogP;
 
-#[path = "support/boxes.rs"]
-mod boxes;
-#[path = "support/counting_alloc.rs"]
-mod counting_alloc;
-#[path = "support/pump.rs"]
-mod pump;
-use boxes::Boxes;
-use counting_alloc::allocations;
-use pump::{assert_laps, Pump};
+use ct_testkit::boxes::Boxes;
+use ct_testkit::counting_alloc::{allocations, Counting};
+use ct_testkit::pump::{assert_laps, Pump};
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 /// Crash faults in two blocks (never a root), so that correction has
 /// gaps to heal and ranks end in every kind of state.
@@ -120,6 +117,40 @@ fn placing_a_rank_over_its_previous_machine_allocates_nothing() {
             if lap > 0 {
                 assert_eq!(allocated, 0, "lap {lap} spec {i} ({spec})");
             }
+        }
+    }
+}
+
+mod gossip {
+    //! Gossip's rows of the allocation contract: once the slots exist,
+    //! re-initialising them for the next round-limited, checked gossip
+    //! broadcast and running it to quiescence — crash faults and the
+    //! correction that heals them included — allocates nothing by value,
+    //! and only the blueprint's `Arc` for the boxes: `GossipSpec` keeps the
+    //! provided `build_into`, which resolves through `blueprint`.
+
+    use ct_core::correction::CorrectionKind;
+    use ct_core::protocol::gossip::GossipSpec;
+    use ct_core::protocol::ProtocolFactory;
+    use ct_testkit::pump;
+
+    #[test]
+    fn a_checked_gossip_broadcast_allocates_only_its_blueprint_once_the_slots_exist() {
+        for p in [64u32, 256] {
+            let gossip = GossipSpec::round_limited(12, CorrectionKind::Checked);
+            let mut dead = vec![false; p as usize];
+            for r in [1, 2, 3, p / 2, p / 2 + 1] {
+                dead[r as usize] = true;
+            }
+            // (factory, allocations allowed per lap: boxes, by value)
+            let rows: [(&dyn ProtocolFactory, [u64; 2]); 2] = [
+                (&gossip, [1, 0]),
+                (
+                    &GossipSpec::round_limited(8, CorrectionKind::Checked),
+                    [1, 0],
+                ),
+            ];
+            pump::assert_laps(p, &rows, &dead);
         }
     }
 }

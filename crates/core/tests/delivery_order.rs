@@ -1,6 +1,6 @@
 //! Overlapped correction under an arbitrary FIFO delivery order.
 //!
-//! The drivers of `support/delivery.rs` choose the order themselves:
+//! The test kit's `delivery` drivers choose the order themselves:
 //! the uniform one can reach any order a cluster's mailboxes may
 //! produce, the burst one is the cluster's own (a rank hears all its
 //! mail, then sends until it has nothing to send).
@@ -16,16 +16,14 @@
 //! Checked correction stops a side only on a message from a rank it
 //! already sent to, so no order strands a rank; that is why the benchmark's workloads with
 //! faults, the pub/sub one included, run `Checked`.
-//! (`crates/gossip/tests/delivery_order.rs` pins gossip's orders.)
+//! (`mod gossip` pins gossip's orders.)
 
 use ct_core::correction::CorrectionKind;
 use ct_core::protocol::{BroadcastSpec, BuildCtx, ColoredVia, Population, ProtocolFactory};
 use ct_core::tree::TreeKind;
 use ct_logp::{LogP, Rank};
 
-#[path = "support/delivery.rs"]
-mod delivery;
-use delivery::stranded;
+use ct_testkit::delivery::{self, stranded};
 
 /// The plan of the rotated-root cluster broadcast: P = 32, binomial
 /// tree rooted at physical 19, physical rank 0 dead.
@@ -107,5 +105,82 @@ fn a_burst_order_strands_the_same_live_rank() {
             Some(ColoredVia::Correction),
             "rank {r}"
         );
+    }
+}
+
+mod gossip {
+    //! Fig 11's gossip under the clock-free drivers: round-limited to 12
+    //! rounds, `Opportunistic{4}` correction, fault-free, P = 64.
+    //!
+    //! The round counter is a logical clock: a rank counts a round per send
+    //! and raises its count to the highest round it hears. In a burst, a
+    //! rank spends all its remaining rounds before it hears anything, and
+    //! the rank it woke starts from the round of the message it got, so the
+    //! late rounds reach ranks that send little or nothing. Gossip colors
+    //! fewer ranks, and opportunistic correction, which covers only ±4
+    //! around each gossip-colored rank, leaves a wider gap uncovered. The
+    //! uniform order interleaves hearing and sending and strands nobody.
+    //! Checked correction, in place of `Opportunistic{4}`, probes on until
+    //! it hears each side, so no burst order strands it.
+
+    use ct_core::correction::CorrectionKind;
+    use ct_core::protocol::gossip::GossipSpec;
+    use ct_core::protocol::{BuildCtx, Population, ProtocolFactory};
+    use ct_logp::LogP;
+    use ct_testkit::delivery::{self, stranded};
+
+    const P: u32 = 64;
+
+    const FIG11: CorrectionKind = CorrectionKind::Opportunistic { distance: 4 };
+
+    /// Run fig 11's gossip with `correction`, seeded by `seed`, to
+    /// quiescence in the order `seed` draws from `order`; the live ranks
+    /// it leaves uncolored.
+    fn stranded_by(
+        order: fn(&mut dyn Population, &[bool], u64),
+        correction: CorrectionKind,
+        seed: u64,
+    ) -> Vec<u32> {
+        let spec = GossipSpec::round_limited(12, correction);
+        let ctx = BuildCtx {
+            p: P,
+            logp: LogP::PAPER,
+            seed,
+        };
+        let mut slot = None;
+        spec.populate(&ctx, &mut slot).expect("valid spec");
+        let mut procs = slot.expect("populated");
+        let dead = vec![false; P as usize];
+        order(&mut *procs, &dead, seed);
+        stranded(&*procs, &dead)
+    }
+
+    /// The first burst order, of seeds counted up from 0, that strands a
+    /// rank. (Over seeds 0–299 the burst order stranded 6.)
+    #[test]
+    fn a_burst_order_strands_round_limited_gossip() {
+        for seed in 0..26 {
+            assert_eq!(stranded_by(delivery::burst, FIG11, seed), [], "seed {seed}");
+        }
+        assert_eq!(stranded_by(delivery::burst, FIG11, 26), [59]);
+    }
+
+    #[test]
+    fn no_burst_order_strands_checked_gossip() {
+        for seed in 0..300 {
+            let stranded = stranded_by(delivery::burst, CorrectionKind::Checked, seed);
+            assert_eq!(stranded, [], "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn the_uniform_order_strands_no_round_limited_gossip() {
+        for seed in 0..300 {
+            assert_eq!(
+                stranded_by(delivery::uniform, FIG11, seed),
+                [],
+                "seed {seed}"
+            );
+        }
     }
 }

@@ -14,7 +14,6 @@
 //!   the virtual ring into (mostly) unit gaps, restoring the
 //!   independent-failure behavior of Figures 8–10.
 
-use ct_analysis::Summary;
 use ct_core::correction::CorrectionKind;
 use ct_core::protocol::{BroadcastSpec, ColoredVia, Relabeling};
 use ct_core::tree::{ring, TreeKind};
@@ -23,6 +22,7 @@ use ct_sim::{FaultPlan, Simulation};
 
 use crate::campaign::CampaignError;
 use crate::csv::{fmt_f64, CsvTable};
+use crate::stats::Summary;
 
 /// Configuration of the correlated-failure campaign.
 #[derive(Clone, Debug)]

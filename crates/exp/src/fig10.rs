@@ -8,7 +8,7 @@
 //! binomial trees are flagged, since "most large gaps happened only for
 //! binomial trees".
 
-use ct_analysis::lscc_bounds;
+use ct_core::bounds::lscc_bounds;
 use ct_core::tree::TreeKind;
 use ct_logp::LogP;
 

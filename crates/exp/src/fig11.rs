@@ -18,15 +18,15 @@
 
 use std::time::Duration;
 
-use ct_analysis::percentile;
 use ct_core::correction::CorrectionKind;
+use ct_core::protocol::gossip::GossipSpec;
 use ct_core::protocol::{BroadcastSpec, ProtocolFactory};
 use ct_core::tree::TreeKind;
-use ct_gossip::GossipSpec;
 use ct_logp::{LogP, Rank};
 use ct_runtime::{Cluster, ClusterConfig, ClusterError};
 
 use crate::csv::{fmt_f64, CsvTable};
+use crate::stats::percentile;
 
 /// Configuration for the Figure 11 sweep.
 #[derive(Clone, Debug)]

@@ -8,7 +8,6 @@
 //! 8 steps (vertical line at ≈10.5 in the paper). Whiskers are the
 //! 10%/90% quantiles.
 
-use ct_analysis::Summary;
 use ct_core::correction::CorrectionKind;
 use ct_core::protocol::BroadcastSpec;
 use ct_core::tree::{Ordering, TreeKind};
@@ -16,6 +15,7 @@ use ct_logp::LogP;
 
 use crate::campaign::{Campaign, CampaignError, FaultSpec};
 use crate::csv::{fmt_f64, CsvTable};
+use crate::stats::Summary;
 use crate::variants::Variant;
 
 /// Configuration for the Figure 1b campaign.

@@ -139,7 +139,7 @@ pub fn to_csv(rows: &[Fig6Row]) -> CsvTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ct_analysis::m_scc;
+    use ct_core::bounds::m_scc;
 
     fn tiny() -> Fig6Config {
         Fig6Config {

@@ -13,12 +13,12 @@
 //! curves at the cost of many more messages — "a latency reduction of
 //! 50%" for Corrected Trees vs acknowledgments (abstract).
 
-use ct_analysis::Summary;
 use ct_core::tree::TreeKind;
 use ct_logp::LogP;
 
 use crate::campaign::{Campaign, CampaignError};
 use crate::csv::{fmt_f64, CsvTable};
+use crate::stats::Summary;
 use crate::tuning;
 use crate::variants::Variant;
 

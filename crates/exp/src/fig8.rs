@@ -5,10 +5,9 @@
 //! degrades only ≈4%; binomial shows the largest latency *variance*
 //! growth because its failures orphan more descendants.
 
-use ct_analysis::Summary;
-
 use crate::csv::{fmt_f64, CsvTable};
 use crate::resilience::ResilienceCell;
+use crate::stats::Summary;
 
 /// One point: a variant at a fault rate.
 #[derive(Clone, Debug)]

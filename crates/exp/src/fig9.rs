@@ -6,10 +6,9 @@
 //! correction — while Corrected Trees stay well below Corrected Gossip
 //! throughout.
 
-use ct_analysis::Summary;
-
 use crate::csv::{fmt_f64, CsvTable};
 use crate::resilience::ResilienceCell;
+use crate::stats::Summary;
 
 /// One point: a variant at a fault rate.
 #[derive(Clone, Debug)]

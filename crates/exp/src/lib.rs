@@ -24,7 +24,8 @@
 //! Shared machinery: [`variants`] (the protocol zoo), [`campaign`]
 //! (seeded Monte-Carlo runs, optionally across threads), [`tuning`]
 //! (empirical gossip-time selection, §4.1), [`perf`] (the manifests'
-//! analysis probe) and [`csv`] (the CSV and aligned-table emitters).
+//! analysis probe), [`stats`] (means, quantiles) and [`csv`] (the CSV
+//! and aligned-table emitters).
 //!
 //! Scale note: every config has a laptop-friendly `quick()` scale, and
 //! the paper's figures a `paper()` one (`P = 2¹⁶`; repetitions capped
@@ -49,6 +50,7 @@ pub mod figures;
 pub mod perf;
 pub mod resilience;
 pub mod scale;
+pub mod stats;
 pub mod table1;
 pub mod tuning;
 pub mod variants;

@@ -26,7 +26,7 @@
 
 use std::time::Instant;
 
-use ct_analysis::{lff_scc, lff_scc_discrete, lscc_bounds, m_scc_discrete};
+use ct_core::bounds::{lff_scc, lff_scc_discrete, lscc_bounds, m_scc_discrete};
 use ct_core::protocol::ProtocolFactory;
 use ct_core::tree::TreeKind;
 use ct_logp::LogP;

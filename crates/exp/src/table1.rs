@@ -5,10 +5,9 @@
 //! **all tree types** (the table's caption). Fault-free reference:
 //! `g_max = 0`, `L_SCC = 8`.
 
-use ct_analysis::percentile;
-
 use crate::csv::{fmt_f64, CsvTable};
 use crate::resilience::ResilienceCell;
+use crate::stats::percentile;
 
 /// One table row (one fault rate).
 #[derive(Clone, Debug)]

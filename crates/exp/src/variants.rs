@@ -9,11 +9,11 @@
 use ct_core::correction::CorrectionKind;
 use std::sync::Arc;
 
+use ct_core::protocol::gossip::{GossipMode, GossipSpec};
 use ct_core::protocol::{
     Blueprint, BroadcastSpec, BuildCtx, Population, ProtocolError, ProtocolFactory, StartMode,
 };
 use ct_core::tree::TreeKind;
-use ct_gossip::{GossipMode, GossipSpec};
 use ct_logp::{LogP, Time};
 
 /// One competitor in an experiment.

@@ -10,10 +10,10 @@ use ct_core::tree::TreeKind;
 use ct_exp::Variant;
 use ct_logp::LogP;
 use ct_sim::{FaultPlan, RunArena, Simulation};
+use ct_testkit::counting_alloc::{allocations, Counting};
 
-#[path = "../../core/tests/support/counting_alloc.rs"]
-mod counting_alloc;
-use counting_alloc::allocations;
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 const P: u32 = 1024;
 

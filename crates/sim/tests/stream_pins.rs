@@ -21,9 +21,9 @@
 //! patterns. Those pins were recorded on the one-thread engine.
 
 use ct_core::correction::CorrectionKind;
+use ct_core::protocol::gossip::GossipSpec;
 use ct_core::protocol::{BroadcastSpec, ColoredVia, ProtocolFactory};
 use ct_core::tree::TreeKind;
-use ct_gossip::GossipSpec;
 use ct_logp::{LogP, Rank};
 use ct_obs::VecSink;
 use ct_sim::{FaultPlan, RunArena, Simulation};

@@ -101,7 +101,7 @@ pub fn analyze(cli: &Cli) {
     } else {
         // No input file: run the configuration live, exactly like
         // `ct run`, and analyze the events it produces.
-        let p: u32 = cli.parsed("--p", 1024);
+        let p = cli.p().unwrap_or(1024);
         let seed: u64 = cli.parsed("--seed", 1);
         let spec = build_spec(cli);
         let plan = cli.fault_plan(p, seed, spec.root);
@@ -248,7 +248,7 @@ pub fn check(cli: &Cli) {
     }
     let report = if let Some(path) = cli.value("--input") {
         let (events, _) = read_trace(path);
-        let p: Option<u32> = cli.opt("--p");
+        let p = cli.p();
         if let Some(p) = p {
             cfg = cfg.with_p(p);
         }
@@ -271,7 +271,7 @@ fn check_live(cli: &Cli, cfg: MonitorConfig, logp: LogP) -> MonitorReport {
     let runtime = cli.flag("--runtime");
     // Cluster broadcasts run in real time (wall-clock waits, one
     // monitored iteration) — default smaller than the simulator's.
-    let p: u32 = cli.parsed("--p", if runtime { 64 } else { 1024 });
+    let p = cli.p().unwrap_or(if runtime { 64 } else { 1024 });
     let seed: u64 = cli.parsed("--seed", 1);
     let spec = build_spec(cli);
     let plan = cli.fault_plan(p, seed, spec.root);
@@ -317,7 +317,7 @@ pub fn forensics(cli: &Cli) {
     let kind = parse_tree(cli.value("--tree").unwrap_or("binomial"));
     let (events, p, mask) = if let Some(path) = cli.value("--input") {
         let (events, inferred) = read_trace(path);
-        let p: u32 = cli.parsed("--p", inferred);
+        let p = cli.p().unwrap_or(inferred);
         if p == 0 {
             fail(format_args!(
                 "{path}: no rank to reconstruct a broadcast over"
@@ -337,7 +337,7 @@ pub fn forensics(cli: &Cli) {
         };
         (events, p, rank_mask(&failed, p))
     } else {
-        let p: u32 = cli.parsed("--p", 64);
+        let p = cli.p().unwrap_or(64);
         let seed: u64 = cli.parsed("--seed", 1);
         let spec = build_spec(cli);
         let plan = cli.fault_plan(p, seed, spec.root);

@@ -65,6 +65,14 @@ impl Cli {
         self.opt(key).unwrap_or(default)
     }
 
+    /// The rank count after `--p`, if given; below 1 is a usage error.
+    pub fn p(&self) -> Option<u32> {
+        match self.opt("--p") {
+            Some(0) => misuse("--p must be at least 1"),
+            p => p,
+        }
+    }
+
     pub fn flag(&self, key: &str) -> bool {
         self.args.iter().any(|a| a == key)
     }

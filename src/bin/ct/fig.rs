@@ -38,7 +38,7 @@ pub fn fig(cli: &Cli) {
     };
     let args = FigArgs {
         paper: cli.flag("--paper"),
-        p: cli.opt("--p"),
+        p: cli.p(),
         reps: cli.opt("--reps"),
         seed: cli.opt("--seed"),
         threads: cli.opt("--threads"),

@@ -158,7 +158,7 @@ pub fn pubsub(cli: &Cli) {
         "pubsub",
         &["--p --k --topics --rounds --seed --faults --logp"],
     );
-    let p: u32 = cli.parsed("--p", 256);
+    let p = cli.p().unwrap_or(256);
     let k: usize = cli.parsed("--k", 4);
     let topics: usize = cli.parsed("--topics", k);
     let rounds: usize = cli.parsed("--rounds", 2);
@@ -221,7 +221,7 @@ impl Observed {
     /// protocol, dead ranks from `--dead` or the random fault flags.
     fn new(cli: &Cli, p: u32, iters: u32) -> Observed {
         let logp: LogP = cli.parsed("--logp", LogP::PAPER);
-        let p: u32 = cli.parsed("--p", p);
+        let p = cli.p().unwrap_or(p);
         let iters: u32 = cli.parsed("--iters", iters);
         let seed: u64 = cli.parsed("--seed", 1);
         let spec = build_spec(cli);
@@ -353,7 +353,7 @@ pub fn stats(cli: &Cli) {
     } else {
         let logp: LogP = cli.parsed("--logp", LogP::PAPER);
         let seed: u64 = cli.parsed("--seed", 1);
-        let p: u32 = cli.parsed("--p", 256);
+        let p = cli.p().unwrap_or(256);
         let reps: u32 = cli.parsed("--reps", 5);
         let faults = cli.faults(p);
         let hub = Arc::new(TelemetryHub::new(1, p as usize));

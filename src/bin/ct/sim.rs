@@ -3,8 +3,8 @@
 
 use std::io::{self, Write};
 
-use corrected_trees::analysis::Summary;
 use corrected_trees::core::tree::{interleaving, stats, Topology};
+use corrected_trees::exp::stats::Summary;
 use corrected_trees::logp::LogP;
 use corrected_trees::obs::{chrome_trace, Event, EventKind};
 use corrected_trees::sim::{ascii_timeline, Outcome, Simulation};
@@ -38,7 +38,7 @@ trace options (plus all run options):
 
 pub fn run(cli: &Cli) {
     cli.only("run", &[SPEC]);
-    let p: u32 = cli.parsed("--p", 1024);
+    let p = cli.p().unwrap_or(1024);
     let logp: LogP = cli.parsed("--logp", LogP::PAPER);
     let seed: u64 = cli.parsed("--seed", 1);
     let spec = build_spec(cli);
@@ -88,7 +88,7 @@ fn event_involves(event: &Event, ranks: &[u32]) -> bool {
 
 pub fn trace(cli: &Cli) {
     cli.only("trace", &[SPEC, "--format --ranks"]);
-    let p: u32 = cli.parsed("--p", 16);
+    let p = cli.p().unwrap_or(16);
     let logp: LogP = cli.parsed("--logp", LogP::PAPER);
     let seed: u64 = cli.parsed("--seed", 1);
     let spec = build_spec(cli);
@@ -120,7 +120,7 @@ pub fn trace(cli: &Cli) {
 
 pub fn tree(cli: &Cli) {
     cli.only("tree", &["--p --logp --tree"]);
-    let p: u32 = cli.parsed("--p", 16);
+    let p = cli.p().unwrap_or(16);
     let logp: LogP = cli.parsed("--logp", LogP::PAPER);
     let kind = parse_tree(cli.value("--tree").unwrap_or("binomial"));
     let tree = kind.build(p, &logp).expect("valid tree");
@@ -146,7 +146,7 @@ pub fn tree(cli: &Cli) {
 
 pub fn sweep(cli: &Cli) {
     cli.only("sweep", &[SPEC, "--reps"]);
-    let p: u32 = cli.parsed("--p", 1024);
+    let p = cli.p().unwrap_or(1024);
     let logp: LogP = cli.parsed("--logp", LogP::PAPER);
     let reps: u32 = cli.parsed("--reps", 50);
     let seed0: u64 = cli.parsed("--seed", 1);

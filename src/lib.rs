@@ -10,10 +10,9 @@
 //! This crate re-exports the workspace members under stable names:
 //!
 //! * [`logp`] — the LogP machine model ([`ct_logp`]),
-//! * [`core`] — trees, correction algorithms, broadcast protocols,
+//! * [`core`] — trees, correction algorithms, broadcast protocols (the
+//!   Corrected Gossip baseline included) and the Lemma 2/3 bounds,
 //! * [`sim`] — the discrete-event simulator with fault injection,
-//! * [`gossip`] — the Corrected Gossip baseline,
-//! * [`analysis`] — Lemma 2/3 bounds and statistics,
 //! * [`exp`] — the experiment campaigns behind every paper figure,
 //! * [`runtime`] — the thread-based cluster runtime (MPI stand-in),
 //! * [`obs`] — the shared observability layer: event sinks, the
@@ -43,11 +42,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use ct_analysis as analysis;
 pub use ct_analyze as analyze;
 pub use ct_core as core;
 pub use ct_exp as exp;
-pub use ct_gossip as gossip;
 pub use ct_logp as logp;
 pub use ct_obs as obs;
 pub use ct_runtime as runtime;

@@ -55,7 +55,7 @@ fn out_of_range_logp_is_a_usage_error_in_every_subcommand() {
 /// `ct fig` invocations that are usage errors, each with a piece of its
 /// message: a missing or unparsable value, an unknown figure, a flag the
 /// figure does not read, and a value the figure cannot run with.
-const BAD_FIGS: [(&[&str], &str); 18] = [
+const BAD_FIGS: [(&[&str], &str); 19] = [
     (&["fig6", "--p"], "missing value after --p"),
     (&["fig6", "--p", "many"], r#"cannot parse --p value "many""#),
     (
@@ -97,6 +97,7 @@ const BAD_FIGS: [(&[&str], &str); 18] = [
         &["correlated", "--node-size", "0"],
         "--node-size must be at least 1",
     ),
+    (&["fig6", "--p", "0"], "--p must be at least 1"),
     (
         &["all", "--p", "2048"],
         "fig_scale: --p 2048 is below its smallest P",
@@ -132,8 +133,9 @@ const GOLDEN_P4: &str = concat!(
 
 /// Command lines every command rejects before it runs anything, each
 /// with a piece of its message: a flag the command does not read (one
-/// per command) and a listed rank past the last one.
-const BAD_FLAGS: [(&[&str], &str); 15] = [
+/// per command), a listed rank past the last one, and no ranks at all
+/// (every command that reads `--p`).
+const BAD_FLAGS: [(&[&str], &str); 26] = [
     (&["run", "--fautls", "5"], "run does not read --fautls"),
     (&["tree", "--faults", "1"], "tree does not read --faults"),
     (
@@ -170,6 +172,17 @@ const BAD_FLAGS: [(&[&str], &str); 15] = [
         &["forensics", "--input", GOLDEN_P4, "--failed", "9"],
         "--failed rank 9 out of range (p=4)",
     ),
+    (&["run", "--p", "0"], "--p must be at least 1"),
+    (&["tree", "--p", "0"], "--p must be at least 1"),
+    (&["sweep", "--p", "0"], "--p must be at least 1"),
+    (&["trace", "--p", "0"], "--p must be at least 1"),
+    (&["analyze", "--p", "0"], "--p must be at least 1"),
+    (&["check", "--p", "0"], "--p must be at least 1"),
+    (&["forensics", "--p", "0"], "--p must be at least 1"),
+    (&["pubsub", "--p", "0"], "--p must be at least 1"),
+    (&["stats", "--p", "0"], "--p must be at least 1"),
+    (&["top", "--p", "0"], "--p must be at least 1"),
+    (&["serve", "--p", "0"], "--p must be at least 1"),
 ];
 
 #[test]

@@ -8,9 +8,9 @@
 //! monotone.
 
 use corrected_trees::core::correction::CorrectionKind;
+use corrected_trees::core::protocol::gossip::GossipSpec;
 use corrected_trees::core::protocol::{BroadcastSpec, ProtocolFactory};
 use corrected_trees::core::tree::TreeKind;
-use corrected_trees::gossip::GossipSpec;
 use corrected_trees::logp::LogP;
 use corrected_trees::obs::{Event, EventKind};
 use corrected_trees::sim::{FaultPlan, Outcome, Simulation};

@@ -2,7 +2,7 @@
 //! reduced scale. Absolute numbers are model-exact here (the simulator
 //! *is* the measurement device); shapes must match §4.
 
-use corrected_trees::analysis::{lff_scc, m_scc};
+use corrected_trees::core::bounds::{lff_scc, m_scc};
 use corrected_trees::core::correction::CorrectionKind;
 use corrected_trees::core::protocol::BroadcastSpec;
 use corrected_trees::core::tree::TreeKind;

@@ -26,11 +26,8 @@ use corrected_trees::obs::telemetry::{Counter, Dist, TelemetryHub};
 use corrected_trees::runtime::{
     Cluster, ClusterConfig, ClusterError, Postmortem, RankStall, StallReport,
 };
+use ct_testkit::scripted::{scripted, Scripted};
 use proptest::prelude::*;
-
-#[path = "../crates/core/tests/support/scripted.rs"]
-mod scripted;
-use scripted::{scripted, Scripted};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

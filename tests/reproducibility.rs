@@ -4,11 +4,11 @@
 //! pipelines.
 
 use corrected_trees::core::correction::CorrectionKind;
+use corrected_trees::core::protocol::gossip::GossipSpec;
 use corrected_trees::core::protocol::BroadcastSpec;
 use corrected_trees::core::tree::TreeKind;
 use corrected_trees::exp::campaign::{Campaign, FaultSpec};
 use corrected_trees::exp::Variant;
-use corrected_trees::gossip::GossipSpec;
 use corrected_trees::logp::LogP;
 use corrected_trees::sim::{FaultPlan, Simulation};
 

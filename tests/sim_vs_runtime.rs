@@ -263,7 +263,7 @@ fn invariant_monitor_accepts_both_drivers() {
 #[test]
 fn gossip_round_limited_completes_on_both_drivers() {
     let p = 64u32;
-    let spec = corrected_trees::gossip::GossipSpec::round_limited(
+    let spec = corrected_trees::core::protocol::gossip::GossipSpec::round_limited(
         10,
         CorrectionKind::Opportunistic { distance: 4 },
     );

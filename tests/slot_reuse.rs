@@ -10,18 +10,15 @@ use std::any::Any;
 use std::collections::VecDeque;
 
 use corrected_trees::core::correction::CorrectionKind;
+use corrected_trees::core::protocol::gossip::{GossipProcess, GossipSpec};
 use corrected_trees::core::protocol::{
     AckTreeProcess, BroadcastSpec, BuildCtx, CorrectedTreeProcess, Payload, Placed, Population,
     Process, ProtocolFactory, SendPoll,
 };
 use corrected_trees::core::tree::{Ordering, TreeKind};
-use corrected_trees::gossip::{GossipProcess, GossipSpec};
 use corrected_trees::logp::{LogP, Rank, Time};
 use corrected_trees::sim::FaultPlan;
-
-#[path = "../crates/core/tests/support/boxes.rs"]
-mod boxes;
-use boxes::Boxes;
+use ct_testkit::boxes::Boxes;
 
 const P: u32 = 64;
 

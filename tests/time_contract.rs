@@ -29,10 +29,7 @@ use corrected_trees::obs::telemetry::{Counter, TelemetryHub};
 use corrected_trees::obs::{EventKind, MonitorConfig, MonitorSink, VecSink};
 use corrected_trees::runtime::{Cluster, ClusterConfig};
 use corrected_trees::sim::FaultPlan;
-
-#[path = "../crates/core/tests/support/scripted.rs"]
-mod scripted;
-use scripted::{scripted, Scripted};
+use ct_testkit::scripted::{scripted, Scripted};
 
 /// (a) Causality of recorded stamps across workers: per message
 /// `SendStart.t ≤ Arrive.t ≤ Deliver.t`, and the invariant monitor
